@@ -18,8 +18,11 @@ Two optional extensions beyond the paper's two-factor derating:
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+import heapq
+import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from repro.errors import AnalysisError
 from repro.core.epp import EPPEngine, EPPResult
@@ -73,8 +76,17 @@ class CircuitSERReport:
         return combine_fit(entry.fit for entry in self.nodes.values())
 
     def ranked(self, top: int | None = None) -> list[NodeSER]:
-        """Nodes by decreasing SER contribution (the vulnerability ranking)."""
-        ordered = sorted(self.nodes.values(), key=lambda e: (-e.ser, e.node))
+        """Nodes by decreasing SER contribution (the vulnerability ranking).
+
+        A ``top`` count selects with a bounded heap instead of sorting
+        every node (``heapq.nsmallest`` equals ``sorted(...)[:top]``).
+        """
+        def key(entry):
+            return (-entry.ser, entry.node)
+
+        if top is not None and top >= 0:
+            return heapq.nsmallest(top, self.nodes.values(), key=key)
+        ordered = sorted(self.nodes.values(), key=key)
         return ordered if top is None else ordered[:top]
 
     def contribution(self, node: str) -> float:
@@ -160,9 +172,10 @@ class SERAnalyzer:
         # own accumulated factors, which compose with these.
         self.hardening_factors: dict[str, float] = dict(hardening_factors or {})
         for node, factor in self.hardening_factors.items():
-            if factor <= 0.0:
+            if not math.isfinite(factor) or factor <= 0.0:
                 raise AnalysisError(
-                    f"hardening factor for {node!r} must be positive, got {factor}"
+                    f"hardening factor for {node!r} must be positive "
+                    f"and finite, got {factor}"
                 )
 
     # ------------------------------------------------------------- per node
@@ -170,65 +183,81 @@ class SERAnalyzer:
     def node_ser(self, site: str) -> NodeSER:
         """SER decomposition for one site."""
         result = self.engine.node_epp(site)
-        return self._assemble(site, result)
+        rows = [(site, result.p_sensitized, result.cone_size, result)]
+        return self._assemble(self.compiled, rows)[site]
 
-    def _assemble(self, site: str, result: EPPResult) -> NodeSER:
-        return self._assemble_on(
-            self.compiled, site, result, self.hardening_factors.get(site, 1.0)
-        )
-
-    def _assemble_on(
+    def _assemble(
         self,
         compiled,
-        site: str,
-        result: EPPResult,
-        hardening_factor: float = 1.0,
-    ) -> NodeSER:
-        """Assemble one site's SER against an explicit compiled view.
+        rows: Iterable[tuple[str, float, int, EPPResult | None]],
+        hardening: Mapping[str, float] | None = None,
+    ) -> dict[str, NodeSER]:
+        """``{site: NodeSER}`` for ``(site, p_sensitized, cone_size,
+        result)`` rows, assembled against an explicit compiled view.
 
         Incremental what-if results (:meth:`report_for`) live on *edited*
         circuit revisions whose compiled view differs from the analyzer's
         own; everything here indexes through the ``compiled`` argument so
-        both paths share one assembly.
+        both paths share one assembly.  ``hardening`` holds a revision's
+        factors, composed with the analyzer's own.  ``result`` is read
+        only by the electrical-masking model, which needs the per-sink
+        vectors.  Per-report invariants are looked up once, not per site:
+        a full-circuit report assembles thousands of rows.
         """
-        node_id = compiled.index[site]
-        gate_type = compiled.gate_type(node_id)
-        r_seu = self.seu_model.rate(gate_type, site) / hardening_factor
-
-        if self.electrical_model is None:
-            p_latched = self.latching_model.p_latched()
-            p_observable = result.p_sensitized
-        else:
-            # Per-sink: attenuate the pulse over the traversed depth, then
-            # apply the latching window at flip-flop sinks (primary outputs
-            # observe any surviving pulse).
-            p_latched = 1.0  # folded into the per-sink combination below
-            site_level = compiled.level[node_id]
-            output_set = set(compiled.output_ids)
-            terms = []
-            for sink_name, value in result.sink_values.items():
-                sink_id = compiled.index[sink_name]
-                depth = max(0, compiled.level[sink_id] - site_level)
-                width = self.electrical_model.width_after(
-                    self.latching_model.nominal_pulse_width, depth
+        index = compiled.index
+        gate_type_of = compiled.gate_type
+        rate = self.seu_model.rate
+        own_factors = self.hardening_factors
+        hardening = hardening or {}
+        two_factor = self.electrical_model is None
+        p_latched = self.latching_model.p_latched() if two_factor else 1.0
+        nodes: dict[str, NodeSER] = {}
+        for site, p_sensitized, cone_size, result in rows:
+            node_id = index[site]
+            gate_type = gate_type_of(node_id)
+            factor = own_factors.get(site, 1.0) * hardening.get(site, 1.0)
+            r_seu = rate(gate_type, site) / factor
+            if two_factor:
+                p_observable = p_sensitized
+            else:
+                # p_latched stays 1.0: the latching window is folded into
+                # the per-sink combination.
+                p_observable = self._electrical_observability(
+                    compiled, node_id, result
                 )
-                if width == 0.0:
-                    continue
-                capture = 1.0 if sink_id in output_set else self.latching_model.p_latched(width)
-                terms.append(value.error_probability * capture)
-            p_observable = combine_sensitization(terms)
+            ser = r_seu * p_latched * p_observable
+            nodes[site] = NodeSER(
+                node=site,
+                gate_type=gate_type.value,
+                r_seu=r_seu,
+                p_latched=p_latched,
+                p_sensitized=p_sensitized,
+                ser=ser,
+                fit=per_second_to_fit(ser),
+                cone_size=cone_size,
+            )
+        return nodes
 
-        ser = r_seu * p_latched * p_observable
-        return NodeSER(
-            node=site,
-            gate_type=gate_type.value,
-            r_seu=r_seu,
-            p_latched=p_latched,
-            p_sensitized=result.p_sensitized,
-            ser=ser,
-            fit=per_second_to_fit(ser),
-            cone_size=result.cone_size,
-        )
+    def _electrical_observability(
+        self, compiled, node_id: int, result: EPPResult
+    ) -> float:
+        """Per-sink: attenuate the pulse over the traversed depth, then
+        apply the latching window at flip-flop sinks (primary outputs
+        observe any surviving pulse)."""
+        site_level = compiled.level[node_id]
+        output_set = set(compiled.output_ids)
+        terms = []
+        for sink_name, value in result.sink_values.items():
+            sink_id = compiled.index[sink_name]
+            depth = max(0, compiled.level[sink_id] - site_level)
+            width = self.electrical_model.width_after(
+                self.latching_model.nominal_pulse_width, depth
+            )
+            if width == 0.0:
+                continue
+            capture = 1.0 if sink_id in output_set else self.latching_model.p_latched(width)
+            terms.append(value.error_probability * capture)
+        return combine_sensitization(terms)
 
     # ------------------------------------------------------------- analysis
 
@@ -270,8 +299,13 @@ class SERAnalyzer:
             sites=sites, sample=sample, seed=seed, config=config, **knobs
         )
         report = CircuitSERReport(self.circuit.name)
-        for site, result in results.items():
-            report.nodes[site] = self._assemble(site, result)
+        report.nodes = self._assemble(
+            self.compiled,
+            (
+                (site, result.p_sensitized, result.cone_size, result)
+                for site, result in results.items()
+            ),
+        )
         return report
 
     # ------------------------------------------------- incremental what-if
@@ -302,16 +336,25 @@ class SERAnalyzer:
         Assembles against the revision's own compiled circuit and applies
         the revision's accumulated hardening factors (composed with the
         analyzer's, if any) — an upsized gate's R_SEU is divided by its
-        factor, exactly as :mod:`repro.ser.hardening` models it.
+        factor, exactly as :mod:`repro.ser.hardening` models it.  The
+        default two-factor model reads only ``P_sensitized`` and the cone
+        size, so it assembles straight from the revision's packed arrays;
+        only the electrical-masking model materializes per-site results.
         """
-        compiled = delta.engine.compiled
-        report = CircuitSERReport(delta.engine.circuit.name)
-        for site, result in delta.results().items():
-            factor = (
-                self.hardening_factors.get(site, 1.0)
-                * delta.hardening.get(site, 1.0)
+        if self.electrical_model is None:
+            rows = zip(
+                delta.site_names,
+                delta.p_sensitized.tolist(),
+                delta.cone_sizes.tolist(),
+                repeat(None),
             )
-            report.nodes[site] = self._assemble_on(compiled, site, result, factor)
+        else:
+            rows = (
+                (site, result.p_sensitized, result.cone_size, result)
+                for site, result in delta.results().items()
+            )
+        report = CircuitSERReport(delta.engine.circuit.name)
+        report.nodes = self._assemble(delta.engine.compiled, rows, delta.hardening)
         return report
 
     def release_buffers(self) -> None:

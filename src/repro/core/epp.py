@@ -713,7 +713,9 @@ class EPPEngine:
         after structural edits) and the backend knobs.  The packed arrays
         are exactly ``pack_sites`` output, so a later delta's splice is
         ``np.array_equal``-identical to re-running this snapshot on the
-        edited circuit.
+        edited circuit.  A snapshot starts unhardened: hardening factors
+        live on the revisions a delta returns, never on the engine, which
+        metadata-only revisions share.
 
         The resilience knobs (``retries``/``shard_timeout``/
         ``on_failure``/``deadline``) apply to the sharded backend only,
@@ -744,7 +746,9 @@ class EPPEngine:
         arrays are spliced into the retained ones — bit-identical
         (``np.array_equal``) to a full re-analysis of the edited circuit.
         Keyword knobs (``backend``/``jobs``/``batch_size``/...) override
-        the snapshot's for the re-sweep.
+        the snapshot's for the re-sweep.  A ``harden``/``resize``-only
+        edit set skips all of that and returns a revision that shares
+        this engine and ``prev``'s packed arrays.
         """
         from repro.core.epp_delta import analyze_delta as _analyze_delta
 

@@ -48,6 +48,7 @@ exactly that, plus 1e-9 agreement with the scalar oracle.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -104,8 +105,9 @@ class EditSet:
     whose function, fanin list or sink status changed), which is what
     the dirty-set computation seeds from.  ``harden``/``resize`` are metadata-only:
     upsizing divides a node's SEU cross section without changing the
-    logic, so they contribute no structural touches (and an upsize-only
-    edit set re-sweeps nothing).
+    logic, so they contribute no structural touches, and an edit set of
+    nothing else (:attr:`metadata_only`) is never applied at all —
+    :func:`analyze_delta` reuses the parent revision instead.
     """
 
     def __init__(self):
@@ -144,12 +146,19 @@ class EditSet:
 
         Metadata-only — the logic (and every EPP value) is unchanged, so
         hardening edits never dirty any site; the SER layer divides the
-        node's R_SEU by the accumulated factor instead.
+        node's R_SEU by the accumulated factor instead.  A delta whose
+        edits are all ``harden``/``resize`` does no analysis work: it
+        shares the parent revision's circuit, compiled view, SP map,
+        engine and packed arrays by reference and records only the new
+        factors (see :func:`analyze_delta`).  Mixing in any structural
+        or ``set_sp`` op forfeits that reuse for the whole set.  The
+        factor must be finite and above 1.
         """
         factor = float(strength_factor)
-        if factor <= 1.0:
+        if not math.isfinite(factor) or factor <= 1.0:
             raise AnalysisError(
-                f"harden({name!r}): strength_factor must be > 1, got {factor}"
+                f"harden({name!r}): strength_factor must be > 1 and "
+                f"finite, got {factor}"
             )
         self._ops.append(("harden", name, factor))
         self.hardening[name] = self.hardening.get(name, 1.0) * factor
@@ -218,6 +227,15 @@ class EditSet:
         return sum(
             1 for op in self._ops if op[0] not in ("set_sp", "harden")
         )
+
+    @property
+    def metadata_only(self) -> bool:
+        """True when every op is ``harden``/``resize`` (an empty set counts).
+
+        Such a set leaves the netlist, the SP map and every EPP column
+        exactly as they were; only the hardening factors change.
+        """
+        return all(op[0] == "harden" for op in self._ops)
 
     def apply(self, circuit: Circuit) -> tuple[Circuit, set[str]]:
         """Replay onto a copy of ``circuit``; return (edited, touched names).
@@ -366,7 +384,9 @@ class DeltaAnalysis:
     plus the bookkeeping a further delta needs.  ``engine`` is the
     :class:`~repro.core.epp.EPPEngine` of *this* revision's circuit —
     chain onward with ``delta.apply(edits)`` (or
-    ``delta.engine.analyze_delta(delta, edits)``).
+    ``delta.engine.analyze_delta(delta, edits)``).  Revisions that
+    differ only in ``hardening`` share one engine and one set of
+    (read-only) packed arrays.
     """
 
     __slots__ = (
@@ -494,7 +514,10 @@ def snapshot(
     # A delta-built engine carries the chain's accumulated SP overrides,
     # so a *fresh* snapshot of it keeps recomputed SP maps consistent.
     delta.sp_overrides = dict(getattr(engine, "_sp_delta_overrides", {}))
-    delta.hardening = dict(getattr(engine, "_hardening_factors", {}))
+    # Hardening lives on revisions only: one engine backs every
+    # metadata-only revision of its circuit, so a fresh snapshot starts
+    # unhardened.
+    delta.hardening = {}
     delta.knobs = resolved
     delta.stats = {
         "sites": len(site_names),
@@ -506,11 +529,49 @@ def snapshot(
     return delta
 
 
+def _accumulate_hardening(prev: DeltaAnalysis, edits: EditSet) -> dict:
+    hardening = dict(prev.hardening)
+    for name, factor in edits.hardening.items():
+        hardening[name] = hardening.get(name, 1.0) * factor
+    return hardening
+
+
+def _prepare_reuse(prev: DeltaAnalysis, edits: EditSet, sites) -> dict | None:
+    """The front half of a metadata-only delta, or ``None`` when
+    ``sites`` names a different site list than the parent's."""
+    circuit = prev.engine.circuit
+    for name in edits.hardening:
+        circuit.node(name)  # raises NetlistError on unknown nodes
+    if sites is not None:
+        names = prev.engine.compiled.names
+        requested = [
+            site if isinstance(site, str) else names[site] for site in sites
+        ]
+        if requested != prev.site_names:
+            return None
+    return {
+        "reuse": True,
+        "hardening": _accumulate_hardening(prev, edits),
+        "site_names": prev.site_names,
+        "dirty_flags": (),
+        "frontier": (),
+    }
+
+
 def _prepare(prev: DeltaAnalysis, edits: EditSet, sites, knobs: Mapping) -> dict:
     """The analysis-independent front half of a delta: apply the edits,
-    derive the new SP map and the edit frontier, classify sites."""
+    derive the new SP map and the edit frontier, classify sites.
+
+    A metadata-only edit set over the parent's site list short-cuts all
+    of that (``context["reuse"]``): nothing it could compute differs
+    from the parent revision.
+    """
     engine = prev.engine
     engine._check_current()
+    if edits.metadata_only:
+        context = _prepare_reuse(prev, edits, sites)
+        if context is not None:
+            return context
     new_circuit, touched = edits.apply(engine.circuit)
     new_compiled = new_circuit.compiled()
 
@@ -561,11 +622,9 @@ def _prepare(prev: DeltaAnalysis, edits: EditSet, sites, knobs: Mapping) -> dict
             sp_changed.add(name)  # removed nodes dirty the old side
     frontier = touched | sp_changed
 
-    hardening = dict(prev.hardening)
-    for name, factor in edits.hardening.items():
-        hardening[name] = hardening.get(name, 1.0) * factor
     hardening = {
-        name: factor for name, factor in hardening.items()
+        name: factor
+        for name, factor in _accumulate_hardening(prev, edits).items()
         if name in new_compiled.index
     }
 
@@ -581,7 +640,6 @@ def _prepare(prev: DeltaAnalysis, edits: EditSet, sites, knobs: Mapping) -> dict
     new_engine._sp_method = prev.sp_method
     new_engine._sp_options = dict(prev.sp_options)
     new_engine._sp_delta_overrides = overrides
-    new_engine._hardening_factors = hardening
 
     dirty_old = dirty_mask(engine.compiled, touched, sp_changed)
     dirty_new = dirty_mask(new_compiled, touched, sp_changed)
@@ -619,6 +677,7 @@ def _prepare(prev: DeltaAnalysis, edits: EditSet, sites, knobs: Mapping) -> dict
             or bool(dirty_old[old_index[name]])
         )
     return {
+        "reuse": False,
         "new_engine": new_engine,
         "new_compiled": new_compiled,
         "sp_map": sp_map,
@@ -649,6 +708,43 @@ def edit_impact(prev: DeltaAnalysis, edits: EditSet, sites=None) -> dict:
         "reused": len(context["site_names"]) - int(dirty),
         "frontier": len(context["frontier"]),
     }
+
+
+def _reuse_revision(
+    prev: DeltaAnalysis, hardening: dict, sites, knobs: dict
+) -> DeltaAnalysis:
+    """A metadata-only revision: the parent's analysis, new hardening.
+
+    The circuit, compiled view, SP map and engine (with its cached
+    vector backend and batch plan) are shared by reference, and so are
+    the packed arrays, which are marked read-only first: one write
+    through any revision would otherwise corrupt every other.
+    """
+    for array in prev.packed:
+        array.setflags(write=False)
+    delta = DeltaAnalysis()
+    delta.engine = prev.engine
+    delta.site_names = list(prev.site_names)
+    delta.site_ids = list(prev.site_ids)
+    delta.packed = prev.packed
+    delta._results = prev._results
+    delta.default_sites = prev.default_sites if sites is None else False
+    delta.user_sp = prev.user_sp
+    delta.sp_method = prev.sp_method
+    delta.sp_options = dict(prev.sp_options)
+    delta.sp_map = prev.sp_map
+    delta.sp_overrides = prev.sp_overrides
+    delta.hardening = hardening
+    delta.knobs = knobs
+    n_sites = len(delta.site_names)
+    delta.stats = {
+        "sites": n_sites,
+        "dirty": 0,
+        "reused": n_sites,
+        "frontier": 0,
+        "chain_length": prev.stats.get("chain_length", 0) + 1,
+    }
+    return delta
 
 
 def _segment_index(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -684,6 +780,14 @@ def analyze_delta(
     sink positions remapped through the old→new sink-name map), dirty
     columns come from a fresh ``pack_sites`` over the same backends.
     Keyword knobs override the snapshot's for the re-sweep.
+
+    A metadata-only edit set (:attr:`EditSet.metadata_only`) over the
+    parent's site list re-sweeps nothing and rebuilds nothing: the new
+    revision shares the parent's circuit, compiled view, SP map, engine
+    and (read-only) packed arrays, so ``delta.engine is prev.engine``,
+    and carries only the accumulated hardening factors.  Any structural
+    or ``set_sp`` op, or an explicit ``sites`` list that differs from
+    the parent's, takes the general path above.
     """
     # An override of one knob keeps the snapshot's choice for the rest.
     merged_knobs = dict(prev.knobs)
@@ -695,6 +799,8 @@ def analyze_delta(
         merged_knobs[key] = value
 
     context = _prepare(prev, edits, sites, merged_knobs)
+    if context["reuse"]:
+        return _reuse_revision(prev, context["hardening"], sites, merged_knobs)
     new_engine = context["new_engine"]
     site_names = context["site_names"]
     site_ids = context["site_ids"]

@@ -21,6 +21,7 @@ This module implements the two classic responses:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
@@ -233,10 +234,15 @@ def optimize_hardening(
 
     ``action="upsize"`` upsizes by ``strength_factor`` (area cost
     ``strength_factor - 1`` per gate, FIT contribution divided by the
-    factor — a metadata-only edit, so deltas are nearly free).
+    factor).  That is a metadata-only edit: each trial revision shares
+    the current one's circuit, compiled view, SP map, engine and packed
+    arrays by reference, so a step costs one report assembly and no
+    sweep, SP pass, compile or engine build.
     ``action="tmr"`` inserts local triplicate-and-vote structure (area
-    cost 3.0: two replicas plus a voter) — a real structural edit whose
-    re-sweep exercises the dirty-set machinery.  Note the documented EPP
+    cost 3.0: two replicas plus a voter) — a real structural edit that
+    reuses none of that: each trial copies and recompiles the circuit,
+    recomputes the SP map, builds a new engine and re-sweeps the dirty
+    cones, which exercises the dirty-set machinery.  Note the documented EPP
     limitation (module docstring): EPP cannot see cross-replica masking,
     so the *estimated* FIT after local TMR usually rises (three copies'
     cross section, no credited masking) and such steps are honestly
@@ -256,8 +262,12 @@ def optimize_hardening(
         raise ConfigError(
             f"unknown hardening action {action!r}; choose 'upsize' or 'tmr'"
         )
-    if action == "upsize" and strength_factor <= 1.0:
-        raise ConfigError(f"strength_factor must be > 1, got {strength_factor}")
+    if action == "upsize" and not (
+        math.isfinite(strength_factor) and strength_factor > 1.0
+    ):
+        raise ConfigError(
+            f"strength_factor must be > 1 and finite, got {strength_factor}"
+        )
     step_cost = (strength_factor - 1.0) if action == "upsize" else 3.0
 
     delta = analyzer.snapshot(sites=sites, **knobs)

@@ -199,7 +199,10 @@ def edits_from_wire(ops: list):
     ``["add_gate", node, type, fanin]``, ``["remove_node", node]``,
     ``["mark_output", node]``, ``["rewire", node, old, new]``,
     ``["tmr", node, ...]``.  Gate types are case-insensitive names from
-    :class:`~repro.netlist.gate_types.GateType`.
+    :class:`~repro.netlist.gate_types.GateType`.  A missing or
+    unconvertible argument raises :class:`~repro.errors.ConfigError`
+    naming the op; a non-finite ``harden`` factor or an out-of-range
+    ``set_sp`` probability raises the edit builder's ``AnalysisError``.
     """
     from repro.core.epp_delta import EditSet
     from repro.netlist.gate_types import GateType
@@ -238,6 +241,10 @@ def edits_from_wire(ops: list):
                 raise ConfigError(f"unknown edit kind {kind!r}")
         except IndexError:
             raise ConfigError(f"edit op {kind!r} is missing arguments: {op!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"edit op {kind!r} has a malformed argument: {op!r} ({exc})"
+            ) from None
     return edits
 
 

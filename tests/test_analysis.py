@@ -29,6 +29,11 @@ class TestFactorization:
             sum(entry.fit for entry in report.nodes.values())
         )
 
+    @pytest.mark.parametrize("factor", [0.0, -2.0, float("nan"), float("inf")])
+    def test_hardening_factors_must_be_positive_and_finite(self, c17_circuit, factor):
+        with pytest.raises(AnalysisError, match="positive and finite"):
+            SERAnalyzer(c17_circuit, hardening_factors={"N10": factor})
+
     def test_custom_models_scale_linearly(self, c17_circuit):
         base = SERAnalyzer(c17_circuit).analyze()
         doubled_flux = SERAnalyzer(

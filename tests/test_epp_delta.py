@@ -111,6 +111,14 @@ class TestStalenessGuard:
             engine.p_sensitized("N10")
         assert 0.0 <= EPPEngine(circuit).p_sensitized("N10") <= 1.0
 
+    def test_mutation_invalidates_harden_only_delta(self):
+        circuit = c17()
+        engine = EPPEngine(circuit)
+        prev = engine.snapshot()
+        circuit.replace_gate("N10", "nor")
+        with pytest.raises(AnalysisError, match="mutated after"):
+            engine.analyze_delta(prev, EditSet().harden("N10", 2.0))
+
     def test_error_message_points_to_analyze_delta(self):
         circuit = c17()
         engine = EPPEngine(circuit)
@@ -141,6 +149,11 @@ class TestEditSet:
     def test_harden_needs_factor_above_one(self):
         with pytest.raises(AnalysisError, match="must be > 1"):
             EditSet().harden("g", 1.0)
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_harden_needs_finite_factor(self, factor):
+        with pytest.raises(AnalysisError, match="finite"):
+            EditSet().harden("g", factor)
 
     def test_tmr_needs_names(self):
         with pytest.raises(AnalysisError, match="at least one"):
@@ -193,6 +206,11 @@ class TestEditSet:
     def test_harden_unknown_node_rejected(self):
         with pytest.raises(NetlistError):
             EditSet().harden("ghost", 2.0).apply(c17())
+        prev = EPPEngine(c17()).snapshot()
+        with pytest.raises(NetlistError, match="ghost"):
+            prev.apply(EditSet().harden("ghost", 2.0))
+        with pytest.raises(NetlistError, match="ghost"):
+            edit_impact(prev, EditSet().harden("ghost", 2.0))
 
 
 # ----------------------------------------------------------------- dirty mask
@@ -332,6 +350,7 @@ class TestBitIdentity:
         delta = engine.analyze_delta(prev, EditSet())
         assert delta.stats["dirty"] == 0
         assert delta.stats["reused"] == delta.stats["sites"]
+        assert delta.engine is prev.engine
         assert_bit_identical(delta, full_resnapshot(delta))
 
     def test_harden_only_edit_resweeps_nothing(self):
@@ -339,8 +358,11 @@ class TestBitIdentity:
         prev = engine.snapshot()
         delta = engine.analyze_delta(prev, EditSet().harden("N10", 10.0))
         assert delta.stats["dirty"] == 0
-        chained = delta.apply(EditSet().harden("N10", 2.0))
-        assert chained.hardening["N10"] == pytest.approx(20.0)
+        chained = delta.apply(EditSet().harden("N10", 2.0).harden("N11", 3.0))
+        assert chained.hardening == {"N10": 20.0, "N11": 3.0}
+        assert delta.hardening == {"N10": 10.0}  # the parent is untouched
+        assert chained.engine is prev.engine
+        assert chained.stats["chain_length"] == 2
         assert_bit_identical(chained, full_resnapshot(chained))
 
     def test_scalar_oracle_agreement(self):
@@ -424,6 +446,125 @@ class TestBitIdentity:
         assert impact["sites"] == delta.stats["sites"]
 
 
+class TestMetadataOnlyReuse:
+    """A harden/resize-only edit set reuses the parent revision outright.
+
+    Nothing it could recompute differs from the parent — same netlist,
+    same SP map, same columns — so the revision shares the parent's
+    engine and packed arrays and carries only the new hardening map.
+    """
+
+    @staticmethod
+    def count_rebuilds(monkeypatch) -> dict:
+        """Count SP passes, circuit compiles and engine builds."""
+        import repro.core.epp as epp_module
+        import repro.core.epp_delta as delta_module
+        from repro.netlist.circuit import CompiledCircuit
+
+        calls = {"sp": 0, "compile": 0, "engine": 0}
+
+        def counting(key, func):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        for module in (delta_module, epp_module):
+            monkeypatch.setattr(
+                module, "signal_probabilities",
+                counting("sp", module.signal_probabilities),
+            )
+        monkeypatch.setattr(
+            CompiledCircuit, "__init__",
+            counting("compile", CompiledCircuit.__init__),
+        )
+        monkeypatch.setattr(
+            EPPEngine, "__init__", counting("engine", EPPEngine.__init__)
+        )
+        return calls
+
+    def test_harden_only_delta_rebuilds_nothing(self, monkeypatch):
+        engine = EPPEngine(s27())
+        prev = engine.snapshot()
+        calls = self.count_rebuilds(monkeypatch)
+        delta = engine.analyze_delta(
+            prev, EditSet().harden("G10", 10.0).resize("G11", 4.0)
+        )
+        assert calls == {"sp": 0, "compile": 0, "engine": 0}
+        assert delta.engine is prev.engine
+        assert delta.sp_map is prev.sp_map
+        assert delta.hardening == {"G10": 10.0, "G11": 4.0}
+        assert delta.stats == {
+            "sites": len(prev.site_names), "dirty": 0,
+            "reused": len(prev.site_names), "frontier": 0, "chain_length": 1,
+        }
+        for shared, original in zip(delta.packed, prev.packed):
+            assert shared is original
+            assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            delta.p_sensitized[0] = 0.5
+        full = full_resnapshot(delta)
+        assert_bit_identical(delta, full)
+        assert full.hardening == {}  # hardening lives on revisions only
+
+    def test_explicit_sites_reuse_only_when_they_match(self, monkeypatch):
+        engine = EPPEngine(c17())
+        prev = engine.snapshot()
+        ids = [engine.compiled.index[name] for name in prev.site_names]
+        same = engine.analyze_delta(prev, EditSet().harden("N10", 2.0), sites=ids)
+        assert same.engine is prev.engine
+        assert same.site_names == prev.site_names
+        assert not same.default_sites
+
+        sites = ["N22", "N10"]
+        calls = self.count_rebuilds(monkeypatch)
+        other = engine.analyze_delta(
+            prev, EditSet().harden("N10", 2.0), sites=sites
+        )
+        assert calls["engine"] == 1
+        assert other.engine is not prev.engine
+        assert other.site_names == sites
+        assert other.hardening == {"N10": 2.0}
+        assert_bit_identical(other, other.engine.snapshot(sites=sites))
+
+    def test_edit_impact_of_metadata_only_set(self, monkeypatch):
+        engine = EPPEngine(s27())
+        prev = engine.snapshot()
+        calls = self.count_rebuilds(monkeypatch)
+        impact = edit_impact(prev, EditSet().harden("G10", 5.0))
+        assert calls == {"sp": 0, "compile": 0, "engine": 0}
+        assert impact == {
+            "sites": len(prev.site_names), "dirty": 0,
+            "reused": len(prev.site_names), "frontier": 0,
+        }
+
+    def test_mixed_chain_stays_bit_identical(self):
+        analyzer = SERAnalyzer(s27())
+        prev = analyzer.snapshot()
+        steps = [
+            (EditSet().harden("G10", 10.0), False),
+            (EditSet().replace_gate("G11", "or"), True),
+            (EditSet().harden("G11", 4.0), False),
+            (EditSet().set_sp("G0", 0.3), True),
+            (EditSet().harden("G10", 2.0), False),
+        ]
+        for edits, rebuilds in steps:
+            delta = prev.apply(edits)
+            assert (delta.engine is not prev.engine) == rebuilds
+            assert_bit_identical(delta, full_resnapshot(delta))
+            report = analyzer.report_for(delta)
+            reference = SERAnalyzer(
+                delta.engine.circuit, engine=delta.engine,
+                hardening_factors=delta.hardening,
+            ).analyze()
+            assert report.total_fit == pytest.approx(
+                reference.total_fit, rel=1e-12
+            )
+            prev = delta
+        assert prev.hardening == {"G10": 20.0, "G11": 4.0}
+        assert prev.stats["chain_length"] == len(steps)
+
+
 class TestUserSuppliedSP:
     def make_engine(self):
         circuit = c17()
@@ -503,6 +644,58 @@ class TestSERAnalyzerDelta:
         report = analyzer.report_for(delta)
         rebuilt = SERAnalyzer(delta.engine.circuit).analyze()
         assert report.total_fit == pytest.approx(rebuilt.total_fit)
+
+    @pytest.mark.parametrize(
+        "circuit",
+        [s27, lambda: random_combinational(8, 90, seed=4)],
+        ids=["s27", "random"],
+    )
+    def test_packed_report_equals_materialized_report(self, circuit, monkeypatch):
+        """report_for reads the packed arrays; assembling the same
+        revision from materialized EPPResults gives the identical report."""
+        from repro.core.analysis import CircuitSERReport
+
+        analyzer = SERAnalyzer(circuit())
+        delta = analyzer.snapshot()
+        for site in delta.site_names[:3]:
+            delta = delta.apply(EditSet().harden(site, 10.0))
+        delta = delta.apply(EditSet().replace_gate(delta.site_names[-1], "xor"))
+        delta = delta.apply(EditSet().harden(delta.site_names[0], 3.0))
+
+        materialized = CircuitSERReport(delta.engine.circuit.name)
+        materialized.nodes = analyzer._assemble(
+            delta.engine.compiled,
+            [
+                (site, result.p_sensitized, result.cone_size, result)
+                for site, result in delta.results().items()
+            ],
+            delta.hardening,
+        )
+
+        def no_materialize(self):
+            raise AssertionError("the two-factor report materialized results")
+
+        monkeypatch.setattr(type(delta), "results", no_materialize)
+        packed = analyzer.report_for(delta)
+        assert packed.nodes == materialized.nodes
+        assert list(packed.nodes) == list(materialized.nodes)
+        assert packed.to_dict(5) == materialized.to_dict(5)
+        assert packed.total_fit == materialized.total_fit
+
+    def test_electrical_model_report_applies_hardening(self):
+        from repro.ser.electrical import ElectricalMaskingModel
+
+        analyzer = SERAnalyzer(s27(), electrical_model=ElectricalMaskingModel())
+        prev = analyzer.snapshot()
+        delta = prev.apply(EditSet().harden("G10", 10.0))
+        report = analyzer.report_for(delta)
+        direct = SERAnalyzer(
+            s27(), electrical_model=ElectricalMaskingModel(),
+            hardening_factors={"G10": 10.0},
+        ).analyze()
+        assert list(report.nodes) == list(direct.nodes)
+        for site, entry in report.nodes.items():
+            assert entry.fit == pytest.approx(direct.nodes[site].fit, rel=1e-9)
 
 
 # ------------------------------------------------------------- thread safety

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.analysis import SERAnalyzer
+from repro.core.epp_delta import EditSet
 from repro.errors import ConfigError
+from repro.netlist.generate import random_combinational
 from repro.netlist.library import c17, s27
 from repro.ser.hardening import (
     evaluate_tmr,
@@ -167,6 +169,40 @@ class TestOptimizeHardening:
             optimize_hardening(analyzer, area_budget=5.0, action="pray")
         with pytest.raises(ConfigError, match="strength_factor"):
             optimize_hardening(analyzer, area_budget=5.0, strength_factor=1.0)
+        for factor in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="finite"):
+                optimize_hardening(analyzer, area_budget=5.0, strength_factor=factor)
+
+    @pytest.mark.parametrize("make_circuit", [
+        s27,
+        # Large enough (n * sites >= the scalar-crossover work) that the
+        # direct analyze() runs the same vector reduction as the chain's
+        # packed arrays, so the comparison is exact by construction.
+        lambda: random_combinational(10, 300, seed=9),
+    ], ids=["s27", "random"])
+    def test_upsize_chain_matches_independent_analysis(self, make_circuit):
+        """The chain of metadata-only revisions agrees exactly with one
+        plain analyze() that carries the accepted factors up front."""
+        circuit = make_circuit()
+        plan = optimize_hardening(
+            SERAnalyzer(circuit), area_budget=45.0, strength_factor=10.0
+        )
+        factors = {node: 10.0 for node in plan.accepted_nodes}
+        assert len(factors) >= 3
+        assert plan.result.hardening == factors
+        direct = SERAnalyzer(circuit, hardening_factors=factors).analyze()
+        assert plan.final_fit == direct.total_fit
+
+    def test_hardening_one_node_twice_multiplies(self):
+        circuit = s27()
+        analyzer = SERAnalyzer(circuit)
+        first = analyzer.snapshot().apply(EditSet().harden("G10", 3.0))
+        second = first.apply(EditSet().harden("G10", 7.0))
+        assert second.hardening == {"G10": 21.0}
+        report = analyzer.report_for(second)
+        direct = SERAnalyzer(circuit, hardening_factors={"G10": 21.0}).analyze()
+        assert report.nodes == direct.nodes
+        assert report.total_fit == direct.total_fit
 
     def test_plan_format_smoke(self):
         analyzer = SERAnalyzer(s27())

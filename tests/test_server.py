@@ -222,6 +222,10 @@ class TestProtocol:
         [["harden"]],  # missing node
         ["harden"],  # not a list op
         [["replace_gate", "g1", "no_such_type"]],
+        [["harden", "g1", "abc"]],  # unconvertible factor
+        [["set_sp", "g1", "x"]],  # unconvertible probability
+        [["set_sp", "g1", None]],
+        [["add_gate", "extra", "and", 5]],  # fanin is not a list
     ])
     def test_edits_from_wire_rejects(self, ops):
         with pytest.raises(ConfigError):
@@ -294,6 +298,35 @@ class TestServiceCore:
                 assert not response["ok"]
                 assert response["error"]["type"] == "ConfigError"
                 assert not response["error"]["retriable"]
+        asyncio.run(main())
+
+    def test_bad_edit_arguments_are_typed_terminal_errors(self, tmp_path, c17_ref):
+        _, sites = c17_ref
+
+        async def main():
+            async with serving(tmp_path) as svc:
+                await svc._respond(wire(op="analyze", circuit="c17"))
+                for edits, error, message in [
+                    ([["harden", sites[0], "nan"]], "AnalysisError", "finite"),
+                    ([["harden", sites[0], "inf"]], "AnalysisError", "finite"),
+                    ([["harden", sites[0], "abc"]], "ConfigError", "'harden'"),
+                    ([["set_sp", "N1", "x"]], "ConfigError", "'set_sp'"),
+                ]:
+                    response = await svc._respond(wire(
+                        op="analyze_delta", circuit="c17", edits=edits,
+                        fit=True,
+                    ))
+                    assert not response["ok"], edits
+                    assert response["error"]["type"] == error
+                    assert message in response["error"]["message"]
+                    assert not response["error"]["retriable"]
+                # The chain survived: a valid harden still answers.
+                ok = await svc._respond(wire(
+                    op="analyze_delta", circuit="c17",
+                    edits=[["harden", sites[0], 10.0]], fit=True,
+                ))
+                assert ok["ok"] and ok["result"]["revision"] == 1
+                assert ok["result"]["fit"]["total_fit"] > 0
         asyncio.run(main())
 
     def test_delta_chain_matches_in_process(self, tmp_path, c17_ref):
