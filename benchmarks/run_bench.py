@@ -11,18 +11,11 @@ backend configurations —
   result materialization);
 * ``vector_eager_s`` — the same dense sweep with every per-sink vector
   dict forced, reproducing the PR-1 backend's *eager* accounting;
-* ``sparse_pr3_s``   — the PR-3 strategy pinned explicitly
-  (``prune=True, cells="off", chunking="fixed"``: row pruning and cone
-  clustering without cell compaction or adaptive widths);
-* ``sparse_full_rows_s`` — the PR-4 strategy pinned (``rows="full"``
-  with the auto stack otherwise: cell-compacted kernels on full-row
-  slot buffers with the dirty-row restore);
-* ``sparse_s``       — the full defaults (``prune/cells/chunking/rows``
-  all ``"auto"``: cell-compacted kernels, compacted union-of-cones
-  state matrices, recalibrated wide chunks and the saturated-chunk
-  dense fallback), with the backend's ``sweep_stats`` (cell density,
-  compact sweeps/rows, chunk splits, dense fallbacks) recorded
-  alongside;
+* ``sparse_s``       — the defaults (``prune``/``schedule`` ``"auto"``:
+  compacted union-of-cones state matrices with cell-compacted kernels,
+  the calibrated chunk widths and the saturated-chunk dense fallback),
+  with the backend's ``sweep_stats`` (cell density, compact sweeps/rows,
+  dense fallbacks) recorded alongside;
 * ``sharded_s``      — the multi-process driver under its default
   crossover guard (``sharded_process_path`` records whether worker
   processes actually engaged);
@@ -38,9 +31,8 @@ backend configurations —
 
 plus a **clustered-site workload**: one cone-cluster's sites (a module's
 worth of neighbors, the MBU/per-module shape) measured dense
-(``clustered_vector_s``), PR-3 row-sparse (``clustered_sparse_s``),
-PR-4 cell-compacted on full-row buffers (``clustered_full_rows_s``) and
-the compacted-rows default (``clustered_compact_s``);
+(``clustered_vector_s``) and forced-pruned on compacted state matrices
+(``clustered_compact_s``);
 
 plus an **incremental what-if workload** (the PR-7 design loop): a full
 packed ``snapshot`` (``delta_snapshot_s``), then ``analyze_delta`` for a
@@ -60,8 +52,8 @@ at :data:`SERVE_WARM_SPEEDUP_FLOOR` where the cold run clears its
 noise floor;
 
 plus the **config-layer cost row** (the PR-10 unification): the same
-warm full-circuit vector sweep invoked through the legacy kwargs
-surface (``config_kwargs_s``) and through one prebuilt
+warm full-circuit vector sweep invoked through individual knob kwargs
+(``config_kwargs_s``) and through one prebuilt
 ``AnalysisConfig`` object (``config_object_s``).  Both routes funnel
 into the same config internally, so their ratio ``config_overhead``
 isolates exactly what the unification added per call — construction,
@@ -121,11 +113,7 @@ QUICK_CIRCUITS = ("s953", "s1423", "s9234")
 #: The ratio metrics ``--check`` compares (host-independent by design).
 CHECKED_RATIOS = (
     "speedup_sparse_vs_vector",
-    "clustered_speedup",
-    "speedup_sparse_vs_pr3_strategy",
     "clustered_compact_speedup",
-    "speedup_compact_vs_full_rows",
-    "clustered_rows_speedup",
     "delta_speedup_vs_full",
     "serve_warm_speedup",
     "resume_speedup",
@@ -165,7 +153,7 @@ _RESILIENCE_STAT_KEYS = (
 
 #: Sweep-stat counters copied next to the timing they describe.
 _SWEEP_STAT_KEYS = (
-    "chunks", "chunk_splits", "dense_fallback_sweeps",
+    "chunks", "dense_fallback_sweeps",
     "compact_sweeps", "compact_rows",
     "groups_dense", "groups_row", "groups_cell",
     "cells_on", "cells_total", "cells_computed", "cells_dense",
@@ -260,18 +248,7 @@ def bench_circuit(name: str, jobs: int | None) -> dict:
         prune=False, schedule="input",
     )
 
-    # ---- PR-3 strategy pinned: row pruning without cell compaction ----
-    row["sparse_pr3_s"] = _timed_analyze(
-        _fresh_engine(circuit, sp), sites,
-        prune=True, cells="off", chunking="fixed",
-    )
-
-    # ---- PR-4 strategy pinned: cell compaction on full-row buffers ----
-    row["sparse_full_rows_s"] = _timed_analyze(
-        _fresh_engine(circuit, sp), sites, rows="full",
-    )
-
-    # ---- full defaults: cell-compacted, adaptive, dense-fallback ----
+    # ---- defaults: compacted sweeps, dense fallback on saturation ----
     # One warm-up analyze first, snapshotted immediately: the recorded
     # sweep_stats describe exactly one analyze() run, not the cumulative
     # counters of every best-of repeat.
@@ -282,7 +259,7 @@ def bench_circuit(name: str, jobs: int | None) -> dict:
 
     # ---- clean-path cost of the unified config layer (PR 10) ----
     # The same warm vector sweep, differing only in how the knobs
-    # arrive: spelled out as legacy kwargs vs one prebuilt
+    # arrive: spelled out as kwargs vs one prebuilt
     # AnalysisConfig.  Both routes build the same config internally, so
     # the ratio isolates construction + validation + routing of the
     # typed option layer — the <2% promise the unification shipped
@@ -291,10 +268,7 @@ def bench_circuit(name: str, jobs: int | None) -> dict:
     # samples of a shared runner.
     from repro.core.config import AnalysisConfig
 
-    config_knobs = dict(
-        prune=True, schedule="cone", cells="auto", chunking="auto",
-        rows="auto",
-    )
+    config_knobs = dict(prune=True, schedule="cone")
     config_object = AnalysisConfig(backend="vector", **config_knobs)
 
     def timed_config(call) -> float:
@@ -405,32 +379,14 @@ def bench_circuit(name: str, jobs: int | None) -> dict:
             return _best_of(timed, floor_s=2.0, max_repeats=5)
 
         row["clustered_vector_s"] = measure_cluster(
-            prune=False, schedule="input", cells="off", chunking="fixed",
-            rows="full",
-        )
-        row["clustered_sparse_s"] = measure_cluster(
-            prune=True, schedule="cone", cells="off", chunking="fixed",
-            rows="full",
-        )
-        row["clustered_full_rows_s"] = measure_cluster(
-            prune=True, schedule="cone", cells="auto", chunking="auto",
-            rows="full",
+            prune=False, schedule="input",
         )
         row["clustered_compact_s"] = measure_cluster(
             stats_key="clustered_sweep_stats",
-            prune=True, schedule="cone", cells="auto", chunking="auto",
-        )
-        row["clustered_speedup"] = (
-            row["clustered_vector_s"] / row["clustered_sparse_s"]
+            prune=True, schedule="cone",
         )
         row["clustered_compact_speedup"] = (
             row["clustered_vector_s"] / row["clustered_compact_s"]
-        )
-        row["clustered_compact_vs_sparse"] = (
-            row["clustered_sparse_s"] / row["clustered_compact_s"]
-        )
-        row["clustered_rows_speedup"] = (
-            row["clustered_full_rows_s"] / row["clustered_compact_s"]
         )
 
     # ---- incremental what-if workload: snapshot once, edit, re-sweep ----
@@ -504,8 +460,6 @@ def bench_circuit(name: str, jobs: int | None) -> dict:
     row["speedup_sparse_vs_vector"] = row["vector_s"] / row["sparse_s"]
     row["speedup_sparse_vs_pr1_vector"] = row["vector_eager_s"] / row["sparse_s"]
     row["speedup_sparse_vs_scalar"] = row["scalar_s"] / row["sparse_s"]
-    row["speedup_sparse_vs_pr3_strategy"] = row["sparse_pr3_s"] / row["sparse_s"]
-    row["speedup_compact_vs_full_rows"] = row["sparse_full_rows_s"] / row["sparse_s"]
     for key, value in list(row.items()):
         if isinstance(value, float):
             row[key] = round(value, 4)
@@ -763,9 +717,8 @@ def run(circuits, jobs, out_path, verbose=True, prev_baseline=None) -> dict:
         document["circuits"][name] = row
         if verbose:
             clustered = (
-                f"  clustered {row['clustered_speedup']:.2f}x "
-                f"(compact {row['clustered_compact_speedup']:.2f}x)"
-                if "clustered_speedup" in row else ""
+                f"  clustered {row['clustered_compact_speedup']:.2f}x"
+                if "clustered_compact_speedup" in row else ""
             )
             resilience = (
                 f"  resilience-overhead {row['resilience_overhead']:.3f}x"
@@ -784,8 +737,6 @@ def run(circuits, jobs, out_path, verbose=True, prev_baseline=None) -> dict:
             print(
                 f"  scalar {row['scalar_s']:.2f}s  vector {row['vector_s']:.2f}s "
                 f"(eager {row['vector_eager_s']:.2f}s)  "
-                f"pr3-sparse {row['sparse_pr3_s']:.2f}s  "
-                f"full-rows {row['sparse_full_rows_s']:.2f}s  "
                 f"sparse {row['sparse_s']:.2f}s  "
                 f"sharded {row['sharded_s']:.2f}s  "
                 f"sparse-vs-vector {row['speedup_sparse_vs_vector']:.2f}x"

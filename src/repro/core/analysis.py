@@ -272,17 +272,16 @@ class SERAnalyzer:
         """Analyze many sites (default: every combinational gate output).
 
         Analysis knobs — ``backend``/``batch_size``/``jobs``/``prune``/
-        ``schedule``/``cells``/``chunking``/``rows`` plus the resilience
-        set (``retries``/``shard_timeout``/``on_failure``/``deadline``/
-        ``checkpoint``) — are forwarded to :meth:`EPPEngine.analyze`,
-        either individually or as one pre-built
-        :class:`~repro.core.config.AnalysisConfig` via ``config=``:
-        ``"scalar"`` for the per-site reference path, ``"vector"`` for
-        the batched NumPy backend (the default when NumPy is available;
-        cone-aware sparse sweeps, cell-compacted kernels, compacted
-        union-of-cones state matrices and cone-clustered cost-aware
-        chunks by default), ``"sharded"`` (or just passing ``jobs=``)
-        for the multi-process site-sharded driver.
+        ``schedule`` plus the resilience set (``retries``/
+        ``shard_timeout``/``on_failure``/``deadline``/``checkpoint``) —
+        are forwarded to :meth:`EPPEngine.analyze`, either individually
+        or as one pre-built :class:`~repro.core.config.AnalysisConfig`
+        via ``config=``: ``"scalar"`` for the per-site reference path,
+        ``"vector"`` for the batched NumPy backend (the default when
+        NumPy is available: cone-clustered chunks swept on compacted
+        union-of-cones state matrices with cell-compacted kernels),
+        ``"sharded"`` (or just passing ``jobs=``) for the multi-process
+        site-sharded driver.
         ``retries``/``shard_timeout``/``on_failure``/``deadline``
         configure the sharded driver's
         :class:`~repro.core.resilience.FaultPolicy` — shard retry

@@ -1,7 +1,7 @@
 """The unified analysis execution-option layer: one typed knob surface.
 
 Every analysis knob in the system — backend selection, sweep shaping
-(``batch_size``/``prune``/``schedule``/``cells``/``chunking``/``rows``),
+(``batch_size``/``prune``/``schedule``),
 sharding (``jobs``) and resilience (``retries``/``shard_timeout``/
 ``on_failure``/``deadline``/``fault_injector``/``checkpoint``) — lives on
 one frozen dataclass, :class:`AnalysisConfig`.  Before this module the
@@ -27,9 +27,8 @@ identities).  Now:
   stores cleanly instead of colliding with old identities.
 * **Defaults are tolerant-forward.**  Every field defaults to ``None``
   ("use the calibrated default"), and :meth:`AnalysisConfig.from_wire`
-  ignores unknown keys unless asked to be strict — old pickled worker
-  payloads and journal/checkpoint records keep loading after the knob
-  surface grows.
+  ignores unknown keys unless asked to be strict — wire dicts written
+  before a knob was added or removed keep loading.
 
 Field *metadata* (wire membership, sharded-only, CLI flag spelling,
 choices, documentation) lives on the dataclass fields themselves, so the
@@ -42,20 +41,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
-from repro.core.schedule import (
-    CELL_MODES,
-    CHUNKINGS,
-    ROW_MODES,
-    SCHEDULES,
-    resolve_prune,
-    validate_cells,
-    validate_chunking,
-    validate_rows,
-    validate_schedule,
-)
+from repro.core.schedule import SCHEDULES, resolve_prune, validate_schedule
 from repro.errors import AnalysisConfigError
 
 __all__ = [
@@ -156,25 +146,6 @@ class AnalysisConfig:
             "site list spans multiple chunks, `cone` always clusters, "
             "`input` preserves caller order.",
     )
-    cells: str | None = _knob(
-        wire=True, kind="choice", cli="--cells", delta=True, sweep=True,
-        choices=CELL_MODES, section="sweep",
-        doc="Cell-compaction for sparse sweep kernels: `auto` per-group "
-            "cost model, `on`/`off` to force.",
-    )
-    chunking: str | None = _knob(
-        wire=True, kind="choice", cli="--chunking", delta=True, sweep=True,
-        choices=CHUNKINGS, section="sweep",
-        doc="Chunk-width strategy: `auto` calibrated policy, `adaptive` "
-            "cone-cluster-aligned spans, `fixed` flat slicing.",
-    )
-    rows: str | None = _knob(
-        wire=True, kind="choice", cli="--rows", delta=True, sweep=True,
-        choices=ROW_MODES, section="sweep",
-        doc="State-matrix row layout for pruned sweeps: `auto` calibrated "
-            "policy, `compact` union-of-cones buffers, `full` full-circuit "
-            "buffers with dirty-row reset.",
-    )
     retries: int | None = _knob(
         wire=True, kind="int", cli="--retries", sharded_only=True,
         section="resilience",
@@ -219,6 +190,26 @@ class AnalysisConfig:
         # Per-field value checks first — a bad value must be named even
         # when a cross-field conflict is also present ("jobs must be
         # >= 1" beats "jobs= applies to the 'sharded' backend only").
+        # Types before ranges: a wire string or a bool must be refused
+        # by name, never coerced by int()/float() into a valid-looking
+        # value (or a bare ValueError).
+        for key in _INT_KNOBS:
+            value = getattr(self, key)
+            if value is not None and (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Integral)
+            ):
+                raise AnalysisConfigError(
+                    f"{key} must be an integer, got {value!r}"
+                )
+        for key in _SECONDS_KNOBS:
+            value = getattr(self, key)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, numbers.Real)
+            ):
+                raise AnalysisConfigError(
+                    f"{key} must be a number of seconds, got {value!r}"
+                )
         if self.jobs is not None and int(self.jobs) < 1:
             raise AnalysisConfigError(f"jobs must be >= 1, got {self.jobs}")
         if self.batch_size is not None and int(self.batch_size) < 1:
@@ -227,9 +218,6 @@ class AnalysisConfig:
             )
         resolve_prune(self.prune)
         validate_schedule(self.schedule)
-        validate_cells(self.cells)
-        validate_chunking(self.chunking)
-        validate_rows(self.rows)
         if self.backend is not None:
             from repro.core.backends import REGISTRY
 
@@ -298,6 +286,28 @@ class AnalysisConfig:
                 )
         return cls(**knobs)
 
+    @classmethod
+    def from_args(
+        cls,
+        config: "AnalysisConfig | None",
+        knobs: Mapping[str, Any],
+        **defaults: Any,
+    ) -> "AnalysisConfig":
+        """The config of an entry point taking ``config=None, **knobs``.
+
+        ``config`` itself, or one built by :meth:`from_knobs` from
+        ``defaults`` plus ``knobs``.  Both at once is ambiguous, so it is
+        rejected naming the knobs.
+        """
+        if config is None:
+            return cls.from_knobs(**defaults, **knobs)
+        if knobs:
+            raise AnalysisConfigError(
+                "pass either config= or individual analysis knobs, "
+                f"not both (got config= plus {sorted(knobs)})"
+            )
+        return config
+
     def replace(self, **changes: Any) -> "AnalysisConfig":
         """A copy with ``changes`` applied (re-validated on construction)."""
         return dataclasses.replace(self, **changes)
@@ -342,9 +352,6 @@ class AnalysisConfig:
         return self.replace(
             prune=resolve_prune(self.prune),
             schedule=validate_schedule(self.schedule),
-            cells=validate_cells(self.cells),
-            chunking=validate_chunking(self.chunking),
-            rows=validate_rows(self.rows),
         )
 
     # ----------------------------------------------------- serialization
@@ -434,6 +441,11 @@ RESILIENCE_KNOB_KEYS = tuple(k for k in SHARDED_ONLY_KNOBS if k != "jobs")
 
 #: Sweep-shaping knobs forwarded to ``BatchEPPBackend``.
 SWEEP_KNOB_KEYS = tuple(f.name for f in _FIELDS if f.metadata["sweep"])
+
+#: Knobs whose values must be integers / seconds (``bool`` excluded from
+#: both, although Python counts it as an ``int``).
+_INT_KNOBS = tuple(f.name for f in _FIELDS if f.metadata["kind"] == "int")
+_SECONDS_KNOBS = tuple(f.name for f in _FIELDS if f.metadata["kind"] == "float")
 
 
 def field_metadata(name: str) -> Mapping[str, Any]:

@@ -26,7 +26,7 @@ import os
 import random
 import threading
 from collections.abc import Mapping, Sequence
-from repro.errors import AnalysisConfigError, AnalysisError
+from repro.errors import AnalysisError
 from repro.core.backends import (
     REGISTRY,
     _vector_available,
@@ -43,18 +43,6 @@ from repro.netlist.gate_types import CODE_MAJ, CODE_MUX, truth_table
 from repro.probability import signal_probabilities
 
 __all__ = ["EPPEngine", "EPPResult", "available_backends", "default_backend"]
-
-#: The built-in propagation backends, kept for backward compatibility.
-#: The authoritative roster is :data:`repro.core.backends.REGISTRY` —
-#: ``scalar`` is the per-site reference oracle (pure Python, one cone
-#: walk per site); ``vector`` is the batched NumPy backend
-#: (:mod:`repro.core.epp_batch`) that sweeps every site of a chunk
-#: through one level-parallel pass; ``sharded`` fans site shards out
-#: across a process pool of vector-backend workers
-#: (:mod:`repro.core.epp_shard`).  Registered backends beyond these
-#: resolve through the registry, not this tuple.
-BACKENDS = ("scalar", "vector", "sharded")
-
 
 class EPPResult:
     """EPP analysis of one error site.
@@ -399,22 +387,17 @@ class EPPEngine:
         from repro.core.epp_batch import BatchEPPBackend, default_batch_size
 
         # Cache keyed by the *effective* configuration: a one-off explicit
-        # batch_size/prune/schedule/cells/chunking/rows must not stick to
-        # later default calls.
+        # batch_size/prune/schedule must not stick to later default calls.
         resolved = config.resolved()
         effective = (
             resolved.batch_size if resolved.batch_size is not None
             else default_batch_size(self.compiled.n),
             resolved.prune,
             resolved.schedule,
-            resolved.cells,
-            resolved.chunking,
-            resolved.rows,
         )
         backend = self._vector_backend
         if backend is None or (
             backend.batch_size, backend.prune, backend.schedule,
-            backend.cells, backend.chunking, backend.rows,
         ) != effective:
             backend = BatchEPPBackend(
                 self.compiled,
@@ -465,27 +448,14 @@ class EPPEngine:
             self._sharded_backend = backend
         return backend
 
-    def sharded_backend(
-        self,
-        jobs: int | None = None,
-        batch_size: int | None = None,
-        prune: bool | None = None,
-        schedule: str | None = None,
-        cells: str | None = None,
-        chunking: str | None = None,
-        rows: str | None = None,
-        retries: int | None = None,
-        shard_timeout: float | None = None,
-        on_failure: str | None = None,
-        deadline: float | None = None,
-        fault_injector=None,
-        checkpoint=None,
-        config: AnalysisConfig | None = None,
-    ):
+    def sharded_backend(self, *, config: AnalysisConfig | None = None, **knobs):
         """The multi-process sharded driver bound to this engine.
 
-        Exposes the bulk queries (``p_sensitized_many``, ``analyze_sites``),
-        the pool lifecycle (``warm``/``close``) and the crossover knob
+        Takes an :class:`~repro.core.config.AnalysisConfig` or the same
+        individual knobs as :meth:`analyze` (``jobs=``, ``batch_size=``,
+        ``retries=``, ...), never both.  Exposes the bulk queries
+        (``p_sensitized_many``, ``analyze_sites``), the pool lifecycle
+        (``warm``/``close``) and the crossover knob
         (``min_process_work``); raises :class:`~repro.errors.AnalysisError`
         when NumPy is unavailable.  The engine holds one cache slot: the
         *most recent* configuration — ``(jobs, batch_size)`` plus the
@@ -499,43 +469,27 @@ class EPPEngine:
         """
         self._check_current()
         self._resolve_backend("sharded")
-        if config is None:
-            config = AnalysisConfig(
-                backend="sharded", jobs=jobs, batch_size=batch_size,
-                prune=prune, schedule=schedule, cells=cells,
-                chunking=chunking, rows=rows, retries=retries,
-                shard_timeout=shard_timeout, on_failure=on_failure,
-                deadline=deadline, fault_injector=fault_injector,
-                checkpoint=checkpoint,
-            )
-        return self._get_sharded_backend(config)
+        return self._get_sharded_backend(
+            AnalysisConfig.from_args(config, knobs, backend="sharded")
+        )
 
-    def vector_backend(
-        self,
-        batch_size: int | None = None,
-        prune: bool | None = None,
-        schedule: str | None = None,
-        cells: str | None = None,
-        chunking: str | None = None,
-        rows: str | None = None,
-        config: AnalysisConfig | None = None,
-    ):
+    def vector_backend(self, *, config: AnalysisConfig | None = None, **knobs):
         """The batched NumPy backend bound to this engine (public access).
 
+        Takes an :class:`~repro.core.config.AnalysisConfig` or the sweep
+        knobs (``batch_size=``, ``prune=``, ``schedule=``), never both;
+        sharded-only knobs (``jobs=``, ``retries=``, ...) are refused.
         Exposes the backend's bulk queries (``p_sensitized_many``,
         ``analyze_sites``) and tuning knobs (``min_vector_work``) without
         reaching into engine internals; raises
         :class:`~repro.errors.AnalysisError` when NumPy is unavailable.
         The instance is cached per effective
-        (batch size, prune, schedule, cells, chunking) configuration.
+        (batch size, prune, schedule) configuration.
         """
         self._check_current()
         self._resolve_backend("vector")
-        if config is None:
-            config = AnalysisConfig(
-                batch_size=batch_size, prune=prune, schedule=schedule,
-                cells=cells, chunking=chunking, rows=rows,
-            )
+        config = AnalysisConfig.from_args(config, knobs)
+        config.require_backend_support("vector")
         return self._get_vector_backend(config)
 
     def release_buffers(self) -> None:
@@ -603,18 +557,11 @@ class EPPEngine:
         multi-chunk site lists so chunks share fanout cones and the
         pruned sweep's unions stay small).  Both apply to the vector and
         sharded backends; the scalar path ignores them (it is already
-        per-cone by construction).  ``cells`` picks the cell-compaction
-        mode of pruned sweeps (``"auto"``/``"on"``/``"off"``: the default
-        cost model gathers and computes only the on-path (row, column)
-        cells of sufficiently sparse gate groups) and ``chunking`` the
-        chunk-width strategy (``"auto"``/``"adaptive"``/``"fixed"``: the
-        default splits cone-clustered chunks whose union-of-cones
-        saturates).  ``rows`` picks the state-matrix layout of pruned
-        sweeps (``"auto"``/``"compact"``/``"full"``: the default
-        allocates per-chunk buffers with only the union-of-cones rows
-        through a cached row remap, eliminating the full-template
-        restore; ``"full"`` keeps the PR-4 full-circuit buffers) — all
-        bit-identical; they change how much is computed, never any value.
+        per-cone by construction).  Pruned chunks run on compacted
+        union-of-cones state matrices and compute only the on-path cells
+        of sufficiently sparse gate groups; chunk widths follow one
+        calibrated policy.  All of it is bit-identical: the knobs change
+        how much is computed, never any value.
 
         The resilience knobs apply to the sharded backend only (like
         ``jobs``): ``retries`` is the extra attempts allowed per failed
@@ -644,12 +591,7 @@ class EPPEngine:
         is resolved or constructed.
         """
         self._check_current()
-        if config is not None and knobs:
-            raise AnalysisConfigError(
-                "pass either config= or individual analysis knobs, "
-                f"not both (got config= plus {sorted(knobs)})"
-            )
-        cfg = config if config is not None else AnalysisConfig.from_knobs(**knobs)
+        cfg = AnalysisConfig.from_args(config, knobs)
         if sites is None:
             sites = self.default_sites()
         sites = list(sites)
@@ -725,13 +667,7 @@ class EPPEngine:
         """
         from repro.core.epp_delta import snapshot as _snapshot
 
-        if config is not None:
-            if knobs:
-                raise AnalysisConfigError(
-                    "pass either config= or individual analysis knobs, "
-                    f"not both (got config= plus {sorted(knobs)})"
-                )
-            knobs = config.knobs()
+        knobs = AnalysisConfig.from_args(config, knobs).knobs()
         return _snapshot(self, sites=sites, **knobs)
 
     def analyze_delta(self, prev, edits, sites: Sequence[int | str] | None = None, **knobs):

@@ -19,48 +19,33 @@ sites of a chunk at once:
   ``(n_nodes, 4, batch_size)`` state matrix stays memory-bounded on
   20k+-gate circuits, and on multi-core hosts the NumPy sweep of the next
   chunk overlaps the Python-side result packaging of the previous one;
-* the sweep is *cone-aware* (``prune="auto"``, the default): a running
-  union-of-cones vector marks which node rows are on-path for *any*
-  column, every gate group is sliced down to those active rows before its
-  kernel runs, and all levels at or below the chunk's minimum site level
-  are skipped outright — so the per-level kernel calls shrink to the
-  union of the chunk's fanout cones instead of the full circuit.  Since
-  each retained row computes exactly what the dense sweep computed, the
-  pruned sweep is bit-identical to the dense one.  ``"auto"`` also runs
-  the *dense fallback*: chunks whose union-of-cones signature covers most
-  sinks of a small circuit (pruning can only discover that everything is
-  active) skip the bookkeeping and sweep dense;
-* inside active rows the sweep is *cell-compacted* (``cells="auto"``,
-  the default): on clustered chunks only a few percent of an active
-  row's columns are on-path, so groups below the calibrated density
-  threshold gather exactly their on-path (row, column) cells, compute
-  them as one ``(m, 4)`` block through the compacted kernels of
-  :func:`~repro.core.rules_vec.compact_rule_for`, and scatter the block
-  back into the sentinel-padded dense state — bit-identical again, the
-  kernels run the same elementwise IEEE ops per computed cell;
-* pruned sweeps run on *compacted state matrices* (``rows="auto"``, the
-  default): instead of the full ``(n + 2, 4, batch)`` buffer, each chunk
-  allocates state/mask with only its union-of-cones rows — plus the
-  fanin rows those gates read and the sentinel rows — through a cached
-  per-chunk row remap (:meth:`BatchPlan.compact_chunk_plan`), so every
-  gather, kernel and scatter indexes the small matrix, the off-path
-  template and its dirty-row restore disappear entirely for pruned
-  sweeps, and the sink reduction walks only the sinks the chunk can
-  reach.  The remap is pure indexing — each computed cell runs the same
-  elementwise IEEE ops — so compacted sweeps are bit-identical to
-  full-row ones (``rows="full"`` restores the PR-4 layout);
+* the sweep is *cone-aware* (``prune="auto"``, the default): each chunk
+  runs on a *compacted state matrix* holding only its union-of-cones
+  rows — plus the fanin rows those gates read and the sentinel rows —
+  through a cached per-chunk row remap
+  (:meth:`BatchPlan.compact_chunk_plan`), so every gather, kernel and
+  scatter indexes the small matrix, all levels at or below the chunk's
+  minimum site level are skipped outright, and the sink reduction walks
+  only the sinks the chunk can reach.  Each retained row computes
+  exactly what the dense sweep computed, so the pruned sweep is
+  bit-identical to the dense one.  ``"auto"`` also runs the *dense
+  fallback*: chunks whose union-of-cones signature covers most sinks of
+  a small circuit (pruning can only discover that everything is active)
+  skip the bookkeeping and sweep the full ``(n + 2, 4, s)`` matrix;
+* inside active rows the sweep is *cell-compacted*: on clustered chunks
+  only a few percent of an active row's columns are on-path, so groups
+  below the calibrated density threshold gather exactly their on-path
+  (row, column) cells, compute them as one ``(m, 4)`` block through the
+  compacted kernels of :func:`~repro.core.rules_vec.compact_rule_for`,
+  and scatter the block back — bit-identical again, the kernels run the
+  same elementwise IEEE ops per computed cell;
 * which sites share a chunk is decided by the scheduling layer
   (:mod:`repro.core.schedule`): ``schedule="cone"`` (the ``auto`` default
   for multi-chunk calls) clusters sites with overlapping fanout cones so
   each chunk's union-of-cones — the pruned sweep's cost — stays small;
   ``schedule="input"`` keeps the caller's order (the pre-scheduling
-  contiguous chunking).  Chunk *widths* are cost-modelled too:
-  ``chunking="adaptive"`` aligns chunk boundaries to cluster boundaries
-  so disjoint cone unions never share a sweep, while the calibrated
-  ``"auto"`` default keeps full-width chunks — on the measured
-  workloads each extra chunk's width-independent overhead outweighs the
-  smaller unions it buys.  Scheduling is a pure permutation; results
-  are always returned in input order.
+  contiguous chunking).  Scheduling is a pure permutation; results are
+  always returned in input order.
 
 Results are bit-compatible with the scalar engine up to floating-point
 reassociation (the per-sink survival product and per-group reductions run
@@ -85,15 +70,11 @@ from repro.core.rules_vec import compact_rule_for, gather_rule_for
 from repro.core.schedule import (
     PRUNE_AUTO_MAX_NODES,
     ChunkCache,
-    adaptive_chunk_spans,
     chunk_cache_key,
     chunk_prune_saturated,
     cone_cluster_order,
     resolve_prune,
     resolve_schedule,
-    validate_cells,
-    validate_chunking,
-    validate_rows,
     validate_schedule,
 )
 from repro.netlist.circuit import CompiledCircuit
@@ -117,10 +98,10 @@ __all__ = [
 
 #: Target footprint of the per-chunk state matrix (bytes).  Wide chunks
 #: amortize per-group dispatch; the per-group operands (a handful of
-#: ``(g, batch)`` rows) stay cache-resident regardless of this total.  The
-#: backend's resident set is ~3x this figure (template + double-buffered
-#: state) — bounded and explicit; pass ``batch_size`` to shrink it on
-#: memory-constrained hosts.
+#: ``(g, batch)`` rows) stay cache-resident regardless of this total.  A
+#: dense sweep's resident set is ~3x this figure (template +
+#: double-buffered state) — bounded and explicit; pass ``batch_size`` to
+#: shrink it on memory-constrained hosts.
 _STATE_BYTES_TARGET = 256 << 20
 
 #: Below this ``n_nodes * n_sites`` product the vectorized sweep cannot
@@ -129,7 +110,7 @@ _STATE_BYTES_TARGET = 256 << 20
 _MIN_VECTOR_WORK = 50_000
 
 #: Per-cell cost of a compacted kernel relative to a dense one — the
-#: ``cells="auto"`` threshold: a group runs compacted when
+#: cell tier's threshold: a group runs compacted when
 #: ``on_cells * factor < rows * columns``.  The compacted gather pays
 #: fancy indexing per pin per plane where the dense kernel reads
 #: contiguous planes, so a compacted cell costs a small multiple of a
@@ -141,11 +122,10 @@ _MIN_VECTOR_WORK = 50_000
 _CELL_FACTOR_CLOSED = 4
 _CELL_FACTOR_TABLE = 2
 
-#: Width multiplier (halves) for ``chunking="auto"`` when every chunk is
-#: guaranteed a *compacted* sweep (``rows`` resolves to compact and
-#: pruning cannot fall back to dense): the PR-4 calibration pinned
-#: full-width chunks because each extra chunk cost ~40-80 ms of
-#: width-independent overhead, most of it the full-template dirty-row
+#: Chunk-width multiplier (halves) when every chunk is guaranteed a
+#: *compacted* sweep (pruning cannot fall back to dense): the PR-4
+#: calibration pinned full-width chunks because each extra chunk cost
+#: ~40-80 ms of width-independent overhead, most of it the full-template
 #: restore — which compacted state matrices (and their reusable arenas)
 #: eliminate outright, so the same budget buys wider chunks without the
 #: full-row memory blow-up.  Measured on s9234/s38417 full-circuit runs,
@@ -204,7 +184,7 @@ class CompactChunkPlan:
     translated into that compact row space, so the kernels of
     :mod:`repro.core.rules_vec` index the small matrix unchanged.  The
     remap is pure indexing: each computed cell runs exactly the ops the
-    full-row sweep ran, so compacted results are bit-identical.
+    dense sweep ran, so compacted results are bit-identical.
 
     Attributes
     ----------
@@ -224,7 +204,7 @@ class CompactChunkPlan:
         matrix, and their positions into ``BatchPlan.sink_ids`` — absent
         sinks are off-path for every column by construction, so the
         sink-pair reduction over the present subset selects exactly the
-        pairs the full-row reduction selected, in the same order.
+        pairs the dense reduction selected, in the same order.
     """
 
     __slots__ = (
@@ -280,9 +260,8 @@ class BatchPlan:
     def compact_chunk_plan(self, site_ids: np.ndarray) -> CompactChunkPlan:
         """The (cached) compacted-row plan for one chunk of sites.
 
-        One vectorized forward-reachability pass over the level groups —
-        the same per-group ``any`` tests the full-row pruned sweep runs
-        incrementally, now run once per distinct chunk and memoized:
+        One vectorized forward-reachability pass over the level groups,
+        run once per distinct chunk and memoized:
         repeated sweeps of the same chunk (benchmark repeats, long-lived
         analyzers re-analyzing a module) skip straight to the remapped
         index arrays.  Built through ``get_or_create`` so concurrent
@@ -295,10 +274,10 @@ class BatchPlan:
 
     def _build_compact_chunk_plan(self, site_ids: np.ndarray) -> CompactChunkPlan:
         total = self.n + 2
-        # reach: on the union of the chunk's fanout cones (what the full
-        # sweep calls on_path); needed: additionally every row an active
-        # group *reads* — off-path fanins supply their SP constants, so
-        # they must exist in the compacted matrix too.
+        # reach: on the union of the chunk's fanout cones; needed:
+        # additionally every row an active group *reads* — off-path
+        # fanins supply their SP constants, so they must exist in the
+        # compacted matrix too.
         reach = np.zeros(total, dtype=bool)
         reach[site_ids] = True
         needed = np.zeros(total, dtype=bool)
@@ -312,12 +291,10 @@ class BatchPlan:
                 active = np.nonzero(reach[group.fanin].any(axis=1))[0]
                 if active.size == 0:
                     continue
-                # The full sweep's 7/8 heuristic, mirrored: slicing a
-                # nearly-fully-active group trades the few rows it skips
-                # for fancy-indexed copies, so such groups keep their
-                # full rectangular block (their inactive rows join the
-                # matrix as writable SP-constant rows, exactly as the
-                # full-row sweep scatters them).
+                # Slicing a nearly-fully-active group trades the few rows
+                # it skips for fancy-indexed copies, so such groups keep
+                # their full rectangular block (their inactive rows join
+                # the matrix as writable SP-constant rows).
                 if active.size <= (len(group.out_ids) * 7) // 8:
                     out_ids = group.out_ids[active]
                     fanin = group.fanin[active]
@@ -377,62 +354,31 @@ class BatchEPPBackend:
         ``callable(site_id) -> EPPResult`` used below the crossover
         (normally ``EPPEngine.node_epp``).
     prune:
-        Cone-aware sparse sweeps: slice every gate group to the rows on
-        some chunk member's fanout cone and skip levels at or below the
-        chunk's minimum site level.  ``None`` (the default) resolves to
-        ``"auto"``: prune unless the chunk's union-of-cones signature
-        predicts a saturated sweep (small circuit, most sinks covered —
-        the regime where `BENCH_pr3.json` measured pruning slower than
-        dense), in which case the chunk runs the dense sweep.  ``True``
-        forces pruning everywhere; ``False`` restores the dense
-        full-circuit sweep (the reference for the benchmarks).  All three
-        are bit-identical — the knobs change *which rows compute*, never
-        their values.
+        Cone-aware sparse sweeps: each chunk runs on its compacted
+        union-of-cones state matrix (:meth:`BatchPlan.compact_chunk_plan`)
+        and skips levels at or below its minimum site level.  ``None``
+        (the default) resolves to ``"auto"``: prune unless the chunk's
+        union-of-cones signature predicts a saturated sweep (small
+        circuit, most sinks covered — the regime where `BENCH_pr3.json`
+        measured pruning slower than dense), in which case the chunk runs
+        the dense sweep.  ``True`` forces pruning everywhere; ``False``
+        restores the dense full-circuit sweep (the reference for the
+        benchmarks).  All three are bit-identical — the knobs change
+        *which rows compute*, never their values.
     schedule:
         Chunk scheduling strategy (see :mod:`repro.core.schedule`):
         ``"auto"`` (default, also ``None``) cone-clusters multi-chunk site
         lists, ``"cone"`` always clusters, ``"input"`` keeps caller order.
-    cells:
-        Cell-compaction mode for pruned sweeps: ``"auto"`` (default, also
-        ``None``) lets the per-group cost model choose — a group whose
-        on-path cell count times the kernel's calibrated cost factor is
-        below its dense cell count gathers only the on-path
-        (row, column) cells and computes them through the compacted
-        kernels of :func:`~repro.core.rules_vec.compact_rule_for`;
-        ``"on"`` forces compaction for every partially-on-path group,
-        ``"off"`` keeps the PR-3 row-sparse kernels.  Bit-identical
-        either way (same elementwise IEEE ops per computed cell).
-    chunking:
-        Chunk-width strategy: ``"adaptive"`` aligns chunk boundaries to
-        cone-cluster boundaries with
-        :func:`~repro.core.schedule.adaptive_chunk_spans` (disjoint
-        cluster runs get their own chunks, coherent runs keep the full
-        ``batch_size`` width); ``"fixed"`` is flat slicing.  ``"auto"``
-        (default, also ``None``) applies the *calibrated* policy — fixed
-        full-width chunks, because on the measured workloads every extra
-        chunk costs more width-independent overhead (dispatch, buffer
-        restore, sink reduction) than its smaller union saves once the
-        cell-compacted tier caps kernel FLOPs (see :meth:`_chunk_spans`).
-        When every chunk is *guaranteed* a compacted sweep (see ``rows``)
-        the recalibrated ``auto`` policy widens chunks by
-        :data:`_COMPACT_WIDTH_HALVES`/2 instead — the restore overhead
-        that penalized chunk count is gone, and ``_compact_spans`` splits
-        any span whose union-of-cones footprint would exceed the
-        state-byte budget.  Pure scheduling — any span partition is bit-identical
-        per site.
-    rows:
-        State-matrix row layout for *pruned* sweeps: ``"compact"``
-        allocates per-chunk state/mask buffers with only the chunk's
-        union-of-cones rows (plus read-only fanin rows and sentinels),
-        indexed through the cached row remap of
-        :meth:`BatchPlan.compact_chunk_plan` — no off-path template is
-        materialized and no dirty-row restore ever runs for those
-        sweeps.  ``"full"`` keeps the PR-4 full-circuit buffers with the
-        dirty-row incremental reset.  ``"auto"`` (default, also ``None``)
-        is the calibrated policy — compact for every pruned sweep.
-        Dense sweeps (``prune=False`` or the saturated-chunk fallback)
-        always use full-row buffers, whose union is the circuit itself.
-        Bit-identical across all three: the remap only renames rows.
+
+    Pruned sweeps pick a kernel tier per gate group: a group whose
+    on-path cell count times the kernel's calibrated cost factor is
+    below its dense cell count gathers only the on-path (row, column)
+    cells and computes them through the compacted kernels of
+    :func:`~repro.core.rules_vec.compact_rule_for`; denser groups run the
+    row kernels.  Chunk widths follow one calibrated policy
+    (:meth:`_chunk_spans`).  Tests force the tier choice through the
+    private ``_cells`` attribute (``"auto"``, ``"on"`` or ``"off"``);
+    every setting is bit-identical.
     """
 
     def __init__(
@@ -445,9 +391,6 @@ class BatchEPPBackend:
         scalar_fallback=None,
         prune: bool | None = None,
         schedule: str | None = None,
-        cells: str | None = None,
-        chunking: str | None = None,
-        rows: str | None = None,
     ):
         self.compiled = compiled
         self.plan = BatchPlan.for_compiled(compiled)
@@ -463,16 +406,17 @@ class BatchEPPBackend:
         self.scalar_fallback = scalar_fallback
         self.prune = resolve_prune(prune)
         self.schedule = validate_schedule(schedule)
-        self.cells = validate_cells(cells)
-        self.chunking = validate_chunking(chunking)
-        self.rows = validate_rows(rows)
+        #: The cell-tier test hook: ``"auto"`` runs the per-group cost
+        #: model, ``"on"`` compacts every partially-on-path group, ``"off"``
+        #: keeps the row kernels.  Not an analysis knob — every setting is
+        #: bit-identical, and only tests pinning that set it.
+        self._cells = "auto"
         #: Cumulative execution counters, updated by every sweep: chunk
-        #: accounting (``chunks`` / ``chunk_splits`` — extra spans the
-        #: adaptive splitter emitted over fixed slicing;
-        #: ``dense_fallback_sweeps`` — chunks ``prune="auto"`` ran dense;
+        #: accounting (``chunks``; ``dense_fallback_sweeps`` — chunks
+        #: ``prune="auto"`` ran dense;
         #: ``compact_sweeps`` / ``compact_rows`` — sweeps on compacted
         #: union-of-cones state matrices and the total compact rows they
-        #: allocated, vs ``n + 2`` per full-row sweep),
+        #: allocated, vs ``n + 2`` per dense sweep),
         #: per-tier group counts (``groups_dense`` / ``groups_row`` /
         #: ``groups_cell``) and cell accounting over *pruned* groups
         #: (``cells_on`` on-path cells, ``cells_total`` cells spanned,
@@ -487,7 +431,6 @@ class BatchEPPBackend:
             "compact_sweeps": 0,
             "compact_rows": 0,
             "chunks": 0,
-            "chunk_splits": 0,
             "groups_dense": 0,
             "groups_row": 0,
             "groups_cell": 0,
@@ -509,7 +452,7 @@ class BatchEPPBackend:
         #: the largest chunk seen, reused across sweeps so the hot path
         #: never re-faults fresh pages.  Every compacted sweep fully
         #: seeds its state and clears its mask, so stale content between
-        #: sweeps is harmless (no dirty tracking needed, by construction).
+        #: sweeps is harmless.
         self._compact_arenas: dict[int, list[np.ndarray]] = {}
 
     def _ensure_const(self) -> None:
@@ -531,9 +474,9 @@ class BatchEPPBackend:
         self._const = const
 
     def _ensure_state_arrays(self) -> None:
-        """Const vector plus the full-width off-path template the
-        *full-row* sweeps memcpy their state from.  Backends whose every
-        sweep is compacted never materialize the template at all."""
+        """Const vector plus the full-width off-path template the dense
+        sweeps memcpy their state from.  Backends whose every sweep is
+        compacted never materialize the template at all."""
         self._ensure_const()
         if self._template is not None:
             return
@@ -547,56 +490,24 @@ class BatchEPPBackend:
     # ------------------------------------------------------------------ sweep
 
     def _buffers(self, s: int, slot: int) -> tuple[np.ndarray, np.ndarray]:
-        """Reusable (state, mask) buffer views, reset to the off-path
-        template; ``slot`` double-buffers the pipeline so a sweep can fill
-        one pair while the collector reads the other.  Narrow final chunks
-        reuse a full-width buffer's prefix.
-
-        The reset is *dirty-row incremental*: a pruned sweep can only
-        write rows on its union-of-cones, and it records them in the
-        slot's dirty set on completion — so instead of memcpy'ing the
-        whole ``(n + 2, 4, batch_size)`` template (the dominant fixed
-        cost of clustered sweeps on large circuits), the next sweep of
-        the slot restores exactly the rows the previous sweep touched.
-        The invariant: outside a running sweep the full-width buffer
-        always equals the template with an all-``False`` mask.  Dense
-        sweeps (which write every gate row) leave the dirty set as
-        ``None`` — a full reset.
-        """
+        """Reusable (state, mask) buffer views for a dense sweep, reset to
+        the off-path template; ``slot`` double-buffers the pipeline so a
+        sweep can fill one pair while the collector reads the other.
+        Narrow final chunks reuse a full-width buffer's prefix.  A dense
+        sweep may write any gate row, so every reset copies the whole
+        template — nothing about a previous (possibly failed) sweep of
+        the slot is trusted."""
         entry = self._buffer_slots.get(slot)
         if entry is None:
-            entry = [
+            entry = (
                 np.empty((self._rows, 4, self.batch_size)),
                 np.empty((self._rows, self.batch_size), dtype=bool),
-                None,  # dirty rows of the last sweep (None: whole buffer)
-            ]
+            )
             self._buffer_slots[slot] = entry
-        state, mask, dirty = entry
-        if dirty is None or dirty.size * 2 > self._rows:
-            # Saturated sweeps dirty most rows; a flat memcpy beats a
-            # fancy-indexed restore well before that point.
-            np.copyto(state, self._template)
-            mask[:] = False
-        else:
-            # Restore the full width of each dirty row: columns beyond the
-            # previous sweep's width were never written and stay clean.
-            state[dirty] = self._template[dirty]
-            mask[dirty] = False
-        # From here until ``_mark_dirty`` runs, the buffer's content is
-        # *unknown*: the upcoming sweep writes rows of its own union as it
-        # goes, and if it dies mid-flight (a raising kernel, an interrupt)
-        # the previous dirty set would describe a buffer it no longer
-        # matches — the next restore would skip the half-written rows and
-        # compute on stale state.  Invalidate now; only a *completed*
-        # sweep re-records its dirty rows.
-        entry[2] = None
+        state, mask = entry
+        np.copyto(state, self._template)
+        mask[:] = False
         return state[:, :, :s], mask[:, :s]
-
-    def _mark_dirty(self, slot: int, dirty) -> None:
-        """Record which rows the finished sweep of ``slot`` wrote."""
-        entry = self._buffer_slots.get(slot)
-        if entry is not None:
-            entry[2] = dirty
 
     def _chunk_saturated(self, site_ids: np.ndarray) -> bool:
         """The ``prune="auto"`` saturation verdict, memoized per chunk.
@@ -620,7 +531,7 @@ class BatchEPPBackend:
 
         Returns ``(state, mask, sinks)``: the four-valued state matrix,
         the on-path membership bitmask, and the sink translation of the
-        layout the sweep ran on — ``None`` for full-row sweeps (state is
+        layout the sweep ran on — ``None`` for dense sweeps (state is
         ``(n + 2, 4, s)``, sinks are ``plan.sink_ids``), or the chunk
         plan's ``(sink_rows, sink_positions)`` pair for compacted sweeps
         (state is ``(n_rows, 4, s)`` over the union-of-cones remap).
@@ -635,14 +546,11 @@ class BatchEPPBackend:
             prune = not self._chunk_saturated(site_ids)
             if not prune:
                 stats["dense_fallback_sweeps"] += 1
-        if prune and self.rows != "full":
-            # The calibrated rows="auto" policy is compact for every
-            # pruned sweep: same active rows, same kernels, a smaller
-            # matrix — and no template restore to pay next time.
+        if prune:
             return self._sweep_compact(
                 site_ids, self.plan.compact_chunk_plan(site_ids), slot
             )
-        return self._sweep_full(site_ids, slot, prune)
+        return self._sweep_dense(site_ids, slot)
 
     def _compact_buffers(
         self, n_rows: int, s: int, slot: int
@@ -676,12 +584,11 @@ class BatchEPPBackend:
 
         Carves ``(n_rows, 4, s)`` state out of the slot arena and seeds it
         from the gathered off-path constants (the whole "buffer reset" —
-        proportional to the compact size, with no full-width template or
-        dirty tracking), then runs exactly the full-row pruned sweep's
-        tier logic with every index array pre-translated to compact row
-        space.  Per computed cell the kernels run the same elementwise
-        IEEE ops, so the packed results are bit-identical to the full-row
-        sweep's.
+        proportional to the compact size, with no full-width template),
+        then runs the active groups with every index array pre-translated
+        to compact row space.  Per computed cell the kernels run the same
+        elementwise IEEE ops as the dense sweep, so the packed results are
+        bit-identical to it.
         """
         s = len(site_ids)
         self._ensure_const()
@@ -704,7 +611,7 @@ class BatchEPPBackend:
         stats = self.sweep_stats
         stats["compact_sweeps"] += 1
         stats["compact_rows"] += cplan.n_rows
-        cells = self.cells
+        cells = self._cells
         for group, out_ids, fanin in cplan.groups:
             out_mask = mask[fanin].any(axis=1)  # (r, s)
             n_on = int(out_mask.sum())
@@ -715,11 +622,13 @@ class BatchEPPBackend:
             if cells != "off" and n_on < out_mask.size and (
                 cells == "on" or n_on * group.cell_factor < out_mask.size
             ):
-                # Cell-compacted tier, unchanged from the full-row sweep:
-                # gather exactly the on-path (row, column) cells, compute
-                # them as one (m, 4) block, scatter back.  Off-path cells
-                # keep their seeded SP constants and a site row's own
-                # column is never on-path for itself.
+                # Cell-compacted tier: even inside active rows only a few
+                # columns are on-path on clustered chunks, so gather
+                # exactly those (row, column) cells, compute them as one
+                # (m, 4) block and scatter back.  Off-path cells keep
+                # their seeded SP constants (each node is written at most
+                # once per sweep) and a site row's own column is never
+                # on-path for itself, so the injected 1(a) survives.
                 on_rows, on_cols = np.nonzero(out_mask)
                 cell_values = group.compact_rule(
                     state, fanin[on_rows], on_cols
@@ -744,9 +653,12 @@ class BatchEPPBackend:
                 mask[out_ids] = True
                 continue
             if n_on * 8 < out_mask.size:
-                # Targeted scatter for column-sparse groups (see the
-                # full-row sweep): off-path cells already hold their SP
-                # constants from the seed.
+                # Targeted scatter for column-sparse groups: off-path
+                # cells already hold their SP constants from the seed, so
+                # only the on-path cells need a write — and a site row's
+                # own column is never touched.  Column-dense groups fall
+                # through to the row-vectorized ``np.where`` scatter,
+                # which beats per-element fancy indexing there.
                 on_rows, on_cols = np.nonzero(out_mask)
                 node_rows = out_ids[on_rows]
                 state[node_rows, :, on_cols] = result[on_rows, :, on_cols]
@@ -770,10 +682,9 @@ class BatchEPPBackend:
                     mask[row, col] = True
         return state, mask, (cplan.sink_rows, cplan.sink_positions)
 
-    def _sweep_full(self, site_ids: np.ndarray, slot: int, prune: bool):
-        """The full-row sweep: ``(n + 2, 4, s)`` slot buffers, dirty-row
-        restore, and — when ``prune`` — the incrementally-maintained
-        union-of-cones row pruning of PR 3/4."""
+    def _sweep_dense(self, site_ids: np.ndarray, slot: int):
+        """The dense reference sweep over ``(n + 2, 4, s)`` slot buffers:
+        every level, every gate group, row kernels only."""
         s = len(site_ids)
         self._ensure_state_arrays()
         state, mask = self._buffers(s, slot)
@@ -790,87 +701,20 @@ class BatchEPPBackend:
         track_polarity = self.track_polarity
         const = self._const
         stats = self.sweep_stats
-        cells = self.cells if prune else "off"
-        if prune:
-            # Union-of-cones, maintained incrementally: on_path[i] is True
-            # iff row i is on-path for *some* column (= mask[i].any()).  A
-            # gate row can only be active when some fanin is on-path
-            # somewhere, so testing the (g, k) union vector first avoids
-            # gathering the full (g, k, s) mask block for rows whose
-            # fanins are all-off everywhere — and since on_path is exact,
-            # the surviving candidate rows are exactly the active rows.
-            on_path = np.zeros(self._rows, dtype=bool)
-            on_path[site_ids] = True
-            # No gate at or below the chunk's minimum site level can have
-            # an on-path fanin (cone members sit strictly above their
-            # site's level), so those levels are skipped outright.
-            min_site_level = int(self.plan.node_level[site_ids].min())
-        for level, groups in self.plan.levels:
-            if prune and level <= min_site_level:
-                continue
+        for _, groups in self.plan.levels:
             for group in groups:
                 out_ids = group.out_ids
                 fanin = group.fanin
-                if prune:
-                    active = np.nonzero(on_path[fanin].any(axis=1))[0]
-                    if active.size == 0:
-                        continue  # whole group off-path everywhere
-                    # Slice only when it pays: a nearly-fully-active group
-                    # would trade the rows it skips for two fancy-index
-                    # copies, so it runs dense (on_path stays exact either
-                    # way — the active set *is* out_mask.any(axis=1)).
-                    if active.size <= (len(out_ids) * 7) // 8:
-                        out_ids = out_ids[active]
-                        fanin = fanin[active]
-                        on_path[out_ids] = True
-                    else:
-                        on_path[out_ids[active]] = True
-                    out_mask = mask[fanin].any(axis=1)  # (r, s)
-                    n_on = int(out_mask.sum())
-                    stats["cells_on"] += n_on
-                    stats["cells_total"] += out_mask.size
-                    if cells != "off" and n_on < out_mask.size and (
-                        cells == "on"
-                        or n_on * group.cell_factor < out_mask.size
-                    ):
-                        # Cell-compacted tier: even inside active rows only
-                        # a few columns are on-path on clustered chunks, so
-                        # gather exactly those (row, column) cells, compute
-                        # them as one (m, 4) block and scatter back into the
-                        # sentinel-padded dense state.  Off-path cells keep
-                        # their template SP constants (each node is written
-                        # at most once per sweep), and a site row's own
-                        # column is never on-path, so the injected 1(a)
-                        # survives untouched — the same invariants the
-                        # targeted scatter below relies on.
-                        on_rows, on_cols = np.nonzero(out_mask)
-                        cell_values = group.compact_rule(
-                            state, fanin[on_rows], on_cols
-                        )  # (m, 4)
-                        if not track_polarity:
-                            cell_values[:, 0] += cell_values[:, 1]
-                            cell_values[:, 1] = 0.0
-                        node_rows = out_ids[on_rows]
-                        state[node_rows, :, on_cols] = cell_values
-                        mask[node_rows, on_cols] = True
-                        stats["groups_cell"] += 1
-                        stats["cells_computed"] += n_on
-                        continue
-                    stats["groups_row"] += 1
-                    stats["cells_computed"] += out_mask.size
-                else:
-                    out_mask = mask[fanin].any(axis=1)  # (g, s)
-                    if not out_mask.any():
-                        continue  # whole group off-path: SP constants hold
-                    stats["groups_dense"] += 1
-                    # Dense sweeps get their own cell counter: folding
-                    # them into cells_computed (without the on/total pair
-                    # the pruned tiers track) let the computed fraction
-                    # exceed 1, and counting on-cells here would put an
-                    # out_mask.sum() on the dense reference path purely
-                    # for bookkeeping.
-                    stats["cells_dense"] += out_mask.size
-                result = group.rule(state, fanin)  # (r, 4, s)
+                out_mask = mask[fanin].any(axis=1)  # (g, s)
+                if not out_mask.any():
+                    continue  # whole group off-path: SP constants hold
+                stats["groups_dense"] += 1
+                # Dense sweeps get their own cell counter: the pruned
+                # tiers' on/total/computed triple would need an
+                # out_mask.sum() on the reference path purely for
+                # bookkeeping.
+                stats["cells_dense"] += out_mask.size
+                result = group.rule(state, fanin)  # (g, 4, s)
                 if not track_polarity:
                     result[:, 0, :] += result[:, 1, :]
                     result[:, 1, :] = 0.0
@@ -879,21 +723,6 @@ class BatchEPPBackend:
                     # a site is never on-path for itself) — assign directly.
                     state[out_ids] = result
                     mask[out_ids] = True
-                    continue
-                if prune and n_on * 8 < out_mask.size:
-                    # Targeted scatter for column-sparse groups: every
-                    # off-path cell already holds its SP constant (the
-                    # chunk state is seeded from the constants template and
-                    # each node is written at most once per sweep), so only
-                    # the on-path cells need a write.  This also never
-                    # touches a site row's own column — no 1(a)
-                    # re-injection required.  Column-dense groups fall
-                    # through to the row-vectorized ``np.where`` scatter,
-                    # which beats per-element fancy indexing there.
-                    on_rows, on_cols = np.nonzero(out_mask)
-                    node_rows = out_ids[on_rows]
-                    state[node_rows, :, on_cols] = result[on_rows, :, on_cols]
-                    mask[node_rows, on_cols] = True
                     continue
                 # Off-path columns take their broadcast SP constant — cheaper
                 # than gathering the previous output state back out.
@@ -913,25 +742,15 @@ class BatchEPPBackend:
                         state[node_id, 2, col] = 0.0
                         state[node_id, 3, col] = 0.0
                         mask[node_id, col] = True
-        # Hand the slot its dirty-row set: a pruned sweep writes only
-        # rows on its union-of-cones (on_path is exact), so the next
-        # sweep of this slot restores just those rows instead of the
-        # whole template.  Dense sweeps may write any gate row — full
-        # reset.
-        self._mark_dirty(slot, np.nonzero(on_path)[0] if prune else None)
         return state, mask, None
 
     def release_buffers(self) -> None:
-        """Free the chunk-width state matrices (template, constants, and
-        the double-buffered sweep/mask pairs) — the backend's ~3x
-        ``_STATE_BYTES_TARGET`` resident set — plus the plan's cached
-        per-chunk artifacts (compacted-row remaps, saturation verdicts).
-        Clearing the slots also drops every recorded dirty-row set with
-        them: a freshly allocated slot always starts from a full template
-        reset, never from a stale dirty entry describing buffers that no
-        longer exist.  Everything is rebuilt lazily on the next sweep, so
-        this is always safe to call between analyses on long-lived
-        engines/analyzers."""
+        """Free the chunk-width state matrices (template, constants, the
+        double-buffered dense sweep/mask pairs and the compacted-sweep
+        arenas) plus the plan's cached per-chunk artifacts
+        (compacted-row remaps, saturation verdicts).  Everything is
+        rebuilt lazily on the next sweep, so this is always safe to call
+        between analyses on long-lived engines/analyzers."""
         self._template = None
         self._const = None
         self._buffer_slots.clear()
@@ -972,32 +791,18 @@ class BatchEPPBackend:
     def _chunk_spans(self, ids: np.ndarray) -> list[tuple[int, int]]:
         """The ``(start, stop)`` spans one bulk call sweeps, in order.
 
-        ``chunking="adaptive"`` runs the boundary-aligned splitter of
-        :func:`~repro.core.schedule.adaptive_chunk_spans` (chunks close
-        at cluster boundaries once past half width, so disjoint cone
-        clusters never share a sweep; with an unclustered order it simply
-        inherits whatever locality the caller's order has); ``"fixed"``
-        is flat ``batch_size`` slicing.  The calibrated ``"auto"`` policy
-        is *fixed*: measured on the s9234/s38417 workloads
+        The calibrated policy: flat ``batch_size`` slicing, widened by
+        :meth:`_compact_spans` when every chunk is guaranteed a compacted
+        sweep.  Measured on the s9234/s38417 workloads
         (``benchmarks/run_bench.py``), every extra chunk costs ~40-80 ms
-        of width-independent overhead — group dispatch, the dirty-row
-        buffer restore (which rewrites each dirty row across the full
-        buffer width regardless of the chunk's width), the per-chunk sink
-        reduction — which consistently outweighs the smaller unions a
-        split buys, so full-width chunks win wherever the cell-compacted
-        tier already caps the kernel FLOPs at the on-path cells.
+        of width-independent overhead — group dispatch, the per-chunk
+        sink reduction, and for dense sweeps the full-template restore —
+        which consistently outweighs the smaller unions a narrower or
+        cluster-aligned split buys, so chunks are never cut below
+        ``batch_size``.  Any span partition is bit-identical per site.
         """
         n = len(ids)
-        adaptive = self.chunking == "adaptive"
-        if adaptive and n > self.batch_size:
-            spans = adaptive_chunk_spans(self.compiled, ids, self.batch_size)
-            fixed = -(-n // self.batch_size)
-            self.sweep_stats["chunk_splits"] += len(spans) - fixed
-        elif (
-            self.chunking == "auto"
-            and n > self.batch_size
-            and self._compact_guaranteed()
-        ):
+        if n > self.batch_size and self._compact_guaranteed():
             spans = self._compact_spans(ids)
         else:
             spans = [
@@ -1009,13 +814,11 @@ class BatchEPPBackend:
 
     def _compact_guaranteed(self) -> bool:
         """Whether *every* chunk of this backend is certain to sweep on a
-        compacted state matrix — the precondition for the recalibrated
-        wide-chunk ``auto`` policy.  ``prune="auto"`` qualifies only on
-        circuits at or above :data:`~repro.core.schedule.PRUNE_AUTO_MAX_NODES`,
-        where the saturated dense fallback (which needs full-width
-        full-row buffers) can never fire."""
-        if self.rows == "full":
-            return False
+        compacted state matrix — the precondition for the wide-chunk
+        policy.  ``prune="auto"`` qualifies only on circuits at or above
+        :data:`~repro.core.schedule.PRUNE_AUTO_MAX_NODES`, where the
+        saturated dense fallback (which needs full-width buffers) can
+        never fire."""
         if self.prune is True:
             return True
         return (
@@ -1068,11 +871,10 @@ class BatchEPPBackend:
         The shared chunking driver of every bulk query: two-stage pipeline
         where the NumPy sweep of chunk ``i+1`` (GIL released inside the
         array kernels) overlaps the Python-side consumption of chunk
-        ``i``; double buffering keeps full-row stages on disjoint slot
-        matrices (compacted sweeps allocate fresh per-chunk state, so they
-        never share buffers to begin with).  Single-chunk calls skip the
-        thread machinery.  ``sinks`` is the sweep's sink translation —
-        ``None`` for full-row layouts (see :meth:`_sweep`).
+        ``i``; double buffering keeps consecutive stages on disjoint slot
+        buffers (dense matrices or compacted arenas).  Single-chunk calls
+        skip the thread machinery.  ``sinks`` is the sweep's sink
+        translation — ``None`` for dense layouts (see :meth:`_sweep`).
         """
         chunks = [ids[start:stop] for start, stop in self._chunk_spans(ids)]
         if not chunks:
@@ -1205,7 +1007,7 @@ class BatchEPPBackend:
         indices into ``plan.sink_ids`` and ``values`` their clamped ``(m, 4)``
         four-valued vectors.  A compacted sweep's ``sink_pos`` is mapped
         back through its ``sink_positions`` translation, so the packed
-        layout is identical whichever row layout swept the chunk.  This
+        layout is identical whichever sweep ran the chunk.  This
         tuple of plain arrays is also the wire format the sharded driver
         (:mod:`repro.core.epp_shard`) ships across the process boundary —
         flat buffers, no per-object overhead.

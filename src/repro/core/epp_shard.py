@@ -90,7 +90,6 @@ from dataclasses import dataclass
 
 from repro.core.resilience import Deadline, FaultPolicy, ShardOutcome
 from repro.errors import (
-    AnalysisConfigError,
     AnalysisError,
     RetryBudgetExceededError,
     ShardTimeoutError,
@@ -427,24 +426,11 @@ def _worker_backend():
         from repro.core.epp_batch import BatchEPPBackend
 
         data = pickle.loads(payload)
-        if isinstance(data, tuple):
-            # Tolerant-forward: a pool initialized by a pre-config
-            # parent ships the historical bare knob tuple.
-            (compiled, signal_probs, track_polarity, batch_size, prune,
-             cells, chunking, rows) = data
-            config = AnalysisConfig(
-                batch_size=batch_size, prune=prune, schedule="input",
-                cells=cells, chunking=chunking, rows=rows,
-            )
-        else:
-            compiled = data["compiled"]
-            signal_probs = data["signal_probs"]
-            track_polarity = data["track_polarity"]
-            config = AnalysisConfig.from_wire(data["config"])
+        config = AnalysisConfig.from_wire(data["config"])
         backend = BatchEPPBackend(
-            compiled,
-            signal_probs,
-            track_polarity=track_polarity,
+            data["compiled"],
+            data["signal_probs"],
+            track_polarity=data["track_polarity"],
             min_vector_work=0,
             **config.sweep_kwargs(),
         )
@@ -536,13 +522,10 @@ class ShardedEPPEngine:
         Per-node P(1) indexed by node id, as the vector backend consumes.
     track_polarity:
         Mirrors the engine flag (forwarded to every worker backend).
-    jobs:
-        Worker process count; default one per available core.
-    batch_size:
-        Per-chunk site columns inside each worker's sweep.  When omitted,
-        the single-process chunk budget is divided across the pool so the
-        aggregate resident memory of a sharded run matches the vector
-        backend's, instead of multiplying by ``jobs``.
+    config / knobs:
+        The analysis knobs, as one
+        :class:`~repro.core.config.AnalysisConfig` or as individual
+        keywords (never both) — see the per-knob notes below.
     min_process_work:
         Crossover threshold on ``n_nodes * n_sites`` below which calls run
         on the in-process vector backend; 0 forces the process path.
@@ -555,21 +538,6 @@ class ShardedEPPEngine:
         The in-process :class:`~repro.core.epp_batch.BatchEPPBackend` used
         below the crossover and for materializing worker results (built on
         demand when omitted; ``EPPEngine`` passes its cached one).
-    prune / schedule:
-        The cone-aware sweep knobs (see
-        :class:`~repro.core.epp_batch.BatchEPPBackend`): ``prune`` is
-        forwarded to every worker backend; ``schedule`` drives the
-        *parent-side* partitioner — ``"auto"``/``"cone"`` orders the site
-        list by :func:`~repro.core.schedule.cone_cluster_order` before the
-        contiguous shard split, so shards (and the chunks inside each
-        worker) share fanout cones.
-    cells / chunking / rows:
-        The cell-compaction, chunk-width and state-matrix-row-layout
-        knobs (see :class:`~repro.core.epp_batch.BatchEPPBackend`),
-        forwarded to the local backend and through the payload to every
-        worker backend — workers inherit compacted union-of-cones state
-        matrices by default, and their packed results (already flat
-        arrays, layout-independent) ship through shared memory unchanged.
     transport:
         Result wire format: ``"shm"`` (default on POSIX) ships packed
         arrays through shared-memory segments — only a tiny handle is
@@ -580,15 +548,28 @@ class ShardedEPPEngine:
     policy:
         A :class:`~repro.core.resilience.FaultPolicy` governing shard
         retries, backoff, deadlines and the terminal ``on_failure``
-        action.  Mutually exclusive with the individual knobs below.
-    retries / shard_timeout / on_failure / deadline:
-        Shorthand for the matching :class:`FaultPolicy` fields (``None``
-        means "the policy default") — the shapes ``EPPEngine.analyze``
-        and the CLI thread through.
-    fault_injector:
-        A :class:`~repro.testing.faults.FaultInjector` shipped through
-        the pool initializer — test-only machinery for staging worker
-        crashes, stalls and transport failures deterministically.
+        action.  Mutually exclusive with the resilience knobs.
+
+    Knobs: ``jobs`` is the worker process count (default one per
+    available core).  ``batch_size`` is the per-chunk site columns inside
+    each worker's sweep; when omitted, the single-process chunk budget is
+    divided across the pool so the aggregate resident memory of a
+    sharded run matches the vector backend's, instead of multiplying by
+    ``jobs``.  ``prune`` is forwarded to the local backend and through
+    the payload to every worker backend (workers run the same compacted
+    union-of-cones sweeps, and their packed results — flat arrays —
+    ship through shared memory unchanged); ``schedule`` drives the
+    *parent-side* partitioner — ``"auto"``/``"cone"`` orders the site
+    list by :func:`~repro.core.schedule.cone_cluster_order` before the
+    contiguous shard split, so shards (and the chunks inside each
+    worker) share fanout cones.  ``retries``/``shard_timeout``/
+    ``on_failure``/``deadline`` are shorthand for the matching
+    :class:`FaultPolicy` fields (``None`` means "the policy default").
+    ``fault_injector`` is a :class:`~repro.testing.faults.FaultInjector`
+    shipped through the pool initializer — test-only machinery for
+    staging worker crashes, stalls and transport failures
+    deterministically.  ``checkpoint`` names the per-shard sweep journal
+    directory.
 
     The worker pool is created lazily on the first sharded call and reused
     across calls; :meth:`close` (or the context-manager protocol) tears it
@@ -605,58 +586,26 @@ class ShardedEPPEngine:
         signal_probs: Sequence[float],
         track_polarity: bool = True,
         *,
-        jobs: int | None = None,
-        batch_size: int | None = None,
         min_process_work: int = _MIN_PROCESS_WORK,
         shards_per_worker: int = _SHARDS_PER_WORKER,
         mp_context=None,
         local_backend=None,
-        prune: bool | None = None,
-        schedule: str | None = None,
-        cells: str | None = None,
-        chunking: str | None = None,
-        rows: str | None = None,
         transport: str | None = None,
         policy: FaultPolicy | None = None,
-        retries: int | None = None,
-        shard_timeout: float | None = None,
-        on_failure: str | None = None,
-        deadline: float | None = None,
-        fault_injector=None,
-        checkpoint=None,
         config: "AnalysisConfig | None" = None,
+        **knobs,
     ):
         from repro.core.config import AnalysisConfig
 
         # One validated config is the source of truth for every analysis
         # knob (jobs/batch_size value checks and the unknown-knob guard
-        # included); the individual keyword parameters are the
-        # backward-compatible spelling and fold into one.  ``config=``
-        # plus individual knobs is ambiguous, so it is rejected naming
-        # the conflicting fields.
-        knob_params = {
-            "jobs": jobs, "batch_size": batch_size, "prune": prune,
-            "schedule": schedule, "cells": cells, "chunking": chunking,
-            "rows": rows, "retries": retries, "shard_timeout": shard_timeout,
-            "on_failure": on_failure, "deadline": deadline,
-            "fault_injector": fault_injector, "checkpoint": checkpoint,
-        }
-        if config is None:
-            config = AnalysisConfig.from_knobs(
-                backend="sharded",
-                **{k: v for k, v in knob_params.items() if v is not None},
-            )
-        else:
-            conflicting = sorted(
-                name for name, value in knob_params.items()
-                if value is not None
-            )
-            if conflicting:
-                raise AnalysisConfigError(
-                    "pass either config= or individual analysis knobs, "
-                    f"not both (got config= plus {conflicting})"
-                )
-        resolved = config.resolved()
+        # included).  A ``None`` keyword knob means "the default", so it
+        # never conflicts with ``config=``.
+        resolved = AnalysisConfig.from_args(
+            config,
+            {k: v for k, v in knobs.items() if v is not None},
+            backend="sharded",
+        ).resolved()
         #: The validated :class:`~repro.core.config.AnalysisConfig` this
         #: driver runs under (sweep knobs resolved, ``None`` -> auto).
         self.config = resolved
@@ -670,9 +619,6 @@ class ShardedEPPEngine:
         self.shards_per_worker = max(1, int(shards_per_worker))
         self.prune = resolved.prune
         self.schedule = resolved.schedule
-        self.cells = resolved.cells
-        self.chunking = resolved.chunking
-        self.rows = resolved.rows
         if transport is None:
             transport = default_transport()
         if transport not in TRANSPORTS:
@@ -812,24 +758,20 @@ class ShardedEPPEngine:
             batch_size=self.worker_batch_size,
             prune=self.prune,
             schedule="input",
-            cells=self.cells,
-            chunking=self.chunking,
-            rows=self.rows,
         )
 
     def payload(self) -> bytes:
         """The once-pickled worker payload (cached across pool restarts).
 
         Ships one wire-format :class:`~repro.core.config.AnalysisConfig`
-        instead of the historical bare knob tuple, so growing the knob
-        surface never re-threads this seam; :func:`_worker_backend`
-        still loads the old tuple shape (tolerant-forward), so a pool
-        initialized by an old parent keeps working.
+        next to the circuit and SP vector, so the knob surface never
+        re-threads this seam.  Pools are spawned by the process that
+        builds the payload, so no other payload shape ever reaches a
+        worker.
         """
         if self._payload is None:
             self._payload = pickle.dumps(
                 {
-                    "format": 2,
                     "compiled": self.compiled,
                     "signal_probs": self.local.sp,
                     "track_polarity": self.track_polarity,

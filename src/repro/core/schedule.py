@@ -21,12 +21,6 @@ This module provides the two pieces of that scheduling layer:
   sites by cone signature (dominant sink first, full signature as the
   tiebreak), so sites with overlapping cones land in the same chunk and
   the sparse sweep's row-prune density is maximized.
-* :func:`adaptive_chunk_spans` — cost-aware chunk widths over an
-  already-clustered site order: a running union-of-cones signature
-  detects cluster boundaries (the next site growing the union into fresh
-  sinks) and closes chunks there once past half width, so disjoint cone
-  clusters never share a sweep while coherent runs keep the full
-  ``batch_size`` width.
 * :func:`chunk_prune_saturated` — the dense-fallback cost model: on small
   circuits whose chunk union covers most observable sinks, row pruning
   can only discover that nearly every row is active, so its per-group
@@ -57,53 +51,20 @@ from repro.errors import AnalysisConfigError
 from repro.netlist.circuit import CompiledCircuit
 
 __all__ = [
-    "CELL_MODES",
-    "CHUNKINGS",
-    "ROW_MODES",
     "SCHEDULES",
     "ChunkCache",
     "ConeIndex",
-    "adaptive_chunk_spans",
     "chunk_cache_key",
     "chunk_prune_saturated",
     "cone_cluster_order",
     "resolve_prune",
     "resolve_schedule",
-    "validate_cells",
-    "validate_chunking",
-    "validate_rows",
 ]
 
 #: The user-facing scheduling strategies: ``auto`` picks per call,
 #: ``cone`` always clusters, ``input`` preserves the caller's site order
 #: (the pre-PR-3 contiguous chunking).
 SCHEDULES = ("auto", "cone", "input")
-
-#: Cell-compaction modes for the sparse sweep kernels: ``auto`` lets the
-#: per-group cost model pick (density x arity thresholds), ``on`` forces
-#: the compacted kernels for every partially-on-path group, ``off``
-#: restores the PR-3 row-sparse kernels.
-CELL_MODES = ("auto", "on", "off")
-
-#: Chunk-width strategies: ``adaptive`` aligns chunk boundaries to cone
-#: clusters (:func:`adaptive_chunk_spans`), ``fixed`` keeps the flat
-#: ``batch_size`` slicing, and ``auto`` applies the calibrated policy
-#: (fixed width — but *wider* when every chunk is guaranteed a compacted
-#: sweep, where the per-chunk fixed cost the width amortizes no longer
-#: includes a full-template restore; see ``BatchEPPBackend._chunk_spans``).
-CHUNKINGS = ("auto", "adaptive", "fixed")
-
-#: State-matrix row layouts for pruned sweeps: ``compact`` allocates the
-#: chunk's state/mask buffers with only the union-of-cones rows (plus the
-#: fanins those rows read and the two sentinel rows) through a per-chunk
-#: row remap, so kernels index a small matrix and no dirty-row restore is
-#: ever needed; ``full`` keeps the PR-4 full-circuit buffers with the
-#: dirty-row incremental reset; ``auto`` is the calibrated policy
-#: (currently ``compact`` for every pruned sweep — the remap is pure
-#: indexing, bit-identical by construction).  Dense sweeps (``prune=False``
-#: or the saturated-chunk fallback) always use full-row buffers: their
-#: union *is* the circuit.
-ROW_MODES = ("auto", "compact", "full")
 
 #: Above this node count row pruning always pays on full chunks (the
 #: skipped rows dwarf the per-group bookkeeping), so the ``prune="auto"``
@@ -130,43 +91,16 @@ def resolve_prune(prune: "bool | str | None") -> "bool | str":
     stays ``"auto"`` — the sharded driver ships resolved values to
     worker backends, which resolve again (``bool("auto")`` would
     silently force pruning and lose the dense fallback in workers).
+    Anything else — a wire string such as ``"false"``, an integer — is
+    rejected rather than coerced by truthiness.
     """
     if prune is None or prune == "auto":
         return "auto"
-    return bool(prune)
-
-
-def validate_cells(cells: str | None) -> str:
-    """Normalize the ``cells=`` knob (``None`` means ``auto``)."""
-    if cells is None:
-        return "auto"
-    if cells not in CELL_MODES:
+    if not isinstance(prune, bool):
         raise AnalysisConfigError(
-            f"unknown cells mode {cells!r}; choose from {CELL_MODES}"
+            f"prune must be 'auto', True or False, got {prune!r}"
         )
-    return cells
-
-
-def validate_chunking(chunking: str | None) -> str:
-    """Normalize the ``chunking=`` knob (``None`` means ``auto``)."""
-    if chunking is None:
-        return "auto"
-    if chunking not in CHUNKINGS:
-        raise AnalysisConfigError(
-            f"unknown chunking {chunking!r}; choose from {CHUNKINGS}"
-        )
-    return chunking
-
-
-def validate_rows(rows: str | None) -> str:
-    """Normalize the ``rows=`` knob (``None`` means ``auto``)."""
-    if rows is None:
-        return "auto"
-    if rows not in ROW_MODES:
-        raise AnalysisConfigError(
-            f"unknown rows mode {rows!r}; choose from {ROW_MODES}"
-        )
-    return rows
+    return prune
 
 
 def validate_schedule(schedule: str | None) -> str:
@@ -385,67 +319,6 @@ class ChunkCache:
 
 
 # ------------------------------------------------------------- cost models
-
-#: Narrowest chunk the boundary-aligned splitter will emit, as a divisor
-#: of ``batch_size``: chunk count can at most double, bounding the
-#: per-chunk fixed costs (group dispatch, buffer reset) the split adds.
-#: Measured on s38417 (`benchmarks/run_bench.py`): unbounded narrow
-#: splits multiplied chunk count 3.2x and cost ~77 ms of per-group
-#: dispatch per extra chunk — far more than the smaller unions saved —
-#: so the splitter only ever trades width for union *alignment*, never
-#: for narrowness.
-_ADAPTIVE_MIN_DIVISOR = 2
-
-
-def adaptive_chunk_spans(
-    compiled: CompiledCircuit,
-    site_ids: Sequence[int],
-    batch_size: int,
-) -> list[tuple[int, int]]:
-    """Cost-aware ``(start, stop)`` chunk spans over a scheduled site list.
-
-    The pruned sweep's cost for one chunk is ``width x |union of cones|``
-    (every level slices to the union's active rows, and the row/cell
-    masks are gathered for all ``width`` columns), so a fixed-width slice
-    that straddles two disjoint cone clusters sweeps ``union(A) +
-    union(B)`` rows for *every* column of both — the waste the ROADMAP's
-    "cost-aware chunk widths" item names.  This splitter aligns chunk
-    boundaries to the cluster structure: walking the scheduled order with
-    a running union of :class:`ConeIndex` signatures, it closes a chunk
-    early — never below ``batch_size / 2``, so chunk count at most
-    doubles and the per-chunk fixed costs stay bounded — when the next
-    site's cone would *grow* the union into fresh sinks (a cluster
-    boundary); sites whose signatures stay inside the running union
-    (saturated cluster runs) keep extending the chunk to the full width.
-    Disjoint cluster runs therefore get their own aligned chunks while
-    coherent runs ride full-width ones.
-
-    Chunking is pure scheduling: every site column is computed
-    independently, so *any* span partition yields bit-identical per-site
-    results — only the work per sweep changes.
-    """
-    n = len(site_ids)
-    if n <= batch_size:
-        return [(0, n)] if n else []
-    index = ConeIndex.for_compiled(compiled)
-    sig = index.sig
-    signatures = [sig[int(site_id)] for site_id in site_ids]
-    min_width = max(1, batch_size // _ADAPTIVE_MIN_DIVISOR)
-
-    spans: list[tuple[int, int]] = []
-    start = 0
-    union = 0
-    for position, signature in enumerate(signatures):
-        width = position - start
-        if width >= batch_size or (
-            width >= min_width and signature | union != union
-        ):
-            spans.append((start, position))
-            start, union = position, 0
-        union |= signature
-    spans.append((start, n))
-    return spans
-
 
 def chunk_prune_saturated(
     compiled: CompiledCircuit, site_ids: Sequence[int]

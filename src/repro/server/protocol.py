@@ -127,6 +127,18 @@ def decode_line(line: bytes) -> dict:
     return obj
 
 
+def _field(convert, name: str, value):
+    """``convert(value)`` for a request field, as a ConfigError naming
+    the field when the value does not convert (a terminal caller error,
+    not an internal one)."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(
+            f"'{name}' must be a number, got {value!r}"
+        ) from None
+
+
 def parse_request(obj: dict) -> Request:
     """Validate a decoded request object into a :class:`Request`."""
     op = obj.get("op")
@@ -153,7 +165,7 @@ def parse_request(obj: dict) -> Request:
     config = AnalysisConfig.from_wire(knobs, strict=True)
     deadline = obj.get("deadline")
     if deadline is not None:
-        deadline = float(deadline)
+        deadline = _field(float, "deadline", deadline)
         if deadline <= 0.0:
             raise ConfigError(
                 f"--request-deadline must be > 0 seconds, got {deadline}"
@@ -174,6 +186,8 @@ def parse_request(obj: dict) -> Request:
         if not isinstance(edits, list) or not edits:
             raise ConfigError("op 'analyze_delta' needs a non-empty 'edits' list")
     top = obj.get("top")
+    if top is not None:
+        top = _field(int, "top", top)
     return Request(
         op=op,
         bench=bench,
@@ -184,7 +198,7 @@ def parse_request(obj: dict) -> Request:
         deadline=deadline,
         client=str(obj.get("client") or "anon"),
         fit=bool(obj.get("fit", False)),
-        top=None if top is None else int(top),
+        top=top,
         coalesce=bool(obj.get("coalesce", True)),
         edits=edits,
         idempotency=idempotency,

@@ -10,8 +10,9 @@ Covers the consolidation contracts:
   ``digest`` is stable under field order and construction path and
   distinct for distinct configs (hypothesis property tests);
 * tolerant-forward decoding — unknown wire keys are ignored outside the
-  server's strict mode, and the sharded workers still load the
-  pre-config bare knob tuple;
+  server's strict mode;
+* stable identities — digests of configs that never name a removed knob
+  keep their pre-removal values, so persisted stores stay valid;
 * reflection — the CLI ``analyze``/``analyze-delta``/``serve`` flag
   sets and the config field metadata are the same surface, 1:1;
 * the registry — registering a stub backend makes it reachable from
@@ -21,7 +22,7 @@ Covers the consolidation contracts:
 
 from __future__ import annotations
 
-import pickle
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +109,63 @@ class TestValidation:
         with pytest.raises(ConfigError, match="not both"):
             engine.analyze(config=AnalysisConfig(), batch_size=4)
 
+    @pytest.mark.parametrize("knobs, field", [
+        ({"batch_size": "abc"}, "batch_size"),
+        ({"batch_size": [1]}, "batch_size"),
+        ({"batch_size": 2.7}, "batch_size"),
+        ({"batch_size": True}, "batch_size"),
+        ({"jobs": "x"}, "jobs"),
+        ({"jobs": True}, "jobs"),
+        ({"jobs": 2.0}, "jobs"),
+        ({"retries": "x"}, "retries"),
+        ({"retries": False}, "retries"),
+        ({"shard_timeout": "x"}, "shard_timeout"),
+        ({"shard_timeout": True}, "shard_timeout"),
+        ({"deadline": "soon"}, "deadline"),
+        ({"prune": "false"}, "prune"),
+        ({"prune": "true"}, "prune"),
+        ({"prune": 0}, "prune"),
+    ])
+    def test_malformed_values_rejected_naming_the_field(self, knobs, field):
+        # Wrong types are refused by name before any int()/float()
+        # coercion could raise a bare ValueError or, worse, succeed
+        # ("false" used to resolve to prune=True).
+        with pytest.raises(AnalysisConfigError, match=field):
+            AnalysisConfig.from_knobs(**knobs)
+
+    def test_well_typed_values_accepted(self):
+        import numpy as np
+
+        cfg = AnalysisConfig(
+            batch_size=np.int64(8), jobs=2, retries=0, shard_timeout=5,
+            deadline=2.5, prune=False,
+        )
+        assert cfg.batch_size == 8 and cfg.shard_timeout == 5
+        assert AnalysisConfig(prune="auto").prune == "auto"
+
+    @pytest.mark.parametrize("knobs, message", [
+        ({"retries": -1}, "--retries must be >= 0, got -1"),
+        ({"shard_timeout": 0}, "--shard-timeout must be > 0 seconds, got 0 "
+                               "(omit the flag to disable the per-shard "
+                               "deadline)"),
+        ({"deadline": -1.5}, "--request-deadline must be > 0 seconds, got "
+                             "-1.5 (omit the flag to disable the global "
+                             "deadline)"),
+    ])
+    def test_range_errors_keep_the_fault_policy_spelling(self, knobs, message):
+        with pytest.raises(ConfigError) as info:
+            AnalysisConfig(**knobs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("knob", ["cells", "chunking", "rows"])
+    def test_removed_sweep_knobs_are_unknown(self, knob):
+        with pytest.raises(ConfigError, match=f"unknown analysis knob '{knob}'"):
+            AnalysisConfig.from_knobs(**{knob: "auto"})
+        with pytest.raises(ConfigError, match=knob):
+            AnalysisConfig.from_wire({knob: "auto"}, strict=True)
+        # Tolerant-forward decoding still ignores them.
+        assert AnalysisConfig.from_wire({knob: "auto"}) == AnalysisConfig()
+
 
 # ----------------------------------------------------------- derived tables
 
@@ -115,10 +173,15 @@ class TestValidation:
 class TestDerivedTables:
     def test_knob_key_order_is_the_historical_order(self):
         assert KNOB_KEYS == (
-            "backend", "batch_size", "jobs", "prune", "schedule", "cells",
-            "chunking", "rows", "retries", "shard_timeout", "on_failure",
+            "backend", "batch_size", "jobs", "prune", "schedule",
+            "retries", "shard_timeout", "on_failure",
             "deadline", "fault_injector", "checkpoint",
         )
+
+    def test_knob_surface_sizes(self):
+        assert len(dataclasses.fields(AnalysisConfig)) == 11
+        assert len(WIRE_KNOB_KEYS) == 8
+        assert len(SWEEP_KNOB_KEYS) == 3
 
     def test_wire_keys_exclude_local_only_fields(self):
         assert "fault_injector" not in WIRE_KNOB_KEYS
@@ -131,9 +194,7 @@ class TestDerivedTables:
         )
 
     def test_sweep_keys(self):
-        assert SWEEP_KNOB_KEYS == (
-            "batch_size", "prune", "schedule", "cells", "chunking", "rows"
-        )
+        assert SWEEP_KNOB_KEYS == ("batch_size", "prune", "schedule")
 
     def test_knob_reference_covers_every_field(self):
         text = knob_reference()
@@ -152,9 +213,6 @@ _WIRE_VALUES = {
     "jobs": st.one_of(st.none(), st.integers(1, 8)),
     "prune": st.sampled_from([None, True, False, "auto"]),
     "schedule": st.sampled_from([None, "auto", "cone", "input"]),
-    "cells": st.sampled_from([None, "auto", "on", "off"]),
-    "chunking": st.sampled_from([None, "auto", "adaptive", "fixed"]),
-    "rows": st.sampled_from([None, "auto", "compact", "full"]),
     "retries": st.one_of(st.none(), st.integers(0, 5)),
     "shard_timeout": st.one_of(st.none(), st.floats(0.1, 60.0)),
     "on_failure": st.sampled_from([None, "retry", "degrade", "raise"]),
@@ -214,6 +272,16 @@ class TestWireRoundTrip:
         assert b"analysis-config|v%d" % WIRE_VERSION  # spelling exists
         assert AnalysisConfig().digest() != ""
 
+    def test_digests_survive_the_knob_removal(self):
+        # The digest hashes only non-None wire knobs, so configs that never
+        # set cells/chunking/rows keep the identities persisted artifact
+        # stores and journals were written under.
+        assert AnalysisConfig().digest() == "6b5234eac00e9e07c526cbfd1af0f48c"
+        assert (
+            AnalysisConfig(backend="sharded", jobs=2).digest()
+            == "036e5a59e7e7a9d17acd162bc957c9cc"
+        )
+
     def test_from_wire_is_tolerant_forward(self):
         wire = {"version": 99, "batch_size": 8, "hyperdrive": True}
         cfg = AnalysisConfig.from_wire(wire)
@@ -227,30 +295,6 @@ class TestWireRoundTrip:
         cfg = AnalysisConfig(batch_size=4).resolved()
         assert cfg.resolved() == cfg
         assert cfg.prune == "auto" and cfg.schedule == "auto"
-
-    def test_legacy_worker_tuple_still_loads(self):
-        # A pool initialized by a pre-config parent ships the historical
-        # bare 8-tuple; the worker decodes it into a config.
-        from repro.core import epp_shard
-
-        engine = EPPEngine(s27())
-        payload = pickle.dumps(
-            (engine.compiled, engine._sp, True, 4, "auto", "auto",
-             "auto", "auto"),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        old = epp_shard._WORKER_PAYLOAD
-        try:
-            epp_shard._shard_worker_init(payload, key="legacy-test")
-            backend = epp_shard._worker_backend()
-            site = next(iter(engine.circuit.gates))
-            result = backend.analyze_sites(
-                [engine.compiled.index[site]]
-            )
-            assert len(result) == 1
-        finally:
-            epp_shard._WORKER_PAYLOAD = old
-            epp_shard._WORKER_BACKENDS.pop("legacy-test", None)
 
 
 # --------------------------------------------------------------- reflection

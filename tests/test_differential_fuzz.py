@@ -95,11 +95,13 @@ def random_tree_circuit(seed: int, max_inputs: int = 12, n_gates: int = 12) -> C
 
 
 def force_vector(engine: EPPEngine, prune: bool | None = None,
-                 schedule: str | None = None, cells: str | None = None,
-                 chunking: str | None = None, rows: str | None = None):
-    backend = engine.vector_backend(prune=prune, schedule=schedule,
-                                    cells=cells, chunking=chunking, rows=rows)
+                 schedule: str | None = None, cells: str = "auto"):
+    """The crossover-free vector backend, its cell tier forced through the
+    private ``_cells`` hook (assigned on every call: the engine caches one
+    backend per (batch_size, prune, schedule))."""
+    backend = engine.vector_backend(prune=prune, schedule=schedule)
     backend.min_vector_work = 0
+    backend._cells = cells
     return backend
 
 
@@ -123,27 +125,21 @@ def assert_all_sites_agree(reference: dict, candidate: dict):
     n_gates=st.integers(min_value=4, max_value=40),
     seed=st.integers(min_value=0, max_value=2**16),
     track_polarity=st.booleans(),
-    prune=st.booleans(),
+    prune=st.sampled_from((True, False, "auto")),
     schedule=st.sampled_from(("cone", "input")),
     cells=st.sampled_from(("auto", "on", "off")),
-    chunking=st.sampled_from(("auto", "adaptive", "fixed")),
-    rows=st.sampled_from(("auto", "compact", "full")),
 )
 def test_scalar_vs_vector_agree_on_random_circuits(
-    n_inputs, n_gates, seed, track_polarity, prune, schedule, cells, chunking,
-    rows,
+    n_inputs, n_gates, seed, track_polarity, prune, schedule, cells,
 ):
-    """Vectorization — dense or cone-pruned, row-sparse or cell-compacted,
-    full-row or compacted-row state matrices, input-ordered or
-    cone-clustered, fixed or adaptive chunk widths — is a pure
+    """Vectorization — dense or compacted cone-pruned sweeps, row or
+    cell-compacted kernels, input-ordered or cone-clustered — is a pure
     reassociation: scalar == vector to 1e-9."""
     circuit = random_combinational(n_inputs, n_gates, seed=seed)
     engine = EPPEngine(circuit, track_polarity=track_polarity)
-    force_vector(engine, prune=prune, schedule=schedule, cells=cells,
-                 chunking=chunking, rows=rows)
+    force_vector(engine, prune=prune, schedule=schedule, cells=cells)
     scalar = engine.analyze(backend="scalar")
-    vector = engine.analyze(backend="vector", prune=prune, schedule=schedule,
-                            cells=cells, chunking=chunking, rows=rows)
+    vector = engine.analyze(backend="vector", prune=prune, schedule=schedule)
     assert_all_sites_agree(scalar, vector)
 
 
@@ -152,28 +148,28 @@ def test_scalar_vs_vector_agree_on_random_circuits(
     n_inputs=st.integers(min_value=3, max_value=8),
     n_gates=st.integers(min_value=8, max_value=40),
     seed=st.integers(min_value=0, max_value=2**16),
-    cells=st.sampled_from(("on", "auto")),
+    cells=st.sampled_from(("on", "off", "auto")),
     batch_size=st.integers(min_value=2, max_value=9),
-    rows=st.sampled_from(("compact", "full")),
+    prune=st.sampled_from((True, "auto")),
+    schedule=st.sampled_from(("cone", "input")),
 )
 def test_cell_compacted_bit_equal_on_random_circuits(
-    n_inputs, n_gates, seed, cells, batch_size, rows
+    n_inputs, n_gates, seed, cells, batch_size, prune, schedule
 ):
-    """The compacted kernels are not merely close to the dense sweep —
-    they run the same elementwise IEEE ops per computed cell, whether the
-    state matrix is the full (n + 2)-row buffer or the per-chunk
-    union-of-cones remap, so packed arrays must match np.array_equal
-    across random circuits (MUX/MAJ truth tables and sentinel-padded
-    mixed arities included)."""
+    """The compacted sweeps are not merely close to the dense sweep —
+    they run the same elementwise IEEE ops per computed cell on the
+    per-chunk union-of-cones remap, so packed arrays must match
+    np.array_equal across random circuits (MUX/MAJ truth tables and
+    sentinel-padded mixed arities included), under every cell tier, the
+    saturated dense fallback of prune="auto", and either schedule."""
     circuit = random_combinational(n_inputs, n_gates, seed=seed)
     engine = EPPEngine(circuit)
     ids = [engine._cones.resolve(site) for site in engine.default_sites()]
-    reference = force_vector(engine, prune=False, schedule="input",
-                             cells="off", chunking="fixed", rows="full")
+    reference = force_vector(engine, prune=False, schedule="input")
     reference.batch_size = batch_size
     expected = reference.pack_sites(ids)
-    compacted = force_vector(engine, prune=True, schedule="cone",
-                             cells=cells, chunking="adaptive", rows=rows)
+    compacted = force_vector(engine, prune=prune, schedule=schedule,
+                             cells=cells)
     compacted.batch_size = batch_size
     packed = compacted.pack_sites(ids)
     for left, right in zip(expected, packed):

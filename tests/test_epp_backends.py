@@ -55,13 +55,18 @@ def build_circuit(name: str) -> Circuit:
 
 def force_vector(engine: EPPEngine, batch_size: int | None = None,
                  prune: bool | None = None, schedule: str | None = None,
-                 cells: str | None = None, chunking: str | None = None,
-                 rows: str | None = None):
+                 cells: str = "auto"):
     """A vector backend with the small-workload crossover disabled, so the
-    vectorized kernels themselves are exercised even on tiny circuits."""
-    backend = engine.vector_backend(batch_size, prune=prune, schedule=schedule,
-                                    cells=cells, chunking=chunking, rows=rows)
+    vectorized kernels themselves are exercised even on tiny circuits.
+
+    ``cells`` forces the cell tier through the backend's private
+    ``_cells`` hook.  The engine caches one backend per (batch_size,
+    prune, schedule), so the hook is assigned on every call — a cached
+    backend must never keep a previous caller's tier."""
+    backend = engine.vector_backend(batch_size=batch_size, prune=prune,
+                                    schedule=schedule)
     backend.min_vector_work = 0
+    backend._cells = cells
     return backend
 
 
@@ -69,16 +74,13 @@ def assert_backends_agree(circuit: Circuit, track_polarity: bool = True,
                           batch_size: int | None = None, collapse: bool = False,
                           prune: bool | None = None,
                           schedule: str | None = None,
-                          cells: str | None = None,
-                          chunking: str | None = None,
-                          rows: str | None = None):
+                          cells: str = "auto"):
     engine = EPPEngine(circuit, track_polarity=track_polarity)
-    force_vector(engine, batch_size, prune, schedule, cells, chunking, rows)
+    force_vector(engine, batch_size, prune, schedule, cells)
     scalar = engine.analyze(backend="scalar", collapse=collapse)
     vector = engine.analyze(backend="vector", collapse=collapse,
                             batch_size=batch_size, prune=prune,
-                            schedule=schedule, cells=cells, chunking=chunking,
-                            rows=rows)
+                            schedule=schedule)
     assert list(scalar) == list(vector)  # same sites, same order
     for site, expected in scalar.items():
         got = vector[site]
@@ -173,30 +175,18 @@ class TestSparseSweepEquivalence:
         assert_backends_agree(gate_zoo(), prune=prune, batch_size=2,
                               schedule="cone")
 
-    #: Every sweep strategy the backend can run, forced explicitly: the
-    #: PR-3 row-sparse tier, the cell-compacted tier (closed forms and
-    #: MUX/MAJ truth tables via the zoo, sentinel-padded mixed arities via
-    #: the shared and2/and3 group), the adaptive chunk splitter, the
-    #: compacted and full-row state layouts crossed with both cell tiers,
-    #: and the full auto stack (cost-model tiers + saturated dense
-    #: fallback + compacted rows).
-    FORCED_CONFIGS = (
-        dict(prune=True, schedule="cone", cells="off", chunking="fixed"),
-        dict(prune=True, schedule="cone", cells="on", chunking="fixed"),
-        dict(prune=True, schedule="cone", cells="on", chunking="adaptive"),
-        dict(prune=True, schedule="input", cells="on", chunking="adaptive"),
-        dict(prune=True, schedule="cone", cells="auto", chunking="auto"),
-        dict(prune=None, schedule="auto", cells="auto", chunking="auto"),
-        dict(prune=True, schedule="cone", cells="off", chunking="fixed",
-             rows="compact"),
-        dict(prune=True, schedule="cone", cells="on", chunking="fixed",
-             rows="compact"),
-        dict(prune=True, schedule="input", cells="auto", chunking="adaptive",
-             rows="compact"),
-        dict(prune=True, schedule="cone", cells="auto", chunking="auto",
-             rows="full"),
-        dict(prune=None, schedule="auto", cells="auto", chunking="auto",
-             rows="auto"),
+    #: Every sweep strategy the backend can run, forced explicitly:
+    #: forced-pruned compacted sweeps, the dense sweep, and the auto stack
+    #: (compacted sweeps + saturated dense fallback), each under both
+    #: schedules and every cell tier — row kernels only, the
+    #: cell-compacted kernels everywhere (closed forms and MUX/MAJ truth
+    #: tables via the zoo, sentinel-padded mixed arities via the shared
+    #: and2/and3 group), and the per-group cost model.
+    FORCED_CONFIGS = tuple(
+        dict(prune=prune, schedule=schedule, cells=cells)
+        for prune in (True, False, "auto")
+        for schedule in ("cone", "input")
+        for cells in ("on", "off", "auto")
     )
 
     @pytest.mark.parametrize("circuit_name", ["zoo", "s27", "s953"])
@@ -210,7 +200,6 @@ class TestSparseSweepEquivalence:
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         reference = force_vector(
             engine, batch_size=5, prune=False, schedule="input",
-            cells="off", chunking="fixed",
         ).pack_sites(ids)
         for config in self.FORCED_CONFIGS:
             backend = force_vector(engine, batch_size=5, **config)
@@ -250,8 +239,9 @@ class TestSparseSweepEquivalence:
         )
 
     def test_dirty_row_reset_across_width_changes(self):
-        """Buffer reuse across sweeps of different widths: the dirty-row
-        restore must leave no stale cells from a previous wider sweep."""
+        """Buffer reuse across sweeps of different widths: the reused
+        compacted arenas must leave no stale cells from a previous wider
+        sweep."""
         engine = EPPEngine(build_circuit("s953"))
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend = force_vector(engine, batch_size=32, prune=True,
@@ -294,8 +284,8 @@ def two_block_circuit() -> Circuit:
 
     Block A (3 gates) and block B (16 gates) share no paths, so a sweep
     over A-sites and a sweep over B-sites touch disjoint state rows —
-    the layout that exposes stale dirty-row bookkeeping: restoring A's
-    rows can never clean corruption left in B's.
+    the layout that exposes stale buffer state: a reset that trusted
+    A's rows could never clean corruption left in B's.
     """
     circuit = Circuit("blocks")
     circuit.add_input("ia")
@@ -317,9 +307,9 @@ def two_block_circuit() -> Circuit:
 
 
 class TestCompactedRows:
-    """``rows="compact"``: per-chunk union-of-cones state matrices.
+    """Pruned sweeps run on per-chunk union-of-cones state matrices.
 
-    Bit-identity against the dense and full-row sweeps is covered by
+    Bit-identity against the dense sweep is covered by
     ``FORCED_CONFIGS`` above and the hypothesis fuzzer; these tests pin
     the layout mechanics — the compacted path really engages, never
     materializes the full-width template, handles degenerate site lists,
@@ -329,7 +319,7 @@ class TestCompactedRows:
     def test_compact_sweeps_engage_without_template(self):
         engine = EPPEngine(build_circuit("s953"))
         backend = force_vector(engine, batch_size=16, prune=True,
-                               schedule="cone", rows="compact")
+                               schedule="cone")
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend.analyze_sites(ids)
         stats = backend.sweep_stats
@@ -341,32 +331,25 @@ class TestCompactedRows:
         assert not backend._buffer_slots  # no slot buffers either
 
     def test_auto_rows_compacts_pruned_sweeps(self):
-        """The default rows="auto" resolves to the compacted layout for
-        every forced-pruned sweep."""
+        """Every pruned sweep — forced or chosen by prune="auto" — runs on
+        the compacted layout; only dense sweeps use full-row buffers."""
         engine = EPPEngine(build_circuit("s953"))
         backend = force_vector(engine, batch_size=16, prune=True,
                                schedule="cone")
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend.analyze_sites(ids)
-        assert backend.rows == "auto"
-        assert backend.sweep_stats["compact_sweeps"] > 0
-
-    def test_rows_full_restores_slot_buffers(self):
-        engine = EPPEngine(build_circuit("s953"))
-        backend = force_vector(engine, batch_size=16, prune=True,
-                               schedule="cone", rows="full")
-        ids = [engine._cones.resolve(s) for s in engine.default_sites()]
-        backend.analyze_sites(ids)
-        assert backend.sweep_stats["compact_sweeps"] == 0
-        assert backend._template is not None
-        assert backend._buffer_slots
+        stats = backend.sweep_stats
+        assert stats["compact_sweeps"] == stats["sweeps"] > 0
+        dense = force_vector(engine, batch_size=16, prune=False)
+        dense.analyze_sites(ids)
+        assert dense.sweep_stats["compact_sweeps"] == 0
+        assert dense._buffer_slots
 
     def test_dense_fallback_chunks_stay_full_row(self):
         """prune="auto" on a small saturated circuit runs dense sweeps on
-        full-row buffers even when rows="compact" is forced: a dense
-        sweep's union is the whole circuit."""
+        full-row buffers: a dense sweep's union is the whole circuit."""
         engine = EPPEngine(build_circuit("s953"))
-        backend = force_vector(engine, rows="compact")  # prune defaults auto
+        backend = force_vector(engine)  # prune defaults auto
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend.analyze_sites(ids)
         stats = backend.sweep_stats
@@ -375,7 +358,7 @@ class TestCompactedRows:
 
     def test_empty_site_list(self):
         engine = EPPEngine(build_circuit("s953"))
-        backend = force_vector(engine, prune=True, rows="compact")
+        backend = force_vector(engine, prune=True)
         assert backend.analyze_sites([]) == {}
         assert len(backend.p_sensitized_many([])) == 0
         packed = backend.pack_sites([])
@@ -387,12 +370,15 @@ class TestCompactedRows:
         """batch_size=1: every chunk holds one site, so each compacted
         matrix is exactly one cone (plus read rows and sentinels)."""
         assert_backends_agree(build_circuit(circuit_name), prune=True,
-                              batch_size=1, schedule="cone", rows="compact")
+                              batch_size=1, schedule="cone")
 
     @pytest.mark.parametrize("rows", ["compact", "full"])
     def test_sites_inside_other_sites_cones(self, rows):
         """A chunk mixing a site with members of its own fanout cone must
-        keep the downstream columns' injected 1(a) in both row layouts."""
+        keep the downstream columns' injected 1(a) in both row layouts:
+        the compacted matrix of a pruned sweep and the full-row matrix of
+        the dense sweep."""
+        prune = rows == "compact"
         circuit = Circuit("chain")
         circuit.add_input("i0")
         circuit.add_input("i1")
@@ -403,15 +389,15 @@ class TestCompactedRows:
                              [previous, "i1"])
             previous = name
         circuit.mark_output(previous)
-        assert_backends_agree(circuit, prune=True, batch_size=3,
-                              schedule="cone", rows=rows)
-        assert_backends_agree(circuit, prune=True, schedule="input", rows=rows)
+        assert_backends_agree(circuit, prune=prune, batch_size=3,
+                              schedule="cone")
+        assert_backends_agree(circuit, prune=prune, schedule="input")
 
     def test_chunk_plan_cached_across_sweeps(self):
         """Repeated sweeps of the same chunk reuse one cached row remap."""
         engine = EPPEngine(build_circuit("s953"))
         backend = force_vector(engine, batch_size=16, prune=True,
-                               schedule="cone", rows="compact")
+                               schedule="cone")
         ids = np.asarray(
             [engine._cones.resolve(s) for s in engine.default_sites()][:16],
             dtype=np.intp,
@@ -424,7 +410,7 @@ class TestCompactedRows:
     def test_release_buffers_clears_chunk_plans(self):
         engine = EPPEngine(build_circuit("s953"))
         backend = force_vector(engine, batch_size=16, prune=True,
-                               schedule="cone", rows="compact")
+                               schedule="cone")
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend.analyze_sites(ids)
         assert len(backend.plan.chunk_cache) > 0
@@ -436,8 +422,7 @@ class TestCompactedRows:
         mapped back to their global sink positions."""
         circuit = two_block_circuit()
         engine = EPPEngine(circuit)
-        backend = force_vector(engine, prune=True, schedule="input",
-                               rows="compact")
+        backend = force_vector(engine, prune=True, schedule="input")
         a_ids = np.asarray([engine._cones.resolve("a0")], dtype=np.intp)
         cplan = backend.plan.compact_chunk_plan(a_ids)
         # Block A reaches one of the two sinks; block B's rows are absent.
@@ -445,70 +430,83 @@ class TestCompactedRows:
         assert cplan.n_rows < engine.compiled.n
         packed = backend.pack_sites(a_ids)
         dense = force_vector(
-            EPPEngine(circuit), prune=False, schedule="input", rows="full",
+            EPPEngine(circuit), prune=False, schedule="input",
         ).pack_sites(a_ids)
         for left, right in zip(dense, packed):
             assert np.array_equal(left, right)
 
 
 class TestDirtyRowLifecycle:
-    """Stale dirty-row sets must never describe a buffer they don't match."""
+    """A failed or released sweep must never leak state into the next one,
+    on either layout: dense slot buffers and compacted arenas are both
+    reused across sweeps."""
 
-    def _forced_full(self, circuit, batch_size=8):
-        engine = EPPEngine(circuit)
-        backend = force_vector(engine, batch_size=batch_size, prune=True,
-                               schedule="input", cells="off", rows="full")
-        return engine, backend
+    @staticmethod
+    def _backends(circuit, batch_size=8):
+        """(engine, backend) pairs for a dense and a forced-pruned sweep."""
+        pairs = []
+        for prune in (False, True):
+            engine = EPPEngine(circuit)
+            backend = force_vector(engine, batch_size=batch_size, prune=prune,
+                                   schedule="input", cells="off")
+            pairs.append((engine, backend))
+        return pairs
 
     def test_failed_sweep_invalidates_dirty_tracking(self):
-        """A sweep that dies mid-flight leaves the slot buffer partially
-        overwritten; the recorded dirty set from the *previous* sweep must
-        not be trusted for the next restore (it would skip the rows the
-        failed sweep corrupted)."""
-        engine, backend = self._forced_full(two_block_circuit())
-        a_ids = [engine._cones.resolve("a0")]
-        b_ids = [engine._cones.resolve(f"b{index}") for index in range(4)]
-        first = backend.pack_sites(a_ids)  # slot 0: dirty = A rows only
+        """A sweep that dies mid-flight leaves its buffer partially
+        overwritten; the next sweep of the same buffer must not compute
+        on any of it."""
+        for engine, backend in self._backends(two_block_circuit()):
+            a_ids = [engine._cones.resolve("a0")]
+            b_ids = [engine._cones.resolve(f"b{index}") for index in range(4)]
+            first = backend.pack_sites(a_ids)
 
-        # Poison the deepest level (block B's top gate) so the next sweep
-        # writes nearly all of B's rows into slot 0 and then dies.
-        _, groups = backend.plan.levels[-1]
-        originals = [group.rule for group in groups]
+            # Poison the deepest level (block B's top gate) so the next
+            # sweep writes nearly all of B's rows and then dies.
+            _, groups = backend.plan.levels[-1]
+            originals = [group.rule for group in groups]
 
-        def boom(*args, **kwargs):
-            raise RuntimeError("poisoned kernel")
+            def boom(*args, **kwargs):
+                raise RuntimeError("poisoned kernel")
 
-        for group in groups:
-            group.rule = boom
-        try:
-            with pytest.raises(RuntimeError, match="poisoned"):
-                backend.pack_sites(b_ids)
-        finally:
-            for group, original in zip(groups, originals):
-                group.rule = original
+            for group in groups:
+                group.rule = boom
+            try:
+                with pytest.raises(RuntimeError, match="poisoned"):
+                    backend.pack_sites(b_ids)
+            finally:
+                for group, original in zip(groups, originals):
+                    group.rule = original
 
-        again = backend.pack_sites(a_ids)
-        for left, right in zip(first, again):
-            assert np.array_equal(left, right)
+            again = backend.pack_sites(a_ids)
+            for left, right in zip(first, again):
+                assert np.array_equal(left, right), backend.prune
+            b_again = backend.pack_sites(b_ids)
+            _, fresh = self._backends(two_block_circuit())[int(backend.prune)]
+            for left, right in zip(fresh.pack_sites(b_ids), b_again):
+                assert np.array_equal(left, right), backend.prune
 
     def test_release_then_reuse_interleaving(self):
-        """release_buffers() between sweeps of different unions: the
-        freshly allocated slot must start from a clean template, not a
-        stale dirty entry."""
-        engine, backend = self._forced_full(build_circuit("s953"), 32)
-        ids = [engine._cones.resolve(s) for s in engine.default_sites()]
-        wide = backend.pack_sites(ids)
-        backend.release_buffers()
-        narrow = backend.pack_sites(ids[:7])
-        wide_again = backend.pack_sites(ids)
-        for left, right in zip(wide, wide_again):
-            assert np.array_equal(left, right)
-        fresh_engine, fresh = self._forced_full(build_circuit("s953"), 32)
-        fresh_narrow = fresh.pack_sites(
-            [fresh_engine._cones.resolve(s) for s in fresh_engine.default_sites()][:7]
-        )
-        for left, right in zip(fresh_narrow, narrow):
-            assert np.array_equal(left, right)
+        """release_buffers() between sweeps of different widths: freshly
+        allocated buffers must start clean."""
+        circuit = build_circuit("s953")
+        fresh_pairs = self._backends(circuit, 32)
+        for (engine, backend), (fresh_engine, fresh) in zip(
+            self._backends(circuit, 32), fresh_pairs
+        ):
+            ids = [engine._cones.resolve(s) for s in engine.default_sites()]
+            wide = backend.pack_sites(ids)
+            backend.release_buffers()
+            narrow = backend.pack_sites(ids[:7])
+            wide_again = backend.pack_sites(ids)
+            for left, right in zip(wide, wide_again):
+                assert np.array_equal(left, right)
+            fresh_narrow = fresh.pack_sites(
+                [fresh_engine._cones.resolve(s)
+                 for s in fresh_engine.default_sites()][:7]
+            )
+            for left, right in zip(fresh_narrow, narrow):
+                assert np.array_equal(left, right)
 
 
 class TestUnifiedReductionPath:

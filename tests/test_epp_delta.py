@@ -3,7 +3,7 @@
 The tentpole invariant under test: ``analyze_delta(prev, edits)`` is
 ``np.array_equal`` — bit-identical, not merely close — to a full
 ``snapshot`` of the edited circuit, across every backend tier (vector,
-sharded, compact/full rows), because retained columns are spliced
+sharded, dense/pruned sweeps), because retained columns are spliced
 byte-for-byte and dirty columns run through the very same sweep.
 """
 
@@ -271,12 +271,12 @@ class TestDirtyMask:
 
 # --------------------------------------------------------------- bit identity
 
-#: The backend tiers the acceptance criteria pin: default vector, both
-#: row layouts, and the sharded pool.
+#: The backend tiers the acceptance criteria pin: default vector, the
+#: dense and the forced-pruned (compacted) sweeps, and the sharded pool.
 TIERS = [
     {},
-    {"rows": "compact"},
-    {"rows": "full", "schedule": "input"},
+    {"prune": False, "schedule": "input"},
+    {"prune": True},
     {"backend": "sharded", "jobs": 2},
 ]
 
@@ -426,11 +426,11 @@ class TestBitIdentity:
 
     def test_knob_override_merges_per_key(self):
         engine = EPPEngine(c17())
-        prev = engine.snapshot(rows="compact", schedule="cone")
+        prev = engine.snapshot(prune=True, schedule="cone")
         delta = engine.analyze_delta(
-            prev, EditSet().replace_gate("N10", "nor"), rows="full"
+            prev, EditSet().replace_gate("N10", "nor"), prune=False
         )
-        assert delta.knobs["rows"] == "full"
+        assert delta.knobs["prune"] is False
         assert delta.knobs["schedule"] == "cone"  # untouched keys survive
         assert_bit_identical(delta, full_resnapshot(delta))
 

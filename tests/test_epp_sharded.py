@@ -294,9 +294,8 @@ class TestShardScheduling:
         ).max() <= TOL
 
     def test_sharded_compact_rows_matches_vector(self):
-        """Workers inherit the compacted-rows layout through the payload;
-        a forced-pruned sharded run (compacted sweeps in every worker) is
-        bit-equal to the in-process vector sweep."""
+        """A forced-pruned sharded run (compacted sweeps in every worker)
+        is bit-equal to the in-process vector sweep."""
         engine = EPPEngine(generate_iscas("s953"))
         backend = engine.sharded_backend(jobs=2, prune=True)
         backend.min_process_work = 0
@@ -306,26 +305,8 @@ class TestShardScheduling:
             assert backend.pool_started
         finally:
             backend.close()
-        assert backend.rows == "auto"
+        assert backend.prune is True
         assert_results_match(vector, sharded)
-
-    def test_worker_rows_knob_forwarded(self):
-        """rows="full" must reach worker backends through the payload."""
-        from repro.core.epp_shard import _shard_worker_init, _worker_backend
-
-        engine = EPPEngine(generate_iscas("s953"))
-        backend = engine.sharded_backend(jobs=2, rows="full")
-        assert backend.rows == "full"
-        _shard_worker_init(backend.payload(), backend.payload_key())
-        try:
-            worker_backend = _worker_backend()
-            assert worker_backend.rows == "full"
-        finally:
-            import repro.core.epp_shard as shard_module
-
-            shard_module._WORKER_PAYLOAD = None
-            shard_module._WORKER_BACKENDS.clear()
-            shard_module._WORKER_STATS["plans_built"] = 0
 
     def test_worker_prune_knob_forwarded(self):
         """prune=False must reach worker backends through the payload."""

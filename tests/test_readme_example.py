@@ -1,4 +1,5 @@
-"""The README's incremental what-if example runs as written."""
+"""The README's incremental what-if example runs as written, and its
+knob table is exactly what the generator emits."""
 
 from pathlib import Path
 
@@ -29,3 +30,15 @@ def test_incremental_whatif_example_runs(capsys):
     assert str(delta.stats) in capsys.readouterr().out
     assert namespace["report"].total_fit > 0
     assert more.hardening == {"g2214": 10.0, "g55": 8.0}
+
+
+def test_knob_table_matches_its_generator():
+    """The README claims its knob table cannot drift from
+    ``python -m repro knobs --markdown``; this is what holds it to that."""
+    from repro.core.config import knob_reference
+
+    expected = knob_reference(markdown=True)
+    text = README.read_text()
+    start = text.index(expected.splitlines()[0])
+    end = text.index("\n\n", text.index("| Knob |", start)) + 1
+    assert text[start:end] == expected

@@ -22,15 +22,11 @@ from repro.core.epp_batch import BatchPlan
 from repro.core.schedule import (
     ChunkCache,
     ConeIndex,
-    adaptive_chunk_spans,
     chunk_cache_key,
     chunk_prune_saturated,
     cone_cluster_order,
     resolve_prune,
     resolve_schedule,
-    validate_cells,
-    validate_chunking,
-    validate_rows,
     validate_schedule,
 )
 from repro.errors import AnalysisError
@@ -268,24 +264,18 @@ class TestChunkCacheConcurrency:
 
 
 class TestRowsKnob:
-    def test_validate_accepts_known_values(self):
-        assert validate_rows(None) == "auto"
-        for value in ("auto", "compact", "full"):
-            assert validate_rows(value) == value
-
-    def test_validate_rejects_unknown(self):
-        with pytest.raises(AnalysisError, match="unknown rows"):
-            validate_rows("sparse")
+    """``rows=`` is gone: pruned sweeps always run compacted, so any
+    value is an unknown knob on every backend."""
 
     def test_engine_rejects_bad_rows(self):
         engine = EPPEngine(s27())
-        with pytest.raises(AnalysisError, match="unknown rows"):
-            engine.analyze(backend="vector", rows="narrow")
+        with pytest.raises(AnalysisError, match="unknown analysis knob 'rows'"):
+            engine.analyze(backend="vector", rows="full")
 
     def test_scalar_backend_rejects_bad_rows_too(self):
         engine = EPPEngine(s27())
-        with pytest.raises(AnalysisError, match="unknown rows"):
-            engine.analyze(backend="scalar", rows="narrow")
+        with pytest.raises(AnalysisError, match="unknown analysis knob 'rows'"):
+            engine.analyze(backend="scalar", rows="compact")
 
 
 class TestScheduleKnob:
@@ -336,35 +326,15 @@ class TestScheduleKnob:
         assert clustered is not pruned_off
         assert clustered.schedule == "cone"
 
-    def test_backend_cache_keyed_by_cells_and_chunking(self):
-        engine = EPPEngine(s27())
-        default = engine.vector_backend()
-        compacted = engine.vector_backend(cells="on")
-        assert compacted is not default
-        assert compacted.cells == "on"
-        adaptive = engine.vector_backend(chunking="adaptive")
-        assert adaptive is not compacted
-        assert adaptive.chunking == "adaptive"
-        assert adaptive.cells == "auto"  # one-off "on" did not stick
-
-    def test_validate_cells_and_chunking(self):
-        assert validate_cells(None) == "auto"
-        assert validate_chunking(None) == "auto"
-        for value in ("auto", "on", "off"):
-            assert validate_cells(value) == value
-        for value in ("auto", "adaptive", "fixed"):
-            assert validate_chunking(value) == value
-        with pytest.raises(AnalysisError, match="unknown cells"):
-            validate_cells("csr")
-        with pytest.raises(AnalysisError, match="unknown chunking"):
-            validate_chunking("dynamic")
-
     def test_engine_rejects_bad_cells_and_chunking(self):
+        """The cell tier is a private test hook and chunk widths follow
+        one calibrated policy: neither is an analysis knob any more."""
         engine = EPPEngine(s27())
-        with pytest.raises(AnalysisError, match="unknown cells"):
-            engine.analyze(backend="vector", cells="csr")
-        with pytest.raises(AnalysisError, match="unknown chunking"):
-            engine.analyze(backend="scalar", chunking="dynamic")
+        with pytest.raises(AnalysisError, match="unknown analysis knob 'cells'"):
+            engine.analyze(backend="vector", cells="on")
+        with pytest.raises(AnalysisError,
+                           match="unknown analysis knob 'chunking'"):
+            engine.analyze(backend="scalar", chunking="adaptive")
 
     def test_resolve_prune_tri_state(self):
         assert resolve_prune(None) == "auto"
@@ -375,6 +345,11 @@ class TestScheduleKnob:
         # survive the round trip instead of coercing truthy to True.
         assert resolve_prune("auto") == "auto"
         assert resolve_prune(resolve_prune(None)) == "auto"
+        # Truthiness is not a prune value: the wire string "false" used
+        # to coerce to True and force pruning.
+        for bad in ("false", "true", 0, 1, "on"):
+            with pytest.raises(AnalysisError, match="prune"):
+                resolve_prune(bad)
 
 
 class TestScheduledResults:
@@ -419,91 +394,6 @@ class TestScheduledResults:
         ordered.min_vector_work = 0
         packed_ordered = ordered.pack_sites(ids)
         for left, right in zip(packed_clustered, packed_ordered):
-            assert np.array_equal(left, right)
-
-
-def disjoint_cones_circuit(n_cones: int = 64) -> Circuit:
-    """``n_cones`` independent 2-input ANDs, each its own output — every
-    site's cone signature is a distinct single bit, so any chunk's union
-    popcount grows linearly with its width (maximal saturation)."""
-    circuit = Circuit("disjoint")
-    for index in range(n_cones):
-        a = circuit.add_input(f"a{index}")
-        b = circuit.add_input(f"b{index}")
-        circuit.add_gate(f"g{index}", GateType.AND, [a, b])
-        circuit.mark_output(f"g{index}")
-    return circuit
-
-
-def single_sink_chain(n_gates: int = 80) -> Circuit:
-    """One AND/OR chain into one output — every site shares the single
-    sink, so any chunk's union popcount stays 1 (no saturation)."""
-    circuit = Circuit("chain")
-    circuit.add_input("i0")
-    circuit.add_input("i1")
-    previous = "i0"
-    for index in range(n_gates):
-        name = f"n{index}"
-        circuit.add_gate(name, GateType.AND if index % 2 else GateType.OR,
-                         [previous, "i1"])
-        previous = name
-    circuit.mark_output(previous)
-    return circuit
-
-
-class TestAdaptiveChunkSpans:
-    def test_spans_partition_the_site_list(self):
-        compiled = generate_iscas("s953").compiled()
-        engine = EPPEngine(generate_iscas("s953"))
-        ids = [engine._cones.resolve(site) for site in engine.default_sites()]
-        order = cone_cluster_order(compiled, ids)
-        clustered = [ids[position] for position in order.tolist()]
-        spans = adaptive_chunk_spans(compiled, clustered, 64)
-        assert spans[0][0] == 0
-        assert spans[-1][1] == len(ids)
-        for (_, stop), (start, _) in zip(spans, spans[1:]):
-            assert stop == start  # contiguous, no gaps, no overlaps
-        assert all(1 <= stop - start <= 64 for start, stop in spans)
-
-    def test_short_lists_are_one_span(self):
-        compiled = s27().compiled()
-        sites = [compiled.index["G10"], compiled.index["G11"]]
-        assert adaptive_chunk_spans(compiled, sites, 64) == [(0, 2)]
-        assert adaptive_chunk_spans(compiled, [], 64) == []
-
-    def test_disjoint_cones_split_into_narrow_chunks(self):
-        """Maximally saturating unions (every site a distinct sink) must
-        close chunks early — more spans than the fixed slicing."""
-        circuit = disjoint_cones_circuit(64)
-        compiled = circuit.compiled()
-        sites = [compiled.index[f"g{index}"] for index in range(64)]
-        spans = adaptive_chunk_spans(compiled, sites, 32)
-        assert len(spans) > 2  # fixed slicing would emit exactly two
-        assert spans[0][0] == 0 and spans[-1][1] == 64
-
-    def test_shared_sink_keeps_full_width(self):
-        """A single shared sink never saturates: spans must match the
-        fixed slicing exactly (wide chunks for disjoint-free runs)."""
-        circuit = single_sink_chain(80)
-        compiled = circuit.compiled()
-        sites = [compiled.index[f"n{index}"] for index in range(80)]
-        spans = adaptive_chunk_spans(compiled, sites, 64)
-        assert spans == [(0, 64), (64, 80)]
-
-    def test_any_partition_is_bit_identical(self):
-        """Chunk widths are pure scheduling: forced-adaptive and fixed
-        sweeps of the same sites produce bitwise-equal packed arrays."""
-        engine = EPPEngine(generate_iscas("s953"))
-        ids = [engine._cones.resolve(site) for site in engine.default_sites()]
-        adaptive = engine.vector_backend(batch_size=16, schedule="cone",
-                                         prune=True, chunking="adaptive")
-        adaptive.min_vector_work = 0
-        packed_adaptive = adaptive.pack_sites(ids)
-        fixed = engine.vector_backend(batch_size=16, schedule="cone",
-                                      prune=True, chunking="fixed")
-        fixed.min_vector_work = 0
-        packed_fixed = fixed.pack_sites(ids)
-        for left, right in zip(packed_adaptive, packed_fixed):
             assert np.array_equal(left, right)
 
 

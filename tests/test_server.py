@@ -186,6 +186,21 @@ class TestProtocol:
         {"op": "analyze", "circuit": 17},
         {"op": "analyze_delta", "circuit": "c17"},  # no edits
         {"op": "analyze_delta", "circuit": "c17", "edits": []},
+        # Malformed knob values: refused by name, never coerced.
+        {"op": "analyze", "circuit": "c17", "knobs": {"jobs": "x"}},
+        {"op": "analyze", "circuit": "c17", "knobs": {"jobs": True}},
+        {"op": "analyze", "circuit": "c17", "knobs": {"batch_size": "abc"}},
+        {"op": "analyze", "circuit": "c17", "knobs": {"batch_size": [1]}},
+        {"op": "analyze", "circuit": "c17", "knobs": {"batch_size": 2.7}},
+        {"op": "analyze", "circuit": "c17", "knobs": {"retries": "x"}},
+        {"op": "analyze", "circuit": "c17",
+         "knobs": {"shard_timeout": "x"}},
+        {"op": "analyze", "circuit": "c17", "knobs": {"prune": "false"}},
+        # Malformed request fields.
+        {"op": "analyze", "circuit": "c17", "deadline": "soon"},
+        {"op": "analyze", "circuit": "c17", "top": "ten"},
+        # Removed sweep knobs are unknown knobs.
+        {"op": "analyze", "circuit": "c17", "knobs": {"cells": "on"}},
     ])
     def test_parse_request_rejects(self, obj):
         with pytest.raises(ConfigError):

@@ -15,11 +15,11 @@ Allowed exceptions:
 * ``core/config.py`` itself (it *is* the knob table);
 * calls whose callee is the config layer (``AnalysisConfig``,
   ``from_knobs``, ``replace``, ``merged_with``) — building the config
-  object is the point;
-* the documented back-compat signatures that accept individual knobs
-  *and* ``config=`` (``EPPEngine.sharded_backend`` /
-  ``vector_backend``, ``ShardedEPPEngine.__init__``) — they funnel
-  straight into ``AnalysisConfig`` internally.
+  object is the point.
+
+Function signatures have no exemptions: an entry point that accepts
+individual knobs takes ``config=None, **knobs`` and funnels them through
+``AnalysisConfig.from_knobs``.
 
 Run from the repo root: ``python tools/lint_knob_threading.py``.
 Exits non-zero listing ``file:line`` for each violation.
@@ -47,19 +47,6 @@ KNOB_SET = frozenset(KNOB_KEYS)
 ALLOWED_CALLEES = frozenset(
     {"AnalysisConfig", "from_knobs", "replace", "merged_with"}
 )
-
-#: (relative path, function name) pairs allowed to keep individual-knob
-#: signatures: the documented back-compat entry points, which validate
-#: by building an AnalysisConfig on their first line.
-ALLOWED_DEFS = frozenset({
-    ("src/repro/core/epp.py", "sharded_backend"),
-    ("src/repro/core/epp.py", "vector_backend"),
-    ("src/repro/core/epp_shard.py", "__init__"),
-    # The vector kernel's constructor is the *terminal* consumer of the
-    # sweep subset — every caller feeds it ``**config.sweep_kwargs()``,
-    # so the knobs exist as parameters exactly once below the config.
-    ("src/repro/core/epp_batch.py", "__init__"),
-})
 
 #: Files exempt wholesale.
 SKIP_FILES = frozenset({"src/repro/core/config.py"})
@@ -96,7 +83,7 @@ def _check_file(path: Path, rel: str) -> list[str]:
                 for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
             ]
             hit = set(params) & KNOB_SET
-            if len(hit) >= THRESHOLD and (rel, node.name) not in ALLOWED_DEFS:
+            if len(hit) >= THRESHOLD:
                 problems.append(
                     f"{rel}:{node.lineno}: def {node.name} declares "
                     f"{len(hit)} analysis-knob parameters "
