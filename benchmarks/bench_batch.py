@@ -45,9 +45,10 @@ from repro.core.fourvalue import EPPValue
 from repro.core.rules import _RULES_BY_CODE
 from repro.core.sensitization import combine_sensitization
 
-# Single source of the scalar-reference sampling policy: run_bench.py owns
-# the constants so the nightly trajectory and this suite can never drift.
-from benchmarks.run_bench import SCALAR_FULL_MAX_NODES, SCALAR_SAMPLE_SITES
+#: Above this node count the scalar reference is timed on a sample of
+#: ``SCALAR_SAMPLE_SITES`` sites and extrapolated linearly.
+SCALAR_FULL_MAX_NODES = 7_000
+SCALAR_SAMPLE_SITES = 200
 
 
 def seed_scalar_analyze(engine, sites):

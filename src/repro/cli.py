@@ -27,7 +27,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.netlist.bench import parse_bench_file, write_bench
 from repro.netlist.circuit import Circuit
 from repro.netlist.generate import (
@@ -126,6 +126,15 @@ def _analysis_knobs(args: argparse.Namespace) -> dict:
             value = None
         knobs[name] = value
     return knobs
+
+
+def _check_counts(args: argparse.Namespace) -> None:
+    """Reject a negative ``--top`` and an empty ``--sample`` by flag name."""
+    if args.top < 0:
+        raise ConfigError(f"--top must be >= 0, got {args.top}")
+    sample = getattr(args, "sample", None)
+    if sample is not None and sample < 1:
+        raise ConfigError(f"--sample must be >= 1, got {sample}")
 
 
 def _build_edit_set(args: argparse.Namespace):
@@ -522,6 +531,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "analyze":
         from repro.core.analysis import SERAnalyzer
 
+        _check_counts(args)
         circuit = resolve_circuit(args.circuit)
         analyzer = SERAnalyzer(circuit, sp_method=args.sp_method)
         from repro.core.config import AnalysisConfig
@@ -548,6 +558,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "analyze-delta":
         from repro.core.analysis import SERAnalyzer
 
+        _check_counts(args)
         circuit = resolve_circuit(args.circuit)
         analyzer = SERAnalyzer(circuit, sp_method=args.sp_method)
         edits = _build_edit_set(args)

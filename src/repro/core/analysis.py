@@ -84,10 +84,9 @@ class CircuitSERReport:
         def key(entry):
             return (-entry.ser, entry.node)
 
-        if top is not None and top >= 0:
-            return heapq.nsmallest(top, self.nodes.values(), key=key)
-        ordered = sorted(self.nodes.values(), key=key)
-        return ordered if top is None else ordered[:top]
+        if top is None:
+            return sorted(self.nodes.values(), key=key)
+        return heapq.nsmallest(top, self.nodes.values(), key=key)
 
     def contribution(self, node: str) -> float:
         """Fraction of the circuit SER contributed by one node."""

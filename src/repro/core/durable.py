@@ -20,7 +20,8 @@ Everything that survives a process here survives it the same way:
 
 Used by the artifact store's disk tier
 (:mod:`repro.server.artifacts`), the per-shard sweep checkpoints
-(:mod:`repro.core.checkpoint`) and the benchmark baseline writer.
+(:mod:`repro.core.checkpoint`) and the service's drain-time list of
+pending requests.
 """
 
 from __future__ import annotations

@@ -114,11 +114,12 @@ _MIN_VECTOR_WORK = 50_000
 #: ``on_cells * factor < rows * columns``.  The compacted gather pays
 #: fancy indexing per pin per plane where the dense kernel reads
 #: contiguous planes, so a compacted cell costs a small multiple of a
-#: dense cell; calibrated on the s9234/s38417 clustered workloads
-#: (``benchmarks/run_bench.py``) where measured break-even sits near 1/4
-#: density for the closed forms.  Truth-table kernels (MUX/MAJ) pay the
-#: full ``4^k`` enumeration per cell either way, so their gather overhead
-#: is proportionally smaller and compaction pays almost immediately.
+#: dense cell; calibrated on the s9234/s38417 clustered workloads (the
+#: single-core record in ``BENCH_pr4.json``) where measured break-even
+#: sits near 1/4 density for the closed forms.  Truth-table kernels
+#: (MUX/MAJ) pay the full ``4^k`` enumeration per cell either way, so
+#: their gather overhead is proportionally smaller and compaction pays
+#: almost immediately.
 _CELL_FACTOR_CLOSED = 4
 _CELL_FACTOR_TABLE = 2
 
@@ -422,9 +423,8 @@ class BatchEPPBackend:
         #: (``cells_on`` on-path cells, ``cells_total`` cells spanned,
         #: ``cells_computed`` cells actually computed — the FLOP measure
         #: the benchmarks report; always ``<= cells_total``).  Dense
-        #: sweeps count their cells separately in ``cells_dense`` — their
-        #: on-cell count is never measured, so folding them into the
-        #: pruned pair would corrupt the density ratios.
+        #: sweeps count only their groups, so the density ratios read
+        #: pruned groups alone.
         self.sweep_stats = {
             "sweeps": 0,
             "dense_fallback_sweeps": 0,
@@ -437,7 +437,6 @@ class BatchEPPBackend:
             "cells_on": 0,
             "cells_total": 0,
             "cells_computed": 0,
-            "cells_dense": 0,
         }
         self._rows = compiled.n + 2
         # The big state arrays are built lazily on the first sweep: a
@@ -709,11 +708,6 @@ class BatchEPPBackend:
                 if not out_mask.any():
                     continue  # whole group off-path: SP constants hold
                 stats["groups_dense"] += 1
-                # Dense sweeps get their own cell counter: the pruned
-                # tiers' on/total/computed triple would need an
-                # out_mask.sum() on the reference path purely for
-                # bookkeeping.
-                stats["cells_dense"] += out_mask.size
                 result = group.rule(state, fanin)  # (g, 4, s)
                 if not track_polarity:
                     result[:, 0, :] += result[:, 1, :]
@@ -793,8 +787,8 @@ class BatchEPPBackend:
 
         The calibrated policy: flat ``batch_size`` slicing, widened by
         :meth:`_compact_spans` when every chunk is guaranteed a compacted
-        sweep.  Measured on the s9234/s38417 workloads
-        (``benchmarks/run_bench.py``), every extra chunk costs ~40-80 ms
+        sweep.  Measured on the s9234/s38417 workloads (the single-core
+        record in ``BENCH_pr4.json``), every extra chunk costs ~40-80 ms
         of width-independent overhead — group dispatch, the per-chunk
         sink reduction, and for dense sweeps the full-template restore —
         which consistently outweighs the smaller unions a narrower or

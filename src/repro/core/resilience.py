@@ -33,6 +33,7 @@ recovery path here is pinned in tests — lives in
 from __future__ import annotations
 
 import random
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -43,6 +44,7 @@ __all__ = [
     "FaultPolicy",
     "ON_FAILURE_MODES",
     "ShardOutcome",
+    "check_timeout",
 ]
 
 #: Terminal actions once a shard's retry budget is exhausted (or, for
@@ -52,6 +54,22 @@ __all__ = [
 #: (the analysis still completes, bit-identical — the local backend runs
 #: the same kernels), ``raise`` fails fast on the first shard failure.
 ON_FAILURE_MODES = ("retry", "degrade", "raise")
+
+
+def check_timeout(flag: str, seconds) -> None:
+    """Reject a timeout no thread can wait on, as a
+    :class:`~repro.errors.ConfigError` naming ``flag``.
+
+    ``threading`` waits raise ``OverflowError`` past
+    :data:`threading.TIMEOUT_MAX`, and a NaN compares false everywhere,
+    silently switching the deadline off (``not x <= max`` holds for NaN
+    and infinity alike).
+    """
+    if not seconds <= threading.TIMEOUT_MAX:
+        raise ConfigError(
+            f"{flag} must be a finite number of seconds <= "
+            f"{threading.TIMEOUT_MAX:.0f}, got {seconds}"
+        )
 
 
 @dataclass(frozen=True)
@@ -135,22 +153,30 @@ class FaultPolicy:
         ``SERAnalyzer`` / the CLI: ``None`` means "the default", so the
         engine-level backend cache can compare policies structurally.
 
-        Non-positive timeouts are rejected *here*, with
+        Timeouts that are not positive, finite and waitable
+        (:func:`check_timeout`) are rejected *here*, with
         :class:`~repro.errors.ConfigError` naming the user-facing knob:
         these values arrive from ``--shard-timeout``/``--request-deadline``
         style flags, and before this check a bad value would surface deep
-        in the shard scheduler as an opaque :class:`AnalysisError`.
+        in the shard scheduler as an opaque :class:`AnalysisError`, an
+        ``OverflowError`` from ``threading``, or a deadline silently off.
         """
-        if shard_timeout is not None and float(shard_timeout) <= 0.0:
+        if shard_timeout is not None and shard_timeout <= 0.0:
             raise ConfigError(
                 f"--shard-timeout must be > 0 seconds, got {shard_timeout} "
                 "(omit the flag to disable the per-shard deadline)"
             )
-        if deadline is not None and float(deadline) <= 0.0:
+        if deadline is not None and deadline <= 0.0:
             raise ConfigError(
                 f"--request-deadline must be > 0 seconds, got {deadline} "
                 "(omit the flag to disable the global deadline)"
             )
+        for flag, seconds in (
+            ("--shard-timeout", shard_timeout),
+            ("--request-deadline", deadline),
+        ):
+            if seconds is not None:
+                check_timeout(flag, seconds)
         if retries is not None and int(retries) < 0:
             raise ConfigError(f"--retries must be >= 0, got {retries}")
         kwargs = {}

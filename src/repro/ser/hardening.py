@@ -256,7 +256,7 @@ def optimize_hardening(
     """
     from repro.core.epp_delta import EditSet
 
-    if area_budget <= 0.0:
+    if not area_budget > 0.0:  # NaN included
         raise ConfigError(f"area_budget must be > 0, got {area_budget}")
     if action not in ("upsize", "tmr"):
         raise ConfigError(

@@ -71,6 +71,7 @@ OPS = ("ping", "stats", "analyze", "analyze_delta")
 #: per-request concerns and deliberately not knob-reachable from a
 #: socket; ``deadline`` has its own top-level request field).
 from repro.core.config import WIRE_KNOB_KEYS, AnalysisConfig  # noqa: E402
+from repro.core.resilience import check_timeout  # noqa: E402
 
 #: Requests above this size are rejected before JSON parsing: a single
 #: client must not be able to balloon the server's heap with one line.
@@ -170,6 +171,7 @@ def parse_request(obj: dict) -> Request:
             raise ConfigError(
                 f"--request-deadline must be > 0 seconds, got {deadline}"
             )
+        check_timeout("--request-deadline", deadline)
     sites = obj.get("sites")
     if sites is not None and not isinstance(sites, list):
         raise ConfigError("'sites' must be a list of site names")
@@ -188,6 +190,8 @@ def parse_request(obj: dict) -> Request:
     top = obj.get("top")
     if top is not None:
         top = _field(int, "top", top)
+        if top < 0:
+            raise ConfigError(f"'top' must be >= 0, got {top}")
     return Request(
         op=op,
         bench=bench,

@@ -95,6 +95,22 @@ class TestCommands:
         assert "ablation: polarity" in out
         assert "ablation: cop" in out
 
+    @pytest.mark.parametrize("argv, field", [
+        (["analyze", "s27", "--top", "-1"], "--top"),
+        (["analyze-delta", "s27", "--harden", "G10", "--top", "-2"], "--top"),
+        (["analyze", "s27", "--sample", "-1"], "--sample"),
+        (["analyze", "s27", "--jobs", "2", "--shard-timeout", "1e300"],
+         "--shard-timeout"),
+        (["analyze", "s27", "--jobs", "2", "--shard-timeout", "nan"],
+         "--shard-timeout"),
+        (["harden", "s27", "--budget", "nan"], "area_budget"),
+    ])
+    def test_bad_count_or_seconds_fails_with_one_line(self, argv, field, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err
+
     def test_analyze_unknown_circuit_fails_cleanly(self, capsys):
         assert main(["analyze", "no_such_thing"]) == 1
         assert "error:" in capsys.readouterr().err

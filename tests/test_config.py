@@ -23,6 +23,7 @@ Covers the consolidation contracts:
 from __future__ import annotations
 
 import dataclasses
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +143,10 @@ class TestValidation:
         )
         assert cfg.batch_size == 8 and cfg.shard_timeout == 5
         assert AnalysisConfig(prune="auto").prune == "auto"
+        longest = AnalysisConfig(
+            shard_timeout=threading.TIMEOUT_MAX, deadline=threading.TIMEOUT_MAX
+        )
+        assert longest.deadline == threading.TIMEOUT_MAX
 
     @pytest.mark.parametrize("knobs, message", [
         ({"retries": -1}, "--retries must be >= 0, got -1"),
@@ -151,6 +156,20 @@ class TestValidation:
         ({"deadline": -1.5}, "--request-deadline must be > 0 seconds, got "
                              "-1.5 (omit the flag to disable the global "
                              "deadline)"),
+        ({"shard_timeout": float("-inf")}, "--shard-timeout must be > 0 "
+                                           "seconds, got -inf (omit the flag "
+                                           "to disable the per-shard "
+                                           "deadline)"),
+        # Seconds no thread can wait on: past threading.TIMEOUT_MAX the
+        # sharded driver's waits raise OverflowError, and a NaN deadline
+        # compares false everywhere, silently switching itself off.
+        *(
+            ({knob: seconds}, f"{flag} must be a finite number of seconds "
+                              f"<= {threading.TIMEOUT_MAX:.0f}, got {seconds}")
+            for knob, flag in [("shard_timeout", "--shard-timeout"),
+                               ("deadline", "--request-deadline")]
+            for seconds in [float("nan"), float("inf"), 1e300, 9.3e9]
+        ),
     ])
     def test_range_errors_keep_the_fault_policy_spelling(self, knobs, message):
         with pytest.raises(ConfigError) as info:

@@ -17,7 +17,7 @@ from repro.core.epp_delta import EditSet, dirty_mask, edit_impact
 from repro.errors import AnalysisError, NetlistError
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GateType
-from repro.netlist.generate import random_combinational
+from repro.netlist.generate import generate_iscas, random_combinational
 from repro.netlist.library import c17, s27
 
 
@@ -280,15 +280,64 @@ TIERS = [
     {"backend": "sharded", "jobs": 2},
 ]
 
+#: Polarity swaps keep the netlist's shape; only the swapped gates'
+#: cones propagate differently.
+POLARITY_SWAP = {
+    GateType.AND: "nand", GateType.NAND: "and",
+    GateType.OR: "nor", GateType.NOR: "or",
+}
+
+
+def small_xor_swap():
+    circuit = random_combinational(6, 60, seed=11)
+    target = circuit.gates[len(circuit.gates) // 2]
+    return circuit, EditSet().replace_gate(target, "xor")
+
+
+def s9234_polarity_swaps(count: int | None = None):
+    """Swap ``g963`` (an AND) alone, or ``count`` evenly spaced
+    AND/NAND/OR/NOR gates of s9234."""
+    circuit = generate_iscas("s9234")
+    gates = ["g963"]
+    if count is not None:
+        swappable = [
+            name for name in circuit.gates
+            if circuit.node(name).gate_type in POLARITY_SWAP
+        ]
+        gates = swappable[:: len(swappable) // count][:count]
+    edits = EditSet()
+    for name in gates:
+        edits.replace_gate(name, POLARITY_SWAP[circuit.node(name).gate_type])
+    return circuit, edits
+
+
+#: (circuit and edits, snapshot knobs, sites the edits dirty).  At scale,
+#: a local swap dirties 88 of s9234's 5,808 sites, and 58 swaps (1% of
+#: the sites) dirty 5,091.
+SWAP_CASES = [
+    *(
+        pytest.param(small_xor_swap, knobs, 53, id=f"knobs{index}")
+        for index, knobs in enumerate(TIERS)
+    ),
+    pytest.param(
+        s9234_polarity_swaps, {}, 88,
+        id="s9234-g963", marks=pytest.mark.slow,
+    ),
+    pytest.param(
+        lambda: s9234_polarity_swaps(58), {}, 5091,
+        id="s9234-58-swaps", marks=pytest.mark.slow,
+    ),
+]
+
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("knobs", TIERS)
-    def test_single_gate_swap(self, knobs):
-        circuit = random_combinational(6, 60, seed=11)
+    @pytest.mark.parametrize("build, knobs, dirty", SWAP_CASES)
+    def test_single_gate_swap(self, build, knobs, dirty):
+        circuit, edits = build()
         engine = EPPEngine(circuit)
         prev = engine.snapshot(**knobs)
-        target = circuit.gates[len(circuit.gates) // 2]
-        delta = engine.analyze_delta(prev, EditSet().replace_gate(target, "xor"))
+        delta = engine.analyze_delta(prev, edits)
+        assert delta.stats["dirty"] == dirty
         assert delta.stats["dirty"] + delta.stats["reused"] == delta.stats["sites"]
         assert_bit_identical(delta, full_resnapshot(delta))
 

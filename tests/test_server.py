@@ -201,6 +201,18 @@ class TestProtocol:
         {"op": "analyze", "circuit": "c17", "top": "ten"},
         # Removed sweep knobs are unknown knobs.
         {"op": "analyze", "circuit": "c17", "knobs": {"cells": "on"}},
+        # Seconds no thread can wait on: json.loads accepts NaN, Infinity
+        # and integers too large for a float.
+        json.loads('{"op": "analyze", "circuit": "c17", "deadline": NaN}'),
+        json.loads('{"op": "analyze", "circuit": "c17", "deadline": 1e300}'),
+        json.loads('{"op": "analyze", "circuit": "c17", '
+                   '"knobs": {"jobs": 2, "shard_timeout": Infinity}}'),
+        {"op": "analyze", "circuit": "c17",
+         "knobs": {"jobs": 2, "shard_timeout": float("nan")}},
+        json.loads('{"op": "analyze", "circuit": "c17", '
+                   '"knobs": {"jobs": 2, "shard_timeout": 1' + '0' * 400 + '}}'),
+        # A negative row count.
+        {"op": "analyze", "circuit": "c17", "top": -3},
     ])
     def test_parse_request_rejects(self, obj):
         with pytest.raises(ConfigError):
