@@ -68,15 +68,13 @@ def _add_analysis_flags(
 ) -> None:
     """Analysis-knob flags, generated from the
     :class:`~repro.core.config.AnalysisConfig` field metadata — a knob
-    added there (or a backend registered in
-    :data:`repro.core.backends.REGISTRY`) shows up on ``analyze`` with
-    zero CLI edits.  ``delta=True`` keeps only the knobs the incremental
-    layer accepts (no resilience/checkpoint surface) and restricts
-    ``--backend`` to pack-capable backends (the incremental layer
-    splices packed arrays, so the scalar oracle is out).
+    added there shows up on ``analyze`` with zero CLI edits.
+    ``delta=True`` keeps only the knobs the incremental layer accepts (no
+    resilience/checkpoint surface) and drops ``scalar`` from
+    ``--backend`` (the incremental layer splices packed arrays, which
+    the scalar oracle does not produce).
     """
-    from repro.core.backends import REGISTRY
-    from repro.core.config import KNOB_KEYS, field_metadata
+    from repro.core.config import BACKENDS, KNOB_KEYS, field_metadata
 
     for name in KNOB_KEYS:
         meta = field_metadata(name)
@@ -84,10 +82,9 @@ def _add_analysis_flags(
         if flag is None or (delta and not meta["delta"]):
             continue
         if name == "backend":
-            names = REGISTRY.pack_capable_names() if delta else REGISTRY.names()
             parser.add_argument(
-                flag, choices=("auto",) + tuple(names), default="auto",
-                help=meta["doc"],
+                flag, choices=("auto",) + (BACKENDS[1:] if delta else BACKENDS),
+                default="auto", help=meta["doc"],
             )
         elif meta["kind"] == "prune":
             # The config knob is tri-state (None/auto, True, False); the
@@ -179,6 +176,9 @@ def _build_edit_set(args: argparse.Namespace):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.core.config import BACKENDS
+    from repro.core.schedule import SCHEDULES
+
     parser = argparse.ArgumentParser(
         prog="repro-ser",
         description="EPP-based SER estimation (Asadi & Tahoori, DATE 2005 reproduction)",
@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     table2.add_argument("--json", help="write measured rows to a JSON file")
     table2.add_argument(
         "--backend",
-        choices=("scalar", "vector", "sharded"),
+        choices=BACKENDS,
         default="scalar",
         help="EPP backend for the SysT column (scalar keeps the paper's "
         "per-cone accounting; vector times the batched NumPy sweep; "
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     table2.add_argument(
         "--schedule",
-        choices=("auto", "cone", "input"),
+        choices=SCHEDULES,
         default="auto",
         help="chunk scheduling for the vector/sharded backends (auto: "
         "cone-cluster multi-chunk site lists)",

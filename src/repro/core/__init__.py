@@ -26,12 +26,7 @@
 """
 
 from repro.core.fourvalue import EPPValue
-from repro.core.epp import (
-    EPPEngine,
-    EPPResult,
-    available_backends,
-    default_backend,
-)
+from repro.core.epp import EPPEngine, EPPResult
 from repro.core.epp_shard import ShardedEPPEngine, default_jobs, default_transport
 from repro.core.schedule import ConeIndex, cone_cluster_order
 from repro.core.baseline import RandomSimulationEstimator
@@ -44,9 +39,7 @@ __all__ = [
     "EPPResult",
     "ShardedEPPEngine",
     "ConeIndex",
-    "available_backends",
     "cone_cluster_order",
-    "default_backend",
     "default_jobs",
     "default_transport",
     "RandomSimulationEstimator",

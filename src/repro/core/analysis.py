@@ -276,9 +276,9 @@ class SERAnalyzer:
         are forwarded to :meth:`EPPEngine.analyze`, either individually
         or as one pre-built :class:`~repro.core.config.AnalysisConfig`
         via ``config=``: ``"scalar"`` for the per-site reference path,
-        ``"vector"`` for the batched NumPy backend (the default when
-        NumPy is available: cone-clustered chunks swept on compacted
-        union-of-cones state matrices with cell-compacted kernels),
+        ``"vector"`` for the batched NumPy backend (the default:
+        cone-clustered chunks swept on compacted union-of-cones state
+        matrices with cell-compacted kernels),
         ``"sharded"`` (or just passing ``jobs=``) for the multi-process
         site-sharded driver.
         ``retries``/``shard_timeout``/``on_failure``/``deadline``

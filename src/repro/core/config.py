@@ -50,6 +50,7 @@ from repro.errors import AnalysisConfigError
 
 __all__ = [
     "AnalysisConfig",
+    "BACKENDS",
     "KNOB_KEYS",
     "RESILIENCE_KNOB_KEYS",
     "SHARDED_ONLY_KNOBS",
@@ -66,6 +67,13 @@ __all__ = [
 #: collide with (or silently reuse) artifacts persisted under the old
 #: scheme; stale disk-store and journal entries simply miss and rebuild.
 WIRE_VERSION = 2
+
+#: The EPP backends: the per-site scalar oracle, the batched NumPy sweep
+#: and the multi-process sharded driver.  Only ``sharded`` honors the
+#: sharded-only knobs, and only ``BACKENDS[1:]`` have the packed results
+#: ``snapshot``/``analyze_delta`` splice (the CLI's incremental commands
+#: offer exactly those).
+BACKENDS = ("scalar", "vector", "sharded")
 
 #: On-failure modes, re-exported here so the CLI and the knob reference
 #: need only this module.  The authoritative tuple lives with
@@ -116,9 +124,10 @@ class AnalysisConfig:
     backend: str | None = _knob(
         wire=True, kind="str", cli="--backend", delta=True,
         section="backend",
-        doc="EPP backend to run: a registered backend name, or omitted to "
-            "auto-select (`sharded` when `jobs=` is given, else the best "
-            "available single-process backend).",
+        doc="EPP backend to run: `scalar` (per-site reference oracle), "
+            "`vector` (batched NumPy sweep) or `sharded` (process pool of "
+            "vector workers); omitted means `sharded` when `jobs=` is "
+            "given, else `vector`.",
     )
     batch_size: int | None = _knob(
         wire=True, kind="int", cli="--batch-size", delta=True, sweep=True,
@@ -218,10 +227,10 @@ class AnalysisConfig:
             )
         resolve_prune(self.prune)
         validate_schedule(self.schedule)
-        if self.backend is not None:
-            from repro.core.backends import REGISTRY
-
-            REGISTRY.get(self.backend)  # unknown-name check
+        if self.backend is not None and self.backend not in BACKENDS:
+            raise AnalysisConfigError(
+                f"unknown EPP backend {self.backend!r}; choose from {BACKENDS}"
+            )
         # Resilience values: delegate to FaultPolicy.from_knobs so the
         # flag-naming ConfigError messages stay byte-identical.
         from repro.core.resilience import FaultPolicy
@@ -247,10 +256,7 @@ class AnalysisConfig:
         own message), then the requested resilience knobs joined with
         ``/`` — so every existing ``match="sharded"`` pin holds.
         """
-        from repro.core.backends import REGISTRY
-
-        info = REGISTRY.get(backend)
-        if info.sharded:
+        if backend == "sharded":
             return
         if self.jobs is not None:
             raise AnalysisConfigError(
@@ -330,14 +336,12 @@ class AnalysisConfig:
     def effective_backend(self) -> str:
         """The backend name this config runs on once defaults resolve:
         an explicit name wins, ``jobs=`` implies ``sharded``, otherwise
-        the best available single-process backend."""
+        ``vector``."""
         if self.backend is not None:
             return self.backend
         if self.jobs is not None:
             return "sharded"
-        from repro.core.backends import default_backend
-
-        return default_backend()
+        return "vector"
 
     def resolved(self) -> "AnalysisConfig":
         """A copy with the sweep knobs normalized (``None`` -> ``auto``).

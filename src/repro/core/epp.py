@@ -27,12 +27,6 @@ import random
 import threading
 from collections.abc import Mapping, Sequence
 from repro.errors import AnalysisError
-from repro.core.backends import (
-    REGISTRY,
-    _vector_available,
-    available_backends,
-    default_backend,
-)
 from repro.core.config import AnalysisConfig
 from repro.core.cone import ConeExtractor, OnPathCone
 from repro.core.fourvalue import EPPValue
@@ -42,7 +36,7 @@ from repro.netlist.circuit import Circuit, CompiledCircuit
 from repro.netlist.gate_types import CODE_MAJ, CODE_MUX, truth_table
 from repro.probability import signal_probabilities
 
-__all__ = ["EPPEngine", "EPPResult", "available_backends", "default_backend"]
+__all__ = ["EPPEngine", "EPPResult"]
 
 class EPPResult:
     """EPP analysis of one error site.
@@ -373,21 +367,15 @@ class EPPEngine:
 
     # -------------------------------------------------------------- analysis
 
-    def _resolve_backend(self, backend: str | None) -> str:
-        if backend is None:
-            return default_backend()
-        info = REGISTRY.get(backend)  # unknown-name check
-        if not info.available():
-            raise AnalysisError(
-                f"the {backend!r} EPP backend requires NumPy, which is not installed"
-            )
-        return backend
+    def _backend(self, name: str, config: AnalysisConfig):
+        """The cached ``"vector"`` or ``"sharded"`` backend for ``config``.
 
-    def _get_vector_backend(self, config: AnalysisConfig):
+        One cache slot each, keyed by the *effective* configuration: a
+        one-off explicit knob must not stick to later default calls.  The
+        sharded driver runs its in-process calls on the vector backend.
+        """
         from repro.core.epp_batch import BatchEPPBackend, default_batch_size
 
-        # Cache keyed by the *effective* configuration: a one-off explicit
-        # batch_size/prune/schedule must not stick to later default calls.
         resolved = config.resolved()
         effective = (
             resolved.batch_size if resolved.batch_size is not None
@@ -395,21 +383,21 @@ class EPPEngine:
             resolved.prune,
             resolved.schedule,
         )
-        backend = self._vector_backend
-        if backend is None or (
-            backend.batch_size, backend.prune, backend.schedule,
+        local = self._vector_backend
+        if local is None or (
+            local.batch_size, local.prune, local.schedule,
         ) != effective:
-            backend = BatchEPPBackend(
+            local = BatchEPPBackend(
                 self.compiled,
                 self._sp,
                 track_polarity=self.track_polarity,
                 scalar_fallback=self.node_epp,
                 **config.sweep_kwargs(),
             )
-            self._vector_backend = backend
-        return backend
+            self._vector_backend = local
+        if name == "vector":
+            return local
 
-    def _get_sharded_backend(self, config: AnalysisConfig):
         from repro.core.epp_shard import ShardedEPPEngine, default_jobs
         from repro.core.resilience import FaultPolicy
 
@@ -417,12 +405,10 @@ class EPPEngine:
         batch_size = config.batch_size
         effective_jobs = int(jobs) if jobs is not None else default_jobs()
         requested_batch = None if batch_size is None else int(batch_size)
-        # Resolve the knobs to a full policy *before* the cache check:
-        # the policy is part of the backend's identity, so changing (say)
-        # the retry budget rebuilds the pool rather than silently reusing
-        # one configured differently.
+        # The resolved policy is part of the backend's identity, so
+        # changing (say) the retry budget rebuilds the pool rather than
+        # silently reusing one configured differently.
         policy = FaultPolicy.from_config(config)
-        local = self._get_vector_backend(config)
         checkpoint = config.checkpoint
         backend = self._sharded_backend
         if (
@@ -456,8 +442,7 @@ class EPPEngine:
         ``retries=``, ...), never both.  Exposes the bulk queries
         (``p_sensitized_many``, ``analyze_sites``), the pool lifecycle
         (``warm``/``close``) and the crossover knob
-        (``min_process_work``); raises :class:`~repro.errors.AnalysisError`
-        when NumPy is unavailable.  The engine holds one cache slot: the
+        (``min_process_work``).  The engine holds one cache slot: the
         *most recent* configuration — ``(jobs, batch_size)`` plus the
         resolved :class:`~repro.core.resilience.FaultPolicy` — is reused
         across calls, and requesting a different configuration closes the
@@ -468,9 +453,8 @@ class EPPEngine:
         directly instead.
         """
         self._check_current()
-        self._resolve_backend("sharded")
-        return self._get_sharded_backend(
-            AnalysisConfig.from_args(config, knobs, backend="sharded")
+        return self._backend(
+            "sharded", AnalysisConfig.from_args(config, knobs, backend="sharded")
         )
 
     def vector_backend(self, *, config: AnalysisConfig | None = None, **knobs):
@@ -481,16 +465,13 @@ class EPPEngine:
         sharded-only knobs (``jobs=``, ``retries=``, ...) are refused.
         Exposes the backend's bulk queries (``p_sensitized_many``,
         ``analyze_sites``) and tuning knobs (``min_vector_work``) without
-        reaching into engine internals; raises
-        :class:`~repro.errors.AnalysisError` when NumPy is unavailable.
-        The instance is cached per effective
-        (batch size, prune, schedule) configuration.
+        reaching into engine internals.  The instance is cached per
+        effective (batch size, prune, schedule) configuration.
         """
         self._check_current()
-        self._resolve_backend("vector")
         config = AnalysisConfig.from_args(config, knobs)
         config.require_backend_support("vector")
-        return self._get_vector_backend(config)
+        return self._backend("vector", config)
 
     def release_buffers(self) -> None:
         """Reclaim the vector backend's chunk-width state matrices — and
@@ -510,10 +491,12 @@ class EPPEngine:
         self, sites: Sequence[int | str], backend: str, config: AnalysisConfig
     ) -> dict[str, EPPResult]:
         with self._sweep_lock:
-            info = REGISTRY.get(backend)
-            impl = info.factory(self, config)
             site_ids = [self._cones.resolve(site) for site in sites]
-            return impl.analyze_sites(site_ids)
+            if backend == "scalar":
+                # The reference oracle: one cone walk per site.
+                results = (self.node_epp(site_id) for site_id in site_ids)
+                return {result.site: result for result in results}
+            return self._backend(backend, config).analyze_sites(site_ids)
 
     def analyze(
         self,
@@ -538,9 +521,9 @@ class EPPEngine:
         level-parallel NumPy sweep of :mod:`repro.core.epp_batch`, and
         ``"sharded"`` fans site shards out across ``jobs`` worker processes
         each running the vector sweep (:mod:`repro.core.epp_shard`).  The
-        default (``None``) picks ``vector`` when NumPy is available — or
-        ``sharded`` when ``jobs`` is given explicitly.  All backends agree
-        to 1e-9 (floating-point reassociation only).  ``batch_size`` bounds
+        default (``None``) picks ``vector`` — or ``sharded`` when ``jobs``
+        is given explicitly.  All backends agree to 1e-9 (floating-point
+        reassociation only).  ``batch_size`` bounds
         the vector backend's per-chunk site count (default: sized to keep
         the state matrix in cache); ``jobs`` is the sharded worker count
         (default: one per core).  Small workloads never pay process
@@ -597,7 +580,7 @@ class EPPEngine:
         sites = list(sites)
         if sample is not None and sample < len(sites):
             sites = random.Random(seed).sample(sites, sample)
-        backend = self._resolve_backend(cfg.effective_backend())
+        backend = cfg.effective_backend()
         # Re-check the sharded-only knobs against the *resolved* backend:
         # construction already rejected conflicts with an explicit
         # backend, but `retries=` with a defaulted vector backend only
@@ -707,42 +690,44 @@ class EPPEngine:
         a vulnerable node's error escapes.
         """
         self._check_current()
-        site_id = self._cones.resolve(site)
-        cone = self._cones.cone(site_id)
-        self._propagate(site_id, cone)
-        compiled = self.compiled
-        generation = self._generation
-        mark = self._mark
-        pa = self._pa
-        pa_bar = self._pa_bar
+        # The walk reads the shared scratch arrays _propagate fills.
+        with self._sweep_lock:
+            site_id = self._cones.resolve(site)
+            cone = self._cones.cone(site_id)
+            self._propagate(site_id, cone)
+            compiled = self.compiled
+            generation = self._generation
+            mark = self._mark
+            pa = self._pa
+            pa_bar = self._pa_bar
 
-        if sink is not None:
-            sink_id = self._cones.resolve(sink)
-            if sink_id not in cone.sinks:
-                raise AnalysisError(
-                    f"{compiled.names[sink_id]!r} is not a reachable sink of "
-                    f"{compiled.names[site_id]!r}"
-                )
-        else:
-            if not cone.sinks:
-                return []
-            sink_id = max(cone.sinks, key=lambda s: pa[s] + pa_bar[s])
+            if sink is not None:
+                sink_id = self._cones.resolve(sink)
+                if sink_id not in cone.sinks:
+                    raise AnalysisError(
+                        f"{compiled.names[sink_id]!r} is not a reachable sink of "
+                        f"{compiled.names[site_id]!r}"
+                    )
+            else:
+                if not cone.sinks:
+                    return []
+                sink_id = max(cone.sinks, key=lambda s: pa[s] + pa_bar[s])
 
-        path = [(compiled.names[sink_id], pa[sink_id] + pa_bar[sink_id])]
-        current = sink_id
-        while current != site_id:
-            best = None
-            best_error = -1.0
-            for pin in compiled.fanin(current):
-                if mark[pin] != generation:
-                    continue  # off-path
-                error = pa[pin] + pa_bar[pin]
-                if error > best_error:
-                    best_error = error
-                    best = pin
-            if best is None:
-                break  # degenerate: error created only by polarity algebra
-            path.append((compiled.names[best], best_error))
-            current = best
-        path.reverse()
-        return path
+            path = [(compiled.names[sink_id], pa[sink_id] + pa_bar[sink_id])]
+            current = sink_id
+            while current != site_id:
+                best = None
+                best_error = -1.0
+                for pin in compiled.fanin(current):
+                    if mark[pin] != generation:
+                        continue  # off-path
+                    error = pa[pin] + pa_bar[pin]
+                    if error > best_error:
+                        best_error = error
+                        best = pin
+                if best is None:
+                    break  # degenerate: error created only by polarity algebra
+                path.append((compiled.names[best], best_error))
+                current = best
+            path.reverse()
+            return path

@@ -448,25 +448,21 @@ def _normalize_knobs(knobs: Mapping) -> dict:
 
 def _pack_backend(engine: EPPEngine, knobs: Mapping):
     """The backend object whose ``pack_sites`` runs the (re-)sweep."""
-    from repro.core.backends import REGISTRY
-
     config = AnalysisConfig.from_knobs(
         **{k: v for k, v in knobs.items() if v is not None}
     )
     backend = config.effective_backend()
-    info = REGISTRY.get(backend)  # validates the name
-    if not info.supports_pack:
+    if backend == "scalar":
         raise AnalysisError(
             "snapshot/analyze_delta run the packed vectorized path; "
             f"backend={backend!r} has no packed representation (use "
             f"engine.analyze(backend={backend!r}) for the per-site oracle)"
         )
-    engine._resolve_backend(backend)  # NumPy availability
     # Mirror analyze()'s guard: a retry budget or deadline on the
     # in-process path would be silently meaningless.
     config.require_backend_support(backend)
     with engine._sweep_lock:
-        return info.factory(engine, config)
+        return engine._backend(backend, config)
 
 
 def _resolve_site_names(engine: EPPEngine, sites) -> tuple[list[str], bool]:

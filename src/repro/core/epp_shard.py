@@ -19,18 +19,18 @@ Design
   just the shard's site-id list.
 * **Compact wire format, shared-memory transport.**  Workers reduce their
   shard to the backend's ``pack_sites`` tuple — five flat NumPy arrays —
-  not per-site dataclasses, and (``transport="shm"``, the default on
-  POSIX) write those arrays into a ``multiprocessing.shared_memory``
-  segment sized from the pack layout; only a tiny
-  :class:`ShmHandle` descriptor crosses the process boundary, so the
-  parent materializes results without pickling/unpickling megabytes of
-  float64 per shard.  ``transport="pickle"`` restores the PR-2 wire
-  format (arrays through the executor's pickle channel); per-shard
-  traffic is tallied in :attr:`ShardedEPPEngine.stats` either way.  The
-  parent materializes :class:`~repro.core.epp.EPPResult` objects while
-  the remaining shards are still sweeping, so result packaging overlaps
-  worker compute exactly as the single-process pipeline overlapped
-  sweep and collect.
+  not per-site dataclasses, and (on POSIX hosts) write those arrays into
+  a ``multiprocessing.shared_memory`` segment sized from the pack
+  layout; only a tiny :class:`ShmHandle` descriptor crosses the process
+  boundary, so the parent materializes results without
+  pickling/unpickling megabytes of float64 per shard.  Non-POSIX hosts,
+  and shards whose shm export fails, ship the arrays through the
+  executor's pickle channel instead (see :func:`default_transport`);
+  per-shard traffic is tallied in :attr:`ShardedEPPEngine.stats` either
+  way.  The parent materializes :class:`~repro.core.epp.EPPResult`
+  objects while the remaining shards are still sweeping, so result
+  packaging overlaps worker compute exactly as the single-process
+  pipeline overlapped sweep and collect.
 * **Cone-clustered shards.**  The site list is ordered by
   :func:`~repro.core.schedule.cone_cluster_order` before the contiguous
   partition (``schedule="auto"``/``"cone"``), so each shard's sites share
@@ -109,19 +109,16 @@ __all__ = [
     "reap_orphan_segments",
 ]
 
-#: Result transports: ``shm`` round-trips packed arrays through
-#: ``multiprocessing.shared_memory`` segments (zero array pickling);
-#: ``pickle`` ships them through the executor's result channel (the PR-2
-#: wire format, kept for non-POSIX hosts and as a differential reference).
-TRANSPORTS = ("shm", "pickle")
-
-
 def default_transport() -> str:
     """``shm`` where POSIX shared memory is available, else ``pickle``.
 
-    Windows shared-memory segments die with their last open handle, so a
-    worker cannot safely hand a segment to the parent after returning;
-    the pickle wire format stays the default there.
+    ``shm`` round-trips packed arrays through
+    ``multiprocessing.shared_memory`` segments (zero array pickling);
+    ``pickle`` ships them through the executor's result channel.  Windows
+    shared-memory segments die with their last open handle, so a worker
+    cannot safely hand a segment to the parent after returning; the
+    pickle wire format serves those hosts, and any shard whose shm export
+    fails.
     """
     if os.name != "posix":
         return "pickle"
@@ -260,8 +257,8 @@ class PickleFallback:
     Wraps the arrays a worker ships after its shared-memory export
     failed: the sweep had already produced a correct result, so the
     worker retries *delivery* (not the shard) on the pickle transport —
-    the wrapper is how the parent tells a deliberate ``transport=
-    "pickle"`` shard from a fallback, and counts the latter.
+    the wrapper is how the parent tells a shard of a pickle-transport
+    engine from a fallback, and counts the latter.
     """
 
     payload: object
@@ -529,26 +526,10 @@ class ShardedEPPEngine:
     min_process_work:
         Crossover threshold on ``n_nodes * n_sites`` below which calls run
         on the in-process vector backend; 0 forces the process path.
-    shards_per_worker:
-        Load-balancing factor (see :data:`_SHARDS_PER_WORKER`).
-    mp_context:
-        Optional ``multiprocessing`` context; default prefers ``fork``
-        (cheapest spin-up) and falls back to the platform default.
     local_backend:
         The in-process :class:`~repro.core.epp_batch.BatchEPPBackend` used
         below the crossover and for materializing worker results (built on
         demand when omitted; ``EPPEngine`` passes its cached one).
-    transport:
-        Result wire format: ``"shm"`` (default on POSIX) ships packed
-        arrays through shared-memory segments — only a tiny handle is
-        pickled per shard; ``"pickle"`` ships the arrays through the
-        executor's result channel.  Per-shard traffic is tallied in
-        :attr:`stats` (``shm_shards``/``pickle_shards``/``shm_bytes``/
-        ``pickled_array_bytes``).
-    policy:
-        A :class:`~repro.core.resilience.FaultPolicy` governing shard
-        retries, backoff, deadlines and the terminal ``on_failure``
-        action.  Mutually exclusive with the resilience knobs.
 
     Knobs: ``jobs`` is the worker process count (default one per
     available core).  ``batch_size`` is the per-chunk site columns inside
@@ -563,17 +544,21 @@ class ShardedEPPEngine:
     list by :func:`~repro.core.schedule.cone_cluster_order` before the
     contiguous shard split, so shards (and the chunks inside each
     worker) share fanout cones.  ``retries``/``shard_timeout``/
-    ``on_failure``/``deadline`` are shorthand for the matching
-    :class:`FaultPolicy` fields (``None`` means "the policy default").
+    ``on_failure``/``deadline`` set the matching :class:`FaultPolicy`
+    fields (``None`` means "the policy default").
     ``fault_injector`` is a :class:`~repro.testing.faults.FaultInjector`
     shipped through the pool initializer — test-only machinery for
     staging worker crashes, stalls and transport failures
     deterministically.  ``checkpoint`` names the per-shard sweep journal
     directory.
 
-    The worker pool is created lazily on the first sharded call and reused
-    across calls; :meth:`close` (or the context-manager protocol) tears it
-    down and releases the local backend's state buffers.  Results are
+    Results travel through :func:`default_transport`, tallied per shard
+    in :attr:`stats` (``shm_shards``/``pickle_shards``/``shm_bytes``/
+    ``pickled_array_bytes``).  The worker pool
+    (:func:`preferred_mp_context`, :data:`_SHARDS_PER_WORKER` shards per
+    worker) is created lazily on the first sharded call and reused
+    across calls; :meth:`close` (or the context-manager protocol) tears
+    it down and releases the local backend's state buffers.  Results are
     identical to ``backend="vector"`` — neither sharding, scheduling nor
     any recovery path can reorder any per-site arithmetic.  After each
     sharded call, :attr:`last_outcomes` holds one
@@ -587,11 +572,7 @@ class ShardedEPPEngine:
         track_polarity: bool = True,
         *,
         min_process_work: int = _MIN_PROCESS_WORK,
-        shards_per_worker: int = _SHARDS_PER_WORKER,
-        mp_context=None,
         local_backend=None,
-        transport: str | None = None,
-        policy: FaultPolicy | None = None,
         config: "AnalysisConfig | None" = None,
         **knobs,
     ):
@@ -616,27 +597,10 @@ class ShardedEPPEngine:
         batch_size = resolved.batch_size
         self.track_polarity = track_polarity
         self.min_process_work = min_process_work
-        self.shards_per_worker = max(1, int(shards_per_worker))
         self.prune = resolved.prune
         self.schedule = resolved.schedule
-        if transport is None:
-            transport = default_transport()
-        if transport not in TRANSPORTS:
-            raise AnalysisError(
-                f"unknown transport {transport!r}; choose from {TRANSPORTS}"
-            )
-        self.transport = transport
-        if policy is None:
-            policy = FaultPolicy.from_config(resolved)
-        elif any(
-            getattr(resolved, knob) is not None
-            for knob in ("retries", "shard_timeout", "on_failure", "deadline")
-        ):
-            raise AnalysisError(
-                "pass either policy= or the individual resilience knobs "
-                "(retries/shard_timeout/on_failure/deadline), not both"
-            )
-        self.policy = policy
+        self.transport = default_transport()
+        self.policy = FaultPolicy.from_config(resolved)
         self.fault_injector = resolved.fault_injector
         #: Directory for the per-shard sweep journal
         #: (:mod:`repro.core.checkpoint`), or ``None`` to disable.  Each
@@ -715,7 +679,6 @@ class ShardedEPPEngine:
             self.worker_batch_size = max(
                 32, default_batch_size(compiled.n) // self.jobs
             )
-        self._mp_context = mp_context
         self._pool: ProcessPoolExecutor | None = None
         self._payload: bytes | None = None
         #: Serializes :meth:`close` against itself: the server's drain
@@ -794,12 +757,9 @@ class ShardedEPPEngine:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            context = self._mp_context
-            if context is None:
-                context = preferred_mp_context()
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
-                mp_context=context,
+                mp_context=preferred_mp_context(),
                 initializer=_shard_worker_init,
                 initargs=(
                     self.payload(),
@@ -1086,7 +1046,7 @@ class ShardedEPPEngine:
         if strategy == "cone" and len(site_ids) > 1:
             order = cone_cluster_order(self.compiled, site_ids)
             positions = [int(position) for position in order]
-        n_shards = self.jobs * self.shards_per_worker
+        n_shards = self.jobs * _SHARDS_PER_WORKER
         position_shards = partition_shards(positions, n_shards)
         shards = [
             [site_ids[position] for position in shard]

@@ -120,18 +120,9 @@ class Table2Config:
                      "reference_vectors", "sp_vectors", "epp_sites"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"Table2Config.{name} must be >= 1")
-        if self.backend not in ("scalar", "vector", "sharded"):
-            raise ConfigError(
-                f"Table2Config.backend must be 'scalar', 'vector' or "
-                f"'sharded', got {self.backend!r}"
-            )
-        if self.jobs is not None and self.jobs < 1:
-            raise ConfigError(f"Table2Config.jobs must be >= 1, got {self.jobs}")
-        if self.jobs is not None and self.backend != "sharded":
-            raise ConfigError(
-                "Table2Config.jobs applies to the 'sharded' backend only, "
-                f"got backend={self.backend!r}"
-            )
+        # The EPP knobs are validated by the config layer, here rather
+        # than inside the first row's run (or a roster pool worker).
+        self.analysis_config()
         if self.circuit_jobs is not None and self.circuit_jobs < 1:
             raise ConfigError(
                 f"Table2Config.circuit_jobs must be >= 1, got {self.circuit_jobs}"
@@ -142,13 +133,6 @@ class Table2Config:
                 "Table2Config.circuit_jobs cannot be combined with "
                 "backend='sharded': roster workers would spawn nested "
                 "process pools"
-            )
-        from repro.core.schedule import SCHEDULES
-
-        if self.schedule is not None and self.schedule not in SCHEDULES:
-            raise ConfigError(
-                f"Table2Config.schedule must be one of {SCHEDULES}, "
-                f"got {self.schedule!r}"
             )
         if self.backend == "scalar" and not (
             self.prune is None and self.schedule is None

@@ -10,24 +10,21 @@ flip-flop boundary: DFF outputs start at SP 0.5, each pass recomputes the
 D-driver SPs, and the state SPs are updated (with optional damping) until
 the largest change falls below tolerance.
 
-When NumPy is available, circuits above a small size threshold run a
-*vectorized* pass: nodes are grouped by ``(level, gate code, arity)`` once
-per compiled circuit, and each level executes as a handful of array
-operations over the node axis instead of a Python loop over nodes.  The
-grouping is cached on the compiled circuit, so sequential fixed-point
-iteration amortizes it across all passes.  Both passes compute the same
-arithmetic in the same per-gate association order; results agree to
-floating-point rounding.
+Circuits above a small size threshold run a *vectorized* NumPy pass:
+nodes are grouped by ``(level, gate code, arity)`` once per compiled
+circuit, and each level executes as a handful of array operations over
+the node axis instead of a Python loop over nodes.  The grouping is
+cached on the compiled circuit, so sequential fixed-point iteration
+amortizes it across all passes.  Both passes compute the same arithmetic
+in the same per-gate association order; results agree to floating-point
+rounding.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships NumPy
-    _np = None
+import numpy as _np
 
 from repro.errors import ProbabilityError
 from repro.netlist.circuit import Circuit, CompiledCircuit
@@ -148,7 +145,7 @@ def compute_signal_probabilities(
         Optional out-parameter collecting iteration count and final delta.
     """
     compiled = circuit.compiled() if isinstance(circuit, Circuit) else circuit
-    use_vector = _np is not None and compiled.n >= _VEC_MIN_NODES
+    use_vector = compiled.n >= _VEC_MIN_NODES
     # The vectorized pass appends two sentinel slots (SP 1.0 / 0.0) used to
     # pad mixed-arity gate groups; see _SPLevelPlan.
     probs = _np.zeros(compiled.n + 2) if use_vector else [0.0] * compiled.n

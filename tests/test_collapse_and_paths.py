@@ -1,5 +1,7 @@
 """SEU-site collapsing and dominant-path extraction."""
 
+import threading
+
 import pytest
 
 from repro.core.collapse import collapse_seu_sites
@@ -160,3 +162,21 @@ class TestDominantPath:
             for (driver, _), (user, _) in zip(path, path[1:]):
                 assert driver in c17_circuit.node(user).fanin
             assert all(0.0 <= p <= 1.0 + 1e-12 for _, p in path)
+
+    def test_waits_for_the_sweep_lock(self):
+        """dominant_path reads the scratch arrays node_epp/p_sensitized
+        fill, so it must hold the same lock: a concurrent sweep would
+        otherwise overwrite them mid-walk."""
+        engine = EPPEngine(s27())
+        expected = engine.dominant_path("G10")
+        result = []
+        worker = threading.Thread(
+            target=lambda: result.append(engine.dominant_path("G10"))
+        )
+        with engine._sweep_lock:
+            worker.start()
+            worker.join(timeout=0.2)
+            assert worker.is_alive() and not result
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert result == [expected]

@@ -1,4 +1,4 @@
-"""The unified AnalysisConfig layer and the backend registry.
+"""The unified AnalysisConfig layer and the fixed backend roster.
 
 Covers the consolidation contracts:
 
@@ -15,9 +15,9 @@ Covers the consolidation contracts:
   keep their pre-removal values, so persisted stores stay valid;
 * reflection — the CLI ``analyze``/``analyze-delta``/``serve`` flag
   sets and the config field metadata are the same surface, 1:1;
-* the registry — registering a stub backend makes it reachable from
-  ``EPPEngine.analyze(backend="stub")`` and the CLI parser with zero
-  edits outside the registration call.
+* the backend roster — ``BACKENDS`` is the one list of backend names:
+  the CLI ``--backend`` choices derive from it and an unknown name is
+  refused with the whole roster in the message.
 """
 
 from __future__ import annotations
@@ -30,12 +30,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import build_parser
-from repro.core.backends import (
-    REGISTRY,
-    BackendInfo,
-    ScalarBackend,
-    default_backend,
-)
 from repro.core.config import (
     KNOB_KEYS,
     RESILIENCE_KNOB_KEYS,
@@ -368,6 +362,21 @@ class TestCLIReflection:
         }
         assert harden == delta
 
+    @pytest.mark.parametrize("command, choices", [
+        ("analyze", ("auto", "scalar", "vector", "sharded")),
+        ("analyze-delta", ("auto", "vector", "sharded")),
+        ("harden", ("auto", "vector", "sharded")),
+    ])
+    def test_backend_choices(self, command, choices):
+        """The incremental commands splice packed arrays, so they offer
+        every backend but the scalar oracle."""
+        (action,) = [
+            action for action in _subcommand(command)._actions
+            if "--backend" in action.option_strings
+        ]
+        assert tuple(action.choices) == choices
+        assert action.default == "auto"
+
     def test_serve_flags_cover_serve_marked_fields(self):
         flags = _option_flags(_subcommand("serve"))
         for key in KNOB_KEYS:
@@ -381,68 +390,18 @@ class TestCLIReflection:
         assert PROTOCOL_KEYS == WIRE_KNOB_KEYS
 
 
-# ----------------------------------------------------------------- registry
-
-
-def _register_stub():
-    info = BackendInfo(
-        name="stub",
-        factory=lambda engine, config: ScalarBackend(engine),
-        description="test-only: the scalar oracle under a fourth name",
-    )
-    REGISTRY.register(info)
-    return info
+# ------------------------------------------------------------------ roster
 
 
 class TestBackendRegistry:
-    def test_duplicate_registration_rejected(self):
-        _register_stub()
-        try:
-            with pytest.raises(ConfigError, match="already registered"):
-                _register_stub()
-        finally:
-            REGISTRY.unregister("stub")
-
-    def test_stub_backend_reaches_engine_analyze(self):
-        _register_stub()
-        try:
-            engine = EPPEngine(s27())
-            via_stub = engine.analyze(backend="stub")
-            via_scalar = engine.analyze(backend="scalar")
-            assert via_stub.keys() == via_scalar.keys()
-            for site in via_stub:
-                assert (
-                    via_stub[site].p_sensitized
-                    == via_scalar[site].p_sensitized
-                )
-        finally:
-            REGISTRY.unregister("stub")
-
-    def test_stub_backend_reaches_the_cli_with_zero_edits(self):
-        _register_stub()
-        try:
-            analyze = _subcommand("analyze")
-            for action in analyze._actions:
-                if "--backend" in action.option_strings:
-                    assert "stub" in action.choices
-                    break
-            else:  # pragma: no cover
-                raise AssertionError("analyze has no --backend flag")
-        finally:
-            REGISTRY.unregister("stub")
-
-    def test_stub_backend_honors_sharded_only_guard(self):
-        _register_stub()
-        try:
-            with pytest.raises(ConfigError, match="sharded"):
-                AnalysisConfig(backend="stub", retries=1)
-        finally:
-            REGISTRY.unregister("stub")
+    """The backend roster is closed: an unknown name is refused with the
+    whole roster in the message."""
 
     def test_unknown_backend_error_lists_choices(self):
         engine = EPPEngine(s27())
-        with pytest.raises(AnalysisConfigError, match="choose from"):
+        with pytest.raises(AnalysisConfigError) as info:
             engine.analyze(backend="warp")
-
-    def test_default_backend_is_registered(self):
-        assert default_backend() in REGISTRY.names()
+        assert str(info.value) == (
+            "unknown EPP backend 'warp'; "
+            "choose from ('scalar', 'vector', 'sharded')"
+        )

@@ -11,7 +11,8 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.core.epp import EPPEngine, available_backends, default_backend
+from repro.core.config import BACKENDS, AnalysisConfig
+from repro.core.epp import EPPEngine
 from repro.errors import AnalysisError
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GateType
@@ -583,8 +584,8 @@ class TestReleaseBuffers:
 
 class TestBackendSelection:
     def test_default_backend_is_vector_with_numpy(self):
-        assert default_backend() == "vector"
-        assert available_backends() == ("scalar", "vector", "sharded")
+        assert AnalysisConfig().effective_backend() == "vector"
+        assert BACKENDS == ("scalar", "vector", "sharded")
 
     def test_unknown_backend_rejected(self):
         engine = EPPEngine(s27())

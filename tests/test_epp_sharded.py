@@ -259,12 +259,6 @@ class TestShmTransport:
         assert backend.stats["shm_shards"] == 0
         assert backend.stats["pickled_array_bytes"] > 0
 
-    def test_unknown_transport_rejected(self):
-        engine = EPPEngine(s27())
-        with pytest.raises(AnalysisError, match="unknown transport"):
-            ShardedEPPEngine(engine.compiled, engine._sp, jobs=2,
-                             transport="quic")
-
     def test_handle_is_tiny_dataclass(self):
         handle = ShmHandle("psm_test", (((4,), "<f8", 0),), 64)
         assert handle.name == "psm_test"

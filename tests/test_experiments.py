@@ -97,6 +97,13 @@ class TestTable2:
             Table2Config(backend="sharded", jobs=0)
         with pytest.raises(ConfigError, match="sharded"):
             Table2Config(backend="scalar", jobs=2)  # jobs needs sharded
+        # The EPP knobs fail at construction, not inside the first row.
+        with pytest.raises(ConfigError, match="prune"):
+            Table2Config(backend="vector", prune="nope")
+        with pytest.raises(ConfigError, match="jobs must be an integer"):
+            Table2Config(backend="sharded", jobs=2.5)
+        with pytest.raises(ConfigError, match="jobs must be an integer"):
+            Table2Config(backend="sharded", jobs=True)
 
     def test_sharded_backend_row(self):
         """The sharded SysT column really engages worker processes (the

@@ -130,14 +130,6 @@ class TestFaultPolicy:
         assert policy.backoff_delay(0, 2) == pytest.approx(0.3)
         assert policy.backoff_delay(0, 3) == pytest.approx(0.9)
 
-    def test_policy_and_knobs_mutually_exclusive(self, s953):
-        engine, _, _ = s953
-        with pytest.raises(AnalysisError, match="not both"):
-            ShardedEPPEngine(
-                engine.compiled, engine._sp,
-                policy=FaultPolicy(), retries=1,
-            )
-
     def test_deadline_countdown(self):
         unbounded = Deadline(None)
         assert unbounded.remaining() is None

@@ -135,10 +135,9 @@ class TestVectorizedPass:
     def _both_passes(circuit, monkeypatch, **kwargs):
         import repro.probability.signal_prob as sp_mod
 
-        numpy = pytest.importorskip("numpy")
         monkeypatch.setattr(sp_mod, "_VEC_MIN_NODES", 0)
         vec = compute_signal_probabilities(circuit, **kwargs)
-        monkeypatch.setattr(sp_mod, "_np", None)
+        monkeypatch.setattr(sp_mod, "_VEC_MIN_NODES", circuit.compiled().n + 1)
         scalar = compute_signal_probabilities(circuit, **kwargs)
         return vec, scalar
 
@@ -174,7 +173,6 @@ class TestVectorizedPass:
     def test_returns_plain_floats(self, monkeypatch):
         import repro.probability.signal_prob as sp_mod
 
-        pytest.importorskip("numpy")
         monkeypatch.setattr(sp_mod, "_VEC_MIN_NODES", 0)  # force the vec path
         sp = compute_signal_probabilities(s27())
         assert all(type(v) is float for v in sp.values())
