@@ -644,7 +644,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 def _run_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.core.resilience import FaultPolicy
+    from repro.core.config import AnalysisConfig
     from repro.errors import ConfigError
     from repro.server.service import AnalysisService
 
@@ -653,8 +653,9 @@ def _run_serve(args: argparse.Namespace) -> int:
     if args.max_queue < 1:
         raise ConfigError(f"--max-queue must be >= 1, got {args.max_queue}")
     if args.request_deadline is not None:
-        # Same validation path the sharded policy uses: rejects <= 0.
-        FaultPolicy.from_knobs(deadline=args.request_deadline)
+        # The budget becomes the sharded ``deadline`` knob: validate it
+        # there (rejects <= 0 and unwaitable values).
+        AnalysisConfig(deadline=args.request_deadline)
     if args.resume and not args.store_dir:
         raise ConfigError("--resume needs --store-dir (nothing to recover from)")
     service = AnalysisService(

@@ -282,10 +282,9 @@ class SERAnalyzer:
         ``"sharded"`` (or just passing ``jobs=``) for the multi-process
         site-sharded driver.
         ``retries``/``shard_timeout``/``on_failure``/``deadline``
-        configure the sharded driver's
-        :class:`~repro.core.resilience.FaultPolicy` — shard retry
-        budget, per-shard and global deadlines, and whether an exhausted
-        shard raises or degrades to the in-process backend
+        configure the sharded driver's recovery — shard retry budget,
+        per-shard and global deadlines, and whether an exhausted shard
+        raises or degrades to the in-process backend
         (bit-identical either way).  ``checkpoint`` names the sharded
         sweep-journal directory (:mod:`repro.core.checkpoint`): completed
         shards survive the process and an identical re-run resumes from

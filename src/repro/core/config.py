@@ -42,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import numbers
+import threading
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
@@ -51,7 +52,9 @@ from repro.errors import AnalysisConfigError
 __all__ = [
     "AnalysisConfig",
     "BACKENDS",
+    "DEFAULT_RETRIES",
     "KNOB_KEYS",
+    "ON_FAILURE_MODES",
     "RESILIENCE_KNOB_KEYS",
     "SHARDED_ONLY_KNOBS",
     "SWEEP_KNOB_KEYS",
@@ -75,10 +78,18 @@ WIRE_VERSION = 2
 #: offer exactly those).
 BACKENDS = ("scalar", "vector", "sharded")
 
-#: On-failure modes, re-exported here so the CLI and the knob reference
-#: need only this module.  The authoritative tuple lives with
-#: :class:`~repro.core.resilience.FaultPolicy`.
-from repro.core.resilience import ON_FAILURE_MODES  # noqa: E402
+#: Terminal actions once a shard's retry budget is exhausted (or, for
+#: ``"raise"``, on the first failure): ``retry`` raises
+#: :class:`~repro.errors.RetryBudgetExceededError` after the budget,
+#: ``degrade`` runs the shard on an in-process backend instead (the
+#: analysis still completes, bit-identical — it runs the same kernels a
+#: worker would), ``raise`` fails fast on the first shard failure.
+#: ``None`` means ``"retry"``.
+ON_FAILURE_MODES = ("retry", "degrade", "raise")
+
+#: Extra attempts per failed shard when ``retries`` is omitted (so a
+#: shard is submitted at most three times).
+DEFAULT_RETRIES = 2
 
 
 def _knob(
@@ -159,7 +170,7 @@ class AnalysisConfig:
         wire=True, kind="int", cli="--retries", sharded_only=True,
         section="resilience",
         doc="Extra attempts per shard beyond the first (sharded backend "
-            "only); omitted means the FaultPolicy default.",
+            f"only); omitted means {DEFAULT_RETRIES}.",
     )
     shard_timeout: float | None = _knob(
         wire=True, kind="float", cli="--shard-timeout", sharded_only=True,
@@ -231,16 +242,46 @@ class AnalysisConfig:
             raise AnalysisConfigError(
                 f"unknown EPP backend {self.backend!r}; choose from {BACKENDS}"
             )
-        # Resilience values: delegate to FaultPolicy.from_knobs so the
-        # flag-naming ConfigError messages stay byte-identical.
-        from repro.core.resilience import FaultPolicy
-
-        FaultPolicy.from_knobs(
-            retries=self.retries,
-            shard_timeout=self.shard_timeout,
-            on_failure=self.on_failure,
-            deadline=self.deadline,
-        )
+        # Recovery values, named by their CLI flags: they arrive from
+        # --shard-timeout/--request-deadline style flags, and a bad one
+        # must not surface deep in the shard scheduler instead.
+        if self.shard_timeout is not None and self.shard_timeout <= 0.0:
+            raise AnalysisConfigError(
+                f"--shard-timeout must be > 0 seconds, got "
+                f"{self.shard_timeout} (omit the flag to disable the "
+                "per-shard deadline)"
+            )
+        if self.deadline is not None and self.deadline <= 0.0:
+            raise AnalysisConfigError(
+                f"--request-deadline must be > 0 seconds, got "
+                f"{self.deadline} (omit the flag to disable the global "
+                "deadline)"
+            )
+        for flag, seconds in (
+            ("--shard-timeout", self.shard_timeout),
+            ("--request-deadline", self.deadline),
+        ):
+            # No thread can wait on these: ``threading`` waits raise
+            # OverflowError past TIMEOUT_MAX, and a NaN compares false
+            # everywhere, silently switching the deadline off (``not x
+            # <= max`` holds for NaN and infinity alike).
+            if seconds is not None and not seconds <= threading.TIMEOUT_MAX:
+                raise AnalysisConfigError(
+                    f"{flag} must be a finite number of seconds <= "
+                    f"{threading.TIMEOUT_MAX:.0f}, got {seconds}"
+                )
+        if self.retries is not None and int(self.retries) < 0:
+            raise AnalysisConfigError(
+                f"--retries must be >= 0, got {self.retries}"
+            )
+        if (
+            self.on_failure is not None
+            and self.on_failure not in ON_FAILURE_MODES
+        ):
+            raise AnalysisConfigError(
+                f"unknown on_failure {self.on_failure!r}; "
+                f"choose from {ON_FAILURE_MODES}"
+            )
         # Cross-field conflicts — only when the backend is *explicit*.
         # With backend omitted the conflict depends on what the backend
         # resolves to (jobs= implies sharded; the server injects its own
@@ -317,11 +358,6 @@ class AnalysisConfig:
     def replace(self, **changes: Any) -> "AnalysisConfig":
         """A copy with ``changes`` applied (re-validated on construction)."""
         return dataclasses.replace(self, **changes)
-
-    def merged_with(self, overrides: Mapping[str, Any]) -> "AnalysisConfig":
-        """A copy where non-``None`` override knobs win over this config."""
-        changes = {k: v for k, v in overrides.items() if v is not None}
-        return self.from_knobs(**{**self.knobs(), **changes})
 
     # -------------------------------------------------------- knob views
 

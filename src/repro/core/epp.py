@@ -398,17 +398,16 @@ class EPPEngine:
         if name == "vector":
             return local
 
-        from repro.core.epp_shard import ShardedEPPEngine, default_jobs
-        from repro.core.resilience import FaultPolicy
+        from repro.core.epp_shard import (
+            ShardedEPPEngine,
+            default_jobs,
+            recovery_knobs,
+        )
 
         jobs = config.jobs
         batch_size = config.batch_size
         effective_jobs = int(jobs) if jobs is not None else default_jobs()
         requested_batch = None if batch_size is None else int(batch_size)
-        # The resolved policy is part of the backend's identity, so
-        # changing (say) the retry budget rebuilds the pool rather than
-        # silently reusing one configured differently.
-        policy = FaultPolicy.from_config(config)
         checkpoint = config.checkpoint
         backend = self._sharded_backend
         if (
@@ -416,7 +415,10 @@ class EPPEngine:
             or backend.jobs != effective_jobs
             or backend.requested_batch_size != requested_batch
             or backend.local is not local
-            or backend.policy != policy
+            # The recovery knobs are part of the backend's identity, so
+            # changing (say) the retry budget rebuilds the pool rather
+            # than silently reusing one configured differently.
+            or recovery_knobs(backend.config) != recovery_knobs(config)
             or backend.fault_injector is not config.fault_injector
             or backend.checkpoint != (
                 None if checkpoint is None else os.fspath(checkpoint)
@@ -444,7 +446,7 @@ class EPPEngine:
         (``warm``/``close``) and the crossover knob
         (``min_process_work``).  The engine holds one cache slot: the
         *most recent* configuration — ``(jobs, batch_size)`` plus the
-        resolved :class:`~repro.core.resilience.FaultPolicy` — is reused
+        recovery knobs (``None`` equal to the default) — is reused
         across calls, and requesting a different configuration closes the
         previous instance's worker pool before building the new one (so
         the engine never accumulates live pools).  Alternate
@@ -554,8 +556,8 @@ class EPPEngine:
         once a shard's budget is spent — ``"retry"`` (raise
         :class:`~repro.errors.RetryBudgetExceededError`), ``"degrade"``
         (finish the shard in-process, bit-identical) or ``"raise"``
-        (fail fast on the first shard failure).  See
-        :class:`~repro.core.resilience.FaultPolicy`.
+        (fail fast on the first shard failure).  A retry waits out the
+        fixed backoff of :func:`~repro.core.resilience.backoff_delay`.
 
         ``checkpoint`` (sharded only, like ``jobs``) names a directory
         for the per-shard sweep journal (:mod:`repro.core.checkpoint`):

@@ -94,6 +94,8 @@ __all__ = [
     "BatchEPPBackend",
     "CompactChunkPlan",
     "default_batch_size",
+    "empty_packed",
+    "segment_index",
 ]
 
 #: Target footprint of the per-chunk state matrix (bytes).  Wide chunks
@@ -142,6 +144,29 @@ def default_batch_size(n_nodes: int) -> int:
     """Chunk width sized so ``n_nodes * 4 * batch * 8`` bytes stays bounded."""
     width = _STATE_BYTES_TARGET // (max(n_nodes, 1) * 32)
     return int(max(32, min(512, width)))
+
+
+def empty_packed() -> tuple:
+    """The packed tuple of zero sites (see :meth:`BatchEPPBackend._pack`)."""
+    empty = np.zeros(0)
+    return (
+        empty, empty.astype(np.intp), empty.astype(np.intp),
+        empty.astype(np.intp), np.zeros((0, 4)),
+    )
+
+
+def segment_index(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat indices of the variable-length segments ``starts[i]`` ..
+    ``starts[i] + counts[i]``, concatenated — the gather that moves a
+    packed tuple's per-site sink-pair runs, built with ``np.repeat`` so
+    it stays vectorized."""
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.intp)
+    heads = np.repeat(starts, counts)
+    prefix = np.cumsum(counts) - counts
+    within = np.arange(total) - np.repeat(prefix, counts)
+    return heads + within
 
 
 class _Group:
@@ -1021,21 +1046,17 @@ class BatchEPPBackend:
 
         ``inverse[i]`` is the sweep position of input site ``i``.  The
         per-site arrays gather directly; the variable-length sink-pair
-        segments (``sink_pos``/``values``) are gathered via a repeat-built
-        index so the whole reorder stays vectorized.
+        segments (``sink_pos``/``values``) are gathered via
+        :func:`segment_index` so the whole reorder stays vectorized.
         """
         p_sens, cone_sizes, counts, sink_pos, values = packed
         starts = np.cumsum(counts) - counts
         new_counts = counts[inverse]
-        total = int(new_counts.sum())
-        if total:
-            heads = np.repeat(starts[inverse], new_counts)
-            prefix = np.cumsum(new_counts) - new_counts
-            within = np.arange(total) - np.repeat(prefix, new_counts)
-            segment_index = heads + within
-            sink_pos = sink_pos[segment_index]
-            values = values[segment_index]
-        return p_sens[inverse], cone_sizes[inverse], new_counts, sink_pos, values
+        index = segment_index(starts[inverse], new_counts)
+        return (
+            p_sens[inverse], cone_sizes[inverse], new_counts,
+            sink_pos[index], values[index],
+        )
 
     def pack_sites(self, site_ids: Sequence[int]) -> tuple:
         """Compact numeric results for many sites (chunks concatenated).
@@ -1054,9 +1075,7 @@ class BatchEPPBackend:
             for chunk, state, mask, sinks in self._swept_chunks(sweep_ids)
         ]
         if not parts:
-            empty = np.zeros(0)
-            return empty, empty.astype(np.intp), empty.astype(np.intp), \
-                empty.astype(np.intp), np.zeros((0, 4))
+            return empty_packed()
         if len(parts) == 1:
             packed = parts[0]
         else:

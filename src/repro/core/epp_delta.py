@@ -55,6 +55,7 @@ import numpy as np
 
 from repro.errors import AnalysisError, NetlistError
 from repro.core.epp import EPPEngine
+from repro.core.epp_batch import empty_packed, segment_index
 from repro.netlist.circuit import Circuit, CompiledCircuit
 from repro.probability import signal_probabilities
 
@@ -71,11 +72,11 @@ __all__ = [
 #: the authoritative tuple of :mod:`repro.core.config`, re-exported so
 #: existing importers keep working.  The resilience knobs (sharded
 #: backend only, like ``jobs``) let a caller — the analysis service most
-#: of all — propagate a request's end-to-end deadline into
-#: :class:`~repro.core.resilience.FaultPolicy` for the sweep itself, not
-#: just the boundaries around it.  ``fault_injector`` is the chaos
-#: harness's hook (:class:`repro.testing.faults.FaultInjector`) —
-#: testing only, never accepted over the analysis-service wire.
+#: of all — propagate a request's end-to-end deadline into the sharded
+#: ``deadline`` knob for the sweep itself, not just the boundaries
+#: around it.  ``fault_injector`` is the chaos harness's hook
+#: (:class:`repro.testing.faults.FaultInjector`) — testing only, never
+#: accepted over the analysis-service wire.
 #: ``checkpoint`` (the sweep journal directory,
 #: :mod:`repro.core.checkpoint`) is likewise server-controlled, never
 #: wire-reachable: a client must not pick filesystem paths on the
@@ -439,8 +440,9 @@ class DeltaAnalysis:
 
 def _normalize_knobs(knobs: Mapping) -> dict:
     # The config layer owns unknown-name rejection and value validation;
-    # a snapshot's knob record stays a plain dict (all keys present) so
-    # pickled DeltaAnalysis chains keep loading.
+    # a snapshot's knob record stays a plain dict, which analyze_delta
+    # merges per-key overrides into (an explicit None clears a recorded
+    # knob — the service's degrade path relies on that).
     return AnalysisConfig.from_knobs(
         **{k: v for k, v in knobs.items() if v is not None}
     ).knobs()
@@ -693,8 +695,7 @@ def edit_impact(prev: DeltaAnalysis, edits: EditSet, sites=None) -> dict:
 
     Returns ``{"sites", "dirty", "reused", "frontier"}`` — what
     :func:`analyze_delta` would re-sweep.  Useful for previewing the
-    cost of a candidate edit (the benchmark harness does exactly this
-    to pick representative edits).
+    cost of a candidate edit before paying for the sweep.
     """
     context = _prepare(prev, edits, sites, prev.knobs)
     dirty = sum(context["dirty_flags"])
@@ -741,25 +742,6 @@ def _reuse_revision(
         "chain_length": prev.stats.get("chain_length", 0) + 1,
     }
     return delta
-
-
-def _segment_index(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Flat indices of variable-length segments, repeat-built."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.intp)
-    heads = np.repeat(starts, counts)
-    prefix = np.cumsum(counts) - counts
-    within = np.arange(total) - np.repeat(prefix, counts)
-    return heads + within
-
-
-def _empty_packed() -> tuple:
-    empty = np.zeros(0)
-    return (
-        empty, empty.astype(np.intp), empty.astype(np.intp),
-        empty.astype(np.intp), np.zeros((0, 4)),
-    )
 
 
 def analyze_delta(
@@ -811,7 +793,7 @@ def analyze_delta(
         with new_engine._sweep_lock:
             fresh = _pack_backend(new_engine, merged_knobs).pack_sites(dirty_ids)
     else:
-        fresh = _empty_packed()
+        fresh = empty_packed()
 
     # ---- splice: retained columns from the old packed arrays (sink
     # positions remapped by name), dirty columns from the fresh sweep.
@@ -824,7 +806,7 @@ def analyze_delta(
     )
 
     if n_sites == 0:
-        packed = _empty_packed()
+        packed = empty_packed()
     else:
         p_sens = np.empty(n_sites)
         cone_sizes = np.empty(n_sites, dtype=np.intp)
@@ -898,11 +880,11 @@ def analyze_delta(
             sink_pos = np.empty(total, dtype=np.intp)
             values = np.empty((total, 4))
 
-            source_index = _segment_index(
+            source_index = segment_index(
                 old_starts[old_columns_of_clean],
                 old_counts[old_columns_of_clean],
             )
-            target_index = _segment_index(
+            target_index = segment_index(
                 starts[clean_positions], counts[clean_positions]
             )
             retained_sinks = sink_remap[old_sink[source_index]]
@@ -915,7 +897,7 @@ def analyze_delta(
             sink_pos[target_index] = retained_sinks
             values[target_index] = old_values[source_index]
 
-            target_index = _segment_index(
+            target_index = segment_index(
                 starts[dirty_positions], counts[dirty_positions]
             )
             sink_pos[target_index] = fresh_sink

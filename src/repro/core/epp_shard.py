@@ -59,20 +59,19 @@ Design
   with deterministic seeded backoff once past their per-shard deadline
   (a wedged worker is killed by respawning the pool); a failed shm
   export is retried once on the pickle transport *inside the worker*
-  before anything counts as a failure.  The
-  :class:`~repro.core.resilience.FaultPolicy` decides what happens when
-  a shard exhausts its retry budget: raise a typed error
-  (:mod:`repro.errors`), or — ``on_failure="degrade"`` — finish the
-  remaining shards on an in-process backend built with the *worker's*
-  knobs, so results stay bit-identical even then.  Every recovery is
+  before anything counts as a failure.  The ``on_failure`` knob decides
+  what happens when a shard exhausts its retry budget: raise a typed
+  error (:mod:`repro.errors`), or — ``on_failure="degrade"`` — finish
+  the remaining shards on an in-process backend built by the *worker's*
+  constructor, so results stay bit-identical even then.  Every recovery is
   ``np.array_equal`` to a clean run; :mod:`repro.testing.faults` is the
   seeded harness that proves it.
 
 Selection: ``EPPEngine.analyze(backend="sharded", jobs=4)`` (CLI:
 ``--backend sharded --jobs 4``); passing ``jobs=`` alone implies the
 sharded backend.  Resilience knobs: ``retries=``, ``shard_timeout=``,
-``on_failure=`` (CLI: ``--retries``, ``--shard-timeout``,
-``--on-worker-failure``).
+``on_failure=``, ``deadline=`` (CLI: ``--retries``, ``--shard-timeout``,
+``--on-worker-failure``; ``repro serve --request-deadline``).
 """
 
 from __future__ import annotations
@@ -88,7 +87,8 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from repro.core.resilience import Deadline, FaultPolicy, ShardOutcome
+from repro.core.config import DEFAULT_RETRIES
+from repro.core.resilience import Deadline, ShardOutcome, backoff_delay
 from repro.errors import (
     AnalysisError,
     RetryBudgetExceededError,
@@ -107,6 +107,7 @@ __all__ = [
     "partition_shards",
     "preferred_mp_context",
     "reap_orphan_segments",
+    "recovery_knobs",
 ]
 
 def default_transport() -> str:
@@ -218,29 +219,34 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def reap_orphan_segments() -> int:
-    """Unlink ``repro_epp_*`` segments whose creating process is dead.
+def reap_orphan_segments(pids=None) -> int:
+    """Unlink orphaned ``repro_epp_<pid>_<seq>`` segments; returns the count.
 
-    The in-process quarantine path
-    (:meth:`ShardedEPPEngine._quarantine_segments`) cleans up after
-    workers the *parent* watched die.  When the parent itself is killed
-    (kill -9 mid-sweep), exported-but-undelivered segments outlive
-    everyone; their deterministic ``repro_epp_<pid>_<seq>`` names make
-    them reapable by the next process that resumes the work.  Called on
-    checkpoint resume and at server startup; only segments whose
-    embedded pid no longer exists are touched, so live sweeps in other
-    processes are never disturbed.  Returns the number unlinked.
+    With ``pids`` — the workers of a pool the parent just tore down —
+    every segment those pids exported goes: a worker that died between
+    ``export_shm`` and its future's resolution leaves a segment no handle
+    will ever reach, and the parent holds handles only for *delivered*
+    results, which it has already copied out and unlinked.  Without
+    ``pids``, every segment whose embedded pid no longer exists goes:
+    when the parent itself is killed (kill -9 mid-sweep),
+    exported-but-undelivered segments outlive everyone, so the next
+    process that resumes the work reaps them (checkpoint resume, server
+    startup) without disturbing live sweeps in other processes.
     """
     shm_dir = "/dev/shm"
     if os.name != "posix" or not os.path.isdir(shm_dir):
         return 0
+    if pids is not None:
+        pids = {str(pid) for pid in pids}
     removed = 0
     for name in os.listdir(shm_dir):
         if not name.startswith(_SHM_NAME_PREFIX):
             continue
-        tail = name[len(_SHM_NAME_PREFIX):]
-        pid_text = tail.split("_", 1)[0]
-        if not pid_text.isdigit() or _pid_alive(int(pid_text)):
+        pid_text = name[len(_SHM_NAME_PREFIX):].split("_", 1)[0]
+        if pids is not None:
+            if pid_text not in pids:
+                continue
+        elif not pid_text.isdigit() or _pid_alive(int(pid_text)):
             continue
         try:
             os.unlink(os.path.join(shm_dir, name))
@@ -248,6 +254,24 @@ def reap_orphan_segments() -> int:
             continue
         removed += 1
     return removed
+
+
+def recovery_knobs(config) -> tuple:
+    """``(retries, shard_timeout, on_failure, deadline)`` of an
+    :class:`~repro.core.config.AnalysisConfig`, ``None`` resolved to the
+    default (:data:`~repro.core.config.DEFAULT_RETRIES` retries,
+    ``"retry"``, no deadlines).
+
+    What the driver's scheduler runs under, and so the sharded backend's
+    recovery identity in the engine cache: ``retries=None`` and
+    ``retries=2`` share one pool.
+    """
+    return (
+        DEFAULT_RETRIES if config.retries is None else int(config.retries),
+        config.shard_timeout,
+        "retry" if config.on_failure is None else config.on_failure,
+        config.deadline,
+    )
 
 
 @dataclass(frozen=True)
@@ -379,18 +403,15 @@ def import_shm(handle: ShmHandle):
 
 # --------------------------------------------------------------------- worker
 
-#: ``(key, payload)`` of this pool's circuit, stashed by the initializer;
-#: the backend itself is built lazily through :func:`_worker_backend` so
-#: the build is counted (and skipped) by the plan cache below.
-_WORKER_PAYLOAD: tuple[str, bytes] | None = None
+#: This pool's pickled payload, stashed by the initializer; the backend
+#: itself is built lazily by :func:`_worker_backend`.
+_WORKER_PAYLOAD: bytes | None = None
 
-#: Worker-side plan cache: one fully-planned backend per *circuit
-#: identity* (the SHA-1 of the pickled payload — same compiled circuit,
-#: SP vector and sweep knobs => same key).  A worker process that serves
-#: many tasks for the same circuit — repeated shard submissions on a
-#: long-lived pool, re-submitted table2 roster jobs — re-plans at most
-#: once; :data:`_WORKER_STATS` counts the builds so tests can pin that.
-_WORKER_BACKENDS: dict[str, object] = {}
+#: The worker's backend, built from :data:`_WORKER_PAYLOAD` at most once.
+#: A worker runs its pool's initializer once, so it only ever sees one
+#: payload; :data:`_WORKER_STATS` counts the builds so tests can pin that
+#: a long-lived pool serving many shards plans once per worker.
+_WORKER_BACKEND = None
 _WORKER_STATS = {"plans_built": 0}
 
 #: The pool's :class:`~repro.testing.faults.FaultInjector`, if any —
@@ -399,41 +420,47 @@ _WORKER_STATS = {"plans_built": 0}
 _WORKER_INJECTOR = None
 
 
-def _shard_worker_init(payload: bytes, key: str, injector=None) -> None:
+def _shard_worker_init(payload: bytes, injector=None) -> None:
     """Executor initializer: stash the payload; planning happens lazily."""
-    global _WORKER_PAYLOAD, _WORKER_INJECTOR
-    _WORKER_PAYLOAD = (key, payload)
+    global _WORKER_PAYLOAD, _WORKER_BACKEND, _WORKER_INJECTOR
+    _WORKER_PAYLOAD = payload
+    _WORKER_BACKEND = None
     _WORKER_INJECTOR = injector
 
 
-def _worker_backend():
-    """This worker's backend for the pool's circuit, built at most once.
+def _shard_backend(fields: dict):
+    """The backend a shard runs on, built from the payload fields.
 
-    ``min_vector_work=0``: the parent-level crossover guard already decided
-    this workload is large enough for processes, so every shard runs the
-    vectorized sweep (workers carry no scalar engine to fall back to).
-    ``schedule="input"``: the parent's partitioner already cone-clustered
-    the site list, so shards arrive pre-ordered and workers must not
-    permute them again (packed arrays stay aligned with the shard).
+    One constructor for the workers (:func:`_worker_backend`) and the
+    parent's ``on_failure="degrade"`` fallback, so a degraded shard takes
+    the exact code path a worker would and the merged analysis stays
+    bit-identical to a clean sharded run.  ``min_vector_work=0``: the
+    parent-level crossover guard already decided this workload is large
+    enough for processes, so every shard runs the vectorized sweep.  The
+    shipped config's ``schedule="input"``: the parent's partitioner
+    already cone-clustered the site list, so shards arrive pre-ordered
+    and must not be permuted again (packed arrays stay aligned with the
+    shard).
     """
-    key, payload = _WORKER_PAYLOAD
-    backend = _WORKER_BACKENDS.get(key)
-    if backend is None:
-        from repro.core.config import AnalysisConfig
-        from repro.core.epp_batch import BatchEPPBackend
+    from repro.core.config import AnalysisConfig
+    from repro.core.epp_batch import BatchEPPBackend
 
-        data = pickle.loads(payload)
-        config = AnalysisConfig.from_wire(data["config"])
-        backend = BatchEPPBackend(
-            data["compiled"],
-            data["signal_probs"],
-            track_polarity=data["track_polarity"],
-            min_vector_work=0,
-            **config.sweep_kwargs(),
-        )
-        _WORKER_BACKENDS[key] = backend
+    return BatchEPPBackend(
+        fields["compiled"],
+        fields["signal_probs"],
+        track_polarity=fields["track_polarity"],
+        min_vector_work=0,
+        **AnalysisConfig.from_wire(fields["config"]).sweep_kwargs(),
+    )
+
+
+def _worker_backend():
+    """This worker's backend for the pool's circuit, built at most once."""
+    global _WORKER_BACKEND
+    if _WORKER_BACKEND is None:
+        _WORKER_BACKEND = _shard_backend(pickle.loads(_WORKER_PAYLOAD))
         _WORKER_STATS["plans_built"] += 1
-    return backend
+    return _WORKER_BACKEND
 
 
 def _run_shard(
@@ -482,9 +509,8 @@ def _worker_warmup(delay: float) -> int:
     task must land on a *distinct* worker, forcing the executor — which
     spawns processes lazily, on submit — to fork and initialize the whole
     pool now rather than inside the caller's timed region.  Planning is
-    lazy, so the warmup also builds the worker's backend (through the
-    plan cache) before it sleeps: warmed pools never re-plan inside a
-    timed region either.
+    lazy, so the warmup also builds the worker's backend before it
+    sleeps: warmed pools never re-plan inside a timed region either.
     """
     import time
 
@@ -493,8 +519,8 @@ def _worker_warmup(delay: float) -> int:
     return os.getpid()
 
 
-def _worker_cache_stats(delay: float) -> tuple[int, int, int]:
-    """Probe task: ``(pid, plans_built, cached_circuits)`` of one worker.
+def _worker_cache_stats(delay: float) -> tuple[int, int]:
+    """Probe task: ``(pid, plans_built)`` of one worker.
 
     Takes the same barrier delay as :func:`_worker_warmup` so a batch of
     probes lands on distinct workers.
@@ -502,7 +528,7 @@ def _worker_cache_stats(delay: float) -> tuple[int, int, int]:
     import time
 
     time.sleep(delay)
-    return os.getpid(), _WORKER_STATS["plans_built"], len(_WORKER_BACKENDS)
+    return os.getpid(), _WORKER_STATS["plans_built"]
 
 
 # --------------------------------------------------------------------- driver
@@ -544,8 +570,9 @@ class ShardedEPPEngine:
     list by :func:`~repro.core.schedule.cone_cluster_order` before the
     contiguous shard split, so shards (and the chunks inside each
     worker) share fanout cones.  ``retries``/``shard_timeout``/
-    ``on_failure``/``deadline`` set the matching :class:`FaultPolicy`
-    fields (``None`` means "the policy default").
+    ``on_failure``/``deadline`` are the recovery knobs, read from
+    :attr:`config` by the scheduler (:func:`recovery_knobs` fills in the
+    defaults for ``None``).
     ``fault_injector`` is a :class:`~repro.testing.faults.FaultInjector`
     shipped through the pool initializer — test-only machinery for
     staging worker crashes, stalls and transport failures
@@ -562,7 +589,8 @@ class ShardedEPPEngine:
     identical to ``backend="vector"`` — neither sharding, scheduling nor
     any recovery path can reorder any per-site arithmetic.  After each
     sharded call, :attr:`last_outcomes` holds one
-    :class:`~repro.core.resilience.ShardOutcome` audit record per shard.
+    :class:`~repro.core.resilience.ShardOutcome` audit record per shard
+    that ran on the pool or was degraded.
     """
 
     def __init__(
@@ -600,7 +628,6 @@ class ShardedEPPEngine:
         self.prune = resolved.prune
         self.schedule = resolved.schedule
         self.transport = default_transport()
-        self.policy = FaultPolicy.from_config(resolved)
         self.fault_injector = resolved.fault_injector
         #: Directory for the per-shard sweep journal
         #: (:mod:`repro.core.checkpoint`), or ``None`` to disable.  Each
@@ -614,8 +641,10 @@ class ShardedEPPEngine:
         #: ``(shard_index, stored_count)`` after each shard file lands;
         #: the kill-9 chaos test dies here at a deterministic point.
         self._checkpoint_on_store = None
-        #: One :class:`~repro.core.resilience.ShardOutcome` per shard of
-        #: the most recent sharded call (empty until one runs).
+        #: One :class:`~repro.core.resilience.ShardOutcome` per shard that
+        #: ran on the pool or was degraded in the most recent sharded call
+        #: (empty until one runs); shards served from the sweep journal
+        #: are counted in ``stats["checkpoint_shards"]`` instead.
         self.last_outcomes: list[ShardOutcome] = []
         #: Per-engine accounting, reset never.  Wire traffic:
         #: ``shm_shards`` / ``pickle_shards`` count shard results per
@@ -695,11 +724,8 @@ class ShardedEPPEngine:
         #: between a worker's ``export_shm`` and the parent's receive, or
         #: a suspended result generator that never reaches its cleanup.
         self._inflight: set = set()
-        #: Lazily built in-process backend with the *worker's* knobs
-        #: (``min_vector_work=0``, ``schedule="input"``, the worker chunk
-        #: width) for ``on_failure="degrade"`` — degraded shards must run
-        #: the exact code path a worker would, so the merged result stays
-        #: bit-identical to a clean sharded run.
+        #: Lazily built in-process :func:`_shard_backend` for
+        #: ``on_failure="degrade"``.
         self._degraded_backend = None
 
     # ------------------------------------------------------------- lifecycle
@@ -709,19 +735,24 @@ class ShardedEPPEngine:
         """Whether worker processes have been spun up (guard introspection)."""
         return self._pool is not None
 
-    def _worker_config(self):
-        """The :class:`~repro.core.config.AnalysisConfig` worker backends
-        run under: the worker chunk width, the parent-resolved sweep
-        knobs, and ``schedule="input"`` — the parent's partitioner
-        already cone-clustered the site list, so workers must not
-        permute shards again."""
+    def _payload_fields(self) -> dict:
+        """What a shard backend is built from (:func:`_shard_backend`):
+        the circuit, SP vector and polarity flag, plus the wire-format
+        :class:`~repro.core.config.AnalysisConfig` shards run under — the
+        worker chunk width, the parent-resolved sweep knobs, and
+        ``schedule="input"``."""
         from repro.core.config import AnalysisConfig
 
-        return AnalysisConfig(
-            batch_size=self.worker_batch_size,
-            prune=self.prune,
-            schedule="input",
-        )
+        return {
+            "compiled": self.compiled,
+            "signal_probs": self.local.sp,
+            "track_polarity": self.track_polarity,
+            "config": AnalysisConfig(
+                batch_size=self.worker_batch_size,
+                prune=self.prune,
+                schedule="input",
+            ).to_wire(),
+        }
 
     def payload(self) -> bytes:
         """The once-pickled worker payload (cached across pool restarts).
@@ -734,22 +765,16 @@ class ShardedEPPEngine:
         """
         if self._payload is None:
             self._payload = pickle.dumps(
-                {
-                    "compiled": self.compiled,
-                    "signal_probs": self.local.sp,
-                    "track_polarity": self.track_polarity,
-                    "config": self._worker_config().to_wire(),
-                },
-                protocol=pickle.HIGHEST_PROTOCOL,
+                self._payload_fields(), protocol=pickle.HIGHEST_PROTOCOL
             )
         return self._payload
 
     def payload_key(self) -> str:
-        """Content digest of the payload — the worker plan-cache key.
+        """Content digest of the payload — the sweep journal's run key.
 
         Two engines over the same compiled circuit, SP vector and sweep
-        knobs produce the same key, so a worker process that ever serves
-        both (or the same circuit resubmitted) re-plans exactly once.
+        knobs produce the same key, so a checkpoint written by one
+        process resumes in the next (:mod:`repro.core.checkpoint`).
         """
         import hashlib
 
@@ -761,11 +786,7 @@ class ShardedEPPEngine:
                 max_workers=self.jobs,
                 mp_context=preferred_mp_context(),
                 initializer=_shard_worker_init,
-                initargs=(
-                    self.payload(),
-                    self.payload_key(),
-                    self.fault_injector,
-                ),
+                initargs=(self.payload(), self.fault_injector),
             )
         return self._pool
 
@@ -809,14 +830,13 @@ class ShardedEPPEngine:
     def worker_stats(
         self, timeout: float | None = 60.0
     ) -> dict[int, dict[str, int]]:
-        """Per-worker plan-cache counters, probed over the live pool.
+        """Per-worker plan counters, probed over the live pool.
 
-        Returns ``{pid: {"plans_built": n, "cached_circuits": m}}``.  One
-        barrier probe per worker (the :meth:`warm` pattern) so every
-        worker answers for itself; the counters cover the worker's whole
-        lifetime — a worker that served many shards of one circuit
-        reports ``plans_built == 1``, which is what the plan-cache tests
-        pin.  Like :meth:`warm`, ``timeout`` bounds the whole barrier and
+        Returns ``{pid: {"plans_built": n}}``.  One barrier probe per
+        worker (the :meth:`warm` pattern) so every worker answers for
+        itself; the counter covers the worker's whole lifetime — a worker
+        that served many shards reports ``plans_built == 1``, which is
+        what the plan tests pin.  Like :meth:`warm`, ``timeout`` bounds the whole barrier and
         raises :class:`~repro.errors.ShardTimeoutError` instead of
         hanging on a wedged worker.
         """
@@ -842,10 +862,8 @@ class ShardedEPPEngine:
                     timeout=timeout,
                 )
             for future in futures:
-                pid, plans_built, cached = future.result()
-                stats[pid] = {
-                    "plans_built": plans_built, "cached_circuits": cached,
-                }
+                pid, plans_built = future.result()
+                stats[pid] = {"plans_built": plans_built}
             if len(stats) >= self.jobs:
                 break
             delay *= 4
@@ -895,34 +913,6 @@ class ShardedEPPEngine:
             except BaseException:
                 pass
 
-    def _quarantine_segments(self, pids) -> int:
-        """Unlink ``/dev/shm`` segments exported by dead worker ``pids``.
-
-        A worker that died between ``export_shm`` and its future's
-        resolution leaves an orphaned segment no handle will ever reach.
-        Deterministic names (``repro_epp_<pid>_<seq>``) make the orphans
-        findable: everything under a dead pid's prefix is garbage — the
-        parent holds handles only for *delivered* results, which it has
-        already copied out and unlinked.  Returns the number removed.
-        """
-        prefixes = tuple(f"{_SHM_NAME_PREFIX}{pid}_" for pid in pids)
-        if not prefixes or os.name != "posix":
-            return 0
-        try:
-            entries = os.listdir("/dev/shm")
-        except OSError:  # pragma: no cover - no /dev/shm on this host
-            return 0
-        removed = 0
-        for entry in entries:
-            if entry.startswith(prefixes):
-                try:
-                    os.unlink(os.path.join("/dev/shm", entry))
-                    removed += 1
-                except OSError:  # pragma: no cover - concurrent unlink
-                    pass
-        self.stats["quarantined_segments"] += removed
-        return removed
-
     def _respawn_pool(self) -> None:
         """Tear down a broken or wedged pool and quarantine its segments.
 
@@ -930,7 +920,7 @@ class ShardedEPPEngine:
         costs the whole pool: terminate every worker, shut the executor
         down without waiting, and unlink whatever segments the dead pids
         left in ``/dev/shm``.  The pool rebuilds lazily from the cached
-        payload on the next submit; worker plan caches rebuild the same
+        payload on the next submit; worker backends rebuild the same
         way (counted by ``plans_built``).  The caller must have already
         unregistered — and, for delivered results, received — every
         tracked future: after this, their segments are gone.
@@ -950,7 +940,9 @@ class ShardedEPPEngine:
                 process.join(timeout=5.0)
             except Exception:  # pragma: no cover - already reaped
                 pass
-        self._quarantine_segments(processes.keys())
+        self.stats["quarantined_segments"] += reap_orphan_segments(
+            processes.keys()
+        )
         self.stats["respawns"] += 1
 
     def close(self) -> None:
@@ -1109,33 +1101,14 @@ class ShardedEPPEngine:
             except Exception:  # pragma: no cover - already gone
                 pass
 
-    def _degrade_backend(self):
-        """The in-process backend degraded shards run on (built lazily).
-
-        Mirrors :func:`_worker_backend` exactly — ``min_vector_work=0``
-        (no scalar crossover on small shards), ``schedule="input"``
-        (shards arrive pre-cone-ordered), the worker chunk width — so a
-        degraded shard takes the same code path a worker would and the
-        merged analysis stays bit-identical to a clean sharded run.
-        ``self.local`` would not do: its scalar-crossover guard and
-        scheduler could route a small shard differently.
-        """
-        if self._degraded_backend is None:
-            from repro.core.epp_batch import BatchEPPBackend
-
-            self._degraded_backend = BatchEPPBackend(
-                self.compiled,
-                self.local.sp,
-                track_polarity=self.track_polarity,
-                min_vector_work=0,
-                **self._worker_config().sweep_kwargs(),
-            )
-        return self._degraded_backend
-
     def _run_degraded(self, site_ids: list[int], full: bool):
         """One shard on the in-process degrade backend (terminal fallback)."""
         self.stats["degraded_shards"] += 1
-        backend = self._degrade_backend()
+        if self._degraded_backend is None:
+            # Not ``self.local``: its scalar-crossover guard and scheduler
+            # could route a small shard differently from a worker.
+            self._degraded_backend = _shard_backend(self._payload_fields())
+        backend = self._degraded_backend
         if full:
             return backend.pack_sites(site_ids)
         return backend.p_sensitized_many(site_ids)
@@ -1170,8 +1143,10 @@ class ShardedEPPEngine:
         shared-memory segment unlinked, so failed analyses cannot leak
         ``/dev/shm`` space.
         """
-        policy = self.policy
-        countdown = Deadline(policy.deadline)
+        retries, shard_timeout, on_failure, deadline = recovery_knobs(
+            self.config
+        )
+        countdown = Deadline(deadline)
         n = len(shards)
         attempts = [0] * n
         first_start = [0.0] * n
@@ -1236,11 +1211,11 @@ class ShardedEPPEngine:
 
         def record_failure(index: int, error) -> str:
             """One failed attempt: schedule a retry (with backoff) or
-            return ``"degrade"``; raises when the policy says stop."""
-            if policy.on_failure == "raise":
+            return ``"degrade"``; raises when ``on_failure`` says stop."""
+            if on_failure == "raise":
                 raise error
-            if attempts[index] >= policy.max_attempts:
-                if policy.on_failure == "degrade":
+            if attempts[index] > retries:
+                if on_failure == "degrade":
                     return "degrade"
                 raise RetryBudgetExceededError(
                     f"shard {index} failed on all {attempts[index]} "
@@ -1249,7 +1224,7 @@ class ShardedEPPEngine:
                     attempts=attempts[index],
                 ) from error
             self.stats["retries"] += 1
-            ready_at[index] = time.monotonic() + policy.backoff_delay(
+            ready_at[index] = time.monotonic() + backoff_delay(
                 index, attempts[index]
             )
             return "retry"
@@ -1282,12 +1257,12 @@ class ShardedEPPEngine:
                 now = time.monotonic()
                 if countdown.expired():
                     # Global deadline: fail, or finish in-process.
-                    if policy.on_failure != "degrade":
+                    if on_failure != "degrade":
                         unfinished = len(pending) + len(ready_at)
                         raise ShardTimeoutError(
                             f"analysis deadline expired with {unfinished} "
                             f"of {n} shard(s) unfinished",
-                            timeout=policy.deadline,
+                            timeout=deadline,
                         )
                     leftover = sorted(ready_at)
                     ready_at.clear()
@@ -1315,8 +1290,8 @@ class ShardedEPPEngine:
                 # the per-shard deadlines, backoff wakeups and the global
                 # deadline, whichever comes first.
                 marks = []
-                if policy.shard_timeout is not None and started:
-                    marks.append(min(started.values()) + policy.shard_timeout)
+                if shard_timeout is not None and started:
+                    marks.append(min(started.values()) + shard_timeout)
                 if ready_at:
                     marks.append(min(ready_at.values()))
                 remaining = countdown.remaining()
@@ -1367,13 +1342,13 @@ class ShardedEPPEngine:
                         if record_failure(index, error) == "degrade":
                             yield index, degrade(index)
                     continue
-                if policy.shard_timeout is None or not pending:
+                if shard_timeout is None or not pending:
                     continue
                 now = time.monotonic()
                 overdue = [
                     (future, index)
                     for future, index in pending.items()
-                    if now - started[future] >= policy.shard_timeout
+                    if now - started[future] >= shard_timeout
                     and not future.done()
                 ]
                 if not overdue:
@@ -1404,7 +1379,7 @@ class ShardedEPPEngine:
                         f"shard {index} exceeded its deadline",
                         site_ids=shards[index],
                         attempts=attempts[index],
-                        timeout=policy.shard_timeout,
+                        timeout=shard_timeout,
                     )
                     if record_failure(index, error) == "degrade":
                         yield index, degrade(index)
@@ -1433,7 +1408,11 @@ class ShardedEPPEngine:
         *before* it is merged, so a crash between two merges loses at
         most the shard in flight.  Exactly-once merge is preserved: a
         shard comes from the journal or from the pool, never both.
+        :attr:`last_outcomes` is reset here, so a call served wholly from
+        the journal leaves it empty rather than holding the previous
+        call's records.
         """
+        self.last_outcomes = []
         if self.checkpoint is None:
             yield from self._map_shards(shards, full)
             return

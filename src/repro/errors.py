@@ -99,10 +99,10 @@ class ResilienceError(AnalysisError):
 class WorkerCrashError(ResilienceError):
     """A sharded-analysis worker process died mid-shard.
 
-    Raised (or retried, per the engine's
-    :class:`~repro.core.resilience.FaultPolicy`) when the worker pool
-    breaks while a shard is in flight — a killed/OOMed worker, a hard
-    crash in a native kernel, an ``os._exit``.
+    Raised (or retried, per the sharded driver's ``retries`` and
+    ``on_failure`` knobs) when the worker pool breaks while a shard is
+    in flight — a killed/OOMed worker, a hard crash in a native kernel,
+    an ``os._exit``.
     """
 
 
@@ -218,7 +218,7 @@ class DeadlineExceededError(ServerError):
     gave up — though a client may of course submit a fresh request with
     a larger budget.  Raised at the service's admission, queue-dequeue,
     plan-build and merge boundaries; inside a sharded sweep the same
-    budget travels as ``FaultPolicy.deadline`` and surfaces as
+    budget travels as the ``deadline`` knob and surfaces as
     :class:`ShardTimeoutError`, which the service translates back.
     """
 

@@ -49,6 +49,7 @@ from collections import OrderedDict
 
 from repro.core.durable import (
     CorruptRecordError,
+    checksum_of,
     quarantine_file,
     read_record,
     sweep_temp_files,
@@ -76,10 +77,6 @@ def digest_of(*parts) -> str:
     return h.hexdigest()
 
 
-def _checksum(payload: bytes) -> str:
-    return hashlib.blake2b(payload, digest_size=16).hexdigest()
-
-
 def _token_text(token) -> str | None:
     """Mutation tokens serialized for the disk record's JSON header.
 
@@ -95,7 +92,7 @@ class _Entry:
 
     def __init__(self, payload: bytes, token):
         self.payload = payload
-        self.checksum = _checksum(payload)
+        self.checksum = checksum_of(payload)
         self.nbytes = len(payload)
         self.token = token
 
@@ -162,17 +159,7 @@ class ArtifactStore:
             if entry.nbytes > self.max_bytes:
                 self._stats["oversize"] += 1
                 return False
-            self._drop((kind, key))
-            while self._bytes + entry.nbytes > self.max_bytes and self._entries:
-                # Memory eviction is a *demotion* when the disk tier is
-                # on: the file written at put time stays, so the entry
-                # still serves (and re-promotes) from disk.
-                _, evicted = self._entries.popitem(last=False)
-                self._bytes -= evicted.nbytes
-                self._stats["evictions"] += 1
-            self._entries[(kind, key)] = entry
-            self._bytes += entry.nbytes
-            self.quarantined.discard((kind, key))
+            self._promote(kind, key, entry)
             self._disk_put(kind, key, entry)
         return True
 
@@ -205,7 +192,7 @@ class ArtifactStore:
                 self._disk_drop(kind, key)
                 self._stats["stale"] += 1
                 return None
-            if _checksum(entry.payload) != entry.checksum:
+            if checksum_of(entry.payload) != entry.checksum:
                 self._drop((kind, key))
                 self._disk_drop(kind, key)
                 self.quarantined.add((kind, key))
@@ -262,11 +249,17 @@ class ArtifactStore:
             self._bytes -= entry.nbytes
 
     def _promote(self, kind: str, key: str, entry: "_Entry") -> None:
-        """Install a disk-verified entry into the memory tier (LRU end)."""
+        """Install an entry into the memory tier (LRU end), evicting the
+        least-recently-used entries until it fits; an entry bigger than
+        the whole budget is not installed.  Installing rehabilitates a
+        quarantined key."""
         if entry.nbytes > self.max_bytes:
             return
         self._drop((kind, key))
         while self._bytes + entry.nbytes > self.max_bytes and self._entries:
+            # Memory eviction is a *demotion* when the disk tier is on:
+            # the file written at put time stays, so the entry still
+            # serves (and re-promotes) from disk.
             _, evicted = self._entries.popitem(last=False)
             self._bytes -= evicted.nbytes
             self._stats["evictions"] += 1

@@ -71,7 +71,6 @@ OPS = ("ping", "stats", "analyze", "analyze_delta")
 #: per-request concerns and deliberately not knob-reachable from a
 #: socket; ``deadline`` has its own top-level request field).
 from repro.core.config import WIRE_KNOB_KEYS, AnalysisConfig  # noqa: E402
-from repro.core.resilience import check_timeout  # noqa: E402
 
 #: Requests above this size are rejected before JSON parsing: a single
 #: client must not be able to balloon the server's heap with one line.
@@ -166,12 +165,10 @@ def parse_request(obj: dict) -> Request:
     config = AnalysisConfig.from_wire(knobs, strict=True)
     deadline = obj.get("deadline")
     if deadline is not None:
+        # The request budget becomes the sharded ``deadline`` knob, so
+        # the config layer's check (and message) is the one that applies.
         deadline = _field(float, "deadline", deadline)
-        if deadline <= 0.0:
-            raise ConfigError(
-                f"--request-deadline must be > 0 seconds, got {deadline}"
-            )
-        check_timeout("--request-deadline", deadline)
+        AnalysisConfig(deadline=deadline)
     sites = obj.get("sites")
     if sites is not None and not isinstance(sites, list):
         raise ConfigError("'sites' must be a list of site names")

@@ -14,9 +14,9 @@ robustness-first; the moving parts are:
 * **End-to-end deadlines** — each request's budget becomes a
   :class:`~repro.core.resilience.Deadline` at admission and is checked
   at every boundary: queue dequeue, plan build, and result merge.  A
-  dedicated sharded sweep additionally carries the remaining budget
-  into :class:`~repro.core.resilience.FaultPolicy` so the shard
-  scheduler itself stops burning worker time once the caller gave up.
+  dedicated sharded sweep additionally carries the remaining budget in
+  the sharded ``deadline`` knob so the shard scheduler itself stops
+  burning worker time once the caller gave up.
 * **Request coalescing** — identical concurrent ``analyze`` requests
   (same circuit digest, knobs, sites) share one sweep through a single
   future; each subscriber waits under its *own* deadline behind
@@ -749,10 +749,13 @@ class AnalysisService:
         """Resolve request knobs into sweep knobs; returns (knobs, degraded).
 
         A dedicated (non-coalesced) sharded sweep carries the request's
-        remaining budget into ``FaultPolicy.deadline``; shared sweeps
-        run under no per-request policy (subscribers each enforce their
-        own deadline while waiting), keeping the warm pool's policy —
-        and therefore the pool itself — stable across requests.
+        remaining budget in the ``deadline`` knob — or, when none is
+        left, raises :class:`~repro.errors.DeadlineExceededError` at the
+        plan-build boundary (a zero budget is no valid knob value).
+        Shared sweeps run under no per-request deadline (subscribers each
+        enforce their own while waiting), keeping the warm pool's
+        recovery knobs — and therefore the pool itself — stable across
+        requests.
         """
         knobs = dict(req.knobs)
         if (
@@ -781,7 +784,13 @@ class AnalysisService:
         if dedicated:
             # Explicit (possibly None) so a delta re-sweep never inherits
             # a *previous* request's deadline through the snapshot knobs.
-            knobs["deadline"] = deadline.remaining()
+            remaining = deadline.remaining()
+            if remaining is not None and remaining <= 0.0:
+                self.counters["deadline_plan"] += 1
+                raise DeadlineExceededError(
+                    "deadline expired before plan build"
+                )
+            knobs["deadline"] = remaining
         return knobs, False
 
     @staticmethod

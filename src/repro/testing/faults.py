@@ -76,8 +76,8 @@ class FaultSpec:
     converts the spec into a seeded coin flip per ``(shard, attempt)``
     pair — deterministic chaos, for soak tests that want randomized but
     replayable failure schedules.  ``stall_s`` is how long a ``stall``
-    sleeps; make it comfortably larger than the policy's
-    ``shard_timeout`` so the deadline, not the stall, ends the wait.
+    sleeps; make it comfortably larger than the driver's
+    ``shard_timeout`` knob so the deadline, not the stall, ends the wait.
     """
 
     kind: str

@@ -273,6 +273,23 @@ class TestEngineCheckpointResume:
         assert all(np.array_equal(a, b) for a, b in zip(reference, packed))
         assert list((tmp_path / "ck" / "quarantine").iterdir())
 
+    def test_checkpoint_full_resume_resets_last_outcomes(
+        self, tmp_path, s953_engine
+    ):
+        # last_outcomes records the shards that ran on the pool; a call
+        # served wholly from the journal ran none, so it must not keep
+        # showing the previous call's records.
+        engine = s953_engine
+        ids = [engine.compiled.index[s] for s in engine.default_sites()]
+        backend = _sharded(engine, tmp_path / "ck")
+        backend.pack_sites(ids)
+        n_shards = backend.stats["checkpointed_shards"]
+        assert len(backend.last_outcomes) == n_shards
+        backend.pack_sites(ids)
+        assert backend.stats["checkpoint_shards"] == n_shards
+        assert backend.last_outcomes == []
+        backend.close()
+
     def test_checkpoint_knob_reaches_analyze(self, tmp_path):
         # The public path: EPPEngine.analyze(checkpoint=...) threads the
         # directory into the sharded backend, and journaling must not

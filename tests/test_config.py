@@ -164,9 +164,20 @@ class TestValidation:
                                ("deadline", "--request-deadline")]
             for seconds in [float("nan"), float("inf"), 1e300, 9.3e9]
         ),
+        ({"shard_timeout": -1.0}, "--shard-timeout must be > 0 seconds, got "
+                                  "-1.0 (omit the flag to disable the "
+                                  "per-shard deadline)"),
+        ({"deadline": 0.0}, "--request-deadline must be > 0 seconds, got "
+                            "0.0 (omit the flag to disable the global "
+                            "deadline)"),
+        ({"deadline": -2.5}, "--request-deadline must be > 0 seconds, got "
+                             "-2.5 (omit the flag to disable the global "
+                             "deadline)"),
+        ({"on_failure": "panic"}, "unknown on_failure 'panic'; choose from "
+                                  "('retry', 'degrade', 'raise')"),
     ])
     def test_range_errors_keep_the_fault_policy_spelling(self, knobs, message):
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(AnalysisConfigError) as info:
             AnalysisConfig(**knobs)
         assert str(info.value) == message
 

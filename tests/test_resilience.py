@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.analysis import SERAnalyzer
+from repro.core.config import DEFAULT_RETRIES, AnalysisConfig
 from repro.core.epp import EPPEngine
 from repro.core.epp_shard import (
     _SHM_NAME_PREFIX,
@@ -29,8 +30,9 @@ from repro.core.epp_shard import (
     ShardedEPPEngine,
     default_transport,
 )
-from repro.core.resilience import Deadline, FaultPolicy, ShardOutcome
+from repro.core.resilience import Deadline, ShardOutcome, backoff_delay
 from repro.errors import (
+    AnalysisConfigError,
     AnalysisError,
     ConfigError,
     ReproError,
@@ -80,55 +82,60 @@ def s953():
 
 
 class TestFaultPolicy:
+    """The recovery policy: the four ``AnalysisConfig`` knobs (one
+    validator) and the fixed backoff schedule."""
+
     def test_defaults_and_max_attempts(self):
-        policy = FaultPolicy()
-        assert policy.retries == 2
-        assert policy.max_attempts == 3
-        assert policy.on_failure == "retry"
-        assert policy.shard_timeout is None
-        assert policy.deadline is None
+        config = AnalysisConfig()
+        assert config.retries is None and config.on_failure is None
+        assert config.shard_timeout is None and config.deadline is None
+        assert DEFAULT_RETRIES == 2  # three submissions per shard
 
     def test_from_knobs_none_means_default(self):
-        assert FaultPolicy.from_knobs() == FaultPolicy()
-        assert FaultPolicy.from_knobs(retries=0).retries == 0
-        assert FaultPolicy.from_knobs(shard_timeout=1.5).shard_timeout == 1.5
-        assert FaultPolicy.from_knobs(on_failure="degrade").on_failure == "degrade"
+        assert AnalysisConfig.from_knobs() == AnalysisConfig()
+        assert AnalysisConfig.from_knobs(retries=0).retries == 0
+        assert AnalysisConfig.from_knobs(shard_timeout=1.5).shard_timeout == 1.5
+        assert (
+            AnalysisConfig.from_knobs(on_failure="degrade").on_failure
+            == "degrade"
+        )
 
     @pytest.mark.parametrize(
         "bad",
         [
             {"retries": -1},
-            {"backoff_base": -0.1},
-            {"backoff_factor": 0.5},
-            {"jitter": 1.5},
+            # Types are refused by name, never coerced into a valid value.
+            {"retries": True},
+            {"shard_timeout": "1.5"},
+            {"deadline": float("nan")},
             {"shard_timeout": 0.0},
             {"deadline": -1.0},
             {"on_failure": "panic"},
         ],
     )
     def test_validation(self, bad):
-        with pytest.raises(AnalysisError):
-            FaultPolicy(**bad)
+        with pytest.raises(AnalysisConfigError):
+            AnalysisConfig(**bad)
 
     def test_backoff_deterministic_and_bounded(self):
-        policy = FaultPolicy(backoff_base=0.05, backoff_factor=2.0,
-                             backoff_max=0.3, jitter=0.25, seed=7)
-        schedule = [policy.backoff_delay(3, attempt) for attempt in (1, 2, 3, 4)]
-        again = [policy.backoff_delay(3, attempt) for attempt in (1, 2, 3, 4)]
-        assert schedule == again  # a pure function of (policy, shard, attempt)
-        # Exponential below the cap, capped (plus jitter) above it.
+        schedule = [backoff_delay(3, attempt) for attempt in range(1, 9)]
+        again = [backoff_delay(3, attempt) for attempt in range(1, 9)]
+        assert schedule == again  # a pure function of (shard, attempt)
+        # Exponential below the 2 s cap, capped (plus jitter) above it.
         assert 0.05 <= schedule[0] <= 0.05 * 1.25
         assert 0.10 <= schedule[1] <= 0.10 * 1.25
-        assert all(delay <= 0.3 * 1.25 for delay in schedule)
+        assert all(delay <= 2.0 * 1.25 for delay in schedule)
+        assert 2.0 <= schedule[-1]
         # Different shards jitter differently (no retry stampede).
-        assert policy.backoff_delay(0, 1) != policy.backoff_delay(1, 1)
-
-    def test_backoff_without_jitter_is_exact(self):
-        policy = FaultPolicy(backoff_base=0.1, backoff_factor=3.0,
-                             backoff_max=10.0, jitter=0.0)
-        assert policy.backoff_delay(0, 1) == pytest.approx(0.1)
-        assert policy.backoff_delay(0, 2) == pytest.approx(0.3)
-        assert policy.backoff_delay(0, 3) == pytest.approx(0.9)
+        assert backoff_delay(0, 1) != backoff_delay(1, 1)
+        assert backoff_delay(0, 0) == 0.0  # the first submission never waits
+        # The schedule is pinned bit for bit.
+        assert [backoff_delay(0, k) for k in (1, 2, 3, 7)] == [
+            0.05766432639713848,
+            0.11136131446042984,
+            0.2460846173411707,
+            2.371973862816267,
+        ]
 
     def test_deadline_countdown(self):
         unbounded = Deadline(None)
@@ -159,11 +166,10 @@ class TestFaultPolicy:
         ],
     )
     def test_from_knobs_rejects_bad_values_as_config_errors(self, bad):
-        # The knob-resolution path rejects user-facing flag values with
-        # ConfigError naming the flag (the constructor keeps raising
-        # AnalysisError for programmatic misuse — see test_validation).
+        # User-facing flag values are rejected with a ConfigError naming
+        # the flag (AnalysisConfigError is also an AnalysisError).
         with pytest.raises(ConfigError, match="--"):
-            FaultPolicy.from_knobs(**bad)
+            AnalysisConfig.from_knobs(**bad)
 
 
 # ---------------------------------------------------------------- injector
@@ -290,17 +296,26 @@ class TestWorkerCrashRecovery:
                 backend.p_sensitized_many(site_ids)
             assert info.value.site_ids  # carries the shard's sites
 
-    def test_crash_every_attempt_exhausts_budget(self, s953):
+    @pytest.mark.parametrize("retries", [1, None], ids=["retries=1", "default"])
+    def test_crash_every_attempt_exhausts_budget(self, s953, retries):
         engine, site_ids, _ = s953
         injector = FaultInjector(
             specs=(FaultSpec(kind="crash", shard=0, attempt=None),)
         )
         with chaos_backend(
-            engine, fault_injector=injector, retries=1
+            engine, fault_injector=injector, retries=retries
         ) as backend:
             with pytest.raises(RetryBudgetExceededError) as info:
                 backend.p_sensitized_many(site_ids)
-            assert info.value.attempts == 2  # first try + one retry
+            # First try + the retries (DEFAULT_RETRIES when omitted).
+            budget = DEFAULT_RETRIES if retries is None else retries
+            assert info.value.attempts == budget + 1
+            # Each attempt of shard 0 broke the pool once.  (``retries``
+            # counts every in-flight shard a break charged, so it only
+            # bounds the budget from above.)
+            assert backend.stats["worker_crashes"] == budget + 1
+            assert backend.stats["respawns"] == budget + 1
+            assert backend.stats["retries"] >= budget
 
     def test_pool_respawns_from_cached_payload(self, s953):
         """After a crash the next analysis reuses the engine — the pool
@@ -615,21 +630,26 @@ class TestKnobThreading:
     def test_engine_cache_keyed_by_policy(self, s953):
         engine, _, _ = s953
         first = engine.sharded_backend(jobs=2, retries=1)
-        assert first.policy.retries == 1
+        assert first.config.retries == 1
         same = engine.sharded_backend(jobs=2, retries=1)
         assert same is first
         rebuilt = engine.sharded_backend(jobs=2, retries=5)
         assert rebuilt is not first
-        assert rebuilt.policy.retries == 5
-        rebuilt.close()
+        assert rebuilt.config.retries == 5
+        # None means the default: an explicit default reuses the pool.
+        defaulted = engine.sharded_backend(jobs=2)
+        explicit = engine.sharded_backend(jobs=2, retries=DEFAULT_RETRIES)
+        assert explicit is defaulted
+        assert engine.sharded_backend(jobs=2, on_failure="retry") is defaulted
+        defaulted.close()
 
     def test_analyzer_threads_resilience_knobs(self):
         analyzer = SERAnalyzer(generate_iscas("s953"))
         report = analyzer.analyze(jobs=2, retries=1, on_failure="degrade")
         assert report.total_fit > 0
         backend = analyzer.engine._sharded_backend
-        assert backend.policy.retries == 1
-        assert backend.policy.on_failure == "degrade"
+        assert backend.config.retries == 1
+        assert backend.config.on_failure == "degrade"
 
     def test_cli_resilience_flags(self, capsys):
         from repro.cli import main

@@ -218,6 +218,14 @@ class TestProtocol:
         with pytest.raises(ConfigError):
             parse_request(obj)
 
+    def test_parse_request_deadline_message_is_the_config_layers(self):
+        with pytest.raises(ConfigError) as info:
+            parse_request({"op": "analyze", "circuit": "c17", "deadline": 0})
+        assert str(info.value) == (
+            "--request-deadline must be > 0 seconds, got 0.0 (omit the "
+            "flag to disable the global deadline)"
+        )
+
     def test_parse_request_defaults(self):
         req = parse_request({"op": "analyze", "circuit": "c17"})
         assert req.client == "anon" and req.coalesce and not req.fit
@@ -522,6 +530,53 @@ class TestDeadlines:
                         break
                     await asyncio.sleep(0.02)
                 assert svc.counters["deadline_queue"] == 1
+        asyncio.run(main())
+
+    def test_budget_spent_before_a_dedicated_sweep_is_a_deadline_error(
+        self, tmp_path
+    ):
+        """A dedicated sharded sweep whose budget ran out before it
+        started (here: waiting on the circuit's chain lock) fails at the
+        plan-build boundary with DeadlineExceededError — not with the
+        config layer's rejection of a zero ``deadline`` knob — and an
+        in-flight duplicate of the request gets that same answer."""
+        import threading
+
+        async def main():
+            async with serving(tmp_path, jobs=2) as svc:
+                assert (await svc._respond(wire(
+                    op="analyze", circuit="c17",
+                )))["ok"]
+                (state,) = svc._circuits.values()
+                held = threading.Event()
+
+                def hold_chain_lock():
+                    with state.lock:
+                        held.set()
+                        time.sleep(0.6)
+
+                holder = threading.Thread(target=hold_chain_lock)
+                holder.start()
+                held.wait()
+                edits = [["replace_gate", "N10", "nor"]]
+                original = asyncio.create_task(svc._respond(wire(
+                    op="analyze_delta", circuit="c17", edits=edits,
+                    deadline=0.2, idempotency_key="k1",
+                )))
+                await asyncio.sleep(0.05)
+                duplicate = await svc._respond(wire(
+                    op="analyze_delta", circuit="c17", edits=edits,
+                    idempotency_key="k1",
+                ))
+                first = await original
+                holder.join()
+                assert first["error"]["type"] == "DeadlineExceededError"
+                assert duplicate["error"]["type"] == "DeadlineExceededError"
+                assert duplicate["error"]["message"] == (
+                    "deadline expired before plan build"
+                )
+                assert svc.counters["journal_coalesced"] == 1
+                assert svc.counters["deadline_plan"] == 1
         asyncio.run(main())
 
     def test_generous_deadline_succeeds(self, tmp_path, c17_ref):

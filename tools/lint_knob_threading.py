@@ -14,8 +14,8 @@ Allowed exceptions:
 
 * ``core/config.py`` itself (it *is* the knob table);
 * calls whose callee is the config layer (``AnalysisConfig``,
-  ``from_knobs``, ``replace``, ``merged_with``) — building the config
-  object is the point.
+  ``from_knobs``, ``replace``) — building the config object is the
+  point.
 
 Function signatures have no exemptions: an entry point that accepts
 individual knobs takes ``config=None, **knobs`` and funnels them through
@@ -44,9 +44,7 @@ KNOB_SET = frozenset(KNOB_KEYS)
 
 #: Callee names that legitimately take the full knob surface — they are
 #: (or construct) the config layer itself.
-ALLOWED_CALLEES = frozenset(
-    {"AnalysisConfig", "from_knobs", "replace", "merged_with"}
-)
+ALLOWED_CALLEES = frozenset({"AnalysisConfig", "from_knobs", "replace"})
 
 #: Files exempt wholesale.
 SKIP_FILES = frozenset({"src/repro/core/config.py"})
