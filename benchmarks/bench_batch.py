@@ -123,12 +123,11 @@ def test_batch_analyze_speedup(benchmark, circuit_name):
     )
     vector_s = benchmark.stats["min"]
 
-    # Dense reference: the PR-1 execution order (no pruning, contiguous
-    # input-order chunks), warmed like the pedantic measurement above so
-    # the ratio compares execution strategies, not first-call plan build
-    # and state-buffer page faults.
+    # Dense reference: the unpruned full-circuit sweep, warmed like the
+    # pedantic measurement above so the ratio compares execution
+    # strategies, not first-call plan build and state-buffer page faults.
     dense_engine = fresh_engine(circuit_name)
-    dense_kwargs = dict(backend="vector", prune=False, schedule="input")
+    dense_kwargs = dict(backend="vector", prune=False)
     dense_engine.analyze(sites=sites, **dense_kwargs)  # warmup
     t0 = time.perf_counter()
     dense_engine.analyze(sites=sites, **dense_kwargs)

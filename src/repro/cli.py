@@ -87,8 +87,8 @@ def _add_analysis_flags(
                 default="auto", help=meta["doc"],
             )
         elif meta["kind"] == "prune":
-            # The config knob is tri-state (None/auto, True, False); the
-            # CLI exposes only the force-dense side as --no-prune.
+            # Pruning is on by default; the CLI exposes only the dense
+            # reference sweep, as --no-prune.
             parser.add_argument(
                 flag, dest=name, action="store_false", default=None,
                 help=meta["doc"],
@@ -177,7 +177,6 @@ def _build_edit_set(args: argparse.Namespace):
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.core.config import BACKENDS
-    from repro.core.schedule import SCHEDULES
 
     parser = argparse.ArgumentParser(
         prog="repro-ser",
@@ -220,13 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(roster-level parallelism: every row is an independent "
         "measurement, so rows are unchanged — only wall-clock drops; "
         "mutually exclusive with --backend sharded)",
-    )
-    table2.add_argument(
-        "--schedule",
-        choices=SCHEDULES,
-        default="auto",
-        help="chunk scheduling for the vector/sharded backends (auto: "
-        "cone-cluster multi-chunk site lists)",
     )
     table2.add_argument(
         "--no-prune",
@@ -513,8 +505,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             overrides["jobs"] = args.jobs
         if args.circuit_jobs is not None:
             overrides["circuit_jobs"] = args.circuit_jobs
-        if args.schedule != "auto":
-            overrides["schedule"] = args.schedule
         if args.no_prune:
             overrides["prune"] = False
         if overrides:

@@ -10,8 +10,9 @@
 * :mod:`repro.core.rules_vec` / :mod:`repro.core.epp_batch` — the
   vectorized rule kernels and the batched level-parallel NumPy backend
   (``EPPEngine.analyze(backend="vector")``), cone-aware by default:
-  gate groups are sliced to the rows on some chunk member's fanout cone
-  (``prune=``) and chunks are cone-clustered (``schedule=``).
+  each chunk sweeps only the rows on some member's fanout cone
+  (``prune=False`` runs the dense reference sweep) and multi-chunk site
+  lists are cone-clustered.
 * :mod:`repro.core.schedule` — the scheduling layer: the cached per-node
   reachable-sink :class:`~repro.core.schedule.ConeIndex` and the
   cone-clustered site ordering the sparse sweeps feed on.

@@ -1,16 +1,16 @@
 """The unified analysis execution-option layer: one typed knob surface.
 
 Every analysis knob in the system — backend selection, sweep shaping
-(``batch_size``/``prune``/``schedule``),
-sharding (``jobs``) and resilience (``retries``/``shard_timeout``/
-``on_failure``/``deadline``/``fault_injector``/``checkpoint``) — lives on
-one frozen dataclass, :class:`AnalysisConfig`.  Before this module the
-same knob tuple was hand-threaded through eight layers (engine, vector
-and sharded backends, worker payloads, delta analysis, ``SERAnalyzer``,
-the server, the CLI), and every PR that grew the surface re-threaded it
-by hand; each one shipped a seam bug (bool-coerced ``prune="auto"`` in
-workers, ``jobs<1`` bypassing validation, knobs missing from cache
-identities).  Now:
+(``batch_size``/``prune``), sharding (``jobs``) and resilience
+(``retries``/``shard_timeout``/``on_failure``/``deadline``/
+``fault_injector``/``checkpoint``) — lives on one frozen dataclass,
+:class:`AnalysisConfig`.  Before this module the same knob tuple was
+hand-threaded through eight layers (engine, vector and sharded backends,
+worker payloads, delta analysis, ``SERAnalyzer``, the server, the CLI),
+and every PR that grew the surface re-threaded it by hand; each one
+shipped a seam bug (a truthiness-coerced ``prune`` in workers,
+``jobs<1`` bypassing validation, knobs missing from cache identities).
+Now:
 
 * **Validation happens once, at construction.**  Unknown knob names, bad
   values and conflicting combinations (``checkpoint=`` with
@@ -46,7 +46,6 @@ import threading
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
-from repro.core.schedule import SCHEDULES, resolve_prune, validate_schedule
 from repro.errors import AnalysisConfigError
 
 __all__ = [
@@ -61,6 +60,7 @@ __all__ = [
     "WIRE_KNOB_KEYS",
     "WIRE_VERSION",
     "knob_reference",
+    "resolve_prune",
 ]
 
 #: Wire-format version, folded into every :meth:`AnalysisConfig.digest`.
@@ -90,6 +90,24 @@ ON_FAILURE_MODES = ("retry", "degrade", "raise")
 #: Extra attempts per failed shard when ``retries`` is omitted (so a
 #: shard is submitted at most three times).
 DEFAULT_RETRIES = 2
+
+
+def resolve_prune(prune: "bool | None") -> bool:
+    """Normalize the ``prune=`` knob: ``None`` means ``True``.
+
+    The single place the default lives — the backends, the sharded
+    driver and the engine-level cache keys all resolve through here, so
+    they can never disagree about what ``None`` means.  Anything but a
+    bool — a wire string such as ``"false"``, an integer — is rejected
+    rather than coerced by truthiness.
+    """
+    if prune is None:
+        return True
+    if not isinstance(prune, bool):
+        raise AnalysisConfigError(
+            f"prune must be True or False, got {prune!r}"
+        )
+    return prune
 
 
 def _knob(
@@ -152,19 +170,12 @@ class AnalysisConfig:
         doc="Worker processes for the sharded backend (implies "
             "`backend=sharded` when no backend is named).",
     )
-    prune: "bool | str | None" = _knob(
+    prune: bool | None = _knob(
         wire=True, kind="prune", cli="--no-prune", delta=True, sweep=True,
         section="sweep",
-        doc="Row pruning for the sparse sweep: `auto` (default; dense "
-            "fallback on saturated chunks), `True`/`False` to force.  The "
-            "CLI exposes only `--no-prune` (force dense).",
-    )
-    schedule: str | None = _knob(
-        wire=True, kind="choice", cli="--schedule", delta=True, sweep=True,
-        choices=SCHEDULES, section="sweep",
-        doc="Site scheduling: `auto` clusters by fanout cone when the "
-            "site list spans multiple chunks, `cone` always clusters, "
-            "`input` preserves caller order.",
+        doc="Row pruning: omitted or `True` sweeps each chunk's compacted "
+            "union of fanout cones; `False` runs the dense reference "
+            "sweep (`--no-prune`).  Bit-identical either way.",
     )
     retries: int | None = _knob(
         wire=True, kind="int", cli="--retries", sharded_only=True,
@@ -237,7 +248,6 @@ class AnalysisConfig:
                 f"batch_size must be >= 1, got {self.batch_size}"
             )
         resolve_prune(self.prune)
-        validate_schedule(self.schedule)
         if self.backend is not None and self.backend not in BACKENDS:
             raise AnalysisConfigError(
                 f"unknown EPP backend {self.backend!r}; choose from {BACKENDS}"
@@ -380,19 +390,14 @@ class AnalysisConfig:
         return "vector"
 
     def resolved(self) -> "AnalysisConfig":
-        """A copy with the sweep knobs normalized (``None`` -> ``auto``).
+        """A copy with ``prune`` normalized (``None`` -> ``True``).
 
-        The one resolution point (the satellite-2 dedup): the sharded
-        parent, its workers and the engine cache keys all normalize
-        through here instead of each calling ``resolve_prune`` /
-        ``validate_*`` on their own.  Idempotent — resolving a resolved
-        config is a no-op, so parent-resolved values shipped to workers
-        survive the worker's own resolve.
+        The one resolution point: the sharded parent, its workers and
+        the engine cache keys all normalize through here.  Idempotent —
+        resolving a resolved config is a no-op, so parent-resolved
+        values shipped to workers survive the worker's own resolve.
         """
-        return self.replace(
-            prune=resolve_prune(self.prune),
-            schedule=validate_schedule(self.schedule),
-        )
+        return self.replace(prune=resolve_prune(self.prune))
 
     # ----------------------------------------------------- serialization
 

@@ -381,12 +381,9 @@ class EPPEngine:
             resolved.batch_size if resolved.batch_size is not None
             else default_batch_size(self.compiled.n),
             resolved.prune,
-            resolved.schedule,
         )
         local = self._vector_backend
-        if local is None or (
-            local.batch_size, local.prune, local.schedule,
-        ) != effective:
+        if local is None or (local.batch_size, local.prune) != effective:
             local = BatchEPPBackend(
                 self.compiled,
                 self._sp,
@@ -463,12 +460,12 @@ class EPPEngine:
         """The batched NumPy backend bound to this engine (public access).
 
         Takes an :class:`~repro.core.config.AnalysisConfig` or the sweep
-        knobs (``batch_size=``, ``prune=``, ``schedule=``), never both;
-        sharded-only knobs (``jobs=``, ``retries=``, ...) are refused.
-        Exposes the backend's bulk queries (``p_sensitized_many``,
-        ``analyze_sites``) and tuning knobs (``min_vector_work``) without
-        reaching into engine internals.  The instance is cached per
-        effective (batch size, prune, schedule) configuration.
+        knobs (``batch_size=``, ``prune=``), never both; sharded-only
+        knobs (``jobs=``, ``retries=``, ...) are refused.  Exposes the
+        backend's bulk queries (``p_sensitized_many``, ``analyze_sites``)
+        and tuning knobs (``min_vector_work``) without reaching into
+        engine internals.  The instance is cached per effective
+        (batch size, prune) configuration.
         """
         self._check_current()
         config = AnalysisConfig.from_args(config, knobs)
@@ -483,11 +480,13 @@ class EPPEngine:
         next sharded call pays full pool respawn and per-worker
         re-planning — call this between sharded analyses only when the
         memory matters more than that latency.  Per-site scalar queries
-        are unaffected."""
-        if self._vector_backend is not None:
-            self._vector_backend.release_buffers()
-        if self._sharded_backend is not None:
-            self._sharded_backend.close()
+        are unaffected.  Waits for a running sweep to finish: the buffers
+        it frees are the ones that sweep is writing."""
+        with self._sweep_lock:
+            if self._vector_backend is not None:
+                self._vector_backend.release_buffers()
+            if self._sharded_backend is not None:
+                self._sharded_backend.close()
 
     def _analyze_sites(
         self, sites: Sequence[int | str], backend: str, config: AnalysisConfig
@@ -532,21 +531,16 @@ class EPPEngine:
         spin-up — the sharded driver's crossover guard routes them to the
         in-process vector path.
 
-        ``prune`` toggles the cone-aware sparse sweep (default ``"auto"``:
-        every gate group is sliced to the rows on some chunk member's
-        fanout cone — bit-identical, just less work — with a dense
-        fallback for chunks whose union-of-cones saturates a small
-        circuit, where pruning is measured overhead) and ``schedule``
-        picks the chunk scheduling strategy
-        (``"auto"``/``"cone"``/``"input"``; the default cone-clusters
-        multi-chunk site lists so chunks share fanout cones and the
-        pruned sweep's unions stay small).  Both apply to the vector and
-        sharded backends; the scalar path ignores them (it is already
-        per-cone by construction).  Pruned chunks run on compacted
-        union-of-cones state matrices and compute only the on-path cells
-        of sufficiently sparse gate groups; chunk widths follow one
-        calibrated policy.  All of it is bit-identical: the knobs change
-        how much is computed, never any value.
+        ``prune`` toggles the cone-aware sparse sweep (default on: every
+        chunk runs on its compacted union-of-cones state matrix and
+        computes only the on-path cells of sufficiently sparse gate
+        groups; ``False`` runs the dense reference sweep).  It applies to
+        the vector and sharded backends; the scalar path ignores it (it
+        is already per-cone by construction).  Site lists spanning more
+        than one chunk are cone-clustered, so chunks share fanout cones
+        and the pruned sweep's unions stay small; chunk widths follow
+        one calibrated policy.  All of it is bit-identical: pruning and
+        clustering change how much is computed, never any value.
 
         The resilience knobs apply to the sharded backend only (like
         ``jobs``): ``retries`` is the extra attempts allowed per failed

@@ -19,7 +19,7 @@ sites of a chunk at once:
   ``(n_nodes, 4, batch_size)`` state matrix stays memory-bounded on
   20k+-gate circuits, and on multi-core hosts the NumPy sweep of the next
   chunk overlaps the Python-side result packaging of the previous one;
-* the sweep is *cone-aware* (``prune="auto"``, the default): each chunk
+* the sweep is *cone-aware* (``prune``, on by default): each chunk
   runs on a *compacted state matrix* holding only its union-of-cones
   rows — plus the fanin rows those gates read and the sentinel rows —
   through a cached per-chunk row remap
@@ -28,10 +28,8 @@ sites of a chunk at once:
   minimum site level are skipped outright, and the sink reduction walks
   only the sinks the chunk can reach.  Each retained row computes
   exactly what the dense sweep computed, so the pruned sweep is
-  bit-identical to the dense one.  ``"auto"`` also runs the *dense
-  fallback*: chunks whose union-of-cones signature covers most sinks of
-  a small circuit (pruning can only discover that everything is active)
-  skip the bookkeeping and sweep the full ``(n + 2, 4, s)`` matrix;
+  bit-identical to the dense ``prune=False`` reference sweep over the
+  full ``(n + 2, 4, s)`` matrix;
 * inside active rows the sweep is *cell-compacted*: on clustered chunks
   only a few percent of an active row's columns are on-path, so groups
   below the calibrated density threshold gather exactly their on-path
@@ -40,12 +38,10 @@ sites of a chunk at once:
   and scatter the block back — bit-identical again, the kernels run the
   same elementwise IEEE ops per computed cell;
 * which sites share a chunk is decided by the scheduling layer
-  (:mod:`repro.core.schedule`): ``schedule="cone"`` (the ``auto`` default
-  for multi-chunk calls) clusters sites with overlapping fanout cones so
-  each chunk's union-of-cones — the pruned sweep's cost — stays small;
-  ``schedule="input"`` keeps the caller's order (the pre-scheduling
-  contiguous chunking).  Scheduling is a pure permutation; results are
-  always returned in input order.
+  (:mod:`repro.core.schedule`): every call spanning more than one chunk
+  clusters sites with overlapping fanout cones, so each chunk's
+  union-of-cones — the pruned sweep's cost — stays small.  Scheduling is
+  a pure permutation; results are always returned in input order.
 
 Results are bit-compatible with the scalar engine up to floating-point
 reassociation (the per-sink survival product and per-group reductions run
@@ -65,18 +61,10 @@ from itertools import starmap
 import numpy as np
 
 from repro.errors import AnalysisError
+from repro.core.config import resolve_prune
 from repro.core.fourvalue import EPPValue
 from repro.core.rules_vec import compact_rule_for, gather_rule_for
-from repro.core.schedule import (
-    PRUNE_AUTO_MAX_NODES,
-    ChunkCache,
-    chunk_cache_key,
-    chunk_prune_saturated,
-    cone_cluster_order,
-    resolve_prune,
-    resolve_schedule,
-    validate_schedule,
-)
+from repro.core.schedule import ChunkCache, chunk_cache_key, cone_cluster_order
 from repro.netlist.circuit import CompiledCircuit
 from repro.netlist.gate_types import (
     CODE_AND,
@@ -125,16 +113,15 @@ _MIN_VECTOR_WORK = 50_000
 _CELL_FACTOR_CLOSED = 4
 _CELL_FACTOR_TABLE = 2
 
-#: Chunk-width multiplier (halves) when every chunk is guaranteed a
-#: *compacted* sweep (pruning cannot fall back to dense): the PR-4
-#: calibration pinned full-width chunks because each extra chunk cost
-#: ~40-80 ms of width-independent overhead, most of it the full-template
-#: restore — which compacted state matrices (and their reusable arenas)
-#: eliminate outright, so the same budget buys wider chunks without the
-#: full-row memory blow-up.  Measured on s9234/s38417 full-circuit runs,
-#: 1.5x is the sweet spot (8-9% over full width; by 3x the growing
-#: per-chunk unions overtake the saved fixed costs and clustered
-#: workloads regress outright).  ``_compact_spans`` still splits any
+#: Chunk-width multiplier (halves) for pruned backends, whose every
+#: chunk sweeps *compacted*: the PR-4 calibration pinned full-width
+#: chunks because each extra chunk cost ~40-80 ms of width-independent
+#: overhead, most of it the full-template restore — which compacted
+#: state matrices (and their reusable arenas) eliminate outright, so the
+#: same budget buys wider chunks without the full-row memory blow-up.
+#: Measured on s9234/s38417 full-circuit runs, 1.5x is the sweet spot
+#: (8-9% over full width; by 3x the growing per-chunk unions overtake
+#: the saved fixed costs and clustered workloads regress outright).  ``_compact_spans`` still splits any
 #: span whose measured union-of-cones footprint would exceed
 #: ``_STATE_BYTES_TARGET``.
 _COMPACT_WIDTH_HALVES = 3  # x1.5
@@ -278,9 +265,8 @@ class BatchPlan:
         self.node_level = np.asarray(compiled.level, dtype=np.intp)
         self.sink_ids = np.asarray(compiled.sink_ids, dtype=np.intp)
         self.sink_names = [compiled.names[s] for s in compiled.sink_ids]
-        #: Per-chunk derived artifacts, shared by every backend over this
-        #: circuit: compacted-row plans (key prefix ``rows:``) and the
-        #: ``prune="auto"`` saturation verdicts (``sat:``).  Bounded FIFO.
+        #: Compacted-row plans per chunk, shared by every backend over
+        #: this circuit.  Bounded FIFO.
         self.chunk_cache = ChunkCache()
 
     def compact_chunk_plan(self, site_ids: np.ndarray) -> CompactChunkPlan:
@@ -293,9 +279,9 @@ class BatchPlan:
         index arrays.  Built through ``get_or_create`` so concurrent
         sweeps of the same chunk construct exactly one plan.
         """
-        key = b"rows:" + chunk_cache_key(site_ids)
         return self.chunk_cache.get_or_create(
-            key, lambda: self._build_compact_chunk_plan(site_ids)
+            chunk_cache_key(site_ids),
+            lambda: self._build_compact_chunk_plan(site_ids),
         )
 
     def _build_compact_chunk_plan(self, site_ids: np.ndarray) -> CompactChunkPlan:
@@ -380,31 +366,24 @@ class BatchEPPBackend:
         ``callable(site_id) -> EPPResult`` used below the crossover
         (normally ``EPPEngine.node_epp``).
     prune:
-        Cone-aware sparse sweeps: each chunk runs on its compacted
-        union-of-cones state matrix (:meth:`BatchPlan.compact_chunk_plan`)
-        and skips levels at or below its minimum site level.  ``None``
-        (the default) resolves to ``"auto"``: prune unless the chunk's
-        union-of-cones signature predicts a saturated sweep (small
-        circuit, most sinks covered — the regime where `BENCH_pr3.json`
-        measured pruning slower than dense), in which case the chunk runs
-        the dense sweep.  ``True`` forces pruning everywhere; ``False``
-        restores the dense full-circuit sweep (the reference for the
-        benchmarks).  All three are bit-identical — the knobs change
+        Cone-aware sparse sweeps (``None``, the default, means ``True``):
+        each chunk runs on its compacted union-of-cones state matrix
+        (:meth:`BatchPlan.compact_chunk_plan`) and skips levels at or
+        below its minimum site level.  ``False`` runs the dense
+        full-circuit sweep, the reference the tests and benchmarks
+        compare against.  Both are bit-identical — the knob changes
         *which rows compute*, never their values.
-    schedule:
-        Chunk scheduling strategy (see :mod:`repro.core.schedule`):
-        ``"auto"`` (default, also ``None``) cone-clusters multi-chunk site
-        lists, ``"cone"`` always clusters, ``"input"`` keeps caller order.
 
-    Pruned sweeps pick a kernel tier per gate group: a group whose
-    on-path cell count times the kernel's calibrated cost factor is
-    below its dense cell count gathers only the on-path (row, column)
-    cells and computes them through the compacted kernels of
-    :func:`~repro.core.rules_vec.compact_rule_for`; denser groups run the
-    row kernels.  Chunk widths follow one calibrated policy
-    (:meth:`_chunk_spans`).  Tests force the tier choice through the
-    private ``_cells`` attribute (``"auto"``, ``"on"`` or ``"off"``);
-    every setting is bit-identical.
+    Every call spanning more than one chunk is cone-clustered
+    (:meth:`_schedule_order`).  Pruned sweeps pick a kernel tier per
+    gate group: a group whose on-path cell count times the kernel's
+    calibrated cost factor is below its dense cell count gathers only
+    the on-path (row, column) cells and computes them through the
+    compacted kernels of :func:`~repro.core.rules_vec.compact_rule_for`;
+    denser groups run the row kernels.  Chunk widths follow one
+    calibrated policy (:meth:`_chunk_spans`).  Tests force the tier
+    choice through the private ``_cells`` attribute (``"auto"``,
+    ``"on"`` or ``"off"``); every setting is bit-identical.
     """
 
     def __init__(
@@ -416,7 +395,6 @@ class BatchEPPBackend:
         min_vector_work: int = _MIN_VECTOR_WORK,
         scalar_fallback=None,
         prune: bool | None = None,
-        schedule: str | None = None,
     ):
         self.compiled = compiled
         self.plan = BatchPlan.for_compiled(compiled)
@@ -431,18 +409,16 @@ class BatchEPPBackend:
         self.min_vector_work = min_vector_work
         self.scalar_fallback = scalar_fallback
         self.prune = resolve_prune(prune)
-        self.schedule = validate_schedule(schedule)
         #: The cell-tier test hook: ``"auto"`` runs the per-group cost
         #: model, ``"on"`` compacts every partially-on-path group, ``"off"``
         #: keeps the row kernels.  Not an analysis knob — every setting is
         #: bit-identical, and only tests pinning that set it.
         self._cells = "auto"
         #: Cumulative execution counters, updated by every sweep: chunk
-        #: accounting (``chunks``; ``dense_fallback_sweeps`` — chunks
-        #: ``prune="auto"`` ran dense;
-        #: ``compact_sweeps`` / ``compact_rows`` — sweeps on compacted
-        #: union-of-cones state matrices and the total compact rows they
-        #: allocated, vs ``n + 2`` per dense sweep),
+        #: accounting (``chunks``; ``compact_sweeps`` / ``compact_rows`` —
+        #: sweeps on compacted union-of-cones state matrices and the
+        #: total compact rows they allocated, vs ``n + 2`` per dense
+        #: sweep),
         #: per-tier group counts (``groups_dense`` / ``groups_row`` /
         #: ``groups_cell``) and cell accounting over *pruned* groups
         #: (``cells_on`` on-path cells, ``cells_total`` cells spanned,
@@ -452,7 +428,6 @@ class BatchEPPBackend:
         #: pruned groups alone.
         self.sweep_stats = {
             "sweeps": 0,
-            "dense_fallback_sweeps": 0,
             "compact_sweeps": 0,
             "compact_rows": 0,
             "chunks": 0,
@@ -533,23 +508,6 @@ class BatchEPPBackend:
         mask[:] = False
         return state[:, :, :s], mask[:, :s]
 
-    def _chunk_saturated(self, site_ids: np.ndarray) -> bool:
-        """The ``prune="auto"`` saturation verdict, memoized per chunk.
-
-        :func:`~repro.core.schedule.chunk_prune_saturated` walks the cone
-        signatures of every site; the verdict depends only on the compiled
-        circuit and the chunk, so it lives in the plan's shared chunk
-        cache — repeated sweeps of the same chunk (and the whole-call
-        check of :meth:`_schedule_order`) pay the walk once.
-        """
-        key = b"sat:" + chunk_cache_key(site_ids)
-        # get_or_create, not get/put: the verdict is a plain bool (False
-        # is a valid cached value), and concurrent sweeps of one chunk
-        # must agree on a single walk.
-        return self.plan.chunk_cache.get_or_create(
-            key, lambda: chunk_prune_saturated(self.compiled, site_ids)
-        )
-
     def _sweep(self, site_ids: np.ndarray, slot: int = 0):
         """One level-synchronized pass for a chunk of sites.
 
@@ -560,17 +518,8 @@ class BatchEPPBackend:
         plan's ``(sink_rows, sink_positions)`` pair for compacted sweeps
         (state is ``(n_rows, 4, s)`` over the union-of-cones remap).
         """
-        stats = self.sweep_stats
-        stats["sweeps"] += 1
-        prune = self.prune
-        if prune == "auto":
-            # The bench-calibrated dense fallback: a chunk whose union of
-            # cones covers most sinks of a small circuit prunes nothing
-            # and pays the per-group bookkeeping anyway — run it dense.
-            prune = not self._chunk_saturated(site_ids)
-            if not prune:
-                stats["dense_fallback_sweeps"] += 1
-        if prune:
+        self.sweep_stats["sweeps"] += 1
+        if self.prune:
             return self._sweep_compact(
                 site_ids, self.plan.compact_chunk_plan(site_ids), slot
             )
@@ -766,10 +715,9 @@ class BatchEPPBackend:
     def release_buffers(self) -> None:
         """Free the chunk-width state matrices (template, constants, the
         double-buffered dense sweep/mask pairs and the compacted-sweep
-        arenas) plus the plan's cached per-chunk artifacts
-        (compacted-row remaps, saturation verdicts).  Everything is
-        rebuilt lazily on the next sweep, so this is always safe to call
-        between analyses on long-lived engines/analyzers."""
+        arenas) plus the plan's cached compacted-row remaps.  Everything
+        is rebuilt lazily on the next sweep, so this is always safe to
+        call between analyses on long-lived engines/analyzers."""
         self._template = None
         self._const = None
         self._buffer_slots.clear()
@@ -781,47 +729,38 @@ class BatchEPPBackend:
     def _schedule_order(self, ids: np.ndarray):
         """The sweep permutation for one call, or ``None`` for input order.
 
-        Resolves the backend's ``schedule`` knob against this call's site
-        count (``auto`` clusters only multi-chunk calls) and returns
-        ``order`` with ``order[j]`` = input position of the ``j``-th site
-        to sweep.  Scheduling cannot change any per-site result — every
-        column is computed independently — so callers restore input order
-        after the sweep.
+        Calls spanning more than one chunk are cone-clustered (within a
+        single chunk the sweep visits the union of all cones whatever the
+        order); ``order[j]`` is the input position of the ``j``-th site
+        to sweep.  An order that is already increasing comes back as
+        ``None`` — a sharded worker's shard is a contiguous run of the
+        parent's stable cone sort, so it sweeps exactly as it arrived.
+        Scheduling cannot change any per-site result — every column is
+        computed independently — so callers restore input order after the
+        sweep.
         """
-        if len(ids) < 2:
+        if len(ids) <= self.batch_size:
             return None
-        strategy = resolve_schedule(self.schedule, len(ids), self.batch_size)
-        if strategy != "cone":
+        order = cone_cluster_order(self.compiled, ids)
+        if (order[1:] > order[:-1]).all():
             return None
-        if (
-            self.schedule == "auto"
-            and self.prune == "auto"
-            and self._chunk_saturated(ids)
-        ):
-            # The whole call saturates a small circuit: every chunk will
-            # take the dense fallback regardless of which sites share it,
-            # so the cluster sort (and the packed-result reorder it
-            # forces) is pure overhead — exactly the s953/s1423
-            # regression BENCH_pr3.json measured.  Explicit
-            # schedule="cone" or prune=True still cluster.
-            return None
-        return cone_cluster_order(self.compiled, ids)
+        return order
 
     def _chunk_spans(self, ids: np.ndarray) -> list[tuple[int, int]]:
         """The ``(start, stop)`` spans one bulk call sweeps, in order.
 
         The calibrated policy: flat ``batch_size`` slicing, widened by
-        :meth:`_compact_spans` when every chunk is guaranteed a compacted
-        sweep.  Measured on the s9234/s38417 workloads (the single-core
-        record in ``BENCH_pr4.json``), every extra chunk costs ~40-80 ms
-        of width-independent overhead — group dispatch, the per-chunk
+        :meth:`_compact_spans` when the backend prunes.  Measured on the
+        s9234/s38417 workloads (the single-core record in
+        ``BENCH_pr4.json``), every extra chunk costs ~40-80 ms of
+        width-independent overhead — group dispatch, the per-chunk
         sink reduction, and for dense sweeps the full-template restore —
         which consistently outweighs the smaller unions a narrower or
         cluster-aligned split buys, so chunks are never cut below
         ``batch_size``.  Any span partition is bit-identical per site.
         """
         n = len(ids)
-        if n > self.batch_size and self._compact_guaranteed():
+        if n > self.batch_size and self.prune:
             spans = self._compact_spans(ids)
         else:
             spans = [
@@ -831,22 +770,8 @@ class BatchEPPBackend:
         self.sweep_stats["chunks"] += len(spans)
         return spans
 
-    def _compact_guaranteed(self) -> bool:
-        """Whether *every* chunk of this backend is certain to sweep on a
-        compacted state matrix — the precondition for the wide-chunk
-        policy.  ``prune="auto"`` qualifies only on circuits at or above
-        :data:`~repro.core.schedule.PRUNE_AUTO_MAX_NODES`, where the
-        saturated dense fallback (which needs full-width buffers) can
-        never fire."""
-        if self.prune is True:
-            return True
-        return (
-            self.prune == "auto"
-            and self.compiled.n >= PRUNE_AUTO_MAX_NODES
-        )
-
     def _compact_spans(self, ids: np.ndarray) -> list[tuple[int, int]]:
-        """Wide fixed spans for guaranteed-compacted sweeps.
+        """Wide fixed spans for compacted sweeps.
 
         The PR-4 calibration kept chunks at ``batch_size`` because each
         extra chunk paid a width-independent restore of the full
@@ -875,9 +800,7 @@ class BatchEPPBackend:
                 # A rejected candidate will never be swept: evict its plan
                 # so dead oversized remaps don't crowd live per-chunk
                 # plans out of the FIFO cache.
-                self.plan.chunk_cache.discard(
-                    b"rows:" + chunk_cache_key(span_ids)
-                )
+                self.plan.chunk_cache.discard(chunk_cache_key(span_ids))
                 stop = start + max(self.batch_size, (stop - start) // 2)
             spans.append((start, stop))
             start = stop

@@ -31,12 +31,12 @@ Design
   objects while the remaining shards are still sweeping, so result
   packaging overlaps worker compute exactly as the single-process
   pipeline overlapped sweep and collect.
-* **Cone-clustered shards.**  The site list is ordered by
-  :func:`~repro.core.schedule.cone_cluster_order` before the contiguous
-  partition (``schedule="auto"``/``"cone"``), so each shard's sites share
-  fanout cones and every worker's cone-aware sparse sweep
-  (``prune=True``, forwarded to worker backends) prunes dense chunks.
-  Results are restored to input order in the parent.
+* **Cone-clustered shards.**  A site list spanning more than one worker
+  chunk is ordered by :func:`~repro.core.schedule.cone_cluster_order`
+  before the contiguous partition, so each shard's sites share fanout
+  cones and every worker's cone-aware sparse sweep (``prune``, forwarded
+  to worker backends) prunes dense chunks.  Results are restored to
+  input order in the parent.
 * **Column independence makes sharding exact.**  Every site occupies its
   own state-matrix column and no kernel mixes columns, so neither the
   shard partition nor the cone-clustered permutation can change any
@@ -436,11 +436,10 @@ def _shard_backend(fields: dict):
     the exact code path a worker would and the merged analysis stays
     bit-identical to a clean sharded run.  ``min_vector_work=0``: the
     parent-level crossover guard already decided this workload is large
-    enough for processes, so every shard runs the vectorized sweep.  The
-    shipped config's ``schedule="input"``: the parent's partitioner
-    already cone-clustered the site list, so shards arrive pre-ordered
-    and must not be permuted again (packed arrays stay aligned with the
-    shard).
+    enough for processes, so every shard runs the vectorized sweep.  A
+    shard is a contiguous run of the parent's cone-clustered order, so
+    the backend's own scheduler finds nothing to reorder and sweeps it
+    as it arrived.
     """
     from repro.core.config import AnalysisConfig
     from repro.core.epp_batch import BatchEPPBackend
@@ -565,9 +564,9 @@ class ShardedEPPEngine:
     ``jobs``.  ``prune`` is forwarded to the local backend and through
     the payload to every worker backend (workers run the same compacted
     union-of-cones sweeps, and their packed results — flat arrays —
-    ship through shared memory unchanged); ``schedule`` drives the
-    *parent-side* partitioner — ``"auto"``/``"cone"`` orders the site
-    list by :func:`~repro.core.schedule.cone_cluster_order` before the
+    ship through shared memory unchanged).  The *parent-side*
+    partitioner orders a site list spanning more than one worker chunk
+    by :func:`~repro.core.schedule.cone_cluster_order` before the
     contiguous shard split, so shards (and the chunks inside each
     worker) share fanout cones.  ``retries``/``shard_timeout``/
     ``on_failure``/``deadline`` are the recovery knobs, read from
@@ -616,7 +615,7 @@ class ShardedEPPEngine:
             backend="sharded",
         ).resolved()
         #: The validated :class:`~repro.core.config.AnalysisConfig` this
-        #: driver runs under (sweep knobs resolved, ``None`` -> auto).
+        #: driver runs under (``prune`` resolved, ``None`` -> ``True``).
         self.config = resolved
         self.compiled = compiled
         self.jobs = (
@@ -626,7 +625,6 @@ class ShardedEPPEngine:
         self.track_polarity = track_polarity
         self.min_process_work = min_process_work
         self.prune = resolved.prune
-        self.schedule = resolved.schedule
         self.transport = default_transport()
         self.fault_injector = resolved.fault_injector
         #: Directory for the per-shard sweep journal
@@ -739,8 +737,7 @@ class ShardedEPPEngine:
         """What a shard backend is built from (:func:`_shard_backend`):
         the circuit, SP vector and polarity flag, plus the wire-format
         :class:`~repro.core.config.AnalysisConfig` shards run under — the
-        worker chunk width, the parent-resolved sweep knobs, and
-        ``schedule="input"``."""
+        worker chunk width and the parent-resolved ``prune``."""
         from repro.core.config import AnalysisConfig
 
         return {
@@ -750,7 +747,6 @@ class ShardedEPPEngine:
             "config": AnalysisConfig(
                 batch_size=self.worker_batch_size,
                 prune=self.prune,
-                schedule="input",
             ).to_wire(),
         }
 
@@ -1018,24 +1014,21 @@ class ShardedEPPEngine:
     def _shards(self, site_ids: list[int]) -> tuple[list[list[int]], list[list[int]]]:
         """Partition into ``(shards, position_shards)``.
 
-        ``schedule="auto"``/``"cone"`` orders the site list by cone
+        A site list spanning more than one chunk is ordered by cone
         signature first (:func:`~repro.core.schedule.cone_cluster_order`),
         so the contiguous split hands each worker sites with overlapping
         fanout cones — the layout the workers' pruned sweeps want.
         ``position_shards`` carries each shard member's position in the
         caller's input order, which is how results find their way back.
         """
-        from repro.core.schedule import cone_cluster_order, resolve_schedule
+        from repro.core.schedule import cone_cluster_order
 
         positions = list(range(len(site_ids)))
-        # Resolve "auto" against the *worker* chunk width, not the larger
+        # Measured against the *worker* chunk width, not the larger
         # in-process width: workers sweep in worker_batch_size chunks (and
         # shards are smaller still), so clustering pays exactly when the
         # site list spans more than one worker chunk.
-        strategy = resolve_schedule(
-            self.schedule, len(site_ids), self.worker_batch_size
-        )
-        if strategy == "cone" and len(site_ids) > 1:
+        if len(site_ids) > self.worker_batch_size:
             order = cone_cluster_order(self.compiled, site_ids)
             positions = [int(position) for position in order]
         n_shards = self.jobs * _SHARDS_PER_WORKER

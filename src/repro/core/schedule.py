@@ -8,7 +8,7 @@ site list mixes cones from all over the circuit and the union saturates,
 while a chunk of sites that feed the same outputs keeps the union (and
 the per-level kernel calls) small.
 
-This module provides the two pieces of that scheduling layer:
+This module provides the pieces of that scheduling layer:
 
 * :class:`ConeIndex` — per-node *reachable-sink signatures*: for every
   node, the set of observable sinks (primary outputs and flip-flop D
@@ -21,110 +21,31 @@ This module provides the two pieces of that scheduling layer:
   sites by cone signature (dominant sink first, full signature as the
   tiebreak), so sites with overlapping cones land in the same chunk and
   the sparse sweep's row-prune density is maximized.
-* :func:`chunk_prune_saturated` — the dense-fallback cost model: on small
-  circuits whose chunk union covers most observable sinks, row pruning
-  can only discover that nearly every row is active, so its per-group
-  overhead (the reachability test and the fancy-indexed slices) exceeds
-  the rows it saves and ``prune="auto"`` runs the chunk dense instead.
 * :class:`ChunkCache` + :func:`chunk_cache_key` — the per-chunk memo the
-  batch plan hangs its derived chunk artifacts on: the saturation verdict
-  above (computed once per distinct site chunk, reused across repeated
-  sweeps *and* by the whole-call cluster-sort fallback that consults the
-  same predicate) and the compacted-row plans of PR 5 (the union-of-cones
-  row remap a compacted sweep indexes instead of the full state matrix).
+  batch plan hangs its compacted-row plans on (the union-of-cones row
+  remap a compacted sweep indexes instead of the full state matrix).
   Bounded FIFO so pathological callers cycling through thousands of
   distinct chunks cannot grow the cache without limit.
 
 Scheduling is a pure reordering: every site's column is computed
 independently, so the permutation cannot change any per-site result —
-callers restore input order after the sweep.  ``resolve_schedule`` maps
-the user-facing knob (``schedule="auto" | "cone" | "input"``) to the
-strategy actually run: ``auto`` clusters whenever the site list spans
-more than one chunk (a single chunk has nothing to cluster across).
+callers restore input order after the sweep.  The backends cluster
+every call whose site list spans more than one chunk (a single chunk
+has nothing to cluster across).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.errors import AnalysisConfigError
 from repro.netlist.circuit import CompiledCircuit
 
 __all__ = [
-    "SCHEDULES",
     "ChunkCache",
     "ConeIndex",
     "chunk_cache_key",
-    "chunk_prune_saturated",
     "cone_cluster_order",
-    "resolve_prune",
-    "resolve_schedule",
 ]
-
-#: The user-facing scheduling strategies: ``auto`` picks per call,
-#: ``cone`` always clusters, ``input`` preserves the caller's site order
-#: (the pre-PR-3 contiguous chunking).
-SCHEDULES = ("auto", "cone", "input")
-
-#: Above this node count row pruning always pays on full chunks (the
-#: skipped rows dwarf the per-group bookkeeping), so the ``prune="auto"``
-#: cost model only consults cone signatures below it.
-PRUNE_AUTO_MAX_NODES = 4000
-
-#: Fraction of observable sinks a chunk's union-of-cones signature must
-#: cover before ``prune="auto"`` predicts a saturated sweep (nearly every
-#: row active => pruning is pure overhead) and falls back to dense.
-PRUNE_SATURATION = 0.5
-
-
-def resolve_prune(prune: "bool | str | None") -> "bool | str":
-    """Normalize the ``prune=`` knob: ``None`` means ``"auto"``.
-
-    The single place the default lives — the backends, the sharded
-    driver and the engine-level cache keys all resolve through here, so
-    they can never disagree about what ``None`` means.  ``"auto"`` prunes
-    unless :func:`chunk_prune_saturated` predicts the chunk is saturated
-    (small circuit, union-of-cones covering most sinks — the regime where
-    `BENCH_pr3.json` measured pruning *slower* than the dense sweep);
-    ``True``/``False`` force the pruned/dense sweep unconditionally.
-    Idempotent over its own output: an already-resolved ``"auto"``
-    stays ``"auto"`` — the sharded driver ships resolved values to
-    worker backends, which resolve again (``bool("auto")`` would
-    silently force pruning and lose the dense fallback in workers).
-    Anything else — a wire string such as ``"false"``, an integer — is
-    rejected rather than coerced by truthiness.
-    """
-    if prune is None or prune == "auto":
-        return "auto"
-    if not isinstance(prune, bool):
-        raise AnalysisConfigError(
-            f"prune must be 'auto', True or False, got {prune!r}"
-        )
-    return prune
-
-
-def validate_schedule(schedule: str | None) -> str:
-    """Normalize the ``schedule=`` knob (``None`` means ``auto``)."""
-    if schedule is None:
-        return "auto"
-    if schedule not in SCHEDULES:
-        raise AnalysisConfigError(
-            f"unknown schedule {schedule!r}; choose from {SCHEDULES}"
-        )
-    return schedule
-
-
-def resolve_schedule(schedule: str | None, n_sites: int, batch_size: int) -> str:
-    """The strategy actually run for one call: ``"cone"`` or ``"input"``.
-
-    ``auto`` clusters only when the site list spans more than one chunk —
-    within a single chunk the sweep visits the union of all cones
-    regardless of order, so clustering would be pure overhead.
-    """
-    schedule = validate_schedule(schedule)
-    if schedule != "auto":
-        return schedule
-    return "cone" if n_sites > batch_size else "input"
 
 
 class ConeIndex:
@@ -232,8 +153,8 @@ def chunk_cache_key(site_ids) -> bytes:
 
     Order matters (it fixes which column each site occupies), so the key
     digests the id sequence itself rather than the set.  blake2b keeps the
-    key 16 bytes regardless of chunk width — chunk-derived artifacts (the
-    saturation verdict, the compacted-row plan) are cached per key.
+    key 16 bytes regardless of chunk width — the compacted-row plan is
+    cached per key.
     """
     import hashlib
 
@@ -248,13 +169,11 @@ class ChunkCache:
 
     One instance hangs off each :class:`~repro.core.epp_batch.BatchPlan`
     (so every backend over the same compiled circuit shares it) and maps
-    :func:`chunk_cache_key` digests to whatever the sweep derives per
-    chunk — the ``prune="auto"`` saturation verdict and the compacted-row
-    plan.  Repeated analyses over the same site partition (benchmark
-    best-of repeats, long-lived analyzers) hit the cache instead of
-    re-walking cone signatures and rebuilding row remaps.  Eviction is
-    insertion-order FIFO: the cap bounds memory, and real workloads sweep
-    the same few dozen chunks over and over.
+    :func:`chunk_cache_key` digests to each chunk's compacted-row plan.
+    Repeated analyses over the same site partition (benchmark best-of
+    repeats, long-lived analyzers) hit the cache instead of rebuilding
+    row remaps.  Eviction is insertion-order FIFO: the cap bounds memory,
+    and real workloads sweep the same few dozen chunks over and over.
     """
 
     __slots__ = ("max_entries", "_entries", "_lock")
@@ -266,29 +185,18 @@ class ChunkCache:
         self._entries: dict[bytes, object] = {}
         # Chunk plans are built from the caller's thread (span sizing)
         # and the pipeline's sweeper thread; eviction iterates the dict,
-        # so puts serialize (gets stay lock-free — dict reads are atomic).
+        # so inserts serialize (hits stay lock-free — dict reads are
+        # atomic).
         self._lock = threading.Lock()
-
-    def get(self, key: bytes):
-        return self._entries.get(key)
-
-    def put(self, key: bytes, value) -> None:
-        with self._lock:
-            entries = self._entries
-            if key not in entries and len(entries) >= self.max_entries:
-                entries.pop(next(iter(entries)))
-            entries[key] = value
 
     def get_or_create(self, key: bytes, factory):
         """The memoized value for ``key``, building it at most once.
 
-        Double-checked under the put lock so concurrent callers — the
+        Double-checked under the insert lock so concurrent callers — the
         sweeper thread and a service-layer thread hammering the same
         plan — agree on a *single* constructed artifact: whichever
         thread wins the race publishes, every later caller gets that
-        exact object and ``factory`` runs once per resident key.  The
-        stored value may be falsy (the saturation verdict is a plain
-        ``False``), so presence is ``is not None``, never truthiness.
+        exact object and ``factory`` runs once per resident key.
         """
         value = self._entries.get(key)
         if value is not None:
@@ -315,39 +223,6 @@ class ChunkCache:
         return len(self._entries)
 
     def clear(self) -> None:
-        self._entries.clear()
-
-
-# ------------------------------------------------------------- cost models
-
-def chunk_prune_saturated(
-    compiled: CompiledCircuit, site_ids: Sequence[int]
-) -> bool:
-    """``prune="auto"``'s dense-fallback predicate for one chunk.
-
-    Row pruning pays when whole regions of the circuit are off every
-    chunk member's cone; it *costs* (a reachability test plus two
-    fancy-indexed copies per gate group) when nearly every row is active
-    anyway.  `BENCH_pr3.json` measured that regime directly: full-circuit
-    sweeps of s953/s1423 — small circuits whose every chunk's
-    union-of-cones covers essentially all observable sinks — ran 1-17%
-    *slower* pruned than dense.  The predicate reproduces exactly that
-    signature: a small circuit (large ones always win — the skipped rows
-    dwarf the bookkeeping) whose chunk union signature covers most sinks.
-    """
-    if compiled.n >= PRUNE_AUTO_MAX_NODES:
-        return False
-    index = ConeIndex.for_compiled(compiled)
-    if index.n_sinks == 0:
-        return True
-    threshold = PRUNE_SATURATION * index.n_sinks
-    sig = index.sig
-    union = 0
-    for position, site_id in enumerate(site_ids):
-        union |= sig[int(site_id)]
-        # Saturation is monotone in the union, so poll the popcount
-        # periodically and exit as soon as the verdict is known — full
-        # default site lists saturate within the first few dozen sites.
-        if position % 32 == 31 and union.bit_count() >= threshold:
-            return True
-    return union.bit_count() >= threshold
+        # Under the lock: get_or_create evicts by iterating the dict.
+        with self._lock:
+            self._entries.clear()

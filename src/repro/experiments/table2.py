@@ -111,9 +111,6 @@ class Table2Config:
     #: cone-aware sparse sweep for the vector/sharded backends
     #: (None: enabled — the backends' own default)
     prune: bool | None = None
-    #: chunk scheduling for the vector/sharded backends
-    #: (None: auto — cone-cluster multi-chunk site lists)
-    schedule: str | None = None
 
     def __post_init__(self) -> None:
         for name in ("sim_vectors", "sim_sites", "accuracy_sites",
@@ -134,14 +131,12 @@ class Table2Config:
                 "backend='sharded': roster workers would spawn nested "
                 "process pools"
             )
-        if self.backend == "scalar" and not (
-            self.prune is None and self.schedule is None
-        ):
+        if self.backend == "scalar" and self.prune is not None:
             # Mirror the jobs-requires-sharded guard: the scalar column
-            # ignores both knobs, and silently reporting scalar timings
-            # under a "dense"/"clustered" label would mislead.
+            # ignores the knob, and silently reporting scalar timings
+            # under a "dense" label would mislead.
             raise ConfigError(
-                "Table2Config.prune/schedule apply to the 'vector' and "
+                "Table2Config.prune applies to the 'vector' and "
                 "'sharded' backends only, got backend='scalar'"
             )
         unknown = [c for c in self.circuits if c not in ISCAS89_PROFILES]
@@ -160,7 +155,6 @@ class Table2Config:
             backend=self.backend,
             jobs=self.jobs,
             prune=self.prune,
-            schedule=self.schedule,
         )
 
     @staticmethod

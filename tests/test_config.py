@@ -84,8 +84,10 @@ class TestValidation:
             AnalysisConfig(backend="warp")
 
     def test_bad_schedule_rejected(self):
-        with pytest.raises(ConfigError, match="schedule"):
-            AnalysisConfig(schedule="sideways")
+        # The knob is gone: every multi-chunk call is cone-clustered.
+        with pytest.raises(ConfigError,
+                           match="unknown analysis knob 'schedule'"):
+            AnalysisConfig.from_knobs(**{"schedule": "cone"})
 
     def test_bad_retries_uses_flag_spelling(self):
         with pytest.raises(ConfigError, match="--retries must be >= 0"):
@@ -120,6 +122,8 @@ class TestValidation:
         ({"prune": "false"}, "prune"),
         ({"prune": "true"}, "prune"),
         ({"prune": 0}, "prune"),
+        # The dense fallback is gone: "auto" is no prune value.
+        ({"prune": "auto"}, "prune"),
     ])
     def test_malformed_values_rejected_naming_the_field(self, knobs, field):
         # Wrong types are refused by name before any int()/float()
@@ -136,7 +140,7 @@ class TestValidation:
             deadline=2.5, prune=False,
         )
         assert cfg.batch_size == 8 and cfg.shard_timeout == 5
-        assert AnalysisConfig(prune="auto").prune == "auto"
+        assert AnalysisConfig(prune=True).prune is True
         longest = AnalysisConfig(
             shard_timeout=threading.TIMEOUT_MAX, deadline=threading.TIMEOUT_MAX
         )
@@ -181,7 +185,7 @@ class TestValidation:
             AnalysisConfig(**knobs)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("knob", ["cells", "chunking", "rows"])
+    @pytest.mark.parametrize("knob", ["cells", "chunking", "rows", "schedule"])
     def test_removed_sweep_knobs_are_unknown(self, knob):
         with pytest.raises(ConfigError, match=f"unknown analysis knob '{knob}'"):
             AnalysisConfig.from_knobs(**{knob: "auto"})
@@ -197,15 +201,15 @@ class TestValidation:
 class TestDerivedTables:
     def test_knob_key_order_is_the_historical_order(self):
         assert KNOB_KEYS == (
-            "backend", "batch_size", "jobs", "prune", "schedule",
+            "backend", "batch_size", "jobs", "prune",
             "retries", "shard_timeout", "on_failure",
             "deadline", "fault_injector", "checkpoint",
         )
 
     def test_knob_surface_sizes(self):
-        assert len(dataclasses.fields(AnalysisConfig)) == 11
-        assert len(WIRE_KNOB_KEYS) == 8
-        assert len(SWEEP_KNOB_KEYS) == 3
+        assert len(dataclasses.fields(AnalysisConfig)) == 10
+        assert len(WIRE_KNOB_KEYS) == 7
+        assert len(SWEEP_KNOB_KEYS) == 2
 
     def test_wire_keys_exclude_local_only_fields(self):
         assert "fault_injector" not in WIRE_KNOB_KEYS
@@ -218,7 +222,7 @@ class TestDerivedTables:
         )
 
     def test_sweep_keys(self):
-        assert SWEEP_KNOB_KEYS == ("batch_size", "prune", "schedule")
+        assert SWEEP_KNOB_KEYS == ("batch_size", "prune")
 
     def test_knob_reference_covers_every_field(self):
         text = knob_reference()
@@ -235,8 +239,7 @@ _WIRE_VALUES = {
     "backend": st.sampled_from([None, "scalar", "vector", "sharded"]),
     "batch_size": st.one_of(st.none(), st.integers(1, 64)),
     "jobs": st.one_of(st.none(), st.integers(1, 8)),
-    "prune": st.sampled_from([None, True, False, "auto"]),
-    "schedule": st.sampled_from([None, "auto", "cone", "input"]),
+    "prune": st.sampled_from([None, True, False]),
     "retries": st.one_of(st.none(), st.integers(0, 5)),
     "shard_timeout": st.one_of(st.none(), st.floats(0.1, 60.0)),
     "on_failure": st.sampled_from([None, "retry", "degrade", "raise"]),
@@ -318,7 +321,7 @@ class TestWireRoundTrip:
     def test_resolved_is_idempotent(self):
         cfg = AnalysisConfig(batch_size=4).resolved()
         assert cfg.resolved() == cfg
-        assert cfg.prune == "auto" and cfg.schedule == "auto"
+        assert cfg.prune is True
 
 
 # --------------------------------------------------------------- reflection

@@ -95,11 +95,11 @@ def random_tree_circuit(seed: int, max_inputs: int = 12, n_gates: int = 12) -> C
 
 
 def force_vector(engine: EPPEngine, prune: bool | None = None,
-                 schedule: str | None = None, cells: str = "auto"):
+                 cells: str = "auto"):
     """The crossover-free vector backend, its cell tier forced through the
     private ``_cells`` hook (assigned on every call: the engine caches one
-    backend per (batch_size, prune, schedule))."""
-    backend = engine.vector_backend(prune=prune, schedule=schedule)
+    backend per (batch_size, prune))."""
+    backend = engine.vector_backend(prune=prune)
     backend.min_vector_work = 0
     backend._cells = cells
     return backend
@@ -125,21 +125,20 @@ def assert_all_sites_agree(reference: dict, candidate: dict):
     n_gates=st.integers(min_value=4, max_value=40),
     seed=st.integers(min_value=0, max_value=2**16),
     track_polarity=st.booleans(),
-    prune=st.sampled_from((True, False, "auto")),
-    schedule=st.sampled_from(("cone", "input")),
+    prune=st.sampled_from((True, False)),
     cells=st.sampled_from(("auto", "on", "off")),
 )
 def test_scalar_vs_vector_agree_on_random_circuits(
-    n_inputs, n_gates, seed, track_polarity, prune, schedule, cells,
+    n_inputs, n_gates, seed, track_polarity, prune, cells,
 ):
     """Vectorization — dense or compacted cone-pruned sweeps, row or
-    cell-compacted kernels, input-ordered or cone-clustered — is a pure
-    reassociation: scalar == vector to 1e-9."""
+    cell-compacted kernels — is a pure reassociation: scalar == vector
+    to 1e-9."""
     circuit = random_combinational(n_inputs, n_gates, seed=seed)
     engine = EPPEngine(circuit, track_polarity=track_polarity)
-    force_vector(engine, prune=prune, schedule=schedule, cells=cells)
+    force_vector(engine, prune=prune, cells=cells)
     scalar = engine.analyze(backend="scalar")
-    vector = engine.analyze(backend="vector", prune=prune, schedule=schedule)
+    vector = engine.analyze(backend="vector", prune=prune)
     assert_all_sites_agree(scalar, vector)
 
 
@@ -150,26 +149,23 @@ def test_scalar_vs_vector_agree_on_random_circuits(
     seed=st.integers(min_value=0, max_value=2**16),
     cells=st.sampled_from(("on", "off", "auto")),
     batch_size=st.integers(min_value=2, max_value=9),
-    prune=st.sampled_from((True, "auto")),
-    schedule=st.sampled_from(("cone", "input")),
 )
 def test_cell_compacted_bit_equal_on_random_circuits(
-    n_inputs, n_gates, seed, cells, batch_size, prune, schedule
+    n_inputs, n_gates, seed, cells, batch_size
 ):
     """The compacted sweeps are not merely close to the dense sweep —
     they run the same elementwise IEEE ops per computed cell on the
     per-chunk union-of-cones remap, so packed arrays must match
     np.array_equal across random circuits (MUX/MAJ truth tables and
-    sentinel-padded mixed arities included), under every cell tier, the
-    saturated dense fallback of prune="auto", and either schedule."""
+    sentinel-padded mixed arities included), under every cell tier and
+    any chunk width."""
     circuit = random_combinational(n_inputs, n_gates, seed=seed)
     engine = EPPEngine(circuit)
     ids = [engine._cones.resolve(site) for site in engine.default_sites()]
-    reference = force_vector(engine, prune=False, schedule="input")
+    reference = force_vector(engine, prune=False)
     reference.batch_size = batch_size
     expected = reference.pack_sites(ids)
-    compacted = force_vector(engine, prune=prune, schedule=schedule,
-                             cells=cells)
+    compacted = force_vector(engine, prune=True, cells=cells)
     compacted.batch_size = batch_size
     packed = compacted.pack_sites(ids)
     for left, right in zip(expected, packed):
@@ -229,13 +225,13 @@ def test_scalar_vector_sharded_threeway(seed):
     (cone-clustered shards, shared-memory transport where available)."""
     circuit = random_combinational(8, 120, seed=seed)
     engine = EPPEngine(circuit)
-    force_vector(engine, schedule="cone")
-    sharded = engine.sharded_backend(jobs=2, schedule="cone")
+    force_vector(engine)
+    sharded = engine.sharded_backend(jobs=2)
     sharded.min_process_work = 0
     try:
         scalar = engine.analyze(backend="scalar")
-        vector = engine.analyze(backend="vector", schedule="cone")
-        fanned = engine.analyze(backend="sharded", jobs=2, schedule="cone")
+        vector = engine.analyze(backend="vector")
+        fanned = engine.analyze(backend="sharded", jobs=2)
         assert sharded.pool_started
     finally:
         sharded.close()

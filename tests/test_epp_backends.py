@@ -55,33 +55,41 @@ def build_circuit(name: str) -> Circuit:
 
 
 def force_vector(engine: EPPEngine, batch_size: int | None = None,
-                 prune: bool | None = None, schedule: str | None = None,
-                 cells: str = "auto"):
+                 prune: bool | None = None, cells: str = "auto"):
     """A vector backend with the small-workload crossover disabled, so the
     vectorized kernels themselves are exercised even on tiny circuits.
 
     ``cells`` forces the cell tier through the backend's private
     ``_cells`` hook.  The engine caches one backend per (batch_size,
-    prune, schedule), so the hook is assigned on every call — a cached
-    backend must never keep a previous caller's tier."""
-    backend = engine.vector_backend(batch_size=batch_size, prune=prune,
-                                    schedule=schedule)
+    prune), so the hook is assigned on every call — a cached backend
+    must never keep a previous caller's tier."""
+    backend = engine.vector_backend(batch_size=batch_size, prune=prune)
     backend.min_vector_work = 0
     backend._cells = cells
     return backend
 
 
+def cone_sorted(engine: EPPEngine) -> list[str]:
+    """The default sites in cone-clustered order — the order a sharded
+    worker's shard arrives in."""
+    from repro.core.schedule import cone_cluster_order
+
+    sites = engine.default_sites()
+    ids = [engine._cones.resolve(site) for site in sites]
+    return [sites[p] for p in cone_cluster_order(engine.compiled, ids).tolist()]
+
+
 def assert_backends_agree(circuit: Circuit, track_polarity: bool = True,
                           batch_size: int | None = None, collapse: bool = False,
-                          prune: bool | None = None,
-                          schedule: str | None = None,
-                          cells: str = "auto"):
+                          prune: bool | None = None, cells: str = "auto",
+                          sites=None):
     engine = EPPEngine(circuit, track_polarity=track_polarity)
-    force_vector(engine, batch_size, prune, schedule, cells)
-    scalar = engine.analyze(backend="scalar", collapse=collapse)
-    vector = engine.analyze(backend="vector", collapse=collapse,
-                            batch_size=batch_size, prune=prune,
-                            schedule=schedule)
+    force_vector(engine, batch_size, prune, cells)
+    if callable(sites):
+        sites = sites(engine)
+    scalar = engine.analyze(sites=sites, backend="scalar", collapse=collapse)
+    vector = engine.analyze(sites=sites, backend="vector", collapse=collapse,
+                            batch_size=batch_size, prune=prune)
     assert list(scalar) == list(vector)  # same sites, same order
     for site, expected in scalar.items():
         got = vector[site]
@@ -147,24 +155,29 @@ class TestSparseSweepEquivalence:
     """
 
     @pytest.mark.parametrize("circuit_name", ["zoo", "s27", "s953", "s1423"])
-    @pytest.mark.parametrize("schedule", ["cone", "input"])
-    def test_sparse_agrees_with_scalar(self, circuit_name, schedule):
+    @pytest.mark.parametrize("order", ["cone", "input"])
+    def test_sparse_agrees_with_scalar(self, circuit_name, order):
+        """Sites in the caller's order, or already cone-sorted (a sharded
+        worker's shard, which the backend sweeps as it arrived)."""
         assert_backends_agree(build_circuit(circuit_name), prune=True,
-                              schedule=schedule)
+                              sites=cone_sorted if order == "cone" else None)
 
     @pytest.mark.parametrize("circuit_name", ["zoo", "s953"])
     def test_sparse_bit_equal_to_dense(self, circuit_name):
-        """prune/schedule change *which rows compute*, never their values:
-        packed arrays must be bitwise identical, not merely close."""
+        """Pruning and clustering change *which rows compute*, never their
+        values: packed arrays must be bitwise identical, not merely close.
+        A chunk as wide as the site list sweeps in input order; 5-site
+        chunks are cone-clustered."""
         circuit = build_circuit(circuit_name)
         engine = EPPEngine(circuit)
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         packs = {}
-        for prune, schedule in ((False, "input"), (True, "input"), (True, "cone")):
-            backend = force_vector(engine, batch_size=5, prune=prune,
-                                   schedule=schedule)
-            packs[(prune, schedule)] = backend.pack_sites(ids)
-        reference = packs[(False, "input")]
+        for prune in (False, True):
+            for batch_size in (len(ids), 5):
+                backend = force_vector(engine, batch_size=batch_size,
+                                       prune=prune)
+                packs[(prune, batch_size)] = backend.pack_sites(ids)
+        reference = packs[(False, len(ids))]
         for key, packed in packs.items():
             for left, right in zip(reference, packed):
                 assert np.array_equal(left, right), key
@@ -173,20 +186,17 @@ class TestSparseSweepEquivalence:
     def test_mixed_arity_sentinel_groups_prune_correctly(self, prune):
         """The zoo's and2/and3 share one sentinel-padded group; slicing
         active rows must keep the padding columns aligned per row."""
-        assert_backends_agree(gate_zoo(), prune=prune, batch_size=2,
-                              schedule="cone")
+        assert_backends_agree(gate_zoo(), prune=prune, batch_size=2)
 
-    #: Every sweep strategy the backend can run, forced explicitly:
-    #: forced-pruned compacted sweeps, the dense sweep, and the auto stack
-    #: (compacted sweeps + saturated dense fallback), each under both
-    #: schedules and every cell tier — row kernels only, the
-    #: cell-compacted kernels everywhere (closed forms and MUX/MAJ truth
-    #: tables via the zoo, sentinel-padded mixed arities via the shared
-    #: and2/and3 group), and the per-group cost model.
+    #: Every sweep strategy the backend can run, forced explicitly: the
+    #: pruned compacted sweeps and the dense sweep, each under every cell
+    #: tier — row kernels only, the cell-compacted kernels everywhere
+    #: (closed forms and MUX/MAJ truth tables via the zoo,
+    #: sentinel-padded mixed arities via the shared and2/and3 group), and
+    #: the per-group cost model.
     FORCED_CONFIGS = tuple(
-        dict(prune=prune, schedule=schedule, cells=cells)
-        for prune in (True, False, "auto")
-        for schedule in ("cone", "input")
+        dict(prune=prune, cells=cells)
+        for prune in (True, False)
         for cells in ("on", "off", "auto")
     )
 
@@ -200,7 +210,7 @@ class TestSparseSweepEquivalence:
         engine = EPPEngine(circuit)
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         reference = force_vector(
-            engine, batch_size=5, prune=False, schedule="input",
+            engine, batch_size=len(ids), prune=False,
         ).pack_sites(ids)
         for config in self.FORCED_CONFIGS:
             backend = force_vector(engine, batch_size=5, **config)
@@ -213,8 +223,7 @@ class TestSparseSweepEquivalence:
         cells="on" routes partially-on-path groups through the compacted
         kernels, and the stats show fewer cells computed than spanned."""
         engine = EPPEngine(build_circuit("s953"))
-        backend = force_vector(engine, batch_size=16, prune=True,
-                               schedule="cone", cells="on")
+        backend = force_vector(engine, batch_size=16, prune=True, cells="on")
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend.analyze_sites(ids)
         stats = backend.sweep_stats
@@ -227,7 +236,7 @@ class TestSparseSweepEquivalence:
         sparse groups to the compacted kernels on the same sweep set."""
         engine = EPPEngine(build_circuit("s1423"))
         backend = force_vector(engine, batch_size=64, prune=True,
-                               schedule="cone", cells="auto")
+                               cells="auto")
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend.analyze_sites(ids)
         stats = backend.sweep_stats
@@ -245,8 +254,7 @@ class TestSparseSweepEquivalence:
         sweep."""
         engine = EPPEngine(build_circuit("s953"))
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
-        backend = force_vector(engine, batch_size=32, prune=True,
-                               schedule="cone", cells="on")
+        backend = force_vector(engine, batch_size=32, prune=True, cells="on")
         first = backend.pack_sites(ids)
         narrow = backend.pack_sites(ids[:7])  # narrow sweep between full ones
         again = backend.pack_sites(ids)
@@ -254,7 +262,7 @@ class TestSparseSweepEquivalence:
             assert np.array_equal(left, right)
         fresh = force_vector(
             EPPEngine(build_circuit("s953")), batch_size=32, prune=True,
-            schedule="cone", cells="on",
+            cells="on",
         ).pack_sites(ids[:7])
         for left, right in zip(fresh, narrow):
             assert np.array_equal(left, right)
@@ -274,10 +282,9 @@ class TestSparseSweepEquivalence:
                              [previous, "i1"])
             previous = name
         circuit.mark_output(previous)
-        assert_backends_agree(circuit, prune=True, batch_size=batch_size,
-                              schedule="cone")
-        assert_backends_agree(circuit, prune=True, batch_size=batch_size,
-                              schedule="input")
+        for sites in (None, lambda engine: engine.default_sites()[::-1]):
+            assert_backends_agree(circuit, prune=True, batch_size=batch_size,
+                                  sites=sites)
 
 
 def two_block_circuit() -> Circuit:
@@ -319,8 +326,7 @@ class TestCompactedRows:
 
     def test_compact_sweeps_engage_without_template(self):
         engine = EPPEngine(build_circuit("s953"))
-        backend = force_vector(engine, batch_size=16, prune=True,
-                               schedule="cone")
+        backend = force_vector(engine, batch_size=16, prune=True)
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend.analyze_sites(ids)
         stats = backend.sweep_stats
@@ -332,11 +338,10 @@ class TestCompactedRows:
         assert not backend._buffer_slots  # no slot buffers either
 
     def test_auto_rows_compacts_pruned_sweeps(self):
-        """Every pruned sweep — forced or chosen by prune="auto" — runs on
-        the compacted layout; only dense sweeps use full-row buffers."""
+        """Every sweep of the default (pruned) backend runs on the
+        compacted layout; only dense sweeps use full-row buffers."""
         engine = EPPEngine(build_circuit("s953"))
-        backend = force_vector(engine, batch_size=16, prune=True,
-                               schedule="cone")
+        backend = force_vector(engine, batch_size=16)
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend.analyze_sites(ids)
         stats = backend.sweep_stats
@@ -345,17 +350,6 @@ class TestCompactedRows:
         dense.analyze_sites(ids)
         assert dense.sweep_stats["compact_sweeps"] == 0
         assert dense._buffer_slots
-
-    def test_dense_fallback_chunks_stay_full_row(self):
-        """prune="auto" on a small saturated circuit runs dense sweeps on
-        full-row buffers: a dense sweep's union is the whole circuit."""
-        engine = EPPEngine(build_circuit("s953"))
-        backend = force_vector(engine)  # prune defaults auto
-        ids = [engine._cones.resolve(s) for s in engine.default_sites()]
-        backend.analyze_sites(ids)
-        stats = backend.sweep_stats
-        assert stats["dense_fallback_sweeps"] == stats["sweeps"] > 0
-        assert stats["compact_sweeps"] == 0
 
     def test_empty_site_list(self):
         engine = EPPEngine(build_circuit("s953"))
@@ -371,7 +365,7 @@ class TestCompactedRows:
         """batch_size=1: every chunk holds one site, so each compacted
         matrix is exactly one cone (plus read rows and sentinels)."""
         assert_backends_agree(build_circuit(circuit_name), prune=True,
-                              batch_size=1, schedule="cone")
+                              batch_size=1)
 
     @pytest.mark.parametrize("rows", ["compact", "full"])
     def test_sites_inside_other_sites_cones(self, rows):
@@ -390,15 +384,14 @@ class TestCompactedRows:
                              [previous, "i1"])
             previous = name
         circuit.mark_output(previous)
-        assert_backends_agree(circuit, prune=prune, batch_size=3,
-                              schedule="cone")
-        assert_backends_agree(circuit, prune=prune, schedule="input")
+        assert_backends_agree(circuit, prune=prune, batch_size=3)
+        assert_backends_agree(circuit, prune=prune)
 
     def test_chunk_plan_cached_across_sweeps(self):
-        """Repeated sweeps of the same chunk reuse one cached row remap."""
+        """Repeated sweeps of the same chunk reuse one cached row remap,
+        shared by every backend over the same compiled circuit."""
         engine = EPPEngine(build_circuit("s953"))
-        backend = force_vector(engine, batch_size=16, prune=True,
-                               schedule="cone")
+        backend = force_vector(engine, batch_size=16, prune=True)
         ids = np.asarray(
             [engine._cones.resolve(s) for s in engine.default_sites()][:16],
             dtype=np.intp,
@@ -407,11 +400,12 @@ class TestCompactedRows:
         assert backend.plan.compact_chunk_plan(ids) is first
         backend.pack_sites(ids)
         assert backend.plan.compact_chunk_plan(ids) is first
+        other = force_vector(engine, batch_size=16, prune=False)
+        assert other.plan.chunk_cache is backend.plan.chunk_cache
 
     def test_release_buffers_clears_chunk_plans(self):
         engine = EPPEngine(build_circuit("s953"))
-        backend = force_vector(engine, batch_size=16, prune=True,
-                               schedule="cone")
+        backend = force_vector(engine, batch_size=16, prune=True)
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend.analyze_sites(ids)
         assert len(backend.plan.chunk_cache) > 0
@@ -423,16 +417,14 @@ class TestCompactedRows:
         mapped back to their global sink positions."""
         circuit = two_block_circuit()
         engine = EPPEngine(circuit)
-        backend = force_vector(engine, prune=True, schedule="input")
+        backend = force_vector(engine, prune=True)
         a_ids = np.asarray([engine._cones.resolve("a0")], dtype=np.intp)
         cplan = backend.plan.compact_chunk_plan(a_ids)
         # Block A reaches one of the two sinks; block B's rows are absent.
         assert len(cplan.sink_positions) == 1
         assert cplan.n_rows < engine.compiled.n
         packed = backend.pack_sites(a_ids)
-        dense = force_vector(
-            EPPEngine(circuit), prune=False, schedule="input",
-        ).pack_sites(a_ids)
+        dense = force_vector(EPPEngine(circuit), prune=False).pack_sites(a_ids)
         for left, right in zip(dense, packed):
             assert np.array_equal(left, right)
 
@@ -449,7 +441,7 @@ class TestDirtyRowLifecycle:
         for prune in (False, True):
             engine = EPPEngine(circuit)
             backend = force_vector(engine, batch_size=batch_size, prune=prune,
-                                   schedule="input", cells="off")
+                                   cells="off")
             pairs.append((engine, backend))
         return pairs
 
@@ -537,13 +529,13 @@ class TestUnifiedReductionPath:
             assert value == pytest.approx(engine.p_sensitized(site_id), abs=TOL)
 
     def test_p_sensitized_many_cone_schedule_stays_aligned(self):
-        """Scheduling permutes the sweep; the output must stay aligned
-        with the caller's site order."""
+        """Clustering permutes the sweep; the output must stay aligned
+        with the caller's site order (against one input-order chunk)."""
         engine = EPPEngine(build_circuit("s953"))
-        clustered = force_vector(engine, batch_size=16, schedule="cone")
+        clustered = force_vector(engine, batch_size=16)
         site_ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         got = clustered.p_sensitized_many(site_ids)
-        ordered = force_vector(engine, batch_size=16, schedule="input")
+        ordered = force_vector(engine, batch_size=len(site_ids))
         assert np.array_equal(got, ordered.p_sensitized_many(site_ids))
 
 
@@ -553,14 +545,16 @@ class TestReleaseBuffers:
         backend = force_vector(engine)
         sites = engine.default_sites()
         first = engine.analyze(sites=sites, backend="vector")
-        assert backend._template is not None
-        assert backend._buffer_slots
-        backend.release_buffers()
+        # Pruned sweeps carve their state from the compacted arenas and
+        # never build the full-width template.
+        assert backend._compact_arenas
         assert backend._template is None
+        backend.release_buffers()
+        assert not backend._compact_arenas
         assert backend._const is None
-        assert not backend._buffer_slots
+        assert len(backend.plan.chunk_cache) == 0
         second = engine.analyze(sites=sites, backend="vector")  # rebuilds
-        assert backend._template is not None
+        assert backend._compact_arenas
         for site in first:
             assert second[site].p_sensitized == first[site].p_sensitized
 
@@ -568,18 +562,66 @@ class TestReleaseBuffers:
         engine = EPPEngine(build_circuit("s953"))
         backend = force_vector(engine)
         engine.analyze(backend="vector")
+        assert backend._compact_arenas
         engine.release_buffers()
-        assert backend._template is None
+        assert not backend._compact_arenas
+        assert backend._const is None
 
     def test_analyzer_release_buffers(self):
         from repro.core.analysis import SERAnalyzer
 
         analyzer = SERAnalyzer(build_circuit("s953"))
-        backend = force_vector(analyzer.engine)
-        analyzer.analyze(backend="vector")
+        backend = force_vector(analyzer.engine, prune=False)
+        analyzer.analyze(backend="vector", prune=False)
         assert backend._template is not None
+        assert backend._buffer_slots
         analyzer.release_buffers()
         assert backend._template is None
+        assert not backend._buffer_slots
+
+    def test_release_waits_for_a_running_sweep(self):
+        """A release from another thread (the server evicting an engine a
+        worker is still sweeping) must not free the template and
+        constants under the kernels: it waits for the sweep to finish."""
+        import threading
+
+        engine = EPPEngine(build_circuit("s953"))
+        expected = engine.snapshot(prune=False).packed
+        backend = engine.vector_backend(prune=False)
+        inside, resume = threading.Event(), threading.Event()
+        original = backend._buffers
+
+        def paused(s, slot):
+            if not inside.is_set():
+                inside.set()
+                resume.wait(timeout=30)
+            return original(s, slot)
+
+        backend._buffers = paused
+        outcome = {}
+
+        def sweep():
+            try:
+                outcome["packed"] = engine.snapshot(prune=False).packed
+            except Exception as error:  # surfaced by the asserts below
+                outcome["error"] = error
+
+        sweeper = threading.Thread(target=sweep)
+        sweeper.start()
+        assert inside.wait(timeout=30)
+        releaser = threading.Thread(target=engine.release_buffers)
+        releaser.start()
+        releaser.join(timeout=0.5)
+        waited = releaser.is_alive()
+        resume.set()
+        sweeper.join(timeout=60)
+        releaser.join(timeout=60)
+        assert not sweeper.is_alive() and not releaser.is_alive()
+        assert "error" not in outcome, outcome.get("error")
+        for left, right in zip(expected, outcome["packed"]):
+            assert np.array_equal(left, right)
+        assert waited
+        assert backend._template is None  # the release ran afterwards
 
 
 class TestBackendSelection:

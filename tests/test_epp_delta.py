@@ -275,7 +275,7 @@ class TestDirtyMask:
 #: dense and the forced-pruned (compacted) sweeps, and the sharded pool.
 TIERS = [
     {},
-    {"prune": False, "schedule": "input"},
+    {"prune": False},
     {"prune": True},
     {"backend": "sharded", "jobs": 2},
 ]
@@ -475,12 +475,12 @@ class TestBitIdentity:
 
     def test_knob_override_merges_per_key(self):
         engine = EPPEngine(c17())
-        prev = engine.snapshot(prune=True, schedule="cone")
+        prev = engine.snapshot(prune=True, batch_size=4)
         delta = engine.analyze_delta(
             prev, EditSet().replace_gate("N10", "nor"), prune=False
         )
         assert delta.knobs["prune"] is False
-        assert delta.knobs["schedule"] == "cone"  # untouched keys survive
+        assert delta.knobs["batch_size"] == 4  # untouched keys survive
         assert_bit_identical(delta, full_resnapshot(delta))
 
     def test_edit_impact_matches_analyze_delta(self):

@@ -270,18 +270,17 @@ class TestShardScheduling:
         """The cone-clustered partition permutes shards; results must come
         back keyed and ordered by the caller's site list."""
         engine = EPPEngine(generate_iscas("s953"))
-        backend = engine.sharded_backend(jobs=2, schedule="cone")
+        backend = engine.sharded_backend(jobs=2)
         backend.min_process_work = 0
         sites = engine.default_sites()
         try:
-            sharded = engine.analyze(sites=sites, backend="sharded", jobs=2,
-                                     schedule="cone")
+            sharded = engine.analyze(sites=sites, backend="sharded", jobs=2)
             site_ids = [engine._cones.resolve(s) for s in sites]
             p_many = backend.p_sensitized_many(site_ids)
         finally:
             backend.close()
         assert list(sharded) == sites
-        vector = engine.analyze(sites=sites, backend="vector", schedule="cone")
+        vector = engine.analyze(sites=sites, backend="vector")
         assert_results_match(vector, sharded)
         assert np.abs(
             engine.vector_backend().p_sensitized_many(site_ids) - p_many
@@ -321,10 +320,11 @@ class TestShardScheduling:
         engine.analyze(backend="sharded", jobs=2)
         backend.local.min_vector_work = 0
         engine.analyze(backend="vector")  # populate local buffers
-        assert backend.local._template is not None
+        assert backend.local._compact_arenas
+        assert backend.local._const is not None
         backend.close()
-        assert backend.local._template is None
-        assert not backend.local._buffer_slots
+        assert not backend.local._compact_arenas
+        assert backend.local._const is None
 
 
 class TestCrossoverGuard:
@@ -489,24 +489,30 @@ class TestWorkerPlanCache:
             assert counters["plans_built"] == 1
 
     def test_worker_backend_keeps_auto_prune(self):
-        """The payload ships the resolved tri-state: a worker rebuilding
-        its backend from it must land on prune="auto" (the dense
-        fallback), not a truthy-coerced forced True."""
+        """The payload ships the parent-resolved ``prune`` and the worker
+        chunk width, nothing else: a worker rebuilding its backend from
+        it keeps the parent's prune, the default (``None`` -> ``True``)
+        and ``False`` alike."""
+        import pickle
+
+        import repro.core.epp_shard as shard_module
         from repro.core.epp_shard import _shard_worker_init, _worker_backend
 
         engine = EPPEngine(generate_iscas("s953"))
-        backend = engine.sharded_backend(jobs=2)  # default prune=None
-        assert backend.prune == "auto"
-        _shard_worker_init(backend.payload())
-        try:
-            worker_backend = _worker_backend()
-            assert worker_backend.prune == "auto"
-            assert _worker_backend() is worker_backend  # built once
-        finally:
-            _shard_worker_init(None)
-            import repro.core.epp_shard as shard_module
-
-            shard_module._WORKER_STATS["plans_built"] = 0
+        for prune, expected in ((None, True), (False, False)):
+            backend = engine.sharded_backend(jobs=2, prune=prune)
+            assert backend.prune is expected
+            config = pickle.loads(backend.payload())["config"]
+            assert sorted(config) == ["batch_size", "prune", "version"]
+            _shard_worker_init(backend.payload())
+            try:
+                worker_backend = _worker_backend()
+                assert worker_backend.prune is expected
+                assert worker_backend.batch_size == backend.worker_batch_size
+                assert _worker_backend() is worker_backend  # built once
+            finally:
+                _shard_worker_init(None)
+                shard_module._WORKER_STATS["plans_built"] = 0
 
     def test_payload_key_is_content_derived(self):
         """Same engine => stable key; different sweep knobs => different

@@ -6,7 +6,8 @@ computed in one reverse-topological pass instead of one forward search
 per site).  Caching must behave like the batch plan's: one instance per
 compiled circuit, invalidated when the circuit is recompiled, stripped by
 ``__getstate__`` so the sharded worker payload stays lean.  Clustering is
-a pure permutation with sites of identical cone signature adjacent.
+a pure permutation with sites of identical cone signature adjacent, and
+no site order a caller picks can change any site's packed result.
 """
 
 import pickle
@@ -16,18 +17,16 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.core import epp_batch
 from repro.core.cone import ConeExtractor
+from repro.core.config import resolve_prune
 from repro.core.epp import EPPEngine
-from repro.core.epp_batch import BatchPlan
+from repro.core.epp_batch import BatchEPPBackend, BatchPlan
 from repro.core.schedule import (
     ChunkCache,
     ConeIndex,
     chunk_cache_key,
-    chunk_prune_saturated,
     cone_cluster_order,
-    resolve_prune,
-    resolve_schedule,
-    validate_schedule,
 )
 from repro.errors import AnalysisError
 from repro.netlist.circuit import Circuit
@@ -40,6 +39,27 @@ def zoo_circuit() -> Circuit:
     from tests.test_epp_backends import gate_zoo
 
     return gate_zoo()
+
+
+class _Missing(Exception):
+    pass
+
+
+def cached(cache: ChunkCache, key: bytes):
+    """The value resident under ``key``, or ``None`` — read through
+    ``get_or_create`` with a factory that refuses to build."""
+
+    def refuse():
+        raise _Missing
+
+    try:
+        return cache.get_or_create(key, refuse)
+    except _Missing:
+        return None
+
+
+def site_ids(engine: EPPEngine) -> list[int]:
+    return [engine._cones.resolve(site) for site in engine.default_sites()]
 
 
 class TestConeIndex:
@@ -141,39 +161,23 @@ class TestChunkCache:
     def test_fifo_eviction_bounds_entries(self):
         cache = ChunkCache(max_entries=3)
         for index in range(5):
-            cache.put(chunk_cache_key([index]), index)
+            cache.get_or_create(chunk_cache_key([index]), lambda i=index: i)
         assert len(cache) == 3
-        assert cache.get(chunk_cache_key([0])) is None  # evicted first
-        assert cache.get(chunk_cache_key([4])) == 4
+        assert cached(cache, chunk_cache_key([0])) is None  # evicted first
+        assert cached(cache, chunk_cache_key([4])) == 4
 
     def test_overwrite_does_not_evict(self):
+        """Asking again for a resident key returns it as built: nothing is
+        rebuilt, replaced or evicted."""
         cache = ChunkCache(max_entries=2)
         key = chunk_cache_key([9])
-        cache.put(key, "a")
-        cache.put(chunk_cache_key([10]), "b")
-        cache.put(key, "c")  # overwrite in place, nothing evicted
+        cache.get_or_create(key, lambda: "a")
+        cache.get_or_create(chunk_cache_key([10]), lambda: "b")
+        assert cache.get_or_create(key, lambda: "c") == "a"
         assert len(cache) == 2
-        assert cache.get(key) == "c"
+        assert cached(cache, chunk_cache_key([10])) == "b"
         cache.clear()
         assert len(cache) == 0
-
-    def test_saturation_verdict_memoized_per_chunk(self):
-        """The prune="auto" predicate is computed once per distinct chunk
-        and shared through the plan's cache (sat: keys)."""
-        engine = EPPEngine(generate_iscas("s953"))
-        backend = engine.vector_backend(prune=True, schedule="cone")
-        backend.min_vector_work = 0
-        ids = np.asarray(
-            [engine._cones.resolve(s) for s in engine.default_sites()][:16],
-            dtype=np.intp,
-        )
-        verdict = backend._chunk_saturated(ids)
-        assert verdict == chunk_prune_saturated(engine.compiled, ids)
-        key = b"sat:" + chunk_cache_key(ids)
-        assert backend.plan.chunk_cache.get(key) == verdict
-        # A second backend over the same compiled circuit shares the memo.
-        other = engine.vector_backend(prune=False)
-        assert other.plan.chunk_cache is backend.plan.chunk_cache
 
 
 class TestChunkCacheConcurrency:
@@ -210,7 +214,7 @@ class TestChunkCacheConcurrency:
         assert len(builds) == 1  # single construction under contention
         # No torn reads: every thread observed the one published object.
         assert all(result is results[0] for result in results)
-        assert cache.get(key) is results[0]
+        assert cached(cache, key) is results[0]
 
     def test_distinct_keys_build_independently(self):
         import threading
@@ -235,8 +239,8 @@ class TestChunkCacheConcurrency:
         assert len(built) == 16  # once per key, not per caller
 
     def test_falsy_value_cached_not_rebuilt(self):
-        """The saturation verdict is stored as a plain ``False`` —
-        presence must be ``is not None``, never truthiness."""
+        """A falsy value is a cached value: presence is ``is not None``,
+        never truthiness."""
         cache = ChunkCache()
         key = chunk_cache_key([7])
         calls = []
@@ -249,13 +253,13 @@ class TestChunkCacheConcurrency:
         for index in range(4):
             cache.get_or_create(chunk_cache_key([index]), lambda i=index: i)
         assert len(cache) == 2
-        assert cache.get(chunk_cache_key([0])) is None  # evicted first
-        assert cache.get(chunk_cache_key([3])) == 3
+        assert cached(cache, chunk_cache_key([0])) is None  # evicted first
+        assert cached(cache, chunk_cache_key([3])) == 3
 
     def test_existing_entry_skips_factory_and_lock_contention(self):
         cache = ChunkCache()
         key = chunk_cache_key([11])
-        cache.put(key, "resident")
+        cache.get_or_create(key, lambda: "resident")
 
         def exploding_factory():
             raise AssertionError("factory must not run for a resident key")
@@ -279,31 +283,48 @@ class TestRowsKnob:
 
 
 class TestScheduleKnob:
-    def test_validate_accepts_known_values(self):
-        assert validate_schedule(None) == "auto"
-        for value in ("auto", "cone", "input"):
-            assert validate_schedule(value) == value
+    """The ``schedule`` knob is gone: every call spanning more than one
+    chunk is cone-clustered, so naming it is an unknown-knob error."""
 
-    def test_validate_rejects_unknown(self):
-        with pytest.raises(AnalysisError, match="unknown schedule"):
-            validate_schedule("random")
+    def test_auto_resolution_clusters_only_multi_chunk(self, monkeypatch):
+        """A call that fits in one chunk never pays the cluster sort —
+        within one chunk the sweep visits the union of all cones in any
+        order — on any bulk query and either sweep."""
+        calls = []
+        real = epp_batch.cone_cluster_order
 
-    def test_auto_resolution_clusters_only_multi_chunk(self):
-        assert resolve_schedule("auto", 10, 32) == "input"
-        assert resolve_schedule("auto", 33, 32) == "cone"
-        assert resolve_schedule("cone", 2, 32) == "cone"
-        assert resolve_schedule("input", 1000, 32) == "input"
+        def counting(compiled, ids):
+            calls.append(len(ids))
+            return real(compiled, ids)
+
+        monkeypatch.setattr(epp_batch, "cone_cluster_order", counting)
+        engine = EPPEngine(generate_iscas("s953"))
+        ids = site_ids(engine)
+        for prune in (True, False):
+            backend = engine.vector_backend(batch_size=16, prune=prune)
+            backend.min_vector_work = 0
+            for query in (backend.pack_sites, backend.p_sensitized_many,
+                          backend.analyze_sites):
+                query(ids[:16])
+                query(ids[:1])
+            assert calls == []
+            backend.pack_sites(ids[:17])
+            assert calls == [17]
+            calls.clear()
 
     def test_engine_rejects_bad_schedule(self):
         engine = EPPEngine(s27())
-        with pytest.raises(AnalysisError, match="unknown schedule"):
-            engine.analyze(backend="vector", schedule="sorted")
+        with pytest.raises(AnalysisError,
+                           match="unknown analysis knob 'schedule'"):
+            engine.analyze(backend="vector", **{"schedule": "cone"})
 
     def test_scalar_backend_rejects_bad_schedule_too(self):
-        """The scalar path ignores the knob but a typo must still fail."""
+        """The scalar path ignores sweep knobs but a stale one must still
+        fail."""
         engine = EPPEngine(s27())
-        with pytest.raises(AnalysisError, match="unknown schedule"):
-            engine.analyze(backend="scalar", schedule="sorted")
+        with pytest.raises(AnalysisError,
+                           match="unknown analysis knob 'schedule'"):
+            engine.analyze(backend="scalar", **{"schedule": "input"})
 
     def test_table2_config_rejects_knobs_on_scalar_backend(self):
         from repro.errors import ConfigError
@@ -311,20 +332,18 @@ class TestScheduleKnob:
 
         with pytest.raises(ConfigError, match="vector"):
             Table2Config(prune=False)  # default backend is scalar
-        with pytest.raises(ConfigError, match="vector"):
-            Table2Config(schedule="cone")
-        Table2Config(backend="vector", prune=False, schedule="cone")  # fine
+        Table2Config(backend="vector", prune=False)  # fine
 
-    def test_backend_cache_keyed_by_prune_and_schedule(self):
+    def test_backend_cache_keyed_by_prune(self):
         engine = EPPEngine(s27())
         default = engine.vector_backend()
         assert engine.vector_backend() is default
+        assert default.prune is True
+        # None and True are the same effective configuration.
+        assert engine.vector_backend(prune=True) is default
         pruned_off = engine.vector_backend(prune=False)
         assert pruned_off is not default
         assert pruned_off.prune is False
-        clustered = engine.vector_backend(schedule="cone")
-        assert clustered is not pruned_off
-        assert clustered.schedule == "cone"
 
     def test_engine_rejects_bad_cells_and_chunking(self):
         """The cell tier is a private test hook and chunk widths follow
@@ -337,45 +356,61 @@ class TestScheduleKnob:
             engine.analyze(backend="scalar", chunking="adaptive")
 
     def test_resolve_prune_tri_state(self):
-        assert resolve_prune(None) == "auto"
+        """The knob takes None, True or False and resolves to a bool."""
+        assert resolve_prune(None) is True
         assert resolve_prune(True) is True
         assert resolve_prune(False) is False
-        # Idempotent over its own output: the sharded driver ships
-        # resolved values to workers, which resolve again — "auto" must
-        # survive the round trip instead of coercing truthy to True.
-        assert resolve_prune("auto") == "auto"
-        assert resolve_prune(resolve_prune(None)) == "auto"
+        # Idempotent: the sharded driver ships resolved values to
+        # workers, which resolve again.
+        assert resolve_prune(resolve_prune(None)) is True
         # Truthiness is not a prune value: the wire string "false" used
         # to coerce to True and force pruning.
-        for bad in ("false", "true", 0, 1, "on"):
+        for bad in ("auto", "false", "true", 0, 1, "on"):
             with pytest.raises(AnalysisError, match="prune"):
                 resolve_prune(bad)
 
 
+def per_site(ids, packed) -> dict:
+    """A packed tuple keyed by site id: the site's P_sensitized, cone
+    size, sink positions and the raw bytes of its sink vectors."""
+    p_sens, cone_sizes, counts, sink_pos, values = packed
+    stops = np.cumsum(counts)
+    starts = stops - counts
+    return {
+        site: (
+            p_sens[column], cone_sizes[column],
+            sink_pos[starts[column]:stops[column]].tolist(),
+            values[starts[column]:stops[column]].tobytes(),
+        )
+        for column, site in enumerate(ids)
+    }
+
+
 class TestScheduledResults:
     def test_cone_schedule_preserves_input_order(self):
-        """Scheduling permutes the sweep, never the returned mapping."""
+        """Clustering permutes the sweep, never the returned mapping."""
         engine = EPPEngine(generate_iscas("s953"))
-        backend = engine.vector_backend(batch_size=16, schedule="cone")
+        backend = engine.vector_backend(batch_size=16)
         backend.min_vector_work = 0
         sites = engine.default_sites()
-        results = engine.analyze(sites=sites, backend="vector",
-                                 batch_size=16, schedule="cone")
+        ids = np.asarray(site_ids(engine), dtype=np.intp)
+        assert backend._schedule_order(ids) is not None  # really permuted
+        results = engine.analyze(sites=sites, backend="vector", batch_size=16)
         assert list(results) == sites
 
     def test_cone_schedule_values_match_input_schedule(self):
-        """Analyzed one backend at a time: the engine caches a single
-        backend slot, so each configuration is built, forced onto the
-        vectorized path, and queried before the next evicts it."""
+        """Clustered 16-site chunks against one chunk holding the whole
+        site list, which sweeps in input order.  Analyzed one backend at
+        a time: the engine caches a single backend slot."""
         engine = EPPEngine(generate_iscas("s953"))
-        site_ids = [engine._cones.resolve(s) for s in engine.default_sites()]
+        ids = site_ids(engine)
 
-        backend = engine.vector_backend(batch_size=16, schedule="cone")
+        backend = engine.vector_backend(batch_size=16)
         backend.min_vector_work = 0
-        clustered = backend.analyze_sites(site_ids)
-        backend = engine.vector_backend(batch_size=16, schedule="input")
+        clustered = backend.analyze_sites(ids)
+        backend = engine.vector_backend(batch_size=len(ids))
         backend.min_vector_work = 0
-        ordered = backend.analyze_sites(site_ids)
+        ordered = backend.analyze_sites(ids)
 
         assert list(clustered) == list(ordered)
         for site in clustered:
@@ -383,91 +418,58 @@ class TestScheduledResults:
             assert clustered[site].cone_size == ordered[site].cone_size
 
     def test_pack_sites_reorders_to_input_order(self):
-        """pack_sites under cone scheduling returns arrays aligned with the
-        caller's site order — the sharded materialize contract."""
+        """pack_sites over clustered chunks returns arrays aligned with
+        the caller's site order — the sharded materialize contract."""
         engine = EPPEngine(generate_iscas("s953"))
-        ids = [engine._cones.resolve(site) for site in engine.default_sites()]
-        clustered = engine.vector_backend(batch_size=16, schedule="cone")
+        ids = site_ids(engine)
+        clustered = engine.vector_backend(batch_size=16)
         clustered.min_vector_work = 0
         packed_clustered = clustered.pack_sites(ids)
-        ordered = engine.vector_backend(batch_size=16, schedule="input")
+        ordered = engine.vector_backend(batch_size=len(ids))
         ordered.min_vector_work = 0
         packed_ordered = ordered.pack_sites(ids)
         for left, right in zip(packed_clustered, packed_ordered):
             assert np.array_equal(left, right)
 
+    @pytest.mark.parametrize("prune", [True, False])
+    @pytest.mark.parametrize("circuit_factory", [
+        lambda: generate_iscas("s953"), zoo_circuit,
+    ], ids=["s953", "zoo"])
+    def test_permuted_site_lists_agree_per_site(self, circuit_factory, prune):
+        """The site list, its reverse and a seeded shuffle: whichever
+        order a caller picks, every site's packed result is the same."""
+        import random
 
-class TestAutoPruneFallback:
-    """The bench-driven dense fallback (BENCH_pr3.json: s953 sparse at
-    0.99x of dense, s1423 at 0.83x — saturated full-circuit sweeps of
-    small circuits lose to the dense kernels)."""
+        engine = EPPEngine(circuit_factory())
+        backend = engine.vector_backend(batch_size=16, prune=prune)
+        backend.min_vector_work = 0
+        ids = site_ids(engine)
+        shuffled = list(ids)
+        random.Random(7).shuffle(shuffled)
+        expected = per_site(ids, backend.pack_sites(ids))
+        for order in (ids[::-1], shuffled):
+            assert per_site(order, backend.pack_sites(order)) == expected
 
-    def test_saturated_predicate_matches_bench_observation(self):
-        """Full-circuit site lists of the regressed small circuits are
-        exactly what the predicate must flag as saturated."""
-        for name in ("s953", "s1423"):
-            engine = EPPEngine(generate_iscas(name))
-            ids = [engine._cones.resolve(s) for s in engine.default_sites()]
-            assert chunk_prune_saturated(engine.compiled, ids), name
-
-    def test_clustered_subset_is_not_saturated(self):
-        """A single cone-cluster's sites cover few sinks — the workload
-        pruning was built for must keep pruning."""
+    def test_cluster_sorted_shard_sweeps_without_reorder(self, monkeypatch):
+        """A contiguous run of the cone-clustered order — what a sharded
+        worker receives — sorts to itself, so it sweeps as it arrived:
+        no permutation and no packed-result reorder."""
         engine = EPPEngine(generate_iscas("s953"))
-        ids = [engine._cones.resolve(s) for s in engine.default_sites()]
+        ids = site_ids(engine)
         order = cone_cluster_order(engine.compiled, ids)
-        cluster = [ids[position] for position in order[:24].tolist()]
-        assert not chunk_prune_saturated(engine.compiled, cluster)
-
-    def test_large_circuits_never_consult_the_predicate(self, monkeypatch):
-        """Above PRUNE_AUTO_MAX_NODES the skipped rows always dwarf the
-        bookkeeping: saturation must not trigger the fallback."""
-        import repro.core.schedule as schedule_module
-
-        engine = EPPEngine(generate_iscas("s953"))
-        ids = [engine._cones.resolve(s) for s in engine.default_sites()]
-        assert chunk_prune_saturated(engine.compiled, ids)
-        monkeypatch.setattr(schedule_module, "PRUNE_AUTO_MAX_NODES", 400)
-        assert not chunk_prune_saturated(engine.compiled, ids)
-
-    def test_auto_mode_runs_saturated_sweeps_dense(self):
-        """End to end: the default (auto) configuration routes the s953
-        full-circuit analyze through dense sweeps — and skips the cluster
-        sort, whose overhead was the other half of the regression."""
-        engine = EPPEngine(generate_iscas("s953"))
-        backend = engine.vector_backend(batch_size=64)
+        shard = np.asarray([ids[p] for p in order[40:140].tolist()],
+                           dtype=np.intp)
+        backend = engine.vector_backend(batch_size=16)
         backend.min_vector_work = 0
-        ids = [engine._cones.resolve(s) for s in engine.default_sites()]
-        assert backend._schedule_order(np.asarray(ids, dtype=np.intp)) is None
-        backend.analyze_sites(ids)
-        stats = backend.sweep_stats
-        assert stats["sweeps"] > 0
-        assert stats["dense_fallback_sweeps"] == stats["sweeps"]
-        assert stats["groups_row"] == stats["groups_cell"] == 0
+        everything = per_site(ids, backend.pack_sites(ids))
+        assert backend._schedule_order(shard) is None
 
-    def test_forced_prune_overrides_the_fallback(self):
-        """prune=True keeps the PR-3 contract: saturated or not, every
-        sweep prunes (the knob is a force, not a hint)."""
-        engine = EPPEngine(generate_iscas("s953"))
-        backend = engine.vector_backend(batch_size=64, prune=True)
-        backend.min_vector_work = 0
-        ids = [engine._cones.resolve(s) for s in engine.default_sites()]
-        backend.analyze_sites(ids)
-        stats = backend.sweep_stats
-        assert stats["dense_fallback_sweeps"] == 0
-        assert stats["groups_dense"] == 0
-        assert stats["groups_row"] + stats["groups_cell"] > 0
+        def no_reorder(packed, inverse):
+            raise AssertionError("a cluster-sorted shard was reordered")
 
-    def test_unsaturated_auto_calls_still_prune(self):
-        """The fallback must not blanket small circuits: a clustered
-        subset under the same auto defaults keeps the sparse tiers."""
-        engine = EPPEngine(generate_iscas("s953"))
-        ids = [engine._cones.resolve(s) for s in engine.default_sites()]
-        order = cone_cluster_order(engine.compiled, ids)
-        cluster = [ids[position] for position in order[:24].tolist()]
-        backend = engine.vector_backend(batch_size=64)
-        backend.min_vector_work = 0
-        backend.analyze_sites(cluster)
-        stats = backend.sweep_stats
-        assert stats["dense_fallback_sweeps"] == 0
-        assert stats["groups_row"] + stats["groups_cell"] > 0
+        monkeypatch.setattr(BatchEPPBackend, "_reorder_packed",
+                            staticmethod(no_reorder))
+        packed = backend.pack_sites(shard)
+        assert per_site(shard.tolist(), packed) == {
+            site: everything[site] for site in shard.tolist()
+        }

@@ -213,6 +213,9 @@ class TestProtocol:
                    '"knobs": {"jobs": 2, "shard_timeout": 1' + '0' * 400 + '}}'),
         # A negative row count.
         {"op": "analyze", "circuit": "c17", "top": -3},
+        # Removed sweep knob values: no schedule, and "auto" is no prune.
+        {"op": "analyze", "circuit": "c17", "knobs": {"schedule": "cone"}},
+        {"op": "analyze", "circuit": "c17", "knobs": {"prune": "auto"}},
     ])
     def test_parse_request_rejects(self, obj):
         with pytest.raises(ConfigError):
