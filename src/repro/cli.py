@@ -27,7 +27,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.errors import ConfigError, ReproError
+from repro.errors import AnalysisError, ConfigError, ReproError
 from repro.netlist.bench import parse_bench_file, write_bench
 from repro.netlist.circuit import Circuit
 from repro.netlist.generate import (
@@ -537,6 +537,10 @@ def _dispatch(args: argparse.Namespace) -> int:
             rows_to_csv(report.ranked(), args.csv)
             print(f"wrote {args.csv}")
         if args.multi_cycle:
+            if not report.sites:
+                raise AnalysisError(
+                    f"--multi-cycle needs an analyzed site; {circuit.name} has none"
+                )
             top_node = report.ranked(1)[0].node
             value = analyzer.multi_cycle_observability(top_node, cycles=args.multi_cycle)
             print(

@@ -20,17 +20,19 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
-from itertools import repeat
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
+from types import MappingProxyType
+
+import numpy as np
 
 from repro.errors import AnalysisError
 from repro.core.epp import EPPEngine, EPPResult
 from repro.core.sensitization import combine_sensitization
 from repro.netlist.circuit import Circuit
-from repro.netlist.gate_types import GateType
+from repro.netlist.gate_types import CODE_TO_TYPE
 from repro.ser.electrical import ElectricalMaskingModel
-from repro.ser.fit import combine_fit, per_second_to_fit
+from repro.ser.fit import rates_to_fit, sum_fit
 from repro.ser.latching import LatchingModel
 from repro.ser.seu_rate import SEURateModel
 
@@ -64,44 +66,126 @@ class NodeSER:
         )
 
 
-@dataclass
 class CircuitSERReport:
-    """Per-node and aggregate SER of one analysis run."""
+    """Per-node and aggregate SER of one analysis run, held as columns.
 
-    circuit_name: str
-    nodes: dict[str, NodeSER] = field(default_factory=dict)
+    Row ``i`` is site ``sites[i]``.  ``gate_types`` is a list of gate-type
+    names; ``r_seu``, ``p_sensitized``, ``ser`` and ``fit`` are read-only
+    float64 arrays and ``cone_sizes`` a read-only integer array;
+    ``p_latched`` is one scalar shared by every row.  ``total_fit`` is
+    summed once, here.  :class:`NodeSER` rows are built only for the rows
+    a caller reads — :meth:`ranked`, :meth:`to_dict`, :meth:`format_table`
+    — and :attr:`nodes` builds the full mapping on first access.
+    """
+
+    def __init__(
+        self,
+        circuit_name: str,
+        sites: list[str],
+        gate_types: list[str],
+        r_seu: np.ndarray,
+        p_latched: float,
+        p_sensitized: np.ndarray,
+        ser: np.ndarray,
+        fit: np.ndarray,
+        cone_sizes: np.ndarray,
+    ):
+        self.circuit_name = circuit_name
+        self.sites = sites
+        self.gate_types = gate_types
+        self.r_seu = _read_only(r_seu)
+        self.p_latched = p_latched
+        self.p_sensitized = _read_only(p_sensitized)
+        self.ser = _read_only(ser)
+        self.fit = _read_only(fit)
+        self.cone_sizes = _read_only(cone_sizes)
+        self.total_fit = sum_fit(self.fit)
+        self._rows: dict[str, int] | None = None  # built on first lookup
+        self._nodes: Mapping[str, NodeSER] | None = None
+
+    def __repr__(self) -> str:
+        return (
+            f"CircuitSERReport({self.circuit_name!r}: {len(self.sites)} sites, "
+            f"total_fit={self.total_fit!r})"
+        )
 
     @property
-    def total_fit(self) -> float:
-        return combine_fit(entry.fit for entry in self.nodes.values())
+    def nodes(self) -> Mapping[str, NodeSER]:
+        """Every row as a read-only ``{site: NodeSER}`` mapping, in site
+        order, built on first access (for callers that want every entry)."""
+        if self._nodes is None:
+            entries = self._entries(range(len(self.sites)))
+            self._nodes = MappingProxyType({entry.node: entry for entry in entries})
+        return self._nodes
+
+    def _entries(self, rows) -> list[NodeSER]:
+        """:class:`NodeSER` objects for ``rows``, in that order."""
+        rows = np.fromiter(rows, dtype=np.intp)
+        sites, gate_types, p_latched = self.sites, self.gate_types, self.p_latched
+        return [
+            NodeSER(
+                sites[row], gate_types[row], r_seu, p_latched, p_sens, ser, fit, cone
+            )
+            for row, r_seu, p_sens, ser, fit, cone in zip(
+                rows.tolist(),
+                self.r_seu[rows].tolist(),
+                self.p_sensitized[rows].tolist(),
+                self.ser[rows].tolist(),
+                self.fit[rows].tolist(),
+                self.cone_sizes[rows].tolist(),
+            )
+        ]
+
+    def rank_order(self, top: int | None = None) -> list[int]:
+        """Row indices by decreasing SER, ties by site name.
+
+        The ``(-ser, node)`` order of :meth:`ranked`, with
+        ``heapq.nsmallest``'s edge cases: ``top <= 0`` gives ``[]`` and a
+        ``top`` past the row count gives every row.  A ``top`` count
+        partitions the SER column instead of sorting it; only the rows
+        tied with the cut are compared by name.
+        """
+        key = -self.ser
+        sites = self.sites
+        if top is None or top >= len(sites):
+            by_name = np.array(
+                sorted(range(len(sites)), key=sites.__getitem__), dtype=np.intp
+            )
+            return by_name[np.argsort(key[by_name], kind="stable")].tolist()
+        if top <= 0:
+            return []
+        cut = np.partition(key, top - 1)[top - 1]
+        chosen = np.flatnonzero(key < cut).tolist()
+        tied = np.flatnonzero(key == cut).tolist()
+        chosen += heapq.nsmallest(top - len(chosen), tied, key=sites.__getitem__)
+        chosen.sort(key=lambda row: (key[row], sites[row]))
+        return chosen
 
     def ranked(self, top: int | None = None) -> list[NodeSER]:
         """Nodes by decreasing SER contribution (the vulnerability ranking).
 
-        A ``top`` count selects with a bounded heap instead of sorting
-        every node (``heapq.nsmallest`` equals ``sorted(...)[:top]``).
+        Ties order by node name; ``top`` keeps the first ``top`` rows (see
+        :meth:`rank_order`).
         """
-        def key(entry):
-            return (-entry.ser, entry.node)
-
-        if top is None:
-            return sorted(self.nodes.values(), key=key)
-        return heapq.nsmallest(top, self.nodes.values(), key=key)
+        return self._entries(self.rank_order(top))
 
     def contribution(self, node: str) -> float:
         """Fraction of the circuit SER contributed by one node."""
         total = self.total_fit
         if total == 0.0:
             return 0.0
+        if self._rows is None:
+            self._rows = dict(zip(self.sites, range(len(self.sites))))
         try:
-            return self.nodes[node].fit / total
+            row = self._rows[node]
         except KeyError:
             raise AnalysisError(f"node {node!r} not in this report") from None
+        return float(self.fit[row]) / total
 
     def format_table(self, top: int = 10) -> str:
         lines = [
             f"SER report for {self.circuit_name}: "
-            f"{len(self.nodes)} sites, total {self.total_fit:.4e} FIT",
+            f"{len(self.sites)} sites, total {self.total_fit:.4e} FIT",
             NodeSER.header(),
         ]
         lines += [entry.format_row() for entry in self.ranked(top)]
@@ -116,7 +200,7 @@ class CircuitSERReport:
         """
         return {
             "circuit": self.circuit_name,
-            "sites": len(self.nodes),
+            "sites": len(self.sites),
             "total_fit": self.total_fit,
             "nodes": [
                 {
@@ -132,6 +216,27 @@ class CircuitSERReport:
                 for entry in self.ranked(top)
             ],
         }
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    """A read-only view: the report's columns never change after
+    ``total_fit`` is summed, and the caller's array keeps its flags."""
+    view = column.view()
+    view.flags.writeable = False
+    return view
+
+
+def _columns(
+    results: Mapping[str, EPPResult],
+) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """``(site -> column, p_sensitized, cone_sizes)`` of a results dict."""
+    n = len(results)
+    p_sensitized = np.empty(n, dtype=np.float64)
+    cone_sizes = np.empty(n, dtype=np.intp)
+    for column, result in enumerate(results.values()):
+        p_sensitized[column] = result.p_sensitized
+        cone_sizes[column] = result.cone_size
+    return dict(zip(results, range(n))), p_sensitized, cone_sizes
 
 
 class SERAnalyzer:
@@ -182,60 +287,100 @@ class SERAnalyzer:
     def node_ser(self, site: str) -> NodeSER:
         """SER decomposition for one site."""
         result = self.engine.node_epp(site)
-        rows = [(site, result.p_sensitized, result.cone_size, result)]
-        return self._assemble(self.compiled, rows)[site]
+        results = {site: result}
+        report = self._assemble(
+            self.circuit.name, self.compiled, *_columns(results), results=results
+        )
+        return report.nodes[site]
 
     def _assemble(
         self,
+        circuit_name: str,
         compiled,
-        rows: Iterable[tuple[str, float, int, EPPResult | None]],
+        columns: Mapping[str, int],
+        p_sensitized: np.ndarray,
+        cone_sizes: np.ndarray,
         hardening: Mapping[str, float] | None = None,
-    ) -> dict[str, NodeSER]:
-        """``{site: NodeSER}`` for ``(site, p_sensitized, cone_size,
-        result)`` rows, assembled against an explicit compiled view.
+        results: Mapping[str, EPPResult] | None = None,
+    ) -> CircuitSERReport:
+        """The report of ``columns`` (site -> column of ``p_sensitized``
+        and ``cone_sizes``), assembled against an explicit compiled view.
 
-        Incremental what-if results (:meth:`report_for`) live on *edited*
-        circuit revisions whose compiled view differs from the analyzer's
-        own; everything here indexes through the ``compiled`` argument so
-        both paths share one assembly.  ``hardening`` holds a revision's
-        factors, composed with the analyzer's own.  ``result`` is read
-        only by the electrical-masking model, which needs the per-sink
-        vectors.  Per-report invariants are looked up once, not per site:
-        a full-circuit report assembles thousands of rows.
+        ``columns`` is a dict built from the site list, so a repeated
+        site is one row, at its first position, holding its last column
+        (what assigning into a dict per site did).  Incremental what-if
+        results (:meth:`report_for`) live on *edited* circuit revisions
+        whose compiled view differs from the analyzer's own; everything
+        here indexes through the ``compiled`` argument so both paths share
+        one assembly.  ``hardening`` holds a revision's factors, composed
+        with the analyzer's own.  ``results`` (site -> :class:`EPPResult`)
+        is read only by the electrical-masking model, which needs the
+        per-sink vectors.
+
+        The arithmetic is the per-site formula's, column-wise and in the
+        same order: ``r_seu = flux * cross_section * weight``, then
+        ``/ drive_strength``, then ``/ (own * revision hardening)`` —
+        dividing by 1.0 is exact, so only the sites those maps name are
+        divided — then ``ser = r_seu * p_latched * p`` and ``fit``.
         """
-        index = compiled.index
-        gate_type_of = compiled.gate_type
-        rate = self.seu_model.rate
+        sites = list(columns)
+        n = len(sites)
+        if n != len(p_sensitized):
+            take = np.fromiter(columns.values(), dtype=np.intp, count=n)
+            p_sensitized, cone_sizes = p_sensitized[take], cone_sizes[take]
+            columns = dict(zip(sites, range(n)))
+        index, code_of = compiled.index, compiled.code
+        node_ids = [index[site] for site in sites]
+        codes = [code_of[node_id] for node_id in node_ids]
+        # One weight lookup per distinct gate type, in first-row order, so
+        # a missing weight raises for the type the per-site loop hit first.
+        # Gate codes, not GateType members, key the tables: an enum hashes
+        # in Python, an int in C.
+        seu = self.seu_model
+        weight_of_code = np.zeros(len(CODE_TO_TYPE), dtype=np.float64)
+        name_of_code = [""] * len(CODE_TO_TYPE)
+        for code in dict.fromkeys(codes):
+            gate_type = CODE_TO_TYPE[code]
+            weight_of_code[code] = seu.type_weight(gate_type)
+            name_of_code[code] = gate_type.value
+        weights = weight_of_code[np.array(codes, dtype=np.intp)]
+        r_seu = (seu.flux * seu.base_cross_section_cm2) * weights
+        for site, strength in seu.drive_strength.items():
+            row = columns.get(site)
+            if row is not None:
+                r_seu[row] /= strength
         own_factors = self.hardening_factors
         hardening = hardening or {}
-        two_factor = self.electrical_model is None
-        p_latched = self.latching_model.p_latched() if two_factor else 1.0
-        nodes: dict[str, NodeSER] = {}
-        for site, p_sensitized, cone_size, result in rows:
-            node_id = index[site]
-            gate_type = gate_type_of(node_id)
-            factor = own_factors.get(site, 1.0) * hardening.get(site, 1.0)
-            r_seu = rate(gate_type, site) / factor
-            if two_factor:
-                p_observable = p_sensitized
-            else:
-                # p_latched stays 1.0: the latching window is folded into
-                # the per-sink combination.
-                p_observable = self._electrical_observability(
-                    compiled, node_id, result
-                )
-            ser = r_seu * p_latched * p_observable
-            nodes[site] = NodeSER(
-                node=site,
-                gate_type=gate_type.value,
-                r_seu=r_seu,
-                p_latched=p_latched,
-                p_sensitized=p_sensitized,
-                ser=ser,
-                fit=per_second_to_fit(ser),
-                cone_size=cone_size,
+        for site in own_factors.keys() | hardening.keys():
+            row = columns.get(site)
+            if row is not None:
+                r_seu[row] /= own_factors.get(site, 1.0) * hardening.get(site, 1.0)
+        if self.electrical_model is None:
+            p_latched = self.latching_model.p_latched()
+            p_observable = p_sensitized
+        else:
+            # p_latched stays 1.0: the latching window is folded into
+            # the per-sink combination.
+            p_latched = 1.0
+            p_observable = np.array(
+                [
+                    self._electrical_observability(compiled, node_id, results[site])
+                    for site, node_id in zip(sites, node_ids)
+                ],
+                dtype=np.float64,
             )
-        return nodes
+        ser = r_seu * p_latched * p_observable
+        return CircuitSERReport(
+            circuit_name,
+            sites,
+            [name_of_code[code] for code in codes],
+            r_seu,
+            p_latched,
+            p_sensitized,
+            ser,
+            rates_to_fit(ser),
+            cone_sizes,
+        )
 
     def _electrical_observability(
         self, compiled, node_id: int, result: EPPResult
@@ -294,15 +439,9 @@ class SERAnalyzer:
         results = self.engine.analyze(
             sites=sites, sample=sample, seed=seed, config=config, **knobs
         )
-        report = CircuitSERReport(self.circuit.name)
-        report.nodes = self._assemble(
-            self.compiled,
-            (
-                (site, result.p_sensitized, result.cone_size, result)
-                for site, result in results.items()
-            ),
+        return self._assemble(
+            self.circuit.name, self.compiled, *_columns(results), results=results
         )
-        return report
 
     # ------------------------------------------------- incremental what-if
 
@@ -334,24 +473,26 @@ class SERAnalyzer:
         analyzer's, if any) — an upsized gate's R_SEU is divided by its
         factor, exactly as :mod:`repro.ser.hardening` models it.  The
         default two-factor model reads only ``P_sensitized`` and the cone
-        size, so it assembles straight from the revision's packed arrays;
-        only the electrical-masking model materializes per-site results.
+        size, so the report's columns are computed straight from the
+        revision's packed arrays; only the electrical-masking model
+        materializes per-site results.
         """
         if self.electrical_model is None:
-            rows = zip(
-                delta.site_names,
-                delta.p_sensitized.tolist(),
-                delta.cone_sizes.tolist(),
-                repeat(None),
-            )
+            results = None
+            p_sensitized, cone_sizes = delta.p_sensitized, delta.cone_sizes
+            columns = dict(zip(delta.site_names, range(len(p_sensitized))))
         else:
-            rows = (
-                (site, result.p_sensitized, result.cone_size, result)
-                for site, result in delta.results().items()
-            )
-        report = CircuitSERReport(delta.engine.circuit.name)
-        report.nodes = self._assemble(delta.engine.compiled, rows, delta.hardening)
-        return report
+            results = delta.results()
+            columns, p_sensitized, cone_sizes = _columns(results)
+        return self._assemble(
+            delta.engine.circuit.name,
+            delta.engine.compiled,
+            columns,
+            p_sensitized,
+            cone_sizes,
+            delta.hardening,
+            results,
+        )
 
     def release_buffers(self) -> None:
         """Reclaim the engine's vectorized-backend state matrices.

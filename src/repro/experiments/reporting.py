@@ -6,7 +6,8 @@ import csv
 import io
 import json
 from collections.abc import Mapping, Sequence
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
+from operator import attrgetter
 
 __all__ = ["rows_to_csv", "rows_to_json", "format_columns"]
 
@@ -19,14 +20,56 @@ def _as_dict(row) -> dict:
     raise TypeError(f"cannot serialize row of type {type(row).__name__}")
 
 
+def _record(row) -> Mapping:
+    """A dataclass row's fields (read off the row, not deep-copied like
+    ``asdict`` does), or a mapping row itself."""
+    if is_dataclass(row) and not isinstance(row, type):
+        return {field.name: getattr(row, field.name) for field in fields(row)}
+    if isinstance(row, Mapping):
+        return row
+    raise TypeError(f"cannot serialize row of type {type(row).__name__}")
+
+
+def _in_header_order(record: Mapping, header: tuple[str, ...]) -> list:
+    """``csv.DictWriter``'s rules: a field the header lacks raises, a
+    header field the record lacks is written as ``""``."""
+    extra = record.keys() - header
+    if extra:
+        raise ValueError(
+            "dict contains fields not in fieldnames: "
+            + ", ".join(repr(name) for name in extra)
+        )
+    return [record.get(name, "") for name in header]
+
+
 def rows_to_csv(rows: Sequence, path: str | None = None) -> str:
-    """Serialize dataclass/mapping rows to CSV text (optionally to a file)."""
-    dicts = [_as_dict(row) for row in rows]
+    """Serialize dataclass/mapping rows to CSV text (optionally to a file).
+
+    The header is the first row's field names (a dataclass's fields in
+    order, a mapping's keys); rows follow ``csv.DictWriter``'s rules for
+    missing and extra fields.  A field holding a dataclass is written as
+    that dataclass's ``str``: rows are flat records.
+    """
+    rows = list(rows)
     buffer = io.StringIO()
-    if dicts:
-        writer = csv.DictWriter(buffer, fieldnames=list(dicts[0]))
-        writer.writeheader()
-        writer.writerows(dicts)
+    if rows:
+        header = tuple(_record(rows[0]))
+        writer = csv.writer(buffer)
+        writer.writerow(header)
+        # Rows of the first row's dataclass type — every row, in practice —
+        # are read with one attrgetter call each.
+        first = type(rows[0])
+        fast = (
+            attrgetter(*header)
+            if len(header) > 1 and not isinstance(rows[0], Mapping)
+            else None
+        )
+        writer.writerows(
+            fast(row)
+            if fast is not None and type(row) is first
+            else _in_header_order(_record(row), header)
+            for row in rows
+        )
     text = buffer.getvalue()
     if path is not None:
         with open(path, "w", encoding="utf-8", newline="") as handle:

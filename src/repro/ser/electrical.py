@@ -16,6 +16,7 @@ ablation benches switch it on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -40,12 +41,18 @@ class ElectricalMaskingModel:
     cutoff_width: float = 2.0e-11
 
     def __post_init__(self) -> None:
-        if self.attenuation_per_level < 0:
+        if not (
+            math.isfinite(self.attenuation_per_level)
+            and self.attenuation_per_level >= 0
+        ):
             raise ConfigError(
-                f"attenuation_per_level must be >= 0, got {self.attenuation_per_level}"
+                "attenuation_per_level must be finite and >= 0, "
+                f"got {self.attenuation_per_level}"
             )
-        if self.cutoff_width < 0:
-            raise ConfigError(f"cutoff_width must be >= 0, got {self.cutoff_width}")
+        if not (math.isfinite(self.cutoff_width) and self.cutoff_width >= 0):
+            raise ConfigError(
+                f"cutoff_width must be finite and >= 0, got {self.cutoff_width}"
+            )
 
     def width_after(self, initial_width: float, levels: int) -> float:
         """Pulse width after traversing ``levels`` gates (0 if masked)."""

@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import ConfigError
 from repro.core.analysis import CircuitSERReport, SERAnalyzer
 from repro.core.baseline import RandomSimulationEstimator
@@ -128,17 +130,18 @@ def selective_hardening_curve(
     """
     if strength_factor <= 1.0:
         raise ConfigError(f"strength_factor must be > 1, got {strength_factor}")
-    ranked = report.ranked()
+    order = report.rank_order()
     if max_nodes is not None:
-        ranked = ranked[:max_nodes]
+        order = order[:max_nodes]
     baseline = report.total_fit
     curve = HardeningCurve(report.circuit_name, strength_factor, baseline)
 
     hardened: list[str] = []
     current = baseline
-    for entry in ranked:
-        hardened.append(entry.node)
-        current -= entry.fit * (1.0 - 1.0 / strength_factor)
+    fits = report.fit.tolist()
+    for row in order:
+        hardened.append(report.sites[row])
+        current -= fits[row] * (1.0 - 1.0 / strength_factor)
         reduction = 0.0 if baseline == 0.0 else 100.0 * (baseline - current) / baseline
         curve.steps.append(
             HardeningStep(
@@ -272,30 +275,25 @@ def optimize_hardening(
 
     delta = analyzer.snapshot(sites=sites, **knobs)
     report = analyzer.report_for(delta)
-    baseline_fit = report.total_fit
-    candidate_pool = set(report.nodes)
+    current_fit = report.total_fit
+    candidate_pool = set(report.sites)
 
     plan = HardeningPlan(
         circuit_name=analyzer.circuit.name,
         action=action,
         area_budget=float(area_budget),
         strength_factor=float(strength_factor),
-        baseline_fit=baseline_fit,
-        final_fit=baseline_fit,
+        baseline_fit=current_fit,
+        final_fit=current_fit,
         area_used=0.0,
     )
     tried: set[str] = set()
+    ranked = _ranked_live_sites(report)
     while (max_steps is None or len(plan.steps) < max_steps) and (
         plan.area_used + step_cost <= area_budget
     ):
         candidate = next(
-            (
-                entry.node
-                for entry in report.ranked()
-                if entry.node in candidate_pool
-                and entry.node not in tried
-                and entry.fit > 0.0
-            ),
+            (site for site in ranked if site in candidate_pool and site not in tried),
             None,
         )
         if candidate is None:
@@ -308,25 +306,37 @@ def optimize_hardening(
             edits.tmr(candidate)
         trial = delta.apply(edits)
         trial_report = analyzer.report_for(trial)
-        accepted = trial_report.total_fit < report.total_fit
+        trial_fit = trial_report.total_fit
+        accepted = trial_fit < current_fit
         plan.steps.append(
             WhatIfStep(
                 action=action,
                 node=candidate,
                 accepted=accepted,
                 area_cost=step_cost if accepted else 0.0,
-                fit_before=report.total_fit,
-                fit_after=trial_report.total_fit,
+                fit_before=current_fit,
+                fit_after=trial_fit,
                 dirty_sites=trial.stats["dirty"],
                 reused_sites=trial.stats["reused"],
             )
         )
         if accepted:
-            delta, report = trial, trial_report
+            delta, current_fit = trial, trial_fit
+            ranked = _ranked_live_sites(trial_report)
             plan.area_used += step_cost
-    plan.final_fit = report.total_fit
+    plan.final_fit = current_fit
     plan.result = delta
     return plan
+
+
+def _ranked_live_sites(report: CircuitSERReport) -> list[str]:
+    """The sites with a positive FIT, by decreasing SER, ties by name.
+
+    ``fit > 0`` exactly when ``ser > 0``, so these rows are the head of
+    the report's rank order and one ``top`` selection finds them.
+    """
+    live = int(np.count_nonzero(report.fit > 0.0))
+    return [report.sites[row] for row in report.rank_order(live)]
 
 
 @dataclass(frozen=True)

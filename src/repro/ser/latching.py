@@ -13,6 +13,7 @@ clock period are always captured.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -40,19 +41,25 @@ class LatchingModel:
     nominal_pulse_width: float = 1.5e-10
 
     def __post_init__(self) -> None:
-        if self.clock_period <= 0:
-            raise ConfigError(f"clock_period must be > 0, got {self.clock_period}")
-        if self.window < 0:
-            raise ConfigError(f"window must be >= 0, got {self.window}")
-        if self.nominal_pulse_width < 0:
+        # Written so NaN fails too: it compares false against any bound.
+        if not (math.isfinite(self.clock_period) and self.clock_period > 0):
             raise ConfigError(
-                f"nominal_pulse_width must be >= 0, got {self.nominal_pulse_width}"
+                f"clock_period must be finite and > 0, got {self.clock_period}"
+            )
+        if not (math.isfinite(self.window) and self.window >= 0):
+            raise ConfigError(f"window must be finite and >= 0, got {self.window}")
+        if not (
+            math.isfinite(self.nominal_pulse_width) and self.nominal_pulse_width >= 0
+        ):
+            raise ConfigError(
+                "nominal_pulse_width must be finite and >= 0, "
+                f"got {self.nominal_pulse_width}"
             )
 
     def p_latched(self, pulse_width: float | None = None) -> float:
         """Capture probability for a pulse of the given width (default nominal)."""
         width = self.nominal_pulse_width if pulse_width is None else pulse_width
-        if width < 0:
+        if not width >= 0:  # NaN fails too
             raise ConfigError(f"pulse_width must be >= 0, got {width}")
         effective = (width - self.window) / self.clock_period
         if effective < 0.0:

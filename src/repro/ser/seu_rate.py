@@ -21,6 +21,7 @@ placeholders, as in the paper.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -75,23 +76,41 @@ class SEURateModel:
     drive_strength: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.flux < 0:
-            raise ConfigError(f"flux must be >= 0, got {self.flux}")
-        if self.base_cross_section_cm2 < 0:
+        # Finite and in range, not just "not below": NaN passes a plain
+        # ``x < 0`` test, and a NaN FIT then slips past every sign check.
+        if not (math.isfinite(self.flux) and self.flux >= 0):
+            raise ConfigError(f"flux must be finite and >= 0, got {self.flux}")
+        if not (
+            math.isfinite(self.base_cross_section_cm2)
+            and self.base_cross_section_cm2 >= 0
+        ):
             raise ConfigError(
-                f"base_cross_section_cm2 must be >= 0, got {self.base_cross_section_cm2}"
+                "base_cross_section_cm2 must be finite and >= 0, "
+                f"got {self.base_cross_section_cm2}"
             )
-        for name, factor in self.drive_strength.items():
-            if factor <= 0:
+        for gate_type, weight in self.type_weights.items():
+            if not (math.isfinite(weight) and weight >= 0):
                 raise ConfigError(
-                    f"drive strength for {name!r} must be > 0, got {factor}"
+                    f"type weight for {gate_type} must be finite and >= 0, "
+                    f"got {weight}"
+                )
+        for name, factor in self.drive_strength.items():
+            if not (math.isfinite(factor) and factor > 0):
+                raise ConfigError(
+                    f"drive strength for {name!r} must be finite and > 0, "
+                    f"got {factor}"
                 )
 
-    def rate(self, gate_type: GateType, node_name: str | None = None) -> float:
-        """Raw upset rate (upsets/second) for one node."""
+    def type_weight(self, gate_type: GateType) -> float:
+        """Relative sensitive-area weight of one gate type."""
         weight = self.type_weights.get(gate_type.value)
         if weight is None:
             raise ConfigError(f"no type weight for gate type {gate_type.value}")
+        return weight
+
+    def rate(self, gate_type: GateType, node_name: str | None = None) -> float:
+        """Raw upset rate (upsets/second) for one node."""
+        weight = self.type_weight(gate_type)
         strength = self.drive_strength.get(node_name, 1.0) if node_name else 1.0
         return self.flux * self.base_cross_section_cm2 * weight / strength
 

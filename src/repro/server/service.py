@@ -944,8 +944,8 @@ class AnalysisService:
             "digest": state.digest,
             "revision": int(delta.stats.get("chain_length", 0)),
             "sites": list(delta.site_names),
-            "p_sensitized": [float(p) for p in delta.p_sensitized],
-            "cone_sizes": [int(size) for size in delta.cone_sizes],
+            "p_sensitized": delta.p_sensitized.tolist(),
+            "cone_sizes": delta.cone_sizes.tolist(),
             "sweep": {key: int(value) for key, value in delta.stats.items()},
             "degraded": bool(degraded),
         }

@@ -74,6 +74,14 @@ class TestCommands:
         assert main(["analyze", "s27", "--multi-cycle", "2"]) == 0
         assert "multi-cycle observability" in capsys.readouterr().out
 
+    def test_analyze_multi_cycle_without_sites_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "wire.bench"
+        path.write_text("INPUT(a)\nOUTPUT(a)\n")
+        assert main(["analyze", str(path), "--multi-cycle", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--multi-cycle" in err and "has none" in err
+
     def test_analyze_csv_export(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
         assert main(["analyze", "s27", "--csv", str(out)]) == 0

@@ -701,8 +701,9 @@ class TestSERAnalyzerDelta:
     )
     def test_packed_report_equals_materialized_report(self, circuit, monkeypatch):
         """report_for reads the packed arrays; assembling the same
-        revision from materialized EPPResults gives the identical report."""
-        from repro.core.analysis import CircuitSERReport
+        revision from materialized EPPResults (through the per-site
+        reference loop) gives the identical report."""
+        from tests.helpers import ReferenceReport, reference_assemble
 
         analyzer = SERAnalyzer(circuit())
         delta = analyzer.snapshot()
@@ -711,14 +712,17 @@ class TestSERAnalyzerDelta:
         delta = delta.apply(EditSet().replace_gate(delta.site_names[-1], "xor"))
         delta = delta.apply(EditSet().harden(delta.site_names[0], 3.0))
 
-        materialized = CircuitSERReport(delta.engine.circuit.name)
-        materialized.nodes = analyzer._assemble(
-            delta.engine.compiled,
-            [
-                (site, result.p_sensitized, result.cone_size, result)
-                for site, result in delta.results().items()
-            ],
-            delta.hardening,
+        materialized = ReferenceReport(
+            delta.engine.circuit.name,
+            reference_assemble(
+                analyzer,
+                delta.engine.compiled,
+                [
+                    (site, result.p_sensitized, result.cone_size, result)
+                    for site, result in delta.results().items()
+                ],
+                delta.hardening,
+            ),
         )
 
         def no_materialize(self):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
@@ -12,6 +13,8 @@ from repro.ser.fit import (
     fit_to_mtbf_years,
     fit_to_per_second,
     per_second_to_fit,
+    rates_to_fit,
+    sum_fit,
 )
 from repro.ser.latching import LatchingModel
 from repro.ser.seu_rate import TECHNOLOGY_PRESETS, SEURateModel
@@ -54,6 +57,21 @@ class TestSEURate:
         with pytest.raises(ConfigError):
             SEURateModel(drive_strength={"g": 0.0})
 
+    @pytest.mark.parametrize("kwargs", [
+        {"flux": float("nan")},
+        {"flux": float("inf")},
+        {"base_cross_section_cm2": float("nan")},
+        {"base_cross_section_cm2": float("inf")},
+        {"type_weights": {"AND": -1.0}},
+        {"type_weights": {"AND": float("nan")}},
+        {"type_weights": {"AND": float("inf")}},
+        {"drive_strength": {"g": float("nan")}},
+        {"drive_strength": {"g": float("inf")}},
+    ], ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()))
+    def test_rejects_non_finite_and_negative_weights(self, kwargs):
+        with pytest.raises(ConfigError, match="finite"):
+            SEURateModel(**kwargs)
+
     def test_presets_exist_and_scale(self):
         sea = TECHNOLOGY_PRESETS["sea-level-130nm"]
         avionics = TECHNOLOGY_PRESETS["avionics-130nm"]
@@ -88,6 +106,17 @@ class TestLatching:
             LatchingModel().p_latched(pulse_width=-1e-12)
 
 
+    def test_nan_pulse_width_is_rejected(self):
+        with pytest.raises(ConfigError, match="pulse_width must be >= 0"):
+            LatchingModel().p_latched(pulse_width=float("nan"))
+
+    @pytest.mark.parametrize("field", ["clock_period", "window", "nominal_pulse_width"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_times(self, field, value):
+        with pytest.raises(ConfigError, match="finite"):
+            LatchingModel(**{field: value})
+
+
 class TestElectrical:
     def test_linear_attenuation(self):
         model = ElectricalMaskingModel(attenuation_per_level=1e-11, cutoff_width=2e-11)
@@ -104,6 +133,13 @@ class TestElectrical:
             ElectricalMaskingModel(attenuation_per_level=-1.0)
         with pytest.raises(ConfigError):
             ElectricalMaskingModel().width_after(1e-10, -1)
+
+
+    @pytest.mark.parametrize("field", ["attenuation_per_level", "cutoff_width"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_widths(self, field, value):
+        with pytest.raises(ConfigError, match="finite"):
+            ElectricalMaskingModel(**{field: value})
 
 
 class TestFit:
@@ -129,3 +165,37 @@ class TestFit:
             combine_fit([1.0, -2.0])
         with pytest.raises(ConfigError):
             fit_to_mtbf_years(-5.0)
+
+    def test_array_forms_match_the_scalar_loops_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            rates = rng.random(997) * 10.0 ** rng.integers(-20, -10, 997)
+            fits = rates_to_fit(rates)
+            assert fits.tolist() == [per_second_to_fit(r) for r in rates.tolist()]
+            assert sum_fit(fits) == combine_fit(fits.tolist())
+        # A vector where the pairwise np.sum is not the left-to-right sum.
+        values = np.array([1.0] + [1e-16] * 1000)
+        assert float(np.sum(values)) != combine_fit(values.tolist())
+        assert sum_fit(values) == combine_fit(values.tolist())
+
+    def test_array_forms_edge_cases(self):
+        assert sum_fit(np.array([])) == 0.0
+        negative_zero = sum_fit(np.array([-0.0, -0.0]))
+        assert math.copysign(1.0, negative_zero) == math.copysign(
+            1.0, combine_fit([-0.0, -0.0])
+        )
+        with pytest.raises(ConfigError, match=r"rate must be >= 0, got -2.0"):
+            rates_to_fit(np.array([1.0, -2.0, -3.0]))
+        with pytest.raises(ConfigError, match=r"FIT must be >= 0, got -2.0"):
+            sum_fit(np.array([1.0, -2.0, -3.0]))
+
+    def test_nan_rates_and_fits_are_rejected(self):
+        nan = float("nan")
+        with pytest.raises(ConfigError, match="rate must be >= 0, got nan"):
+            per_second_to_fit(nan)
+        with pytest.raises(ConfigError, match="FIT must be >= 0, got nan"):
+            combine_fit([1.0, nan])
+        with pytest.raises(ConfigError, match="rate must be >= 0, got nan"):
+            rates_to_fit(np.array([1.0, nan, -1.0]))
+        with pytest.raises(ConfigError, match="FIT must be >= 0, got nan"):
+            sum_fit(np.array([1.0, nan]))

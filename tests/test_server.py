@@ -399,6 +399,32 @@ class TestServiceCore:
                 )
         asyncio.run(main())
 
+    def test_delta_fit_matches_in_process_report(self, tmp_path, c17_ref):
+        from repro.core.analysis import SERAnalyzer
+
+        _, sites = c17_ref
+        analyzer = SERAnalyzer(c17())
+        local = analyzer.snapshot()
+        local = local.apply(EditSet().harden(sites[0], 10.0))
+        local = local.apply(EditSet().harden(sites[2], 4.0))
+        expected = json.loads(json.dumps(analyzer.report_for(local).to_dict(3)))
+
+        async def main():
+            async with serving(tmp_path) as svc:
+                await svc._respond(wire(op="analyze", circuit="c17"))
+                for site, factor in ((sites[0], 10.0), (sites[2], 4.0)):
+                    response = await svc._respond(wire(
+                        op="analyze_delta", circuit="c17",
+                        edits=[["harden", site, factor]], fit=True, top=3,
+                    ))
+                    assert response["ok"]
+                served = json.loads(json.dumps(response["result"]))
+                assert served["revision"] == 2
+                assert served["fit"] == expected
+                assert served["cone_sizes"] == local.cone_sizes.tolist()
+                assert served["p_sensitized"] == local.p_sensitized.tolist()
+        asyncio.run(main())
+
 
 # -------------------------------------------------- admission & backpressure
 
