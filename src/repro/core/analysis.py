@@ -239,6 +239,42 @@ def _columns(
     return dict(zip(results, range(n))), p_sensitized, cone_sizes
 
 
+class SiteRows:
+    """The rows of a report, as far as the site list and the compiled
+    view alone determine them: site order, node ids, gate codes and
+    type names.  No SER model value enters, so one instance serves every
+    report of a packed generation (:meth:`SERAnalyzer.report_for`).
+
+    ``columns`` maps each site to its column of ``p_sensitized`` and
+    ``cone_sizes``, which hold ``n_columns`` entries.  It is a dict built
+    from the site list, so a repeated site is one row, at its first
+    position, holding its last column (what assigning into a dict per
+    site did); ``take`` then gathers the columns into row order.  Every
+    attribute is shared: read it, never change it.
+    """
+
+    __slots__ = ("sites", "row_of", "take", "node_ids", "codes", "first_codes", "type_names")
+
+    def __init__(self, compiled, columns: Mapping[str, int], n_columns: int):
+        sites = list(columns)
+        n = len(sites)
+        self.take = None
+        if n != n_columns:
+            self.take = np.fromiter(columns.values(), dtype=np.intp, count=n)
+            columns = dict(zip(sites, range(n)))
+        self.sites = sites
+        self.row_of = columns
+        index, code_of = compiled.index, compiled.code
+        self.node_ids = [index[site] for site in sites]
+        codes = [code_of[node_id] for node_id in self.node_ids]
+        # Distinct codes in first-row order: the per-call weight lookup
+        # then raises for the type the per-site loop hit first.
+        self.first_codes = tuple(dict.fromkeys(codes))
+        self.codes = np.array(codes, dtype=np.intp)
+        name_of_code = {code: CODE_TO_TYPE[code].value for code in self.first_codes}
+        self.type_names = [name_of_code[code] for code in codes]
+
+
 class SERAnalyzer:
     """Full-circuit SER analysis on top of an :class:`EPPEngine`.
 
@@ -274,48 +310,61 @@ class SERAnalyzer:
         # while leaving P_sensitized untouched (Mohanram & Touba's model,
         # see ser/hardening.py).  Incremental what-if analyses carry their
         # own accumulated factors, which compose with these.
-        self.hardening_factors: dict[str, float] = dict(hardening_factors or {})
-        for node, factor in self.hardening_factors.items():
+        factors = dict(hardening_factors or {})
+        for node, factor in factors.items():
             if not math.isfinite(factor) or factor <= 0.0:
                 raise AnalysisError(
                     f"hardening factor for {node!r} must be positive "
                     f"and finite, got {factor}"
                 )
+        # Read-only once validated: a factor changed afterwards would skip
+        # the check above.
+        self.hardening_factors: Mapping[str, float] = MappingProxyType(factors)
 
     # ------------------------------------------------------------- per node
 
     def node_ser(self, site: str) -> NodeSER:
         """SER decomposition for one site."""
-        result = self.engine.node_epp(site)
-        results = {site: result}
-        report = self._assemble(
-            self.circuit.name, self.compiled, *_columns(results), results=results
-        )
+        results = {site: self.engine.node_epp(site)}
+        report = self._assemble_results(self.circuit.name, self.compiled, results)
         return report.nodes[site]
+
+    def _assemble_results(
+        self,
+        circuit_name: str,
+        compiled,
+        results: Mapping[str, EPPResult],
+        hardening: Mapping[str, float] | None = None,
+    ) -> CircuitSERReport:
+        """The report of a ``{site: EPPResult}`` dict: its rows built
+        here, for this call only, then :meth:`_assemble`."""
+        columns, p_sensitized, cone_sizes = _columns(results)
+        rows = SiteRows(compiled, columns, len(p_sensitized))
+        return self._assemble(
+            circuit_name, compiled, rows, p_sensitized, cone_sizes,
+            hardening, results,
+        )
 
     def _assemble(
         self,
         circuit_name: str,
         compiled,
-        columns: Mapping[str, int],
+        rows: SiteRows,
         p_sensitized: np.ndarray,
         cone_sizes: np.ndarray,
         hardening: Mapping[str, float] | None = None,
         results: Mapping[str, EPPResult] | None = None,
     ) -> CircuitSERReport:
-        """The report of ``columns`` (site -> column of ``p_sensitized``
-        and ``cone_sizes``), assembled against an explicit compiled view.
+        """The report of ``rows`` over the ``p_sensitized`` and
+        ``cone_sizes`` columns: every model value, read now.
 
-        ``columns`` is a dict built from the site list, so a repeated
-        site is one row, at its first position, holding its last column
-        (what assigning into a dict per site did).  Incremental what-if
-        results (:meth:`report_for`) live on *edited* circuit revisions
-        whose compiled view differs from the analyzer's own; everything
-        here indexes through the ``compiled`` argument so both paths share
-        one assembly.  ``hardening`` holds a revision's factors, composed
-        with the analyzer's own.  ``results`` (site -> :class:`EPPResult`)
-        is read only by the electrical-masking model, which needs the
-        per-sink vectors.
+        Incremental what-if results (:meth:`report_for`) live on *edited*
+        circuit revisions whose compiled view differs from the analyzer's
+        own, so the electrical-masking model indexes through the
+        ``compiled`` argument.  ``hardening`` holds a revision's factors,
+        composed with the analyzer's own.  ``results`` (site ->
+        :class:`EPPResult`) is read only by the electrical-masking model,
+        which needs the per-sink vectors.
 
         The arithmetic is the per-site formula's, column-wise and in the
         same order: ``r_seu = flux * cross_section * weight``, then
@@ -323,36 +372,24 @@ class SERAnalyzer:
         dividing by 1.0 is exact, so only the sites those maps name are
         divided — then ``ser = r_seu * p_latched * p`` and ``fit``.
         """
-        sites = list(columns)
-        n = len(sites)
-        if n != len(p_sensitized):
-            take = np.fromiter(columns.values(), dtype=np.intp, count=n)
-            p_sensitized, cone_sizes = p_sensitized[take], cone_sizes[take]
-            columns = dict(zip(sites, range(n)))
-        index, code_of = compiled.index, compiled.code
-        node_ids = [index[site] for site in sites]
-        codes = [code_of[node_id] for node_id in node_ids]
-        # One weight lookup per distinct gate type, in first-row order, so
-        # a missing weight raises for the type the per-site loop hit first.
-        # Gate codes, not GateType members, key the tables: an enum hashes
-        # in Python, an int in C.
+        if rows.take is not None:
+            p_sensitized, cone_sizes = p_sensitized[rows.take], cone_sizes[rows.take]
+        # Gate codes, not GateType members, key the weight table: an enum
+        # hashes in Python, an int in C.
         seu = self.seu_model
         weight_of_code = np.zeros(len(CODE_TO_TYPE), dtype=np.float64)
-        name_of_code = [""] * len(CODE_TO_TYPE)
-        for code in dict.fromkeys(codes):
-            gate_type = CODE_TO_TYPE[code]
-            weight_of_code[code] = seu.type_weight(gate_type)
-            name_of_code[code] = gate_type.value
-        weights = weight_of_code[np.array(codes, dtype=np.intp)]
-        r_seu = (seu.flux * seu.base_cross_section_cm2) * weights
+        for code in rows.first_codes:
+            weight_of_code[code] = seu.type_weight(CODE_TO_TYPE[code])
+        r_seu = (seu.flux * seu.base_cross_section_cm2) * weight_of_code[rows.codes]
+        row_of = rows.row_of
         for site, strength in seu.drive_strength.items():
-            row = columns.get(site)
+            row = row_of.get(site)
             if row is not None:
                 r_seu[row] /= strength
         own_factors = self.hardening_factors
         hardening = hardening or {}
         for site in own_factors.keys() | hardening.keys():
-            row = columns.get(site)
+            row = row_of.get(site)
             if row is not None:
                 r_seu[row] /= own_factors.get(site, 1.0) * hardening.get(site, 1.0)
         if self.electrical_model is None:
@@ -365,15 +402,15 @@ class SERAnalyzer:
             p_observable = np.array(
                 [
                     self._electrical_observability(compiled, node_id, results[site])
-                    for site, node_id in zip(sites, node_ids)
+                    for site, node_id in zip(rows.sites, rows.node_ids)
                 ],
                 dtype=np.float64,
             )
         ser = r_seu * p_latched * p_observable
         return CircuitSERReport(
             circuit_name,
-            sites,
-            [name_of_code[code] for code in codes],
+            list(rows.sites),
+            list(rows.type_names),
             r_seu,
             p_latched,
             p_sensitized,
@@ -439,9 +476,7 @@ class SERAnalyzer:
         results = self.engine.analyze(
             sites=sites, sample=sample, seed=seed, config=config, **knobs
         )
-        return self._assemble(
-            self.circuit.name, self.compiled, *_columns(results), results=results
-        )
+        return self._assemble_results(self.circuit.name, self.compiled, results)
 
     # ------------------------------------------------- incremental what-if
 
@@ -474,24 +509,28 @@ class SERAnalyzer:
         factor, exactly as :mod:`repro.ser.hardening` models it.  The
         default two-factor model reads only ``P_sensitized`` and the cone
         size, so the report's columns are computed straight from the
-        revision's packed arrays; only the electrical-masking model
-        materializes per-site results.
+        revision's packed arrays, and its :class:`SiteRows` are built once
+        per packed generation (``delta.generation``) and shared by every
+        revision and analyzer that reports on it.  Only the
+        electrical-masking model materializes per-site results.
         """
-        if self.electrical_model is None:
-            results = None
-            p_sensitized, cone_sizes = delta.p_sensitized, delta.cone_sizes
-            columns = dict(zip(delta.site_names, range(len(p_sensitized))))
-        else:
-            results = delta.results()
-            columns, p_sensitized, cone_sizes = _columns(results)
+        circuit_name, compiled = delta.engine.circuit.name, delta.engine.compiled
+        if self.electrical_model is not None:
+            return self._assemble_results(
+                circuit_name, compiled, delta.results(), delta.hardening
+            )
+        p_sensitized = delta.p_sensitized
+        rows = delta.generation.memo(
+            "report_rows",
+            lambda: SiteRows(
+                compiled,
+                dict(zip(delta.site_names, range(len(p_sensitized)))),
+                len(p_sensitized),
+            ),
+        )
         return self._assemble(
-            delta.engine.circuit.name,
-            delta.engine.compiled,
-            columns,
-            p_sensitized,
-            cone_sizes,
+            circuit_name, compiled, rows, p_sensitized, delta.cone_sizes,
             delta.hardening,
-            results,
         )
 
     def release_buffers(self) -> None:

@@ -62,6 +62,7 @@ from repro.probability import signal_probabilities
 __all__ = [
     "DeltaAnalysis",
     "EditSet",
+    "Generation",
     "analyze_delta",
     "dirty_mask",
     "edit_impact",
@@ -378,6 +379,43 @@ def dirty_mask(
     return reach
 
 
+class Generation:
+    """One set of packed arrays and what they determine, computed once.
+
+    A :func:`snapshot` or a structural delta packs a new generation; a
+    metadata-only revision (:func:`_reuse_revision`) shares its parent's
+    by reference.  :meth:`memo` entries may depend only on the packed
+    arrays, the site list and the compiled view — never on an SER model
+    or a revision's hardening — so nothing invalidates them, and they die
+    with the generation's last revision.
+    """
+
+    __slots__ = ("packed", "_memo")
+
+    def __init__(self, packed: tuple):
+        self.packed = packed
+        self._memo: dict = {}
+
+    def freeze(self) -> None:
+        """Mark the packed arrays read-only: every revision sharing them
+        would see one write through any of them."""
+        for array in self.packed:
+            array.setflags(write=False)
+
+    def memo(self, key: str, build):
+        """``build()``'s value, computed on the first call for ``key``.
+
+        Safe from several threads: racing builders may both compute the
+        entry, the first one stored wins, and a reader only ever sees a
+        finished value.
+        """
+        value = self._memo.get(key)
+        if value is None:
+            self.freeze()
+            value = self._memo.setdefault(key, build())
+        return value
+
+
 class DeltaAnalysis:
     """One analysis revision in an incremental what-if chain.
 
@@ -386,18 +424,19 @@ class DeltaAnalysis:
     :class:`~repro.core.epp.EPPEngine` of *this* revision's circuit —
     chain onward with ``delta.apply(edits)`` (or
     ``delta.engine.analyze_delta(delta, edits)``).  Revisions that
-    differ only in ``hardening`` share one engine and one set of
-    (read-only) packed arrays.
+    differ only in ``hardening`` share one engine and one
+    :class:`Generation` (the read-only packed arrays and their memo).
     """
 
     __slots__ = (
-        "engine", "site_names", "site_ids", "packed", "default_sites",
+        "engine", "site_names", "site_ids", "generation", "default_sites",
         "user_sp", "sp_method", "sp_options", "sp_map", "sp_overrides",
-        "hardening", "knobs", "stats", "_results",
+        "hardening", "knobs", "stats",
     )
 
-    def __init__(self):
-        self._results = None
+    @property
+    def packed(self) -> tuple:
+        return self.generation.packed
 
     @property
     def p_sensitized(self) -> np.ndarray:
@@ -412,18 +451,20 @@ class DeltaAnalysis:
         """Materialize ``{site_name: EPPResult}`` from the packed arrays.
 
         Built lazily through the vector backend's deferred-dict
-        materializer and memoized — the packed arrays stay the source of
-        truth for splicing either way.
+        materializer and memoized on the generation — the packed arrays
+        stay the source of truth for splicing either way.
         """
-        if self._results is None:
+
+        def materialize() -> dict:
             with self.engine._sweep_lock:
                 backend = self.engine.vector_backend(
                     **{key: self.knobs.get(key) for key in SWEEP_KNOB_KEYS}
                 )
                 collected: dict = {}
                 backend.materialize(self.site_ids, self.packed, collected)
-                self._results = collected
-        return self._results
+            return collected
+
+        return self.generation.memo("results", materialize)
 
     def apply(self, edits: EditSet, sites=None, **knobs) -> "DeltaAnalysis":
         """Chain: re-analyze this revision after ``edits`` (see
@@ -500,7 +541,7 @@ def snapshot(
     delta.engine = engine
     delta.site_names = site_names
     delta.site_ids = site_ids
-    delta.packed = packed
+    delta.generation = Generation(packed)
     delta.default_sites = defaulted
     delta.user_sp = engine._user_sp
     delta.sp_method = engine._sp_method
@@ -714,17 +755,15 @@ def _reuse_revision(
 
     The circuit, compiled view, SP map and engine (with its cached
     vector backend and batch plan) are shared by reference, and so are
-    the packed arrays, which are marked read-only first: one write
-    through any revision would otherwise corrupt every other.
+    the generation — the packed arrays, which are marked read-only
+    first, and what was computed from them.
     """
-    for array in prev.packed:
-        array.setflags(write=False)
+    prev.generation.freeze()
     delta = DeltaAnalysis()
     delta.engine = prev.engine
     delta.site_names = list(prev.site_names)
     delta.site_ids = list(prev.site_ids)
-    delta.packed = prev.packed
-    delta._results = prev._results
+    delta.generation = prev.generation
     delta.default_sites = prev.default_sites if sites is None else False
     delta.user_sp = prev.user_sp
     delta.sp_method = prev.sp_method
@@ -908,7 +947,7 @@ def analyze_delta(
     delta.engine = new_engine
     delta.site_names = site_names
     delta.site_ids = site_ids
-    delta.packed = packed
+    delta.generation = Generation(packed)
     delta.default_sites = context["defaulted"] if sites is None else False
     delta.user_sp = prev.user_sp
     delta.sp_method = prev.sp_method

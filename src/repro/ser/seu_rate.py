@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro.errors import ConfigError
 from repro.netlist.gate_types import GateType
@@ -66,6 +67,10 @@ class SEURateModel:
         Per-node drive-strength factor map (node name -> factor).  A factor
         ``s`` divides the cross section by ``s`` (upsized cells are harder
         to upset).  Used by the gate-sizing hardening flow.
+
+    Both maps are copied into read-only mappings once validated, so no
+    value can change after the checks ran; derive a changed model with
+    :meth:`with_drive_strength` or :func:`dataclasses.replace`.
     """
 
     flux: float = 5.65e-3
@@ -100,6 +105,18 @@ class SEURateModel:
                     f"drive strength for {name!r} must be finite and > 0, "
                     f"got {factor}"
                 )
+        for name in ("type_weights", "drive_strength"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+
+    def __reduce__(self):
+        # A read-only mapping does not pickle; its plain copy does, and
+        # the rebuilt model validates it again.
+        return type(self), (
+            self.flux,
+            self.base_cross_section_cm2,
+            dict(self.type_weights),
+            dict(self.drive_strength),
+        )
 
     def type_weight(self, gate_type: GateType) -> float:
         """Relative sensitive-area weight of one gate type."""

@@ -52,10 +52,12 @@ __all__ = [
     "MAX_LINE_BYTES",
     "OPS",
     "WIRE_KNOB_KEYS",
+    "Payload",
     "Request",
     "decode_line",
     "edits_from_wire",
     "encode",
+    "encode_json",
     "error_info",
     "error_response",
     "ok_response",
@@ -104,9 +106,68 @@ class Request:
         return self.bench if self.bench is not None else self.circuit
 
 
+_SEPARATORS = (",", ":")
+
+
+def encode_json(value) -> str:
+    """The compact JSON text of one value, exactly as :func:`encode`
+    writes it inside a line."""
+    return json.dumps(value, separators=_SEPARATORS)
+
+
+class Payload(dict):
+    """A result dict that carries the JSON text of some of its values.
+
+    :meth:`splice` records, for a key, the value object the dict holds
+    and that value's :func:`encode_json` text; :func:`encode` then writes
+    the text instead of re-encoding the value, for as long as the dict
+    still holds that very object.  The service memoizes the text of a
+    packed generation's columns this way (see ``AnalysisService._payload``).
+    The dict itself is an ordinary one: store ``dict(payload)``, never
+    the subclass.
+    """
+
+    __slots__ = ("encoded",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.encoded: dict[str, tuple] = {}
+
+    def splice(self, key: str, text: str) -> None:
+        """Write ``text`` for ``self[key]`` — which must encode to it."""
+        self.encoded[key] = (self[key], text)
+
+
+def _encode_object(obj: dict) -> str:
+    """``encode_json(obj)``, with a :class:`Payload`'s recorded texts
+    written in place of their values."""
+    encoded = getattr(obj, "encoded", {})
+    parts = []
+    for key, value in obj.items():
+        if not isinstance(key, str):
+            # JSON's key coercion (numbers, bools, None) is the encoder's.
+            return encode_json(obj)
+        spliced = encoded.get(key)
+        if spliced is not None and spliced[0] is value:
+            text = spliced[1]
+        elif isinstance(value, Payload):
+            text = _encode_object(value)
+        else:
+            text = encode_json(value)
+        parts.append(f"{encode_json(key)}:{text}")
+    return "{" + ",".join(parts) + "}"
+
+
 def encode(message: dict) -> bytes:
-    """One response/request line: compact JSON + newline."""
-    return json.dumps(message, separators=(",", ":")).encode() + b"\n"
+    """One response/request line: compact JSON + newline.
+
+    Byte for byte ``json.dumps(message, separators=(",", ":"))`` plus
+    ``\\n``; a :class:`Payload` result has its recorded texts spliced in
+    rather than re-encoded.
+    """
+    if isinstance(message.get("result"), Payload):
+        return (_encode_object(message) + "\n").encode()
+    return encode_json(message).encode() + b"\n"
 
 
 def decode_line(line: bytes) -> dict:

@@ -68,9 +68,11 @@ from repro.errors import (
 from repro.server.artifacts import ArtifactStore, digest_of
 from repro.server.protocol import (
     MAX_LINE_BYTES,
+    Payload,
     decode_line,
     edits_from_wire,
     encode,
+    encode_json,
     error_response,
     ok_response,
     parse_request,
@@ -89,6 +91,17 @@ _PRIORITY = {"analyze_delta": 0, "analyze": 1}
 #: field metadata, so a new sharded-only knob is stripped here the day
 #: it exists.
 _SHARDED_ONLY = SHARDED_ONLY_KNOBS
+
+
+def _wire_columns(delta) -> dict:
+    """``{key: (list, JSON text)}`` of the payload columns a packed
+    generation determines, in payload order."""
+    columns = {
+        "sites": list(delta.site_names),
+        "p_sensitized": delta.p_sensitized.tolist(),
+        "cone_sizes": delta.cone_sizes.tolist(),
+    }
+    return {key: (values, encode_json(values)) for key, values in columns.items()}
 
 
 class CircuitBreaker:
@@ -818,7 +831,7 @@ class AnalysisService:
             # Journal successes only: errors stay retriable by design.
             self.store.put("journal", jkey, {
                 "request": self._request_digest(req),
-                "payload": payload,
+                "payload": dict(payload),
             })
         return payload
 
@@ -895,8 +908,7 @@ class AnalysisService:
         if recomputed:
             self.counters["recomputed"] += 1
             payload["recomputed"] = True
-        self.store.put("result", result_key, payload, token=token)
-        payload = dict(payload)
+        self.store.put("result", result_key, dict(payload), token=token)
         payload["cached"] = False
         return payload
 
@@ -938,17 +950,26 @@ class AnalysisService:
         payload["cached"] = False
         return payload
 
-    def _payload(self, req, state, delta, degraded) -> dict:
-        payload = {
-            "circuit": delta.engine.circuit.name,
-            "digest": state.digest,
-            "revision": int(delta.stats.get("chain_length", 0)),
-            "sites": list(delta.site_names),
-            "p_sensitized": delta.p_sensitized.tolist(),
-            "cone_sizes": delta.cone_sizes.tolist(),
-            "sweep": {key: int(value) for key, value in delta.stats.items()},
-            "degraded": bool(degraded),
-        }
+    def _payload(self, req, state, delta, degraded) -> Payload:
+        """The result of one computed request.
+
+        The columns a packed generation determines are fresh lists every
+        time, copied from lists built once per generation together with
+        their JSON text (memoized on ``delta.generation``), which
+        ``encode`` splices in: a harden delta shares its parent's
+        generation, so its response re-encodes only what the edit changed.
+        """
+        columns = delta.generation.memo("wire_columns", lambda: _wire_columns(delta))
+        payload = Payload(
+            circuit=delta.engine.circuit.name,
+            digest=state.digest,
+            revision=int(delta.stats.get("chain_length", 0)),
+            **{key: list(values) for key, (values, _) in columns.items()},
+            sweep={key: int(value) for key, value in delta.stats.items()},
+            degraded=bool(degraded),
+        )
+        for key, (_, text) in columns.items():
+            payload.splice(key, text)
         if req.fit:
             report = state.analyzer.report_for(delta)
             payload["fit"] = report.to_dict(req.top)

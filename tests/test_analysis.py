@@ -34,6 +34,14 @@ class TestFactorization:
         with pytest.raises(AnalysisError, match="positive and finite"):
             SERAnalyzer(c17_circuit, hardening_factors={"N10": factor})
 
+    def test_hardening_factors_are_read_only_after_validation(self, c17_circuit):
+        factors = {"N10": 2.0}
+        analyzer = SERAnalyzer(c17_circuit, hardening_factors=factors)
+        with pytest.raises(TypeError):
+            analyzer.hardening_factors["N10"] = float("inf")
+        factors["N10"] = float("inf")  # the caller's dict was copied
+        assert analyzer.hardening_factors == {"N10": 2.0}
+
     def test_custom_models_scale_linearly(self, c17_circuit):
         base = SERAnalyzer(c17_circuit).analyze()
         doubled_flux = SERAnalyzer(

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
-from repro.core.analysis import SERAnalyzer
+from repro.core.analysis import CircuitSERReport, SERAnalyzer
 from repro.core.epp_delta import EditSet
 from repro.errors import AnalysisError, ConfigError
 from repro.netlist.generate import generate_iscas, random_combinational
@@ -160,8 +161,13 @@ class TestColumns:
                        report.fit, report.cone_sizes):
             with pytest.raises(ValueError):
                 column[0] = 0.0
-        # The revision's own arrays keep their flags.
-        assert delta.p_sensitized.flags.writeable
+        # The report's views leave their caller's arrays writable; the
+        # snapshot's arrays are read-only because report_for memoized
+        # the report rows on their generation.
+        p, cones = np.array([0.5]), np.array([1])
+        CircuitSERReport("x", ["a"], ["AND"], p, 0.1, p, p, p, cones)
+        assert p.flags.writeable and cones.flags.writeable
+        assert not delta.p_sensitized.flags.writeable
 
     def test_nodes_is_a_read_only_mapping(self):
         report = SERAnalyzer(c17()).analyze()
@@ -190,11 +196,23 @@ class TestColumns:
         with pytest.raises(ConfigError, match="no type weight for gate type NOR"):
             analyzer.analyze()
 
-    def test_nan_weight_set_after_construction_cannot_reach_the_json(self):
+    def test_nan_weight_set_after_construction_cannot_reach_the_json(
+        self, monkeypatch
+    ):
         seu = SEURateModel()
-        seu.type_weights["NAND"] = float("nan")  # past __post_init__
+        with pytest.raises(TypeError):
+            seu.type_weights["NAND"] = float("nan")  # past __post_init__
+        # The FIT conversion's NaN guard stays: forge a NaN P_sensitized,
+        # which the engine cannot produce, to reach it.
+        analyzer = SERAnalyzer(c17(), seu_model=seu)
+        delta = analyzer.snapshot()
+        forged = delta.p_sensitized.copy()
+        forged[3] = float("nan")
+        monkeypatch.setattr(
+            type(delta), "p_sensitized", property(lambda self: forged)
+        )
         with pytest.raises(ConfigError, match="rate must be >= 0, got nan"):
-            SERAnalyzer(c17(), seu_model=seu).analyze()
+            analyzer.report_for(delta)
 
     def test_negative_rate_names_the_loops_first_offender(self, monkeypatch):
         analyzer = SERAnalyzer(c17())

@@ -1,12 +1,18 @@
 """SER component models: R_SEU, latching window, electrical masking, FIT."""
 
+import copy
+import dataclasses
+import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from repro.core.analysis import SERAnalyzer
 from repro.errors import ConfigError
 from repro.netlist.gate_types import GateType
+from repro.netlist.library import c17
 from repro.ser.electrical import ElectricalMaskingModel
 from repro.ser.fit import (
     combine_fit,
@@ -48,6 +54,35 @@ class TestSEURate:
             10.0 * hardened.rate(GateType.AND, "g")
         )
         assert base.drive_strength == {}
+
+    def test_maps_are_read_only_after_validation(self):
+        weights = dict(SEURateModel().type_weights)
+        model = SEURateModel(type_weights=weights, drive_strength={"g": 2.0})
+        with pytest.raises(TypeError):
+            model.type_weights["NAND"] = float("inf")
+        with pytest.raises(TypeError):
+            model.drive_strength["g"] = 0.0
+        weights["NAND"] = float("inf")  # the caller's dict was copied
+        assert model.type_weights["NAND"] == 0.9
+
+    def test_infinite_weight_cannot_reach_the_json(self):
+        model = SEURateModel()
+        with pytest.raises(TypeError):
+            model.type_weights["NAND"] = float("inf")
+        report = SERAnalyzer(c17(), seu_model=model).analyze().to_dict(1)
+        json.dumps(report, allow_nan=False)  # raises on Infinity or NaN
+
+    def test_functional_updates_and_pickle_keep_equality(self):
+        model = SEURateModel(drive_strength={"g": 2.0})
+        assert pickle.loads(pickle.dumps(model)) == model
+        assert copy.deepcopy(model) == model
+        assert dataclasses.replace(model, flux=1.0).drive_strength == {"g": 2.0}
+        assert dataclasses.replace(model) == model
+        updated = model.with_drive_strength({"h": 3.0})
+        assert updated.drive_strength == {"g": 2.0, "h": 3.0}
+        assert model.drive_strength == {"g": 2.0}
+        with pytest.raises(TypeError):
+            pickle.loads(pickle.dumps(model)).drive_strength["g"] = 1.0
 
     def test_validation(self):
         with pytest.raises(ConfigError):
