@@ -412,7 +412,7 @@ class EPPEngine:
             or backend.jobs != effective_jobs
             or backend.requested_batch_size != requested_batch
             or backend.local is not local
-            # The recovery knobs are part of the backend's identity, so
+            # The retry policy is part of the backend's identity, so
             # changing (say) the retry budget rebuilds the pool rather
             # than silently reusing one configured differently.
             or recovery_knobs(backend.config) != recovery_knobs(config)
@@ -431,6 +431,10 @@ class EPPEngine:
                 config=config.replace(jobs=effective_jobs),
             )
             self._sharded_backend = backend
+        elif backend.config.deadline != config.deadline:
+            # The global deadline is a per-call budget, not part of the
+            # pool's identity: the warm pool takes this call's deadline.
+            backend.config = backend.config.replace(deadline=config.deadline)
         return backend
 
     def sharded_backend(self, *, config: AnalysisConfig | None = None, **knobs):
@@ -442,14 +446,17 @@ class EPPEngine:
         (``p_sensitized_many``, ``analyze_sites``), the pool lifecycle
         (``warm``/``close``) and the crossover knob
         (``min_process_work``).  The engine holds one cache slot: the
-        *most recent* configuration — ``(jobs, batch_size)`` plus the
-        recovery knobs (``None`` equal to the default) — is reused
-        across calls, and requesting a different configuration closes the
-        previous instance's worker pool before building the new one (so
-        the engine never accumulates live pools).  Alternate
-        configurations per call by constructing
-        :class:`~repro.core.epp_shard.ShardedEPPEngine` instances
-        directly instead.
+        *most recent* configuration — ``(jobs, batch_size)``, the retry
+        policy (``retries``, ``shard_timeout``, ``on_failure``; ``None``
+        equal to the default), the fault injector and the checkpoint
+        directory — is reused across calls, and requesting a different
+        configuration closes the previous instance's worker pool before
+        building the new one (so the engine never accumulates live
+        pools).  The global ``deadline`` is not part of that identity:
+        the cached driver takes each call's deadline, so a warm pool is
+        reused whatever the budget.  Alternate configurations per call by
+        constructing :class:`~repro.core.epp_shard.ShardedEPPEngine`
+        instances directly instead.
         """
         self._check_current()
         return self._backend(

@@ -257,20 +257,20 @@ def reap_orphan_segments(pids=None) -> int:
 
 
 def recovery_knobs(config) -> tuple:
-    """``(retries, shard_timeout, on_failure, deadline)`` of an
+    """``(retries, shard_timeout, on_failure)`` of an
     :class:`~repro.core.config.AnalysisConfig`, ``None`` resolved to the
     default (:data:`~repro.core.config.DEFAULT_RETRIES` retries,
-    ``"retry"``, no deadlines).
+    ``"retry"``, no per-shard deadline).
 
-    What the driver's scheduler runs under, and so the sharded backend's
-    recovery identity in the engine cache: ``retries=None`` and
-    ``retries=2`` share one pool.
+    The retry policy the driver's scheduler runs under, and so part of
+    the sharded backend's identity in the engine cache: ``retries=None``
+    and ``retries=2`` share one pool.  The global ``deadline`` is not
+    part of it: it is a per-call budget, and a warm pool serves any.
     """
     return (
         DEFAULT_RETRIES if config.retries is None else int(config.retries),
         config.shard_timeout,
         "retry" if config.on_failure is None else config.on_failure,
-        config.deadline,
     )
 
 
@@ -587,9 +587,10 @@ class ShardedEPPEngine:
     it down and releases the local backend's state buffers.  Results are
     identical to ``backend="vector"`` — neither sharding, scheduling nor
     any recovery path can reorder any per-site arithmetic.  After each
-    sharded call, :attr:`last_outcomes` holds one
+    query, :attr:`last_outcomes` holds one
     :class:`~repro.core.resilience.ShardOutcome` audit record per shard
-    that ran on the pool or was degraded.
+    that ran on the pool or was degraded (none when the crossover guard
+    kept the query in-process).
     """
 
     def __init__(
@@ -640,9 +641,9 @@ class ShardedEPPEngine:
         #: the kill-9 chaos test dies here at a deterministic point.
         self._checkpoint_on_store = None
         #: One :class:`~repro.core.resilience.ShardOutcome` per shard that
-        #: ran on the pool or was degraded in the most recent sharded call
-        #: (empty until one runs); shards served from the sweep journal
-        #: are counted in ``stats["checkpoint_shards"]`` instead.
+        #: ran on the pool or was degraded in the most recent query; empty
+        #: when that query ran in-process.  Shards served from the sweep
+        #: journal are counted in ``stats["checkpoint_shards"]`` instead.
         self.last_outcomes: list[ShardOutcome] = []
         #: Per-engine accounting, reset never.  Wire traffic:
         #: ``shm_shards`` / ``pickle_shards`` count shard results per
@@ -1136,9 +1137,8 @@ class ShardedEPPEngine:
         shared-memory segment unlinked, so failed analyses cannot leak
         ``/dev/shm`` space.
         """
-        retries, shard_timeout, on_failure, deadline = recovery_knobs(
-            self.config
-        )
+        retries, shard_timeout, on_failure = recovery_knobs(self.config)
+        deadline = self.config.deadline
         countdown = Deadline(deadline)
         n = len(shards)
         attempts = [0] * n
@@ -1146,7 +1146,7 @@ class ShardedEPPEngine:
         pending: dict = {}  # future -> shard index
         started: dict = {}  # future -> submission time (monotonic)
         ready_at: dict[int, float] = {}  # shard index -> backoff wakeup
-        outcomes = self.last_outcomes = []
+        outcomes = self.last_outcomes  # reset by the calling query
 
         def submit(index: int) -> None:
             attempts[index] += 1
@@ -1401,11 +1401,7 @@ class ShardedEPPEngine:
         *before* it is merged, so a crash between two merges loses at
         most the shard in flight.  Exactly-once merge is preserved: a
         shard comes from the journal or from the pool, never both.
-        :attr:`last_outcomes` is reset here, so a call served wholly from
-        the journal leaves it empty rather than holding the previous
-        call's records.
         """
-        self.last_outcomes = []
         if self.checkpoint is None:
             yield from self._map_shards(shards, full)
             return
@@ -1436,8 +1432,8 @@ class ShardedEPPEngine:
             journal.store(index, packed)
             self.stats["checkpointed_shards"] += 1
             yield index, packed
-        # _map_shards rebound last_outcomes and numbered them within the
-        # pending subset; restore full-partition indices for the audit.
+        # _map_shards numbered the outcomes within the pending subset;
+        # restore full-partition indices for the audit.
         for outcome in self.last_outcomes:
             outcome.shard = pending[outcome.shard]
 
@@ -1452,6 +1448,7 @@ class ShardedEPPEngine:
         into result objects happens here, overlapping the remaining shards'
         sweeps.
         """
+        self.last_outcomes = []
         site_ids = [int(site_id) for site_id in site_ids]
         if not site_ids:
             return {}
@@ -1480,6 +1477,7 @@ class ShardedEPPEngine:
         """
         import numpy as np
 
+        self.last_outcomes = []
         site_ids = [int(site_id) for site_id in site_ids]
         if not site_ids or self._use_local(len(site_ids)):
             return self.local.pack_sites(site_ids)
@@ -1501,6 +1499,7 @@ class ShardedEPPEngine:
         """``P_sensitized`` for many sites, aligned with ``site_ids``."""
         import numpy as np
 
+        self.last_outcomes = []
         site_ids = [int(site_id) for site_id in site_ids]
         if not site_ids:
             return np.empty(0)

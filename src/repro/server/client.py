@@ -30,7 +30,6 @@ from repro.errors import (
     DeadlineExceededError,
     QueueFullError,
     ReproError,
-    ServerError,
     ServiceUnavailableError,
 )
 
@@ -56,7 +55,8 @@ _TRANSPORT_ERRORS = (
 
 
 class ServeRequestError(ReproError):
-    """A typed error response that is not a :class:`ServerError` subclass.
+    """A typed error response that is not a
+    :class:`~repro.errors.ServerError` subclass.
 
     Carries the wire taxonomy so callers still branch on retriability
     without string matching.
@@ -75,12 +75,6 @@ def _raise_for(info: dict):
         exc = cls(info.get("message", ""), retry_after=info.get("retry_after"))
         raise exc
     raise ServeRequestError(info)
-
-
-def _is_retriable(exc: BaseException) -> bool:
-    if isinstance(exc, (ServerError, ServeRequestError)):
-        return bool(exc.retriable)
-    return False
 
 
 class ServeClient:

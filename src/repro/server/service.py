@@ -766,9 +766,9 @@ class AnalysisService:
         left, raises :class:`~repro.errors.DeadlineExceededError` at the
         plan-build boundary (a zero budget is no valid knob value).
         Shared sweeps run under no per-request deadline (subscribers each
-        enforce their own while waiting), keeping the warm pool's
-        recovery knobs — and therefore the pool itself — stable across
-        requests.
+        enforce their own while waiting).  Either way the warm pool is
+        reused: the engine treats the deadline as a per-call budget, not
+        as part of the pool's identity.
         """
         knobs = dict(req.knobs)
         if (

@@ -146,63 +146,3 @@ class FaultInjector:
     def detection_count(self, good_values: list[int], site: int | str, width: int) -> int:
         """Number of patterns (bits) in which the flip is observable."""
         return self.detection_word(good_values, site, width).bit_count()
-
-    # -------------------------------------------------- multi-site (MBU)
-
-    def multi_detection_word(
-        self, good_values: list[int], sites: Sequence[int | str], width: int
-    ) -> int:
-        """Detection word for *simultaneous* flips at several sites (MBU).
-
-        All sites flip in the same pattern (a single particle upsetting
-        several adjacent nodes).  Exact semantics: every site's value is
-        inverted as it is produced, and the union of the fanout cones is
-        resimulated.  ``good_values`` is left unmodified.
-        """
-        if not sites:
-            raise SimulationError("multi_detection_word needs at least one site")
-        site_ids = sorted(
-            {self._resolve(site) for site in sites},
-            key=self._topo_position.__getitem__,
-        )
-        if len(site_ids) == 1:
-            return self.detection_word(good_values, site_ids[0], width)
-
-        compiled = self.compiled
-        mask = (1 << width) - 1
-        members: set[int] = set()
-        for site_id in site_ids:
-            members |= self.fanout_cone(site_id).members
-        site_set = set(site_ids)
-        eval_order = sorted(
-            members - site_set, key=self._topo_position.__getitem__
-        )
-
-        values = good_values
-        saved = [(node_id, values[node_id]) for node_id in eval_order]
-        saved_sites = [(site_id, values[site_id]) for site_id in site_ids]
-        good_at = dict(saved)
-        good_at.update(saved_sites)
-
-        # Interleave: evaluate cone gates in topo order, applying each
-        # site's flip at its topological position (a site inside another
-        # site's cone must be re-evaluated *then* flipped).
-        merged = sorted(
-            members | site_set, key=self._topo_position.__getitem__
-        )
-        for node_id in merged:
-            if compiled.gate_type(node_id).is_combinational:
-                self.simulator.run_into(values, mask, order=(node_id,))
-            if node_id in site_set:
-                values[node_id] ^= mask
-
-        detect = 0
-        for sink in self._sink_set:
-            if sink in members or sink in site_set:
-                detect |= (values[sink] ^ good_at.get(sink, values[sink])) & mask
-
-        for node_id, word in saved_sites:
-            values[node_id] = word
-        for node_id, word in saved:
-            values[node_id] = word
-        return detect

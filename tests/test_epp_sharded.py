@@ -366,6 +366,29 @@ class TestCrossoverGuard:
             backend.close()
         assert_results_match(vector, sharded)
 
+    def test_in_process_query_resets_last_outcomes(self):
+        """``last_outcomes`` describes the most recent query: one the
+        guard keeps in-process ran no shard, so it must not keep showing
+        the previous pool call's records."""
+        engine = EPPEngine(generate_iscas("s953"))
+        ids = [engine.compiled.index[s] for s in engine.default_sites()]
+        backend = engine.sharded_backend(jobs=2)
+        guard = backend.min_process_work
+        try:
+            for in_process in (
+                lambda: backend.pack_sites(ids),
+                lambda: backend.p_sensitized_many(ids[:1]),
+                lambda: backend.analyze_sites(ids),
+            ):
+                backend.min_process_work = 0
+                backend.pack_sites(ids)
+                assert backend.last_outcomes
+                backend.min_process_work = guard
+                in_process()
+                assert backend.last_outcomes == []
+        finally:
+            backend.close()
+
 
 class TestShardedSelection:
     def test_jobs_alone_selects_sharded(self):

@@ -46,18 +46,20 @@ def test_formats_preserve_node_inventory(seed):
 
 
 def test_sequential_cross_format():
-    from repro.netlist.blocks import lfsr
+    from repro.netlist.library import s27
     from repro.sim.logic_sim import simulate_sequential
 
-    original = lfsr(4)
-    via_bench = parse_bench(write_bench(original), name="lfsr4")
-    via_verilog = parse_verilog(write_verilog(original), name="lfsr4")
-    state = {f"q{i}": int(i == 0) for i in range(4)}
+    original = s27()
+    via_bench = parse_bench(write_bench(original), name="s27")
+    via_verilog = parse_verilog(write_verilog(original), name="s27")
+    width = 64
+    source = RandomVectorSource(original.inputs, seed=27)
+    inputs = [source.next_words(width) for _ in range(6)]
     traces = [
-        simulate_sequential(c, lambda _: {"en": 1}, cycles=6, width=1, initial_state=state)
+        simulate_sequential(c, inputs, cycles=6, width=width)
         for c in (original, via_bench, via_verilog)
     ]
     for t in range(6):
-        reference = [traces[0].word(t, f"o{i}") for i in range(4)]
+        reference = [traces[0].word(t, o) for o in original.outputs]
         for trace in traces[1:]:
-            assert [trace.word(t, f"o{i}") for i in range(4)] == reference
+            assert [trace.word(t, o) for o in original.outputs] == reference

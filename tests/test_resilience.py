@@ -643,6 +643,36 @@ class TestKnobThreading:
         assert engine.sharded_backend(jobs=2, on_failure="retry") is defaulted
         defaulted.close()
 
+    def test_deadline_does_not_rebuild_the_pool(self):
+        # The global deadline is a per-call budget, not part of the
+        # pool's identity: sweeps that differ only in it share one
+        # driver and its worker processes.
+        engine = EPPEngine(generate_iscas("s953"))
+        backend = chaos_backend(engine, deadline=30.0)
+        try:
+            first = engine.snapshot(jobs=2, deadline=30.0)
+            assert backend.last_outcomes  # the sweep ran on the pool
+            pids = set(backend.worker_stats())
+            second = engine.snapshot(jobs=2, deadline=45.0)
+            assert engine._sharded_backend is backend
+            assert backend.last_outcomes
+            assert set(backend.worker_stats()) == pids
+            assert backend.stats["respawns"] == 0
+            assert np.array_equal(first.p_sensitized, second.p_sensitized)
+        finally:
+            backend.close()
+
+    def test_reused_pool_honours_each_calls_deadline(self):
+        engine = EPPEngine(generate_iscas("s953"))
+        backend = chaos_backend(engine, deadline=30.0)
+        try:
+            engine.snapshot(jobs=2, deadline=30.0)
+            with pytest.raises(ShardTimeoutError, match="deadline expired"):
+                engine.snapshot(jobs=2, deadline=1e-6)
+            assert engine._sharded_backend is backend
+        finally:
+            backend.close()
+
     def test_analyzer_threads_resilience_knobs(self):
         analyzer = SERAnalyzer(generate_iscas("s953"))
         report = analyzer.analyze(jobs=2, retries=1, on_failure="degrade")

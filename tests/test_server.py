@@ -616,6 +616,29 @@ class TestDeadlines:
                 assert_matches_reference(response["result"], c17_ref)
         asyncio.run(main())
 
+    def test_deadline_requests_reuse_the_warm_pool(self, tmp_path):
+        """Each dedicated sweep carries its request's remaining budget, a
+        new value every time; the sharded driver and its pool are reused
+        all the same."""
+        async def main():
+            async with serving(tmp_path, jobs=2, default_deadline=60.0) as svc:
+                # Pre-build the state whiteboxed so the crossover guard
+                # can be disabled: the sweeps must run on the pool.
+                req = parse_request({"op": "analyze", "circuit": "s953"})
+                state = await asyncio.to_thread(svc._state_for, req)
+                backend = state.engine.sharded_backend(jobs=2)
+                backend.min_process_work = 0
+                for top in (3, 5):
+                    response = await svc._respond(wire(
+                        op="analyze", circuit="s953", coalesce=False, top=top,
+                    ))
+                    assert response["ok"]
+                    assert response["result"]["cached"] is False
+                    assert backend.last_outcomes  # swept on the pool
+                    assert state.engine._sharded_backend is backend
+                assert backend.stats["respawns"] == 0
+        asyncio.run(main())
+
 
 # ---------------------------------------------------------------- chaos paths
 
