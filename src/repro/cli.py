@@ -93,10 +93,6 @@ def _add_analysis_flags(
                 flag, dest=name, action="store_false", default=None,
                 help=meta["doc"],
             )
-        elif meta["kind"] == "choice":
-            parser.add_argument(
-                flag, dest=name, choices=meta["choices"], help=meta["doc"]
-            )
         elif meta["kind"] == "int":
             parser.add_argument(flag, dest=name, type=int, help=meta["doc"])
         elif meta["kind"] == "float":
@@ -443,8 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=30.0,
         metavar="SECONDS",
-        help="how long a tripped breaker stays open before a half-open "
-        "probe may try the pool again",
+        help="how long a tripped breaker stays open before sweeps may try "
+        "the pool again (half-open, until the first result is recorded)",
     )
 
     knobs = commands.add_parser(

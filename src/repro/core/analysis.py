@@ -454,7 +454,8 @@ class SERAnalyzer:
 
         Analysis knobs — ``backend``/``batch_size``/``jobs``/``prune``
         plus the resilience set (``retries``/``shard_timeout``/
-        ``on_failure``/``deadline``/``checkpoint``) — are forwarded to :meth:`EPPEngine.analyze`, either individually
+        ``deadline``/``checkpoint``) — are forwarded to
+        :meth:`EPPEngine.analyze`, either individually
         or as one pre-built :class:`~repro.core.config.AnalysisConfig`
         via ``config=``: ``"scalar"`` for the per-site reference path,
         ``"vector"`` for the batched NumPy backend (the default:
@@ -462,12 +463,13 @@ class SERAnalyzer:
         matrices with cell-compacted kernels),
         ``"sharded"`` (or just passing ``jobs=``) for the multi-process
         site-sharded driver.
-        ``retries``/``shard_timeout``/``on_failure``/``deadline``
-        configure the sharded driver's recovery — shard retry budget,
-        per-shard and global deadlines, and whether an exhausted shard
-        raises or degrades to the in-process backend
-        (bit-identical either way).  ``checkpoint`` names the sharded
-        sweep-journal directory (:mod:`repro.core.checkpoint`): completed
+        ``retries``/``shard_timeout``/``deadline`` configure the sharded
+        driver's recovery — shard retry budget and per-shard and global
+        deadlines; once one is spent the call raises a typed
+        :class:`~repro.errors.ResilienceError`, and rerunning without
+        ``jobs`` gives the same numbers in-process.  ``checkpoint`` names
+        the sharded sweep-journal directory
+        (:mod:`repro.core.checkpoint`): completed
         shards survive the process and an identical re-run resumes from
         them, bit-identical.  Unknown or conflicting knobs raise
         :class:`~repro.errors.AnalysisConfigError` before any backend

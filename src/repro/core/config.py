@@ -2,8 +2,8 @@
 
 Every analysis knob in the system — backend selection, sweep shaping
 (``batch_size``/``prune``), sharding (``jobs``) and resilience
-(``retries``/``shard_timeout``/``on_failure``/``deadline``/
-``fault_injector``/``checkpoint``) — lives on one frozen dataclass,
+(``retries``/``shard_timeout``/``deadline``/``fault_injector``/
+``checkpoint``) — lives on one frozen dataclass,
 :class:`AnalysisConfig`.  Before this module the same knob tuple was
 hand-threaded through eight layers (engine, vector and sharded backends,
 worker payloads, delta analysis, ``SERAnalyzer``, the server, the CLI),
@@ -31,7 +31,7 @@ Now:
   before a knob was added or removed keep loading.
 
 Field *metadata* (wire membership, sharded-only, CLI flag spelling,
-choices, documentation) lives on the dataclass fields themselves, so the
+documentation) lives on the dataclass fields themselves, so the
 CLI flag set, the wire schema, the server's sharded-only strip list and
 the generated knob reference (``python -m repro knobs --markdown``) are
 all derived from this one table and can never drift apart.
@@ -53,7 +53,6 @@ __all__ = [
     "BACKENDS",
     "DEFAULT_RETRIES",
     "KNOB_KEYS",
-    "ON_FAILURE_MODES",
     "RESILIENCE_KNOB_KEYS",
     "SHARDED_ONLY_KNOBS",
     "SWEEP_KNOB_KEYS",
@@ -77,15 +76,6 @@ WIRE_VERSION = 2
 #: ``snapshot``/``analyze_delta`` splice (the CLI's incremental commands
 #: offer exactly those).
 BACKENDS = ("scalar", "vector", "sharded")
-
-#: Terminal actions once a shard's retry budget is exhausted (or, for
-#: ``"raise"``, on the first failure): ``retry`` raises
-#: :class:`~repro.errors.RetryBudgetExceededError` after the budget,
-#: ``degrade`` runs the shard on an in-process backend instead (the
-#: analysis still completes, bit-identical — it runs the same kernels a
-#: worker would), ``raise`` fails fast on the first shard failure.
-#: ``None`` means ``"retry"``.
-ON_FAILURE_MODES = ("retry", "degrade", "raise")
 
 #: Extra attempts per failed shard when ``retries`` is omitted (so a
 #: shard is submitted at most three times).
@@ -120,7 +110,6 @@ def _knob(
     serve: str | None = None,
     sharded_only: bool = False,
     sweep: bool = False,
-    choices: tuple | None = None,
     section: str = "analysis",
 ) -> Any:
     """One knob field: default ``None`` plus the metadata table entry."""
@@ -135,7 +124,6 @@ def _knob(
             "serve": serve,
             "sharded_only": sharded_only,
             "sweep": sweep,
-            "choices": choices,
             "section": section,
         },
     )
@@ -181,20 +169,15 @@ class AnalysisConfig:
         wire=True, kind="int", cli="--retries", sharded_only=True,
         section="resilience",
         doc="Extra attempts per shard beyond the first (sharded backend "
-            f"only); omitted means {DEFAULT_RETRIES}.",
+            f"only); omitted means {DEFAULT_RETRIES}.  Once they are spent "
+            "the analysis raises `RetryBudgetExceededError`; `0` fails "
+            "fast.",
     )
     shard_timeout: float | None = _knob(
         wire=True, kind="float", cli="--shard-timeout", sharded_only=True,
         section="resilience",
         doc="Per-shard deadline in seconds; a shard past it is retried "
             "(respawning a wedged pool first).",
-    )
-    on_failure: str | None = _knob(
-        wire=True, kind="choice", cli="--on-worker-failure",
-        sharded_only=True, choices=ON_FAILURE_MODES, section="resilience",
-        doc="Terminal action once a shard's retry budget is exhausted: "
-            "`retry` raises after the budget, `degrade` finishes the "
-            "shard in-process (bit-identical), `raise` fails fast.",
     )
     deadline: float | None = _knob(
         wire=False, kind="float", serve="--request-deadline",
@@ -283,14 +266,6 @@ class AnalysisConfig:
         if self.retries is not None and int(self.retries) < 0:
             raise AnalysisConfigError(
                 f"--retries must be >= 0, got {self.retries}"
-            )
-        if (
-            self.on_failure is not None
-            and self.on_failure not in ON_FAILURE_MODES
-        ):
-            raise AnalysisConfigError(
-                f"unknown on_failure {self.on_failure!r}; "
-                f"choose from {ON_FAILURE_MODES}"
             )
         # Cross-field conflicts — only when the backend is *explicit*.
         # With backend omitted the conflict depends on what the backend
@@ -526,13 +501,9 @@ def knob_reference(markdown: bool = False) -> str:
             meta = f.metadata
             cli = meta["cli"] or meta["serve"] or "—"
             scope = "sharded only" if meta["sharded_only"] else "all backends"
-            choices = meta["choices"]
-            doc = meta["doc"]
-            if choices:
-                doc += f" Choices: {', '.join(f'`{c}`' for c in choices)}."
             lines.append(
                 f"| `{f.name}` | `{cli}` | "
-                f"{'yes' if meta['wire'] else 'no'} | {scope} | {doc} |"
+                f"{'yes' if meta['wire'] else 'no'} | {scope} | {meta['doc']} |"
             )
         return "\n".join(lines) + "\n"
     for section, knob_fields in sections.items():

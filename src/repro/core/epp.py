@@ -447,8 +447,8 @@ class EPPEngine:
         (``warm``/``close``) and the crossover knob
         (``min_process_work``).  The engine holds one cache slot: the
         *most recent* configuration — ``(jobs, batch_size)``, the retry
-        policy (``retries``, ``shard_timeout``, ``on_failure``; ``None``
-        equal to the default), the fault injector and the checkpoint
+        policy (``retries``, ``shard_timeout``; ``None`` equal to the
+        default), the fault injector and the checkpoint
         directory — is reused across calls, and requesting a different
         configuration closes the previous instance's worker pool before
         building the new one (so the engine never accumulates live
@@ -552,13 +552,12 @@ class EPPEngine:
         The resilience knobs apply to the sharded backend only (like
         ``jobs``): ``retries`` is the extra attempts allowed per failed
         shard, ``shard_timeout`` the per-shard deadline (seconds) past
-        which a slow shard is re-enqueued with backoff, ``deadline`` the
-        global analysis deadline, and ``on_failure`` the terminal action
-        once a shard's budget is spent — ``"retry"`` (raise
-        :class:`~repro.errors.RetryBudgetExceededError`), ``"degrade"``
-        (finish the shard in-process, bit-identical) or ``"raise"``
-        (fail fast on the first shard failure).  A retry waits out the
-        fixed backoff of :func:`~repro.core.resilience.backoff_delay`.
+        which a slow shard is re-enqueued with backoff, and ``deadline``
+        the global analysis deadline.  A retry waits out the fixed
+        backoff of :func:`~repro.core.resilience.backoff_delay`.  Once a
+        budget is spent the call raises a typed
+        :class:`~repro.errors.ResilienceError` (``retries=0`` fails
+        fast); it never falls back to another backend by itself.
 
         ``checkpoint`` (sharded only, like ``jobs``) names a directory
         for the per-shard sweep journal (:mod:`repro.core.checkpoint`):
@@ -646,7 +645,7 @@ class EPPEngine:
         metadata-only revisions share.
 
         The resilience knobs (``retries``/``shard_timeout``/
-        ``on_failure``/``deadline``) apply to the sharded backend only,
+        ``deadline``) apply to the sharded backend only,
         exactly as in :meth:`analyze` — the analysis service uses
         ``deadline`` to push a request's remaining budget into the sweep
         itself.

@@ -59,19 +59,19 @@ Design
   with deterministic seeded backoff once past their per-shard deadline
   (a wedged worker is killed by respawning the pool); a failed shm
   export is retried once on the pickle transport *inside the worker*
-  before anything counts as a failure.  The ``on_failure`` knob decides
-  what happens when a shard exhausts its retry budget: raise a typed
-  error (:mod:`repro.errors`), or — ``on_failure="degrade"`` — finish
-  the remaining shards on an in-process backend built by the *worker's*
-  constructor, so results stay bit-identical even then.  Every recovery is
+  before anything counts as a failure.  A shard that exhausts its retry
+  budget, or an analysis past its global deadline, raises a typed error
+  (:mod:`repro.errors`); what happens next is the caller's decision —
+  the analysis service re-runs the request on the in-process vector
+  backend behind its circuit breaker.  Every recovery is
   ``np.array_equal`` to a clean run; :mod:`repro.testing.faults` is the
   seeded harness that proves it.
 
 Selection: ``EPPEngine.analyze(backend="sharded", jobs=4)`` (CLI:
 ``--backend sharded --jobs 4``); passing ``jobs=`` alone implies the
 sharded backend.  Resilience knobs: ``retries=``, ``shard_timeout=``,
-``on_failure=``, ``deadline=`` (CLI: ``--retries``, ``--shard-timeout``,
-``--on-worker-failure``; ``repro serve --request-deadline``).
+``deadline=`` (CLI: ``--retries``, ``--shard-timeout``; ``repro serve
+--request-deadline``).
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ import pickle
 import threading
 import time
 from collections.abc import Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
@@ -257,10 +257,10 @@ def reap_orphan_segments(pids=None) -> int:
 
 
 def recovery_knobs(config) -> tuple:
-    """``(retries, shard_timeout, on_failure)`` of an
+    """``(retries, shard_timeout)`` of an
     :class:`~repro.core.config.AnalysisConfig`, ``None`` resolved to the
-    default (:data:`~repro.core.config.DEFAULT_RETRIES` retries,
-    ``"retry"``, no per-shard deadline).
+    default (:data:`~repro.core.config.DEFAULT_RETRIES` retries, no
+    per-shard deadline).
 
     The retry policy the driver's scheduler runs under, and so part of
     the sharded backend's identity in the engine cache: ``retries=None``
@@ -270,7 +270,6 @@ def recovery_knobs(config) -> tuple:
     return (
         DEFAULT_RETRIES if config.retries is None else int(config.retries),
         config.shard_timeout,
-        "retry" if config.on_failure is None else config.on_failure,
     )
 
 
@@ -428,36 +427,29 @@ def _shard_worker_init(payload: bytes, injector=None) -> None:
     _WORKER_INJECTOR = injector
 
 
-def _shard_backend(fields: dict):
-    """The backend a shard runs on, built from the payload fields.
-
-    One constructor for the workers (:func:`_worker_backend`) and the
-    parent's ``on_failure="degrade"`` fallback, so a degraded shard takes
-    the exact code path a worker would and the merged analysis stays
-    bit-identical to a clean sharded run.  ``min_vector_work=0``: the
-    parent-level crossover guard already decided this workload is large
-    enough for processes, so every shard runs the vectorized sweep.  A
-    shard is a contiguous run of the parent's cone-clustered order, so
-    the backend's own scheduler finds nothing to reorder and sweeps it
-    as it arrived.
-    """
-    from repro.core.config import AnalysisConfig
-    from repro.core.epp_batch import BatchEPPBackend
-
-    return BatchEPPBackend(
-        fields["compiled"],
-        fields["signal_probs"],
-        track_polarity=fields["track_polarity"],
-        min_vector_work=0,
-        **AnalysisConfig.from_wire(fields["config"]).sweep_kwargs(),
-    )
-
-
 def _worker_backend():
-    """This worker's backend for the pool's circuit, built at most once."""
+    """This worker's backend for the pool's circuit, built at most once
+    from the pool payload.
+
+    ``min_vector_work=0``: the parent-level crossover guard already
+    decided this workload is large enough for processes, so every shard
+    runs the vectorized sweep.  A shard is a contiguous run of the
+    parent's cone-clustered order, so the backend's own scheduler finds
+    nothing to reorder and sweeps it as it arrived.
+    """
     global _WORKER_BACKEND
     if _WORKER_BACKEND is None:
-        _WORKER_BACKEND = _shard_backend(pickle.loads(_WORKER_PAYLOAD))
+        from repro.core.config import AnalysisConfig
+        from repro.core.epp_batch import BatchEPPBackend
+
+        fields = pickle.loads(_WORKER_PAYLOAD)
+        _WORKER_BACKEND = BatchEPPBackend(
+            fields["compiled"],
+            fields["signal_probs"],
+            track_polarity=fields["track_polarity"],
+            min_vector_work=0,
+            **AnalysisConfig.from_wire(fields["config"]).sweep_kwargs(),
+        )
         _WORKER_STATS["plans_built"] += 1
     return _WORKER_BACKEND
 
@@ -569,9 +561,9 @@ class ShardedEPPEngine:
     by :func:`~repro.core.schedule.cone_cluster_order` before the
     contiguous shard split, so shards (and the chunks inside each
     worker) share fanout cones.  ``retries``/``shard_timeout``/
-    ``on_failure``/``deadline`` are the recovery knobs, read from
-    :attr:`config` by the scheduler (:func:`recovery_knobs` fills in the
-    defaults for ``None``).
+    ``deadline`` are the recovery knobs, read from :attr:`config` by the
+    scheduler (:func:`recovery_knobs` fills in the defaults for
+    ``None``); once one is spent the query raises a typed error.
     ``fault_injector`` is a :class:`~repro.testing.faults.FaultInjector`
     shipped through the pool initializer — test-only machinery for
     staging worker crashes, stalls and transport failures
@@ -589,8 +581,8 @@ class ShardedEPPEngine:
     any recovery path can reorder any per-site arithmetic.  After each
     query, :attr:`last_outcomes` holds one
     :class:`~repro.core.resilience.ShardOutcome` audit record per shard
-    that ran on the pool or was degraded (none when the crossover guard
-    kept the query in-process).
+    that ran on the pool (none when the crossover guard kept the query
+    in-process).
     """
 
     def __init__(
@@ -641,8 +633,8 @@ class ShardedEPPEngine:
         #: the kill-9 chaos test dies here at a deterministic point.
         self._checkpoint_on_store = None
         #: One :class:`~repro.core.resilience.ShardOutcome` per shard that
-        #: ran on the pool or was degraded in the most recent query; empty
-        #: when that query ran in-process.  Shards served from the sweep
+        #: ran on the pool in the most recent query; empty when that
+        #: query ran in-process.  Shards served from the sweep
         #: journal are counted in ``stats["checkpoint_shards"]`` instead.
         self.last_outcomes: list[ShardOutcome] = []
         #: Per-engine accounting, reset never.  Wire traffic:
@@ -655,7 +647,6 @@ class ShardedEPPEngine:
         #: pool-break events, ``shard_errors`` in-worker exceptions,
         #: ``shard_timeouts`` per-shard deadline expiries,
         #: ``transport_fallbacks`` shm-export failures demoted to pickle,
-        #: ``degraded_shards`` shards finished on the in-process backend,
         #: ``quarantined_segments`` orphaned ``/dev/shm`` segments
         #: unlinked after worker death.  Durability:
         #: ``checkpoint_shards`` counts shards served from the sweep
@@ -672,7 +663,6 @@ class ShardedEPPEngine:
             "shard_errors": 0,
             "shard_timeouts": 0,
             "transport_fallbacks": 0,
-            "degraded_shards": 0,
             "quarantined_segments": 0,
             "checkpoint_shards": 0,
             "checkpointed_shards": 0,
@@ -723,9 +713,6 @@ class ShardedEPPEngine:
         #: between a worker's ``export_shm`` and the parent's receive, or
         #: a suspended result generator that never reaches its cleanup.
         self._inflight: set = set()
-        #: Lazily built in-process :func:`_shard_backend` for
-        #: ``on_failure="degrade"``.
-        self._degraded_backend = None
 
     # ------------------------------------------------------------- lifecycle
 
@@ -734,35 +721,31 @@ class ShardedEPPEngine:
         """Whether worker processes have been spun up (guard introspection)."""
         return self._pool is not None
 
-    def _payload_fields(self) -> dict:
-        """What a shard backend is built from (:func:`_shard_backend`):
-        the circuit, SP vector and polarity flag, plus the wire-format
-        :class:`~repro.core.config.AnalysisConfig` shards run under — the
-        worker chunk width and the parent-resolved ``prune``."""
-        from repro.core.config import AnalysisConfig
-
-        return {
-            "compiled": self.compiled,
-            "signal_probs": self.local.sp,
-            "track_polarity": self.track_polarity,
-            "config": AnalysisConfig(
-                batch_size=self.worker_batch_size,
-                prune=self.prune,
-            ).to_wire(),
-        }
-
     def payload(self) -> bytes:
         """The once-pickled worker payload (cached across pool restarts).
 
-        Ships one wire-format :class:`~repro.core.config.AnalysisConfig`
-        next to the circuit and SP vector, so the knob surface never
-        re-threads this seam.  Pools are spawned by the process that
-        builds the payload, so no other payload shape ever reaches a
-        worker.
+        What :func:`_worker_backend` builds from: the circuit, SP vector
+        and polarity flag, plus one wire-format
+        :class:`~repro.core.config.AnalysisConfig` — the worker chunk
+        width and the parent-resolved ``prune`` — so the knob surface
+        never re-threads this seam.  Pools are spawned by the process
+        that builds the payload, so no other payload shape ever reaches
+        a worker.
         """
         if self._payload is None:
+            from repro.core.config import AnalysisConfig
+
+            fields = {
+                "compiled": self.compiled,
+                "signal_probs": self.local.sp,
+                "track_polarity": self.track_polarity,
+                "config": AnalysisConfig(
+                    batch_size=self.worker_batch_size,
+                    prune=self.prune,
+                ).to_wire(),
+            }
             self._payload = pickle.dumps(
-                self._payload_fields(), protocol=pickle.HIGHEST_PROTOCOL
+                fields, protocol=pickle.HIGHEST_PROTOCOL
             )
         return self._payload
 
@@ -966,9 +949,6 @@ class ShardedEPPEngine:
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
                 self._pool = None
-            if self._degraded_backend is not None:
-                self._degraded_backend.release_buffers()
-                self._degraded_backend = None
             self.local.release_buffers()
 
     def __enter__(self) -> "ShardedEPPEngine":
@@ -1095,18 +1075,6 @@ class ShardedEPPEngine:
             except Exception:  # pragma: no cover - already gone
                 pass
 
-    def _run_degraded(self, site_ids: list[int], full: bool):
-        """One shard on the in-process degrade backend (terminal fallback)."""
-        self.stats["degraded_shards"] += 1
-        if self._degraded_backend is None:
-            # Not ``self.local``: its scalar-crossover guard and scheduler
-            # could route a small shard differently from a worker.
-            self._degraded_backend = _shard_backend(self._payload_fields())
-        backend = self._degraded_backend
-        if full:
-            return backend.pack_sites(site_ids)
-        return backend.p_sensitized_many(site_ids)
-
     def _map_shards(self, shards: list[list[int]], full: bool):
         """Yield ``(shard_index, worker_result)`` as shards complete.
 
@@ -1119,25 +1087,26 @@ class ShardedEPPEngine:
           delivered shard is never resubmitted), then respawns the pool
           — quarantining the dead workers' orphaned segments — and
           charges one attempt to each in-flight shard (the executor
-          cannot say which one killed the worker).
+          cannot say which one killed the worker).  A pool found broken
+          at submission (an idle worker was killed) takes the same path.
         * A shard past its **per-shard deadline** is cancelled and
           re-enqueued with deterministic seeded backoff; if it was
           already running the wedged pool is respawned first (collateral
           shards are refunded their attempt and resubmitted at once).
         * A shard that **fails in the worker** is retried with backoff
-          until its budget runs out; then ``on_failure`` decides:
-          ``"raise"`` fails fast with a typed error, ``"retry"`` raises
-          :class:`~repro.errors.RetryBudgetExceededError`, ``"degrade"``
-          finishes the shard on the in-process worker-knob backend.
-        * Past the **global deadline** the analysis raises — or, under
-          ``"degrade"``, finishes every unfinished shard in-process.
+          until its budget runs out; then the query raises
+          :class:`~repro.errors.RetryBudgetExceededError`, whose
+          ``__cause__`` is the last attempt's error (``retries=0``
+          fails fast on the first failure).
+        * Past the **global deadline** the query raises
+          :class:`~repro.errors.ShardTimeoutError`.
 
         On any abnormal exit — including the consumer abandoning the
         generator — every undelivered shard result is drained and its
         shared-memory segment unlinked, so failed analyses cannot leak
         ``/dev/shm`` space.
         """
-        retries, shard_timeout, on_failure = recovery_knobs(self.config)
+        retries, shard_timeout = recovery_knobs(self.config)
         deadline = self.config.deadline
         countdown = Deadline(deadline)
         n = len(shards)
@@ -1150,14 +1119,20 @@ class ShardedEPPEngine:
 
         def submit(index: int) -> None:
             attempts[index] += 1
-            future = self._ensure_pool().submit(
-                _run_shard,
-                shards[index],
-                full,
-                self.transport,
-                index,
-                attempts[index],
-            )
+            try:
+                future = self._ensure_pool().submit(
+                    _run_shard,
+                    shards[index],
+                    full,
+                    self.transport,
+                    index,
+                    attempts[index],
+                )
+            except BrokenProcessPool as error:
+                # The pool broke before it took this shard: a failed
+                # future routes it into the broken-pool path below.
+                future = Future()
+                future.set_exception(error)
             now = time.monotonic()
             if attempts[index] == 1:
                 first_start[index] = now
@@ -1186,30 +1161,10 @@ class ShardedEPPEngine:
             )
             return result
 
-        def degrade(index: int):
-            result = self._run_degraded(shards[index], full)
-            outcomes.append(
-                ShardOutcome(
-                    shard=index,
-                    sites=len(shards[index]),
-                    attempts=attempts[index],
-                    worker_pid=None,
-                    transport="local",
-                    elapsed=time.monotonic()
-                    - (first_start[index] or time.monotonic()),
-                    degraded=True,
-                )
-            )
-            return result
-
-        def record_failure(index: int, error) -> str:
-            """One failed attempt: schedule a retry (with backoff) or
-            return ``"degrade"``; raises when ``on_failure`` says stop."""
-            if on_failure == "raise":
-                raise error
+        def record_failure(index: int, error) -> None:
+            """One failed attempt: schedule a retry (with backoff), or
+            raise once the shard's budget is spent."""
             if attempts[index] > retries:
-                if on_failure == "degrade":
-                    return "degrade"
                 raise RetryBudgetExceededError(
                     f"shard {index} failed on all {attempts[index]} "
                     f"attempt(s)",
@@ -1220,14 +1175,11 @@ class ShardedEPPEngine:
             ready_at[index] = time.monotonic() + backoff_delay(
                 index, attempts[index]
             )
-            return "retry"
 
-        def split_pending() -> tuple[list, list[int]]:
-            """Unregister everything in flight: the successfully finished
-            futures come back as ``(index, future)`` pairs (deliver them
-            *before* any respawn/quarantine touches their segments), the
-            rest as bare indices for the caller's recovery path."""
-            done_ok: list = []
+        def respawn():
+            """Deliver every in-flight shard that finished (before any
+            quarantine touches its segment), respawn the pool, and
+            return the indices of the rest, unregistered and cancelled."""
             rest: list[int] = []
             for future in list(pending):
                 index = unregister(future)
@@ -1236,12 +1188,13 @@ class ShardedEPPEngine:
                     and not future.cancelled()
                     and future.exception() is None
                 ):
-                    done_ok.append((index, future))
+                    yield index, receive(index, future)
                 else:
                     future.cancel()
                     future.add_done_callback(self._discard_shard)
                     rest.append(index)
-            return done_ok, rest
+            self._respawn_pool()
+            return rest
 
         try:
             for index in range(n):
@@ -1249,22 +1202,12 @@ class ShardedEPPEngine:
             while pending or ready_at:
                 now = time.monotonic()
                 if countdown.expired():
-                    # Global deadline: fail, or finish in-process.
-                    if on_failure != "degrade":
-                        unfinished = len(pending) + len(ready_at)
-                        raise ShardTimeoutError(
-                            f"analysis deadline expired with {unfinished} "
-                            f"of {n} shard(s) unfinished",
-                            timeout=deadline,
-                        )
-                    leftover = sorted(ready_at)
-                    ready_at.clear()
-                    done_ok, rest = split_pending()
-                    for index, future in done_ok:
-                        yield index, receive(index, future)
-                    for index in sorted(leftover + rest):
-                        yield index, degrade(index)
-                    return
+                    unfinished = len(pending) + len(ready_at)
+                    raise ShardTimeoutError(
+                        f"analysis deadline expired with {unfinished} "
+                        f"of {n} shard(s) unfinished",
+                        timeout=deadline,
+                    )
                 # Shards whose backoff has elapsed go back to the pool.
                 for index in [i for i, at in ready_at.items() if at <= now]:
                     del ready_at[index]
@@ -1312,18 +1255,13 @@ class ShardedEPPEngine:
                         victims.append(index)
                     else:
                         self.stats["shard_errors"] += 1
-                        if record_failure(index, error) == "degrade":
-                            yield index, degrade(index)
+                        record_failure(index, error)
                 if broken is not None:
                     # The pool is dead: every pending future carries the
-                    # same BrokenProcessPool, so deliver what finished
-                    # first, respawn (quarantining dead-pid segments),
-                    # then charge one attempt to each in-flight shard.
+                    # same BrokenProcessPool.  Charge one attempt to each
+                    # in-flight shard once the finished ones are in.
                     self.stats["worker_crashes"] += 1
-                    done_ok, rest = split_pending()
-                    for index, future in done_ok:
-                        yield index, receive(index, future)
-                    self._respawn_pool()
+                    rest = yield from respawn()
                     for index in sorted(victims + rest):
                         error = WorkerCrashError(
                             "sharded EPP worker died mid-shard (killed, "
@@ -1332,8 +1270,7 @@ class ShardedEPPEngine:
                             attempts=attempts[index],
                         )
                         error.__cause__ = broken
-                        if record_failure(index, error) == "degrade":
-                            yield index, degrade(index)
+                        record_failure(index, error)
                     continue
                 if shard_timeout is None or not pending:
                     continue
@@ -1357,10 +1294,7 @@ class ShardedEPPEngine:
                         wedged = True
                     future.add_done_callback(self._discard_shard)
                 if wedged:
-                    done_ok, rest = split_pending()
-                    for index, future in done_ok:
-                        yield index, receive(index, future)
-                    self._respawn_pool()
+                    rest = yield from respawn()
                     for index in rest:
                         # Collateral of the respawn, not slow: refund the
                         # attempt and resubmit immediately.
@@ -1374,8 +1308,7 @@ class ShardedEPPEngine:
                         attempts=attempts[index],
                         timeout=shard_timeout,
                     )
-                    if record_failure(index, error) == "degrade":
-                        yield index, degrade(index)
+                    record_failure(index, error)
         finally:
             for future in list(pending):
                 pending.pop(future, None)

@@ -15,13 +15,13 @@ This module holds the recovery primitives of that driver:
   from 0.05 s doubling to a 2 s cap, stretched by up to 25% of
   *deterministic seeded jitter* (the delay is a pure function of the
   shard and attempt — chaos tests stay reproducible).  How many retries
-  a shard gets, the per-shard and global deadlines, and the terminal
-  action once the budget is spent are the
+  a shard gets and the per-shard and global deadlines are the
   :class:`~repro.core.config.AnalysisConfig` knobs ``retries``,
-  ``shard_timeout``, ``deadline`` and ``on_failure``.
+  ``shard_timeout`` and ``deadline``; once one is spent the driver
+  raises a typed :class:`~repro.errors.ResilienceError`.
 * :class:`ShardOutcome` — the per-shard audit record an analysis leaves
-  behind (attempts, worker pid, transport used, elapsed seconds,
-  degraded flag), surfaced as
+  behind (attempts, worker pid, transport used, elapsed seconds),
+  surfaced as
   :attr:`~repro.core.epp_shard.ShardedEPPEngine.last_outcomes`.
 * :class:`Deadline` — a small monotonic-clock countdown shared by the
   driver's scheduler loop and the pool barriers.
@@ -75,12 +75,11 @@ class ShardOutcome:
     """The audit record of one shard's journey through an analysis.
 
     ``transport`` is how the delivered result crossed the process
-    boundary: ``"shm"`` (shared-memory segment), ``"pickle"`` (executor
-    result channel — including the worker-side fallback after a failed
-    shm export), or ``"local"`` (the shard was degraded to the
-    in-process vector backend).  ``attempts`` counts every submission,
-    the successful one included; ``worker_pid`` is the pid that produced
-    the delivered result (``None`` for local/degraded shards).
+    boundary: ``"shm"`` (shared-memory segment) or ``"pickle"``
+    (executor result channel — including the worker-side fallback after
+    a failed shm export).  ``attempts`` counts every submission, the
+    successful one included; ``worker_pid`` is the pid that produced
+    the delivered result.
     """
 
     shard: int
@@ -89,7 +88,6 @@ class ShardOutcome:
     worker_pid: int | None = None
     transport: str = "shm"
     elapsed: float = 0.0
-    degraded: bool = False
 
 
 @dataclass

@@ -99,10 +99,11 @@ class ResilienceError(AnalysisError):
 class WorkerCrashError(ResilienceError):
     """A sharded-analysis worker process died mid-shard.
 
-    Raised (or retried, per the sharded driver's ``retries`` and
-    ``on_failure`` knobs) when the worker pool breaks while a shard is
-    in flight — a killed/OOMed worker, a hard crash in a native kernel,
-    an ``os._exit``.
+    Recorded against every shard in flight when the worker pool breaks
+    — a killed/OOMed worker, a hard crash in a native kernel, an
+    ``os._exit`` — or is found broken at submission; once the shard's
+    ``retries`` are spent it is the ``__cause__`` of the
+    :class:`RetryBudgetExceededError` the sharded driver raises.
     """
 
 
@@ -145,9 +146,9 @@ class RetryBudgetExceededError(ResilienceError):
     """A shard failed on every attempt its retry budget allowed.
 
     ``__cause__`` carries the final attempt's error; ``attempts`` counts
-    every submission (first try included).  Under
-    ``on_failure="degrade"`` the engine runs the shard on the in-process
-    vector backend instead of raising this.
+    every submission (first try included), so ``retries=0`` raises this
+    on the first failure.  The driver never falls back by itself; the
+    analysis service re-runs the request on the vector backend.
     """
 
 

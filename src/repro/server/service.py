@@ -26,10 +26,12 @@ robustness-first; the moving parts are:
   in the checksummed, token-aware
   :class:`~repro.server.artifacts.ArtifactStore`; a corrupted entry is
   quarantined and transparently recomputed, bit-identical.
-* **Circuit breaker & graceful degradation** — repeated sharded-pool
-  failures trip the breaker: sweeps fall back to the in-process vector
-  backend (bit-identical results, flagged ``degraded``) until a
-  cooldown expires and a half-open probe succeeds.
+* **Circuit breaker & graceful degradation** — the one fallback for a
+  failing pool: a sharded sweep that raises a typed
+  :class:`~repro.errors.ResilienceError` is re-run on the in-process
+  vector backend (bit-identical, flagged ``degraded``), and repeated
+  failures trip the breaker so later sweeps skip the pool until a
+  cooldown expires.
 * **Drain on SIGTERM** — in-flight requests finish, queued ones get a
   retriable ``ServiceUnavailableError``, worker pools are closed (no
   /dev/shm leaks), the socket is unlinked.
@@ -109,11 +111,13 @@ class CircuitBreaker:
 
     Closed: sharded sweeps allowed.  After ``threshold`` *consecutive*
     failures: open — sharded attempts short-circuit straight to the
-    vector backend for ``cooldown`` seconds.  Then half-open: one probe
-    request may try the pool again; success closes the breaker, failure
-    re-opens it.  Degraded sweeps run the same kernels in-process, so
-    results stay bit-identical — the breaker trades throughput for not
-    hammering a sick pool, never correctness.
+    vector backend for ``cooldown`` seconds instead of each paying a
+    sick pool's full retry budget first.  Then half-open: every request
+    may try the pool until the first result is recorded (no single-probe
+    gate); a success closes the breaker, a failure re-opens it.
+    Degraded sweeps run the same kernels in-process, so results stay
+    bit-identical — the breaker trades throughput for not hammering a
+    sick pool, never correctness.
     """
 
     def __init__(self, threshold: int = 3, cooldown: float = 30.0):
@@ -150,7 +154,7 @@ class CircuitBreaker:
         with self._lock:
             self.failures += 1
             if self.failures >= self.threshold or self.opened_at is not None:
-                # A half-open probe failing re-opens immediately.
+                # A failure while half-open re-opens immediately.
                 self.opened_at = time.monotonic()
                 self.trips += 1
 
@@ -341,13 +345,13 @@ class AnalysisService:
                 config=AnalysisConfig(),
             )
             state = self._state_for(req)
-            if self.jobs is not None:
+            # A request's own sweep knobs, so requests reuse this driver.
+            knobs, _ = self._sweep_knobs(req, Deadline(None), dedicated=False)
+            if knobs.get("backend") == "sharded":
                 with contextlib.suppress(Exception):
-                    backend = state.engine.sharded_backend(config=AnalysisConfig(
-                        backend="sharded", jobs=self.jobs,
-                        fault_injector=self.engine_faults,
-                    ))
-                    backend.warm(timeout=60.0)
+                    state.engine.sharded_backend(
+                        config=AnalysisConfig.from_knobs(**knobs)
+                    ).warm(timeout=60.0)
 
     def _pending_path(self) -> str | None:
         if self.store.store_dir is None:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import heapq
+import os
+import signal
+import time
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -205,3 +208,19 @@ def reference_report_for(analyzer, delta) -> ReferenceReport:
         delta.engine.circuit.name,
         reference_assemble(analyzer, delta.engine.compiled, rows, delta.hardening),
     )
+
+
+def kill_idle_worker(backend, timeout: float = 10.0) -> None:
+    """SIGKILL one worker of a sharded driver's warm, idle pool and wait
+    until the executor has marked itself broken.
+
+    The next submit to that executor raises ``BrokenProcessPool`` before
+    any shard reaches a worker — the state an OOM-killed idle worker
+    leaves behind.
+    """
+    pool = backend._pool
+    os.kill(next(iter(pool._processes)), signal.SIGKILL)
+    give_up = time.monotonic() + timeout
+    while not pool._broken:
+        assert time.monotonic() < give_up, "the executor never broke"
+        time.sleep(0.01)

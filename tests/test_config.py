@@ -177,16 +177,16 @@ class TestValidation:
         ({"deadline": -2.5}, "--request-deadline must be > 0 seconds, got "
                              "-2.5 (omit the flag to disable the global "
                              "deadline)"),
-        ({"on_failure": "panic"}, "unknown on_failure 'panic'; choose from "
-                                  "('retry', 'degrade', 'raise')"),
     ])
     def test_range_errors_keep_the_fault_policy_spelling(self, knobs, message):
         with pytest.raises(AnalysisConfigError) as info:
             AnalysisConfig(**knobs)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("knob", ["cells", "chunking", "rows", "schedule"])
-    def test_removed_sweep_knobs_are_unknown(self, knob):
+    @pytest.mark.parametrize(
+        "knob", ["cells", "chunking", "rows", "schedule", "on_failure"]
+    )
+    def test_removed_knobs_are_unknown(self, knob):
         with pytest.raises(ConfigError, match=f"unknown analysis knob '{knob}'"):
             AnalysisConfig.from_knobs(**{knob: "auto"})
         with pytest.raises(ConfigError, match=knob):
@@ -202,13 +202,13 @@ class TestDerivedTables:
     def test_knob_key_order_is_the_historical_order(self):
         assert KNOB_KEYS == (
             "backend", "batch_size", "jobs", "prune",
-            "retries", "shard_timeout", "on_failure",
+            "retries", "shard_timeout",
             "deadline", "fault_injector", "checkpoint",
         )
 
     def test_knob_surface_sizes(self):
-        assert len(dataclasses.fields(AnalysisConfig)) == 10
-        assert len(WIRE_KNOB_KEYS) == 7
+        assert len(dataclasses.fields(AnalysisConfig)) == 9
+        assert len(WIRE_KNOB_KEYS) == 6
         assert len(SWEEP_KNOB_KEYS) == 2
 
     def test_wire_keys_exclude_local_only_fields(self):
@@ -242,7 +242,6 @@ _WIRE_VALUES = {
     "prune": st.sampled_from([None, True, False]),
     "retries": st.one_of(st.none(), st.integers(0, 5)),
     "shard_timeout": st.one_of(st.none(), st.floats(0.1, 60.0)),
-    "on_failure": st.sampled_from([None, "retry", "degrade", "raise"]),
 }
 
 
@@ -251,8 +250,8 @@ def wire_configs(draw):
     """Valid wire-representable configs (no construction conflicts)."""
     knobs = {key: draw(_WIRE_VALUES[key]) for key in _WIRE_VALUES}
     sharded_requested = any(
-        knobs[key] is not None for key in ("jobs", "retries",
-                                           "shard_timeout", "on_failure")
+        knobs[key] is not None
+        for key in ("jobs", "retries", "shard_timeout")
     )
     if sharded_requested and knobs["backend"] not in (None, "sharded"):
         knobs["backend"] = draw(st.sampled_from([None, "sharded"]))

@@ -44,6 +44,7 @@ from repro.errors import (
 )
 from repro.netlist.generate import generate_iscas
 from repro.testing import FaultInjector, FaultSpec, InjectedFault
+from tests.helpers import kill_idle_worker
 
 shm_only = pytest.mark.skipif(
     default_transport() != "shm",
@@ -82,12 +83,12 @@ def s953():
 
 
 class TestFaultPolicy:
-    """The recovery policy: the four ``AnalysisConfig`` knobs (one
+    """The recovery policy: the three ``AnalysisConfig`` knobs (one
     validator) and the fixed backoff schedule."""
 
     def test_defaults_and_max_attempts(self):
         config = AnalysisConfig()
-        assert config.retries is None and config.on_failure is None
+        assert config.retries is None
         assert config.shard_timeout is None and config.deadline is None
         assert DEFAULT_RETRIES == 2  # three submissions per shard
 
@@ -95,10 +96,6 @@ class TestFaultPolicy:
         assert AnalysisConfig.from_knobs() == AnalysisConfig()
         assert AnalysisConfig.from_knobs(retries=0).retries == 0
         assert AnalysisConfig.from_knobs(shard_timeout=1.5).shard_timeout == 1.5
-        assert (
-            AnalysisConfig.from_knobs(on_failure="degrade").on_failure
-            == "degrade"
-        )
 
     @pytest.mark.parametrize(
         "bad",
@@ -110,7 +107,6 @@ class TestFaultPolicy:
             {"deadline": float("nan")},
             {"shard_timeout": 0.0},
             {"deadline": -1.0},
-            {"on_failure": "panic"},
         ],
     )
     def test_validation(self, bad):
@@ -284,17 +280,19 @@ class TestWorkerCrashRecovery:
         for site, expected in reference.items():
             assert recovered[site].p_sensitized == expected.p_sensitized
 
-    def test_crash_with_raise_policy_is_typed(self, s953):
+    def test_crash_with_no_retries_is_typed(self, s953):
         engine, site_ids, _ = s953
         injector = FaultInjector(
             specs=(FaultSpec(kind="crash", shard=0, attempt=1),)
         )
         with chaos_backend(
-            engine, fault_injector=injector, on_failure="raise"
+            engine, fault_injector=injector, retries=0
         ) as backend:
-            with pytest.raises(WorkerCrashError) as info:
+            with pytest.raises(RetryBudgetExceededError) as info:
                 backend.p_sensitized_many(site_ids)
             assert info.value.site_ids  # carries the shard's sites
+            assert info.value.attempts == 1
+            assert isinstance(info.value.__cause__, WorkerCrashError)
 
     @pytest.mark.parametrize("retries", [1, None], ids=["retries=1", "default"])
     def test_crash_every_attempt_exhausts_budget(self, s953, retries):
@@ -316,6 +314,21 @@ class TestWorkerCrashRecovery:
             assert backend.stats["worker_crashes"] == budget + 1
             assert backend.stats["respawns"] == budget + 1
             assert backend.stats["retries"] >= budget
+
+    def test_idle_worker_crash_recovers_at_submission(self, s953):
+        """A worker killed while the pool sits idle leaves the executor
+        broken before the next query submits a shard.  Submission must
+        take the broken-pool path (respawn, retry), not raise a raw
+        ``BrokenProcessPool`` from this and every later call."""
+        engine, site_ids, reference = s953
+        with chaos_backend(engine) as backend:
+            backend.warm(timeout=30.0)
+            kill_idle_worker(backend)
+            recovered = backend.p_sensitized_many(site_ids)
+            assert np.array_equal(reference, recovered)
+            assert backend.stats["worker_crashes"] == 1
+            assert backend.stats["respawns"] == 1
+            assert np.array_equal(reference, backend.p_sensitized_many(site_ids))
 
     def test_pool_respawns_from_cached_payload(self, s953):
         """After a crash the next analysis reuses the engine — the pool
@@ -348,44 +361,22 @@ class TestKernelErrorRetry:
             assert backend.stats["retries"] == 1
             assert backend.stats["respawns"] == 0  # no pool break
 
-    def test_raise_mode_fails_fast_with_original_error(self, s953):
-        engine, site_ids, _ = s953
-        injector = FaultInjector(
-            specs=(FaultSpec(kind="kernel_error", shard=0, attempt=1),)
-        )
-        with chaos_backend(
-            engine, fault_injector=injector, on_failure="raise"
-        ) as backend:
-            with pytest.raises(InjectedFault):
-                backend.p_sensitized_many(site_ids)
-
-    def test_degrade_finishes_in_process_bit_identical(self, s953):
-        engine, site_ids, reference = s953
-        injector = FaultInjector(  # shard 1 fails on *every* attempt
-            specs=(FaultSpec(kind="kernel_error", shard=1, attempt=None),)
-        )
-        with chaos_backend(
-            engine, fault_injector=injector, retries=1, on_failure="degrade"
-        ) as backend:
-            recovered = backend.p_sensitized_many(site_ids)
-            assert np.array_equal(reference, recovered)
-            assert backend.stats["degraded_shards"] == 1
-            degraded = [o for o in backend.last_outcomes if o.degraded]
-            assert len(degraded) == 1
-            assert degraded[0].transport == "local"
-            assert degraded[0].worker_pid is None
-
-    def test_budget_exhaustion_raises_typed_error(self, s953):
+    @pytest.mark.parametrize("retries", [0, 1], ids=["retries=0", "retries=1"])
+    def test_budget_exhaustion_raises_typed_error(self, s953, retries):
+        # retries=0 is fail-fast: the first in-worker error ends the
+        # query, typed, with the worker's own error as its cause.
         engine, site_ids, _ = s953
         injector = FaultInjector(
             specs=(FaultSpec(kind="kernel_error", shard=1, attempt=None),)
         )
         with chaos_backend(
-            engine, fault_injector=injector, retries=1
+            engine, fault_injector=injector, retries=retries
         ) as backend:
             with pytest.raises(RetryBudgetExceededError) as info:
                 backend.p_sensitized_many(site_ids)
             assert isinstance(info.value.__cause__, InjectedFault)
+            assert info.value.attempts == retries + 1
+            assert backend.stats["retries"] == retries
 
 
 # ------------------------------------------------------ transport poison
@@ -461,28 +452,6 @@ class TestDeadlines:
         with chaos_backend(engine, deadline=1e-6) as backend:
             with pytest.raises(ShardTimeoutError, match="deadline expired"):
                 backend.p_sensitized_many(site_ids)
-
-    def test_global_deadline_degrades_bit_identical(self, s953):
-        engine, site_ids, reference = s953
-        with chaos_backend(
-            engine, deadline=1e-6, on_failure="degrade"
-        ) as backend:
-            recovered = backend.p_sensitized_many(site_ids)
-            assert np.array_equal(reference, recovered)
-            assert backend.stats["degraded_shards"] == len(backend.last_outcomes)
-            assert all(o.degraded for o in backend.last_outcomes)
-
-    def test_degraded_analyze_sites_matches(self, s953):
-        engine, site_ids, _ = s953
-        with chaos_backend(engine) as clean:
-            reference = clean.analyze_sites(site_ids)
-        with chaos_backend(
-            engine, deadline=1e-6, on_failure="degrade"
-        ) as backend:
-            degraded = backend.analyze_sites(site_ids)
-        assert list(reference) == list(degraded)
-        for site, expected in reference.items():
-            assert degraded[site].p_sensitized == expected.p_sensitized
 
 
 # ------------------------------------------------------- barrier timeouts
@@ -640,7 +609,6 @@ class TestKnobThreading:
         defaulted = engine.sharded_backend(jobs=2)
         explicit = engine.sharded_backend(jobs=2, retries=DEFAULT_RETRIES)
         assert explicit is defaulted
-        assert engine.sharded_backend(jobs=2, on_failure="retry") is defaulted
         defaulted.close()
 
     def test_deadline_does_not_rebuild_the_pool(self):
@@ -675,19 +643,18 @@ class TestKnobThreading:
 
     def test_analyzer_threads_resilience_knobs(self):
         analyzer = SERAnalyzer(generate_iscas("s953"))
-        report = analyzer.analyze(jobs=2, retries=1, on_failure="degrade")
+        report = analyzer.analyze(jobs=2, retries=1, shard_timeout=60.0)
         assert report.total_fit > 0
         backend = analyzer.engine._sharded_backend
         assert backend.config.retries == 1
-        assert backend.config.on_failure == "degrade"
+        assert backend.config.shard_timeout == 60.0
 
     def test_cli_resilience_flags(self, capsys):
         from repro.cli import main
 
         assert main([
             "analyze", "s953", "--jobs", "2",
-            "--retries", "1", "--shard-timeout", "60",
-            "--on-worker-failure", "degrade", "--top", "3",
+            "--retries", "1", "--shard-timeout", "60", "--top", "3",
         ]) == 0
         assert "SER" in capsys.readouterr().out
 
@@ -697,7 +664,7 @@ class TestKnobThreading:
             backend.p_sensitized_many(site_ids)
             for counter in ("retries", "respawns", "worker_crashes",
                             "shard_timeouts", "transport_fallbacks",
-                            "degraded_shards", "quarantined_segments"):
+                            "quarantined_segments"):
                 assert backend.stats[counter] == 0  # clean run
             assert all(
                 isinstance(o, ShardOutcome) and o.attempts == 1

@@ -47,6 +47,7 @@ from repro.server.protocol import (
     parse_request,
 )
 from repro.testing import ServiceFaultInjector, ServiceFaultSpec
+from tests.helpers import kill_idle_worker
 
 
 # ----------------------------------------------------------------- helpers
@@ -83,6 +84,26 @@ def c17_ref():
     """Clean in-process reference: (p_sensitized, site order)."""
     snap = EPPEngine(c17()).snapshot()
     return np.asarray(snap.p_sensitized), list(snap.site_names)
+
+
+@pytest.fixture(scope="module")
+def s953_ref():
+    """Clean in-process s953 P_sensitized, for real-pool chaos."""
+    from repro.netlist.generate import generate_iscas
+
+    return np.asarray(EPPEngine(generate_iscas("s953")).snapshot().p_sensitized)
+
+
+async def warm_pool_backend(svc, **knobs):
+    """The service's s953 driver for its own sweep knobs, warmed, with
+    the crossover guard off so its sweeps run on worker processes."""
+    state = await asyncio.to_thread(
+        svc._state_for, parse_request({"op": "analyze", "circuit": "s953"})
+    )
+    backend = state.engine.sharded_backend(jobs=2, **knobs)
+    backend.min_process_work = 0
+    await asyncio.to_thread(backend.warm, 30.0)
+    return backend
 
 
 def assert_matches_reference(result: dict, c17_ref) -> None:
@@ -714,6 +735,75 @@ class TestServiceChaos:
                 assert svc.breaker.state == "closed"
         asyncio.run(main())
 
+    def test_idle_worker_crash_through_service_recovers(
+        self, tmp_path, s953_ref
+    ):
+        """An idle worker of the service's warm pool is killed: the next
+        sweep finds the executor already broken at submission, and the
+        driver respawns and re-runs instead of failing the request."""
+        async def main():
+            async with serving(tmp_path, jobs=2) as svc:
+                backend = await warm_pool_backend(svc)
+                kill_idle_worker(backend)
+                response = await svc._respond(wire(
+                    op="analyze", circuit="s953", coalesce=False,
+                ))
+                assert response["ok"], response
+                assert not response["result"]["degraded"]
+                assert np.array_equal(
+                    np.asarray(response["result"]["p_sensitized"]), s953_ref
+                )
+                assert svc.counters["failed"] == 0
+                assert backend.stats["respawns"] == 1
+                assert svc.breaker.state == "closed"
+        asyncio.run(main())
+
+    def test_sick_pool_crash_every_attempt_degrades_and_trips_breaker(
+        self, tmp_path, s953_ref
+    ):
+        """A real pool whose every worker dies on every shard: the driver
+        spends its retry budget and raises, the service re-runs each
+        request in-process (bit-identical), and the breaker opens so the
+        next request skips the pool instead of paying that budget."""
+        from repro.testing import FaultInjector, FaultSpec
+
+        engine_faults = FaultInjector([
+            FaultSpec("crash", shard=None, attempt=None),
+        ])
+
+        async def main():
+            async with serving(
+                tmp_path, jobs=2, engine_faults=engine_faults,
+                breaker_threshold=2,
+            ) as svc:
+                backend = await warm_pool_backend(
+                    svc, fault_injector=engine_faults
+                )
+
+                async def analyze_degraded(top):
+                    response = await svc._respond(wire(
+                        op="analyze", circuit="s953", coalesce=False,
+                        top=top,
+                    ))
+                    assert response["ok"], response
+                    assert response["result"]["degraded"]
+                    assert np.array_equal(
+                        np.asarray(response["result"]["p_sensitized"]),
+                        s953_ref,
+                    )
+
+                for top in (1, 2):
+                    await analyze_degraded(top)
+                assert backend.stats["worker_crashes"] >= 2
+                assert svc.breaker.state == "open"
+                respawns = backend.stats["respawns"]
+                await analyze_degraded(3)
+                assert backend.stats["respawns"] == respawns  # pool skipped
+                assert svc.breaker.state == "open"
+                assert svc.counters["degraded"] == 3
+                assert svc.counters["failed"] == 0
+        asyncio.run(main())
+
     def test_chaos_error_without_sharded_backend_is_retriable(self, tmp_path):
         # No jobs configured: nothing to degrade *to*, so the synthetic
         # fault surfaces as a typed retriable infrastructure error.
@@ -1066,6 +1156,30 @@ class TestDurableLifecycle:
             # Consumed, not replayed forever.
             assert not os.path.exists(pending_file)
             await successor.drain()
+        asyncio.run(main())
+
+    def test_durable_warm_pool_survives_the_first_request(self, tmp_path):
+        """``--warm`` with ``--store-dir``: the warmed driver is built from
+        the knobs a request resolves to, its checkpoint directory
+        included, so the first request reuses the warm pool instead of
+        closing it and building another."""
+        async def main():
+            async with serving(
+                tmp_path, jobs=2, store_dir=str(tmp_path / "store"),
+                warm=("s953",),
+            ) as svc:
+                state = await asyncio.to_thread(
+                    svc._state_for,
+                    parse_request({"op": "analyze", "circuit": "s953"}),
+                )
+                warmed = state.engine._sharded_backend
+                assert warmed is not None and warmed.pool_started
+                response = await svc._respond(wire(
+                    op="analyze", circuit="s953", top=3,
+                ))
+                assert response["ok"]
+                assert state.engine._sharded_backend is warmed
+                assert warmed.pool_started
         asyncio.run(main())
 
     def test_durable_resume_without_predecessor_is_clean(self, tmp_path):
