@@ -16,14 +16,15 @@ Quickstart
 
 Package map
 -----------
-* :mod:`repro.netlist` — circuits, ``.bench`` I/O, transforms, generators.
+* :mod:`repro.netlist` — circuits, ``.bench``/Verilog I/O, the
+  sequential cut and TMR, generators.
 * :mod:`repro.sim` — bit-parallel logic and fault simulation.
 * :mod:`repro.probability` — signal-probability backends (topological,
   cut-BDD, Monte Carlo, exact BDD).
 * :mod:`repro.core` — the EPP engine, the random-simulation baseline, and
   the full SER analyzer.
-* :mod:`repro.ser` — R_SEU / latching / electrical models, FIT math,
-  hardening flows.
+* :mod:`repro.ser` — R_SEU and latching models, FIT math, hardening
+  flows.
 * :mod:`repro.experiments` — regeneration harnesses for the paper's
   Figure 1, Table 1 and Table 2.
 """

@@ -19,7 +19,9 @@
 * :mod:`repro.core.epp_shard` — the multi-process sharded driver fanning
   cone-clustered site shards across a worker pool of vector backends
   (``EPPEngine.analyze(backend="sharded", jobs=4)``), returning packed
-  results through shared-memory segments.
+  results through shared-memory segments.  Not re-exported here: the
+  engine imports it on the first sharded call, so a run that never
+  shards never loads :mod:`multiprocessing`.
 * :mod:`repro.core.baseline` — the random fault-injection estimator the
   paper compares against.
 * :mod:`repro.core.analysis` — full SER analysis combining EPP with the
@@ -28,8 +30,6 @@
 
 from repro.core.fourvalue import EPPValue
 from repro.core.epp import EPPEngine, EPPResult
-from repro.core.epp_shard import ShardedEPPEngine, default_jobs, default_transport
-from repro.core.schedule import ConeIndex, cone_cluster_order
 from repro.core.baseline import RandomSimulationEstimator
 from repro.core.sensitization import combine_sensitization
 from repro.core.analysis import SERAnalyzer, NodeSER, CircuitSERReport
@@ -38,11 +38,6 @@ __all__ = [
     "EPPValue",
     "EPPEngine",
     "EPPResult",
-    "ShardedEPPEngine",
-    "ConeIndex",
-    "cone_cluster_order",
-    "default_jobs",
-    "default_transport",
     "RandomSimulationEstimator",
     "combine_sensitization",
     "SERAnalyzer",

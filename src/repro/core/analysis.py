@@ -7,13 +7,10 @@ error rate, producing per-node and circuit-level FIT together with the
 vulnerability ranking the paper motivates ("identify the most vulnerable
 components to be protected").
 
-Two optional extensions beyond the paper's two-factor derating:
-
-* **electrical masking** — per-sink pulse attenuation over the traversed
-  logic depth (:class:`~repro.ser.electrical.ElectricalMaskingModel`);
-* **multi-cycle observability** — an error captured into a flip-flop is
-  re-injected as an error site in the next cycle; a bounded-depth fixpoint
-  estimates the probability it eventually reaches a primary output.
+One extension goes beyond the paper's two-factor derating:
+**multi-cycle observability** — an error captured into a flip-flop is
+re-injected as an error site in the next cycle; a bounded-depth fixpoint
+estimates the probability it eventually reaches a primary output.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from repro.core.epp import EPPEngine, EPPResult
 from repro.core.sensitization import combine_sensitization
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import CODE_TO_TYPE
-from repro.ser.electrical import ElectricalMaskingModel
 from repro.ser.fit import rates_to_fit, sum_fit
 from repro.ser.latching import LatchingModel
 from repro.ser.seu_rate import SEURateModel
@@ -241,8 +237,8 @@ def _columns(
 
 class SiteRows:
     """The rows of a report, as far as the site list and the compiled
-    view alone determine them: site order, node ids, gate codes and
-    type names.  No SER model value enters, so one instance serves every
+    view alone determine them: site order, gate codes and type names.
+    No SER model value enters, so one instance serves every
     report of a packed generation (:meth:`SERAnalyzer.report_for`).
 
     ``columns`` maps each site to its column of ``p_sensitized`` and
@@ -253,7 +249,7 @@ class SiteRows:
     attribute is shared: read it, never change it.
     """
 
-    __slots__ = ("sites", "row_of", "take", "node_ids", "codes", "first_codes", "type_names")
+    __slots__ = ("sites", "row_of", "take", "codes", "first_codes", "type_names")
 
     def __init__(self, compiled, columns: Mapping[str, int], n_columns: int):
         sites = list(columns)
@@ -265,8 +261,7 @@ class SiteRows:
         self.sites = sites
         self.row_of = columns
         index, code_of = compiled.index, compiled.code
-        self.node_ids = [index[site] for site in sites]
-        codes = [code_of[node_id] for node_id in self.node_ids]
+        codes = [code_of[index[site]] for site in sites]
         # Distinct codes in first-row order: the per-call weight lookup
         # then raises for the type the per-site loop hit first.
         self.first_codes = tuple(dict.fromkeys(codes))
@@ -279,7 +274,6 @@ class SERAnalyzer:
     """Full-circuit SER analysis on top of an :class:`EPPEngine`.
 
     Parameters mirror the paper's factorization; every model is replaceable.
-    ``electrical_model`` switches the per-sink attenuation extension on.
     """
 
     def __init__(
@@ -287,7 +281,6 @@ class SERAnalyzer:
         circuit: Circuit,
         seu_model: SEURateModel | None = None,
         latching_model: LatchingModel | None = None,
-        electrical_model: ElectricalMaskingModel | None = None,
         signal_probs: Mapping[str, float] | None = None,
         sp_method: str = "topological",
         engine: EPPEngine | None = None,
@@ -298,7 +291,6 @@ class SERAnalyzer:
         self.latching_model = (
             latching_model if latching_model is not None else LatchingModel()
         )
-        self.electrical_model = electrical_model
         self.engine = (
             engine
             if engine is not None
@@ -321,50 +313,21 @@ class SERAnalyzer:
         # the check above.
         self.hardening_factors: Mapping[str, float] = MappingProxyType(factors)
 
-    # ------------------------------------------------------------- per node
-
-    def node_ser(self, site: str) -> NodeSER:
-        """SER decomposition for one site."""
-        results = {site: self.engine.node_epp(site)}
-        report = self._assemble_results(self.circuit.name, self.compiled, results)
-        return report.nodes[site]
-
-    def _assemble_results(
-        self,
-        circuit_name: str,
-        compiled,
-        results: Mapping[str, EPPResult],
-        hardening: Mapping[str, float] | None = None,
-    ) -> CircuitSERReport:
-        """The report of a ``{site: EPPResult}`` dict: its rows built
-        here, for this call only, then :meth:`_assemble`."""
-        columns, p_sensitized, cone_sizes = _columns(results)
-        rows = SiteRows(compiled, columns, len(p_sensitized))
-        return self._assemble(
-            circuit_name, compiled, rows, p_sensitized, cone_sizes,
-            hardening, results,
-        )
+    # ------------------------------------------------------------- assembly
 
     def _assemble(
         self,
         circuit_name: str,
-        compiled,
         rows: SiteRows,
         p_sensitized: np.ndarray,
         cone_sizes: np.ndarray,
         hardening: Mapping[str, float] | None = None,
-        results: Mapping[str, EPPResult] | None = None,
     ) -> CircuitSERReport:
         """The report of ``rows`` over the ``p_sensitized`` and
         ``cone_sizes`` columns: every model value, read now.
 
-        Incremental what-if results (:meth:`report_for`) live on *edited*
-        circuit revisions whose compiled view differs from the analyzer's
-        own, so the electrical-masking model indexes through the
-        ``compiled`` argument.  ``hardening`` holds a revision's factors,
-        composed with the analyzer's own.  ``results`` (site ->
-        :class:`EPPResult`) is read only by the electrical-masking model,
-        which needs the per-sink vectors.
+        ``hardening`` holds a what-if revision's factors
+        (:meth:`report_for`), composed with the analyzer's own.
 
         The arithmetic is the per-site formula's, column-wise and in the
         same order: ``r_seu = flux * cross_section * weight``, then
@@ -392,21 +355,8 @@ class SERAnalyzer:
             row = row_of.get(site)
             if row is not None:
                 r_seu[row] /= own_factors.get(site, 1.0) * hardening.get(site, 1.0)
-        if self.electrical_model is None:
-            p_latched = self.latching_model.p_latched()
-            p_observable = p_sensitized
-        else:
-            # p_latched stays 1.0: the latching window is folded into
-            # the per-sink combination.
-            p_latched = 1.0
-            p_observable = np.array(
-                [
-                    self._electrical_observability(compiled, node_id, results[site])
-                    for site, node_id in zip(rows.sites, rows.node_ids)
-                ],
-                dtype=np.float64,
-            )
-        ser = r_seu * p_latched * p_observable
+        p_latched = self.latching_model.p_latched()
+        ser = r_seu * p_latched * p_sensitized
         return CircuitSERReport(
             circuit_name,
             list(rows.sites),
@@ -418,27 +368,6 @@ class SERAnalyzer:
             rates_to_fit(ser),
             cone_sizes,
         )
-
-    def _electrical_observability(
-        self, compiled, node_id: int, result: EPPResult
-    ) -> float:
-        """Per-sink: attenuate the pulse over the traversed depth, then
-        apply the latching window at flip-flop sinks (primary outputs
-        observe any surviving pulse)."""
-        site_level = compiled.level[node_id]
-        output_set = set(compiled.output_ids)
-        terms = []
-        for sink_name, value in result.sink_values.items():
-            sink_id = compiled.index[sink_name]
-            depth = max(0, compiled.level[sink_id] - site_level)
-            width = self.electrical_model.width_after(
-                self.latching_model.nominal_pulse_width, depth
-            )
-            if width == 0.0:
-                continue
-            capture = 1.0 if sink_id in output_set else self.latching_model.p_latched(width)
-            terms.append(value.error_probability * capture)
-        return combine_sensitization(terms)
 
     # ------------------------------------------------------------- analysis
 
@@ -478,7 +407,11 @@ class SERAnalyzer:
         results = self.engine.analyze(
             sites=sites, sample=sample, seed=seed, config=config, **knobs
         )
-        return self._assemble_results(self.circuit.name, self.compiled, results)
+        # The rows are built for this call only: a results dict has no
+        # generation to memoize them on.
+        columns, p_sensitized, cone_sizes = _columns(results)
+        rows = SiteRows(self.compiled, columns, len(p_sensitized))
+        return self._assemble(self.circuit.name, rows, p_sensitized, cone_sizes)
 
     # ------------------------------------------------- incremental what-if
 
@@ -513,14 +446,9 @@ class SERAnalyzer:
         size, so the report's columns are computed straight from the
         revision's packed arrays, and its :class:`SiteRows` are built once
         per packed generation (``delta.generation``) and shared by every
-        revision and analyzer that reports on it.  Only the
-        electrical-masking model materializes per-site results.
+        revision and analyzer that reports on it.
         """
-        circuit_name, compiled = delta.engine.circuit.name, delta.engine.compiled
-        if self.electrical_model is not None:
-            return self._assemble_results(
-                circuit_name, compiled, delta.results(), delta.hardening
-            )
+        compiled = delta.engine.compiled
         p_sensitized = delta.p_sensitized
         rows = delta.generation.memo(
             "report_rows",
@@ -531,7 +459,7 @@ class SERAnalyzer:
             ),
         )
         return self._assemble(
-            circuit_name, compiled, rows, p_sensitized, delta.cone_sizes,
+            delta.engine.circuit.name, rows, p_sensitized, delta.cone_sizes,
             delta.hardening,
         )
 

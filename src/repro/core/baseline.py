@@ -20,7 +20,6 @@ paper's reported gap a smarter simulator implementation closes.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Mapping, Sequence
 
 from repro.errors import SimulationError
@@ -133,25 +132,6 @@ class RandomSimulationEstimator:
             if used >= 4 * self.word_width and spread <= half_width:
                 break
         return count / used, used
-
-    def estimate_sampled(
-        self, sample: int, seed: int = 0, sites: Sequence[str] | None = None
-    ) -> dict[str, float]:
-        """Estimate a deterministic random subset of sites.
-
-        Mirrors :meth:`EPPEngine.analyze`'s sampling so the two methods can
-        be compared over the same site set.
-        """
-        if sites is None:
-            sites = [
-                self.compiled.names[i]
-                for i in range(self.compiled.n)
-                if self.compiled.gate_type(i).is_combinational
-            ]
-        sites = list(sites)
-        if sample < len(sites):
-            sites = random.Random(seed).sample(sites, sample)
-        return self.estimate(sites)
 
     def _site_name(self, site: int | str) -> str:
         if isinstance(site, str):

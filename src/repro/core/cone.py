@@ -24,7 +24,7 @@ from repro.errors import AnalysisError
 from repro.netlist.circuit import CompiledCircuit
 from repro.netlist.gate_types import GateType
 
-__all__ = ["OnPathCone", "extract_cone", "ConeExtractor"]
+__all__ = ["OnPathCone", "ConeExtractor"]
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,3 @@ class ConeExtractor:
             if node_id in self._sink_set
         )
         return OnPathCone(site_id, frozenset(members), gate_order, sinks)
-
-
-def extract_cone(compiled: CompiledCircuit, site: int | str) -> OnPathCone:
-    """One-shot cone extraction (no caching)."""
-    return ConeExtractor(compiled).cone(site)

@@ -95,10 +95,6 @@ class EPPResult:
             self._sink_source = None
         return values
 
-    @property
-    def n_reachable_outputs(self) -> int:
-        return len(self.sink_values)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, EPPResult):
             return NotImplemented
@@ -154,7 +150,10 @@ class EPPEngine:
         :func:`repro.probability.signal_probabilities`).
     track_polarity:
         ``False`` collapses ``ā`` into ``a`` after every gate — the
-        polarity-blind ablation (reconvergent cancellation is lost).
+        polarity-blind ablation (reconvergent cancellation is lost).  A
+        polarity-blind engine answers the scalar queries only
+        (``node_epp``, ``p_sensitized``, ``analyze(backend="scalar")``):
+        the vector and sharded kernels always track polarity.
     """
 
     def __init__(
@@ -264,26 +263,14 @@ class EPPEngine:
 
     # ----------------------------------------------------------------- sites
 
-    def default_sites(
-        self, include_inputs: bool = False, include_state: bool = False
-    ) -> list[str]:
-        """The error sites analyzed by default: combinational gate outputs.
-
-        ``include_inputs`` adds primary inputs (SEUs on input pads);
-        ``include_state`` adds flip-flop outputs (SEUs in the storage cell
-        observed through the next-cycle logic).
-        """
+    def default_sites(self) -> list[str]:
+        """The error sites analyzed by default: combinational gate outputs."""
         compiled = self.compiled
-        sites = [
+        return [
             compiled.names[i]
             for i in range(compiled.n)
             if compiled.gate_type(i).is_combinational
         ]
-        if include_inputs:
-            sites += [compiled.names[i] for i in compiled.input_ids]
-        if include_state:
-            sites += [compiled.names[i] for i in compiled.dff_ids]
-        return sites
 
     def cone(self, site: int | str) -> OnPathCone:
         """The (cached) on-path cone of a site."""
@@ -373,9 +360,17 @@ class EPPEngine:
         One cache slot each, keyed by the *effective* configuration: a
         one-off explicit knob must not stick to later default calls.  The
         sharded driver runs its in-process calls on the vector backend.
+        Both kernels track polarity, so a polarity-blind engine is
+        refused here, the one place either backend is built.
         """
         from repro.core.epp_batch import BatchEPPBackend, default_batch_size
 
+        if not self.track_polarity:
+            raise AnalysisError(
+                f"the {name} backend always tracks error polarity; a "
+                "polarity-blind engine (track_polarity=False) runs on "
+                'backend="scalar" only'
+            )
         resolved = config.resolved()
         effective = (
             resolved.batch_size if resolved.batch_size is not None
@@ -387,7 +382,6 @@ class EPPEngine:
             local = BatchEPPBackend(
                 self.compiled,
                 self._sp,
-                track_polarity=self.track_polarity,
                 scalar_fallback=self.node_epp,
                 **config.sweep_kwargs(),
             )
@@ -426,7 +420,6 @@ class EPPEngine:
             backend = ShardedEPPEngine(
                 self.compiled,
                 self._sp,
-                track_polarity=self.track_polarity,
                 local_backend=local,
                 config=config.replace(jobs=effective_jobs),
             )
@@ -511,7 +504,6 @@ class EPPEngine:
         sites: Sequence[int | str] | None = None,
         sample: int | None = None,
         seed: int = 0,
-        collapse: bool = False,
         config: AnalysisConfig | None = None,
         **knobs,
     ) -> dict[str, EPPResult]:
@@ -519,10 +511,7 @@ class EPPEngine:
 
         ``sample`` draws a deterministic random subset — the treatment the
         paper applies to its larger circuits ("a limited number of gates of
-        the circuits are simulated").  ``collapse=True`` shares one analysis
-        across provably equivalent sites (buffer/inverter chains; see
-        :mod:`repro.core.collapse`), which changes nothing in the results
-        and skips redundant passes.
+        the circuits are simulated").
 
         ``backend`` selects the propagation kernel: ``"scalar"`` walks one
         cone per site (the reference oracle), ``"vector"`` runs the batched
@@ -588,39 +577,7 @@ class EPPEngine:
         # backend, but `retries=` with a defaulted vector backend only
         # becomes a conflict here.
         cfg.require_backend_support(backend)
-
-        if not collapse:
-            return self._analyze_sites(sites, backend, cfg)
-
-        from repro.core.collapse import collapse_seu_sites
-
-        equivalence = collapse_seu_sites(self.circuit)
-        site_names = [
-            site if isinstance(site, str) else self.compiled.names[site]
-            for site in sites
-        ]
-        by_representative: dict[str, list[str]] = {}
-        for name in site_names:
-            rep = equivalence.representative.get(name, name)
-            by_representative.setdefault(rep, []).append(name)
-        rep_results = self._analyze_sites(list(by_representative), backend, cfg)
-        results = {}
-        for rep, members in by_representative.items():
-            rep_result = rep_results[rep]
-            for member in members:
-                # Each member defers to a fresh copy of the
-                # representative's dict, built on first access: sharing
-                # the representative's dict would let a caller mutating
-                # one result corrupt every collapsed sibling, and copying
-                # eagerly would force-materialize every deferred result
-                # the batch backend just avoided building.
-                results[member] = EPPResult.deferred(
-                    member,
-                    rep_result.p_sensitized,
-                    rep_result.cone_size,
-                    (lambda source=rep_result: dict(source.sink_values)),
-                )
-        return results
+        return self._analyze_sites(sites, backend, cfg)
 
     # ------------------------------------------------------- incremental
 
@@ -667,9 +624,9 @@ class EPPEngine:
         arrays are spliced into the retained ones — bit-identical
         (``np.array_equal``) to a full re-analysis of the edited circuit.
         Keyword knobs (``backend``/``jobs``/``batch_size``/...) override
-        the snapshot's for the re-sweep.  A ``harden``/``resize``-only
-        edit set skips all of that and returns a revision that shares
-        this engine and ``prev``'s packed arrays.
+        the snapshot's for the re-sweep.  A ``harden``-only edit set
+        skips all of that and returns a revision that shares this engine
+        and ``prev``'s packed arrays.
         """
         from repro.core.epp_delta import analyze_delta as _analyze_delta
 
@@ -680,56 +637,3 @@ class EPPEngine:
                 "carries the engine of its own circuit revision)"
             )
         return _analyze_delta(prev, edits, sites=sites, **knobs)
-
-    def dominant_path(self, site: int | str, sink: str | None = None) -> list[tuple[str, float]]:
-        """The highest-probability error path from ``site`` to a sink.
-
-        Greedy backward walk: starting at the chosen sink (default: the
-        reachable sink with the largest surviving error probability), at
-        every gate follow the on-path fanin whose vector carries the most
-        error.  Returns ``[(node_name, error_probability), ...]`` from the
-        site to the sink — the diagnostic a designer reads to see *where*
-        a vulnerable node's error escapes.
-        """
-        self._check_current()
-        # The walk reads the shared scratch arrays _propagate fills.
-        with self._sweep_lock:
-            site_id = self._cones.resolve(site)
-            cone = self._cones.cone(site_id)
-            self._propagate(site_id, cone)
-            compiled = self.compiled
-            generation = self._generation
-            mark = self._mark
-            pa = self._pa
-            pa_bar = self._pa_bar
-
-            if sink is not None:
-                sink_id = self._cones.resolve(sink)
-                if sink_id not in cone.sinks:
-                    raise AnalysisError(
-                        f"{compiled.names[sink_id]!r} is not a reachable sink of "
-                        f"{compiled.names[site_id]!r}"
-                    )
-            else:
-                if not cone.sinks:
-                    return []
-                sink_id = max(cone.sinks, key=lambda s: pa[s] + pa_bar[s])
-
-            path = [(compiled.names[sink_id], pa[sink_id] + pa_bar[sink_id])]
-            current = sink_id
-            while current != site_id:
-                best = None
-                best_error = -1.0
-                for pin in compiled.fanin(current):
-                    if mark[pin] != generation:
-                        continue  # off-path
-                    error = pa[pin] + pa_bar[pin]
-                    if error > best_error:
-                        best_error = error
-                        best = pin
-                if best is None:
-                    break  # degenerate: error created only by polarity algebra
-                path.append((compiled.names[best], best_error))
-                current = best
-            path.reverse()
-            return path

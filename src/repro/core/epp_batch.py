@@ -354,9 +354,6 @@ class BatchEPPBackend:
     signal_probs:
         Per-node P(1), indexed by node id — the same validated vector the
         scalar engine holds.
-    track_polarity:
-        Mirrors the engine flag; ``False`` merges ``ā`` into ``a`` after
-        every gate group (the polarity-blind ablation).
     batch_size:
         Site columns per chunk; default sized by :func:`default_batch_size`.
     min_vector_work:
@@ -390,7 +387,6 @@ class BatchEPPBackend:
         self,
         compiled: CompiledCircuit,
         signal_probs: Sequence[float],
-        track_polarity: bool = True,
         batch_size: int | None = None,
         min_vector_work: int = _MIN_VECTOR_WORK,
         scalar_fallback=None,
@@ -399,7 +395,6 @@ class BatchEPPBackend:
         self.compiled = compiled
         self.plan = BatchPlan.for_compiled(compiled)
         self.sp = np.asarray(signal_probs, dtype=np.float64)
-        self.track_polarity = track_polarity
         if batch_size is not None and int(batch_size) < 1:
             raise AnalysisError(f"batch_size must be >= 1, got {batch_size}")
         self.batch_size = (
@@ -580,7 +575,6 @@ class BatchEPPBackend:
         for col, row in enumerate(site_rows.tolist()):
             site_cols.setdefault(row, []).append(col)
 
-        track_polarity = self.track_polarity
         stats = self.sweep_stats
         stats["compact_sweeps"] += 1
         stats["compact_rows"] += cplan.n_rows
@@ -606,9 +600,6 @@ class BatchEPPBackend:
                 cell_values = group.compact_rule(
                     state, fanin[on_rows], on_cols
                 )  # (m, 4)
-                if not track_polarity:
-                    cell_values[:, 0] += cell_values[:, 1]
-                    cell_values[:, 1] = 0.0
                 node_rows = out_ids[on_rows]
                 state[node_rows, :, on_cols] = cell_values
                 mask[node_rows, on_cols] = True
@@ -618,9 +609,6 @@ class BatchEPPBackend:
             stats["groups_row"] += 1
             stats["cells_computed"] += out_mask.size
             result = group.rule(state, fanin)  # (r, 4, s)
-            if not track_polarity:
-                result[:, 0, :] += result[:, 1, :]
-                result[:, 1, :] = 0.0
             if out_mask.all():
                 state[out_ids] = result
                 mask[out_ids] = True
@@ -671,7 +659,6 @@ class BatchEPPBackend:
         for col, site_id in enumerate(site_ids.tolist()):
             site_cols.setdefault(site_id, []).append(col)
 
-        track_polarity = self.track_polarity
         const = self._const
         stats = self.sweep_stats
         for _, groups in self.plan.levels:
@@ -683,9 +670,6 @@ class BatchEPPBackend:
                     continue  # whole group off-path: SP constants hold
                 stats["groups_dense"] += 1
                 result = group.rule(state, fanin)  # (g, 4, s)
-                if not track_polarity:
-                    result[:, 0, :] += result[:, 1, :]
-                    result[:, 1, :] = 0.0
                 if out_mask.all():
                     # Fully on-path rows (can hold no injected site column:
                     # a site is never on-path for itself) — assign directly.

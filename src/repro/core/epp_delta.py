@@ -65,7 +65,6 @@ __all__ = [
     "Generation",
     "analyze_delta",
     "dirty_mask",
-    "edit_impact",
     "snapshot",
 ]
 
@@ -85,7 +84,6 @@ __all__ = [
 from repro.core.config import (  # noqa: E402
     KNOB_KEYS,
     RESILIENCE_KNOB_KEYS,
-    SWEEP_KNOB_KEYS,
     AnalysisConfig,
 )
 
@@ -105,9 +103,9 @@ class EditSet:
     original is never mutated — and returns the edited circuit together
     with the set of structurally touched node names (exactly the nodes
     whose function, fanin list or sink status changed), which is what
-    the dirty-set computation seeds from.  ``harden``/``resize`` are metadata-only:
+    the dirty-set computation seeds from.  ``harden`` is metadata-only:
     upsizing divides a node's SEU cross section without changing the
-    logic, so they contribute no structural touches, and an edit set of
+    logic, so it contributes no structural touches, and an edit set of
     nothing else (:attr:`metadata_only`) is never applied at all —
     :func:`analyze_delta` reuses the parent revision instead.
     """
@@ -149,7 +147,7 @@ class EditSet:
         Metadata-only — the logic (and every EPP value) is unchanged, so
         hardening edits never dirty any site; the SER layer divides the
         node's R_SEU by the accumulated factor instead.  A delta whose
-        edits are all ``harden``/``resize`` does no analysis work: it
+        edits are all ``harden`` does no analysis work: it
         shares the parent revision's circuit, compiled view, SP map,
         engine and packed arrays by reference and records only the new
         factors (see :func:`analyze_delta`).  Mixing in any structural
@@ -165,10 +163,6 @@ class EditSet:
         self._ops.append(("harden", name, factor))
         self.hardening[name] = self.hardening.get(name, 1.0) * factor
         return self
-
-    def resize(self, name: str, strength_factor: float) -> "EditSet":
-        """Alias of :meth:`harden` — resizing *is* a drive-strength change."""
-        return self.harden(name, strength_factor)
 
     def replace_gate(
         self,
@@ -224,15 +218,8 @@ class EditSet:
         return True  # an empty edit set is still a (no-op) edit set
 
     @property
-    def structural_ops(self) -> int:
-        """How many ops actually change the netlist structure."""
-        return sum(
-            1 for op in self._ops if op[0] not in ("set_sp", "harden")
-        )
-
-    @property
     def metadata_only(self) -> bool:
-        """True when every op is ``harden``/``resize`` (an empty set counts).
+        """True when every op is ``harden`` (an empty set counts).
 
         Such a set leaves the netlist, the SP map and every EPP column
         exactly as they were; only the hardening factors change.
@@ -447,25 +434,6 @@ class DeltaAnalysis:
     def cone_sizes(self) -> np.ndarray:
         return self.packed[1]
 
-    def results(self) -> dict:
-        """Materialize ``{site_name: EPPResult}`` from the packed arrays.
-
-        Built lazily through the vector backend's deferred-dict
-        materializer and memoized on the generation — the packed arrays
-        stay the source of truth for splicing either way.
-        """
-
-        def materialize() -> dict:
-            with self.engine._sweep_lock:
-                backend = self.engine.vector_backend(
-                    **{key: self.knobs.get(key) for key in SWEEP_KNOB_KEYS}
-                )
-                collected: dict = {}
-                backend.materialize(self.site_ids, self.packed, collected)
-            return collected
-
-        return self.generation.memo("results", materialize)
-
     def apply(self, edits: EditSet, sites=None, **knobs) -> "DeltaAnalysis":
         """Chain: re-analyze this revision after ``edits`` (see
         :func:`analyze_delta`)."""
@@ -667,11 +635,7 @@ def _prepare(prev: DeltaAnalysis, edits: EditSet, sites, knobs: Mapping) -> dict
         if name in new_compiled.index
     }
 
-    new_engine = EPPEngine(
-        new_circuit,
-        signal_probs=sp_map,
-        track_polarity=engine.track_polarity,
-    )
+    new_engine = EPPEngine(new_circuit, signal_probs=sp_map)
     # Preserve SP provenance across the chain: the new engine's map is
     # materialized (we just built it), but *semantically* it is still
     # whatever the original analysis used.
@@ -728,23 +692,6 @@ def _prepare(prev: DeltaAnalysis, edits: EditSet, sites, knobs: Mapping) -> dict
         "dirty_flags": dirty_flags,
         "defaulted": defaulted,
         "old_column": old_column,
-    }
-
-
-def edit_impact(prev: DeltaAnalysis, edits: EditSet, sites=None) -> dict:
-    """Dirty-set accounting for an edit set, without re-sweeping.
-
-    Returns ``{"sites", "dirty", "reused", "frontier"}`` — what
-    :func:`analyze_delta` would re-sweep.  Useful for previewing the
-    cost of a candidate edit before paying for the sweep.
-    """
-    context = _prepare(prev, edits, sites, prev.knobs)
-    dirty = sum(context["dirty_flags"])
-    return {
-        "sites": len(context["site_names"]),
-        "dirty": int(dirty),
-        "reused": len(context["site_names"]) - int(dirty),
-        "frontier": len(context["frontier"]),
     }
 
 

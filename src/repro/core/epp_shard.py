@@ -446,7 +446,6 @@ def _worker_backend():
         _WORKER_BACKEND = BatchEPPBackend(
             fields["compiled"],
             fields["signal_probs"],
-            track_polarity=fields["track_polarity"],
             min_vector_work=0,
             **AnalysisConfig.from_wire(fields["config"]).sweep_kwargs(),
         )
@@ -534,8 +533,6 @@ class ShardedEPPEngine:
         The compiled circuit (pickled once into the worker pool).
     signal_probs:
         Per-node P(1) indexed by node id, as the vector backend consumes.
-    track_polarity:
-        Mirrors the engine flag (forwarded to every worker backend).
     config / knobs:
         The analysis knobs, as one
         :class:`~repro.core.config.AnalysisConfig` or as individual
@@ -589,7 +586,6 @@ class ShardedEPPEngine:
         self,
         compiled,
         signal_probs: Sequence[float],
-        track_polarity: bool = True,
         *,
         min_process_work: int = _MIN_PROCESS_WORK,
         local_backend=None,
@@ -615,7 +611,6 @@ class ShardedEPPEngine:
             int(resolved.jobs) if resolved.jobs is not None else default_jobs()
         )
         batch_size = resolved.batch_size
-        self.track_polarity = track_polarity
         self.min_process_work = min_process_work
         self.prune = resolved.prune
         self.transport = default_transport()
@@ -673,7 +668,6 @@ class ShardedEPPEngine:
             local_backend = BatchEPPBackend(
                 compiled,
                 signal_probs,
-                track_polarity=track_polarity,
                 **resolved.sweep_kwargs(),
             )
         self.local = local_backend
@@ -724,8 +718,8 @@ class ShardedEPPEngine:
     def payload(self) -> bytes:
         """The once-pickled worker payload (cached across pool restarts).
 
-        What :func:`_worker_backend` builds from: the circuit, SP vector
-        and polarity flag, plus one wire-format
+        What :func:`_worker_backend` builds from: the circuit and SP
+        vector, plus one wire-format
         :class:`~repro.core.config.AnalysisConfig` — the worker chunk
         width and the parent-resolved ``prune`` — so the knob surface
         never re-threads this seam.  Pools are spawned by the process
@@ -738,7 +732,6 @@ class ShardedEPPEngine:
             fields = {
                 "compiled": self.compiled,
                 "signal_probs": self.local.sp,
-                "track_polarity": self.track_polarity,
                 "config": AnalysisConfig(
                     batch_size=self.worker_batch_size,
                     prune=self.prune,
@@ -770,41 +763,75 @@ class ShardedEPPEngine:
             )
         return self._pool
 
+    def _barrier(self, task, delay: float, timeout, what: str, done) -> list:
+        """Run ``task(delay)`` once per worker, at most three rounds.
+
+        Each round submits ``jobs`` tasks and awaits them all; ``delay``
+        holds each worker, so the tasks of one round land on distinct
+        workers.  A round after which ``done(answers)`` is false — an
+        early worker answered twice before the last one forked — reruns
+        with a four times longer hold.  ``answers`` holds every result
+        since the pool was last (re)spawned.
+
+        ``timeout`` bounds all rounds together: once spent the barrier
+        raises :class:`~repro.errors.ShardTimeoutError` instead of
+        hanging on a wedged worker (``None`` waits unbounded).  A pool
+        found broken, at submit or in a result (an idle worker died),
+        counts one ``worker_crashes``, is respawned and the round reruns
+        within the same ``timeout``; a pool that breaks on every round
+        raises :class:`~repro.errors.WorkerCrashError`.
+        """
+        countdown = Deadline(timeout)
+        answers: list = []
+        rounds = crashes = 0
+        while True:
+            pool = self._ensure_pool()
+            try:
+                futures = [pool.submit(task, delay) for _ in range(self.jobs)]
+                _, not_done = wait(futures, timeout=countdown.remaining())
+                if not_done:
+                    for future in not_done:
+                        future.cancel()
+                    raise ShardTimeoutError(
+                        f"{what} barrier timed out (wedged worker?); "
+                        "close() the engine to respawn the pool",
+                        timeout=timeout,
+                    )
+                answers += [future.result() for future in futures]
+            except BrokenProcessPool as broken:
+                self.stats["worker_crashes"] += 1
+                self._respawn_pool()
+                answers = []
+                crashes += 1
+                if crashes == 3:
+                    raise WorkerCrashError(
+                        f"{what} barrier: the worker pool broke on every "
+                        "round (workers killed, out of memory, or crashed)"
+                    ) from broken
+                continue
+            rounds += 1
+            if rounds == 3 or done(answers):
+                return answers
+            delay *= 4
+
     def warm(self, timeout: float | None = 60.0) -> "ShardedEPPEngine":
         """Fork and initialize every worker now, not inside a timed region.
 
         ``ProcessPoolExecutor`` spawns workers lazily on submit, so merely
         constructing the pool warms nothing.  One short barrier task per
-        worker is submitted and awaited — each must occupy a distinct
-        worker, so all ``jobs`` processes fork and run the payload
-        initializer here.  A bounded retry with a longer hold covers the
-        race where an early worker finishes before the last one forks.
-
-        ``timeout`` bounds the *whole* barrier (all escalation rounds):
-        a wedged worker used to hang this call forever; now it raises
-        :class:`~repro.errors.ShardTimeoutError` once the budget is spent
-        (``None`` restores the unbounded wait).
+        worker is submitted and awaited (:meth:`_barrier`) — each must
+        occupy a distinct worker, so all ``jobs`` processes fork and run
+        the payload initializer here.  ``timeout`` bounds the whole
+        barrier; a wedged worker raises
+        :class:`~repro.errors.ShardTimeoutError`, and a pool whose idle
+        worker died is respawned first.
         """
-        pool = self._ensure_pool()
-        countdown = Deadline(timeout)
-        delay = 0.02
-        for _ in range(3):
-            futures = [
-                pool.submit(_worker_warmup, delay) for _ in range(self.jobs)
-            ]
-            _, not_done = wait(futures, timeout=countdown.remaining())
-            if not_done:
-                for future in not_done:
-                    future.cancel()
-                raise ShardTimeoutError(
-                    "worker pool warmup barrier timed out (wedged worker?); "
-                    "close() the engine to respawn the pool",
-                    timeout=timeout,
-                )
-            processes = getattr(pool, "_processes", None)
-            if processes is None or len(processes) >= self.jobs:
-                break
-            delay *= 4
+
+        def all_forked(_answers) -> bool:
+            processes = getattr(self._pool, "_processes", None)
+            return processes is None or len(processes) >= self.jobs
+
+        self._barrier(_worker_warmup, 0.02, timeout, "worker pool warmup", all_forked)
         return self
 
     def worker_stats(
@@ -813,41 +840,17 @@ class ShardedEPPEngine:
         """Per-worker plan counters, probed over the live pool.
 
         Returns ``{pid: {"plans_built": n}}``.  One barrier probe per
-        worker (the :meth:`warm` pattern) so every worker answers for
-        itself; the counter covers the worker's whole lifetime — a worker
-        that served many shards reports ``plans_built == 1``, which is
-        what the plan tests pin.  Like :meth:`warm`, ``timeout`` bounds the whole barrier and
-        raises :class:`~repro.errors.ShardTimeoutError` instead of
-        hanging on a wedged worker.
+        worker (:meth:`_barrier`, as :meth:`warm`) so every worker
+        answers for itself; the counter covers the worker's whole
+        lifetime — a worker that served many shards reports
+        ``plans_built == 1``, which is what the plan tests pin.
+        ``timeout`` and a broken pool are handled as in :meth:`warm`.
         """
-        pool = self._ensure_pool()
-        stats: dict[int, dict[str, int]] = {}
-        countdown = Deadline(timeout)
-        # The warm() escalation: a fixed barrier delay can let one worker
-        # answer two probes on a loaded host, leaving another unprobed —
-        # retry with a longer hold until every worker has reported.
-        delay = 0.05
-        for _ in range(3):
-            futures = [
-                pool.submit(_worker_cache_stats, delay)
-                for _ in range(self.jobs)
-            ]
-            _, not_done = wait(futures, timeout=countdown.remaining())
-            if not_done:
-                for future in not_done:
-                    future.cancel()
-                raise ShardTimeoutError(
-                    "worker-stats barrier timed out (wedged worker?); "
-                    "close() the engine to respawn the pool",
-                    timeout=timeout,
-                )
-            for future in futures:
-                pid, plans_built = future.result()
-                stats[pid] = {"plans_built": plans_built}
-            if len(stats) >= self.jobs:
-                break
-            delay *= 4
-        return stats
+        answers = self._barrier(
+            _worker_cache_stats, 0.05, timeout, "worker-stats",
+            lambda answers: len(dict(answers)) >= self.jobs,
+        )
+        return {pid: {"plans_built": plans_built} for pid, plans_built in answers}
 
     def _drain_inflight_strict(self) -> None:
         """Reclaim the segments of every undelivered shard future.

@@ -121,10 +121,6 @@ class EPPValue:
         """
         return self.pa + self.pa_bar
 
-    @property
-    def is_off_path(self) -> bool:
-        return self.pa == 0.0 and self.pa_bar == 0.0
-
     # ------------------------------------------------------------ operations
 
     def invert(self) -> "EPPValue":

@@ -87,18 +87,6 @@ class ConeIndex:
             sig[node_id] = acc
         self.sig = sig
 
-    def reachable_sink_positions(self, node_id: int) -> list[int]:
-        """Positions into ``compiled.sink_ids`` reachable from ``node_id``."""
-        signature = self.sig[node_id]
-        positions = []
-        position = 0
-        while signature:
-            if signature & 1:
-                positions.append(position)
-            signature >>= 1
-            position += 1
-        return positions
-
     @staticmethod
     def for_compiled(compiled: CompiledCircuit) -> "ConeIndex":
         """The cached index for a compiled circuit (built on first use).

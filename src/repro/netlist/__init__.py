@@ -8,7 +8,7 @@ and manipulate circuits:
   container and its compiled (integer-array) views.
 * :mod:`repro.netlist.bench` — ISCAS ``.bench`` reader/writer.
 * :mod:`repro.netlist.validate` — structural lint.
-* :mod:`repro.netlist.transform` — sequential cut, constant propagation, TMR.
+* :mod:`repro.netlist.transform` — sequential cut, TMR.
 * :mod:`repro.netlist.stats` — circuit statistics.
 * :mod:`repro.netlist.library` — embedded reference circuits (s27, c17,
   the paper's Figure 1 example, and small teaching circuits).

@@ -242,17 +242,6 @@ class Circuit:
     def is_sequential(self) -> bool:
         return any(n.gate_type is GateType.DFF for n in self._nodes.values())
 
-    def fanout_map(self) -> dict[str, list[str]]:
-        """Map from node name to the names of nodes it drives (pin duplicates kept once)."""
-        fanout: dict[str, list[str]] = {name: [] for name in self._nodes}
-        for node in self._nodes.values():
-            seen: set[str] = set()
-            for driver in node.fanin:
-                if driver in fanout and driver not in seen:
-                    fanout[driver].append(node.name)
-                    seen.add(driver)
-        return fanout
-
     # --------------------------------------------------------------- compiled
 
     def compiled(self) -> CompiledCircuit:
@@ -261,15 +250,6 @@ class Circuit:
             self._compiled = CompiledCircuit(self)
             self._compiled_mutation = self._mutation
         return self._compiled
-
-    def topological_order(self) -> list[str]:
-        """Node names in combinational topological order (sources first).
-
-        DFFs appear as sources (their Q value is available at cycle start);
-        their D fanin does not constrain their position.
-        """
-        compiled = self.compiled()
-        return [compiled.names[i] for i in compiled.topo]
 
     def levels(self) -> dict[str, int]:
         """Combinational level per node (sources at level 0)."""

@@ -93,29 +93,6 @@ class GateType(enum.Enum):
         """True for ordinary logic gates (everything but INPUT/DFF/consts)."""
         return not self.is_source and not self.is_sequential
 
-    @property
-    def inverting(self) -> bool:
-        """True if the gate inverts the parity of a single propagating error.
-
-        Only meaningful for gates where a single input change always flips
-        through with fixed parity (NOT/BUF and the N-variants at their
-        controlling-value-free point); used by diagnostics, not the EPP rules.
-        """
-        return self in (GateType.NAND, GateType.NOR, GateType.NOT, GateType.XNOR)
-
-    @property
-    def controlling_value(self) -> int | None:
-        """The input value that forces the output regardless of other inputs.
-
-        0 for AND/NAND, 1 for OR/NOR, ``None`` for gates without one
-        (XOR/XNOR/NOT/BUF/MUX/MAJ and non-gates).
-        """
-        if self in (GateType.AND, GateType.NAND):
-            return 0
-        if self in (GateType.OR, GateType.NOR):
-            return 1
-        return None
-
     def arity_range(self) -> tuple[int, int | None]:
         """(min_arity, max_arity) — ``None`` max means unbounded."""
         return _ARITY[self]

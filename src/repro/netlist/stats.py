@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GateType
 
-__all__ = ["CircuitStats", "circuit_stats", "count_reconvergent_stems"]
+__all__ = ["CircuitStats", "circuit_stats"]
 
 
 @dataclass
@@ -91,19 +91,6 @@ def circuit_stats(circuit: Circuit, reconvergence_limit: int = 2000) -> CircuitS
         n_fanout_stems=len(stems),
         n_reconvergent_stems=n_reconv,
     )
-
-
-def count_reconvergent_stems(circuit: Circuit, limit: int = 0) -> int:
-    """Count fanout stems whose branches re-meet downstream.
-
-    ``limit`` > 0 restricts the scan to the first ``limit`` stems (useful on
-    very large circuits); 0 means scan all stems.
-    """
-    compiled = circuit.compiled()
-    stems = [i for i in range(compiled.n) if len(compiled.fanout(i)) >= 2]
-    if limit:
-        stems = stems[:limit]
-    return sum(1 for stem in stems if _is_reconvergent(compiled, stem))
 
 
 def _is_reconvergent(compiled, stem: int) -> bool:

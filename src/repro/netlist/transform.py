@@ -1,4 +1,4 @@
-"""Netlist transforms: sequential cut, constant folding, buffer sweep, TMR.
+"""Netlist transforms: the sequential cut and TMR.
 
 The EPP and simulation engines work on sequential circuits directly (they
 treat DFF outputs as sources and DFF D-pins as sinks), but several backends
@@ -22,10 +22,6 @@ from repro.netlist.gate_types import GateType
 __all__ = [
     "CombinationalView",
     "to_combinational",
-    "propagate_constants",
-    "sweep_buffers",
-    "strip_dead",
-    "extract_cone",
     "triplicate",
     "triplicate_nodes",
 ]
@@ -81,206 +77,6 @@ def to_combinational(circuit: Circuit) -> CombinationalView:
         cut.mark_output(d_driver)
     cut.compiled()
     return view
-
-
-def propagate_constants(circuit: Circuit) -> Circuit:
-    """Fold constants forward through the combinational network.
-
-    Returns a new circuit in which every gate whose value is forced by
-    constant fanins is replaced by a constant node, and constant fanins at
-    non-controlling values are dropped from AND/NAND/OR/NOR gates.  Names,
-    outputs and DFFs are preserved (a DFF driven by a constant is kept — its
-    behaviour is still sequential until an initial state is chosen).
-    """
-    compiled = circuit.compiled()
-    const_value: dict[str, int] = {}
-    folded = Circuit(circuit.name)
-
-    for node_id in compiled.topo:
-        node = circuit.node(compiled.names[node_id])
-        if node.gate_type is GateType.INPUT:
-            folded.add_input(node.name)
-            continue
-        if node.gate_type is GateType.CONST0:
-            folded.add_const(node.name, 0)
-            const_value[node.name] = 0
-            continue
-        if node.gate_type is GateType.CONST1:
-            folded.add_const(node.name, 1)
-            const_value[node.name] = 1
-            continue
-        if node.gate_type is GateType.DFF:
-            folded.add_dff(node.name, node.fanin[0])
-            continue
-
-        known = [const_value.get(f) for f in node.fanin]
-        value = _fold_gate(node.gate_type, known)
-        if value is not None:
-            folded.add_const(node.name, value)
-            const_value[node.name] = value
-            continue
-
-        fanin = node.fanin
-        noncontrolling = _noncontrolling_value(node.gate_type)
-        if noncontrolling is not None:
-            kept = tuple(
-                f for f, v in zip(fanin, known) if v is None or v != noncontrolling
-            )
-            if kept:
-                fanin = kept
-        folded.add_gate(node.name, node.gate_type, fanin)
-
-    for output in circuit.outputs:
-        folded.mark_output(output)
-    folded.compiled()
-    return folded
-
-
-def _noncontrolling_value(gate_type: GateType) -> int | None:
-    controlling = gate_type.controlling_value
-    if controlling is None:
-        return None
-    return 1 - controlling
-
-
-def _fold_gate(gate_type: GateType, known: list[int | None]) -> int | None:
-    """Output value if forced by the known constant inputs, else ``None``."""
-    controlling = gate_type.controlling_value
-    inverting = gate_type in (GateType.NAND, GateType.NOR, GateType.NOT, GateType.XNOR)
-    if controlling is not None and any(v == controlling for v in known):
-        out = controlling if gate_type in (GateType.AND, GateType.OR) else 1 - controlling
-        return out
-    if all(v is not None for v in known):
-        from repro.netlist.gate_types import eval_gate_bool
-
-        return eval_gate_bool(gate_type, [v for v in known if v is not None])
-    if gate_type in (GateType.NOT, GateType.BUF) and known[0] is not None:
-        return known[0] if gate_type is GateType.BUF else 1 - known[0]
-    del inverting
-    return None
-
-
-def sweep_buffers(circuit: Circuit) -> Circuit:
-    """Remove BUF nodes by rewiring their users to the buffer's driver.
-
-    Buffers that are primary outputs or DFF inputs are kept only if removing
-    them would erase an output name; in that case they stay (a PO must keep
-    its declared name).
-    """
-    keep = set(circuit.outputs)
-    alias: dict[str, str] = {}
-    for node in circuit:
-        if node.gate_type is GateType.BUF and node.name not in keep:
-            alias[node.name] = node.fanin[0]
-
-    def resolve(name: str) -> str:
-        seen = set()
-        while name in alias:
-            if name in seen:
-                raise NetlistError(f"buffer cycle at {name!r}")
-            seen.add(name)
-            name = alias[name]
-        return name
-
-    swept = Circuit(circuit.name)
-    for node in circuit:
-        if node.name in alias:
-            continue
-        fanin = tuple(resolve(f) for f in node.fanin)
-        if node.gate_type is GateType.INPUT:
-            swept.add_input(node.name)
-        elif node.gate_type is GateType.DFF:
-            swept.add_dff(node.name, fanin[0])
-        elif node.gate_type in (GateType.CONST0, GateType.CONST1):
-            swept.add_const(node.name, 1 if node.gate_type is GateType.CONST1 else 0)
-        else:
-            swept.add_gate(node.name, node.gate_type, fanin)
-    for output in circuit.outputs:
-        swept.mark_output(output)
-    swept.compiled()
-    return swept
-
-
-def strip_dead(circuit: Circuit) -> Circuit:
-    """Remove logic that cannot influence any primary output.
-
-    A node is *live* if it lies in the transitive fanin of a primary
-    output, where reaching a flip-flop's Q net pulls in its D-pin cone
-    (state feeding an output is live; state feeding only dead logic is
-    not).  Returns a new circuit containing only live nodes, preserving
-    names, order and output markers.
-    """
-    live: set[str] = set()
-    stack = list(circuit.outputs)
-    while stack:
-        name = stack.pop()
-        if name in live:
-            continue
-        live.add(name)
-        stack.extend(circuit.node(name).fanin)
-
-    stripped = Circuit(circuit.name)
-    for node in circuit:
-        if node.name not in live:
-            continue
-        if node.gate_type is GateType.INPUT:
-            stripped.add_input(node.name)
-        elif node.gate_type is GateType.DFF:
-            stripped.add_dff(node.name, node.fanin[0])
-        elif node.gate_type in (GateType.CONST0, GateType.CONST1):
-            stripped.add_const(node.name, 1 if node.gate_type is GateType.CONST1 else 0)
-        else:
-            stripped.add_gate(node.name, node.gate_type, node.fanin)
-    for output in circuit.outputs:
-        stripped.mark_output(output)
-    stripped.compiled()
-    return stripped
-
-
-def extract_cone(circuit: Circuit, roots: list[str], through_dff: bool = False) -> Circuit:
-    """Extract the transitive-fanin subcircuit of ``roots``.
-
-    The cone keeps original node names.  With ``through_dff=False`` (the
-    default) traversal stops at flip-flops: the DFF is included and its Q net
-    becomes part of the cone, but its D-pin fanin is not pulled in; the DFF
-    is converted to a primary input of the cone, making the result
-    combinational.  With ``through_dff=True`` DFFs are kept as DFFs and their
-    transitive fanin is included.
-    """
-    for root in roots:
-        circuit.node(root)  # raises on unknown names
-
-    needed: set[str] = set()
-    stack = list(roots)
-    while stack:
-        name = stack.pop()
-        if name in needed:
-            continue
-        needed.add(name)
-        node = circuit.node(name)
-        if node.gate_type is GateType.DFF and not through_dff:
-            continue
-        stack.extend(node.fanin)
-
-    cone = Circuit(f"{circuit.name}__cone")
-    for node in circuit:  # declaration order keeps determinism
-        if node.name not in needed:
-            continue
-        if node.gate_type is GateType.INPUT:
-            cone.add_input(node.name)
-        elif node.gate_type is GateType.DFF:
-            if through_dff:
-                cone.add_dff(node.name, node.fanin[0])
-            else:
-                cone.add_input(node.name)
-        elif node.gate_type in (GateType.CONST0, GateType.CONST1):
-            cone.add_const(node.name, 1 if node.gate_type is GateType.CONST1 else 0)
-        else:
-            cone.add_gate(node.name, node.gate_type, node.fanin)
-    for root in roots:
-        cone.mark_output(root)
-    cone.compiled()
-    return cone
 
 
 def _pick_suffixes(

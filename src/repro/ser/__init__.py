@@ -1,4 +1,4 @@
-"""SER component models: raw upset rate, latching window, electrical masking.
+"""SER component models: raw upset rate and latching window.
 
 The paper factors a node's soft error rate as::
 
@@ -11,8 +11,6 @@ hardening flows built on top of the full product:
 * :mod:`repro.ser.seu_rate` — parametric ``R_SEU`` (flux x sensitive
   cross-section by gate type and drive strength), with technology presets.
 * :mod:`repro.ser.latching` — latching-window derating ``P_latched``.
-* :mod:`repro.ser.electrical` — optional electrical-masking attenuation
-  (completes the three masking mechanisms of Shivakumar et al. [6]).
 * :mod:`repro.ser.fit` — FIT (failures per 1e9 device-hours) conversions
   and aggregation.
 * :mod:`repro.ser.hardening` — selective hardening and TMR evaluation,
@@ -21,14 +19,12 @@ hardening flows built on top of the full product:
 
 from repro.ser.seu_rate import SEURateModel, TECHNOLOGY_PRESETS
 from repro.ser.latching import LatchingModel
-from repro.ser.electrical import ElectricalMaskingModel
 from repro.ser.fit import per_second_to_fit, fit_to_mtbf_years, combine_fit
 
 __all__ = [
     "SEURateModel",
     "TECHNOLOGY_PRESETS",
     "LatchingModel",
-    "ElectricalMaskingModel",
     "per_second_to_fit",
     "fit_to_mtbf_years",
     "combine_fit",

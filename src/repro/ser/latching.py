@@ -32,8 +32,8 @@ class LatchingModel:
     window:
         Setup+hold aperture ``t_setup_hold`` (default 50 ps).
     nominal_pulse_width:
-        Transient width at the error site before any attenuation
-        (default 150 ps, a typical 2005-era SET width).
+        Transient width at the flip-flop input (default 150 ps, a
+        typical 2005-era SET width).
     """
 
     clock_period: float = 1.0e-9
@@ -56,12 +56,9 @@ class LatchingModel:
                 f"got {self.nominal_pulse_width}"
             )
 
-    def p_latched(self, pulse_width: float | None = None) -> float:
-        """Capture probability for a pulse of the given width (default nominal)."""
-        width = self.nominal_pulse_width if pulse_width is None else pulse_width
-        if not width >= 0:  # NaN fails too
-            raise ConfigError(f"pulse_width must be >= 0, got {width}")
-        effective = (width - self.window) / self.clock_period
+    def p_latched(self) -> float:
+        """Capture probability of a pulse of the nominal width."""
+        effective = (self.nominal_pulse_width - self.window) / self.clock_period
         if effective < 0.0:
             return 0.0
         if effective > 1.0:

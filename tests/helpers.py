@@ -8,7 +8,6 @@ import signal
 import time
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from repro.core.analysis import NodeSER
 from repro.core.epp import EPPResult
@@ -72,37 +71,27 @@ def build_chain(gate_types: list[GateType], name: str = "chain") -> Circuit:
 def reference_assemble(
     analyzer,
     compiled,
-    rows: Iterable[tuple[str, float, int, EPPResult | None]],
+    rows: Iterable[tuple[str, float, int]],
     hardening: Mapping[str, float] | None = None,
 ) -> dict[str, NodeSER]:
     """The per-site assembly loop the columnar report replaced, verbatim.
 
-    ``{site: NodeSER}`` for ``(site, p_sensitized, cone_size, result)``
-    rows; ``analyzer`` stands in for the analyzer's ``self``.  The
-    columnar :meth:`SERAnalyzer._assemble` must equal it with ``==``.
+    ``{site: NodeSER}`` for ``(site, p_sensitized, cone_size)`` rows;
+    ``analyzer`` stands in for the analyzer's ``self``.  The columnar
+    :meth:`SERAnalyzer._assemble` must equal it with ``==``.
     """
     index = compiled.index
     gate_type_of = compiled.gate_type
     rate = analyzer.seu_model.rate
     own_factors = analyzer.hardening_factors
     hardening = hardening or {}
-    two_factor = analyzer.electrical_model is None
-    p_latched = analyzer.latching_model.p_latched() if two_factor else 1.0
+    p_latched = analyzer.latching_model.p_latched()
     nodes: dict[str, NodeSER] = {}
-    for site, p_sensitized, cone_size, result in rows:
-        node_id = index[site]
-        gate_type = gate_type_of(node_id)
+    for site, p_sensitized, cone_size in rows:
+        gate_type = gate_type_of(index[site])
         factor = own_factors.get(site, 1.0) * hardening.get(site, 1.0)
         r_seu = rate(gate_type, site) / factor
-        if two_factor:
-            p_observable = p_sensitized
-        else:
-            # p_latched stays 1.0: the latching window is folded into
-            # the per-sink combination.
-            p_observable = analyzer._electrical_observability(
-                compiled, node_id, result
-            )
-        ser = r_seu * p_latched * p_observable
+        ser = r_seu * p_latched * p_sensitized
         nodes[site] = NodeSER(
             node=site,
             gate_type=gate_type.value,
@@ -183,7 +172,7 @@ def reference_analyze(analyzer, results: Mapping[str, EPPResult]) -> ReferenceRe
             analyzer,
             analyzer.compiled,
             (
-                (site, result.p_sensitized, result.cone_size, result)
+                (site, result.p_sensitized, result.cone_size)
                 for site, result in results.items()
             ),
         ),
@@ -192,18 +181,9 @@ def reference_analyze(analyzer, results: Mapping[str, EPPResult]) -> ReferenceRe
 
 def reference_report_for(analyzer, delta) -> ReferenceReport:
     """What ``analyzer.report_for(delta)`` returned, per site."""
-    if analyzer.electrical_model is None:
-        rows = zip(
-            delta.site_names,
-            delta.p_sensitized.tolist(),
-            delta.cone_sizes.tolist(),
-            repeat(None),
-        )
-    else:
-        rows = (
-            (site, result.p_sensitized, result.cone_size, result)
-            for site, result in delta.results().items()
-        )
+    rows = zip(
+        delta.site_names, delta.p_sensitized.tolist(), delta.cone_sizes.tolist()
+    )
     return ReferenceReport(
         delta.engine.circuit.name,
         reference_assemble(analyzer, delta.engine.compiled, rows, delta.hardening),

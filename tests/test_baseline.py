@@ -47,12 +47,6 @@ class TestFastEstimator:
         # State distribution changes the estimate for state-dependent sites.
         assert skewed.p_sensitized("G8") != uniform.p_sensitized("G8")
 
-    def test_estimate_sampled_deterministic(self, s27_circuit):
-        estimator = RandomSimulationEstimator(s27_circuit, n_vectors=1024, seed=4)
-        a = set(estimator.estimate_sampled(sample=3, seed=0))
-        b = set(estimator.estimate_sampled(sample=3, seed=0))
-        assert a == b and len(a) == 3
-
     def test_validation(self, c17_circuit):
         with pytest.raises(SimulationError):
             RandomSimulationEstimator(c17_circuit, n_vectors=0)

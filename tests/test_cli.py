@@ -1,5 +1,9 @@
 """CLI commands (exercised in-process through cli.main)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main, resolve_circuit
@@ -233,3 +237,25 @@ class TestHardenCommand:
         code = main(["harden", "s27", "--budget", "0"])
         assert code == 1
         assert "budget" in capsys.readouterr().err
+
+
+def test_cli_start_up_loads_no_sharded_driver():
+    """``import repro.cli`` loads neither the sharded driver nor the
+    process machinery under it: the engine imports
+    :mod:`repro.core.epp_shard` on its first sharded call."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
+        "PYTHONPATH", ""
+    )
+    probe = (
+        "import sys, repro.cli\n"
+        "heavy = ('repro.core.epp_shard', 'multiprocessing',"
+        " 'concurrent.futures.process')\n"
+        "print([name for name in heavy if name in sys.modules])\n"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, check=True, timeout=60,
+    )
+    assert loaded.stdout.strip() == "[]"

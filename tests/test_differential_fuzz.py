@@ -124,18 +124,17 @@ def assert_all_sites_agree(reference: dict, candidate: dict):
     n_inputs=st.integers(min_value=2, max_value=8),
     n_gates=st.integers(min_value=4, max_value=40),
     seed=st.integers(min_value=0, max_value=2**16),
-    track_polarity=st.booleans(),
     prune=st.sampled_from((True, False)),
     cells=st.sampled_from(("auto", "on", "off")),
 )
 def test_scalar_vs_vector_agree_on_random_circuits(
-    n_inputs, n_gates, seed, track_polarity, prune, cells,
+    n_inputs, n_gates, seed, prune, cells,
 ):
     """Vectorization — dense or compacted cone-pruned sweeps, row or
     cell-compacted kernels — is a pure reassociation: scalar == vector
     to 1e-9."""
     circuit = random_combinational(n_inputs, n_gates, seed=seed)
-    engine = EPPEngine(circuit, track_polarity=track_polarity)
+    engine = EPPEngine(circuit)
     force_vector(engine, prune=prune, cells=cells)
     scalar = engine.analyze(backend="scalar")
     vector = engine.analyze(backend="vector", prune=prune)

@@ -116,6 +116,31 @@ class TestReconvergencePolarity:
         blind = EPPEngine(circuit, track_polarity=False)
         assert blind.p_sensitized("x") > 0.5  # wrong, and that is the point
 
+    def test_polarity_blind_engine_is_scalar_only(self):
+        """The vector and sharded kernels always track polarity, so a
+        polarity-blind engine refuses them, and the packed snapshot built
+        on them, with a typed error; its scalar pass is unchanged."""
+        circuit = Circuit()
+        circuit.add_input("x")
+        circuit.add_gate("inv", GateType.NOT, ["x"])
+        circuit.add_gate("out", GateType.AND, ["x", "inv"])
+        circuit.mark_output("out")
+        blind = EPPEngine(circuit, track_polarity=False)
+        refused = (
+            blind.vector_backend,
+            lambda: blind.sharded_backend(jobs=2),
+            blind.snapshot,
+            blind.analyze,  # the default backend is vector
+            lambda: blind.analyze(backend="sharded", jobs=2),
+        )
+        for query in refused:
+            with pytest.raises(AnalysisError, match='backend="scalar"'):
+                query()
+        # Blind to polarity, AND(x, NOT x) passes the error for certain.
+        assert blind.p_sensitized("x") == 1.0
+        scalar = blind.analyze(sites=["x"], backend="scalar")
+        assert scalar["x"].p_sensitized == 1.0
+
     def test_polarity_blind_agrees_on_trees(self):
         circuit = parity_tree(6)
         tracked = EPPEngine(circuit)
@@ -137,10 +162,6 @@ class TestEngineBehaviour:
     def test_default_sites(self, s27_circuit):
         engine = EPPEngine(s27_circuit)
         assert set(engine.default_sites()) == set(s27_circuit.gates)
-        with_state = engine.default_sites(include_state=True)
-        assert "G5" in with_state
-        with_inputs = engine.default_sites(include_inputs=True)
-        assert "G0" in with_inputs
 
     def test_analyze_covers_default_sites(self, c17_circuit):
         engine = EPPEngine(c17_circuit)

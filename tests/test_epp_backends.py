@@ -2,9 +2,8 @@
 
 The scalar engine is the reference oracle; the batched NumPy backend must
 reproduce its ``P_sensitized``, per-sink four-valued vectors and cone
-sizes to 1e-9 on every circuit, every gate type (including MUX/MAJ via the
-vectorized truth-table kernel), with polarity tracking on and off, and
-through ``collapse=True``.
+sizes to 1e-9 on every circuit and every gate type (including MUX/MAJ via
+the vectorized truth-table kernel).
 """
 
 import pytest
@@ -79,16 +78,15 @@ def cone_sorted(engine: EPPEngine) -> list[str]:
     return [sites[p] for p in cone_cluster_order(engine.compiled, ids).tolist()]
 
 
-def assert_backends_agree(circuit: Circuit, track_polarity: bool = True,
-                          batch_size: int | None = None, collapse: bool = False,
+def assert_backends_agree(circuit: Circuit, batch_size: int | None = None,
                           prune: bool | None = None, cells: str = "auto",
                           sites=None):
-    engine = EPPEngine(circuit, track_polarity=track_polarity)
+    engine = EPPEngine(circuit)
     force_vector(engine, batch_size, prune, cells)
     if callable(sites):
         sites = sites(engine)
-    scalar = engine.analyze(sites=sites, backend="scalar", collapse=collapse)
-    vector = engine.analyze(sites=sites, backend="vector", collapse=collapse,
+    scalar = engine.analyze(sites=sites, backend="scalar")
+    vector = engine.analyze(sites=sites, backend="vector",
                             batch_size=batch_size, prune=prune)
     assert list(scalar) == list(vector)  # same sites, same order
     for site, expected in scalar.items():
@@ -103,13 +101,8 @@ def assert_backends_agree(circuit: Circuit, track_polarity: bool = True,
 
 class TestBackendEquivalence:
     @pytest.mark.parametrize("circuit_name", ["zoo", "s27", "s953", "s1423"])
-    @pytest.mark.parametrize("track_polarity", [True, False])
-    def test_full_analyze_agrees(self, circuit_name, track_polarity):
-        assert_backends_agree(build_circuit(circuit_name), track_polarity)
-
-    @pytest.mark.parametrize("circuit_name", ["zoo", "s27", "s953"])
-    def test_collapse_agrees(self, circuit_name):
-        assert_backends_agree(build_circuit(circuit_name), collapse=True)
+    def test_full_analyze_agrees(self, circuit_name):
+        assert_backends_agree(build_circuit(circuit_name))
 
     def test_tiny_batches_chunk_correctly(self):
         """batch_size smaller than the site count exercises the chunk loop
@@ -136,7 +129,7 @@ class TestBackendEquivalence:
         circuit = build_circuit("zoo")
         engine = EPPEngine(circuit)
         force_vector(engine)
-        sites = engine.default_sites(include_inputs=True, include_state=True)
+        sites = engine.default_sites() + circuit.inputs + circuit.flip_flops
         scalar = engine.analyze(sites=sites, backend="scalar")
         vector = engine.analyze(sites=sites, backend="vector")
         for site in scalar:

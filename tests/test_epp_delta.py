@@ -13,7 +13,7 @@ np = pytest.importorskip("numpy")
 
 from repro.core.analysis import SERAnalyzer
 from repro.core.epp import EPPEngine
-from repro.core.epp_delta import EditSet, dirty_mask, edit_impact
+from repro.core.epp_delta import EditSet, dirty_mask
 from repro.errors import AnalysisError, NetlistError
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GateType
@@ -140,7 +140,6 @@ class TestEditSet:
             .tmr("h")
         )
         assert len(edits) == 4
-        assert edits.structural_ops == 2  # set_sp/harden are metadata-only
 
     def test_set_sp_out_of_range(self):
         with pytest.raises(AnalysisError, match="out of"):
@@ -209,8 +208,6 @@ class TestEditSet:
         prev = EPPEngine(c17()).snapshot()
         with pytest.raises(NetlistError, match="ghost"):
             prev.apply(EditSet().harden("ghost", 2.0))
-        with pytest.raises(NetlistError, match="ghost"):
-            edit_impact(prev, EditSet().harden("ghost", 2.0))
 
 
 # ----------------------------------------------------------------- dirty mask
@@ -483,20 +480,10 @@ class TestBitIdentity:
         assert delta.knobs["batch_size"] == 4  # untouched keys survive
         assert_bit_identical(delta, full_resnapshot(delta))
 
-    def test_edit_impact_matches_analyze_delta(self):
-        circuit = random_combinational(6, 60, seed=3)
-        engine = EPPEngine(circuit)
-        prev = engine.snapshot()
-        edits = EditSet().replace_gate(circuit.gates[-1], "xnor")
-        impact = edit_impact(prev, edits)
-        delta = engine.analyze_delta(prev, edits)
-        assert impact["dirty"] == delta.stats["dirty"]
-        assert impact["reused"] == delta.stats["reused"]
-        assert impact["sites"] == delta.stats["sites"]
 
 
 class TestMetadataOnlyReuse:
-    """A harden/resize-only edit set reuses the parent revision outright.
+    """A harden-only edit set reuses the parent revision outright.
 
     Nothing it could recompute differs from the parent — same netlist,
     same SP map, same columns — so the revision shares the parent's
@@ -537,7 +524,7 @@ class TestMetadataOnlyReuse:
         prev = engine.snapshot()
         calls = self.count_rebuilds(monkeypatch)
         delta = engine.analyze_delta(
-            prev, EditSet().harden("G10", 10.0).resize("G11", 4.0)
+            prev, EditSet().harden("G10", 10.0).harden("G11", 4.0)
         )
         assert calls == {"sp": 0, "compile": 0, "engine": 0}
         assert delta.engine is prev.engine
@@ -575,17 +562,6 @@ class TestMetadataOnlyReuse:
         assert other.site_names == sites
         assert other.hardening == {"N10": 2.0}
         assert_bit_identical(other, other.engine.snapshot(sites=sites))
-
-    def test_edit_impact_of_metadata_only_set(self, monkeypatch):
-        engine = EPPEngine(s27())
-        prev = engine.snapshot()
-        calls = self.count_rebuilds(monkeypatch)
-        impact = edit_impact(prev, EditSet().harden("G10", 5.0))
-        assert calls == {"sp": 0, "compile": 0, "engine": 0}
-        assert impact == {
-            "sites": len(prev.site_names), "dirty": 0,
-            "reused": len(prev.site_names), "frontier": 0,
-        }
 
     def test_mixed_chain_stays_bit_identical(self):
         analyzer = SERAnalyzer(s27())
@@ -659,10 +635,10 @@ class TestUserSuppliedSP:
         ripple exists because the user's map is authoritative."""
         _, engine = self.make_engine()
         prev = engine.snapshot()
-        impact = edit_impact(prev, EditSet().replace_gate("N22", "and"))
+        delta = engine.analyze_delta(prev, EditSet().replace_gate("N22", "and"))
         # N22 is a PO with nothing downstream: its TFI covers the sites
         # reaching it, and N19/N7 (in c17's other cone) stay clean.
-        assert 0 < impact["dirty"] < impact["sites"]
+        assert 0 < delta.stats["dirty"] < delta.stats["sites"]
 
 
 # --------------------------------------------------------------- SER analyzer
@@ -703,6 +679,7 @@ class TestSERAnalyzerDelta:
         """report_for reads the packed arrays; assembling the same
         revision from materialized EPPResults (through the per-site
         reference loop) gives the identical report."""
+        from repro.core.epp_batch import BatchEPPBackend
         from tests.helpers import ReferenceReport, reference_assemble
 
         analyzer = SERAnalyzer(circuit())
@@ -712,43 +689,32 @@ class TestSERAnalyzerDelta:
         delta = delta.apply(EditSet().replace_gate(delta.site_names[-1], "xor"))
         delta = delta.apply(EditSet().harden(delta.site_names[0], 3.0))
 
+        results: dict = {}
+        delta.engine.vector_backend().materialize(
+            delta.site_ids, delta.packed, results
+        )
         materialized = ReferenceReport(
             delta.engine.circuit.name,
             reference_assemble(
                 analyzer,
                 delta.engine.compiled,
                 [
-                    (site, result.p_sensitized, result.cone_size, result)
-                    for site, result in delta.results().items()
+                    (site, result.p_sensitized, result.cone_size)
+                    for site, result in results.items()
                 ],
                 delta.hardening,
             ),
         )
 
-        def no_materialize(self):
+        def no_materialize(self, *args):
             raise AssertionError("the two-factor report materialized results")
 
-        monkeypatch.setattr(type(delta), "results", no_materialize)
+        monkeypatch.setattr(BatchEPPBackend, "materialize", no_materialize)
         packed = analyzer.report_for(delta)
         assert packed.nodes == materialized.nodes
         assert list(packed.nodes) == list(materialized.nodes)
         assert packed.to_dict(5) == materialized.to_dict(5)
         assert packed.total_fit == materialized.total_fit
-
-    def test_electrical_model_report_applies_hardening(self):
-        from repro.ser.electrical import ElectricalMaskingModel
-
-        analyzer = SERAnalyzer(s27(), electrical_model=ElectricalMaskingModel())
-        prev = analyzer.snapshot()
-        delta = prev.apply(EditSet().harden("G10", 10.0))
-        report = analyzer.report_for(delta)
-        direct = SERAnalyzer(
-            s27(), electrical_model=ElectricalMaskingModel(),
-            hardening_factors={"G10": 10.0},
-        ).analyze()
-        assert list(report.nodes) == list(direct.nodes)
-        for site, entry in report.nodes.items():
-            assert entry.fit == pytest.approx(direct.nodes[site].fit, rel=1e-9)
 
 
 # ------------------------------------------------------------- thread safety

@@ -78,13 +78,6 @@ class TestShardedEquivalence:
         vector = engine.vector_backend().p_sensitized_many(site_ids)
         assert np.abs(vector - sharded).max() <= TOL
 
-    def test_collapse_matches_vector(self):
-        engine = EPPEngine(generate_iscas("s953"))
-        with forced_sharded(engine, jobs=2):
-            vector = engine.analyze(backend="vector", collapse=True)
-            sharded = engine.analyze(backend="sharded", jobs=2, collapse=True)
-        assert_results_match(vector, sharded)
-
     @pytest.mark.slow
     def test_s9234_sharded_scaling_run_matches_vector(self):
         """The nightly sharded-scaling check: a full s9234 fan-out (the

@@ -11,13 +11,12 @@ class TestConstructors:
         value = EPPValue.error_site()
         assert value.pa == 1.0
         assert value.error_probability == 1.0
-        assert not value.is_off_path
 
     def test_off_path(self):
         value = EPPValue.off_path(0.3)
         assert value.p1 == pytest.approx(0.3)
         assert value.p0 == pytest.approx(0.7)
-        assert value.is_off_path
+        assert value.pa == value.pa_bar == 0.0
         assert value.error_probability == 0.0
 
     def test_off_path_validates_range(self):

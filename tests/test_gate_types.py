@@ -41,14 +41,6 @@ class TestProperties:
         for gate_type in _LOGIC_TYPES + [GateType.NOT, GateType.BUF, GateType.MUX, GateType.MAJ]:
             assert gate_type.is_combinational
 
-    def test_controlling_values(self):
-        assert GateType.AND.controlling_value == 0
-        assert GateType.NAND.controlling_value == 0
-        assert GateType.OR.controlling_value == 1
-        assert GateType.NOR.controlling_value == 1
-        assert GateType.XOR.controlling_value is None
-        assert GateType.MUX.controlling_value is None
-
     def test_gate_codes_are_bijective(self):
         assert len(set(GATE_CODES.values())) == len(GATE_CODES)
         for gate_type, code in GATE_CODES.items():

@@ -20,13 +20,8 @@ from repro.core.epp_delta import EditSet
 from repro.errors import AnalysisError, ConfigError
 from repro.netlist.generate import generate_iscas, random_combinational
 from repro.netlist.library import c17, s27
-from repro.ser.electrical import ElectricalMaskingModel
 from repro.ser.seu_rate import SEURateModel
-from tests.helpers import (
-    reference_analyze,
-    reference_assemble,
-    reference_report_for,
-)
+from tests.helpers import reference_analyze, reference_report_for
 
 CIRCUITS = {
     "c17": c17,
@@ -119,17 +114,6 @@ class TestAgainstPerSiteLoop:
         reference = reference_analyze(analyzer, analyzer.engine.analyze())
         assert_same(analyzer.analyze(), reference)
 
-    def test_electrical_model(self, circuit):
-        analyzer = SERAnalyzer(
-            circuit,
-            electrical_model=ElectricalMaskingModel(attenuation_per_level=2e-11),
-            hardening_factors={circuit.gates[0]: 5.0},
-        )
-        reference = reference_analyze(analyzer, analyzer.engine.analyze())
-        assert_same(analyzer.analyze(), reference)
-        delta = hardening_chain(analyzer.snapshot())
-        assert_same(analyzer.report_for(delta), reference_report_for(analyzer, delta))
-
     def test_repeated_sites_collapse_at_first_position(self, circuit):
         analyzer = SERAnalyzer(circuit)
         a, b, c = analyzer.engine.default_sites()[:3]
@@ -174,20 +158,6 @@ class TestColumns:
         with pytest.raises(TypeError):
             report.nodes["N10"] = None
         assert report.nodes is report.nodes  # built once
-
-    @pytest.mark.parametrize("electrical", [None, ElectricalMaskingModel()])
-    def test_node_ser_matches_the_loop(self, electrical):
-        analyzer = SERAnalyzer(
-            s27(), electrical_model=electrical, hardening_factors={"G9": 3.0}
-        )
-        for site in analyzer.engine.default_sites():
-            result = analyzer.engine.node_epp(site)
-            (expected,) = reference_assemble(
-                analyzer,
-                analyzer.compiled,
-                [(site, result.p_sensitized, result.cone_size, result)],
-            ).values()
-            assert analyzer.node_ser(site) == expected
 
     def test_missing_type_weight_still_raises(self):
         weights = dict(SEURateModel().type_weights)

@@ -60,6 +60,11 @@ def chaos_backend(engine: EPPEngine, jobs: int = 2, **knobs) -> ShardedEPPEngine
     return backend
 
 
+def _exit_worker(delay: float) -> None:
+    """A barrier task that kills the worker running it."""
+    os._exit(1)
+
+
 def repro_segments() -> set[str]:
     """The deterministically named worker segments currently in /dev/shm."""
     if not os.path.isdir("/dev/shm"):
@@ -329,6 +334,50 @@ class TestWorkerCrashRecovery:
             assert backend.stats["worker_crashes"] == 1
             assert backend.stats["respawns"] == 1
             assert np.array_equal(reference, backend.p_sensitized_many(site_ids))
+
+    def test_idle_worker_crash_recovers_at_warm_barrier(self, s953):
+        """``warm()`` on a pool whose idle worker died respawns the pool
+        and warms the new one, instead of raising a raw
+        ``BrokenProcessPool`` from this and every later barrier."""
+        engine, _, _ = s953
+        with ShardedEPPEngine(engine.compiled, engine._sp, jobs=2) as backend:
+            backend.warm(timeout=30.0)
+            kill_idle_worker(backend)
+            backend.warm(10.0)
+            assert backend.stats["worker_crashes"] == 1
+            assert backend.stats["respawns"] == 1
+            stats = backend.worker_stats(10.0)
+            assert len(stats) == backend.jobs
+            assert all(entry["plans_built"] == 1 for entry in stats.values())
+            assert backend.stats["respawns"] == 1
+
+    def test_idle_worker_crash_recovers_at_worker_stats_barrier(self, s953):
+        engine, _, _ = s953
+        with ShardedEPPEngine(engine.compiled, engine._sp, jobs=2) as backend:
+            backend.warm(timeout=30.0)
+            kill_idle_worker(backend)
+            assert len(backend.worker_stats(10.0)) == backend.jobs
+            assert backend.stats["worker_crashes"] == 1
+            assert backend.stats["respawns"] == 1
+            backend.warm(10.0)
+            stats = backend.worker_stats(10.0)
+            assert len(stats) == backend.jobs
+            assert all(entry["plans_built"] == 1 for entry in stats.values())
+            assert backend.stats["respawns"] == 1
+
+    def test_barrier_crash_on_every_round_is_typed(self, s953, monkeypatch):
+        """A pool that breaks on every barrier round raises a typed
+        ``WorkerCrashError`` (three respawns), never a raw
+        ``BrokenProcessPool``."""
+        import repro.core.epp_shard as shard_module
+
+        engine, _, _ = s953
+        monkeypatch.setattr(shard_module, "_worker_warmup", _exit_worker)
+        with ShardedEPPEngine(engine.compiled, engine._sp, jobs=2) as backend:
+            with pytest.raises(WorkerCrashError, match="every round"):
+                backend.warm(10.0)
+            assert backend.stats["worker_crashes"] == 3
+            assert backend.stats["respawns"] == 3
 
     def test_pool_respawns_from_cached_payload(self, s953):
         """After a crash the next analysis reuses the engine — the pool

@@ -72,9 +72,11 @@ class TestConeIndex:
         extractor = ConeExtractor(compiled)
         for node_id in range(compiled.n):
             expected = set(extractor.cone(node_id).sinks)
+            signature = index.sig[node_id]
             got = {
                 compiled.sink_ids[position]
-                for position in index.reachable_sink_positions(node_id)
+                for position in range(signature.bit_length())
+                if signature >> position & 1
             }
             assert got == expected, compiled.names[node_id]
 

@@ -1,4 +1,4 @@
-"""SER component models: R_SEU, latching window, electrical masking, FIT."""
+"""SER component models: R_SEU, latching window, FIT."""
 
 import copy
 import dataclasses
@@ -13,7 +13,6 @@ from repro.core.analysis import SERAnalyzer
 from repro.errors import ConfigError
 from repro.netlist.gate_types import GateType
 from repro.netlist.library import c17
-from repro.ser.electrical import ElectricalMaskingModel
 from repro.ser.fit import (
     combine_fit,
     fit_to_mtbf_years,
@@ -119,17 +118,16 @@ class TestLatching:
         assert model.p_latched() == pytest.approx((1.5e-10 - 5e-11) / 1e-9)
 
     def test_narrow_pulse_never_latches(self):
-        model = LatchingModel(window=5e-11)
-        assert model.p_latched(pulse_width=4e-11) == 0.0
+        model = LatchingModel(window=5e-11, nominal_pulse_width=4e-11)
+        assert model.p_latched() == 0.0
 
     def test_wide_pulse_always_latches(self):
-        model = LatchingModel(clock_period=1e-9)
-        assert model.p_latched(pulse_width=2e-9) == 1.0
+        model = LatchingModel(clock_period=1e-9, nominal_pulse_width=2e-9)
+        assert model.p_latched() == 1.0
 
     def test_monotone_in_pulse_width(self):
-        model = LatchingModel()
         widths = [1e-11 * k for k in range(1, 30)]
-        values = [model.p_latched(w) for w in widths]
+        values = [LatchingModel(nominal_pulse_width=w).p_latched() for w in widths]
         assert values == sorted(values)
 
     def test_validation(self):
@@ -138,43 +136,17 @@ class TestLatching:
         with pytest.raises(ConfigError):
             LatchingModel(window=-1.0)
         with pytest.raises(ConfigError):
-            LatchingModel().p_latched(pulse_width=-1e-12)
-
+            LatchingModel(nominal_pulse_width=-1e-12)
 
     def test_nan_pulse_width_is_rejected(self):
-        with pytest.raises(ConfigError, match="pulse_width must be >= 0"):
-            LatchingModel().p_latched(pulse_width=float("nan"))
+        with pytest.raises(ConfigError, match="nominal_pulse_width must be finite"):
+            LatchingModel(nominal_pulse_width=float("nan"))
 
     @pytest.mark.parametrize("field", ["clock_period", "window", "nominal_pulse_width"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite_times(self, field, value):
         with pytest.raises(ConfigError, match="finite"):
             LatchingModel(**{field: value})
-
-
-class TestElectrical:
-    def test_linear_attenuation(self):
-        model = ElectricalMaskingModel(attenuation_per_level=1e-11, cutoff_width=2e-11)
-        assert model.width_after(1.5e-10, 0) == pytest.approx(1.5e-10)
-        assert model.width_after(1.5e-10, 5) == pytest.approx(1.0e-10)
-
-    def test_cutoff_masks_completely(self):
-        model = ElectricalMaskingModel(attenuation_per_level=1e-11, cutoff_width=2e-11)
-        assert model.width_after(1.5e-10, 14) == 0.0
-        assert model.width_after(1.5e-10, 100) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            ElectricalMaskingModel(attenuation_per_level=-1.0)
-        with pytest.raises(ConfigError):
-            ElectricalMaskingModel().width_after(1e-10, -1)
-
-
-    @pytest.mark.parametrize("field", ["attenuation_per_level", "cutoff_width"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_rejects_non_finite_widths(self, field, value):
-        with pytest.raises(ConfigError, match="finite"):
-            ElectricalMaskingModel(**{field: value})
 
 
 class TestFit:

@@ -3,7 +3,7 @@
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GateType
 from repro.netlist.library import c17, figure1_circuit, parity_tree, s27
-from repro.netlist.stats import circuit_stats, count_reconvergent_stems
+from repro.netlist.stats import circuit_stats
 
 
 class TestCounts:
@@ -28,15 +28,15 @@ class TestCounts:
 
 class TestReconvergence:
     def test_parity_tree_has_none(self):
-        assert count_reconvergent_stems(parity_tree(8)) == 0
+        assert circuit_stats(parity_tree(8)).n_reconvergent_stems == 0
 
     def test_figure1_stem_at_error_site(self):
         # A fans out to E and D; the branches re-meet at H.
-        assert count_reconvergent_stems(figure1_circuit()) >= 1
+        assert circuit_stats(figure1_circuit()).n_reconvergent_stems >= 1
 
     def test_c17_is_reconvergent(self):
         # N11 feeds N16 and N19; both reach N23.
-        assert count_reconvergent_stems(c17()) >= 1
+        assert circuit_stats(c17()).n_reconvergent_stems >= 1
 
     def test_handmade_diamond(self):
         circuit = Circuit()
@@ -45,7 +45,7 @@ class TestReconvergence:
         circuit.add_gate("r", GateType.BUF, ["x"])
         circuit.add_gate("m", GateType.AND, ["l", "r"])
         circuit.mark_output("m")
-        assert count_reconvergent_stems(circuit) == 1
+        assert circuit_stats(circuit).n_reconvergent_stems == 1
 
     def test_fanout_without_reconvergence(self):
         circuit = Circuit()
@@ -54,7 +54,7 @@ class TestReconvergence:
         circuit.add_gate("r", GateType.BUF, ["x"])
         circuit.mark_output("l")
         circuit.mark_output("r")
-        assert count_reconvergent_stems(circuit) == 0
+        assert circuit_stats(circuit).n_reconvergent_stems == 0
 
     def test_reconvergence_does_not_cross_dff(self):
         circuit = Circuit()
@@ -63,7 +63,7 @@ class TestReconvergence:
         circuit.add_dff("q", "x")
         circuit.add_gate("m", GateType.AND, ["l", "q"])
         circuit.mark_output("m")
-        assert count_reconvergent_stems(circuit) == 0
+        assert circuit_stats(circuit).n_reconvergent_stems == 0
 
     def test_limit_caps_scan(self):
         stats = circuit_stats(c17(), reconvergence_limit=0)

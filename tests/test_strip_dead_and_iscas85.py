@@ -1,78 +1,13 @@
-"""strip_dead transform and the ISCAS'85 profile additions."""
+"""The ISCAS'85 profile additions."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.netlist.circuit import Circuit
-from repro.netlist.gate_types import GateType
 from repro.netlist.generate import (
     ISCAS85_PROFILES,
     generate_iscas,
 )
-from repro.netlist.library import s27
-from repro.netlist.transform import strip_dead
 from repro.netlist.validate import validate_circuit
-
-
-class TestStripDead:
-    def test_removes_dead_gates(self):
-        circuit = Circuit()
-        circuit.add_input("a")
-        circuit.add_gate("live", GateType.NOT, ["a"])
-        circuit.add_gate("dead", GateType.BUF, ["a"])
-        circuit.add_gate("dead2", GateType.NOT, ["dead"])
-        circuit.mark_output("live")
-        stripped = strip_dead(circuit)
-        assert "dead" not in stripped and "dead2" not in stripped
-        assert "live" in stripped
-
-    def test_removes_dead_state_loops(self):
-        circuit = Circuit()
-        circuit.add_input("a")
-        circuit.add_gate("po", GateType.BUF, ["a"])
-        circuit.mark_output("po")
-        # state machine that feeds nothing observable
-        circuit.add_gate("d", GateType.NOT, ["q"])
-        circuit.add_dff("q", "d")
-        stripped = strip_dead(circuit)
-        assert "q" not in stripped and "d" not in stripped
-
-    def test_keeps_state_feeding_outputs(self):
-        stripped = strip_dead(s27())
-        assert set(stripped.flip_flops) == {"G5", "G6", "G7"}
-        assert len(stripped) == len(s27())  # s27 has no dead logic
-
-    def test_preserves_behaviour(self):
-        circuit = Circuit()
-        circuit.add_input("a")
-        circuit.add_input("b")
-        circuit.add_gate("keep", GateType.XOR, ["a", "b"])
-        circuit.add_gate("junk", GateType.AND, ["a", "b"])
-        circuit.mark_output("keep")
-        stripped = strip_dead(circuit)
-        for pattern in range(4):
-            assignment = {"a": pattern & 1, "b": (pattern >> 1) & 1}
-            assert (
-                circuit.evaluate(assignment)["keep"]
-                == stripped.evaluate(assignment)["keep"]
-            )
-
-    def test_unused_inputs_are_dropped(self):
-        circuit = Circuit()
-        circuit.add_input("a")
-        circuit.add_input("unused")
-        circuit.add_gate("po", GateType.BUF, ["a"])
-        circuit.mark_output("po")
-        stripped = strip_dead(circuit)
-        assert "unused" not in stripped
-
-    def test_cleans_generator_warnings(self):
-        circuit = generate_iscas("s9234")
-        before = len(validate_circuit(circuit).warnings)
-        stripped = strip_dead(circuit)
-        after = len(validate_circuit(stripped).warnings)
-        assert after < before
-        assert validate_circuit(stripped).ok
 
 
 class TestIscas85Profiles:

@@ -1,20 +1,13 @@
-"""Netlist transforms: sequential cut, constant folding, buffer sweep, cone, TMR."""
+"""Netlist transforms: the sequential cut and TMR."""
 
 import pytest
 
 from repro.errors import NetlistError
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GateType
-from repro.netlist.generate import generate_iscas, random_combinational
+from repro.netlist.generate import generate_iscas
 from repro.netlist.library import c17, counter, s27
-from repro.netlist.transform import (
-    extract_cone,
-    propagate_constants,
-    sweep_buffers,
-    to_combinational,
-    triplicate,
-    triplicate_nodes,
-)
+from repro.netlist.transform import to_combinational, triplicate, triplicate_nodes
 from repro.netlist.validate import validate_circuit
 from repro.sim.fault_sim import FaultInjector
 from repro.sim.vectors import RandomVectorSource
@@ -50,111 +43,6 @@ class TestToCombinational:
         circuit.mark_output("q1")
         view = to_combinational(circuit)
         assert sorted(view.state_outputs["g"]) == ["q1", "q2"]
-
-
-class TestPropagateConstants:
-    def test_folds_constant_cone(self):
-        circuit = Circuit()
-        circuit.add_const("zero", 0)
-        circuit.add_input("a")
-        circuit.add_gate("g", GateType.AND, ["a", "zero"])
-        circuit.add_gate("h", GateType.OR, ["g", "a"])
-        circuit.mark_output("h")
-        folded = propagate_constants(circuit)
-        assert folded.node("g").gate_type is GateType.CONST0
-
-    def test_drops_noncontrolling_constants(self):
-        circuit = Circuit()
-        circuit.add_const("one", 1)
-        circuit.add_input("a")
-        circuit.add_input("b")
-        circuit.add_gate("g", GateType.AND, ["a", "one", "b"])
-        circuit.mark_output("g")
-        folded = propagate_constants(circuit)
-        assert folded.node("g").fanin == ("a", "b")
-
-    def test_preserves_behaviour(self):
-        base = random_combinational(5, 25, seed=3)
-        circuit = base.copy()
-        # splice constants into the netlist
-        circuit.add_const("c0", 0)
-        circuit.add_const("c1", 1)
-        circuit.add_gate("mixed", GateType.OR, [circuit.gates[0], "c0", "c1"])
-        circuit.mark_output("mixed")
-        folded = propagate_constants(circuit)
-        for pattern in range(32):
-            assignment = {
-                name: (pattern >> k) & 1 for k, name in enumerate(circuit.inputs)
-            }
-            original_values = circuit.evaluate(assignment)
-            folded_values = folded.evaluate(assignment)
-            for output in circuit.outputs:
-                assert original_values[output] == folded_values[output]
-
-
-class TestSweepBuffers:
-    def test_removes_interior_buffers(self):
-        circuit = Circuit()
-        circuit.add_input("a")
-        circuit.add_gate("b1", GateType.BUF, ["a"])
-        circuit.add_gate("b2", GateType.BUF, ["b1"])
-        circuit.add_gate("g", GateType.NOT, ["b2"])
-        circuit.mark_output("g")
-        swept = sweep_buffers(circuit)
-        assert "b1" not in swept and "b2" not in swept
-        assert swept.node("g").fanin == ("a",)
-
-    def test_keeps_output_buffers(self):
-        circuit = Circuit()
-        circuit.add_input("a")
-        circuit.add_gate("ob", GateType.BUF, ["a"])
-        circuit.mark_output("ob")
-        swept = sweep_buffers(circuit)
-        assert "ob" in swept
-
-    def test_preserves_behaviour(self):
-        circuit = s27()
-        swept = sweep_buffers(circuit)
-        assignment = {"G0": 1, "G1": 1, "G2": 0, "G3": 1, "G5": 0, "G6": 1, "G7": 0}
-        original = circuit.evaluate(assignment)
-        after = swept.evaluate(assignment)
-        assert original["G17"] == after["G17"]
-
-
-class TestExtractCone:
-    def test_cone_of_c17_output(self):
-        cone = extract_cone(c17(), ["N22"])
-        assert set(cone.outputs) == {"N22"}
-        assert "N19" not in cone  # feeds only N23
-        assert "N7" not in cone
-
-    def test_cone_evaluation_matches(self):
-        circuit = c17()
-        cone = extract_cone(circuit, ["N23"])
-        for pattern in range(32):
-            assignment = {
-                name: (pattern >> k) & 1 for k, name in enumerate(circuit.inputs)
-            }
-            cone_assignment = {k: v for k, v in assignment.items() if k in cone.inputs}
-            assert (
-                circuit.evaluate(assignment)["N23"]
-                == cone.evaluate(cone_assignment)["N23"]
-            )
-
-    def test_dff_becomes_cone_input(self):
-        cone = extract_cone(s27(), ["G17"])
-        assert not cone.is_sequential
-        assert "G5" in cone.inputs or "G5" not in cone  # DFFs in cone are inputs
-        for name in cone.inputs:
-            assert cone.node(name).gate_type is GateType.INPUT
-
-    def test_through_dff_keeps_state(self):
-        cone = extract_cone(s27(), ["G17"], through_dff=True)
-        assert cone.is_sequential
-
-    def test_unknown_root_rejected(self):
-        with pytest.raises(NetlistError):
-            extract_cone(c17(), ["nope"])
 
 
 class TestTriplicate:
@@ -289,16 +177,13 @@ class TestTriplicateNodes:
 
 
 class TestTransformSweepOnISCAS:
-    """validate + logic-sim equivalence of the transforms on profile-matched
-    ISCAS circuits (the satellite sweep: transforms must neither corrupt
-    the netlist nor change the observable logic)."""
+    """Local TMR on profile-matched ISCAS circuits must not corrupt the
+    netlist."""
 
     @pytest.mark.parametrize("profile", ["c432", "s953"])
     def test_transforms_validate(self, profile):
         circuit = generate_iscas(profile, seed=3)
         validate_circuit(circuit, strict=True)
-        validate_circuit(sweep_buffers(circuit), strict=True)
-        validate_circuit(propagate_constants(circuit), strict=True)
         edited = circuit.copy()
         targets = [
             name for name in edited.gates[:4]
@@ -306,38 +191,3 @@ class TestTransformSweepOnISCAS:
         ]
         triplicate_nodes(edited, targets)
         validate_circuit(edited, strict=True)
-
-    def test_cone_boundaries_respect_through_dff(self):
-        circuit = generate_iscas("s953", seed=3)
-        root = circuit.outputs[0]
-        stopped = extract_cone(circuit, [root])
-        assert not stopped.is_sequential
-        through = extract_cone(circuit, [root], through_dff=True)
-        validate_circuit(stopped, strict=True)
-        validate_circuit(through, strict=True)
-        # stopping at D pins only ever *excludes* logic: the stopped
-        # cone's names are a subset of the through-DFF cone's, and every
-        # DFF the stopped cone met became one of its inputs.
-        stopped_names = {node.name for node in stopped}
-        through_names = {node.name for node in through}
-        assert stopped_names <= through_names
-        dffs_met = {
-            name for name in stopped.inputs
-            if circuit.node(name).gate_type is GateType.DFF
-        }
-        assert dffs_met, "profile should put state in the output cone"
-        assert stopped_names < through_names  # D-pin fanin was pulled in
-
-    def test_sim_equivalence_after_buffer_sweep(self):
-        circuit = generate_iscas("c432", seed=3)
-        swept = sweep_buffers(circuit)
-        rng_patterns = [17, 255, 4095, 2**30 - 1, 123456789]
-        for pattern in rng_patterns:
-            assignment = {
-                name: (pattern >> k) & 1
-                for k, name in enumerate(circuit.inputs)
-            }
-            expected = circuit.evaluate(assignment)
-            got = swept.evaluate(assignment)
-            for output in circuit.outputs:
-                assert expected[output] == got[output]
