@@ -530,7 +530,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.csv:
             from repro.experiments.reporting import rows_to_csv
 
-            rows_to_csv(report.ranked(), args.csv)
+            rows_to_csv(
+                report.ranked_records(), args.csv, header=report.RECORD_FIELDS
+            )
             print(f"wrote {args.csv}")
         if args.multi_cycle:
             if not report.sites:

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping, Sequence
+from dataclasses import dataclass, fields
+from itertools import repeat, starmap
 from types import MappingProxyType
 
 import numpy as np
@@ -71,8 +72,12 @@ class CircuitSERReport:
     ``p_latched`` is one scalar shared by every row.  ``total_fit`` is
     summed once, here.  :class:`NodeSER` rows are built only for the rows
     a caller reads — :meth:`ranked`, :meth:`to_dict`, :meth:`format_table`
-    — and :attr:`nodes` builds the full mapping on first access.
+    — and :attr:`nodes` builds the full mapping on first access;
+    :meth:`ranked_records` hands a writer the same values as plain tuples.
     """
+
+    #: The fields of :meth:`ranked_records`' tuples: NodeSER's, in order.
+    RECORD_FIELDS = tuple(field.name for field in fields(NodeSER))
 
     def __init__(
         self,
@@ -116,21 +121,23 @@ class CircuitSERReport:
 
     def _entries(self, rows) -> list[NodeSER]:
         """:class:`NodeSER` objects for ``rows``, in that order."""
+        return list(starmap(NodeSER, self._records(rows)))
+
+    def _records(self, rows) -> Iterator[tuple]:
+        """``rows``' values as tuples in :attr:`RECORD_FIELDS` order."""
         rows = np.fromiter(rows, dtype=np.intp)
-        sites, gate_types, p_latched = self.sites, self.gate_types, self.p_latched
-        return [
-            NodeSER(
-                sites[row], gate_types[row], r_seu, p_latched, p_sens, ser, fit, cone
-            )
-            for row, r_seu, p_sens, ser, fit, cone in zip(
-                rows.tolist(),
-                self.r_seu[rows].tolist(),
-                self.p_sensitized[rows].tolist(),
-                self.ser[rows].tolist(),
-                self.fit[rows].tolist(),
-                self.cone_sizes[rows].tolist(),
-            )
-        ]
+        order = rows.tolist()
+        sites, gate_types = self.sites, self.gate_types
+        return zip(
+            [sites[row] for row in order],
+            [gate_types[row] for row in order],
+            self.r_seu[rows].tolist(),
+            repeat(self.p_latched, len(order)),
+            self.p_sensitized[rows].tolist(),
+            self.ser[rows].tolist(),
+            self.fit[rows].tolist(),
+            self.cone_sizes[rows].tolist(),
+        )
 
     def rank_order(self, top: int | None = None) -> list[int]:
         """Row indices by decreasing SER, ties by site name.
@@ -164,6 +171,12 @@ class CircuitSERReport:
         :meth:`rank_order`).
         """
         return self._entries(self.rank_order(top))
+
+    def ranked_records(self, top: int | None = None) -> Iterator[tuple]:
+        """:meth:`ranked`'s rows as plain tuples in :attr:`RECORD_FIELDS`
+        order, without building a :class:`NodeSER` per row — what
+        ``repro analyze --csv`` writes."""
+        return self._records(self.rank_order(top))
 
     def contribution(self, node: str) -> float:
         """Fraction of the circuit SER contributed by one node."""
@@ -467,8 +480,12 @@ class SERAnalyzer:
         """Reclaim the engine's vectorized-backend state matrices.
 
         Long-lived analyzers keep their engine (and its backends) cached
-        between ``analyze()`` calls; this drops the ~3x chunk-budget
-        resident set until the next bulk analysis rebuilds it lazily.
+        between ``analyze()`` calls; this drops the vector backends' state
+        until the next bulk analysis rebuilds it lazily: the two
+        compacted-sweep arenas, each sized to the largest chunk's live
+        slots (~58 MiB each on a default s9234 run), the cached chunk
+        plans, and after a ``prune=False`` run the dense template and
+        double-buffered state (~3x the 256 MiB chunk budget).
         If a sharded worker pool is live it is shut down too (its workers
         hold their own state copies) — the next sharded ``analyze()``
         respawns it, so prefer calling this between batches, not between

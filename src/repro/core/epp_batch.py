@@ -20,16 +20,21 @@ sites of a chunk at once:
   20k+-gate circuits, and on multi-core hosts the NumPy sweep of the next
   chunk overlaps the Python-side result packaging of the previous one;
 * the sweep is *cone-aware* (``prune``, on by default): each chunk
-  runs on a *compacted state matrix* holding only its union-of-cones
-  rows — plus the fanin rows those gates read and the sentinel rows —
-  through a cached per-chunk row remap
-  (:meth:`BatchPlan.compact_chunk_plan`), so every gather, kernel and
-  scatter indexes the small matrix, all levels at or below the chunk's
-  minimum site level are skipped outright, and the sink reduction walks
-  only the sinks the chunk can reach.  Each retained row computes
-  exactly what the dense sweep computed, so the pruned sweep is
-  bit-identical to the dense ``prune=False`` reference sweep over the
-  full ``(n + 2, 4, s)`` matrix;
+  runs on a *compacted state matrix* that holds only its *live*
+  union-of-cones rows — the cones' gates plus the fanin rows those
+  gates read and the sentinel rows — through a cached per-chunk slot
+  layout (:meth:`BatchPlan.compact_chunk_plan`).  A row holds a
+  physical row (*slot*) from the level that first writes or reads it
+  until its last reader's level has run, and the slot is then reused,
+  so the matrix needs only the rows live at once (40% of the largest
+  default s9234 chunk's rows); sites, present sinks and sentinels keep
+  theirs for the whole sweep.  Every gather, kernel and scatter indexes
+  the small matrix, all levels at or below the chunk's minimum site
+  level are skipped outright, and the sink reduction walks only the
+  sinks the chunk can reach.  Each retained row computes exactly what
+  the dense sweep computed, so the pruned sweep is bit-identical to the
+  dense ``prune=False`` reference sweep over the full ``(n + 2, 4, s)``
+  matrix;
 * inside active rows the sweep is *cell-compacted*: on clustered chunks
   only a few percent of an active row's columns are on-path, so groups
   below the calibrated density threshold gather exactly their on-path
@@ -91,7 +96,9 @@ __all__ = [
 #: ``(g, batch)`` rows) stay cache-resident regardless of this total.  A
 #: dense sweep's resident set is ~3x this figure (template +
 #: double-buffered state) — bounded and explicit; pass ``batch_size`` to
-#: shrink it on memory-constrained hosts.
+#: shrink it on memory-constrained hosts.  Compacted sweeps check their
+#: chunk's union rows against it but allocate only the chunk's live
+#: slots, two arenas of them (``n_slots x 4 x width x 8`` bytes each).
 _STATE_BYTES_TARGET = 256 << 20
 
 #: Below this ``n_nodes * n_sites`` product the vectorized sweep cannot
@@ -186,42 +193,62 @@ _CLOSED_FORM_CODES = _PADDABLE_CODES | frozenset((CODE_NOT, CODE_BUF))
 
 
 class CompactChunkPlan:
-    """One chunk's union-of-cones row remap (the compacted state layout).
+    """One chunk's compacted state layout: its union-of-cones rows laid
+    out on recycled physical rows (*slots*).
 
     Built once per distinct site chunk by :meth:`BatchPlan.compact_chunk_plan`
-    and cached on the plan's :class:`~repro.core.schedule.ChunkCache`: the
-    compacted sweep allocates its state/mask buffers with only ``n_rows``
-    rows — the chunk's union-of-cones gates, every fanin row those gates
-    read (off-path fanins hold their SP constants), the site rows and any
-    referenced sentinel row — and every gate-group index array is already
-    translated into that compact row space, so the kernels of
-    :mod:`repro.core.rules_vec` index the small matrix unchanged.  The
-    remap is pure indexing: each computed cell runs exactly the ops the
-    dense sweep ran, so compacted results are bit-identical.
+    and cached on the plan's :class:`~repro.core.schedule.ChunkCache`.  The
+    chunk's *rows* are its union-of-cones gates, every fanin row those
+    gates read (off-path fanins hold their SP constants), the site rows
+    and any referenced sentinel row.  A row is live only from the level
+    that first writes or reads it until its last reader's level has run,
+    so a linear scan over the levels lays the rows out on ``n_slots``
+    slots: a row takes a free slot when it goes live and frees it after
+    its last reader's level (a slot freed after level L is reused from
+    level L + 1 on, never within L).  Chunk sites, present sinks and
+    referenced sentinels are *pinned* to slots ``0 .. len(pinned_nodes) -
+    1`` for the whole sweep: the site re-injection map is keyed by slot,
+    and the sink reduction reads the sink slots after the sweep.  Every
+    gate-group index array is already translated into slot space, so the
+    kernels of :mod:`repro.core.rules_vec` index the small matrix
+    unchanged.  The layout is pure indexing: each computed cell runs
+    exactly the ops the dense sweep ran, so compacted results are
+    bit-identical.
 
     Attributes
     ----------
-    rows:
-        Global node ids of the compact rows, ascending — ``rows[j]`` is
-        the global id of compact row ``j``.
     n_rows:
-        ``len(rows)`` — the compacted state matrix's row count.
-    site_rows:
-        Compact row index of each chunk site, aligned with the chunk.
-    groups:
-        ``(group, out_rows, fanin_rows)`` per active gate group in sweep
-        order: the plan's :class:`_Group` (kernel dispatch) with its
-        active rows' output/fanin indices translated to compact space.
-    sink_rows / sink_positions:
-        Compact row indices of the observable sinks present in the
-        matrix, and their positions into ``BatchPlan.sink_ids`` — absent
-        sinks are off-path for every column by construction, so the
-        sink-pair reduction over the present subset selects exactly the
-        pairs the dense reduction selected, in the same order.
+        The union size — rows the chunk touches.  ``_compact_spans``'
+        memory check and ``sweep_stats["compact_rows"]`` read it.
+    n_slots:
+        The compacted state matrix's physical row count, ``<= n_rows``.
+    pinned_nodes:
+        Global node ids of the pinned rows, ascending; slot ``j`` holds
+        ``pinned_nodes[j]``.
+    site_slots:
+        Slot of each chunk site, aligned with the chunk.
+    levels:
+        ``(seed_slots, seed_nodes, groups, retire_slots)`` per swept level
+        in sweep order: the slots that go live at this level and the
+        global ids of the rows they take (seeded with those rows' SP
+        constants, mask rows cleared, before the level's groups run); the
+        level's active gate groups as ``(group, out_slots, fanin_slots,
+        out_nodes)`` — the plan's :class:`_Group` (kernel dispatch) with
+        its active rows' output/fanin indices in slot space and the
+        output rows' global ids; and the slots of the written rows whose
+        last reader is at this level, whose mask rows are added to the
+        cone counts as they retire.
+    sink_slots / sink_positions:
+        Slots of the observable sinks present in the matrix, and their
+        positions into ``BatchPlan.sink_ids`` — absent sinks are off-path
+        for every column by construction, so the sink-pair reduction
+        over the present subset selects exactly the pairs the dense
+        reduction selected, in the same order.
     """
 
     __slots__ = (
-        "rows", "n_rows", "site_rows", "groups", "sink_rows", "sink_positions"
+        "n_rows", "n_slots", "pinned_nodes", "site_slots", "levels",
+        "sink_slots", "sink_positions",
     )
 
 
@@ -272,10 +299,11 @@ class BatchPlan:
     def compact_chunk_plan(self, site_ids: np.ndarray) -> CompactChunkPlan:
         """The (cached) compacted-row plan for one chunk of sites.
 
-        One vectorized forward-reachability pass over the level groups,
-        run once per distinct chunk and memoized:
+        One vectorized forward-reachability pass over the level groups
+        and one slot scan over the swept levels, run once per distinct
+        chunk and memoized:
         repeated sweeps of the same chunk (benchmark repeats, long-lived
-        analyzers re-analyzing a module) skip straight to the remapped
+        analyzers re-analyzing a module) skip straight to the translated
         index arrays.  Built through ``get_or_create`` so concurrent
         sweeps of the same chunk construct exactly one plan.
         """
@@ -286,19 +314,18 @@ class BatchPlan:
 
     def _build_compact_chunk_plan(self, site_ids: np.ndarray) -> CompactChunkPlan:
         total = self.n + 2
-        # reach: on the union of the chunk's fanout cones; needed:
-        # additionally every row an active group *reads* — off-path
-        # fanins supply their SP constants, so they must exist in the
-        # compacted matrix too.
+        # reach: on the union of the chunk's fanout cones.  Each swept
+        # level keeps its active groups plus the rows it writes (outs)
+        # and touches (outs and every fanin its groups read — off-path
+        # fanins supply their SP constants, so they need rows too).
         reach = np.zeros(total, dtype=bool)
         reach[site_ids] = True
-        needed = np.zeros(total, dtype=bool)
-        needed[site_ids] = True
         min_site_level = int(self.node_level[site_ids].min())
-        entries: list[tuple[_Group, np.ndarray, np.ndarray]] = []
+        swept: list[tuple[list, np.ndarray, np.ndarray]] = []
         for level, groups in self.levels:
             if level <= min_site_level:
                 continue
+            entries = []
             for group in groups:
                 active = np.nonzero(reach[group.fanin].any(axis=1))[0]
                 if active.size == 0:
@@ -315,22 +342,77 @@ class BatchPlan:
                     out_ids = group.out_ids
                     fanin = group.fanin
                     reach[out_ids[active]] = True
-                needed[out_ids] = True
-                needed[fanin] = True
                 entries.append((group, out_ids, fanin))
-        rows = np.nonzero(needed)[0]
-        remap = np.zeros(total, dtype=np.intp)
-        remap[rows] = np.arange(len(rows), dtype=np.intp)
-        plan = CompactChunkPlan()
-        plan.rows = rows
-        plan.n_rows = len(rows)
-        plan.site_rows = remap[site_ids]
-        plan.groups = [
-            (group, remap[out_ids], remap[fanin])
-            for group, out_ids, fanin in entries
-        ]
+            if entries:
+                outs = np.concatenate([out_ids for _, out_ids, _ in entries])
+                touched = np.concatenate(
+                    [outs] + [fanin.ravel() for _, _, fanin in entries]
+                )
+                swept.append((entries, outs, touched))
+        # Live ranges.  Levels ascend, so a forward pass of plain
+        # assignments leaves each row's last level and a backward pass
+        # its first; a row's own level is below every reader's.
+        first = np.full(total, -1, dtype=np.intp)
+        last = np.empty(total, dtype=np.intp)
+        written = np.zeros(total, dtype=bool)
+        for index, (_, outs, touched) in enumerate(swept):
+            last[touched] = index
+            written[outs] = True
+        for index in range(len(swept) - 1, -1, -1):
+            first[swept[index][2]] = index
+        needed = first >= 0
+        needed[site_ids] = True
         present = needed[self.sink_ids]
-        plan.sink_rows = remap[self.sink_ids[present]]
+        pinned = np.zeros(total, dtype=bool)
+        pinned[site_ids] = True
+        pinned[self.sink_ids[present]] = True
+        pinned[self.n:] = needed[self.n:]
+        pinned_nodes = np.nonzero(pinned)[0]
+        slot_of = np.zeros(total, dtype=np.intp)
+        slot_of[pinned_nodes] = np.arange(len(pinned_nodes), dtype=np.intp)
+        # The recycled rows grouped by the level they go live at and by
+        # the level after which they retire.
+        recycled = np.nonzero(needed & ~pinned)[0]
+        bounds = np.arange(len(swept) + 1)
+        born = recycled[np.argsort(first[recycled], kind="stable")]
+        born_bounds = np.searchsorted(first[born], bounds)
+        dying = recycled[np.argsort(last[recycled], kind="stable")]
+        dying_bounds = np.searchsorted(last[dying], bounds)
+        # The slot scan, once per level: live rows take freed slots
+        # (most recently freed first) before fresh ones, and a level's
+        # dying rows free theirs only after the level has run.
+        free = np.empty(0, dtype=np.intp)
+        n_slots = len(pinned_nodes)
+        levels = []
+        for index, (entries, _, _) in enumerate(swept):
+            seed_nodes = born[born_bounds[index]:born_bounds[index + 1]]
+            reused = min(len(seed_nodes), len(free))
+            fresh = len(seed_nodes) - reused
+            seed_slots = np.concatenate((
+                free[len(free) - reused:],
+                np.arange(n_slots, n_slots + fresh, dtype=np.intp),
+            ))
+            free = free[:len(free) - reused]
+            n_slots += fresh
+            slot_of[seed_nodes] = seed_slots
+            groups = [
+                (group, slot_of[out_ids], slot_of[fanin], out_ids)
+                for group, out_ids, fanin in entries
+            ]
+            retiring = dying[dying_bounds[index]:dying_bounds[index + 1]]
+            retire_slots = slot_of[retiring]
+            free = np.concatenate((free, retire_slots))
+            levels.append(
+                (seed_slots, seed_nodes, groups,
+                 retire_slots[written[retiring]])
+            )
+        plan = CompactChunkPlan()
+        plan.n_rows = int(needed.sum())
+        plan.n_slots = n_slots
+        plan.pinned_nodes = pinned_nodes
+        plan.site_slots = slot_of[site_ids]
+        plan.levels = levels
+        plan.sink_slots = slot_of[self.sink_ids[present]]
         plan.sink_positions = np.nonzero(present)[0]
         return plan
 
@@ -410,10 +492,10 @@ class BatchEPPBackend:
         #: bit-identical, and only tests pinning that set it.
         self._cells = "auto"
         #: Cumulative execution counters, updated by every sweep: chunk
-        #: accounting (``chunks``; ``compact_sweeps`` / ``compact_rows`` —
-        #: sweeps on compacted union-of-cones state matrices and the
-        #: total compact rows they allocated, vs ``n + 2`` per dense
-        #: sweep),
+        #: accounting (``chunks``; ``compact_sweeps`` / ``compact_rows`` /
+        #: ``compact_slots`` — sweeps on compacted union-of-cones state
+        #: matrices, the union rows they covered and the physical slots
+        #: they allocated, vs ``n + 2`` rows per dense sweep),
         #: per-tier group counts (``groups_dense`` / ``groups_row`` /
         #: ``groups_cell``) and cell accounting over *pruned* groups
         #: (``cells_on`` on-path cells, ``cells_total`` cells spanned,
@@ -425,6 +507,7 @@ class BatchEPPBackend:
             "sweeps": 0,
             "compact_sweeps": 0,
             "compact_rows": 0,
+            "compact_slots": 0,
             "chunks": 0,
             "groups_dense": 0,
             "groups_row": 0,
@@ -441,12 +524,12 @@ class BatchEPPBackend:
         self._const: np.ndarray | None = None
         self._sink_names_arr = np.asarray(self.plan.sink_names, dtype=object)
         self._buffer_slots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        #: Flat per-slot arenas the compacted sweeps carve their
-        #: (n_rows, 4, s) state and (n_rows, s) mask views from — grown to
-        #: the largest chunk seen, reused across sweeps so the hot path
-        #: never re-faults fresh pages.  Every compacted sweep fully
-        #: seeds its state and clears its mask, so stale content between
-        #: sweeps is harmless.
+        #: Flat per-pipeline-slot arenas the compacted sweeps carve their
+        #: (n_slots, 4, s) state and (n_slots, s) mask views from — grown
+        #: to the largest chunk seen, reused across sweeps so the hot path
+        #: never re-faults fresh pages.  A compacted sweep seeds every
+        #: state row and clears its mask row as the row goes live, so
+        #: stale content between sweeps is harmless.
         self._compact_arenas: dict[int, list[np.ndarray]] = {}
 
     def _ensure_const(self) -> None:
@@ -506,12 +589,15 @@ class BatchEPPBackend:
     def _sweep(self, site_ids: np.ndarray, slot: int = 0):
         """One level-synchronized pass for a chunk of sites.
 
-        Returns ``(state, mask, sinks)``: the four-valued state matrix,
-        the on-path membership bitmask, and the sink translation of the
-        layout the sweep ran on — ``None`` for dense sweeps (state is
-        ``(n + 2, 4, s)``, sinks are ``plan.sink_ids``), or the chunk
-        plan's ``(sink_rows, sink_positions)`` pair for compacted sweeps
-        (state is ``(n_rows, 4, s)`` over the union-of-cones remap).
+        Returns ``(state, mask, layout)``: the four-valued state matrix,
+        the on-path membership bitmask, and the readout of the layout the
+        sweep ran on — ``None`` for dense sweeps (state is ``(n + 2, 4,
+        s)``, sinks are ``plan.sink_ids``), or for compacted sweeps
+        (state is ``(n_slots, 4, s)`` over the chunk plan's recycled
+        slots) the ``(sink_slots, sink_positions, cones)`` triple: the
+        plan's sink translation and the per-column count of on-path rows
+        (cone size plus the site), which the sweep accumulates as slots
+        retire because a recycled slot's mask no longer holds its row.
         """
         self.sweep_stats["sweeps"] += 1
         if self.prune:
@@ -521,15 +607,16 @@ class BatchEPPBackend:
         return self._sweep_dense(site_ids, slot)
 
     def _compact_buffers(
-        self, n_rows: int, s: int, slot: int
+        self, n_slots: int, s: int, slot: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """Carve (state, mask) views for one compacted sweep from the
-        slot's reusable flat arenas (grown monotonically to the largest
-        chunk), so repeated sweeps touch warm pages instead of faulting a
-        fresh allocation every chunk.  The mask comes back cleared; the
-        caller seeds the state in full."""
-        state_need = n_rows * 4 * s
-        mask_need = n_rows * s
+        pipeline slot's reusable flat arenas (grown monotonically to the
+        largest chunk), so repeated sweeps touch warm pages instead of
+        faulting a fresh allocation every chunk.  Both come back
+        uninitialized: the sweep seeds each state row and clears each
+        mask row as its row goes live."""
+        state_need = n_slots * 4 * s
+        mask_need = n_slots * s
         arenas = self._compact_arenas.get(slot)
         if arenas is None or arenas[0].size < state_need:
             grown = np.empty(
@@ -540,9 +627,8 @@ class BatchEPPBackend:
             )
             arenas = [grown, grown_mask]
             self._compact_arenas[slot] = arenas
-        state = arenas[0][:state_need].reshape(n_rows, 4, s)
-        mask = arenas[1][:mask_need].reshape(n_rows, s)
-        mask[:] = False
+        state = arenas[0][:state_need].reshape(n_slots, 4, s)
+        mask = arenas[1][:mask_need].reshape(n_slots, s)
         return state, mask
 
     def _sweep_compact(
@@ -550,36 +636,59 @@ class BatchEPPBackend:
     ):
         """A pruned sweep over the chunk's compacted union-of-cones matrix.
 
-        Carves ``(n_rows, 4, s)`` state out of the slot arena and seeds it
-        from the gathered off-path constants (the whole "buffer reset" —
-        proportional to the compact size, with no full-width template),
-        then runs the active groups with every index array pre-translated
-        to compact row space.  Per computed cell the kernels run the same
-        elementwise IEEE ops as the dense sweep, so the packed results are
-        bit-identical to it.
+        Carves ``(n_slots, 4, s)`` state out of the pipeline slot's arena
+        and runs the plan level by level: the slots going live at a level
+        are seeded with their new rows' off-path constants and their mask
+        rows cleared (a recycled slot still holds its previous row), the
+        level's active groups run with every index array pre-translated
+        to slot space, and the slots whose rows were last read at this
+        level add their mask rows to the per-column cone counts before
+        they can be reused.  The pinned site, sink and sentinel slots are
+        seeded once up front and counted at the end.  Per computed cell
+        the kernels run the same elementwise IEEE ops as the dense sweep,
+        so the packed results are bit-identical to it.
         """
         s = len(site_ids)
         self._ensure_const()
-        const = self._const[cplan.rows]  # (n_rows, 4) off-path constants
-        state, mask = self._compact_buffers(cplan.n_rows, s, slot)
-        state[:] = const[:, :, None]
+        const = self._const  # (n + 2, 4) off-path constants by node id
+        state, mask = self._compact_buffers(cplan.n_slots, s, slot)
+        n_pinned = len(cplan.pinned_nodes)
+        state[:n_pinned] = const[cplan.pinned_nodes][:, :, None]
+        mask[:n_pinned] = False
         cols = np.arange(s)
-        site_rows = cplan.site_rows
+        site_slots = cplan.site_slots
         # The error site carries the erroneous value with certainty: 1(a).
-        state[site_rows, :, cols] = (1.0, 0.0, 0.0, 0.0)
-        mask[site_rows, cols] = True
+        state[site_slots, :, cols] = (1.0, 0.0, 0.0, 0.0)
+        mask[site_slots, cols] = True
         # Columns to re-inject when a group's output row is itself a site
         # in this chunk (the scatter writes SP constants over them) —
-        # keyed by *compact* row, the space every group index lives in.
+        # keyed by slot, the space every group index lives in; site slots
+        # are pinned, so no other row ever takes one.
         site_cols: dict[int, list[int]] = {}
-        for col, row in enumerate(site_rows.tolist()):
+        for col, row in enumerate(site_slots.tolist()):
             site_cols.setdefault(row, []).append(col)
+        cones = np.zeros(s, dtype=np.intp)
 
         stats = self.sweep_stats
         stats["compact_sweeps"] += 1
         stats["compact_rows"] += cplan.n_rows
+        stats["compact_slots"] += cplan.n_slots
         cells = self._cells
-        for group, out_ids, fanin in cplan.groups:
+        for seed_slots, seed_nodes, groups, retire_slots in cplan.levels:
+            state[seed_slots] = const[seed_nodes][:, :, None]
+            mask[seed_slots] = False
+            self._run_compact_groups(state, mask, groups, const, site_cols,
+                                     cells)
+            if retire_slots.size:
+                cones += mask[retire_slots].sum(axis=0)
+        cones += mask[:n_pinned].sum(axis=0)
+        return state, mask, (cplan.sink_slots, cplan.sink_positions, cones)
+
+    def _run_compact_groups(self, state, mask, groups, const, site_cols,
+                            cells):
+        """Run one level's active groups of a compacted sweep in place."""
+        stats = self.sweep_stats
+        for group, out_ids, fanin, out_nodes in groups:
             out_mask = mask[fanin].any(axis=1)  # (r, s)
             n_on = int(out_mask.sum())
             if n_on == 0:
@@ -626,7 +735,7 @@ class BatchEPPBackend:
                 mask[node_rows, on_cols] = True
                 continue
             state[out_ids] = np.where(
-                out_mask[:, None, :], result, const[out_ids][:, :, None]
+                out_mask[:, None, :], result, const[out_nodes][:, :, None]
             )
             mask[out_ids] = out_mask
             for row in out_ids.tolist():
@@ -641,7 +750,6 @@ class BatchEPPBackend:
                     state[row, 2, col] = 0.0
                     state[row, 3, col] = 0.0
                     mask[row, col] = True
-        return state, mask, (cplan.sink_rows, cplan.sink_positions)
 
     def _sweep_dense(self, site_ids: np.ndarray, slot: int):
         """The dense reference sweep over ``(n + 2, 4, s)`` slot buffers:
@@ -699,7 +807,7 @@ class BatchEPPBackend:
     def release_buffers(self) -> None:
         """Free the chunk-width state matrices (template, constants, the
         double-buffered dense sweep/mask pairs and the compacted-sweep
-        arenas) plus the plan's cached compacted-row remaps.  Everything
+        arenas) plus the plan's cached compacted-row plans.  Everything
         is rebuilt lazily on the next sweep, so this is always safe to
         call between analyses on long-lived engines/analyzers."""
         self._template = None
@@ -791,7 +899,7 @@ class BatchEPPBackend:
         return spans
 
     def _swept_chunks(self, ids: np.ndarray):
-        """Yield ``(chunk, state, mask, sinks)`` per chunk of ``ids``,
+        """Yield ``(chunk, state, mask, layout)`` per chunk of ``ids``,
         pipelined.
 
         The shared chunking driver of every bulk query: two-stage pipeline
@@ -799,27 +907,27 @@ class BatchEPPBackend:
         array kernels) overlaps the Python-side consumption of chunk
         ``i``; double buffering keeps consecutive stages on disjoint slot
         buffers (dense matrices or compacted arenas).  Single-chunk calls
-        skip the thread machinery.  ``sinks`` is the sweep's sink
-        translation — ``None`` for dense layouts (see :meth:`_sweep`).
+        skip the thread machinery.  ``layout`` is the sweep's readout —
+        ``None`` for dense layouts (see :meth:`_sweep`).
         """
         chunks = [ids[start:stop] for start, stop in self._chunk_spans(ids)]
         if not chunks:
             return
         if len(chunks) == 1:
-            state, mask, sinks = self._sweep(chunks[0])
-            yield chunks[0], state, mask, sinks
+            state, mask, layout = self._sweep(chunks[0])
+            yield chunks[0], state, mask, layout
             return
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=1) as sweeper:
             future = sweeper.submit(self._sweep, chunks[0], 0)
             for index, chunk in enumerate(chunks):
-                state, mask, sinks = future.result()
+                state, mask, layout = future.result()
                 if index + 1 < len(chunks):
                     future = sweeper.submit(
                         self._sweep, chunks[index + 1], (index + 1) % 2
                     )
-                yield chunk, state, mask, sinks
+                yield chunk, state, mask, layout
 
     # ---------------------------------------------------------------- queries
 
@@ -844,8 +952,8 @@ class BatchEPPBackend:
         order = self._schedule_order(ids)
         sweep_ids = ids if order is None else ids[order]
         cursor = 0
-        for chunk, state, mask, sinks in self._swept_chunks(sweep_ids):
-            p_sens = self._select_pairs(chunk, state, mask, sinks)[0]
+        for chunk, state, mask, layout in self._swept_chunks(sweep_ids):
+            p_sens = self._select_pairs(chunk, state, mask, layout)[0]
             if order is None:
                 out[cursor : cursor + len(chunk)] = p_sens
             else:
@@ -875,8 +983,8 @@ class BatchEPPBackend:
         ids = np.asarray(site_ids, dtype=np.intp)
         order = self._schedule_order(ids)
         sweep_ids = ids if order is None else ids[order]
-        for chunk, state, mask, sinks in self._swept_chunks(sweep_ids):
-            self._collect(chunk, state, mask, sinks, results)
+        for chunk, state, mask, layout in self._swept_chunks(sweep_ids):
+            self._collect(chunk, state, mask, layout, results)
         if order is not None:
             names = self.compiled.names
             results = {
@@ -884,13 +992,13 @@ class BatchEPPBackend:
             }
         return results
 
-    def _collect(self, chunk, state, mask, sinks, results) -> None:
+    def _collect(self, chunk, state, mask, layout, results) -> None:
         """Assemble per-site EPPResults from one chunk's sweep."""
         self.materialize(
-            chunk.tolist(), self._pack(chunk, state, mask, sinks), results
+            chunk.tolist(), self._pack(chunk, state, mask, layout), results
         )
 
-    def _select_pairs(self, chunk, state, mask, sinks=None) -> tuple:
+    def _select_pairs(self, chunk, state, mask, layout=None) -> tuple:
         """The shared sink-pair reduction of one chunk's sweep.
 
         All numeric work happens in bulk: the on-path (site, sink) pairs
@@ -899,13 +1007,14 @@ class BatchEPPBackend:
         masses capped at 1, and the per-site survival products run through
         ``multiply.reduceat``.  This is the single reduction/clamping
         policy behind both :meth:`p_sensitized_many` and :meth:`_pack`.
-        ``sinks`` carries a compacted sweep's ``(sink_rows,
-        sink_positions)`` translation: reducing over the present subset
-        selects the same pairs in the same order — absent sinks are
-        off-path in every column — so the products stay bit-identical.
+        ``layout`` carries a compacted sweep's readout, whose
+        ``(sink_slots, sink_positions)`` translate the sinks: reducing
+        over the present subset selects the same pairs in the same order
+        — absent sinks are off-path in every column — so the products
+        stay bit-identical.
         Returns ``(p_sens, counts, sink_mask, selected)``.
         """
-        sink_rows = self.plan.sink_ids if sinks is None else sinks[0]
+        sink_rows = self.plan.sink_ids if layout is None else layout[0]
         sink_state = state[sink_rows]  # (ns, 4, s)
         sink_mask = mask[sink_rows].T  # (s, ns)
         # Site-major selection of every on-path (site, sink) pair: the
@@ -925,26 +1034,29 @@ class BatchEPPBackend:
             p_sens[occupied] = 1.0 - np.multiply.reduceat(1.0 - error, starts)
         return p_sens, counts, sink_mask, selected
 
-    def _pack(self, chunk, state, mask, sinks=None) -> tuple:
+    def _pack(self, chunk, state, mask, layout=None) -> tuple:
         """Reduce one chunk's sweep to compact per-site numeric arrays.
 
         Returns ``(p_sens, cone_sizes, counts, sink_pos, values)`` aligned
         with the chunk: ``counts[i]`` on-path pairs per site, ``sink_pos``
         indices into ``plan.sink_ids`` and ``values`` their clamped ``(m, 4)``
         four-valued vectors.  A compacted sweep's ``sink_pos`` is mapped
-        back through its ``sink_positions`` translation, so the packed
-        layout is identical whichever sweep ran the chunk.  This
+        back through its ``sink_positions`` translation and its cone
+        sizes are the counts it accumulated as slots retired, so the
+        packed layout is identical whichever sweep ran the chunk.  This
         tuple of plain arrays is also the wire format the sharded driver
         (:mod:`repro.core.epp_shard`) ships across the process boundary —
         flat buffers, no per-object overhead.
         """
         p_sens, counts, sink_mask, selected = self._select_pairs(
-            chunk, state, mask, sinks
+            chunk, state, mask, layout
         )
         sink_pos = np.nonzero(sink_mask)[1]
-        if sinks is not None:
-            sink_pos = sinks[1][sink_pos]
-        cone_sizes = mask.sum(axis=0) - 1  # mask includes the site
+        if layout is None:
+            cone_sizes = mask.sum(axis=0) - 1  # mask includes the site
+        else:
+            sink_pos = layout[1][sink_pos]
+            cone_sizes = layout[2] - 1  # the counts include the site
         return p_sens, cone_sizes, counts, sink_pos, selected
 
     @staticmethod
@@ -978,8 +1090,8 @@ class BatchEPPBackend:
         order = self._schedule_order(ids)
         sweep_ids = ids if order is None else ids[order]
         parts = [
-            self._pack(chunk, state, mask, sinks)
-            for chunk, state, mask, sinks in self._swept_chunks(sweep_ids)
+            self._pack(chunk, state, mask, layout)
+            for chunk, state, mask, layout in self._swept_chunks(sweep_ids)
         ]
         if not parts:
             return empty_packed()

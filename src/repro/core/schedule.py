@@ -22,8 +22,8 @@ This module provides the pieces of that scheduling layer:
   tiebreak), so sites with overlapping cones land in the same chunk and
   the sparse sweep's row-prune density is maximized.
 * :class:`ChunkCache` + :func:`chunk_cache_key` — the per-chunk memo the
-  batch plan hangs its compacted-row plans on (the union-of-cones row
-  remap a compacted sweep indexes instead of the full state matrix).
+  batch plan hangs its compacted-row plans on (the union-of-cones slot
+  layout a compacted sweep indexes instead of the full state matrix).
   Bounded FIFO so pathological callers cycling through thousands of
   distinct chunks cannot grow the cache without limit.
 
@@ -160,7 +160,7 @@ class ChunkCache:
     :func:`chunk_cache_key` digests to each chunk's compacted-row plan.
     Repeated analyses over the same site partition (benchmark best-of
     repeats, long-lived analyzers) hit the cache instead of rebuilding
-    row remaps.  Eviction is insertion-order FIFO: the cap bounds memory,
+    slot layouts.  Eviction is insertion-order FIFO: the cap bounds memory,
     and real workloads sweep the same few dozen chunks over and over.
     """
 

@@ -7,9 +7,8 @@ import io
 import json
 from collections.abc import Mapping, Sequence
 from dataclasses import asdict, fields, is_dataclass
-from operator import attrgetter
 
-__all__ = ["rows_to_csv", "rows_to_json", "format_columns"]
+__all__ = ["rows_to_csv", "rows_to_json"]
 
 
 def _as_dict(row) -> dict:
@@ -42,34 +41,28 @@ def _in_header_order(record: Mapping, header: tuple[str, ...]) -> list:
     return [record.get(name, "") for name in header]
 
 
-def rows_to_csv(rows: Sequence, path: str | None = None) -> str:
+def rows_to_csv(
+    rows: Sequence, path: str | None = None, header: Sequence[str] | None = None
+) -> str:
     """Serialize dataclass/mapping rows to CSV text (optionally to a file).
 
     The header is the first row's field names (a dataclass's fields in
     order, a mapping's keys); rows follow ``csv.DictWriter``'s rules for
     missing and extra fields.  A field holding a dataclass is written as
-    that dataclass's ``str``: rows are flat records.
+    that dataclass's ``str``: rows are flat records.  Given a ``header``,
+    the rows are value tuples in its order — a report's
+    :meth:`~repro.core.analysis.CircuitSERReport.ranked_records` — and
+    are written as they are.  No rows write no header either.
     """
     rows = list(rows)
     buffer = io.StringIO()
     if rows:
-        header = tuple(_record(rows[0]))
+        if header is None:
+            header = tuple(_record(rows[0]))
+            rows = [_in_header_order(_record(row), header) for row in rows]
         writer = csv.writer(buffer)
         writer.writerow(header)
-        # Rows of the first row's dataclass type — every row, in practice —
-        # are read with one attrgetter call each.
-        first = type(rows[0])
-        fast = (
-            attrgetter(*header)
-            if len(header) > 1 and not isinstance(rows[0], Mapping)
-            else None
-        )
-        writer.writerows(
-            fast(row)
-            if fast is not None and type(row) is first
-            else _in_header_order(_record(row), header)
-            for row in rows
-        )
+        writer.writerows(rows)
     text = buffer.getvalue()
     if path is not None:
         with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -85,19 +78,3 @@ def rows_to_json(rows: Sequence, path: str | None = None) -> str:
             handle.write(text)
     return text
 
-
-def format_columns(
-    header: Sequence[str], rows: Sequence[Sequence], min_width: int = 6
-) -> str:
-    """Simple aligned-column ASCII table."""
-    table = [list(map(str, header))] + [list(map(str, row)) for row in rows]
-    widths = [
-        max(min_width, max(len(row[i]) for row in table))
-        for i in range(len(header))
-    ]
-    lines = []
-    for row_number, row in enumerate(table):
-        lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
-        if row_number == 0:
-            lines.append("  ".join("-" * widths[i] for i in range(len(header))))
-    return "\n".join(lines)

@@ -196,30 +196,3 @@ class BDD:
 
         return walk(f)
 
-    def support(self, f: int) -> set[int]:
-        """The set of variable levels ``f`` actually depends on."""
-        seen: set[int] = set()
-        levels: set[int] = set()
-        stack = [f]
-        while stack:
-            node = stack.pop()
-            if node <= self.ONE or node in seen:
-                continue
-            seen.add(node)
-            levels.add(self._var[node])
-            stack.append(self._low[node])
-            stack.append(self._high[node])
-        return levels
-
-    def count_nodes(self, f: int) -> int:
-        """Number of distinct internal nodes reachable from ``f``."""
-        seen: set[int] = set()
-        stack = [f]
-        while stack:
-            node = stack.pop()
-            if node <= self.ONE or node in seen:
-                continue
-            seen.add(node)
-            stack.append(self._low[node])
-            stack.append(self._high[node])
-        return len(seen)

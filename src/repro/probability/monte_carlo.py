@@ -14,7 +14,6 @@ separately as the SPT column of Table 2.
 
 from __future__ import annotations
 
-import math
 import random
 from collections.abc import Mapping
 
@@ -23,16 +22,9 @@ from repro.netlist.circuit import Circuit
 from repro.sim.logic_sim import BitParallelSimulator, simulate_sequential
 from repro.sim.vectors import RandomVectorSource
 
-__all__ = ["monte_carlo_signal_probabilities", "sp_standard_error"]
+__all__ = ["monte_carlo_signal_probabilities"]
 
 _WORD_WIDTH = 1024
-
-
-def sp_standard_error(n_vectors: int) -> float:
-    """Worst-case (p=0.5) standard error of an SP estimate from N vectors."""
-    if n_vectors < 1:
-        raise ProbabilityError(f"n_vectors must be >= 1, got {n_vectors}")
-    return 0.5 / math.sqrt(n_vectors)
 
 
 def monte_carlo_signal_probabilities(

@@ -22,7 +22,7 @@ rounding.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
 import numpy as _np
 
@@ -49,52 +49,8 @@ from repro.netlist.gate_types import (
 
 __all__ = [
     "compute_signal_probabilities",
-    "gate_output_probability",
     "SequentialConvergence",
 ]
-
-
-def gate_output_probability(gate_type: GateType, input_probs: Sequence[float]) -> float:
-    """Probability the gate outputs 1 given independent fanin 1-probabilities."""
-    code_dispatch = {
-        GateType.AND: _p_and,
-        GateType.NAND: lambda ps: 1.0 - _p_and(ps),
-        GateType.OR: _p_or,
-        GateType.NOR: lambda ps: 1.0 - _p_or(ps),
-        GateType.XOR: _p_xor,
-        GateType.XNOR: lambda ps: 1.0 - _p_xor(ps),
-        GateType.NOT: lambda ps: 1.0 - ps[0],
-        GateType.BUF: lambda ps: ps[0],
-        GateType.CONST0: lambda ps: 0.0,
-        GateType.CONST1: lambda ps: 1.0,
-        GateType.MUX: lambda ps: (1.0 - ps[0]) * ps[1] + ps[0] * ps[2],
-    }
-    handler = code_dispatch.get(gate_type)
-    if handler is not None:
-        return handler(list(input_probs))
-    # Generic truth-table fallback (MAJ and future cells).
-    return _p_truth_table(gate_type, list(input_probs))
-
-
-def _p_and(probs: list[float]) -> float:
-    acc = 1.0
-    for p in probs:
-        acc *= p
-    return acc
-
-
-def _p_or(probs: list[float]) -> float:
-    acc = 1.0
-    for p in probs:
-        acc *= 1.0 - p
-    return 1.0 - acc
-
-
-def _p_xor(probs: list[float]) -> float:
-    odd = 0.0
-    for p in probs:
-        odd = odd * (1.0 - p) + (1.0 - odd) * p
-    return odd
 
 
 def _p_truth_table(gate_type: GateType, probs: list[float]) -> float:

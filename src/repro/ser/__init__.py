@@ -19,13 +19,12 @@ hardening flows built on top of the full product:
 
 from repro.ser.seu_rate import SEURateModel, TECHNOLOGY_PRESETS
 from repro.ser.latching import LatchingModel
-from repro.ser.fit import per_second_to_fit, fit_to_mtbf_years, combine_fit
+from repro.ser.fit import per_second_to_fit, combine_fit
 
 __all__ = [
     "SEURateModel",
     "TECHNOLOGY_PRESETS",
     "LatchingModel",
     "per_second_to_fit",
-    "fit_to_mtbf_years",
     "combine_fit",
 ]

@@ -17,8 +17,6 @@ from repro.errors import ConfigError
 __all__ = [
     "per_second_to_fit",
     "rates_to_fit",
-    "fit_to_per_second",
-    "fit_to_mtbf_years",
     "combine_fit",
     "sum_fit",
 ]
@@ -43,23 +41,6 @@ def rates_to_fit(rates: np.ndarray) -> np.ndarray:
     if bad.size:
         raise ConfigError(f"rate must be >= 0, got {float(rates[bad[0]])}")
     return rates * _SECONDS_PER_1E9_HOURS
-
-
-def fit_to_per_second(fit: float) -> float:
-    """FIT -> failures/second."""
-    if fit < 0:
-        raise ConfigError(f"FIT must be >= 0, got {fit}")
-    return fit / _SECONDS_PER_1E9_HOURS
-
-
-def fit_to_mtbf_years(fit: float) -> float:
-    """FIT -> mean time between failures in years (inf for 0 FIT)."""
-    if fit < 0:
-        raise ConfigError(f"FIT must be >= 0, got {fit}")
-    if fit == 0:
-        return float("inf")
-    hours = 1.0e9 / fit
-    return hours / (24.0 * 365.25)
 
 
 def combine_fit(node_fits: Iterable[float]) -> float:

@@ -65,33 +65,6 @@ class HardeningCurve:
     baseline_fit: float
     steps: list[HardeningStep] = field(default_factory=list)
 
-    def step_for_budget(self, max_nodes: int) -> HardeningStep:
-        """The best step within a node budget.
-
-        Among the steps hardening at most ``max_nodes`` nodes, returns the
-        *cheapest* one achieving the maximum FIT reduction — deeper steps
-        that only add zero-FIT nodes (ties on the curve) buy nothing, so
-        they are not preferred over the step that already got there.  A
-        budget below the smallest step raises :class:`ConfigError` naming
-        that smallest step, so the caller knows the feasible floor.
-        """
-        eligible = [s for s in self.steps if s.n_hardened <= max_nodes]
-        if not eligible:
-            smallest = self.steps[0].n_hardened if self.steps else None
-            detail = (
-                f"; the smallest step hardens {smallest} node(s)"
-                if smallest is not None
-                else "; the curve is empty"
-            )
-            raise ConfigError(
-                f"no hardening step within budget {max_nodes}{detail}"
-            )
-        best = max(step.fit_reduction_pct for step in eligible)
-        for step in eligible:
-            if step.fit_reduction_pct >= best:
-                return step
-        raise AssertionError("unreachable: eligible is non-empty")
-
     def nodes_for_target(self, target_reduction_pct: float) -> HardeningStep | None:
         """The cheapest step achieving a target FIT reduction.
 
@@ -182,10 +155,6 @@ class HardeningPlan:
     area_used: float
     steps: list[WhatIfStep] = field(default_factory=list)
     result: object = field(default=None, repr=False)  # final DeltaAnalysis
-
-    @property
-    def accepted_nodes(self) -> tuple[str, ...]:
-        return tuple(step.node for step in self.steps if step.accepted)
 
     @property
     def fit_reduction_pct(self) -> float:

@@ -70,7 +70,7 @@ class SEURateModel:
 
     Both maps are copied into read-only mappings once validated, so no
     value can change after the checks ran; derive a changed model with
-    :meth:`with_drive_strength` or :func:`dataclasses.replace`.
+    :func:`dataclasses.replace`.
     """
 
     flux: float = 5.65e-3
@@ -131,16 +131,6 @@ class SEURateModel:
         strength = self.drive_strength.get(node_name, 1.0) if node_name else 1.0
         return self.flux * self.base_cross_section_cm2 * weight / strength
 
-    def with_drive_strength(self, updates: Mapping[str, float]) -> "SEURateModel":
-        """A copy with additional/overridden per-node drive strengths."""
-        merged = dict(self.drive_strength)
-        merged.update(updates)
-        return SEURateModel(
-            flux=self.flux,
-            base_cross_section_cm2=self.base_cross_section_cm2,
-            type_weights=dict(self.type_weights),
-            drive_strength=merged,
-        )
 
 
 #: Named presets: rough technology/environment corners for examples and

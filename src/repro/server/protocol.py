@@ -297,7 +297,7 @@ def edits_from_wire(ops: list):
         try:
             if kind == "set_sp":
                 edits.set_sp(str(args[0]), float(args[1]))
-            elif kind in ("harden", "resize"):
+            elif kind == "harden":
                 edits.harden(str(args[0]), float(args[1]) if len(args) > 1 else 10.0)
             elif kind == "replace_gate":
                 fanin = args[2] if len(args) > 2 and args[2] is not None else None

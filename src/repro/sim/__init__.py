@@ -12,14 +12,13 @@ arbitrary-width Python integer, so a single pass of Python-level work
 evaluates hundreds or thousands of patterns.
 """
 
-from repro.sim.vectors import RandomVectorSource, exhaustive_words, pack_patterns
+from repro.sim.vectors import RandomVectorSource, exhaustive_words
 from repro.sim.logic_sim import BitParallelSimulator, simulate_sequential
 from repro.sim.fault_sim import FaultInjector
 
 __all__ = [
     "RandomVectorSource",
     "exhaustive_words",
-    "pack_patterns",
     "BitParallelSimulator",
     "simulate_sequential",
     "FaultInjector",

@@ -143,10 +143,6 @@ class BitParallelSimulator:
                     mask,
                 )
 
-    def run_named(self, source_words: Mapping[str, int], width: int) -> dict[str, int]:
-        """Like :meth:`run` but returns words keyed by node name."""
-        values = self.run(source_words, width)
-        return {self.compiled.names[i]: values[i] for i in range(self.compiled.n)}
 
 
 class SequentialTrace:

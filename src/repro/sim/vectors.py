@@ -8,45 +8,14 @@ common width.  All sources here are deterministic given their seed.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from repro.errors import SimulationError
 
 __all__ = [
     "RandomVectorSource",
     "exhaustive_words",
-    "pack_patterns",
-    "unpack_word",
-    "popcount",
 ]
-
-
-def popcount(word: int) -> int:
-    """Number of set bits (patterns where the signal is 1)."""
-    return word.bit_count()
-
-
-def pack_patterns(patterns: Sequence[Mapping[str, int]], signals: Sequence[str]) -> dict[str, int]:
-    """Pack per-pattern scalar assignments into one word per signal.
-
-    ``patterns[p][signal]`` becomes bit ``p`` of the signal's word.
-    """
-    words = {signal: 0 for signal in signals}
-    for position, pattern in enumerate(patterns):
-        for signal in signals:
-            value = pattern[signal]
-            if value not in (0, 1):
-                raise SimulationError(
-                    f"pattern {position}: signal {signal!r} must be 0/1, got {value!r}"
-                )
-            if value:
-                words[signal] |= 1 << position
-    return words
-
-
-def unpack_word(word: int, width: int) -> list[int]:
-    """Inverse of packing: word -> list of per-pattern bits."""
-    return [(word >> p) & 1 for p in range(width)]
 
 
 def exhaustive_words(signals: Sequence[str]) -> tuple[dict[str, int], int]:
@@ -121,11 +90,6 @@ class RandomVectorSource:
             weight = self._weights.get(signal, 0.5)
             words[signal] = self._weighted_word(width, weight)
         return words
-
-    def stream(self, width: int) -> Iterator[dict[str, int]]:
-        """Endless stream of word assignments (caller slices what it needs)."""
-        while True:
-            yield self.next_words(width)
 
     def _weighted_word(self, width: int, weight: float) -> int:
         if weight == 0.5:

@@ -113,22 +113,11 @@ class TestQueries:
         with pytest.raises(ProbabilityError, match="missing probability"):
             bdd.sat_prob(bdd.var(5), {})
 
-    def test_support(self):
-        bdd = BDD()
-        f = bdd.and_(bdd.var(2), bdd.xor_(bdd.var(5), bdd.var(2)))
-        assert bdd.support(f) == {2, 5}
-
     def test_absorption_shrinks_support(self):
         # x2 AND (x5 OR x2) == x2: canonical form drops the dead variable.
         bdd = BDD()
         f = bdd.and_(bdd.var(2), bdd.or_(bdd.var(5), bdd.var(2)))
         assert f == bdd.var(2)
-        assert bdd.support(f) == {2}
-
-    def test_count_nodes_terminal(self):
-        bdd = BDD()
-        assert bdd.count_nodes(BDD.ONE) == 0
-        assert bdd.count_nodes(bdd.var(0)) == 1
 
     def test_evaluate_missing_var(self):
         bdd = BDD()

@@ -422,6 +422,118 @@ class TestCompactedRows:
             assert np.array_equal(left, right)
 
 
+def chunk_plans(backend, ids) -> list:
+    """The compacted chunk plans one bulk call of ``backend`` over
+    ``ids`` sweeps, in sweep order, built without sweeping."""
+    ids = np.asarray(ids, dtype=np.intp)
+    order = backend._schedule_order(ids)
+    sweep_ids = ids if order is None else ids[order]
+    return [
+        backend.plan.compact_chunk_plan(sweep_ids[start:stop])
+        for start, stop in backend._chunk_spans(sweep_ids)
+    ]
+
+
+def dead_chain_circuit() -> Circuit:
+    """A live output gate beside an 8-gate chain that reaches no sink.
+
+    Every chain gate reads the shared side input ``i1``, so ``i1`` stays
+    live to the last level while each chain row retires one level after
+    it is written — the chain's slots recycle."""
+    circuit = Circuit("dead_chain")
+    for name in ("i0", "i1", "i2"):
+        circuit.add_input(name)
+    circuit.add_gate("live", GateType.AND, ["i0", "i2"])
+    circuit.mark_output("live")
+    previous = "i0"
+    for index in range(8):
+        name = f"n{index}"
+        circuit.add_gate(name, GateType.AND if index % 2 else GateType.OR,
+                         [previous, "i1"])
+        previous = name
+    return circuit
+
+
+class TestLiveRows:
+    """Compacted sweeps hold only live rows: a row's slot is reused once
+    its last reader's level has run, while sites, present sinks and
+    sentinels keep theirs for the whole sweep.  A recycled slot is
+    re-seeded and its mask row cleared as it goes live, and cone sizes
+    are counted as slots retire — every packed array stays bit-equal to
+    the dense sweep's."""
+
+    @staticmethod
+    def assert_bit_equal_to_dense(engine, ids, batch_size, cells):
+        dense = force_vector(engine, batch_size=len(ids), prune=False)
+        backend = force_vector(engine, batch_size=batch_size, prune=True,
+                               cells=cells)
+        for left, right in zip(dense.pack_sites(ids), backend.pack_sites(ids)):
+            assert left.dtype == right.dtype
+            assert np.array_equal(left, right), cells
+        assert np.array_equal(
+            dense.p_sensitized_many(ids), backend.p_sensitized_many(ids)
+        ), cells
+        return backend
+
+    @pytest.mark.parametrize("circuit_name", ["s953", "s1423"])
+    @pytest.mark.parametrize("cells", ["on", "off", "auto"])
+    def test_multi_chunk_calls_bit_equal_to_dense(self, circuit_name, cells):
+        engine = EPPEngine(build_circuit(circuit_name))
+        ids = [engine._cones.resolve(s) for s in engine.default_sites()]
+        plans = chunk_plans(force_vector(engine, batch_size=32), ids)
+        assert len(plans) > 1
+        assert any(plan.n_slots < plan.n_rows for plan in plans)
+        backend = self.assert_bit_equal_to_dense(engine, ids, 32, cells)
+        stats = backend.sweep_stats
+        assert stats["compact_slots"] < stats["compact_rows"]
+
+    @pytest.mark.parametrize("cells", ["on", "off", "auto"])
+    def test_sites_written_by_other_sites_groups(self, cells):
+        """Chain sites inside each other's cones share a chunk: each
+        downstream site's pinned slot is written by the group an upstream
+        site's column runs through, and the chain's other rows recycle."""
+        circuit = Circuit("chain")
+        circuit.add_input("i0")
+        circuit.add_input("i1")
+        previous = "i0"
+        for index in range(12):
+            name = f"n{index}"
+            circuit.add_gate(name, GateType.AND if index % 2 else GateType.OR,
+                             [previous, "i1"])
+            previous = name
+        circuit.mark_output(previous)
+        engine = EPPEngine(circuit)
+        ids = [engine._cones.resolve(f"n{index}") for index in (0, 3, 4, 9)]
+        (plan,) = chunk_plans(force_vector(engine), ids)
+        assert plan.n_slots < plan.n_rows
+        packed = self.assert_bit_equal_to_dense(engine, ids, len(ids),
+                                                cells).pack_sites(ids)
+        assert packed[1].tolist() == [11, 8, 7, 2]
+
+    @pytest.mark.parametrize("cells", ["on", "off", "auto"])
+    def test_chunk_reaching_no_sink(self, cells):
+        engine = EPPEngine(dead_chain_circuit())
+        ids = [engine._cones.resolve(f"n{index}") for index in (0, 2, 5)]
+        (plan,) = chunk_plans(force_vector(engine), ids)
+        assert len(plan.sink_slots) == 0
+        assert plan.n_slots < plan.n_rows
+        packed = self.assert_bit_equal_to_dense(engine, ids, len(ids),
+                                                cells).pack_sites(ids)
+        assert packed[0].tolist() == [0.0, 0.0, 0.0]
+        assert packed[1].tolist() == [7, 5, 2]
+
+    def test_s9234_default_chunks_need_under_half_their_rows(self):
+        """Plan only, no sweep: the largest default s9234 chunk needs
+        2,409 slots for its 6,049 rows (0.40); pinned at 0.45."""
+        engine = EPPEngine(generate_iscas("s9234"))
+        ids = [engine._cones.resolve(s) for s in engine.default_sites()]
+        plans = chunk_plans(engine.vector_backend(), ids)
+        assert len(plans) > 1
+        largest_slots = max(plan.n_slots for plan in plans)
+        largest_rows = max(plan.n_rows for plan in plans)
+        assert largest_slots <= 0.45 * largest_rows
+
+
 class TestDirtyRowLifecycle:
     """A failed or released sweep must never leak state into the next one,
     on either layout: dense slot buffers and compacted arenas are both

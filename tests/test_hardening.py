@@ -19,6 +19,11 @@ def s27_report():
     return SERAnalyzer(s27()).analyze()
 
 
+def accepted_nodes(plan) -> list[str]:
+    """The nodes a hardening plan accepted, in step order."""
+    return [step.node for step in plan.steps if step.accepted]
+
+
 class TestSelectiveHardening:
     def test_fit_decreases_monotonically(self, s27_report):
         curve = selective_hardening_curve(s27_report, strength_factor=10.0)
@@ -51,18 +56,12 @@ class TestSelectiveHardening:
             gains.append(previous.total_fit - current.total_fit)
         assert gains[0] >= gains[-1]
 
-    def test_budget_and_target_queries(self, s27_report):
+    def test_target_queries(self, s27_report):
         curve = selective_hardening_curve(s27_report, strength_factor=10.0)
-        assert curve.step_for_budget(3).n_hardened == 3
         step = curve.nodes_for_target(50.0)
         assert step is not None
         assert step.fit_reduction_pct >= 50.0
         assert curve.nodes_for_target(99.9) is None  # 10x hardening caps at 90%
-
-    def test_budget_of_zero_rejected(self, s27_report):
-        curve = selective_hardening_curve(s27_report)
-        with pytest.raises(ConfigError):
-            curve.step_for_budget(0)
 
     def test_max_nodes_truncates(self, s27_report):
         curve = selective_hardening_curve(s27_report, max_nodes=2)
@@ -74,40 +73,7 @@ class TestSelectiveHardening:
 
 
 class TestCurveEdgeCases:
-    """The satellite sweep: budget/target queries at the boundaries."""
-
-    def test_budget_below_smallest_step_names_the_floor(self, s27_report):
-        curve = selective_hardening_curve(s27_report)
-        # Steps grow one node at a time, so the smallest step is 1 and
-        # only a non-positive budget can be infeasible -- which the
-        # explicit validation rejects first.
-        with pytest.raises(ConfigError, match="budget"):
-            curve.step_for_budget(0)
-
-    def test_budget_on_empty_curve_says_so(self):
-        from repro.ser.hardening import HardeningCurve
-
-        curve = HardeningCurve("empty", 10.0, 0.0)
-        with pytest.raises(ConfigError, match="curve is empty"):
-            curve.step_for_budget(5)
-
-    def test_budget_tie_returns_cheapest_step(self, s27_report):
-        """Deeper steps that only add zero-gain nodes must not win ties."""
-        from repro.ser.hardening import HardeningStep
-
-        curve = selective_hardening_curve(s27_report, strength_factor=10.0)
-        plateau = curve.steps[-1]
-        curve.steps.append(
-            HardeningStep(
-                n_hardened=plateau.n_hardened + 1,
-                hardened_nodes=plateau.hardened_nodes + ("dead_gate",),
-                total_fit=plateau.total_fit,
-                fit_reduction_pct=plateau.fit_reduction_pct,
-                area_cost=plateau.area_cost + 9.0,
-            )
-        )
-        best = curve.step_for_budget(plateau.n_hardened + 1)
-        assert best.n_hardened == plateau.n_hardened
+    """Target queries at the boundaries."""
 
     def test_target_of_zero_is_the_empty_step(self, s27_report):
         curve = selective_hardening_curve(s27_report)
@@ -131,7 +97,7 @@ class TestOptimizeHardening:
     def test_upsize_plan_reduces_fit_within_budget(self):
         analyzer = SERAnalyzer(s27())
         plan = optimize_hardening(analyzer, area_budget=30.0, strength_factor=10.0)
-        assert plan.accepted_nodes
+        assert accepted_nodes(plan)
         assert plan.final_fit < plan.baseline_fit
         assert plan.area_used <= plan.area_budget
         # Upsizing is metadata-only: no columns should have been re-swept.
@@ -140,7 +106,8 @@ class TestOptimizeHardening:
         )
         # Greedy order: accepted nodes follow the baseline ranking.
         ranking = [entry.node for entry in analyzer.analyze().ranked()]
-        assert list(plan.accepted_nodes) == ranking[: len(plan.accepted_nodes)]
+        accepted = accepted_nodes(plan)
+        assert accepted == ranking[: len(accepted)]
 
     def test_tmr_steps_are_honestly_rejected_by_epp(self):
         """EPP cannot credit cross-replica masking (documented limitation),
@@ -151,7 +118,7 @@ class TestOptimizeHardening:
             analyzer, area_budget=30.0, action="tmr", max_steps=3
         )
         assert plan.steps, "candidates should have been evaluated"
-        assert not plan.accepted_nodes
+        assert not accepted_nodes(plan)
         assert plan.final_fit == pytest.approx(plan.baseline_fit)
         # The structural trials exercised the delta machinery for real.
         assert all(step.dirty_sites > 0 for step in plan.steps)
@@ -187,7 +154,7 @@ class TestOptimizeHardening:
         plan = optimize_hardening(
             SERAnalyzer(circuit), area_budget=45.0, strength_factor=10.0
         )
-        factors = {node: 10.0 for node in plan.accepted_nodes}
+        factors = {node: 10.0 for node in accepted_nodes(plan)}
         assert len(factors) >= 3
         assert plan.result.hardening == factors
         direct = SERAnalyzer(circuit, hardening_factors=factors).analyze()

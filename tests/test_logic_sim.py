@@ -56,13 +56,6 @@ class TestCombinational:
         values = simulator.run({"a": 0xFFFF}, 4)
         assert values[simulator.compiled.index["g"]] == 0xF
 
-    def test_run_named(self):
-        circuit = c17()
-        simulator = BitParallelSimulator(circuit)
-        named = simulator.run_named({name: 0 for name in circuit.inputs}, 1)
-        reference = circuit.evaluate({name: 0 for name in circuit.inputs})
-        assert named == reference
-
 
 class TestSequential:
     def test_counter_counts_bitparallel(self):

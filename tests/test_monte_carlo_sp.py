@@ -5,10 +5,7 @@ import pytest
 from repro.errors import ProbabilityError
 from repro.netlist.library import c17, counter, s27
 from repro.probability.exact import exact_signal_probabilities
-from repro.probability.monte_carlo import (
-    monte_carlo_signal_probabilities,
-    sp_standard_error,
-)
+from repro.probability.monte_carlo import monte_carlo_signal_probabilities
 
 
 class TestCombinational:
@@ -113,8 +110,3 @@ class TestValidation:
     def test_rejects_zero_vectors(self):
         with pytest.raises(ProbabilityError):
             monte_carlo_signal_probabilities(c17(), n_vectors=0)
-
-    def test_standard_error(self):
-        assert sp_standard_error(10_000) == pytest.approx(0.005)
-        with pytest.raises(ProbabilityError):
-            sp_standard_error(0)

@@ -10,6 +10,7 @@ reference is the loop itself, kept in ``tests/helpers.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from repro.core.analysis import CircuitSERReport, SERAnalyzer
 from repro.core.epp_delta import EditSet
 from repro.errors import AnalysisError, ConfigError
+from repro.experiments.reporting import rows_to_csv
 from repro.netlist.generate import generate_iscas, random_combinational
 from repro.netlist.library import c17, s27
 from repro.ser.seu_rate import SEURateModel
@@ -51,11 +53,19 @@ def assert_same(report, reference) -> None:
     n = len(reference.nodes)
     for top in [None, -1, 0, 1, 3, 10, n, n + 5, *tie_cuts(report)]:
         assert report.ranked(top) == reference.ranked(top), top
+        assert list(report.ranked_records(top)) == [
+            dataclasses.astuple(entry) for entry in reference.ranked(top)
+        ], top
         assert json.dumps(report.to_dict(top)) == json.dumps(
             reference.to_dict(top)
         ), top
     for top in [0, 1, 3, 10, n + 5]:
         assert report.format_table(top) == reference.format_table(top)
+    # ``repro analyze --csv`` writes the records; the bytes are those of
+    # the NodeSER rows the per-site loop built.
+    assert rows_to_csv(
+        report.ranked_records(), header=report.RECORD_FIELDS
+    ) == rows_to_csv(reference.ranked())
     for node in reference.nodes:
         assert report.contribution(node) == reference.contribution(node)
     if reference.total_fit == 0.0:

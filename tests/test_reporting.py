@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, is_dataclass
 
 import pytest
 
-from repro.experiments.reporting import format_columns, rows_to_csv, rows_to_json
+from repro.experiments.reporting import rows_to_csv, rows_to_json
 from repro.experiments.table2 import Table2Row
 
 
@@ -119,10 +119,3 @@ class TestJson:
         rows_to_json([{"k": "v"}], path=str(path))
         assert json.loads(path.read_text()) == [{"k": "v"}]
 
-
-class TestColumns:
-    def test_alignment(self):
-        text = format_columns(["name", "fit"], [["a", 1], ["bbbb", 22]])
-        lines = text.splitlines()
-        assert len(lines) == 4  # header, rule, two rows
-        assert len(set(len(line) for line in lines)) == 1  # equal width

@@ -13,14 +13,7 @@ from repro.core.analysis import SERAnalyzer
 from repro.errors import ConfigError
 from repro.netlist.gate_types import GateType
 from repro.netlist.library import c17
-from repro.ser.fit import (
-    combine_fit,
-    fit_to_mtbf_years,
-    fit_to_per_second,
-    per_second_to_fit,
-    rates_to_fit,
-    sum_fit,
-)
+from repro.ser.fit import combine_fit, per_second_to_fit, rates_to_fit, sum_fit
 from repro.ser.latching import LatchingModel
 from repro.ser.seu_rate import TECHNOLOGY_PRESETS, SEURateModel
 
@@ -46,14 +39,6 @@ class TestSEURate:
         strong = model.rate(GateType.AND, "big_gate")
         assert strong == pytest.approx(weak / 4.0)
 
-    def test_with_drive_strength_is_functional_update(self):
-        base = SEURateModel()
-        hardened = base.with_drive_strength({"g": 10.0})
-        assert base.rate(GateType.AND, "g") == pytest.approx(
-            10.0 * hardened.rate(GateType.AND, "g")
-        )
-        assert base.drive_strength == {}
-
     def test_maps_are_read_only_after_validation(self):
         weights = dict(SEURateModel().type_weights)
         model = SEURateModel(type_weights=weights, drive_strength={"g": 2.0})
@@ -77,7 +62,9 @@ class TestSEURate:
         assert copy.deepcopy(model) == model
         assert dataclasses.replace(model, flux=1.0).drive_strength == {"g": 2.0}
         assert dataclasses.replace(model) == model
-        updated = model.with_drive_strength({"h": 3.0})
+        updated = dataclasses.replace(
+            model, drive_strength={**model.drive_strength, "h": 3.0}
+        )
         assert updated.drive_strength == {"g": 2.0, "h": 3.0}
         assert model.drive_strength == {"g": 2.0}
         with pytest.raises(TypeError):
@@ -150,17 +137,8 @@ class TestLatching:
 
 
 class TestFit:
-    def test_per_second_round_trip(self):
-        rate = 2.5e-16
-        assert fit_to_per_second(per_second_to_fit(rate)) == pytest.approx(rate)
-
     def test_one_fit_is_one_failure_per_1e9_hours(self):
         assert per_second_to_fit(1.0 / (3600.0 * 1e9)) == pytest.approx(1.0)
-
-    def test_mtbf(self):
-        # 1e9 FIT -> 1 hour MTBF.
-        assert fit_to_mtbf_years(1e9) == pytest.approx(1 / (24 * 365.25))
-        assert math.isinf(fit_to_mtbf_years(0.0))
 
     def test_combine_adds(self):
         assert combine_fit([1.0, 2.0, 3.5]) == pytest.approx(6.5)
@@ -170,8 +148,6 @@ class TestFit:
             per_second_to_fit(-1.0)
         with pytest.raises(ConfigError):
             combine_fit([1.0, -2.0])
-        with pytest.raises(ConfigError):
-            fit_to_mtbf_years(-5.0)
 
     def test_array_forms_match_the_scalar_loops_bit_for_bit(self):
         rng = np.random.default_rng(5)

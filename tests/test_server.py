@@ -290,6 +290,12 @@ class TestProtocol:
         with pytest.raises(ConfigError):
             edits_from_wire(ops)
 
+    def test_edits_from_wire_has_no_resize_alias(self):
+        """``harden`` is the one spelling: the old ``resize`` alias had no
+        client, and a wire op naming it is an unknown kind."""
+        with pytest.raises(ConfigError, match="unknown edit kind 'resize'"):
+            edits_from_wire([["resize", "g1", 10.0]])
+
     def test_error_taxonomy(self):
         info = error_info(QueueFullError("full", retry_after=1.25))
         assert info["retriable"] and info["retry_after"] == 1.25

@@ -12,8 +12,21 @@ from repro.probability.monte_carlo import monte_carlo_signal_probabilities
 from repro.probability.signal_prob import (
     SequentialConvergence,
     compute_signal_probabilities,
-    gate_output_probability,
 )
+
+
+def gate_sp(gate_type, probs):
+    """The SP pass's output probability of one gate fed by independent
+    primary inputs with probabilities ``probs``."""
+    circuit = Circuit()
+    names = [f"i{k}" for k in range(len(probs))]
+    for name in names:
+        circuit.add_input(name)
+    circuit.add_gate("g", gate_type, names)
+    circuit.mark_output("g")
+    return compute_signal_probabilities(
+        circuit, input_probs=dict(zip(names, probs))
+    )["g"]
 
 
 def enumerate_gate_probability(gate_type, probs):
@@ -34,18 +47,22 @@ def enumerate_gate_probability(gate_type, probs):
 )
 def test_gate_formula_matches_enumeration(gate_type):
     probs = [0.3, 0.7, 0.5]
-    got = gate_output_probability(gate_type, probs)
+    got = gate_sp(gate_type, probs)
     assert got == pytest.approx(enumerate_gate_probability(gate_type, probs))
 
 
 def test_not_and_buf():
-    assert gate_output_probability(GateType.NOT, [0.3]) == pytest.approx(0.7)
-    assert gate_output_probability(GateType.BUF, [0.3]) == pytest.approx(0.3)
+    assert gate_sp(GateType.NOT, [0.3]) == pytest.approx(0.7)
+    assert gate_sp(GateType.BUF, [0.3]) == pytest.approx(0.3)
 
 
 def test_constants():
-    assert gate_output_probability(GateType.CONST0, []) == 0.0
-    assert gate_output_probability(GateType.CONST1, []) == 1.0
+    circuit = Circuit()
+    circuit.add_const("zero", 0)
+    circuit.add_const("one", 1)
+    sp = compute_signal_probabilities(circuit)
+    assert sp["zero"] == 0.0
+    assert sp["one"] == 1.0
 
 
 class TestCombinational:

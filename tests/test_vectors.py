@@ -1,30 +1,14 @@
-"""Pattern sources: packing, exhaustive enumeration, weighted randomness."""
+"""Pattern sources: exhaustive enumeration, weighted randomness."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.vectors import (
-    RandomVectorSource,
-    exhaustive_words,
-    pack_patterns,
-    popcount,
-    unpack_word,
-)
+from repro.sim.vectors import RandomVectorSource, exhaustive_words
 
 
-class TestPacking:
-    def test_pack_unpack_roundtrip(self):
-        patterns = [{"a": 1, "b": 0}, {"a": 0, "b": 0}, {"a": 1, "b": 1}]
-        words = pack_patterns(patterns, ["a", "b"])
-        assert unpack_word(words["a"], 3) == [1, 0, 1]
-        assert unpack_word(words["b"], 3) == [0, 0, 1]
-
-    def test_pack_rejects_non_binary(self):
-        with pytest.raises(SimulationError):
-            pack_patterns([{"a": 2}], ["a"])
-
-    def test_popcount(self):
-        assert popcount(0b101101) == 4
+def bits(word: int, width: int) -> list[int]:
+    """A word's per-pattern bits, pattern 0 first."""
+    return [(word >> p) & 1 for p in range(width)]
 
 
 class TestExhaustive:
@@ -32,8 +16,8 @@ class TestExhaustive:
         words, width = exhaustive_words(["x0", "x1"])
         assert width == 4
         # pattern p assigns bit (p >> k) & 1 to signal k
-        assert unpack_word(words["x0"], 4) == [0, 1, 0, 1]
-        assert unpack_word(words["x1"], 4) == [0, 0, 1, 1]
+        assert bits(words["x0"], 4) == [0, 1, 0, 1]
+        assert bits(words["x1"], 4) == [0, 0, 1, 1]
 
     def test_all_patterns_distinct(self):
         signals = ["a", "b", "c"]
@@ -91,10 +75,3 @@ class TestRandomSource:
     def test_invalid_width_rejected(self):
         with pytest.raises(SimulationError):
             RandomVectorSource(["x"]).next_words(0)
-
-    def test_stream_yields_fresh_words(self):
-        source = RandomVectorSource(["x"], seed=3)
-        stream = source.stream(64)
-        first = next(stream)["x"]
-        second = next(stream)["x"]
-        assert first != second
