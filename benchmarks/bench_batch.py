@@ -123,16 +123,6 @@ def test_batch_analyze_speedup(benchmark, circuit_name):
     )
     vector_s = benchmark.stats["min"]
 
-    # Dense reference: the unpruned full-circuit sweep, warmed like the
-    # pedantic measurement above so the ratio compares execution
-    # strategies, not first-call plan build and state-buffer page faults.
-    dense_engine = fresh_engine(circuit_name)
-    dense_kwargs = dict(backend="vector", prune=False)
-    dense_engine.analyze(sites=sites, **dense_kwargs)  # warmup
-    t0 = time.perf_counter()
-    dense_engine.analyze(sites=sites, **dense_kwargs)
-    dense_s = time.perf_counter() - t0
-
     ref_sites, scale = scalar_reference_sites(engine)
     scalar_engine = fresh_engine(circuit_name)
     t0 = time.perf_counter()
@@ -158,8 +148,6 @@ def test_batch_analyze_speedup(benchmark, circuit_name):
 
     benchmark.extra_info["n_sites"] = len(sites)
     benchmark.extra_info["n_nodes"] = engine.compiled.n
-    benchmark.extra_info["vector_dense_s"] = round(dense_s, 3)
-    benchmark.extra_info["speedup_sparse_vs_dense"] = round(dense_s / vector_s, 2)
     benchmark.extra_info["scalar_s"] = round(scalar_s, 3)
     benchmark.extra_info["seed_scalar_s"] = round(seed_s, 3)
     benchmark.extra_info["scalar_extrapolated"] = scale != 1.0

@@ -86,13 +86,6 @@ def _add_analysis_flags(
                 flag, choices=("auto",) + (BACKENDS[1:] if delta else BACKENDS),
                 default="auto", help=meta["doc"],
             )
-        elif meta["kind"] == "prune":
-            # Pruning is on by default; the CLI exposes only the dense
-            # reference sweep, as --no-prune.
-            parser.add_argument(
-                flag, dest=name, action="store_false", default=None,
-                help=meta["doc"],
-            )
         elif meta["kind"] == "int":
             parser.add_argument(flag, dest=name, type=int, help=meta["doc"])
         elif meta["kind"] == "float":
@@ -215,12 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(roster-level parallelism: every row is an independent "
         "measurement, so rows are unchanged — only wall-clock drops; "
         "mutually exclusive with --backend sharded)",
-    )
-    table2.add_argument(
-        "--no-prune",
-        action="store_true",
-        help="disable the cone-aware sparse sweep (dense full-circuit "
-        "kernels, the PR-1 reference behaviour)",
     )
 
     analyze = commands.add_parser("analyze", help="SER-analyze a circuit")
@@ -501,8 +488,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             overrides["jobs"] = args.jobs
         if args.circuit_jobs is not None:
             overrides["circuit_jobs"] = args.circuit_jobs
-        if args.no_prune:
-            overrides["prune"] = False
         if overrides:
             config = Table2Config(**{**config.__dict__, **overrides})
         rows = run_table2(config, verbose=True)

@@ -9,10 +9,10 @@
   ``P_sensitized`` computation (scalar reference backend).
 * :mod:`repro.core.rules_vec` / :mod:`repro.core.epp_batch` — the
   vectorized rule kernels and the batched level-parallel NumPy backend
-  (``EPPEngine.analyze(backend="vector")``), cone-aware by default:
-  each chunk sweeps only the rows on some member's fanout cone
-  (``prune=False`` runs the dense reference sweep) and multi-chunk site
-  lists are cone-clustered.
+  (``EPPEngine.analyze(backend="vector")``), cone-aware on every
+  workload: each chunk sweeps only the rows on some member's fanout
+  cone, bit-identical to a dense sweep of the whole circuit, and
+  multi-chunk site lists are cone-clustered.
 * :mod:`repro.core.schedule` — the scheduling layer: the cached per-node
   reachable-sink :class:`~repro.core.schedule.ConeIndex` and the
   cone-clustered site ordering the sparse sweeps feed on.

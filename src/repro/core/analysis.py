@@ -394,15 +394,17 @@ class SERAnalyzer:
     ) -> CircuitSERReport:
         """Analyze many sites (default: every combinational gate output).
 
-        Analysis knobs — ``backend``/``batch_size``/``jobs``/``prune``
-        plus the resilience set (``retries``/``shard_timeout``/
+        Analysis knobs — ``backend``/``batch_size``/``jobs`` plus the
+        resilience set (``retries``/``shard_timeout``/
         ``deadline``/``checkpoint``) — are forwarded to
         :meth:`EPPEngine.analyze`, either individually
         or as one pre-built :class:`~repro.core.config.AnalysisConfig`
         via ``config=``: ``"scalar"`` for the per-site reference path,
         ``"vector"`` for the batched NumPy backend (the default:
         cone-clustered chunks swept on compacted union-of-cones state
-        matrices with cell-compacted kernels),
+        matrices with cell-compacted kernels, on every circuit size, so
+        the report's ``p_sensitized`` and ``cone_sizes`` equal
+        :meth:`snapshot`'s packed columns bit for bit),
         ``"sharded"`` (or just passing ``jobs=``) for the multi-process
         site-sharded driver.
         ``retries``/``shard_timeout``/``deadline`` configure the sharded
@@ -480,12 +482,10 @@ class SERAnalyzer:
         """Reclaim the engine's vectorized-backend state matrices.
 
         Long-lived analyzers keep their engine (and its backends) cached
-        between ``analyze()`` calls; this drops the vector backends' state
-        until the next bulk analysis rebuilds it lazily: the two
-        compacted-sweep arenas, each sized to the largest chunk's live
-        slots (~58 MiB each on a default s9234 run), the cached chunk
-        plans, and after a ``prune=False`` run the dense template and
-        double-buffered state (~3x the 256 MiB chunk budget).
+        between ``analyze()`` calls; this drops the vector backend's state
+        until the next bulk analysis rebuilds it lazily: the two sweep
+        arenas, each sized to the largest chunk's live slots (~58 MiB
+        each on a default s9234 run), and the cached chunk plans.
         If a sharded worker pool is live it is shut down too (its workers
         hold their own state copies) — the next sharded ``analyze()``
         respawns it, so prefer calling this between batches, not between

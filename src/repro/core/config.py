@@ -1,14 +1,14 @@
 """The unified analysis execution-option layer: one typed knob surface.
 
 Every analysis knob in the system — backend selection, sweep shaping
-(``batch_size``/``prune``), sharding (``jobs``) and resilience
+(``batch_size``), sharding (``jobs``) and resilience
 (``retries``/``shard_timeout``/``deadline``/``fault_injector``/
 ``checkpoint``) — lives on one frozen dataclass,
 :class:`AnalysisConfig`.  Before this module the same knob tuple was
 hand-threaded through eight layers (engine, vector and sharded backends,
 worker payloads, delta analysis, ``SERAnalyzer``, the server, the CLI),
 and every PR that grew the surface re-threaded it by hand; each one
-shipped a seam bug (a truthiness-coerced ``prune`` in workers,
+shipped a seam bug (a truthiness-coerced sweep flag in workers,
 ``jobs<1`` bypassing validation, knobs missing from cache identities).
 Now:
 
@@ -55,11 +55,9 @@ __all__ = [
     "KNOB_KEYS",
     "RESILIENCE_KNOB_KEYS",
     "SHARDED_ONLY_KNOBS",
-    "SWEEP_KNOB_KEYS",
     "WIRE_KNOB_KEYS",
     "WIRE_VERSION",
     "knob_reference",
-    "resolve_prune",
 ]
 
 #: Wire-format version, folded into every :meth:`AnalysisConfig.digest`.
@@ -82,24 +80,6 @@ BACKENDS = ("scalar", "vector", "sharded")
 DEFAULT_RETRIES = 2
 
 
-def resolve_prune(prune: "bool | None") -> bool:
-    """Normalize the ``prune=`` knob: ``None`` means ``True``.
-
-    The single place the default lives — the backends, the sharded
-    driver and the engine-level cache keys all resolve through here, so
-    they can never disagree about what ``None`` means.  Anything but a
-    bool — a wire string such as ``"false"``, an integer — is rejected
-    rather than coerced by truthiness.
-    """
-    if prune is None:
-        return True
-    if not isinstance(prune, bool):
-        raise AnalysisConfigError(
-            f"prune must be True or False, got {prune!r}"
-        )
-    return prune
-
-
 def _knob(
     *,
     wire: bool,
@@ -109,7 +89,6 @@ def _knob(
     delta: bool = False,
     serve: str | None = None,
     sharded_only: bool = False,
-    sweep: bool = False,
     section: str = "analysis",
 ) -> Any:
     """One knob field: default ``None`` plus the metadata table entry."""
@@ -123,7 +102,6 @@ def _knob(
             "delta": delta,
             "serve": serve,
             "sharded_only": sharded_only,
-            "sweep": sweep,
             "section": section,
         },
     )
@@ -147,7 +125,7 @@ class AnalysisConfig:
             "given, else `vector`.",
     )
     batch_size: int | None = _knob(
-        wire=True, kind="int", cli="--batch-size", delta=True, sweep=True,
+        wire=True, kind="int", cli="--batch-size", delta=True,
         section="sweep",
         doc="Sites per vectorized chunk (the sweep's column width); "
             "omitted means the calibrated per-circuit default.",
@@ -157,13 +135,6 @@ class AnalysisConfig:
         sharded_only=True, section="sharding",
         doc="Worker processes for the sharded backend (implies "
             "`backend=sharded` when no backend is named).",
-    )
-    prune: bool | None = _knob(
-        wire=True, kind="prune", cli="--no-prune", delta=True, sweep=True,
-        section="sweep",
-        doc="Row pruning: omitted or `True` sweeps each chunk's compacted "
-            "union of fanout cones; `False` runs the dense reference "
-            "sweep (`--no-prune`).  Bit-identical either way.",
     )
     retries: int | None = _knob(
         wire=True, kind="int", cli="--retries", sharded_only=True,
@@ -230,7 +201,6 @@ class AnalysisConfig:
             raise AnalysisConfigError(
                 f"batch_size must be >= 1, got {self.batch_size}"
             )
-        resolve_prune(self.prune)
         if self.backend is not None and self.backend not in BACKENDS:
             raise AnalysisConfigError(
                 f"unknown EPP backend {self.backend!r}; choose from {BACKENDS}"
@@ -350,10 +320,6 @@ class AnalysisConfig:
         """All knobs as a plain dict (``None`` entries included)."""
         return {key: getattr(self, key) for key in KNOB_KEYS}
 
-    def sweep_kwargs(self) -> dict:
-        """The sweep-shaping subset, for ``BatchEPPBackend(**...)``."""
-        return {key: getattr(self, key) for key in SWEEP_KNOB_KEYS}
-
     def effective_backend(self) -> str:
         """The backend name this config runs on once defaults resolve:
         an explicit name wins, ``jobs=`` implies ``sharded``, otherwise
@@ -363,16 +329,6 @@ class AnalysisConfig:
         if self.jobs is not None:
             return "sharded"
         return "vector"
-
-    def resolved(self) -> "AnalysisConfig":
-        """A copy with ``prune`` normalized (``None`` -> ``True``).
-
-        The one resolution point: the sharded parent, its workers and
-        the engine cache keys all normalize through here.  Idempotent —
-        resolving a resolved config is a no-op, so parent-resolved
-        values shipped to workers survive the worker's own resolve.
-        """
-        return self.replace(prune=resolve_prune(self.prune))
 
     # ----------------------------------------------------- serialization
 
@@ -458,9 +414,6 @@ SHARDED_ONLY_KNOBS = tuple(
 #: The resilience subset — sharded-only minus ``jobs`` (matches the old
 #: ``epp_delta.RESILIENCE_KNOB_KEYS``).
 RESILIENCE_KNOB_KEYS = tuple(k for k in SHARDED_ONLY_KNOBS if k != "jobs")
-
-#: Sweep-shaping knobs forwarded to ``BatchEPPBackend``.
-SWEEP_KNOB_KEYS = tuple(f.name for f in _FIELDS if f.metadata["sweep"])
 
 #: Knobs whose values must be integers / seconds (``bool`` excluded from
 #: both, although Python counts it as an ``int``).

@@ -238,8 +238,8 @@ class EPPEngine:
         # coalesces concurrent requests over one engine from a thread
         # pool; without this lock two overlapping pack_sites calls would
         # interleave generation stamps and chunk buffers.  Reentrant
-        # because the vector backend's scalar fallback re-enters
-        # ``node_epp`` from inside a locked sweep.
+        # because the scalar ``analyze`` path calls ``node_epp``, and
+        # ``snapshot`` resolves its backend, from inside a locked region.
         self._sweep_lock = threading.RLock()
 
     # ------------------------------------------------------------- staleness
@@ -371,20 +371,13 @@ class EPPEngine:
                 "polarity-blind engine (track_polarity=False) runs on "
                 'backend="scalar" only'
             )
-        resolved = config.resolved()
-        effective = (
-            resolved.batch_size if resolved.batch_size is not None
-            else default_batch_size(self.compiled.n),
-            resolved.prune,
+        batch_size = (
+            config.batch_size if config.batch_size is not None
+            else default_batch_size(self.compiled.n)
         )
         local = self._vector_backend
-        if local is None or (local.batch_size, local.prune) != effective:
-            local = BatchEPPBackend(
-                self.compiled,
-                self._sp,
-                scalar_fallback=self.node_epp,
-                **config.sweep_kwargs(),
-            )
+        if local is None or local.batch_size != batch_size:
+            local = BatchEPPBackend(self.compiled, self._sp, batch_size)
             self._vector_backend = local
         if name == "vector":
             return local
@@ -460,12 +453,11 @@ class EPPEngine:
         """The batched NumPy backend bound to this engine (public access).
 
         Takes an :class:`~repro.core.config.AnalysisConfig` or the sweep
-        knobs (``batch_size=``, ``prune=``), never both; sharded-only
-        knobs (``jobs=``, ``retries=``, ...) are refused.  Exposes the
-        backend's bulk queries (``p_sensitized_many``, ``analyze_sites``)
-        and tuning knobs (``min_vector_work``) without reaching into
-        engine internals.  The instance is cached per effective
-        (batch size, prune) configuration.
+        knob (``batch_size=``), never both; sharded-only knobs
+        (``jobs=``, ``retries=``, ...) are refused.  Exposes the
+        backend's bulk queries (``p_sensitized_many``, ``analyze_sites``,
+        ``pack_sites``) without reaching into engine internals.  The
+        instance is cached per effective batch size.
         """
         self._check_current()
         config = AnalysisConfig.from_args(config, knobs)
@@ -519,24 +511,24 @@ class EPPEngine:
         ``"sharded"`` fans site shards out across ``jobs`` worker processes
         each running the vector sweep (:mod:`repro.core.epp_shard`).  The
         default (``None``) picks ``vector`` — or ``sharded`` when ``jobs``
-        is given explicitly.  All backends agree to 1e-9 (floating-point
-        reassociation only).  ``batch_size`` bounds
+        is given explicitly.  The vector backend runs its sweep on every
+        workload, however small, so ``analyze`` returns the very values
+        :meth:`snapshot` packs.  All backends agree to 1e-9
+        (floating-point reassociation only).  ``batch_size`` bounds
         the vector backend's per-chunk site count (default: sized to keep
         the state matrix in cache); ``jobs`` is the sharded worker count
         (default: one per core).  Small workloads never pay process
         spin-up — the sharded driver's crossover guard routes them to the
         in-process vector path.
 
-        ``prune`` toggles the cone-aware sparse sweep (default on: every
-        chunk runs on its compacted union-of-cones state matrix and
-        computes only the on-path cells of sufficiently sparse gate
-        groups; ``False`` runs the dense reference sweep).  It applies to
-        the vector and sharded backends; the scalar path ignores it (it
-        is already per-cone by construction).  Site lists spanning more
-        than one chunk are cone-clustered, so chunks share fanout cones
-        and the pruned sweep's unions stay small; chunk widths follow
-        one calibrated policy.  All of it is bit-identical: pruning and
-        clustering change how much is computed, never any value.
+        The vector sweep is cone-aware: every chunk runs on its
+        compacted union-of-cones state matrix and computes only the
+        on-path cells of sufficiently sparse gate groups.  Site lists
+        spanning more than one chunk are cone-clustered, so chunks share
+        fanout cones and the unions stay small; chunk widths follow one
+        calibrated policy.  All of it is bit-identical to a dense sweep
+        over the whole circuit: compaction and clustering change how
+        much is computed, never any value.
 
         The resilience knobs apply to the sharded backend only (like
         ``jobs``): ``retries`` is the extra attempts allowed per failed

@@ -19,22 +19,22 @@ sites of a chunk at once:
   ``(n_nodes, 4, batch_size)`` state matrix stays memory-bounded on
   20k+-gate circuits, and on multi-core hosts the NumPy sweep of the next
   chunk overlaps the Python-side result packaging of the previous one;
-* the sweep is *cone-aware* (``prune``, on by default): each chunk
-  runs on a *compacted state matrix* that holds only its *live*
-  union-of-cones rows — the cones' gates plus the fanin rows those
-  gates read and the sentinel rows — through a cached per-chunk slot
-  layout (:meth:`BatchPlan.compact_chunk_plan`).  A row holds a
-  physical row (*slot*) from the level that first writes or reads it
-  until its last reader's level has run, and the slot is then reused,
-  so the matrix needs only the rows live at once (40% of the largest
-  default s9234 chunk's rows); sites, present sinks and sentinels keep
-  theirs for the whole sweep.  Every gather, kernel and scatter indexes
-  the small matrix, all levels at or below the chunk's minimum site
-  level are skipped outright, and the sink reduction walks only the
-  sinks the chunk can reach.  Each retained row computes exactly what
-  the dense sweep computed, so the pruned sweep is bit-identical to the
-  dense ``prune=False`` reference sweep over the full ``(n + 2, 4, s)``
-  matrix;
+* the sweep is *cone-aware*: each chunk runs on a *compacted state
+  matrix* that holds only its *live* union-of-cones rows — the cones'
+  gates plus the fanin rows those gates read and the sentinel rows —
+  through a cached per-chunk slot layout
+  (:meth:`BatchPlan.compact_chunk_plan`).  A row holds a physical row
+  (*slot*) from the level that first writes or reads it until its last
+  reader's level has run, and the slot is then reused, so the matrix
+  needs only the rows live at once (40% of the largest default s9234
+  chunk's rows); sites, present sinks and sentinels keep theirs for the
+  whole sweep.  Every gather, kernel and scatter indexes the small
+  matrix, all levels at or below the chunk's minimum site level are
+  skipped outright, and the sink reduction walks only the sinks the
+  chunk can reach.  Each retained row computes exactly what a dense
+  sweep over the full ``(n + 2, 4, s)`` matrix computes, so results are
+  bit-identical to that reference (the test suite keeps it as its
+  oracle);
 * inside active rows the sweep is *cell-compacted*: on clustered chunks
   only a few percent of an active row's columns are on-path, so groups
   below the calibrated density threshold gather exactly their on-path
@@ -45,17 +45,13 @@ sites of a chunk at once:
 * which sites share a chunk is decided by the scheduling layer
   (:mod:`repro.core.schedule`): every call spanning more than one chunk
   clusters sites with overlapping fanout cones, so each chunk's
-  union-of-cones — the pruned sweep's cost — stays small.  Scheduling is
+  union-of-cones — the sweep's cost — stays small.  Scheduling is
   a pure permutation; results are always returned in input order.
 
 Results are bit-compatible with the scalar engine up to floating-point
 reassociation (the per-sink survival product and per-group reductions run
 in a different order); the backend-equivalence tests pin agreement to
-1e-9.  Tiny workloads — where array dispatch overhead would exceed the
-interpreter time it saves — are routed to the scalar per-site kernel by a
-crossover guard (``min_vector_work``), mirroring how BLAS libraries pick
-small-matrix kernels; pass ``min_vector_work=0`` to force the vectorized
-sweep everywhere (the equivalence tests do).
+1e-9.
 """
 
 from __future__ import annotations
@@ -66,7 +62,6 @@ from itertools import starmap
 import numpy as np
 
 from repro.errors import AnalysisError
-from repro.core.config import resolve_prune
 from repro.core.fourvalue import EPPValue
 from repro.core.rules_vec import compact_rule_for, gather_rule_for
 from repro.core.schedule import ChunkCache, chunk_cache_key, cone_cluster_order
@@ -91,20 +86,15 @@ __all__ = [
     "segment_index",
 ]
 
-#: Target footprint of the per-chunk state matrix (bytes).  Wide chunks
-#: amortize per-group dispatch; the per-group operands (a handful of
-#: ``(g, batch)`` rows) stay cache-resident regardless of this total.  A
-#: dense sweep's resident set is ~3x this figure (template +
-#: double-buffered state) — bounded and explicit; pass ``batch_size`` to
-#: shrink it on memory-constrained hosts.  Compacted sweeps check their
-#: chunk's union rows against it but allocate only the chunk's live
-#: slots, two arenas of them (``n_slots x 4 x width x 8`` bytes each).
+#: Target footprint of one chunk's state (bytes).  Wide chunks amortize
+#: per-group dispatch; the per-group operands (a handful of ``(g, batch)``
+#: rows) stay cache-resident regardless of this total.
+#: :func:`default_batch_size` sizes the default width so a full-circuit
+#: ``(n, 4, batch)`` matrix would meet it, and ``_chunk_spans`` checks
+#: each span's union rows against it; a sweep allocates only the chunk's
+#: live slots, two arenas of them (``n_slots x 4 x width x 8`` bytes
+#: each).  Pass ``batch_size`` to shrink it on memory-constrained hosts.
 _STATE_BYTES_TARGET = 256 << 20
-
-#: Below this ``n_nodes * n_sites`` product the vectorized sweep cannot
-#: amortize NumPy call overhead; the backend falls through to the scalar
-#: kernel (same results, no array dispatch cost).
-_MIN_VECTOR_WORK = 50_000
 
 #: Per-cell cost of a compacted kernel relative to a dense one — the
 #: cell tier's threshold: a group runs compacted when
@@ -120,7 +110,7 @@ _MIN_VECTOR_WORK = 50_000
 _CELL_FACTOR_CLOSED = 4
 _CELL_FACTOR_TABLE = 2
 
-#: Chunk-width multiplier (halves) for pruned backends, whose every
+#: Chunk-width multiplier (halves) for the sweep, whose every
 #: chunk sweeps *compacted*: the PR-4 calibration pinned full-width
 #: chunks because each extra chunk cost ~40-80 ms of width-independent
 #: overhead, most of it the full-template restore — which compacted
@@ -128,7 +118,8 @@ _CELL_FACTOR_TABLE = 2
 #: same budget buys wider chunks without the full-row memory blow-up.
 #: Measured on s9234/s38417 full-circuit runs, 1.5x is the sweet spot
 #: (8-9% over full width; by 3x the growing per-chunk unions overtake
-#: the saved fixed costs and clustered workloads regress outright).  ``_compact_spans`` still splits any
+#: the saved fixed costs and clustered workloads regress outright).
+#: ``_chunk_spans`` still splits any
 #: span whose measured union-of-cones footprint would exceed
 #: ``_STATE_BYTES_TARGET``.
 _COMPACT_WIDTH_HALVES = 3  # x1.5
@@ -212,13 +203,13 @@ class CompactChunkPlan:
     gate-group index array is already translated into slot space, so the
     kernels of :mod:`repro.core.rules_vec` index the small matrix
     unchanged.  The layout is pure indexing: each computed cell runs
-    exactly the ops the dense sweep ran, so compacted results are
-    bit-identical.
+    exactly the ops a dense sweep over the full matrix runs, so
+    compacted results are bit-identical to it.
 
     Attributes
     ----------
     n_rows:
-        The union size — rows the chunk touches.  ``_compact_spans``'
+        The union size — rows the chunk touches.  ``_chunk_spans``'
         memory check and ``sweep_stats["compact_rows"]`` read it.
     n_slots:
         The compacted state matrix's physical row count, ``<= n_rows``.
@@ -242,8 +233,8 @@ class CompactChunkPlan:
         Slots of the observable sinks present in the matrix, and their
         positions into ``BatchPlan.sink_ids`` — absent sinks are off-path
         for every column by construction, so the sink-pair reduction
-        over the present subset selects exactly the pairs the dense
-        reduction selected, in the same order.
+        over the present subset selects exactly the pairs a reduction
+        over every sink selects, in the same order.
     """
 
     __slots__ = (
@@ -438,28 +429,17 @@ class BatchEPPBackend:
         scalar engine holds.
     batch_size:
         Site columns per chunk; default sized by :func:`default_batch_size`.
-    min_vector_work:
-        Crossover threshold on ``n_nodes * n_sites`` below which chunks are
-        delegated to ``scalar_fallback``; 0 forces the vectorized sweep.
-    scalar_fallback:
-        ``callable(site_id) -> EPPResult`` used below the crossover
-        (normally ``EPPEngine.node_epp``).
-    prune:
-        Cone-aware sparse sweeps (``None``, the default, means ``True``):
-        each chunk runs on its compacted union-of-cones state matrix
-        (:meth:`BatchPlan.compact_chunk_plan`) and skips levels at or
-        below its minimum site level.  ``False`` runs the dense
-        full-circuit sweep, the reference the tests and benchmarks
-        compare against.  Both are bit-identical — the knob changes
-        *which rows compute*, never their values.
 
-    Every call spanning more than one chunk is cone-clustered
-    (:meth:`_schedule_order`).  Pruned sweeps pick a kernel tier per
-    gate group: a group whose on-path cell count times the kernel's
-    calibrated cost factor is below its dense cell count gathers only
-    the on-path (row, column) cells and computes them through the
-    compacted kernels of :func:`~repro.core.rules_vec.compact_rule_for`;
-    denser groups run the row kernels.  Chunk widths follow one
+    Every chunk runs on its compacted union-of-cones state matrix
+    (:meth:`BatchPlan.compact_chunk_plan`) and skips levels at or below
+    its minimum site level, and every call spanning more than one chunk
+    is cone-clustered (:meth:`_schedule_order`).  Each sweep picks a
+    kernel tier per gate group: a group whose on-path cell count times
+    the kernel's calibrated cost factor is below its dense cell count
+    gathers only the on-path (row, column) cells and computes them
+    through the compacted kernels of
+    :func:`~repro.core.rules_vec.compact_rule_for`; denser groups run
+    the row kernels.  Chunk widths follow one
     calibrated policy (:meth:`_chunk_spans`).  Tests force the tier
     choice through the private ``_cells`` attribute (``"auto"``,
     ``"on"`` or ``"off"``); every setting is bit-identical.
@@ -470,9 +450,6 @@ class BatchEPPBackend:
         compiled: CompiledCircuit,
         signal_probs: Sequence[float],
         batch_size: int | None = None,
-        min_vector_work: int = _MIN_VECTOR_WORK,
-        scalar_fallback=None,
-        prune: bool | None = None,
     ):
         self.compiled = compiled
         self.plan = BatchPlan.for_compiled(compiled)
@@ -483,33 +460,25 @@ class BatchEPPBackend:
             int(batch_size) if batch_size is not None
             else default_batch_size(compiled.n)
         )
-        self.min_vector_work = min_vector_work
-        self.scalar_fallback = scalar_fallback
-        self.prune = resolve_prune(prune)
         #: The cell-tier test hook: ``"auto"`` runs the per-group cost
         #: model, ``"on"`` compacts every partially-on-path group, ``"off"``
         #: keeps the row kernels.  Not an analysis knob — every setting is
         #: bit-identical, and only tests pinning that set it.
         self._cells = "auto"
         #: Cumulative execution counters, updated by every sweep: chunk
-        #: accounting (``chunks``; ``compact_sweeps`` / ``compact_rows`` /
-        #: ``compact_slots`` — sweeps on compacted union-of-cones state
-        #: matrices, the union rows they covered and the physical slots
-        #: they allocated, vs ``n + 2`` rows per dense sweep),
-        #: per-tier group counts (``groups_dense`` / ``groups_row`` /
-        #: ``groups_cell``) and cell accounting over *pruned* groups
-        #: (``cells_on`` on-path cells, ``cells_total`` cells spanned,
-        #: ``cells_computed`` cells actually computed — the FLOP measure
-        #: the benchmarks report; always ``<= cells_total``).  Dense
-        #: sweeps count only their groups, so the density ratios read
-        #: pruned groups alone.
+        #: accounting (``sweeps``, ``chunks``; ``compact_rows`` /
+        #: ``compact_slots`` — the union rows the sweeps covered and the
+        #: physical slots they allocated, vs ``n + 2`` rows of the full
+        #: matrix), per-tier group counts (``groups_row`` /
+        #: ``groups_cell``) and cell accounting (``cells_on`` on-path
+        #: cells, ``cells_total`` cells spanned, ``cells_computed`` cells
+        #: actually computed — the FLOP measure the benchmarks report;
+        #: always ``<= cells_total``).
         self.sweep_stats = {
             "sweeps": 0,
-            "compact_sweeps": 0,
             "compact_rows": 0,
             "compact_slots": 0,
             "chunks": 0,
-            "groups_dense": 0,
             "groups_row": 0,
             "groups_cell": 0,
             "cells_on": 0,
@@ -517,25 +486,20 @@ class BatchEPPBackend:
             "cells_computed": 0,
         }
         self._rows = compiled.n + 2
-        # The big state arrays are built lazily on the first sweep: a
-        # backend whose every call crosses over to the scalar fallback
-        # (small site sets on a large circuit) never pays for them.
-        self._template: np.ndarray | None = None
+        # Built on the first sweep, dropped by release_buffers().
         self._const: np.ndarray | None = None
         self._sink_names_arr = np.asarray(self.plan.sink_names, dtype=object)
-        self._buffer_slots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         #: Flat per-pipeline-slot arenas the compacted sweeps carve their
         #: (n_slots, 4, s) state and (n_slots, s) mask views from — grown
         #: to the largest chunk seen, reused across sweeps so the hot path
-        #: never re-faults fresh pages.  A compacted sweep seeds every
-        #: state row and clears its mask row as the row goes live, so
-        #: stale content between sweeps is harmless.
+        #: never re-faults fresh pages.  A sweep seeds every state row and
+        #: clears its mask row as the row goes live, so stale content
+        #: between sweeps is harmless.
         self._compact_arenas: dict[int, list[np.ndarray]] = {}
 
     def _ensure_const(self) -> None:
-        """The (rows, 4) per-node off-path constants — all a *compacted*
-        sweep needs: its state is seeded by a broadcast of the gathered
-        compact rows, never from the full-width template."""
+        """The ``(n + 2, 4)`` per-node off-path constants each slot is
+        seeded from as its row goes live."""
         if self._const is not None:
             return
         # Two sentinel rows extend the node axis: constant 1 (id n) and
@@ -550,61 +514,7 @@ class BatchEPPBackend:
         const[:, 3] = sp_ext
         self._const = const
 
-    def _ensure_state_arrays(self) -> None:
-        """Const vector plus the full-width off-path template the dense
-        sweeps memcpy their state from.  Backends whose every sweep is
-        compacted never materialize the template at all."""
-        self._ensure_const()
-        if self._template is not None:
-            return
-        # Contiguous off-path template, memcpy'd to seed every chunk's
-        # state matrix: (rows, 4, batch_size) with (0, 0, 1-SP, SP) per node.
-        template = np.zeros((self._rows, 4, self.batch_size))
-        template[:, 2, :] = self._const[:, 2][:, None]
-        template[:, 3, :] = self._const[:, 3][:, None]
-        self._template = template
-
     # ------------------------------------------------------------------ sweep
-
-    def _buffers(self, s: int, slot: int) -> tuple[np.ndarray, np.ndarray]:
-        """Reusable (state, mask) buffer views for a dense sweep, reset to
-        the off-path template; ``slot`` double-buffers the pipeline so a
-        sweep can fill one pair while the collector reads the other.
-        Narrow final chunks reuse a full-width buffer's prefix.  A dense
-        sweep may write any gate row, so every reset copies the whole
-        template — nothing about a previous (possibly failed) sweep of
-        the slot is trusted."""
-        entry = self._buffer_slots.get(slot)
-        if entry is None:
-            entry = (
-                np.empty((self._rows, 4, self.batch_size)),
-                np.empty((self._rows, self.batch_size), dtype=bool),
-            )
-            self._buffer_slots[slot] = entry
-        state, mask = entry
-        np.copyto(state, self._template)
-        mask[:] = False
-        return state[:, :, :s], mask[:, :s]
-
-    def _sweep(self, site_ids: np.ndarray, slot: int = 0):
-        """One level-synchronized pass for a chunk of sites.
-
-        Returns ``(state, mask, layout)``: the four-valued state matrix,
-        the on-path membership bitmask, and the readout of the layout the
-        sweep ran on — ``None`` for dense sweeps (state is ``(n + 2, 4,
-        s)``, sinks are ``plan.sink_ids``), or for compacted sweeps
-        (state is ``(n_slots, 4, s)`` over the chunk plan's recycled
-        slots) the ``(sink_slots, sink_positions, cones)`` triple: the
-        plan's sink translation and the per-column count of on-path rows
-        (cone size plus the site), which the sweep accumulates as slots
-        retire because a recycled slot's mask no longer holds its row.
-        """
-        self.sweep_stats["sweeps"] += 1
-        if self.prune:
-            return self._sweep_compact(
-                site_ids, self.plan.compact_chunk_plan(site_ids), slot
-            )
-        return self._sweep_dense(site_ids, slot)
 
     def _compact_buffers(
         self, n_slots: int, s: int, slot: int
@@ -631,13 +541,14 @@ class BatchEPPBackend:
         mask = arenas[1][:mask_need].reshape(n_slots, s)
         return state, mask
 
-    def _sweep_compact(
-        self, site_ids: np.ndarray, cplan: CompactChunkPlan, slot: int = 0
-    ):
-        """A pruned sweep over the chunk's compacted union-of-cones matrix.
+    def _sweep(self, site_ids: np.ndarray, slot: int = 0):
+        """One level-synchronized pass for a chunk of sites, over the
+        chunk's compacted union-of-cones matrix.
 
         Carves ``(n_slots, 4, s)`` state out of the pipeline slot's arena
-        and runs the plan level by level: the slots going live at a level
+        (``slot`` double-buffers the pipeline, so a sweep can fill one
+        arena while the consumer reads the other) and runs the chunk
+        plan level by level: the slots going live at a level
         are seeded with their new rows' off-path constants and their mask
         rows cleared (a recycled slot still holds its previous row), the
         level's active groups run with every index array pre-translated
@@ -645,9 +556,18 @@ class BatchEPPBackend:
         level add their mask rows to the per-column cone counts before
         they can be reused.  The pinned site, sink and sentinel slots are
         seeded once up front and counted at the end.  Per computed cell
-        the kernels run the same elementwise IEEE ops as the dense sweep,
-        so the packed results are bit-identical to it.
+        the kernels run the same elementwise IEEE ops as a dense sweep
+        over the full ``(n + 2, 4, s)`` matrix, so the packed results are
+        bit-identical to it.
+
+        Returns ``(state, mask, layout)``: the four-valued state matrix,
+        the on-path membership bitmask, and the ``(sink_slots,
+        sink_positions, cones)`` readout of the layout — the plan's sink
+        translation and the per-column count of on-path rows (cone size
+        plus the site), accumulated as slots retire because a recycled
+        slot's mask no longer holds its row.
         """
+        cplan = self.plan.compact_chunk_plan(site_ids)
         s = len(site_ids)
         self._ensure_const()
         const = self._const  # (n + 2, 4) off-path constants by node id
@@ -670,7 +590,7 @@ class BatchEPPBackend:
         cones = np.zeros(s, dtype=np.intp)
 
         stats = self.sweep_stats
-        stats["compact_sweeps"] += 1
+        stats["sweeps"] += 1
         stats["compact_rows"] += cplan.n_rows
         stats["compact_slots"] += cplan.n_slots
         cells = self._cells
@@ -751,68 +671,12 @@ class BatchEPPBackend:
                     state[row, 3, col] = 0.0
                     mask[row, col] = True
 
-    def _sweep_dense(self, site_ids: np.ndarray, slot: int):
-        """The dense reference sweep over ``(n + 2, 4, s)`` slot buffers:
-        every level, every gate group, row kernels only."""
-        s = len(site_ids)
-        self._ensure_state_arrays()
-        state, mask = self._buffers(s, slot)
-        cols = np.arange(s)
-        # The error site carries the erroneous value with certainty: 1(a).
-        state[site_ids, :, cols] = (1.0, 0.0, 0.0, 0.0)
-        mask[site_ids, cols] = True
-        # Columns to re-inject when a group's output node is itself a site
-        # in this chunk (the scatter writes SP constants over them).
-        site_cols: dict[int, list[int]] = {}
-        for col, site_id in enumerate(site_ids.tolist()):
-            site_cols.setdefault(site_id, []).append(col)
-
-        const = self._const
-        stats = self.sweep_stats
-        for _, groups in self.plan.levels:
-            for group in groups:
-                out_ids = group.out_ids
-                fanin = group.fanin
-                out_mask = mask[fanin].any(axis=1)  # (g, s)
-                if not out_mask.any():
-                    continue  # whole group off-path: SP constants hold
-                stats["groups_dense"] += 1
-                result = group.rule(state, fanin)  # (g, 4, s)
-                if out_mask.all():
-                    # Fully on-path rows (can hold no injected site column:
-                    # a site is never on-path for itself) — assign directly.
-                    state[out_ids] = result
-                    mask[out_ids] = True
-                    continue
-                # Off-path columns take their broadcast SP constant — cheaper
-                # than gathering the previous output state back out.
-                state[out_ids] = np.where(
-                    out_mask[:, None, :], result, const[out_ids][:, :, None]
-                )
-                mask[out_ids] = out_mask
-                for node_id in out_ids.tolist():
-                    columns = site_cols.get(node_id)
-                    if columns is None:
-                        continue
-                    # Restore the injected 1(a) the scatter just overwrote
-                    # (a site is never on-path for its own column).
-                    for col in columns:
-                        state[node_id, 0, col] = 1.0
-                        state[node_id, 1, col] = 0.0
-                        state[node_id, 2, col] = 0.0
-                        state[node_id, 3, col] = 0.0
-                        mask[node_id, col] = True
-        return state, mask, None
-
     def release_buffers(self) -> None:
-        """Free the chunk-width state matrices (template, constants, the
-        double-buffered dense sweep/mask pairs and the compacted-sweep
-        arenas) plus the plan's cached compacted-row plans.  Everything
+        """Free the off-path constants and the double-buffered sweep
+        arenas, plus the plan's cached compacted-row plans.  Everything
         is rebuilt lazily on the next sweep, so this is always safe to
         call between analyses on long-lived engines/analyzers."""
-        self._template = None
         self._const = None
-        self._buffer_slots.clear()
         self._compact_arenas.clear()
         self.plan.chunk_cache.clear()
 
@@ -841,42 +705,18 @@ class BatchEPPBackend:
     def _chunk_spans(self, ids: np.ndarray) -> list[tuple[int, int]]:
         """The ``(start, stop)`` spans one bulk call sweeps, in order.
 
-        The calibrated policy: flat ``batch_size`` slicing, widened by
-        :meth:`_compact_spans` when the backend prunes.  Measured on the
-        s9234/s38417 workloads (the single-core record in
-        ``BENCH_pr4.json``), every extra chunk costs ~40-80 ms of
-        width-independent overhead — group dispatch, the per-chunk
-        sink reduction, and for dense sweeps the full-template restore —
-        which consistently outweighs the smaller unions a narrower or
-        cluster-aligned split buys, so chunks are never cut below
-        ``batch_size``.  Any span partition is bit-identical per site.
-        """
-        n = len(ids)
-        if n > self.batch_size and self.prune:
-            spans = self._compact_spans(ids)
-        else:
-            spans = [
-                (start, min(start + self.batch_size, n))
-                for start in range(0, n, self.batch_size)
-            ]
-        self.sweep_stats["chunks"] += len(spans)
-        return spans
-
-    def _compact_spans(self, ids: np.ndarray) -> list[tuple[int, int]]:
-        """Wide fixed spans for compacted sweeps.
-
-        The PR-4 calibration kept chunks at ``batch_size`` because each
-        extra chunk paid a width-independent restore of the full
-        ``(n + 2, 4, batch)`` template; compacted sweeps pay a seed
-        proportional to their own union instead, so the same state-byte
-        budget buys :data:`_COMPACT_WIDTH_HALVES`/2 wider chunks — fewer
-        per-call fixed costs (dispatch, sink reductions, pack merges).
-        Each candidate span's *measured* union-of-cones footprint (its
-        cached chunk plan's ``n_rows``) is checked against
-        ``_STATE_BYTES_TARGET`` and the span is halved — never below
-        ``batch_size`` — until it fits, so a wide chunk whose cones
-        saturate the circuit cannot blow the memory bound the dense
-        layout respected.
+        The calibrated policy: flat spans :data:`_COMPACT_WIDTH_HALVES`/2
+        times ``batch_size`` wide.  Measured on the s9234/s38417
+        workloads (the single-core record in ``BENCH_pr4.json``), every
+        extra chunk costs width-independent overhead — group dispatch,
+        the per-chunk sink reduction and pack merges — which
+        consistently outweighs the smaller unions a narrower or
+        cluster-aligned split buys.  Each candidate span's *measured*
+        union-of-cones footprint (its cached chunk plan's ``n_rows``) is
+        checked against ``_STATE_BYTES_TARGET`` and the span is halved —
+        never below ``batch_size`` — until it fits, so a wide chunk whose
+        cones saturate the circuit cannot blow the memory bound.  Any
+        span partition is bit-identical per site.
         """
         n = len(ids)
         target = min(n, (self.batch_size * _COMPACT_WIDTH_HALVES) // 2)
@@ -896,6 +736,7 @@ class BatchEPPBackend:
                 stop = start + max(self.batch_size, (stop - start) // 2)
             spans.append((start, stop))
             start = stop
+        self.sweep_stats["chunks"] += len(spans)
         return spans
 
     def _swept_chunks(self, ids: np.ndarray):
@@ -905,10 +746,9 @@ class BatchEPPBackend:
         The shared chunking driver of every bulk query: two-stage pipeline
         where the NumPy sweep of chunk ``i+1`` (GIL released inside the
         array kernels) overlaps the Python-side consumption of chunk
-        ``i``; double buffering keeps consecutive stages on disjoint slot
-        buffers (dense matrices or compacted arenas).  Single-chunk calls
-        skip the thread machinery.  ``layout`` is the sweep's readout —
-        ``None`` for dense layouts (see :meth:`_sweep`).
+        ``i``; double buffering keeps consecutive stages on disjoint
+        arenas.  Single-chunk calls skip the thread machinery.  ``layout``
+        is the sweep's readout (see :meth:`_sweep`).
         """
         chunks = [ids[start:stop] for start, stop in self._chunk_spans(ids)]
         if not chunks:
@@ -934,21 +774,14 @@ class BatchEPPBackend:
     def p_sensitized_many(self, site_ids: Sequence[int]) -> np.ndarray:
         """``P_sensitized`` for many sites, aligned with ``site_ids``.
 
-        Shares the full bulk path with :meth:`analyze_sites`: the scalar
-        crossover guard, the double-buffered sweep pipeline, the chunk
-        scheduler, and — through :meth:`_select_pairs` — the exact
-        reduction and clamping policy of the packed path, so the two
-        queries can never drift numerically.
+        Shares the full bulk path with :meth:`analyze_sites`: the
+        double-buffered sweep pipeline, the chunk scheduler, and —
+        through :meth:`_select_pairs` — the exact reduction and clamping
+        policy of the packed path, so the two queries can never drift
+        numerically.
         """
         ids = np.asarray(site_ids, dtype=np.intp)
         out = np.empty(len(ids))
-        if (
-            self.scalar_fallback is not None
-            and self.compiled.n * len(ids) < self.min_vector_work
-        ):
-            for position, site_id in enumerate(ids.tolist()):
-                out[position] = self.scalar_fallback(site_id).p_sensitized
-            return out
         order = self._schedule_order(ids)
         sweep_ids = ids if order is None else ids[order]
         cursor = 0
@@ -971,15 +804,6 @@ class BatchEPPBackend:
 
         site_ids = list(site_ids)
         results: dict[str, EPPResult] = {}
-        use_scalar = (
-            self.scalar_fallback is not None
-            and self.compiled.n * len(site_ids) < self.min_vector_work
-        )
-        if use_scalar:
-            for site_id in site_ids:
-                result = self.scalar_fallback(site_id)
-                results[result.site] = result
-            return results
         ids = np.asarray(site_ids, dtype=np.intp)
         order = self._schedule_order(ids)
         sweep_ids = ids if order is None else ids[order]
@@ -998,7 +822,7 @@ class BatchEPPBackend:
             chunk.tolist(), self._pack(chunk, state, mask, layout), results
         )
 
-    def _select_pairs(self, chunk, state, mask, layout=None) -> tuple:
+    def _select_pairs(self, chunk, state, mask, layout) -> tuple:
         """The shared sink-pair reduction of one chunk's sweep.
 
         All numeric work happens in bulk: the on-path (site, sink) pairs
@@ -1007,16 +831,15 @@ class BatchEPPBackend:
         masses capped at 1, and the per-site survival products run through
         ``multiply.reduceat``.  This is the single reduction/clamping
         policy behind both :meth:`p_sensitized_many` and :meth:`_pack`.
-        ``layout`` carries a compacted sweep's readout, whose
-        ``(sink_slots, sink_positions)`` translate the sinks: reducing
-        over the present subset selects the same pairs in the same order
-        — absent sinks are off-path in every column — so the products
-        stay bit-identical.
+        ``layout`` is the sweep's readout, whose ``(sink_slots,
+        sink_positions)`` translate the sinks: reducing over the present
+        subset selects the same pairs in the same order as reducing over
+        every sink — absent sinks are off-path in every column — so the
+        products stay bit-identical.
         Returns ``(p_sens, counts, sink_mask, selected)``.
         """
-        sink_rows = self.plan.sink_ids if layout is None else layout[0]
-        sink_state = state[sink_rows]  # (ns, 4, s)
-        sink_mask = mask[sink_rows].T  # (s, ns)
+        sink_state = state[layout[0]]  # (ns, 4, s)
+        sink_mask = mask[layout[0]].T  # (s, ns)
         # Site-major selection of every on-path (site, sink) pair: the
         # boolean pick over (s, ns, ...) walks sites first, sinks second.
         selected = sink_state.transpose(2, 0, 1)[sink_mask]  # (m, 4)
@@ -1034,16 +857,16 @@ class BatchEPPBackend:
             p_sens[occupied] = 1.0 - np.multiply.reduceat(1.0 - error, starts)
         return p_sens, counts, sink_mask, selected
 
-    def _pack(self, chunk, state, mask, layout=None) -> tuple:
+    def _pack(self, chunk, state, mask, layout) -> tuple:
         """Reduce one chunk's sweep to compact per-site numeric arrays.
 
         Returns ``(p_sens, cone_sizes, counts, sink_pos, values)`` aligned
         with the chunk: ``counts[i]`` on-path pairs per site, ``sink_pos``
         indices into ``plan.sink_ids`` and ``values`` their clamped ``(m, 4)``
-        four-valued vectors.  A compacted sweep's ``sink_pos`` is mapped
-        back through its ``sink_positions`` translation and its cone
-        sizes are the counts it accumulated as slots retired, so the
-        packed layout is identical whichever sweep ran the chunk.  This
+        four-valued vectors.  ``sink_pos`` is mapped back through the
+        layout's ``sink_positions`` translation and the cone sizes are
+        the counts the sweep accumulated as slots retired, so the packed
+        layout does not depend on the chunk's slot layout.  This
         tuple of plain arrays is also the wire format the sharded driver
         (:mod:`repro.core.epp_shard`) ships across the process boundary —
         flat buffers, no per-object overhead.
@@ -1051,12 +874,8 @@ class BatchEPPBackend:
         p_sens, counts, sink_mask, selected = self._select_pairs(
             chunk, state, mask, layout
         )
-        sink_pos = np.nonzero(sink_mask)[1]
-        if layout is None:
-            cone_sizes = mask.sum(axis=0) - 1  # mask includes the site
-        else:
-            sink_pos = layout[1][sink_pos]
-            cone_sizes = layout[2] - 1  # the counts include the site
+        sink_pos = layout[1][np.nonzero(sink_mask)[1]]
+        cone_sizes = layout[2] - 1  # the counts include the site
         return p_sens, cone_sizes, counts, sink_pos, selected
 
     @staticmethod

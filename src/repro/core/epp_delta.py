@@ -497,8 +497,8 @@ def snapshot(
     # The sweep lock serializes the engine's shared scratch — backend
     # cache slots, cone cache, chunk-width state matrices — so the
     # service's coalescing layer can snapshot one engine from several
-    # threads without corrupting a sweep in flight.  Reentrant: the
-    # vector backend's scalar fallback re-enters through node_epp.
+    # threads without corrupting a sweep in flight.  Reentrant:
+    # _pack_backend takes it again.
     with engine._sweep_lock:
         backend = _pack_backend(engine, resolved)
         site_names, defaulted = _resolve_site_names(engine, sites)

@@ -34,9 +34,8 @@ Design
 * **Cone-clustered shards.**  A site list spanning more than one worker
   chunk is ordered by :func:`~repro.core.schedule.cone_cluster_order`
   before the contiguous partition, so each shard's sites share fanout
-  cones and every worker's cone-aware sparse sweep (``prune``, forwarded
-  to worker backends) prunes dense chunks.  Results are restored to
-  input order in the parent.
+  cones and every worker's compacted union-of-cones sweeps stay small.
+  Results are restored to input order in the parent.
 * **Column independence makes sharding exact.**  Every site occupies its
   own state-matrix column and no kernel mixes columns, so neither the
   shard partition nor the cone-clustered permutation can change any
@@ -46,8 +45,8 @@ Design
 * **Crossover guard.**  Small workloads (``n_nodes * n_sites`` below
   ``min_process_work``), single-job configurations and single-site calls
   run on the in-process vector backend — an s27-sized circuit never pays
-  process spin-up, mirroring the vector backend's own scalar-crossover
-  guard.
+  process spin-up.  Both sides run the same sweep, so the guard chooses
+  between two bit-identical runs, never between numeric paths.
 * **Fault tolerance.**  Column independence makes every shard *exactly
   re-runnable*, so the driver recovers from failures without perturbing
   results: a broken pool (crashed/OOMed worker) is respawned from the
@@ -431,11 +430,9 @@ def _worker_backend():
     """This worker's backend for the pool's circuit, built at most once
     from the pool payload.
 
-    ``min_vector_work=0``: the parent-level crossover guard already
-    decided this workload is large enough for processes, so every shard
-    runs the vectorized sweep.  A shard is a contiguous run of the
-    parent's cone-clustered order, so the backend's own scheduler finds
-    nothing to reorder and sweeps it as it arrived.
+    A shard is a contiguous run of the parent's cone-clustered order, so
+    the backend's own scheduler finds nothing to reorder and sweeps it
+    as it arrived.
     """
     global _WORKER_BACKEND
     if _WORKER_BACKEND is None:
@@ -446,8 +443,7 @@ def _worker_backend():
         _WORKER_BACKEND = BatchEPPBackend(
             fields["compiled"],
             fields["signal_probs"],
-            min_vector_work=0,
-            **AnalysisConfig.from_wire(fields["config"]).sweep_kwargs(),
+            batch_size=AnalysisConfig.from_wire(fields["config"]).batch_size,
         )
         _WORKER_STATS["plans_built"] += 1
     return _WORKER_BACKEND
@@ -550,10 +546,9 @@ class ShardedEPPEngine:
     each worker's sweep; when omitted, the single-process chunk budget is
     divided across the pool so the aggregate resident memory of a
     sharded run matches the vector backend's, instead of multiplying by
-    ``jobs``.  ``prune`` is forwarded to the local backend and through
-    the payload to every worker backend (workers run the same compacted
-    union-of-cones sweeps, and their packed results — flat arrays —
-    ship through shared memory unchanged).  The *parent-side*
+    ``jobs``.  Workers run the same compacted union-of-cones sweeps as
+    the local backend, and their packed results — flat arrays — ship
+    through shared memory unchanged.  The *parent-side*
     partitioner orders a site list spanning more than one worker chunk
     by :func:`~repro.core.schedule.cone_cluster_order` before the
     contiguous shard split, so shards (and the chunks inside each
@@ -598,30 +593,29 @@ class ShardedEPPEngine:
         # knob (jobs/batch_size value checks and the unknown-knob guard
         # included).  A ``None`` keyword knob means "the default", so it
         # never conflicts with ``config=``.
-        resolved = AnalysisConfig.from_args(
+        config = AnalysisConfig.from_args(
             config,
             {k: v for k, v in knobs.items() if v is not None},
             backend="sharded",
-        ).resolved()
+        )
         #: The validated :class:`~repro.core.config.AnalysisConfig` this
-        #: driver runs under (``prune`` resolved, ``None`` -> ``True``).
-        self.config = resolved
+        #: engine runs under.
+        self.config = config
         self.compiled = compiled
         self.jobs = (
-            int(resolved.jobs) if resolved.jobs is not None else default_jobs()
+            int(config.jobs) if config.jobs is not None else default_jobs()
         )
-        batch_size = resolved.batch_size
+        batch_size = config.batch_size
         self.min_process_work = min_process_work
-        self.prune = resolved.prune
         self.transport = default_transport()
-        self.fault_injector = resolved.fault_injector
+        self.fault_injector = config.fault_injector
         #: Directory for the per-shard sweep journal
         #: (:mod:`repro.core.checkpoint`), or ``None`` to disable.  Each
         #: full-result sweep journals completed shards there and resumes
         #: from whatever a previous (possibly killed) process left.
         self.checkpoint = (
-            None if resolved.checkpoint is None
-            else os.fspath(resolved.checkpoint)
+            None if config.checkpoint is None
+            else os.fspath(config.checkpoint)
         )
         #: Test hook threaded into :class:`ShardCheckpoint` — called as
         #: ``(shard_index, stored_count)`` after each shard file lands;
@@ -666,9 +660,7 @@ class ShardedEPPEngine:
             from repro.core.epp_batch import BatchEPPBackend
 
             local_backend = BatchEPPBackend(
-                compiled,
-                signal_probs,
-                **resolved.sweep_kwargs(),
+                compiled, signal_probs, batch_size=batch_size
             )
         self.local = local_backend
         self.batch_size = self.local.batch_size
@@ -720,9 +712,8 @@ class ShardedEPPEngine:
 
         What :func:`_worker_backend` builds from: the circuit and SP
         vector, plus one wire-format
-        :class:`~repro.core.config.AnalysisConfig` — the worker chunk
-        width and the parent-resolved ``prune`` — so the knob surface
-        never re-threads this seam.  Pools are spawned by the process
+        :class:`~repro.core.config.AnalysisConfig` carrying the worker
+        chunk width, so the knob surface never re-threads this seam.  Pools are spawned by the process
         that builds the payload, so no other payload shape ever reaches
         a worker.
         """
@@ -733,8 +724,7 @@ class ShardedEPPEngine:
                 "compiled": self.compiled,
                 "signal_probs": self.local.sp,
                 "config": AnalysisConfig(
-                    batch_size=self.worker_batch_size,
-                    prune=self.prune,
+                    batch_size=self.worker_batch_size
                 ).to_wire(),
             }
             self._payload = pickle.dumps(
@@ -982,8 +972,7 @@ class ShardedEPPEngine:
         """The crossover guard: does this call even want processes?
 
         ``min_process_work <= 0`` is an explicit force — every call fans
-        out, even with one worker or one site (mirroring the batch
-        backend's ``min_vector_work=0`` contract) — so harnesses that
+        out, even with one worker or one site — so harnesses that
         *must* measure or exercise the process path never silently fall
         back to the in-process sweep.
         """
@@ -1001,7 +990,7 @@ class ShardedEPPEngine:
         A site list spanning more than one chunk is ordered by cone
         signature first (:func:`~repro.core.schedule.cone_cluster_order`),
         so the contiguous split hands each worker sites with overlapping
-        fanout cones — the layout the workers' pruned sweeps want.
+        fanout cones — the layout the workers' compacted sweeps want.
         ``position_shards`` carries each shard member's position in the
         caller's input order, which is how results find their way back.
         """

@@ -20,7 +20,8 @@ This module provides the pieces of that scheduling layer:
 * :func:`cone_cluster_order` — a permutation of a site list that groups
   sites by cone signature (dominant sink first, full signature as the
   tiebreak), so sites with overlapping cones land in the same chunk and
-  the sparse sweep's row-prune density is maximized.
+  each chunk's union of cones — what its compacted sweep computes —
+  stays small.
 * :class:`ChunkCache` + :func:`chunk_cache_key` — the per-chunk memo the
   batch plan hangs its compacted-row plans on (the union-of-cones slot
   layout a compacted sweep indexes instead of the full state matrix).

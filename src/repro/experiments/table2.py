@@ -108,9 +108,6 @@ class Table2Config:
     #: exclusive with ``backend="sharded"`` — one level of process
     #: parallelism at a time, never nested pools.
     circuit_jobs: int | None = None
-    #: cone-aware sparse sweep for the vector/sharded backends
-    #: (None: enabled — the backends' own default)
-    prune: bool | None = None
 
     def __post_init__(self) -> None:
         for name in ("sim_vectors", "sim_sites", "accuracy_sites",
@@ -131,14 +128,6 @@ class Table2Config:
                 "backend='sharded': roster workers would spawn nested "
                 "process pools"
             )
-        if self.backend == "scalar" and self.prune is not None:
-            # Mirror the jobs-requires-sharded guard: the scalar column
-            # ignores the knob, and silently reporting scalar timings
-            # under a "dense" label would mislead.
-            raise ConfigError(
-                "Table2Config.prune applies to the 'vector' and "
-                "'sharded' backends only, got backend='scalar'"
-            )
         unknown = [c for c in self.circuits if c not in ISCAS89_PROFILES]
         if unknown:
             raise ConfigError(f"unknown Table 2 circuits: {unknown}")
@@ -151,11 +140,7 @@ class Table2Config:
         fan-out is a harness concern, not an analysis knob)."""
         from repro.core.config import AnalysisConfig
 
-        return AnalysisConfig(
-            backend=self.backend,
-            jobs=self.jobs,
-            prune=self.prune,
-        )
+        return AnalysisConfig(backend=self.backend, jobs=self.jobs)
 
     @staticmethod
     def quick(circuits: Sequence[str] | None = None) -> "Table2Config":
@@ -303,8 +288,8 @@ def run_table2_circuit(
         # Amortized per-node cost of the batched level-parallel sweep,
         # through p_sensitized_many — the exact vector twin of the scalar
         # p_sensitized fast path below (no per-sink dict assembly in
-        # either column, and no small-workload crossover guard), so the
-        # two backends' SysT numbers measure the same quantity.  The
+        # either column), so the two backends' SysT numbers measure the
+        # same quantity.  The
         # sharded variant fans the same sweep across worker processes;
         # its pool is warmed first so SysT reports the steady-state
         # amortized cost, not a one-off process spin-up.
@@ -323,12 +308,6 @@ def run_table2_circuit(
             cleanup = backend.close
         else:
             backend = engine.vector_backend(config=analysis_config)
-            # Bypass the small-workload crossover: the site *sample* can
-            # sit below min_vector_work on small rosters, and delegating
-            # to the scalar kernel would silently report scalar timings
-            # under the vector label (defeating the column's purpose and
-            # the no-per-sink-dicts accounting promised above).
-            backend.min_vector_work = 0
             cleanup = None
         try:
             t0 = time.perf_counter()

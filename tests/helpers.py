@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import heapq
 import os
 import signal
@@ -9,8 +10,11 @@ import time
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.analysis import NodeSER
 from repro.core.epp import EPPResult
+from repro.core.epp_batch import BatchEPPBackend
 from repro.errors import AnalysisError
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GateType
@@ -63,6 +67,87 @@ def build_chain(gate_types: list[GateType], name: str = "chain") -> Circuit:
         previous = node
     circuit.mark_output(previous)
     return circuit
+
+
+# ----------------------------------------------- dense sweep reference
+
+
+def dense_sweep(backend, site_ids, slot=0):
+    """The dense reference sweep of one chunk: every level, every gate
+    group, row kernels only, over fresh full ``(n + 2, 4, s)`` buffers.
+
+    It reads ``backend.plan.levels`` and the ``rules_vec`` row kernels
+    the production sweep reads, but none of its compaction: no chunk
+    plan, no slot layout, no cell tier, no sink translation.  So every
+    packed array the production sweep returns must equal this oracle's
+    with ``np.array_equal``.  Returns the production sweep's ``(state,
+    mask, layout)`` triple, with the identity layout: every sink, in
+    ``plan.sink_ids`` order, and the cone counts summed over the whole
+    mask (``slot`` is ignored: the buffers are never reused).
+    """
+    n_rows = backend.compiled.n + 2
+    s = len(site_ids)
+    # Two sentinel rows extend the node axis: constant 1, then constant 0.
+    sp = np.concatenate((backend.sp, (1.0, 0.0)))
+    const = np.zeros((n_rows, 4))
+    const[:, 2] = 1.0 - sp
+    const[:, 3] = sp
+    state = np.repeat(const[:, :, None], s, axis=2)
+    mask = np.zeros((n_rows, s), dtype=bool)
+    cols = np.arange(s)
+    # The error site carries the erroneous value with certainty: 1(a).
+    state[site_ids, :, cols] = (1.0, 0.0, 0.0, 0.0)
+    mask[site_ids, cols] = True
+    # Columns to re-inject when a group's output node is itself a site
+    # of this chunk (the scatter writes SP constants over them).
+    site_cols: dict[int, list[int]] = {}
+    for col, site_id in enumerate(site_ids.tolist()):
+        site_cols.setdefault(site_id, []).append(col)
+    for _, groups in backend.plan.levels:
+        for group in groups:
+            out_ids = group.out_ids
+            out_mask = mask[group.fanin].any(axis=1)  # (g, s)
+            if not out_mask.any():
+                continue  # whole group off-path: SP constants hold
+            result = group.rule(state, group.fanin)  # (g, 4, s)
+            if out_mask.all():
+                state[out_ids] = result
+                mask[out_ids] = True
+                continue
+            state[out_ids] = np.where(
+                out_mask[:, None, :], result, const[out_ids][:, :, None]
+            )
+            mask[out_ids] = out_mask
+            for node_id in out_ids.tolist():
+                # A site is never on-path for its own column: restore
+                # the injected 1(a) the scatter just overwrote.
+                for col in site_cols.get(node_id, ()):
+                    state[node_id, :, col] = (1.0, 0.0, 0.0, 0.0)
+                    mask[node_id, col] = True
+    sinks = backend.plan.sink_ids
+    return state, mask, (sinks, np.arange(len(sinks)), mask.sum(axis=0))
+
+
+def dense_backend(engine, batch_size=None):
+    """A vector backend over ``engine``'s circuit and SP map whose every
+    chunk runs :func:`dense_sweep`.
+
+    The oracle is assigned to the backend's ``_sweep`` like the
+    ``_cells`` hook, so ``pack_sites``, ``p_sensitized_many`` and
+    ``analyze_sites`` run it with their chunking, scheduling, reduction
+    and pack unchanged.  The engine's own backends are not touched.
+    """
+    backend = BatchEPPBackend(engine.compiled, engine._sp, batch_size=batch_size)
+    backend._sweep = functools.partial(dense_sweep, backend)
+    return backend
+
+
+def use_dense_backend(engine, batch_size=None):
+    """Make a :func:`dense_backend` the engine's cached vector backend, so
+    ``engine.analyze`` and ``engine.snapshot`` run the oracle too (until
+    a call with another batch size replaces it)."""
+    engine._vector_backend = dense_backend(engine, batch_size)
+    return engine._vector_backend
 
 
 # ------------------------------------------------- SER report reference

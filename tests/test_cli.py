@@ -157,6 +157,20 @@ class TestCommands:
         assert code == 0
         assert "paper avg" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "c17", "--no-prune"],
+        ["analyze-delta", "c17", "--replace", "N10:nor", "--no-prune"],
+        ["harden", "c17", "--budget", "3", "--no-prune"],
+        ["table2", "--no-prune"],
+    ], ids=["analyze", "analyze-delta", "harden", "table2"])
+    def test_removed_no_prune_flag_exits_2(self, argv, capsys):
+        """The dense sweep is a test oracle, not a user option: the flag
+        is an unrecognized argument on every command."""
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments: --no-prune" in capsys.readouterr().err
+
     def test_table2_jobs_without_sharded_fails_cleanly(self, capsys):
         code = main(
             ["table2", "--mode", "quick", "--circuits", "s27", "--jobs", "2"]

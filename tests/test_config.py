@@ -34,7 +34,6 @@ from repro.core.config import (
     KNOB_KEYS,
     RESILIENCE_KNOB_KEYS,
     SHARDED_ONLY_KNOBS,
-    SWEEP_KNOB_KEYS,
     WIRE_KNOB_KEYS,
     WIRE_VERSION,
     AnalysisConfig,
@@ -119,16 +118,16 @@ class TestValidation:
         ({"shard_timeout": "x"}, "shard_timeout"),
         ({"shard_timeout": True}, "shard_timeout"),
         ({"deadline": "soon"}, "deadline"),
+        # prune is a removed knob: a stale value of any type is refused
+        # naming it, never coerced or ignored.
         ({"prune": "false"}, "prune"),
         ({"prune": "true"}, "prune"),
         ({"prune": 0}, "prune"),
-        # The dense fallback is gone: "auto" is no prune value.
         ({"prune": "auto"}, "prune"),
     ])
     def test_malformed_values_rejected_naming_the_field(self, knobs, field):
         # Wrong types are refused by name before any int()/float()
-        # coercion could raise a bare ValueError or, worse, succeed
-        # ("false" used to resolve to prune=True).
+        # coercion could raise a bare ValueError or, worse, succeed.
         with pytest.raises(AnalysisConfigError, match=field):
             AnalysisConfig.from_knobs(**knobs)
 
@@ -137,10 +136,9 @@ class TestValidation:
 
         cfg = AnalysisConfig(
             batch_size=np.int64(8), jobs=2, retries=0, shard_timeout=5,
-            deadline=2.5, prune=False,
+            deadline=2.5,
         )
         assert cfg.batch_size == 8 and cfg.shard_timeout == 5
-        assert AnalysisConfig(prune=True).prune is True
         longest = AnalysisConfig(
             shard_timeout=threading.TIMEOUT_MAX, deadline=threading.TIMEOUT_MAX
         )
@@ -184,7 +182,7 @@ class TestValidation:
         assert str(info.value) == message
 
     @pytest.mark.parametrize(
-        "knob", ["cells", "chunking", "rows", "schedule", "on_failure"]
+        "knob", ["cells", "chunking", "rows", "schedule", "on_failure", "prune"]
     )
     def test_removed_knobs_are_unknown(self, knob):
         with pytest.raises(ConfigError, match=f"unknown analysis knob '{knob}'"):
@@ -201,28 +199,31 @@ class TestValidation:
 class TestDerivedTables:
     def test_knob_key_order_is_the_historical_order(self):
         assert KNOB_KEYS == (
-            "backend", "batch_size", "jobs", "prune",
+            "backend", "batch_size", "jobs",
             "retries", "shard_timeout",
             "deadline", "fault_injector", "checkpoint",
         )
 
     def test_knob_surface_sizes(self):
-        assert len(dataclasses.fields(AnalysisConfig)) == 9
-        assert len(WIRE_KNOB_KEYS) == 6
-        assert len(SWEEP_KNOB_KEYS) == 2
+        assert len(dataclasses.fields(AnalysisConfig)) == 8
+        assert len(WIRE_KNOB_KEYS) == 5
 
     def test_wire_keys_exclude_local_only_fields(self):
         assert "fault_injector" not in WIRE_KNOB_KEYS
         assert "checkpoint" not in WIRE_KNOB_KEYS
         assert "deadline" not in WIRE_KNOB_KEYS
 
+    def test_sweep_keys(self):
+        # One sweep knob: the dense reference sweep lives in the tests.
+        assert [
+            key for key in KNOB_KEYS
+            if field_metadata(key)["section"] == "sweep"
+        ] == ["batch_size"]
+
     def test_resilience_keys_are_sharded_only_minus_jobs(self):
         assert RESILIENCE_KNOB_KEYS == tuple(
             k for k in SHARDED_ONLY_KNOBS if k != "jobs"
         )
-
-    def test_sweep_keys(self):
-        assert SWEEP_KNOB_KEYS == ("batch_size", "prune")
 
     def test_knob_reference_covers_every_field(self):
         text = knob_reference()
@@ -239,7 +240,6 @@ _WIRE_VALUES = {
     "backend": st.sampled_from([None, "scalar", "vector", "sharded"]),
     "batch_size": st.one_of(st.none(), st.integers(1, 64)),
     "jobs": st.one_of(st.none(), st.integers(1, 8)),
-    "prune": st.sampled_from([None, True, False]),
     "retries": st.one_of(st.none(), st.integers(0, 5)),
     "shard_timeout": st.one_of(st.none(), st.floats(0.1, 60.0)),
 }
@@ -300,8 +300,8 @@ class TestWireRoundTrip:
 
     def test_digests_survive_the_knob_removal(self):
         # The digest hashes only non-None wire knobs, so configs that never
-        # set cells/chunking/rows keep the identities persisted artifact
-        # stores and journals were written under.
+        # set cells/chunking/rows/prune keep the identities persisted
+        # artifact stores and journals were written under.
         assert AnalysisConfig().digest() == "6b5234eac00e9e07c526cbfd1af0f48c"
         assert (
             AnalysisConfig(backend="sharded", jobs=2).digest()
@@ -316,11 +316,6 @@ class TestWireRoundTrip:
     def test_from_wire_strict_rejects_unknown(self):
         with pytest.raises(ConfigError, match="hyperdrive"):
             AnalysisConfig.from_wire({"hyperdrive": True}, strict=True)
-
-    def test_resolved_is_idempotent(self):
-        cfg = AnalysisConfig(batch_size=4).resolved()
-        assert cfg.resolved() == cfg
-        assert cfg.prune is True
 
 
 # --------------------------------------------------------------- reflection

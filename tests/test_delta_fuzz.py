@@ -1,9 +1,10 @@
 """Property-based differential fuzzing of the incremental what-if path.
 
-One oracle: for any random circuit, any structured edit set and any
-backend knobs, ``analyze_delta(prev, edits)`` must be **bit-identical**
+One oracle: for any random circuit and any structured edit set,
+``analyze_delta(prev, edits)`` must be **bit-identical**
 (``np.array_equal`` on every packed array) to a full ``snapshot`` of
-the edited circuit.  This is stronger than the 1e-9 agreement the other
+the edited circuit, and to the dense oracle sweep of ``tests.helpers``
+over it.  This is stronger than the 1e-9 agreement the other
 fuzz suites pin — splicing reuses retained columns byte-for-byte, so
 any dirty-set under-approximation, sink-remap slip or segment-index bug
 shows up as an exact mismatch, not a tolerance failure.
@@ -29,6 +30,8 @@ from repro.core.epp import EPPEngine
 from repro.core.epp_delta import EditSet
 from repro.netlist.gate_types import GateType
 from repro.netlist.generate import random_combinational
+
+from tests.helpers import dense_backend
 
 _SWAPS = {
     GateType.AND: "nand", GateType.NAND: "and",
@@ -142,6 +145,9 @@ def assert_delta_equals_full(delta):
     assert delta.site_names == full.site_names
     for left, right in zip(delta.packed, full.packed):
         assert np.array_equal(left, right)
+    dense = dense_backend(delta.engine).pack_sites(delta.site_ids)
+    for left, right in zip(delta.packed, dense):
+        assert np.array_equal(left, right)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -151,14 +157,13 @@ def assert_delta_equals_full(delta):
     seed=st.integers(min_value=0, max_value=2**16),
     edit_seed=st.integers(min_value=0, max_value=2**16),
     n_edits=st.integers(min_value=1, max_value=4),
-    prune=st.sampled_from((None, True, False)),
 )
 def test_delta_bit_identical_to_full(
-    n_inputs, n_gates, seed, edit_seed, n_edits, prune
+    n_inputs, n_gates, seed, edit_seed, n_edits
 ):
     circuit = random_combinational(n_inputs, n_gates, seed=seed)
     engine = EPPEngine(circuit)
-    prev = engine.snapshot(prune=prune)
+    prev = engine.snapshot()
     edits = draw_edits(circuit, edit_seed, n_edits)
     delta = engine.analyze_delta(prev, edits)
     assert delta.stats["dirty"] + delta.stats["reused"] == delta.stats["sites"]

@@ -4,7 +4,9 @@ Three oracles, fuzzed over generated circuits (:mod:`repro.netlist.generate`):
 
 * **Backend agreement** — scalar vs vector vs sharded must agree to 1e-9 on
   every site of every circuit; sharding and vectorization reassociate
-  floating-point work but must never change the semantics.
+  floating-point work but must never change the semantics.  The vector
+  sweep's packed arrays must also equal the dense oracle sweep's
+  (``tests.helpers``) bit for bit.
 * **Exhaustive exactness on trees** — on fanout-free circuits the EPP
   algebra is *exact* (signals are independent and every site has a single
   path to a single sink), so the engine must match exhaustive logic
@@ -32,7 +34,7 @@ from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GateType
 from repro.netlist.generate import random_combinational
 
-from tests.helpers import exhaustive_all_sites
+from tests.helpers import dense_backend, exhaustive_all_sites
 
 TOL = 1e-9
 
@@ -94,13 +96,11 @@ def random_tree_circuit(seed: int, max_inputs: int = 12, n_gates: int = 12) -> C
     return circuit
 
 
-def force_vector(engine: EPPEngine, prune: bool | None = None,
-                 cells: str = "auto"):
-    """The crossover-free vector backend, its cell tier forced through the
-    private ``_cells`` hook (assigned on every call: the engine caches one
-    backend per (batch_size, prune))."""
-    backend = engine.vector_backend(prune=prune)
-    backend.min_vector_work = 0
+def force_vector(engine: EPPEngine, cells: str = "auto"):
+    """The engine's vector backend, its cell tier forced through the
+    private ``_cells`` hook (assigned on every call: the engine caches
+    its backend)."""
+    backend = engine.vector_backend()
     backend._cells = cells
     return backend
 
@@ -124,21 +124,24 @@ def assert_all_sites_agree(reference: dict, candidate: dict):
     n_inputs=st.integers(min_value=2, max_value=8),
     n_gates=st.integers(min_value=4, max_value=40),
     seed=st.integers(min_value=0, max_value=2**16),
-    prune=st.sampled_from((True, False)),
     cells=st.sampled_from(("auto", "on", "off")),
 )
 def test_scalar_vs_vector_agree_on_random_circuits(
-    n_inputs, n_gates, seed, prune, cells,
+    n_inputs, n_gates, seed, cells,
 ):
-    """Vectorization — dense or compacted cone-pruned sweeps, row or
+    """Vectorization — compacted cone-pruned sweeps, row or
     cell-compacted kernels — is a pure reassociation: scalar == vector
-    to 1e-9."""
+    to 1e-9, and vector == the dense oracle bit for bit."""
     circuit = random_combinational(n_inputs, n_gates, seed=seed)
     engine = EPPEngine(circuit)
-    force_vector(engine, prune=prune, cells=cells)
+    backend = force_vector(engine, cells=cells)
     scalar = engine.analyze(backend="scalar")
-    vector = engine.analyze(backend="vector", prune=prune)
+    vector = engine.analyze(backend="vector")
     assert_all_sites_agree(scalar, vector)
+    ids = [engine._cones.resolve(site) for site in engine.default_sites()]
+    expected = dense_backend(engine).pack_sites(ids)
+    for left, right in zip(expected, backend.pack_sites(ids)):
+        assert np.array_equal(left, right)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -152,19 +155,17 @@ def test_scalar_vs_vector_agree_on_random_circuits(
 def test_cell_compacted_bit_equal_on_random_circuits(
     n_inputs, n_gates, seed, cells, batch_size
 ):
-    """The compacted sweeps are not merely close to the dense sweep —
-    they run the same elementwise IEEE ops per computed cell on the
-    per-chunk union-of-cones remap, so packed arrays must match
+    """The compacted sweeps are not merely close to the dense oracle
+    sweep — they run the same elementwise IEEE ops per computed cell on
+    the per-chunk union-of-cones remap, so packed arrays must match
     np.array_equal across random circuits (MUX/MAJ truth tables and
     sentinel-padded mixed arities included), under every cell tier and
     any chunk width."""
     circuit = random_combinational(n_inputs, n_gates, seed=seed)
     engine = EPPEngine(circuit)
     ids = [engine._cones.resolve(site) for site in engine.default_sites()]
-    reference = force_vector(engine, prune=False)
-    reference.batch_size = batch_size
-    expected = reference.pack_sites(ids)
-    compacted = force_vector(engine, prune=True, cells=cells)
+    expected = dense_backend(engine, batch_size).pack_sites(ids)
+    compacted = force_vector(engine, cells=cells)
     compacted.batch_size = batch_size
     packed = compacted.pack_sites(ids)
     for left, right in zip(expected, packed):

@@ -16,7 +16,9 @@ from repro.errors import AnalysisError
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GateType
 from repro.netlist.generate import generate_iscas
-from repro.netlist.library import s27
+from repro.netlist.library import c17, s27
+
+from tests.helpers import dense_backend, use_dense_backend
 
 TOL = 1e-9
 
@@ -50,20 +52,18 @@ def build_circuit(name: str) -> Circuit:
         return gate_zoo()
     if name == "s27":
         return s27()
+    if name == "c17":
+        return c17()
     return generate_iscas(name)
 
 
 def force_vector(engine: EPPEngine, batch_size: int | None = None,
-                 prune: bool | None = None, cells: str = "auto"):
-    """A vector backend with the small-workload crossover disabled, so the
-    vectorized kernels themselves are exercised even on tiny circuits.
-
-    ``cells`` forces the cell tier through the backend's private
-    ``_cells`` hook.  The engine caches one backend per (batch_size,
-    prune), so the hook is assigned on every call — a cached backend
+                 cells: str = "auto"):
+    """The engine's vector backend with its cell tier forced through the
+    backend's private ``_cells`` hook.  The engine caches one backend per
+    batch size, so the hook is assigned on every call — a cached backend
     must never keep a previous caller's tier."""
-    backend = engine.vector_backend(batch_size=batch_size, prune=prune)
-    backend.min_vector_work = 0
+    backend = engine.vector_backend(batch_size=batch_size)
     backend._cells = cells
     return backend
 
@@ -79,15 +79,20 @@ def cone_sorted(engine: EPPEngine) -> list[str]:
 
 
 def assert_backends_agree(circuit: Circuit, batch_size: int | None = None,
-                          prune: bool | None = None, cells: str = "auto",
-                          sites=None):
+                          cells: str = "auto", sites=None,
+                          dense: bool = False):
+    """Scalar vs vector to 1e-9; ``dense=True`` checks the dense oracle
+    against the scalar engine instead of the production sweep."""
     engine = EPPEngine(circuit)
-    force_vector(engine, batch_size, prune, cells)
+    if dense:
+        use_dense_backend(engine, batch_size)
+    else:
+        force_vector(engine, batch_size, cells)
     if callable(sites):
         sites = sites(engine)
     scalar = engine.analyze(sites=sites, backend="scalar")
     vector = engine.analyze(sites=sites, backend="vector",
-                            batch_size=batch_size, prune=prune)
+                            batch_size=batch_size)
     assert list(scalar) == list(vector)  # same sites, same order
     for site, expected in scalar.items():
         got = vector[site]
@@ -97,6 +102,21 @@ def assert_backends_agree(circuit: Circuit, batch_size: int | None = None,
         for sink, value in expected.sink_values.items():
             assert got.sink_values[sink].isclose(value, tolerance=TOL), (
                 site, sink, value, got.sink_values[sink])
+
+
+def assert_bit_equal_to_dense(engine, ids, batch_size=None, cells="auto"):
+    """The production sweep's packed arrays and ``p_sensitized_many`` are
+    ``np.array_equal`` to the dense oracle's (one input-order chunk);
+    returns the production backend."""
+    dense = dense_backend(engine, batch_size=len(ids))
+    backend = force_vector(engine, batch_size=batch_size, cells=cells)
+    for left, right in zip(dense.pack_sites(ids), backend.pack_sites(ids)):
+        assert left.dtype == right.dtype
+        assert np.array_equal(left, right), cells
+    assert np.array_equal(
+        dense.p_sensitized_many(ids), backend.p_sensitized_many(ids)
+    ), cells
+    return backend
 
 
 class TestBackendEquivalence:
@@ -138,13 +158,13 @@ class TestBackendEquivalence:
 
 
 class TestSparseSweepEquivalence:
-    """The cone-aware sparse sweep is bit-equal to the dense vector sweep.
+    """The cone-aware sparse sweep is bit-equal to the dense oracle sweep.
 
     Pruning only skips rows whose fanins are off-path in every column (the
     dense sweep writes their SP constants back unchanged) and the targeted
     scatter writes the same values the ``np.where`` scatter wrote, so the
     agreement here is exact — asserted at 1e-9 against the scalar oracle
-    and bit-identical against the dense vector backend.
+    and bit-identical against the dense sweep of ``tests.helpers``.
     """
 
     @pytest.mark.parametrize("circuit_name", ["zoo", "s27", "s953", "s1423"])
@@ -152,7 +172,7 @@ class TestSparseSweepEquivalence:
     def test_sparse_agrees_with_scalar(self, circuit_name, order):
         """Sites in the caller's order, or already cone-sorted (a sharded
         worker's shard, which the backend sweeps as it arrived)."""
-        assert_backends_agree(build_circuit(circuit_name), prune=True,
+        assert_backends_agree(build_circuit(circuit_name),
                               sites=cone_sorted if order == "cone" else None)
 
     @pytest.mark.parametrize("circuit_name", ["zoo", "s953"])
@@ -165,58 +185,54 @@ class TestSparseSweepEquivalence:
         engine = EPPEngine(circuit)
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         packs = {}
-        for prune in (False, True):
-            for batch_size in (len(ids), 5):
-                backend = force_vector(engine, batch_size=batch_size,
-                                       prune=prune)
-                packs[(prune, batch_size)] = backend.pack_sites(ids)
-        reference = packs[(False, len(ids))]
+        for batch_size in (len(ids), 5):
+            packs[("dense", batch_size)] = dense_backend(
+                engine, batch_size
+            ).pack_sites(ids)
+            packs[("default", batch_size)] = force_vector(
+                engine, batch_size
+            ).pack_sites(ids)
+        reference = packs[("dense", len(ids))]
         for key, packed in packs.items():
             for left, right in zip(reference, packed):
                 assert np.array_equal(left, right), key
 
-    @pytest.mark.parametrize("prune", [True, False])
-    def test_mixed_arity_sentinel_groups_prune_correctly(self, prune):
+    def test_mixed_arity_sentinel_groups_prune_correctly(self):
         """The zoo's and2/and3 share one sentinel-padded group; slicing
         active rows must keep the padding columns aligned per row."""
-        assert_backends_agree(gate_zoo(), prune=prune, batch_size=2)
+        assert_backends_agree(gate_zoo(), batch_size=2)
+        engine = EPPEngine(gate_zoo())
+        ids = [engine._cones.resolve(s) for s in engine.default_sites()]
+        assert_bit_equal_to_dense(engine, ids, batch_size=2)
 
-    #: Every sweep strategy the backend can run, forced explicitly: the
-    #: pruned compacted sweeps and the dense sweep, each under every cell
-    #: tier — row kernels only, the cell-compacted kernels everywhere
-    #: (closed forms and MUX/MAJ truth tables via the zoo,
-    #: sentinel-padded mixed arities via the shared and2/and3 group), and
-    #: the per-group cost model.
-    FORCED_CONFIGS = tuple(
-        dict(prune=prune, cells=cells)
-        for prune in (True, False)
-        for cells in ("on", "off", "auto")
-    )
+    #: Every cell tier the sweep can run, forced explicitly: row kernels
+    #: only, the cell-compacted kernels everywhere (closed forms and
+    #: MUX/MAJ truth tables via the zoo, sentinel-padded mixed arities
+    #: via the shared and2/and3 group), and the per-group cost model.
+    CELL_TIERS = ("on", "off", "auto")
 
     @pytest.mark.parametrize("circuit_name", ["zoo", "s27", "s953"])
     def test_cell_compacted_bit_equal_to_dense(self, circuit_name):
         """The compacted kernels compute the same elementwise IEEE ops per
-        on-path cell as the dense kernels, so every forced strategy must
-        produce *bitwise* identical packed arrays — np.array_equal, not a
-        tolerance."""
+        on-path cell as the dense kernels, so every forced tier must
+        produce *bitwise* identical packed arrays to the dense oracle —
+        np.array_equal, not a tolerance."""
         circuit = build_circuit(circuit_name)
         engine = EPPEngine(circuit)
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
-        reference = force_vector(
-            engine, batch_size=len(ids), prune=False,
-        ).pack_sites(ids)
-        for config in self.FORCED_CONFIGS:
-            backend = force_vector(engine, batch_size=5, **config)
+        reference = dense_backend(engine, batch_size=len(ids)).pack_sites(ids)
+        for cells in self.CELL_TIERS:
+            backend = force_vector(engine, batch_size=5, cells=cells)
             packed = backend.pack_sites(ids)
             for left, right in zip(reference, packed):
-                assert np.array_equal(left, right), config
+                assert np.array_equal(left, right), cells
 
     def test_cell_tier_engages_and_computes_fewer_cells(self):
         """The fast-suite smoke for the compacted code path: forcing
         cells="on" routes partially-on-path groups through the compacted
         kernels, and the stats show fewer cells computed than spanned."""
         engine = EPPEngine(build_circuit("s953"))
-        backend = force_vector(engine, batch_size=16, prune=True, cells="on")
+        backend = force_vector(engine, batch_size=16, cells="on")
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend.analyze_sites(ids)
         stats = backend.sweep_stats
@@ -228,8 +244,7 @@ class TestSparseSweepEquivalence:
         """cells="auto" must route dense-ish groups to the row kernels and
         sparse groups to the compacted kernels on the same sweep set."""
         engine = EPPEngine(build_circuit("s1423"))
-        backend = force_vector(engine, batch_size=64, prune=True,
-                               cells="auto")
+        backend = force_vector(engine, batch_size=64, cells="auto")
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend.analyze_sites(ids)
         stats = backend.sweep_stats
@@ -247,15 +262,14 @@ class TestSparseSweepEquivalence:
         sweep."""
         engine = EPPEngine(build_circuit("s953"))
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
-        backend = force_vector(engine, batch_size=32, prune=True, cells="on")
+        backend = force_vector(engine, batch_size=32, cells="on")
         first = backend.pack_sites(ids)
         narrow = backend.pack_sites(ids[:7])  # narrow sweep between full ones
         again = backend.pack_sites(ids)
         for left, right in zip(first, again):
             assert np.array_equal(left, right)
         fresh = force_vector(
-            EPPEngine(build_circuit("s953")), batch_size=32, prune=True,
-            cells="on",
+            EPPEngine(build_circuit("s953")), batch_size=32, cells="on",
         ).pack_sites(ids[:7])
         for left, right in zip(fresh, narrow):
             assert np.array_equal(left, right)
@@ -276,8 +290,7 @@ class TestSparseSweepEquivalence:
             previous = name
         circuit.mark_output(previous)
         for sites in (None, lambda engine: engine.default_sites()[::-1]):
-            assert_backends_agree(circuit, prune=True, batch_size=batch_size,
-                                  sites=sites)
+            assert_backends_agree(circuit, batch_size=batch_size, sites=sites)
 
 
 def two_block_circuit() -> Circuit:
@@ -308,45 +321,47 @@ def two_block_circuit() -> Circuit:
 
 
 class TestCompactedRows:
-    """Pruned sweeps run on per-chunk union-of-cones state matrices.
+    """Sweeps run on per-chunk union-of-cones state matrices.
 
-    Bit-identity against the dense sweep is covered by
-    ``FORCED_CONFIGS`` above and the hypothesis fuzzer; these tests pin
-    the layout mechanics — the compacted path really engages, never
-    materializes the full-width template, handles degenerate site lists,
-    and the chunk-plan cache reuses remaps across repeated sweeps.
+    Bit-identity against the dense oracle is covered by the cell-tier
+    pins above and the hypothesis fuzzer; these tests pin the layout
+    mechanics — the compacted path really engages, never allocates a
+    full-width matrix, handles degenerate site lists, and the chunk-plan
+    cache reuses remaps across repeated sweeps.
     """
 
     def test_compact_sweeps_engage_without_template(self):
-        engine = EPPEngine(build_circuit("s953"))
-        backend = force_vector(engine, batch_size=16, prune=True)
-        ids = [engine._cones.resolve(s) for s in engine.default_sites()]
-        backend.analyze_sites(ids)
-        stats = backend.sweep_stats
-        assert stats["compact_sweeps"] == stats["sweeps"] > 0
-        # Every compacted sweep allocated strictly fewer rows than the
-        # full (n + 2)-row matrix would have.
-        assert stats["compact_rows"] < stats["sweeps"] * (engine.compiled.n + 2)
-        assert backend._template is None  # full-width template never built
-        assert not backend._buffer_slots  # no slot buffers either
-
-    def test_auto_rows_compacts_pruned_sweeps(self):
-        """Every sweep of the default (pruned) backend runs on the
-        compacted layout; only dense sweeps use full-row buffers."""
         engine = EPPEngine(build_circuit("s953"))
         backend = force_vector(engine, batch_size=16)
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend.analyze_sites(ids)
         stats = backend.sweep_stats
-        assert stats["compact_sweeps"] == stats["sweeps"] > 0
-        dense = force_vector(engine, batch_size=16, prune=False)
-        dense.analyze_sites(ids)
-        assert dense.sweep_stats["compact_sweeps"] == 0
-        assert dense._buffer_slots
+        assert stats["sweeps"] > 0
+        # Every sweep allocated strictly fewer rows than the full
+        # (n + 2)-row matrix would have, and so do the arenas it reuses.
+        full_rows = engine.compiled.n + 2
+        assert stats["compact_rows"] < stats["sweeps"] * full_rows
+        widest = (16 * 3) // 2  # chunks run 1.5x batch_size wide
+        for state_arena, _ in backend._compact_arenas.values():
+            assert state_arena.size < full_rows * 4 * widest
+
+    def test_auto_rows_compacts_pruned_sweeps(self):
+        """Every sweep of the default backend runs on its chunk's
+        compacted layout: the counters add up exactly the union rows and
+        slots of the call's chunk plans."""
+        engine = EPPEngine(build_circuit("s953"))
+        backend = force_vector(engine, batch_size=16)
+        ids = [engine._cones.resolve(s) for s in engine.default_sites()]
+        plans = chunk_plans(backend, ids)
+        backend.analyze_sites(ids)
+        stats = backend.sweep_stats
+        assert stats["sweeps"] == len(plans) > 1
+        assert stats["compact_rows"] == sum(plan.n_rows for plan in plans)
+        assert stats["compact_slots"] == sum(plan.n_slots for plan in plans)
 
     def test_empty_site_list(self):
         engine = EPPEngine(build_circuit("s953"))
-        backend = force_vector(engine, prune=True)
+        backend = force_vector(engine)
         assert backend.analyze_sites([]) == {}
         assert len(backend.p_sensitized_many([])) == 0
         packed = backend.pack_sites([])
@@ -357,16 +372,15 @@ class TestCompactedRows:
     def test_single_site_chunks(self, circuit_name):
         """batch_size=1: every chunk holds one site, so each compacted
         matrix is exactly one cone (plus read rows and sentinels)."""
-        assert_backends_agree(build_circuit(circuit_name), prune=True,
-                              batch_size=1)
+        assert_backends_agree(build_circuit(circuit_name), batch_size=1)
 
     @pytest.mark.parametrize("rows", ["compact", "full"])
     def test_sites_inside_other_sites_cones(self, rows):
         """A chunk mixing a site with members of its own fanout cone must
         keep the downstream columns' injected 1(a) in both row layouts:
-        the compacted matrix of a pruned sweep and the full-row matrix of
-        the dense sweep."""
-        prune = rows == "compact"
+        the compacted matrix of the sweep and the full-row matrix of the
+        dense oracle."""
+        dense = rows == "full"
         circuit = Circuit("chain")
         circuit.add_input("i0")
         circuit.add_input("i1")
@@ -377,14 +391,14 @@ class TestCompactedRows:
                              [previous, "i1"])
             previous = name
         circuit.mark_output(previous)
-        assert_backends_agree(circuit, prune=prune, batch_size=3)
-        assert_backends_agree(circuit, prune=prune)
+        assert_backends_agree(circuit, batch_size=3, dense=dense)
+        assert_backends_agree(circuit, dense=dense)
 
     def test_chunk_plan_cached_across_sweeps(self):
         """Repeated sweeps of the same chunk reuse one cached row remap,
         shared by every backend over the same compiled circuit."""
         engine = EPPEngine(build_circuit("s953"))
-        backend = force_vector(engine, batch_size=16, prune=True)
+        backend = force_vector(engine, batch_size=16)
         ids = np.asarray(
             [engine._cones.resolve(s) for s in engine.default_sites()][:16],
             dtype=np.intp,
@@ -393,12 +407,13 @@ class TestCompactedRows:
         assert backend.plan.compact_chunk_plan(ids) is first
         backend.pack_sites(ids)
         assert backend.plan.compact_chunk_plan(ids) is first
-        other = force_vector(engine, batch_size=16, prune=False)
+        other = force_vector(engine, batch_size=8)
+        assert other is not backend
         assert other.plan.chunk_cache is backend.plan.chunk_cache
 
     def test_release_buffers_clears_chunk_plans(self):
         engine = EPPEngine(build_circuit("s953"))
-        backend = force_vector(engine, batch_size=16, prune=True)
+        backend = force_vector(engine, batch_size=16)
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend.analyze_sites(ids)
         assert len(backend.plan.chunk_cache) > 0
@@ -410,14 +425,14 @@ class TestCompactedRows:
         mapped back to their global sink positions."""
         circuit = two_block_circuit()
         engine = EPPEngine(circuit)
-        backend = force_vector(engine, prune=True)
+        backend = force_vector(engine)
         a_ids = np.asarray([engine._cones.resolve("a0")], dtype=np.intp)
         cplan = backend.plan.compact_chunk_plan(a_ids)
         # Block A reaches one of the two sinks; block B's rows are absent.
         assert len(cplan.sink_positions) == 1
         assert cplan.n_rows < engine.compiled.n
         packed = backend.pack_sites(a_ids)
-        dense = force_vector(EPPEngine(circuit), prune=False).pack_sites(a_ids)
+        dense = dense_backend(EPPEngine(circuit)).pack_sites(a_ids)
         for left, right in zip(dense, packed):
             assert np.array_equal(left, right)
 
@@ -460,20 +475,7 @@ class TestLiveRows:
     sentinels keep theirs for the whole sweep.  A recycled slot is
     re-seeded and its mask row cleared as it goes live, and cone sizes
     are counted as slots retire — every packed array stays bit-equal to
-    the dense sweep's."""
-
-    @staticmethod
-    def assert_bit_equal_to_dense(engine, ids, batch_size, cells):
-        dense = force_vector(engine, batch_size=len(ids), prune=False)
-        backend = force_vector(engine, batch_size=batch_size, prune=True,
-                               cells=cells)
-        for left, right in zip(dense.pack_sites(ids), backend.pack_sites(ids)):
-            assert left.dtype == right.dtype
-            assert np.array_equal(left, right), cells
-        assert np.array_equal(
-            dense.p_sensitized_many(ids), backend.p_sensitized_many(ids)
-        ), cells
-        return backend
+    the dense oracle's."""
 
     @pytest.mark.parametrize("circuit_name", ["s953", "s1423"])
     @pytest.mark.parametrize("cells", ["on", "off", "auto"])
@@ -483,7 +485,7 @@ class TestLiveRows:
         plans = chunk_plans(force_vector(engine, batch_size=32), ids)
         assert len(plans) > 1
         assert any(plan.n_slots < plan.n_rows for plan in plans)
-        backend = self.assert_bit_equal_to_dense(engine, ids, 32, cells)
+        backend = assert_bit_equal_to_dense(engine, ids, 32, cells)
         stats = backend.sweep_stats
         assert stats["compact_slots"] < stats["compact_rows"]
 
@@ -506,8 +508,8 @@ class TestLiveRows:
         ids = [engine._cones.resolve(f"n{index}") for index in (0, 3, 4, 9)]
         (plan,) = chunk_plans(force_vector(engine), ids)
         assert plan.n_slots < plan.n_rows
-        packed = self.assert_bit_equal_to_dense(engine, ids, len(ids),
-                                                cells).pack_sites(ids)
+        packed = assert_bit_equal_to_dense(engine, ids, len(ids),
+                                           cells).pack_sites(ids)
         assert packed[1].tolist() == [11, 8, 7, 2]
 
     @pytest.mark.parametrize("cells", ["on", "off", "auto"])
@@ -517,8 +519,8 @@ class TestLiveRows:
         (plan,) = chunk_plans(force_vector(engine), ids)
         assert len(plan.sink_slots) == 0
         assert plan.n_slots < plan.n_rows
-        packed = self.assert_bit_equal_to_dense(engine, ids, len(ids),
-                                                cells).pack_sites(ids)
+        packed = assert_bit_equal_to_dense(engine, ids, len(ids),
+                                           cells).pack_sites(ids)
         assert packed[0].tolist() == [0.0, 0.0, 0.0]
         assert packed[1].tolist() == [7, 5, 2]
 
@@ -535,76 +537,60 @@ class TestLiveRows:
 
 
 class TestDirtyRowLifecycle:
-    """A failed or released sweep must never leak state into the next one,
-    on either layout: dense slot buffers and compacted arenas are both
-    reused across sweeps."""
-
-    @staticmethod
-    def _backends(circuit, batch_size=8):
-        """(engine, backend) pairs for a dense and a forced-pruned sweep."""
-        pairs = []
-        for prune in (False, True):
-            engine = EPPEngine(circuit)
-            backend = force_vector(engine, batch_size=batch_size, prune=prune,
-                                   cells="off")
-            pairs.append((engine, backend))
-        return pairs
+    """A failed or released sweep must never leak state into the next
+    one: the sweep arenas are reused across sweeps.  Every result is
+    checked against a fresh dense oracle, which reuses nothing."""
 
     def test_failed_sweep_invalidates_dirty_tracking(self):
-        """A sweep that dies mid-flight leaves its buffer partially
-        overwritten; the next sweep of the same buffer must not compute
+        """A sweep that dies mid-flight leaves its arena partially
+        overwritten; the next sweep of the same arena must not compute
         on any of it."""
-        for engine, backend in self._backends(two_block_circuit()):
-            a_ids = [engine._cones.resolve("a0")]
-            b_ids = [engine._cones.resolve(f"b{index}") for index in range(4)]
-            first = backend.pack_sites(a_ids)
+        engine = EPPEngine(two_block_circuit())
+        backend = force_vector(engine, batch_size=8, cells="off")
+        a_ids = [engine._cones.resolve("a0")]
+        b_ids = [engine._cones.resolve(f"b{index}") for index in range(4)]
+        first = backend.pack_sites(a_ids)
 
-            # Poison the deepest level (block B's top gate) so the next
-            # sweep writes nearly all of B's rows and then dies.
-            _, groups = backend.plan.levels[-1]
-            originals = [group.rule for group in groups]
+        # Poison the deepest level (block B's top gate) so the next
+        # sweep writes nearly all of B's rows and then dies.
+        _, groups = backend.plan.levels[-1]
+        originals = [group.rule for group in groups]
 
-            def boom(*args, **kwargs):
-                raise RuntimeError("poisoned kernel")
+        def boom(*args, **kwargs):
+            raise RuntimeError("poisoned kernel")
 
-            for group in groups:
-                group.rule = boom
-            try:
-                with pytest.raises(RuntimeError, match="poisoned"):
-                    backend.pack_sites(b_ids)
-            finally:
-                for group, original in zip(groups, originals):
-                    group.rule = original
+        for group in groups:
+            group.rule = boom
+        try:
+            with pytest.raises(RuntimeError, match="poisoned"):
+                backend.pack_sites(b_ids)
+        finally:
+            for group, original in zip(groups, originals):
+                group.rule = original
 
-            again = backend.pack_sites(a_ids)
-            for left, right in zip(first, again):
-                assert np.array_equal(left, right), backend.prune
-            b_again = backend.pack_sites(b_ids)
-            _, fresh = self._backends(two_block_circuit())[int(backend.prune)]
-            for left, right in zip(fresh.pack_sites(b_ids), b_again):
-                assert np.array_equal(left, right), backend.prune
+        again = backend.pack_sites(a_ids)
+        for left, right in zip(first, again):
+            assert np.array_equal(left, right)
+        b_again = backend.pack_sites(b_ids)
+        fresh = dense_backend(EPPEngine(two_block_circuit()), batch_size=8)
+        for left, right in zip(fresh.pack_sites(b_ids), b_again):
+            assert np.array_equal(left, right)
 
     def test_release_then_reuse_interleaving(self):
         """release_buffers() between sweeps of different widths: freshly
-        allocated buffers must start clean."""
-        circuit = build_circuit("s953")
-        fresh_pairs = self._backends(circuit, 32)
-        for (engine, backend), (fresh_engine, fresh) in zip(
-            self._backends(circuit, 32), fresh_pairs
-        ):
-            ids = [engine._cones.resolve(s) for s in engine.default_sites()]
-            wide = backend.pack_sites(ids)
-            backend.release_buffers()
-            narrow = backend.pack_sites(ids[:7])
-            wide_again = backend.pack_sites(ids)
-            for left, right in zip(wide, wide_again):
-                assert np.array_equal(left, right)
-            fresh_narrow = fresh.pack_sites(
-                [fresh_engine._cones.resolve(s)
-                 for s in fresh_engine.default_sites()][:7]
-            )
-            for left, right in zip(fresh_narrow, narrow):
-                assert np.array_equal(left, right)
+        allocated arenas must start clean."""
+        engine = EPPEngine(build_circuit("s953"))
+        backend = force_vector(engine, batch_size=32, cells="off")
+        ids = [engine._cones.resolve(s) for s in engine.default_sites()]
+        wide = backend.pack_sites(ids)
+        backend.release_buffers()
+        narrow = backend.pack_sites(ids[:7])
+        wide_again = backend.pack_sites(ids)
+        for left, right in zip(wide, wide_again):
+            assert np.array_equal(left, right)
+        fresh_narrow = dense_backend(engine, batch_size=32).pack_sites(ids[:7])
+        for left, right in zip(fresh_narrow, narrow):
+            assert np.array_equal(left, right)
 
 
 class TestUnifiedReductionPath:
@@ -621,17 +607,20 @@ class TestUnifiedReductionPath:
         full = backend.analyze_sites(site_ids)
         assert [full[s].p_sensitized for s in sites] == many.tolist()
 
-    def test_p_sensitized_many_uses_scalar_crossover(self):
-        """Below min_vector_work the bulk query delegates to the scalar
-        fallback exactly like analyze_sites (it used to skip the guard)."""
-        engine = EPPEngine(s27())
-        backend = engine.vector_backend()
-        site_ids = [engine._cones.resolve(s) for s in engine.default_sites()]
-        assert engine.compiled.n * len(site_ids) < backend.min_vector_work
-        values = backend.p_sensitized_many(site_ids)
-        assert backend._template is None  # vectorized state never built
-        for site_id, value in zip(site_ids, values):
-            assert value == pytest.approx(engine.p_sensitized(site_id), abs=TOL)
+    @pytest.mark.parametrize("circuit_name", ["c17", "s27", "c432", "c499"])
+    def test_analyze_columns_equal_snapshot(self, circuit_name):
+        """The report ``analyze`` builds and the packed ``snapshot`` the
+        service serves come from the same sweep, bit for bit, on small
+        circuits too: a scalar shortcut for small workloads would differ
+        from the sweep in the last bit (c432 on 26 of 160 sites, c499
+        on 35 of 202)."""
+        from repro.core.analysis import SERAnalyzer
+
+        analyzer = SERAnalyzer(build_circuit(circuit_name))
+        report = analyzer.analyze()
+        packed = analyzer.engine.snapshot().packed
+        assert np.array_equal(report.p_sensitized, packed[0])
+        assert np.array_equal(report.cone_sizes, packed[1])
 
     def test_p_sensitized_many_cone_schedule_stays_aligned(self):
         """Clustering permutes the sweep; the output must stay aligned
@@ -650,10 +639,7 @@ class TestReleaseBuffers:
         backend = force_vector(engine)
         sites = engine.default_sites()
         first = engine.analyze(sites=sites, backend="vector")
-        # Pruned sweeps carve their state from the compacted arenas and
-        # never build the full-width template.
         assert backend._compact_arenas
-        assert backend._template is None
         backend.release_buffers()
         assert not backend._compact_arenas
         assert backend._const is None
@@ -676,38 +662,40 @@ class TestReleaseBuffers:
         from repro.core.analysis import SERAnalyzer
 
         analyzer = SERAnalyzer(build_circuit("s953"))
-        backend = force_vector(analyzer.engine, prune=False)
-        analyzer.analyze(backend="vector", prune=False)
-        assert backend._template is not None
-        assert backend._buffer_slots
+        backend = force_vector(analyzer.engine)
+        analyzer.analyze(backend="vector")
+        assert backend._compact_arenas
+        assert backend._const is not None
         analyzer.release_buffers()
-        assert backend._template is None
-        assert not backend._buffer_slots
+        assert not backend._compact_arenas
+        assert backend._const is None
+        assert len(backend.plan.chunk_cache) == 0
 
     def test_release_waits_for_a_running_sweep(self):
         """A release from another thread (the server evicting an engine a
-        worker is still sweeping) must not free the template and
-        constants under the kernels: it waits for the sweep to finish."""
+        worker is still sweeping) must not free the arenas and constants
+        under the kernels: it waits for the sweep to finish."""
         import threading
 
         engine = EPPEngine(build_circuit("s953"))
-        expected = engine.snapshot(prune=False).packed
-        backend = engine.vector_backend(prune=False)
+        ids = [engine._cones.resolve(s) for s in engine.default_sites()]
+        expected = dense_backend(engine).pack_sites(ids)
+        backend = engine.vector_backend()
         inside, resume = threading.Event(), threading.Event()
-        original = backend._buffers
+        original = backend._compact_buffers
 
-        def paused(s, slot):
+        def paused(n_slots, s, slot):
             if not inside.is_set():
                 inside.set()
                 resume.wait(timeout=30)
-            return original(s, slot)
+            return original(n_slots, s, slot)
 
-        backend._buffers = paused
+        backend._compact_buffers = paused
         outcome = {}
 
         def sweep():
             try:
-                outcome["packed"] = engine.snapshot(prune=False).packed
+                outcome["packed"] = engine.snapshot().packed
             except Exception as error:  # surfaced by the asserts below
                 outcome["error"] = error
 
@@ -726,7 +714,7 @@ class TestReleaseBuffers:
         for left, right in zip(expected, outcome["packed"]):
             assert np.array_equal(left, right)
         assert waited
-        assert backend._template is None  # the release ran afterwards
+        assert not backend._compact_arenas  # the release ran afterwards
 
 
 class TestBackendSelection:
@@ -744,19 +732,6 @@ class TestBackendSelection:
         engine = EPPEngine(s27())
         with pytest.raises(AnalysisError, match="batch_size"):
             engine.analyze(backend="vector", batch_size=bad)
-
-    def test_crossover_falls_back_to_scalar_on_tiny_workloads(self):
-        """Below min_vector_work the vector backend delegates to the scalar
-        kernel — same results, no array dispatch."""
-        engine = EPPEngine(s27())
-        backend = engine.vector_backend()
-        assert engine.compiled.n * len(engine.default_sites()) < backend.min_vector_work
-        results = engine.analyze(backend="vector")
-        scalar = engine.analyze(backend="scalar")
-        assert results.keys() == scalar.keys()
-        for site in results:
-            assert results[site].p_sensitized == pytest.approx(
-                scalar[site].p_sensitized, abs=TOL)
 
     def test_analyzer_backend_passthrough(self):
         from repro.core.analysis import SERAnalyzer

@@ -3,8 +3,9 @@
 The tentpole invariant under test: ``analyze_delta(prev, edits)`` is
 ``np.array_equal`` — bit-identical, not merely close — to a full
 ``snapshot`` of the edited circuit, across every backend tier (vector,
-sharded, dense/pruned sweeps), because retained columns are spliced
-byte-for-byte and dirty columns run through the very same sweep.
+sharded), because retained columns are spliced byte-for-byte and dirty
+columns run through the very same sweep; and to the dense oracle sweep
+of ``tests.helpers`` on the edited circuit.
 """
 
 import pytest
@@ -19,6 +20,8 @@ from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GateType
 from repro.netlist.generate import generate_iscas, random_combinational
 from repro.netlist.library import c17, s27
+
+from tests.helpers import dense_backend
 
 
 def assert_bit_identical(delta, full):
@@ -268,12 +271,10 @@ class TestDirtyMask:
 
 # --------------------------------------------------------------- bit identity
 
-#: The backend tiers the acceptance criteria pin: default vector, the
-#: dense and the forced-pruned (compacted) sweeps, and the sharded pool.
+#: The backend tiers the acceptance criteria pin: the vector sweep and
+#: the sharded pool.
 TIERS = [
     {},
-    {"prune": False},
-    {"prune": True},
     {"backend": "sharded", "jobs": 2},
 ]
 
@@ -289,6 +290,20 @@ def small_xor_swap():
     circuit = random_combinational(6, 60, seed=11)
     target = circuit.gates[len(circuit.gates) // 2]
     return circuit, EditSet().replace_gate(target, "xor")
+
+
+def structural_mix():
+    """A gate swap, an added observable gate and a local TMR at once."""
+    circuit = random_combinational(6, 40, seed=23)
+    gates = circuit.gates
+    edits = (
+        EditSet()
+        .replace_gate(gates[5], "nor")
+        .add_gate("extra", GateType.AND, [gates[0], gates[1]])
+        .mark_output("extra")
+        .tmr(gates[-1])
+    )
+    return circuit, edits
 
 
 def s9234_polarity_swaps(count: int | None = None):
@@ -340,19 +355,25 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("knobs", TIERS)
     def test_structural_mix(self, knobs):
-        circuit = random_combinational(6, 40, seed=23)
+        circuit, edits = structural_mix()
         engine = EPPEngine(circuit)
         prev = engine.snapshot(**knobs)
-        gates = circuit.gates
-        edits = (
-            EditSet()
-            .replace_gate(gates[5], "nor")
-            .add_gate("extra", GateType.AND, [gates[0], gates[1]])
-            .mark_output("extra")
-            .tmr(gates[-1])
-        )
         delta = engine.analyze_delta(prev, edits)
         assert_bit_identical(delta, full_resnapshot(delta))
+
+    @pytest.mark.parametrize("build", [small_xor_swap, structural_mix],
+                             ids=["swap", "mix"])
+    def test_splice_equals_the_dense_oracle(self, build):
+        """The spliced arrays equal the dense oracle's ``pack_sites`` on
+        the edited circuit: splice and compacted re-sweep checked against
+        a sweep that has neither."""
+        circuit, edits = build()
+        engine = EPPEngine(circuit)
+        delta = engine.analyze_delta(engine.snapshot(), edits)
+        assert delta.stats["dirty"] > 0
+        expected = dense_backend(delta.engine).pack_sites(delta.site_ids)
+        for left, right in zip(delta.packed, expected):
+            assert np.array_equal(left, right)
 
     def test_cone_shrink_and_grow(self):
         circuit = random_combinational(6, 40, seed=7)
@@ -472,13 +493,16 @@ class TestBitIdentity:
 
     def test_knob_override_merges_per_key(self):
         engine = EPPEngine(c17())
-        prev = engine.snapshot(prune=True, batch_size=4)
+        prev = engine.snapshot(backend="vector", batch_size=4)
         delta = engine.analyze_delta(
-            prev, EditSet().replace_gate("N10", "nor"), prune=False
+            prev, EditSet().replace_gate("N10", "nor"), batch_size=2
         )
-        assert delta.knobs["prune"] is False
-        assert delta.knobs["batch_size"] == 4  # untouched keys survive
+        assert delta.knobs["batch_size"] == 2
+        assert delta.knobs["backend"] == "vector"  # untouched keys survive
         assert_bit_identical(delta, full_resnapshot(delta))
+        expected = dense_backend(delta.engine).pack_sites(delta.site_ids)
+        for left, right in zip(delta.packed, expected):
+            assert np.array_equal(left, right)
 
 
 

@@ -30,6 +30,8 @@ from repro.errors import AnalysisError
 from repro.netlist.generate import generate_iscas
 from repro.netlist.library import s27
 
+from tests.helpers import dense_backend
+
 TOL = 1e-9
 
 shm_only = pytest.mark.skipif(
@@ -280,38 +282,25 @@ class TestShardScheduling:
         ).max() <= TOL
 
     def test_sharded_compact_rows_matches_vector(self):
-        """A forced-pruned sharded run (compacted sweeps in every worker)
-        is bit-equal to the in-process vector sweep."""
+        """A sharded run (compacted sweeps in every worker) is bit-equal
+        to the in-process vector sweep and to the dense oracle."""
         engine = EPPEngine(generate_iscas("s953"))
-        backend = engine.sharded_backend(jobs=2, prune=True)
-        backend.min_process_work = 0
+        ids = [engine._cones.resolve(s) for s in engine.default_sites()]
+        backend = forced_sharded(engine, jobs=2)
         try:
-            vector = engine.analyze(backend="vector", prune=True)
-            sharded = engine.analyze(backend="sharded", jobs=2, prune=True)
+            sharded = backend.pack_sites(ids)
             assert backend.pool_started
         finally:
             backend.close()
-        assert backend.prune is True
-        assert_results_match(vector, sharded)
-
-    def test_worker_prune_knob_forwarded(self):
-        """prune=False must reach worker backends through the payload."""
-        engine = EPPEngine(generate_iscas("s953"))
-        backend = engine.sharded_backend(jobs=2, prune=False)
-        backend.min_process_work = 0
-        try:
-            vector = engine.analyze(backend="vector", prune=False)
-            sharded = engine.analyze(backend="sharded", jobs=2, prune=False)
-        finally:
-            backend.close()
-        assert backend.prune is False
-        assert_results_match(vector, sharded)
+        for reference in (engine.vector_backend().pack_sites(ids),
+                          dense_backend(engine).pack_sites(ids)):
+            for left, right in zip(reference, sharded):
+                assert np.array_equal(left, right)
 
     def test_close_releases_local_buffers(self):
         engine = EPPEngine(generate_iscas("s953"))
         backend = forced_sharded(engine, jobs=2)
         engine.analyze(backend="sharded", jobs=2)
-        backend.local.min_vector_work = 0
         engine.analyze(backend="vector")  # populate local buffers
         assert backend.local._compact_arenas
         assert backend.local._const is not None
@@ -345,10 +334,9 @@ class TestCrossoverGuard:
         assert not backend.pool_started
 
     def test_zero_min_process_work_forces_fanout_even_for_one_worker(self):
-        """min_process_work=0 is an explicit force (the batch backend's
-        min_vector_work=0 contract): even jobs=1 runs through the pool, so
-        measurement harnesses never silently report in-process timings
-        under a sharded label."""
+        """min_process_work=0 is an explicit force: even jobs=1 runs
+        through the pool, so measurement harnesses never silently report
+        in-process timings under a sharded label."""
         engine = EPPEngine(generate_iscas("s953"))
         backend = forced_sharded(engine, jobs=1)
         try:
@@ -505,25 +493,23 @@ class TestWorkerPlanCache:
             assert counters["plans_built"] == 1
 
     def test_worker_backend_keeps_auto_prune(self):
-        """The payload ships the parent-resolved ``prune`` and the worker
-        chunk width, nothing else: a worker rebuilding its backend from
-        it keeps the parent's prune, the default (``None`` -> ``True``)
-        and ``False`` alike."""
+        """The payload ships the worker chunk width and nothing else: a
+        worker rebuilding its backend from it sweeps at that width, for
+        the default width and an explicit one alike."""
         import pickle
 
         import repro.core.epp_shard as shard_module
         from repro.core.epp_shard import _shard_worker_init, _worker_backend
 
         engine = EPPEngine(generate_iscas("s953"))
-        for prune, expected in ((None, True), (False, False)):
-            backend = engine.sharded_backend(jobs=2, prune=prune)
-            assert backend.prune is expected
+        for batch_size in (None, 7):
+            backend = engine.sharded_backend(jobs=2, batch_size=batch_size)
             config = pickle.loads(backend.payload())["config"]
-            assert sorted(config) == ["batch_size", "prune", "version"]
+            assert sorted(config) == ["batch_size", "version"]
+            assert config["batch_size"] == backend.worker_batch_size
             _shard_worker_init(backend.payload())
             try:
                 worker_backend = _worker_backend()
-                assert worker_backend.prune is expected
                 assert worker_backend.batch_size == backend.worker_batch_size
                 assert _worker_backend() is worker_backend  # built once
             finally:
@@ -537,8 +523,8 @@ class TestWorkerPlanCache:
         default = engine.sharded_backend(jobs=2)
         key = default.payload_key()
         assert key == default.payload_key()
-        pruned_off = engine.sharded_backend(jobs=2, prune=False)
-        assert pruned_off.payload_key() != key
+        narrow = engine.sharded_backend(jobs=2, batch_size=7)
+        assert narrow.payload_key() != key
 
 
 class TestPoolLifecycle:

@@ -98,8 +98,6 @@ class TestTable2:
         with pytest.raises(ConfigError, match="sharded"):
             Table2Config(backend="scalar", jobs=2)  # jobs needs sharded
         # The EPP knobs fail at construction, not inside the first row.
-        with pytest.raises(ConfigError, match="prune"):
-            Table2Config(backend="vector", prune="nope")
         with pytest.raises(ConfigError, match="jobs must be an integer"):
             Table2Config(backend="sharded", jobs=2.5)
         with pytest.raises(ConfigError, match="jobs must be an integer"):

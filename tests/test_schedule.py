@@ -19,7 +19,6 @@ np = pytest.importorskip("numpy")
 
 from repro.core import epp_batch
 from repro.core.cone import ConeExtractor
-from repro.core.config import resolve_prune
 from repro.core.epp import EPPEngine
 from repro.core.epp_batch import BatchEPPBackend, BatchPlan
 from repro.core.schedule import (
@@ -33,6 +32,8 @@ from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GateType
 from repro.netlist.generate import generate_iscas
 from repro.netlist.library import s27
+
+from tests.helpers import dense_backend
 
 
 def zoo_circuit() -> Circuit:
@@ -270,7 +271,7 @@ class TestChunkCacheConcurrency:
 
 
 class TestRowsKnob:
-    """``rows=`` is gone: pruned sweeps always run compacted, so any
+    """``rows=`` is gone: every sweep runs compacted, so any
     value is an unknown knob on every backend."""
 
     def test_engine_rejects_bad_rows(self):
@@ -291,7 +292,7 @@ class TestScheduleKnob:
     def test_auto_resolution_clusters_only_multi_chunk(self, monkeypatch):
         """A call that fits in one chunk never pays the cluster sort —
         within one chunk the sweep visits the union of all cones in any
-        order — on any bulk query and either sweep."""
+        order — on any bulk query, with the dense oracle swept in too."""
         calls = []
         real = epp_batch.cone_cluster_order
 
@@ -302,9 +303,8 @@ class TestScheduleKnob:
         monkeypatch.setattr(epp_batch, "cone_cluster_order", counting)
         engine = EPPEngine(generate_iscas("s953"))
         ids = site_ids(engine)
-        for prune in (True, False):
-            backend = engine.vector_backend(batch_size=16, prune=prune)
-            backend.min_vector_work = 0
+        for backend in (engine.vector_backend(batch_size=16),
+                        dense_backend(engine, batch_size=16)):
             for query in (backend.pack_sites, backend.p_sensitized_many,
                           backend.analyze_sites):
                 query(ids[:16])
@@ -328,25 +328,6 @@ class TestScheduleKnob:
                            match="unknown analysis knob 'schedule'"):
             engine.analyze(backend="scalar", **{"schedule": "input"})
 
-    def test_table2_config_rejects_knobs_on_scalar_backend(self):
-        from repro.errors import ConfigError
-        from repro.experiments.table2 import Table2Config
-
-        with pytest.raises(ConfigError, match="vector"):
-            Table2Config(prune=False)  # default backend is scalar
-        Table2Config(backend="vector", prune=False)  # fine
-
-    def test_backend_cache_keyed_by_prune(self):
-        engine = EPPEngine(s27())
-        default = engine.vector_backend()
-        assert engine.vector_backend() is default
-        assert default.prune is True
-        # None and True are the same effective configuration.
-        assert engine.vector_backend(prune=True) is default
-        pruned_off = engine.vector_backend(prune=False)
-        assert pruned_off is not default
-        assert pruned_off.prune is False
-
     def test_engine_rejects_bad_cells_and_chunking(self):
         """The cell tier is a private test hook and chunk widths follow
         one calibrated policy: neither is an analysis knob any more."""
@@ -356,20 +337,6 @@ class TestScheduleKnob:
         with pytest.raises(AnalysisError,
                            match="unknown analysis knob 'chunking'"):
             engine.analyze(backend="scalar", chunking="adaptive")
-
-    def test_resolve_prune_tri_state(self):
-        """The knob takes None, True or False and resolves to a bool."""
-        assert resolve_prune(None) is True
-        assert resolve_prune(True) is True
-        assert resolve_prune(False) is False
-        # Idempotent: the sharded driver ships resolved values to
-        # workers, which resolve again.
-        assert resolve_prune(resolve_prune(None)) is True
-        # Truthiness is not a prune value: the wire string "false" used
-        # to coerce to True and force pruning.
-        for bad in ("auto", "false", "true", 0, 1, "on"):
-            with pytest.raises(AnalysisError, match="prune"):
-                resolve_prune(bad)
 
 
 def per_site(ids, packed) -> dict:
@@ -393,7 +360,6 @@ class TestScheduledResults:
         """Clustering permutes the sweep, never the returned mapping."""
         engine = EPPEngine(generate_iscas("s953"))
         backend = engine.vector_backend(batch_size=16)
-        backend.min_vector_work = 0
         sites = engine.default_sites()
         ids = np.asarray(site_ids(engine), dtype=np.intp)
         assert backend._schedule_order(ids) is not None  # really permuted
@@ -408,10 +374,8 @@ class TestScheduledResults:
         ids = site_ids(engine)
 
         backend = engine.vector_backend(batch_size=16)
-        backend.min_vector_work = 0
         clustered = backend.analyze_sites(ids)
         backend = engine.vector_backend(batch_size=len(ids))
-        backend.min_vector_work = 0
         ordered = backend.analyze_sites(ids)
 
         assert list(clustered) == list(ordered)
@@ -425,31 +389,32 @@ class TestScheduledResults:
         engine = EPPEngine(generate_iscas("s953"))
         ids = site_ids(engine)
         clustered = engine.vector_backend(batch_size=16)
-        clustered.min_vector_work = 0
         packed_clustered = clustered.pack_sites(ids)
         ordered = engine.vector_backend(batch_size=len(ids))
-        ordered.min_vector_work = 0
         packed_ordered = ordered.pack_sites(ids)
         for left, right in zip(packed_clustered, packed_ordered):
             assert np.array_equal(left, right)
 
-    @pytest.mark.parametrize("prune", [True, False])
+    @pytest.mark.parametrize("compacted", [True, False])
     @pytest.mark.parametrize("circuit_factory", [
         lambda: generate_iscas("s953"), zoo_circuit,
     ], ids=["s953", "zoo"])
-    def test_permuted_site_lists_agree_per_site(self, circuit_factory, prune):
+    def test_permuted_site_lists_agree_per_site(self, circuit_factory,
+                                                compacted):
         """The site list, its reverse and a seeded shuffle: whichever
-        order a caller picks, every site's packed result is the same."""
+        order a caller picks, every site's packed result is the dense
+        oracle's in input order — swept compacted (the backend's sweep)
+        or dense (the oracle itself, through the same scheduler)."""
         import random
 
         engine = EPPEngine(circuit_factory())
-        backend = engine.vector_backend(batch_size=16, prune=prune)
-        backend.min_vector_work = 0
+        dense = dense_backend(engine, batch_size=16)
+        backend = engine.vector_backend(batch_size=16) if compacted else dense
         ids = site_ids(engine)
         shuffled = list(ids)
         random.Random(7).shuffle(shuffled)
-        expected = per_site(ids, backend.pack_sites(ids))
-        for order in (ids[::-1], shuffled):
+        expected = per_site(ids, dense_backend(engine, len(ids)).pack_sites(ids))
+        for order in (ids, ids[::-1], shuffled):
             assert per_site(order, backend.pack_sites(order)) == expected
 
     def test_cluster_sorted_shard_sweeps_without_reorder(self, monkeypatch):
@@ -462,7 +427,6 @@ class TestScheduledResults:
         shard = np.asarray([ids[p] for p in order[40:140].tolist()],
                            dtype=np.intp)
         backend = engine.vector_backend(batch_size=16)
-        backend.min_vector_work = 0
         everything = per_site(ids, backend.pack_sites(ids))
         assert backend._schedule_order(shard) is None
 

@@ -216,7 +216,8 @@ class TestProtocol:
         {"op": "analyze", "circuit": "c17", "knobs": {"retries": "x"}},
         {"op": "analyze", "circuit": "c17",
          "knobs": {"shard_timeout": "x"}},
-        {"op": "analyze", "circuit": "c17", "knobs": {"prune": "false"}},
+        # prune is a removed knob, whatever its value.
+        {"op": "analyze", "circuit": "c17", "knobs": {"prune": False}},
         # Malformed request fields.
         {"op": "analyze", "circuit": "c17", "deadline": "soon"},
         {"op": "analyze", "circuit": "c17", "top": "ten"},
@@ -234,7 +235,7 @@ class TestProtocol:
                    '"knobs": {"jobs": 2, "shard_timeout": 1' + '0' * 400 + '}}'),
         # A negative row count.
         {"op": "analyze", "circuit": "c17", "top": -3},
-        # Removed sweep knob values: no schedule, and "auto" is no prune.
+        # Removed sweep knobs: schedule and prune.
         {"op": "analyze", "circuit": "c17", "knobs": {"schedule": "cone"}},
         {"op": "analyze", "circuit": "c17", "knobs": {"prune": "auto"}},
     ])
