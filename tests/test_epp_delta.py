@@ -271,10 +271,13 @@ class TestDirtyMask:
 
 # --------------------------------------------------------------- bit identity
 
-#: The backend tiers the acceptance criteria pin: the vector sweep and
-#: the sharded pool.
+#: The backend tiers the acceptance criteria pin: the vector sweep at its
+#: default chunk width, one site per chunk, a width that leaves a ragged
+#: last chunk, and the sharded pool.
 TIERS = [
     {},
+    {"batch_size": 1},
+    {"batch_size": 16},
     {"backend": "sharded", "jobs": 2},
 ]
 

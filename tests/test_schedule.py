@@ -328,6 +328,14 @@ class TestScheduleKnob:
                            match="unknown analysis knob 'schedule'"):
             engine.analyze(backend="scalar", **{"schedule": "input"})
 
+    def test_table2_config_rejects_knobs_on_scalar_backend(self):
+        from repro.errors import ConfigError
+        from repro.experiments.table2 import Table2Config
+
+        with pytest.raises(ConfigError, match="sharded"):
+            Table2Config(jobs=2)  # default backend is scalar
+        Table2Config(backend="sharded", jobs=2)  # fine
+
     def test_engine_rejects_bad_cells_and_chunking(self):
         """The cell tier is a private test hook and chunk widths follow
         one calibrated policy: neither is an analysis knob any more."""
