@@ -403,9 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--resume",
         action="store_true",
-        help="recover a crashed/drained server from --store-dir: reap "
-        "orphan shared-memory segments, report requests persisted at "
-        "the last drain as retriable, and serve journaled results warm",
+        help="recover a crashed/drained server from --store-dir: report "
+        "requests persisted at the last drain as retriable, and serve "
+        "journaled results warm",
     )
     serve.add_argument(
         "--warm",

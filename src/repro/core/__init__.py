@@ -19,7 +19,7 @@
 * :mod:`repro.core.epp_shard` — the multi-process sharded driver fanning
   cone-clustered site shards across a worker pool of vector backends
   (``EPPEngine.analyze(backend="sharded", jobs=4)``), returning packed
-  results through shared-memory segments.  Not re-exported here: the
+  results through the executor's pickle channel.  Not re-exported here: the
   engine imports it on the first sharded call, so a run that never
   shards never loads :mod:`multiprocessing`.
 * :mod:`repro.core.baseline` — the random fault-injection estimator the

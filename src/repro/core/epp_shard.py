@@ -17,20 +17,15 @@ Design
   the executor *initializer*; each worker rebuilds its
   :class:`~repro.core.epp_batch.BatchPlan` locally.  Per-task traffic is
   just the shard's site-id list.
-* **Compact wire format, shared-memory transport.**  Workers reduce their
-  shard to the backend's ``pack_sites`` tuple — five flat NumPy arrays —
-  not per-site dataclasses, and (on POSIX hosts) write those arrays into
-  a ``multiprocessing.shared_memory`` segment sized from the pack
-  layout; only a tiny :class:`ShmHandle` descriptor crosses the process
-  boundary, so the parent materializes results without
-  pickling/unpickling megabytes of float64 per shard.  Non-POSIX hosts,
-  and shards whose shm export fails, ship the arrays through the
-  executor's pickle channel instead (see :func:`default_transport`);
-  per-shard traffic is tallied in :attr:`ShardedEPPEngine.stats` either
-  way.  The parent materializes :class:`~repro.core.epp.EPPResult`
-  objects while the remaining shards are still sweeping, so result
-  packaging overlaps worker compute exactly as the single-process
-  pipeline overlapped sweep and collect.
+* **Compact wire format, one transport.**  Workers reduce their shard to
+  the backend's ``pack_sites`` tuple — five flat NumPy arrays — not
+  per-site dataclasses, and return it through the executor's pickle
+  channel; per-shard traffic is tallied in
+  :attr:`ShardedEPPEngine.stats` (``pickle_shards``/
+  ``pickled_array_bytes``).  The parent materializes
+  :class:`~repro.core.epp.EPPResult` objects while the remaining shards
+  are still sweeping, so result packaging overlaps worker compute
+  exactly as the single-process pipeline overlapped sweep and collect.
 * **Cone-clustered shards.**  A site list spanning more than one worker
   chunk is ordered by :func:`~repro.core.schedule.cone_cluster_order`
   before the contiguous partition, so each shard's sites share fanout
@@ -50,21 +45,16 @@ Design
 * **Fault tolerance.**  Column independence makes every shard *exactly
   re-runnable*, so the driver recovers from failures without perturbing
   results: a broken pool (crashed/OOMed worker) is respawned from the
-  cached payload, the dead workers' shared-memory segments are
-  quarantined (workers export under deterministic
-  ``repro_epp_<pid>_<seq>`` names so the parent can find orphans), and
-  only *unfinished* shards are re-submitted — delivered packed arrays
-  are kept, the merge stays exactly-once.  Slow shards are re-enqueued
-  with deterministic seeded backoff once past their per-shard deadline
-  (a wedged worker is killed by respawning the pool); a failed shm
-  export is retried once on the pickle transport *inside the worker*
-  before anything counts as a failure.  A shard that exhausts its retry
-  budget, or an analysis past its global deadline, raises a typed error
-  (:mod:`repro.errors`); what happens next is the caller's decision —
-  the analysis service re-runs the request on the in-process vector
-  backend behind its circuit breaker.  Every recovery is
-  ``np.array_equal`` to a clean run; :mod:`repro.testing.faults` is the
-  seeded harness that proves it.
+  cached payload and only *unfinished* shards are re-submitted —
+  delivered packed arrays are kept, the merge stays exactly-once.  Slow
+  shards are re-enqueued with deterministic seeded backoff once past
+  their per-shard deadline (a wedged worker is killed by respawning the
+  pool).  A shard that exhausts its retry budget, or an analysis past
+  its global deadline, raises a typed error (:mod:`repro.errors`); what
+  happens next is the caller's decision — the analysis service re-runs
+  the request on the in-process vector backend behind its circuit
+  breaker.  Every recovery is ``np.array_equal`` to a clean run;
+  :mod:`repro.testing.faults` is the seeded harness that proves it.
 
 Selection: ``EPPEngine.analyze(backend="sharded", jobs=4)`` (CLI:
 ``--backend sharded --jobs 4``); passing ``jobs=`` alone implies the
@@ -75,7 +65,6 @@ sharded backend.  Resilience knobs: ``retries=``, ``shard_timeout=``,
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 import pickle
@@ -84,49 +73,22 @@ import time
 from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 
 from repro.core.config import DEFAULT_RETRIES
 from repro.core.resilience import Deadline, ShardOutcome, backoff_delay
 from repro.errors import (
-    AnalysisError,
     RetryBudgetExceededError,
     ShardTimeoutError,
     WorkerCrashError,
 )
 
 __all__ = [
-    "PickleFallback",
     "ShardedEPPEngine",
-    "ShmHandle",
     "default_jobs",
-    "default_transport",
-    "export_shm",
-    "import_shm",
     "partition_shards",
     "preferred_mp_context",
-    "reap_orphan_segments",
     "recovery_knobs",
 ]
-
-def default_transport() -> str:
-    """``shm`` where POSIX shared memory is available, else ``pickle``.
-
-    ``shm`` round-trips packed arrays through
-    ``multiprocessing.shared_memory`` segments (zero array pickling);
-    ``pickle`` ships them through the executor's result channel.  Windows
-    shared-memory segments die with their last open handle, so a worker
-    cannot safely hand a segment to the parent after returning; the
-    pickle wire format serves those hosts, and any shard whose shm export
-    fails.
-    """
-    if os.name != "posix":
-        return "pickle"
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except ImportError:  # pragma: no cover - py3.8+ always has it
-        return "pickle"
-    return "shm"
 
 #: Below this ``n_nodes * n_sites`` product the whole call runs on the
 #: in-process vector backend: process spin-up plus payload transfer costs
@@ -180,81 +142,6 @@ def partition_shards(items: list, n_shards: int) -> list[list]:
     return shards
 
 
-# ------------------------------------------------------------ shm transport
-
-#: Prefix of worker-exported segment names: ``repro_epp_<pid>_<seq>``.
-#: Deterministic names are the recovery hook — a crashed worker leaves
-#: its undelivered exports in ``/dev/shm`` under its own pid, so the
-#: parent can quarantine (unlink) exactly the dead workers' orphans
-#: without guessing at the random ``psm_*`` names anonymous segments get.
-_SHM_NAME_PREFIX = "repro_epp_"
-
-#: Per-process counter behind :func:`_segment_name` (workers only).
-_SHM_SEQ = itertools.count()
-
-
-def _segment_name() -> str:
-    """A fresh deterministic segment name for this process's next export."""
-    return f"{_SHM_NAME_PREFIX}{os.getpid()}_{next(_SHM_SEQ)}"
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:
-        pass
-    # Signal 0 succeeds on zombies, but a zombie can never touch its
-    # segments again — without this, a crashed host's not-yet-reaped
-    # workers would keep their orphan exports pinned in /dev/shm.
-    try:
-        with open(f"/proc/{pid}/stat", "rb") as handle:
-            stat = handle.read()
-        if stat[stat.rindex(b")") + 2 : stat.rindex(b")") + 3] == b"Z":
-            return False
-    except (OSError, ValueError):
-        pass
-    return True
-
-
-def reap_orphan_segments(pids=None) -> int:
-    """Unlink orphaned ``repro_epp_<pid>_<seq>`` segments; returns the count.
-
-    With ``pids`` — the workers of a pool the parent just tore down —
-    every segment those pids exported goes: a worker that died between
-    ``export_shm`` and its future's resolution leaves a segment no handle
-    will ever reach, and the parent holds handles only for *delivered*
-    results, which it has already copied out and unlinked.  Without
-    ``pids``, every segment whose embedded pid no longer exists goes:
-    when the parent itself is killed (kill -9 mid-sweep),
-    exported-but-undelivered segments outlive everyone, so the next
-    process that resumes the work reaps them (checkpoint resume, server
-    startup) without disturbing live sweeps in other processes.
-    """
-    shm_dir = "/dev/shm"
-    if os.name != "posix" or not os.path.isdir(shm_dir):
-        return 0
-    if pids is not None:
-        pids = {str(pid) for pid in pids}
-    removed = 0
-    for name in os.listdir(shm_dir):
-        if not name.startswith(_SHM_NAME_PREFIX):
-            continue
-        pid_text = name[len(_SHM_NAME_PREFIX):].split("_", 1)[0]
-        if pids is not None:
-            if pid_text not in pids:
-                continue
-        elif not pid_text.isdigit() or _pid_alive(int(pid_text)):
-            continue
-        try:
-            os.unlink(os.path.join(shm_dir, name))
-        except OSError:
-            continue
-        removed += 1
-    return removed
-
-
 def recovery_knobs(config) -> tuple:
     """``(retries, shard_timeout)`` of an
     :class:`~repro.core.config.AnalysisConfig`, ``None`` resolved to the
@@ -272,133 +159,6 @@ def recovery_knobs(config) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class PickleFallback:
-    """A shard result demoted to the executor's pickle channel.
-
-    Wraps the arrays a worker ships after its shared-memory export
-    failed: the sweep had already produced a correct result, so the
-    worker retries *delivery* (not the shard) on the pickle transport —
-    the wrapper is how the parent tells a shard of a pickle-transport
-    engine from a fallback, and counts the latter.
-    """
-
-    payload: object
-
-
-@dataclass(frozen=True)
-class ShmHandle:
-    """Picklable descriptor of one shard's shared-memory result segment.
-
-    The only thing the executor's result channel carries under
-    ``transport="shm"``: a segment name plus the ``(shape, dtype, offset)``
-    layout of each packed array — a few hundred bytes regardless of how
-    many megabytes the arrays themselves occupy.  The parent attaches,
-    reads zero-copy views, then closes and unlinks the segment.
-    """
-
-    name: str
-    fields: tuple[tuple[tuple[int, ...], str, int], ...]
-    nbytes: int
-
-
-def _untrack_shm(shm) -> None:
-    """Detach a segment from this process's resource tracker.
-
-    The creating worker hands lifetime ownership to the parent (which
-    unlinks after materializing), so the worker-side tracker must forget
-    the segment — otherwise it would unlink it again at worker exit.
-    """
-    try:  # pragma: no cover - tracker internals vary across versions
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
-
-
-def export_shm(arrays: Sequence, name: str | None = None) -> ShmHandle:
-    """Copy a tuple of arrays into one fresh shared-memory segment.
-
-    Offsets are 64-byte aligned.  The segment is closed (not unlinked) and
-    unregistered from the calling process's resource tracker before the
-    handle is returned: the receiver owns the lifetime from here.
-    ``name`` requests a deterministic segment name (workers pass
-    :func:`_segment_name` so the parent can quarantine a dead worker's
-    orphans); a collision with a stale segment falls back to an
-    anonymous name rather than failing the export.
-    """
-    import numpy as np
-    from multiprocessing import shared_memory
-
-    fields = []
-    offset = 0
-    contiguous = []
-    for array in arrays:
-        array = np.ascontiguousarray(array)
-        if array.dtype.hasobject:
-            # An object array over a shared buffer would ship raw
-            # PyObject pointers to another process — refuse before any
-            # segment exists.
-            raise AnalysisError(
-                f"cannot export dtype {array.dtype} through shared memory"
-            )
-        contiguous.append(array)
-        fields.append((array.shape, array.dtype.str, offset))
-        offset += array.nbytes
-        offset = (offset + 63) & ~63
-    size = max(1, offset)
-    if name is None:
-        shm = shared_memory.SharedMemory(create=True, size=size)
-    else:
-        try:
-            shm = shared_memory.SharedMemory(name=name, create=True, size=size)
-        except FileExistsError:
-            shm = shared_memory.SharedMemory(create=True, size=size)
-    try:
-        for array, (shape, dtype, start) in zip(contiguous, fields):
-            view = np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=start)
-            view[...] = array
-            del view
-        handle = ShmHandle(shm.name, tuple(fields), shm.size)
-    except BaseException:
-        # The handle never reaches a receiver, so nobody else can reclaim
-        # the segment — unlink it here before propagating.
-        try:
-            shm.close()
-        finally:
-            shm.unlink()
-        raise
-    _untrack_shm(shm)
-    shm.close()
-    return handle
-
-
-def import_shm(handle: ShmHandle):
-    """Attach a handle's segment; returns ``(arrays, shm)``.
-
-    ``arrays`` are zero-copy views into the segment — the caller must drop
-    every view before ``shm.close()`` and must ``shm.unlink()`` exactly
-    once when done (the exporting side already relinquished ownership).
-    """
-    import numpy as np
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=handle.name)
-    try:
-        arrays = tuple(
-            np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf, offset=offset)
-            for shape, dtype, offset in handle.fields
-        )
-    except BaseException:
-        # Ownership transferred to this process the moment the worker
-        # exported; a failed attach must not orphan the segment.
-        shm.close()
-        shm.unlink()
-        raise
-    return arrays, shm
-
-
 # --------------------------------------------------------------------- worker
 
 #: This pool's pickled payload, stashed by the initializer; the backend
@@ -413,8 +173,8 @@ _WORKER_BACKEND = None
 _WORKER_STATS = {"plans_built": 0}
 
 #: The pool's :class:`~repro.testing.faults.FaultInjector`, if any —
-#: ``None`` in production pools.  Consulted by :func:`_run_shard` at the
-#: ``"kernel"`` and ``"export"`` stages of every shard attempt.
+#: ``None`` in production pools.  Consulted by :func:`_run_shard` before
+#: the sweep of every shard attempt.
 _WORKER_INJECTOR = None
 
 
@@ -452,40 +212,22 @@ def _worker_backend():
 def _run_shard(
     site_ids: list[int],
     full: bool,
-    transport: str,
     shard_index: int = 0,
     attempt: int = 1,
 ):
     """One shard's sweep in a worker: ``(worker_pid, result)``.
 
-    Under ``transport="shm"`` the result arrays are written into a shared-
-    memory segment (named ``repro_epp_<pid>_<seq>`` so the parent can
-    quarantine orphans after a crash) and only a :class:`ShmHandle` goes
-    back through the executor's pickle channel; under ``"pickle"`` the
-    arrays themselves do (the PR-2 wire format).  A failed shm export is
-    *not* a failed shard — the sweep already produced correct arrays, so
-    they are demoted to the pickle channel (wrapped in
-    :class:`PickleFallback` so the parent counts the fallback) before
-    anything counts as a failure.  ``shard_index``/``attempt`` identify
-    this submission to the pool's fault injector, if one is installed.
+    ``result`` is the backend's packed tuple (``full``) or the
+    ``P_sensitized`` vector, returned through the executor's pickle
+    channel.  ``shard_index``/``attempt`` identify this submission to the
+    pool's fault injector, if one is installed.
     """
-    injector = _WORKER_INJECTOR
-    if injector is not None:
-        injector.fire("kernel", shard_index, attempt)
+    if _WORKER_INJECTOR is not None:
+        _WORKER_INJECTOR.fire(shard_index, attempt)
     backend = _worker_backend()
     if full:
-        arrays = backend.pack_sites(site_ids)
-    else:
-        arrays = (backend.p_sensitized_many(site_ids),)
-    result = arrays if full else arrays[0]
-    if transport == "shm":
-        try:
-            if injector is not None:
-                injector.fire("export", shard_index, attempt)
-            return os.getpid(), export_shm(arrays, name=_segment_name())
-        except Exception:
-            return os.getpid(), PickleFallback(result)
-    return os.getpid(), result
+        return os.getpid(), backend.pack_sites(site_ids)
+    return os.getpid(), backend.p_sensitized_many(site_ids)
 
 
 def _worker_warmup(delay: float) -> int:
@@ -547,8 +289,8 @@ class ShardedEPPEngine:
     divided across the pool so the aggregate resident memory of a
     sharded run matches the vector backend's, instead of multiplying by
     ``jobs``.  Workers run the same compacted union-of-cones sweeps as
-    the local backend, and their packed results — flat arrays — ship
-    through shared memory unchanged.  The *parent-side*
+    the local backend, and their packed results — flat arrays — come
+    back through the executor's pickle channel.  The *parent-side*
     partitioner orders a site list spanning more than one worker chunk
     by :func:`~repro.core.schedule.cone_cluster_order` before the
     contiguous shard split, so shards (and the chunks inside each
@@ -558,13 +300,12 @@ class ShardedEPPEngine:
     ``None``); once one is spent the query raises a typed error.
     ``fault_injector`` is a :class:`~repro.testing.faults.FaultInjector`
     shipped through the pool initializer — test-only machinery for
-    staging worker crashes, stalls and transport failures
+    staging worker crashes, stalls and kernel errors
     deterministically.  ``checkpoint`` names the per-shard sweep journal
     directory.
 
-    Results travel through :func:`default_transport`, tallied per shard
-    in :attr:`stats` (``shm_shards``/``pickle_shards``/``shm_bytes``/
-    ``pickled_array_bytes``).  The worker pool
+    Result traffic is tallied per shard in :attr:`stats`
+    (``pickle_shards``/``pickled_array_bytes``).  The worker pool
     (:func:`preferred_mp_context`, :data:`_SHARDS_PER_WORKER` shards per
     worker) is created lazily on the first sharded call and reused
     across calls; :meth:`close` (or the context-manager protocol) tears
@@ -607,7 +348,6 @@ class ShardedEPPEngine:
         )
         batch_size = config.batch_size
         self.min_process_work = min_process_work
-        self.transport = default_transport()
         self.fault_injector = config.fault_injector
         #: Directory for the per-shard sweep journal
         #: (:mod:`repro.core.checkpoint`), or ``None`` to disable.  Each
@@ -627,32 +367,23 @@ class ShardedEPPEngine:
         #: journal are counted in ``stats["checkpoint_shards"]`` instead.
         self.last_outcomes: list[ShardOutcome] = []
         #: Per-engine accounting, reset never.  Wire traffic:
-        #: ``shm_shards`` / ``pickle_shards`` count shard results per
-        #: transport, ``shm_bytes`` totals segment sizes,
-        #: ``pickled_array_bytes`` totals the array payloads that crossed
-        #: the pickle channel (zero for every shm shard — the acceptance
-        #: the transport tests pin).  Resilience: ``retries`` counts
-        #: re-submissions, ``respawns`` pool rebuilds, ``worker_crashes``
-        #: pool-break events, ``shard_errors`` in-worker exceptions,
-        #: ``shard_timeouts`` per-shard deadline expiries,
-        #: ``transport_fallbacks`` shm-export failures demoted to pickle,
-        #: ``quarantined_segments`` orphaned ``/dev/shm`` segments
-        #: unlinked after worker death.  Durability:
+        #: ``pickle_shards`` counts shard results delivered by the pool,
+        #: ``pickled_array_bytes`` totals their array payloads.
+        #: Resilience: ``retries`` counts re-submissions, ``respawns``
+        #: pool rebuilds, ``worker_crashes`` pool-break events,
+        #: ``shard_errors`` in-worker exceptions, ``shard_timeouts``
+        #: per-shard deadline expiries.  Durability:
         #: ``checkpoint_shards`` counts shards served from the sweep
         #: journal instead of re-sweeping, ``checkpointed_shards`` the
         #: shards journaled to disk as they completed.
         self.stats = {
-            "shm_shards": 0,
             "pickle_shards": 0,
-            "shm_bytes": 0,
             "pickled_array_bytes": 0,
             "retries": 0,
             "respawns": 0,
             "worker_crashes": 0,
             "shard_errors": 0,
             "shard_timeouts": 0,
-            "transport_fallbacks": 0,
-            "quarantined_segments": 0,
             "checkpoint_shards": 0,
             "checkpointed_shards": 0,
         }
@@ -687,18 +418,8 @@ class ShardedEPPEngine:
         self._payload: bytes | None = None
         #: Serializes :meth:`close` against itself: the server's drain
         #: path, a context-manager exit and ``__del__`` can all race to
-        #: tear the same engine down, and an unserialized double-close
-        #: could drain the same in-flight futures twice — unlinking each
-        #: shared-memory segment twice (the second unlink of a reused
-        #: name could hit a *new* segment).
+        #: tear the same engine down through the one ``self._pool``.
         self._close_lock = threading.Lock()
-        #: Shard futures submitted but not yet delivered to a consumer.
-        #: Tracked engine-wide (not just inside the ``_map_shards``
-        #: generator) so :meth:`close` can drain undelivered shared-memory
-        #: segments even when teardown arrives mid-flight — an interrupt
-        #: between a worker's ``export_shm`` and the parent's receive, or
-        #: a suspended result generator that never reaches its cleanup.
-        self._inflight: set = set()
 
     # ------------------------------------------------------------- lifecycle
 
@@ -713,9 +434,9 @@ class ShardedEPPEngine:
         What :func:`_worker_backend` builds from: the circuit and SP
         vector, plus one wire-format
         :class:`~repro.core.config.AnalysisConfig` carrying the worker
-        chunk width, so the knob surface never re-threads this seam.  Pools are spawned by the process
-        that builds the payload, so no other payload shape ever reaches
-        a worker.
+        chunk width, so the knob surface never re-threads this seam.
+        Pools are spawned by the process that builds the payload, so no
+        other payload shape ever reaches a worker.
         """
         if self._payload is None:
             from repro.core.config import AnalysisConfig
@@ -842,61 +563,16 @@ class ShardedEPPEngine:
         )
         return {pid: {"plans_built": plans_built} for pid, plans_built in answers}
 
-    def _drain_inflight_strict(self) -> None:
-        """Reclaim the segments of every undelivered shard future.
-
-        Workers relinquish segment ownership the moment they export, so a
-        shard result nobody receives — the pool torn down between a
-        worker's ``export_shm`` and the parent's future resolution — must
-        be unlinked here or it outlives the process in ``/dev/shm``.
-        The deterministic :meth:`close` path: blocks until uncancelled
-        shards finish and discards them synchronously, and lets any
-        unexpected error propagate — this path must never *mask* a leak.
-        """
-        leftovers, self._inflight = list(self._inflight), set()
-        for future in leftovers:
-            future.cancel()
-        pending = [f for f in leftovers if not f.cancelled()]
-        if not pending:
-            return
-        wait(pending)
-        for future in pending:
-            self._discard_shard(future)
-
-    def _drain_inflight_best_effort(self) -> None:
-        """The ``__del__``-time drain: never blocks, never raises.
-
-        At interpreter shutdown, module globals (``wait``, even builtins)
-        may already be torn down and executor threads half-dead — every
-        step is individually guarded and failures are swallowed, because
-        raising from ``__del__`` here would mask the caller's real error.
-        Normal teardown must use :meth:`close` (strict drain) instead;
-        keeping the two paths separate is what stops shutdown-race
-        tolerance from hiding genuine shm leaks.
-        """
-        try:
-            leftovers, self._inflight = list(self._inflight), set()
-        except BaseException:
-            return
-        for future in leftovers:
-            try:
-                future.cancel()
-                if not future.cancelled():
-                    future.add_done_callback(self._discard_shard)
-            except BaseException:
-                pass
-
     def _respawn_pool(self) -> None:
-        """Tear down a broken or wedged pool and quarantine its segments.
+        """Tear down a broken or wedged pool.
 
         ``ProcessPoolExecutor`` cannot kill one task, so a wedged worker
         costs the whole pool: terminate every worker, shut the executor
-        down without waiting, and unlink whatever segments the dead pids
-        left in ``/dev/shm``.  The pool rebuilds lazily from the cached
-        payload on the next submit; worker backends rebuild the same
-        way (counted by ``plans_built``).  The caller must have already
-        unregistered — and, for delivered results, received — every
-        tracked future: after this, their segments are gone.
+        down without waiting, and join the dead workers.  The pool
+        rebuilds lazily from the cached payload on the next submit;
+        worker backends rebuild the same way (counted by
+        ``plans_built``).  The caller must have already received every
+        delivered result it wants to keep: the rest are cancelled.
         """
         pool, self._pool = self._pool, None
         if pool is None:
@@ -913,19 +589,15 @@ class ShardedEPPEngine:
                 process.join(timeout=5.0)
             except Exception:  # pragma: no cover - already reaped
                 pass
-        self.stats["quarantined_segments"] += reap_orphan_segments(
-            processes.keys()
-        )
         self.stats["respawns"] += 1
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent; pool respawns on next use).
 
-        Undelivered in-flight shard results are drained first — their
-        shared-memory segments unlinked — so tearing an engine down
+        Waits for the shards already running, so tearing an engine down
         mid-analysis (KeyboardInterrupt, an abandoned result generator, a
-        crashed consumer) never leaks ``/dev/shm`` space.  Worker teardown
-        also releases the local backend's chunk-width state matrices — the
+        crashed consumer) leaves no worker behind.  Teardown also
+        releases the local backend's chunk-width state matrices — the
         parent-side share of the resident set — so a long-lived
         :class:`~repro.core.analysis.SERAnalyzer` reclaims the full
         footprint after ``analyze()`` (buffers rebuild lazily on the next
@@ -933,14 +605,12 @@ class ShardedEPPEngine:
 
         Safe to call repeatedly and from concurrent threads: the server's
         drain path, a ``with``-block exit and ``__del__`` may all reach
-        here, and the whole teardown runs under a lock so two closers can
-        never drain the same in-flight futures (and unlink the same
-        ``/dev/shm`` segments) twice.
+        here, and the whole teardown runs under a lock so exactly one
+        closer shuts the pool down.
         """
         with self._close_lock:
-            self._drain_inflight_strict()
             if self._pool is not None:
-                self._pool.shutdown(wait=True)
+                self._pool.shutdown(wait=True, cancel_futures=True)
                 self._pool = None
             self.local.release_buffers()
 
@@ -954,11 +624,10 @@ class ShardedEPPEngine:
         try:
             # Never *block* on the close lock from a finalizer — but if a
             # concurrent close() holds it, that thread owns the teardown
-            # and this one must not race it through the same futures.
+            # and this one must not race it through the same pool.
             if not self._close_lock.acquire(blocking=False):
                 return
             try:
-                self._drain_inflight_best_effort()
                 if self._pool is not None:
                     self._pool.shutdown(wait=False)
             finally:
@@ -1012,61 +681,6 @@ class ShardedEPPEngine:
         ]
         return shards, position_shards
 
-    def _receive(self, payload, full: bool):
-        """Normalize one worker result: ``(arrays, transport_label)``.
-
-        Shared-memory shards are attached, copied out in one memcpy per
-        array (far cheaper than the pickle round-trip they replace — and
-        every view must be dropped before the segment can close), then
-        closed and unlinked here so segment lifetime never escapes this
-        method.  Pickle shards pass through with their array payload
-        counted; a :class:`PickleFallback` (a worker's failed shm export
-        demoted to the pickle channel) additionally bumps
-        ``transport_fallbacks``.
-        """
-        if isinstance(payload, ShmHandle):
-            views, shm = import_shm(payload)
-            try:
-                arrays = tuple(view.copy() for view in views)
-            finally:
-                del views
-                try:
-                    shm.close()
-                finally:
-                    shm.unlink()  # never skipped, even if close() raises
-            self.stats["shm_shards"] += 1
-            self.stats["shm_bytes"] += payload.nbytes
-            return (arrays if full else arrays[0]), "shm"
-        if isinstance(payload, PickleFallback):
-            self.stats["transport_fallbacks"] += 1
-            payload = payload.payload
-        arrays = payload if full else (payload,)
-        self.stats["pickle_shards"] += 1
-        self.stats["pickled_array_bytes"] += sum(array.nbytes for array in arrays)
-        return payload, "pickle"
-
-    @staticmethod
-    def _discard_shard(future) -> None:
-        """Unlink an undelivered shard's shared-memory segment, if any.
-
-        Workers hand segment ownership to the parent (their resource
-        trackers forget it), so a handle that never reaches a consumer
-        must be unlinked here or it outlives the process in ``/dev/shm``.
-        """
-        try:
-            payload = future.result()
-        except BaseException:
-            return  # failed/cancelled shard: no segment was handed over
-        if isinstance(payload, tuple) and len(payload) == 2:
-            payload = payload[1]  # strip the (worker_pid, result) wrapper
-        if isinstance(payload, ShmHandle):
-            try:
-                _, shm = import_shm(payload)
-                shm.close()
-                shm.unlink()
-            except Exception:  # pragma: no cover - already gone
-                pass
-
     def _map_shards(self, shards: list[list[int]], full: bool):
         """Yield ``(shard_index, worker_result)`` as shards complete.
 
@@ -1077,8 +691,7 @@ class ShardedEPPEngine:
         * A **broken pool** (crashed/OOMed worker) first delivers every
           shard that finished before the break (exactly-once merge: a
           delivered shard is never resubmitted), then respawns the pool
-          — quarantining the dead workers' orphaned segments — and
-          charges one attempt to each in-flight shard (the executor
+          and charges one attempt to each in-flight shard (the executor
           cannot say which one killed the worker).  A pool found broken
           at submission (an idle worker was killed) takes the same path.
         * A shard past its **per-shard deadline** is cancelled and
@@ -1094,9 +707,8 @@ class ShardedEPPEngine:
           :class:`~repro.errors.ShardTimeoutError`.
 
         On any abnormal exit — including the consumer abandoning the
-        generator — every undelivered shard result is drained and its
-        shared-memory segment unlinked, so failed analyses cannot leak
-        ``/dev/shm`` space.
+        generator — every queued shard is cancelled; a shard already
+        running finishes in its worker and its result is dropped.
         """
         retries, shard_timeout = recovery_knobs(self.config)
         deadline = self.config.deadline
@@ -1113,12 +725,7 @@ class ShardedEPPEngine:
             attempts[index] += 1
             try:
                 future = self._ensure_pool().submit(
-                    _run_shard,
-                    shards[index],
-                    full,
-                    self.transport,
-                    index,
-                    attempts[index],
+                    _run_shard, shards[index], full, index, attempts[index]
                 )
             except BrokenProcessPool as error:
                 # The pool broke before it took this shard: a failed
@@ -1130,24 +737,24 @@ class ShardedEPPEngine:
                 first_start[index] = now
             pending[future] = index
             started[future] = now
-            self._inflight.add(future)
 
         def unregister(future) -> int:
             index = pending.pop(future)
             started.pop(future, None)
-            self._inflight.discard(future)
             return index
 
         def receive(index: int, future):
-            worker_pid, body = future.result()
-            result, transport = self._receive(body, full)
+            worker_pid, result = future.result()
+            self.stats["pickle_shards"] += 1
+            self.stats["pickled_array_bytes"] += sum(
+                array.nbytes for array in (result if full else (result,))
+            )
             outcomes.append(
                 ShardOutcome(
                     shard=index,
                     sites=len(shards[index]),
                     attempts=attempts[index],
                     worker_pid=worker_pid,
-                    transport=transport,
                     elapsed=time.monotonic() - first_start[index],
                 )
             )
@@ -1169,9 +776,9 @@ class ShardedEPPEngine:
             )
 
         def respawn():
-            """Deliver every in-flight shard that finished (before any
-            quarantine touches its segment), respawn the pool, and
-            return the indices of the rest, unregistered and cancelled."""
+            """Deliver every in-flight shard that finished, respawn the
+            pool, and return the indices of the rest, unregistered and
+            cancelled."""
             rest: list[int] = []
             for future in list(pending):
                 index = unregister(future)
@@ -1183,7 +790,6 @@ class ShardedEPPEngine:
                     yield index, receive(index, future)
                 else:
                     future.cancel()
-                    future.add_done_callback(self._discard_shard)
                     rest.append(index)
             self._respawn_pool()
             return rest
@@ -1284,7 +890,6 @@ class ShardedEPPEngine:
                         # Already running: the executor cannot kill one
                         # task, so the wedged worker costs the pool.
                         wedged = True
-                    future.add_done_callback(self._discard_shard)
                 if wedged:
                     rest = yield from respawn()
                     for index in rest:
@@ -1302,16 +907,10 @@ class ShardedEPPEngine:
                     )
                     record_failure(index, error)
         finally:
-            for future in list(pending):
-                pending.pop(future, None)
-                self._inflight.discard(future)
+            # Nothing waits on the shards still running, so an
+            # abandoned/failed analysis returns promptly.
+            for future in pending:
                 future.cancel()
-                if not future.cancelled():
-                    # Done callbacks run immediately for finished futures
-                    # and from the executor thread otherwise, so an
-                    # abandoned/failed analysis returns promptly instead
-                    # of blocking here until every in-flight sweep ends.
-                    future.add_done_callback(self._discard_shard)
 
     def _map_with_checkpoint(self, shards: list[list[int]], full: bool):
         """:meth:`_map_shards` behind the sweep journal, when configured.
@@ -1336,10 +935,6 @@ class ShardedEPPEngine:
             self.checkpoint, f"{self.payload_key()}|full={bool(full)}",
             shards, on_store=self._checkpoint_on_store,
         )
-        if journal.stats["resumed"]:
-            # A previous process may have died mid-export: its workers'
-            # undelivered segments are orphaned under dead pids.
-            self.stats["quarantined_segments"] += reap_orphan_segments()
         pending: list[int] = []
         for index in range(len(shards)):
             packed = journal.load(index)

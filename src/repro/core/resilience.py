@@ -5,9 +5,9 @@ re-runnable*: a shard's packed result depends only on the compiled
 circuit, the SP vector and the shard's site list — never on which worker
 computed it, how many times it was attempted, or what other shards did.
 That invariant is what lets :class:`~repro.core.epp_shard.ShardedEPPEngine`
-recover from worker crashes, wedged processes and failed shared-memory
-exports without perturbing a single bit of the result: a recovered
-analysis is ``np.array_equal`` to a clean one.
+recover from worker crashes, wedged processes and mid-kernel errors
+without perturbing a single bit of the result: a recovered analysis is
+``np.array_equal`` to a clean one.
 
 This module holds the recovery primitives of that driver:
 
@@ -20,14 +20,13 @@ This module holds the recovery primitives of that driver:
   ``shard_timeout`` and ``deadline``; once one is spent the driver
   raises a typed :class:`~repro.errors.ResilienceError`.
 * :class:`ShardOutcome` — the per-shard audit record an analysis leaves
-  behind (attempts, worker pid, transport used, elapsed seconds),
-  surfaced as
+  behind (attempts, worker pid, elapsed seconds), surfaced as
   :attr:`~repro.core.epp_shard.ShardedEPPEngine.last_outcomes`.
 * :class:`Deadline` — a small monotonic-clock countdown shared by the
   driver's scheduler loop and the pool barriers.
 
 The fault *injection* side — the seeded harness that crashes workers,
-stalls shards past their deadline and poisons shm exports so every
+stalls shards past their deadline and raises mid-kernel errors so every
 recovery path here is pinned in tests — lives in
 :mod:`repro.testing.faults`.
 """
@@ -74,19 +73,14 @@ def backoff_delay(shard: int, attempt: int) -> float:
 class ShardOutcome:
     """The audit record of one shard's journey through an analysis.
 
-    ``transport`` is how the delivered result crossed the process
-    boundary: ``"shm"`` (shared-memory segment) or ``"pickle"``
-    (executor result channel — including the worker-side fallback after
-    a failed shm export).  ``attempts`` counts every submission, the
-    successful one included; ``worker_pid`` is the pid that produced
-    the delivered result.
+    ``attempts`` counts every submission, the successful one included;
+    ``worker_pid`` is the pid that produced the delivered result.
     """
 
     shard: int
     sites: int
     attempts: int = 1
     worker_pid: int | None = None
-    transport: str = "shm"
     elapsed: float = 0.0
 
 

@@ -133,15 +133,6 @@ class ShardTimeoutError(ResilienceError):
         super().__init__(message, site_ids, attempts, worker_pid)
 
 
-class TransportError(ResilienceError):
-    """A shard result could not cross the process boundary.
-
-    Raised when the shared-memory export of a shard's packed arrays
-    fails; the worker retries the shard's result once on the pickle
-    transport before this counts as a shard failure.
-    """
-
-
 class RetryBudgetExceededError(ResilienceError):
     """A shard failed on every attempt its retry budget allowed.
 

@@ -36,11 +36,11 @@ config crosses the process boundary exactly once), and workers cache
 built circuits by identity so a re-submitted roster job reuses the
 cached :class:`~repro.netlist.circuit.CompiledCircuit` — and with it the
 batch plan and cone index already cached on it — instead of re-planning.
-Rows travel the executor's pickle channel (they are a few hundred bytes
-of scalars; the shm transport stays reserved for array-bearing shard
-results).  Timing columns are measured inside the workers, so rows are
-identical in distribution to a serial run; the deterministic columns
-(``n_nodes``, ``%Dif``, ``mean_abs_dif``) are identical full stop.
+Rows travel the executor's pickle channel, as the sharded driver's
+packed shard results do.  Timing columns are measured inside the
+workers, so rows are identical in distribution to a serial run; the
+deterministic columns (``n_nodes``, ``%Dif``, ``mean_abs_dif``) are
+identical full stop.
 
 Substitution note: the circuits are profile-matched synthetic stand-ins
 for the ISCAS'89 netlists (see DESIGN.md §4); ``s27`` uses the real

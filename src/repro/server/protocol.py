@@ -335,7 +335,7 @@ def error_info(exc: BaseException) -> dict:
       terminal for that request.
     * :class:`~repro.errors.ResilienceError` subclasses are *retriable*:
       they are transient infrastructure faults (worker crash, wedged
-      pool, transport failure) that a respawned pool can absorb.
+      pool, exhausted retries) that a respawned pool can absorb.
     * Every other :class:`~repro.errors.ReproError` is terminal — bad
       netlists, bad knobs and bad SP maps do not improve with retries.
     * Unexpected exceptions map to a terminal ``InternalError`` with the

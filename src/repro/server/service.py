@@ -33,8 +33,8 @@ robustness-first; the moving parts are:
   failures trip the breaker so later sweeps skip the pool until a
   cooldown expires.
 * **Drain on SIGTERM** — in-flight requests finish, queued ones get a
-  retriable ``ServiceUnavailableError``, worker pools are closed (no
-  /dev/shm leaks), the socket is unlinked.
+  retriable ``ServiceUnavailableError``, worker pools are closed, the
+  socket is unlinked.
 * **Crash durability** — with ``store_dir`` set, artifacts write through
   to a checksummed disk tier, sharded sweeps journal completed shards
   per circuit under ``store_dir/checkpoints/`` (a restarted server
@@ -231,10 +231,10 @@ class AnalysisService:
         Disk-tier budget for the artifact store.
     resume:
         Recover a predecessor's persisted queued-request metadata from
-        ``store_dir`` at start and reap orphaned ``/dev/shm`` segments
-        left by a killed sweep; recovered entries are reported in
+        ``store_dir`` at start; recovered entries are reported in
         ``stats()["recovered_pending"]`` (the artifacts themselves are
-        already warm via the disk tier).
+        already warm via the disk tier, and a killed sweep resumes from
+        its checkpoint journal).
     warm:
         Circuit specs to pre-load at start (engine built; the sharded
         pool is warmed too when ``jobs`` is set).
@@ -244,8 +244,8 @@ class AnalysisService:
         worker faults).
     engine_faults:
         Optional :class:`repro.testing.faults.FaultInjector` attached to
-        every sharded sweep — kernel-level chaos (worker crashes, shm
-        poison) exercised *through* the service.
+        every sharded sweep — kernel-level chaos (worker crashes,
+        stalls, kernel errors) exercised *through* the service.
     """
 
     def __init__(
@@ -359,16 +359,11 @@ class AnalysisService:
         return os.path.join(self.store.store_dir, "pending_requests.json")
 
     def _recover(self) -> None:
-        """Resume-time recovery: predecessor's pending queue + orphans.
+        """Resume-time recovery: the predecessor's pending queue.
 
         Reads (and removes) the ``pending_requests.json`` a draining
-        predecessor persisted, and reaps ``/dev/shm`` segments whose
-        owning processes are dead — a kill -9 mid-sweep leaves exported
-        shard results nobody will ever attach.
+        predecessor persisted.
         """
-        from repro.core.epp_shard import reap_orphan_segments
-
-        reap_orphan_segments()
         path = self._pending_path()
         if path is None:
             return
@@ -942,9 +937,8 @@ class AnalysisService:
             )
             degraded = degraded or base_degraded
             if previous.engine is not state.engine and previous.engine is not delta.engine:
-                # Retired revision: close its pools deterministically
-                # instead of waiting on GC (its /dev/shm segments must
-                # not outlive the revision).
+                # Retired revision: release its buffers and pools
+                # deterministically instead of waiting on GC.
                 previous.engine.release_buffers()
             state.delta = delta
         if deadline.expired():

@@ -2,10 +2,10 @@
 
 * :mod:`repro.testing.faults` — the seeded fault-injection harness the
   chaos tests thread into sharded worker pools: crash a worker at a
-  chosen shard, stall it past its deadline, poison a shared-memory
-  export, or raise mid-kernel — every one deterministic, so each
-  recovery path of :class:`~repro.core.epp_shard.ShardedEPPEngine` can
-  be pinned bit-identical against a clean run.  The service-level
+  chosen shard, stall it past its deadline, or raise mid-kernel — every
+  one deterministic, so each recovery path of
+  :class:`~repro.core.epp_shard.ShardedEPPEngine` can be pinned
+  bit-identical against a clean run.  The service-level
   counterparts (:class:`ServiceFaultInjector`) stage failures inside
   the long-lived analysis server the same way: corrupt an artifact,
   stall a request, fail a sweep.

@@ -3,19 +3,13 @@
 A :class:`FaultInjector` is a picklable, *seeded* description of
 failures to stage inside worker processes.  The sharded driver threads
 it through the executor initializer
-(``ShardedEPPEngine(fault_injector=...)``); every worker consults it at
-two well-defined stages of :func:`repro.core.epp_shard._run_shard`:
-
-* ``"kernel"`` — immediately before the shard's sweep: ``crash`` kills
-  the worker process outright (``os._exit``, the BrokenProcessPool
-  shape), ``stall`` sleeps past any per-shard deadline (the wedged-
-  worker shape), ``kernel_error`` raises :class:`InjectedFault` (the
-  mid-kernel exception shape).
-* ``"export"`` — inside the shared-memory export of the shard's packed
-  result: ``shm_poison`` raises :class:`~repro.errors.TransportError`
-  before a segment is created (the failed-``/dev/shm``-export shape,
-  which the worker must survive by falling back to the pickle
-  transport).
+(``ShardedEPPEngine(fault_injector=...)``); every worker consults it
+immediately before the sweep of each shard attempt in
+:func:`repro.core.epp_shard._run_shard`: ``crash`` kills the worker
+process outright (``os._exit``, the BrokenProcessPool shape), ``stall``
+sleeps past any per-shard deadline (the wedged-worker shape),
+``kernel_error`` raises :class:`InjectedFault` (the mid-kernel exception
+shape).
 
 Matching is exact and deterministic: a :class:`FaultSpec` names the
 shard index and attempt number it fires on (``None`` wildcards either),
@@ -33,7 +27,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from repro.errors import AnalysisError, TransportError
+from repro.errors import AnalysisError
 
 __all__ = [
     "FAULT_KINDS",
@@ -46,15 +40,8 @@ __all__ = [
     "ServiceFaultSpec",
 ]
 
-#: The failure modes the harness can stage, and the stage each fires at.
-FAULT_KINDS = ("crash", "stall", "kernel_error", "shm_poison")
-
-_STAGE_BY_KIND = {
-    "crash": "kernel",
-    "stall": "kernel",
-    "kernel_error": "kernel",
-    "shm_poison": "export",
-}
+#: The failure modes the harness can stage.
+FAULT_KINDS = ("crash", "stall", "kernel_error")
 
 
 class InjectedFault(RuntimeError):
@@ -104,7 +91,7 @@ class FaultInjector:
     """A seeded, picklable schedule of worker-side failures.
 
     Built in the parent, shipped once through the pool initializer, and
-    consulted by every worker at each stage of every shard attempt.
+    consulted by every worker before every shard attempt.
     Stateless by design — firing decisions are pure functions of
     ``(seed, spec, shard, attempt)`` — so the injector needs no
     cross-process coordination and survives pool respawns unchanged:
@@ -130,24 +117,21 @@ class FaultInjector:
         rng = random.Random(f"{self.seed}:{spec.kind}:{shard}:{attempt}")
         return rng.random() < spec.probability
 
-    def matching(self, stage: str, shard: int, attempt: int):
-        """The specs firing at ``stage`` for this ``(shard, attempt)``."""
+    def matching(self, shard: int, attempt: int):
+        """The specs firing for this ``(shard, attempt)``."""
         return [
-            spec
-            for spec in self.specs
-            if _STAGE_BY_KIND[spec.kind] == stage
-            and self._fires(spec, shard, attempt)
+            spec for spec in self.specs if self._fires(spec, shard, attempt)
         ]
 
-    def fire(self, stage: str, shard: int, attempt: int) -> None:
+    def fire(self, shard: int, attempt: int) -> None:
         """Stage any matching failure *inside the worker process*.
 
         ``crash`` never returns (the process exits immediately, without
         flushing or cleanup — exactly what a SIGKILL'd or OOMed worker
         looks like to the parent pool).  ``stall`` returns after
-        sleeping.  ``kernel_error`` / ``shm_poison`` raise.
+        sleeping.  ``kernel_error`` raises.
         """
-        for spec in self.matching(stage, shard, attempt):
+        for spec in self.matching(shard, attempt):
             if spec.kind == "crash":
                 os._exit(17)
             if spec.kind == "stall":
@@ -155,12 +139,6 @@ class FaultInjector:
             elif spec.kind == "kernel_error":
                 raise InjectedFault(
                     f"injected kernel fault (shard {shard}, attempt {attempt})"
-                )
-            elif spec.kind == "shm_poison":
-                raise TransportError(
-                    "injected shm export failure",
-                    attempts=attempt,
-                    worker_pid=os.getpid(),
                 )
 
 
@@ -179,8 +157,8 @@ class KillAfterShards:
     fire at ``stored == n`` is the exact "power cut between journal write
     and merge" point the restart-recovery pin needs.  ``signal.SIGKILL``
     (not ``os._exit``) so no ``atexit``/``finally`` cleanup runs — the
-    crashed process leaves its temp files and shm segments behind, and
-    recovery must sweep them.
+    crashed process leaves its temp files and orphaned pool workers
+    behind, and the resume must still be bit-identical.
     """
 
     n: int
@@ -281,8 +259,8 @@ class ServiceFaultInjector:
 
         ``stall_request`` sleeps, ``worker_error`` raises; the
         side-channel ``corrupt_artifact`` is queried via :meth:`should`
-        instead.  ``stage`` is recorded for symmetry with
-        :meth:`FaultInjector.fire` (currently only ``"request"``).
+        instead.  ``stage`` names the call site (the service passes
+        ``"sweep"``) and is not consulted.
         """
         del stage
         for spec in self.matching(op, index):

@@ -222,7 +222,7 @@ def test_epp_error_bounded_under_reconvergence(n_inputs, gates_per_input, seed):
 @pytest.mark.parametrize("seed", [11, 407, 90210])
 def test_scalar_vector_sharded_threeway(seed):
     """The full differential triangle, sharded side on a real process pool
-    (cone-clustered shards, shared-memory transport where available)."""
+    (cone-clustered shards, results over the executor's pickle channel)."""
     circuit = random_combinational(8, 120, seed=seed)
     engine = EPPEngine(circuit)
     force_vector(engine)

@@ -8,8 +8,10 @@ mid-size circuits exercise worker fan-out).  The crossover guard, the
 pool lifecycle are covered alongside.
 """
 
+import json
 import os
-import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -19,26 +21,17 @@ from repro.core.analysis import SERAnalyzer
 from repro.core.epp import EPPEngine
 from repro.core.epp_shard import (
     ShardedEPPEngine,
-    ShmHandle,
     default_jobs,
-    default_transport,
-    export_shm,
-    import_shm,
     partition_shards,
+    preferred_mp_context,
 )
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, RetryBudgetExceededError
 from repro.netlist.generate import generate_iscas
 from repro.netlist.library import s27
 
 from tests.helpers import dense_backend
 
 TOL = 1e-9
-
-shm_only = pytest.mark.skipif(
-    default_transport() != "shm",
-    reason="POSIX shared memory unavailable on this platform",
-)
-
 
 def forced_sharded(engine: EPPEngine, jobs: int = 4):
     """A sharded driver with the crossover guard disabled, so worker
@@ -98,166 +91,114 @@ class TestShardedEquivalence:
 
 
 class TestShmTransport:
-    """Shared-memory result transport: zero per-shard array pickling."""
+    """Shard results return through the executor's pickle channel, the
+    one transport; teardown mid-analysis leaves the engine reusable."""
 
-    @shm_only
-    def test_export_import_round_trip(self):
-        arrays = (
-            np.linspace(0.0, 1.0, 97),
-            np.arange(13, dtype=np.intp),
-            np.zeros((0, 4)),
-            np.random.default_rng(7).random((31, 4)),
-        )
-        handle = export_shm(arrays)
-        views, shm = import_shm(handle)
-        try:
-            copies = [view.copy() for view in views]
-        finally:
-            del views
-            shm.close()
-            shm.unlink()
-        for original, restored in zip(arrays, copies):
-            assert original.dtype == restored.dtype
-            assert np.array_equal(original, restored)
-
-    @shm_only
-    def test_handle_pickles_small_regardless_of_payload(self):
-        """The acceptance pin: what crosses the pickle channel per shard is
-        a fixed-size descriptor, not the packed arrays."""
-        payload = (np.zeros(500_000), np.ones((250_000, 4)))
-        handle = export_shm(payload)
-        try:
-            wire_bytes = len(pickle.dumps(handle, pickle.HIGHEST_PROTOCOL))
-            array_bytes = sum(a.nbytes for a in payload)
-            assert wire_bytes < 1024
-            assert array_bytes > 1_000_000
-        finally:
-            _, shm = import_shm(handle)
-            shm.close()
-            shm.unlink()
-
-    @shm_only
-    def test_shm_round_trip_over_real_pool_matches_vector(self):
-        """End-to-end over real worker processes: bit-equal results with
-        zero pickled array bytes — every shard arrived via shared memory."""
-        engine = EPPEngine(generate_iscas("s953"))
-        with forced_sharded(engine, jobs=2) as backend:
-            assert backend.transport == "shm"
-            vector = engine.analyze(backend="vector")
-            sharded = engine.analyze(backend="sharded", jobs=2)
-            site_ids = [engine._cones.resolve(s) for s in engine.default_sites()]
-            p_many = backend.p_sensitized_many(site_ids)
-            assert backend.pool_started
-        assert_results_match(vector, sharded)
-        assert np.abs(
-            engine.vector_backend().p_sensitized_many(site_ids) - p_many
-        ).max() <= TOL
-        assert backend.stats["shm_shards"] > 0
-        assert backend.stats["pickle_shards"] == 0
-        assert backend.stats["pickled_array_bytes"] == 0
-        assert backend.stats["shm_bytes"] > 0
-
-    @shm_only
-    def test_shm_segments_are_unlinked_after_analysis(self):
-        """No segment leaks: everything the workers created is gone from
-        /dev/shm once the parent has materialized."""
-        before = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else None
-        engine = EPPEngine(generate_iscas("s953"))
-        with forced_sharded(engine, jobs=2) as backend:
-            engine.analyze(backend="sharded", jobs=2)
-            assert backend.stats["shm_shards"] > 0
-        if before is not None:
-            leaked = {
-                name for name in set(os.listdir("/dev/shm")) - before
-                if name.startswith("psm_")
-            }
-            assert not leaked
-
-    @shm_only
-    def test_object_dtype_refused_before_any_segment_exists(self):
-        """Object arrays would ship raw pointers cross-process; the guard
-        fires before a segment is created, so nothing can leak."""
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no /dev/shm on this host")
-        before = set(os.listdir("/dev/shm"))
-        with pytest.raises(AnalysisError, match="shared memory"):
-            export_shm((np.zeros(4), np.array([object()], dtype=object)))
-        assert not {
-            name for name in set(os.listdir("/dev/shm")) - before
-            if name.startswith("psm_")
-        }
-
-    @shm_only
     def test_close_mid_flight_unlinks_undelivered_segments(self):
         """Pool teardown with shard results still in flight (the
-        KeyboardInterrupt-between-export-and-receive shape): workers have
-        already relinquished segment ownership, so close() must drain and
-        unlink every undelivered handle or it leaks in /dev/shm."""
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no /dev/shm on this host")
+        KeyboardInterrupt-between-sweep-and-receive shape): close()
+        returns, the suspended result generator closes cleanly, and the
+        next query is exact."""
         engine = EPPEngine(generate_iscas("s953"))
         backend = forced_sharded(engine, jobs=2)
         site_ids = [engine._cones.resolve(s) for s in engine.default_sites()]
-        before = set(os.listdir("/dev/shm"))
+        reference = engine.vector_backend().pack_sites(site_ids)
         shards = [site_ids[:200], site_ids[200:]]
         results = backend._map_shards(shards, full=True)
         next(results)  # submit everything, deliver exactly one shard
-        assert backend._inflight  # at least one undelivered future remains
-        backend.close()  # teardown mid-flight: must drain, not leak
-        assert not backend._inflight
-        # The generator is still suspended (its own cleanup never ran):
-        # the segments must already be gone — close() did the draining.
-        leaked = {
-            name for name in set(os.listdir("/dev/shm")) - before
-            if name.startswith("psm_")
-        }
-        results.close()
-        assert not leaked
+        backend.close()  # teardown mid-flight
+        assert not backend.pool_started
+        results.close()  # the suspended generator's cleanup
+        try:
+            packed = backend.pack_sites(site_ids)
+        finally:
+            backend.close()
+        assert all(np.array_equal(a, b) for a, b in zip(reference, packed))
 
-    @shm_only
     def test_failed_analysis_drains_undelivered_segments(self):
-        """A worker exception mid-analysis must not leak the sibling
-        shards' already-exported segments into /dev/shm."""
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no /dev/shm on this host")
+        """A worker exception mid-analysis surfaces as a typed error;
+        close() still returns and the next query is exact."""
         engine = EPPEngine(generate_iscas("s953"))
         backend = forced_sharded(engine, jobs=2)
         good = [engine._cones.resolve(s) for s in engine.default_sites()]
-        before = set(os.listdir("/dev/shm"))
+        reference = engine.vector_backend().pack_sites(good)
+        shards = [good, [10**9]]  # second shard raises in the worker
+        results = backend._map_shards(shards, full=True)
+        with pytest.raises(RetryBudgetExceededError):
+            for _ in results:
+                pass
+        backend.close()
+        assert not backend.pool_started
+        results.close()
         try:
-            shards = [good, [10**9]]  # second shard raises in the worker
-            with pytest.raises(Exception):
-                for _ in backend._map_shards(shards, full=True):
-                    pass
+            packed = backend.pack_sites(good)
         finally:
             backend.close()
-        leaked = {
-            name for name in set(os.listdir("/dev/shm")) - before
-            if name.startswith("psm_")
-        }
-        assert not leaked
+        assert all(np.array_equal(a, b) for a, b in zip(reference, packed))
 
     def test_pickle_transport_still_exact_and_counted(self):
-        """The fallback wire format stays available and bit-equal; its
-        array traffic is what the stats count."""
+        """Over a real pool every shard's packed arrays come back
+        bit-equal to the vector backend's, and each shard and its array
+        bytes are counted."""
         engine = EPPEngine(generate_iscas("s953"))
-        backend = engine.sharded_backend(jobs=2)
-        backend.min_process_work = 0
-        backend.transport = "pickle"
+        backend = forced_sharded(engine, jobs=2)
+        site_ids = [engine._cones.resolve(s) for s in engine.default_sites()]
+        shards, _ = backend._shards(site_ids)
         try:
-            vector = engine.analyze(backend="vector")
-            sharded = engine.analyze(backend="sharded", jobs=2)
+            vector = engine.vector_backend().pack_sites(site_ids)
+            packed = backend.pack_sites(site_ids)
+            assert backend.pool_started
         finally:
             backend.close()
-        assert_results_match(vector, sharded)
-        assert backend.stats["pickle_shards"] > 0
-        assert backend.stats["shm_shards"] == 0
+        assert all(np.array_equal(a, b) for a, b in zip(vector, packed))
+        assert len(shards) > 1
+        assert backend.stats["pickle_shards"] == len(shards)
         assert backend.stats["pickled_array_bytes"] > 0
 
-    def test_handle_is_tiny_dataclass(self):
-        handle = ShmHandle("psm_test", (((4,), "<f8", 0),), 64)
-        assert handle.name == "psm_test"
-        assert handle.nbytes == 64
+
+_TRACKER_SCRIPT = """
+import json, sys
+from multiprocessing import resource_tracker
+from repro.core.epp import EPPEngine
+from repro.netlist.generate import generate_iscas
+
+engine = EPPEngine(generate_iscas("s953"))
+backend = engine.sharded_backend(jobs=2)
+backend.min_process_work = 0
+engine.analyze(backend="sharded", jobs=2)
+backend.close()
+print(json.dumps({
+    "shards": len(backend.last_outcomes),
+    "tracker_pid": resource_tracker._resource_tracker._pid,
+    "shared_memory": "multiprocessing.shared_memory" in sys.modules,
+}))
+"""
+
+
+class TestResourceTracker:
+    @pytest.mark.skipif(
+        preferred_mp_context().get_start_method() != "fork",
+        reason="spawn contexts register semaphores with the tracker",
+    )
+    def test_sharded_run_starts_no_resource_tracker(self):
+        """A forked pool run registers nothing with
+        ``multiprocessing.resource_tracker``, so no tracker interpreter
+        starts and none can warn about leaked objects at exit."""
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = (
+            os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRACKER_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert seen["shards"] > 0  # the pool really ran
+        assert seen["tracker_pid"] is None
+        assert not seen["shared_memory"]
+        assert "resource_tracker" not in proc.stderr
 
 
 class TestShardScheduling:

