@@ -507,30 +507,39 @@ def _dispatch(args: argparse.Namespace) -> int:
         analyzer = SERAnalyzer(circuit, sp_method=args.sp_method)
         from repro.core.config import AnalysisConfig
 
-        report = analyzer.analyze(
-            sample=args.sample,
-            config=AnalysisConfig.from_knobs(**_analysis_knobs(args)),
-        )
-        print(report.format_table(top=args.top))
-        if args.csv:
-            from repro.experiments.reporting import rows_to_csv
+        try:
+            report = analyzer.analyze(
+                sample=args.sample,
+                config=AnalysisConfig.from_knobs(**_analysis_knobs(args)),
+            )
+            print(report.format_table(top=args.top))
+            if args.csv:
+                from repro.experiments.reporting import rows_to_csv
 
-            rows_to_csv(
-                report.ranked_records(), args.csv, header=report.RECORD_FIELDS
-            )
-            print(f"wrote {args.csv}")
-        if args.multi_cycle:
-            if not report.sites:
-                raise AnalysisError(
-                    f"--multi-cycle needs an analyzed site; {circuit.name} has none"
+                rows_to_csv(
+                    report.ranked_records(), args.csv,
+                    header=report.RECORD_FIELDS,
                 )
-            top_node = report.ranked(1)[0].node
-            value = analyzer.multi_cycle_observability(top_node, cycles=args.multi_cycle)
-            print(
-                f"multi-cycle observability of {top_node} over "
-                f"{args.multi_cycle} cycles: {value:.4f}"
-            )
-        return 0
+                print(f"wrote {args.csv}")
+            if args.multi_cycle:
+                if not report.sites:
+                    raise AnalysisError(
+                        f"--multi-cycle needs an analyzed site; "
+                        f"{circuit.name} has none"
+                    )
+                top_node = report.ranked(1)[0].node
+                value = analyzer.multi_cycle_observability(
+                    top_node, cycles=args.multi_cycle
+                )
+                print(
+                    f"multi-cycle observability of {top_node} over "
+                    f"{args.multi_cycle} cycles: {value:.4f}"
+                )
+            return 0
+        finally:
+            # Shut a sharded run's worker pool down before returning, not
+            # in an interpreter-exit finalizer.
+            analyzer.release_buffers()
 
     if args.command == "analyze-delta":
         from repro.core.analysis import SERAnalyzer
@@ -539,28 +548,36 @@ def _dispatch(args: argparse.Namespace) -> int:
         circuit = resolve_circuit(args.circuit)
         analyzer = SERAnalyzer(circuit, sp_method=args.sp_method)
         edits = _build_edit_set(args)
-        snap = analyzer.snapshot(**_analysis_knobs(args))
-        delta = analyzer.analyze_delta(snap, edits)
-        stats = delta.stats
-        print(
-            f"delta analysis of {circuit.name}: re-swept {stats['dirty']} of "
-            f"{stats['sites']} sites (reused {stats['reused']}, edit "
-            f"frontier {stats['frontier']} nodes)"
-        )
-        report = analyzer.report_for(delta)
-        print(report.format_table(top=args.top))
-        if args.verify:
-            import numpy as np
+        delta = None
+        try:
+            snap = analyzer.snapshot(**_analysis_knobs(args))
+            delta = analyzer.analyze_delta(snap, edits)
+            stats = delta.stats
+            print(
+                f"delta analysis of {circuit.name}: re-swept {stats['dirty']} "
+                f"of {stats['sites']} sites (reused {stats['reused']}, edit "
+                f"frontier {stats['frontier']} nodes)"
+            )
+            report = analyzer.report_for(delta)
+            print(report.format_table(top=args.top))
+            if args.verify:
+                import numpy as np
 
-            full = delta.engine.snapshot(**delta.knobs)
-            identical = all(
-                np.array_equal(left, right)
-                for left, right in zip(delta.packed, full.packed)
-            ) and delta.site_names == full.site_names
-            print(f"verify: incremental == full re-analysis: {identical}")
-            if not identical:
-                return 1
-        return 0
+                full = delta.engine.snapshot(**delta.knobs)
+                identical = all(
+                    np.array_equal(left, right)
+                    for left, right in zip(delta.packed, full.packed)
+                ) and delta.site_names == full.site_names
+                print(f"verify: incremental == full re-analysis: {identical}")
+                if not identical:
+                    return 1
+            return 0
+        finally:
+            analyzer.release_buffers()
+            if delta is not None:
+                # A structural edit's revision runs on an engine (and
+                # pool) of its own.
+                delta.engine.release_buffers()
 
     if args.command == "harden":
         from repro.core.analysis import SERAnalyzer
@@ -568,16 +585,22 @@ def _dispatch(args: argparse.Namespace) -> int:
 
         circuit = resolve_circuit(args.circuit)
         analyzer = SERAnalyzer(circuit, sp_method=args.sp_method)
-        plan = optimize_hardening(
-            analyzer,
-            area_budget=args.budget,
-            strength_factor=args.strength,
-            action=args.action,
-            max_steps=args.max_steps,
-            **_analysis_knobs(args),
-        )
-        print(plan.format())
-        return 0
+        plan = None
+        try:
+            plan = optimize_hardening(
+                analyzer,
+                area_budget=args.budget,
+                strength_factor=args.strength,
+                action=args.action,
+                max_steps=args.max_steps,
+                **_analysis_knobs(args),
+            )
+            print(plan.format())
+            return 0
+        finally:
+            analyzer.release_buffers()
+            if plan is not None:
+                plan.result.engine.release_buffers()
 
     if args.command == "stats":
         circuit = resolve_circuit(args.circuit)

@@ -25,7 +25,7 @@ from types import MappingProxyType
 import numpy as np
 
 from repro.errors import AnalysisError
-from repro.core.epp import EPPEngine, EPPResult
+from repro.core.epp import EPPEngine
 from repro.core.sensitization import combine_sensitization
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import CODE_TO_TYPE
@@ -235,19 +235,6 @@ def _read_only(column: np.ndarray) -> np.ndarray:
     return view
 
 
-def _columns(
-    results: Mapping[str, EPPResult],
-) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
-    """``(site -> column, p_sensitized, cone_sizes)`` of a results dict."""
-    n = len(results)
-    p_sensitized = np.empty(n, dtype=np.float64)
-    cone_sizes = np.empty(n, dtype=np.intp)
-    for column, result in enumerate(results.values()):
-        p_sensitized[column] = result.p_sensitized
-        cone_sizes[column] = result.cone_size
-    return dict(zip(results, range(n))), p_sensitized, cone_sizes
-
-
 class SiteRows:
     """The rows of a report, as far as the site list and the compiled
     view alone determine them: site order, gate codes and type names.
@@ -418,14 +405,19 @@ class SERAnalyzer:
         them, bit-identical.  Unknown or conflicting knobs raise
         :class:`~repro.errors.AnalysisConfigError` before any backend
         is constructed.
+
+        The engine's column query (:meth:`EPPEngine.analyze_columns`)
+        selects the sites :meth:`EPPEngine.analyze` would and returns
+        only the two columns the report reads: no per-site result and,
+        on the vector and sharded backends, no (site, sink) pair.
         """
-        results = self.engine.analyze(
+        site_names, p_sensitized, cone_sizes = self.engine.analyze_columns(
             sites=sites, sample=sample, seed=seed, config=config, **knobs
         )
-        # The rows are built for this call only: a results dict has no
+        # The rows are built for this call only: a column query has no
         # generation to memoize them on.
-        columns, p_sensitized, cone_sizes = _columns(results)
-        rows = SiteRows(self.compiled, columns, len(p_sensitized))
+        n = len(site_names)
+        rows = SiteRows(self.compiled, dict(zip(site_names, range(n))), n)
         return self._assemble(self.circuit.name, rows, p_sensitized, cone_sizes)
 
     # ------------------------------------------------- incremental what-if
@@ -483,9 +475,10 @@ class SERAnalyzer:
 
         Long-lived analyzers keep their engine (and its backends) cached
         between ``analyze()`` calls; this drops the vector backend's state
-        until the next bulk analysis rebuilds it lazily: the two sweep
-        arenas, each sized to the largest chunk's live slots (~58 MiB
-        each on a default s9234 run), and the cached chunk plans.
+        until the next bulk analysis rebuilds it lazily: the sweep arena
+        sized to the largest chunk's live slots (~58 MiB on a default
+        s9234 ``analyze``; a ``snapshot``'s pipeline holds a second one)
+        and the cached chunk plans.
         If a sharded worker pool is live it is shut down too (its workers
         hold their own state copies) — the next sharded ``analyze()``
         respawns it, so prefer calling this between batches, not between

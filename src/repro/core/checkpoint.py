@@ -3,25 +3,34 @@
 A sharded EPP sweep over a large circuit is minutes of work delivered
 shard by shard.  PR 6 made the sweep survive a *worker* dying; this
 module makes completed shards survive the *host* dying.  The engine
-journals each completed shard's packed arrays (the exact
-``pack_sites`` wire format — five flat NumPy arrays) to a checkpoint
-directory as it merges them; a rerun of the identical sweep loads the
-journaled shards back, checksum-verified, and only the unfinished
-shards re-sweep.  Because the journal stores the very arrays the merge
-consumes, a resumed run is ``np.array_equal`` to a clean one — the
-kill-9 chaos test pins this.
+journals each completed shard's result arrays — exactly what the worker
+returned — to a checkpoint directory as it merges them; a rerun of the
+identical sweep loads the journaled shards back, checksum-verified, and
+only the unfinished shards re-sweep.  Because the journal stores the
+very arrays the merge consumes, a resumed run is ``np.array_equal`` to a
+clean one — the kill-9 chaos test pins this.
+
+A shard record holds the arrays of one result kind:
+
+* ``columns`` — ``analyze_sites``' ``(p_sensitized, cone_sizes)``, two
+  arrays of one entry per site (what every bulk ``analyze`` journals);
+* ``packed`` — ``pack_sites``' five-array tuple, every on-path
+  (site, sink) pair included (what a sharded snapshot journals).
 
 Layout of a checkpoint directory::
 
-    manifest.json      # run identity: version, payload digest, shard count
-    shard_00003.shard  # durable record: header + pickled packed arrays
+    manifest.json      # run identity: version, payload key, shard count
+    shard_00003.shard  # durable record: header + pickled result arrays
     quarantine/        # corrupt shard files, moved aside for inspection
 
-Identity is content-addressed: ``run_key`` digests the engine's
+Identity is content-addressed: ``run_key`` digests the payload key the
+engine passes — its
 :meth:`~repro.core.epp_shard.ShardedEPPEngine.payload_key` (circuit
-structure + SP map + batch size) together with every shard's site-id
-partition.  Any change to the circuit, the knobs that shape the payload,
-or the shard partition yields a different ``run_key``; :meth:`open` then
+structure + SP map + batch size) suffixed with ``|kind=columns`` or
+``|kind=packed`` — together with every shard's site-id partition.  Any
+change to the circuit, the knobs that shape the payload, the result
+kind or the shard partition yields a different ``run_key``, so a
+journal of one kind is never read as the other; :meth:`open` then
 discards the stale files and starts a fresh journal, so a checkpoint can
 never leak pre-edit results into a post-edit sweep.  Corrupt shard files
 (torn write from a crash, bit rot) are quarantined and their shards
@@ -183,7 +192,7 @@ class ShardCheckpoint:
         return os.path.join(self.directory, f"shard_{index:05d}{_SHARD_SUFFIX}")
 
     def load(self, index: int):
-        """The journaled packed arrays for shard ``index``, or ``None``.
+        """The journaled result arrays for shard ``index``, or ``None``.
 
         Verified end to end: record checksum, run key, shard index and
         the shard's site-id digest all have to match.  A checksum
@@ -222,7 +231,7 @@ class ShardCheckpoint:
         return tuple(np.asarray(a) for a in arrays)
 
     def store(self, index: int, packed) -> None:
-        """Journal shard ``index``'s packed arrays (atomic, checksummed)."""
+        """Journal shard ``index``'s result arrays (atomic, checksummed)."""
         payload = pickle.dumps(
             tuple(np.ascontiguousarray(a) for a in packed),
             protocol=pickle.HIGHEST_PROTOCOL,

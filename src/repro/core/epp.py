@@ -480,16 +480,25 @@ class EPPEngine:
             if self._sharded_backend is not None:
                 self._sharded_backend.close()
 
-    def _analyze_sites(
-        self, sites: Sequence[int | str], backend: str, config: AnalysisConfig
-    ) -> dict[str, EPPResult]:
-        with self._sweep_lock:
-            site_ids = [self._cones.resolve(site) for site in sites]
-            if backend == "scalar":
-                # The reference oracle: one cone walk per site.
-                results = (self.node_epp(site_id) for site_id in site_ids)
-                return {result.site: result for result in results}
-            return self._backend(backend, config).analyze_sites(site_ids)
+    def _select_sites(self, sites, sample, seed, config, knobs) -> tuple:
+        """``(sites, backend, config)`` of one bulk query: the validated
+        config, the site list (default or given, then sampled) and the
+        resolved backend — shared by :meth:`analyze` and
+        :meth:`analyze_columns`, so both analyze the same sites."""
+        self._check_current()
+        cfg = AnalysisConfig.from_args(config, knobs)
+        if sites is None:
+            sites = self.default_sites()
+        sites = list(sites)
+        if sample is not None and sample < len(sites):
+            sites = random.Random(seed).sample(sites, sample)
+        backend = cfg.effective_backend()
+        # Re-check the sharded-only knobs against the *resolved* backend:
+        # construction already rejected conflicts with an explicit
+        # backend, but `retries=` with a defaulted vector backend only
+        # becomes a conflict here.
+        cfg.require_backend_support(backend)
+        return sites, backend, cfg
 
     def analyze(
         self,
@@ -555,21 +564,59 @@ class EPPEngine:
         and conflicting combinations raise
         :class:`~repro.errors.AnalysisConfigError` before any backend
         is resolved or constructed.
+
+        The vector and sharded backends build the results from one
+        ``pack_sites`` call (every on-path (site, sink) pair);
+        :meth:`analyze_columns` answers the same query with
+        ``P_sensitized`` and cone sizes only.
         """
-        self._check_current()
-        cfg = AnalysisConfig.from_args(config, knobs)
-        if sites is None:
-            sites = self.default_sites()
-        sites = list(sites)
-        if sample is not None and sample < len(sites):
-            sites = random.Random(seed).sample(sites, sample)
-        backend = cfg.effective_backend()
-        # Re-check the sharded-only knobs against the *resolved* backend:
-        # construction already rejected conflicts with an explicit
-        # backend, but `retries=` with a defaulted vector backend only
-        # becomes a conflict here.
-        cfg.require_backend_support(backend)
-        return self._analyze_sites(sites, backend, cfg)
+        sites, backend, cfg = self._select_sites(sites, sample, seed, config, knobs)
+        with self._sweep_lock:
+            site_ids = [self._cones.resolve(site) for site in sites]
+            if backend == "scalar":
+                # The reference oracle: one cone walk per site.
+                results = (self.node_epp(site_id) for site_id in site_ids)
+                return {result.site: result for result in results}
+            packed = self._backend(backend, cfg).pack_sites(site_ids)
+            results: dict[str, EPPResult] = {}
+            # _backend made the resolved backend's local vector backend
+            # the cached one.
+            self._vector_backend.materialize(site_ids, packed, results)
+            return results
+
+    def analyze_columns(
+        self,
+        sites: Sequence[int | str] | None = None,
+        sample: int | None = None,
+        seed: int = 0,
+        config: AnalysisConfig | None = None,
+        **knobs,
+    ) -> tuple:
+        """``(site_names, p_sensitized, cone_sizes)`` for many sites.
+
+        The two columns the SER report reads, for the sites
+        :meth:`analyze` would analyze with the same arguments, in that
+        order (a repeated site repeats).  The vector and sharded
+        backends reduce each swept chunk straight to the columns
+        (``analyze_sites``) and never pack a (site, sink) pair; the
+        scalar backend reads them off one :meth:`node_epp` per site.
+        Per site the values equal :meth:`analyze`'s ``p_sensitized`` and
+        ``cone_size`` on the same backend bit for bit.
+        """
+        import numpy as np
+
+        sites, backend, cfg = self._select_sites(sites, sample, seed, config, knobs)
+        with self._sweep_lock:
+            site_ids = [self._cones.resolve(site) for site in sites]
+            names = [self.compiled.names[site_id] for site_id in site_ids]
+            if backend != "scalar":
+                return (names, *self._backend(backend, cfg).analyze_sites(site_ids))
+            results = [self.node_epp(site_id) for site_id in site_ids]
+        p_sens = np.array([result.p_sensitized for result in results])
+        cone_sizes = np.array(
+            [result.cone_size for result in results], dtype=np.intp
+        )
+        return names, p_sens, cone_sizes
 
     # ------------------------------------------------------- incremental
 

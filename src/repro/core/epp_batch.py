@@ -17,8 +17,12 @@ sites of a chunk at once:
   exactly as the scalar engine reads off-path fanins;
 * sites are processed in chunks (``batch_size`` columns at a time) so the
   ``(n_nodes, 4, batch_size)`` state matrix stays memory-bounded on
-  20k+-gate circuits, and on multi-core hosts the NumPy sweep of the next
-  chunk overlaps the Python-side result packaging of the previous one;
+  20k+-gate circuits.  The column query (:meth:`BatchEPPBackend.analyze_sites`)
+  reduces each chunk straight to ``P_sensitized`` and cone sizes and sweeps
+  on one arena in the caller's thread; the packed query
+  (:meth:`BatchEPPBackend.pack_sites`) double-buffers, so on multi-core
+  hosts the NumPy sweep of the next chunk overlaps the pair packing of the
+  previous one;
 * the sweep is *cone-aware*: each chunk runs on a *compacted state
   matrix* that holds only its *live* union-of-cones rows — the cones'
   gates plus the fanin rows those gates read and the sentinel rows —
@@ -92,8 +96,9 @@ __all__ = [
 #: :func:`default_batch_size` sizes the default width so a full-circuit
 #: ``(n, 4, batch)`` matrix would meet it, and ``_chunk_spans`` checks
 #: each span's union rows against it; a sweep allocates only the chunk's
-#: live slots, two arenas of them (``n_slots x 4 x width x 8`` bytes
-#: each).  Pass ``batch_size`` to shrink it on memory-constrained hosts.
+#: live slots (``n_slots x 4 x width x 8`` bytes): the column query holds
+#: one arena sized to its largest chunk, ``pack_sites``' pipeline two.
+#: Pass ``batch_size`` to shrink it on memory-constrained hosts.
 _STATE_BYTES_TARGET = 256 << 20
 
 #: Per-cell cost of a compacted kernel relative to a dense one — the
@@ -490,11 +495,12 @@ class BatchEPPBackend:
         self._const: np.ndarray | None = None
         self._sink_names_arr = np.asarray(self.plan.sink_names, dtype=object)
         #: Flat per-pipeline-slot arenas the compacted sweeps carve their
-        #: (n_slots, 4, s) state and (n_slots, s) mask views from — grown
-        #: to the largest chunk seen, reused across sweeps so the hot path
-        #: never re-faults fresh pages.  A sweep seeds every state row and
-        #: clears its mask row as the row goes live, so stale content
-        #: between sweeps is harmless.
+        #: (n_slots, 4, s) state and (n_slots, s) mask views from, reused
+        #: across sweeps so the hot path never re-faults fresh pages.  The
+        #: column query sizes slot 0 once per call for its largest chunk;
+        #: ``pack_sites``' pipeline grows slots 0 and 1 to the largest chunk
+        #: seen.  A sweep seeds every state row and clears its mask row as
+        #: the row goes live, so stale content between sweeps is harmless.
         self._compact_arenas: dict[int, list[np.ndarray]] = {}
 
     def _ensure_const(self) -> None:
@@ -516,29 +522,32 @@ class BatchEPPBackend:
 
     # ------------------------------------------------------------------ sweep
 
+    def _arena(self, slot: int, cells: int) -> list[np.ndarray]:
+        """Pipeline slot ``slot``'s flat ``[state, mask]`` arenas, with
+        room for ``cells`` (site, row) cells: ``4 x cells`` float64s and
+        ``cells`` bools.  Arenas that fit are kept, so repeated sweeps
+        touch warm pages; smaller ones are dropped before their
+        replacement is allocated, so the two are never both held here."""
+        arenas = self._compact_arenas.get(slot)
+        if arenas is None or arenas[1].size < cells:
+            # Release the old pair before allocating its successor.
+            self._compact_arenas.pop(slot, None)
+            del arenas
+            arenas = [np.empty(4 * cells), np.empty(cells, dtype=bool)]
+            self._compact_arenas[slot] = arenas
+        return arenas
+
     def _compact_buffers(
         self, n_slots: int, s: int, slot: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """Carve (state, mask) views for one compacted sweep from the
-        pipeline slot's reusable flat arenas (grown monotonically to the
-        largest chunk), so repeated sweeps touch warm pages instead of
-        faulting a fresh allocation every chunk.  Both come back
+        pipeline slot's reusable arenas (:meth:`_arena`).  Both come back
         uninitialized: the sweep seeds each state row and clears each
         mask row as its row goes live."""
-        state_need = n_slots * 4 * s
-        mask_need = n_slots * s
-        arenas = self._compact_arenas.get(slot)
-        if arenas is None or arenas[0].size < state_need:
-            grown = np.empty(
-                max(state_need, arenas[0].size if arenas else 0)
-            )
-            grown_mask = np.empty(
-                max(mask_need, arenas[1].size if arenas else 0), dtype=bool
-            )
-            arenas = [grown, grown_mask]
-            self._compact_arenas[slot] = arenas
-        state = arenas[0][:state_need].reshape(n_slots, 4, s)
-        mask = arenas[1][:mask_need].reshape(n_slots, s)
+        cells = n_slots * s
+        state_arena, mask_arena = self._arena(slot, cells)
+        state = state_arena[:4 * cells].reshape(n_slots, 4, s)
+        mask = mask_arena[:cells].reshape(n_slots, s)
         return state, mask
 
     def _sweep(self, site_ids: np.ndarray, slot: int = 0):
@@ -546,8 +555,8 @@ class BatchEPPBackend:
         chunk's compacted union-of-cones matrix.
 
         Carves ``(n_slots, 4, s)`` state out of the pipeline slot's arena
-        (``slot`` double-buffers the pipeline, so a sweep can fill one
-        arena while the consumer reads the other) and runs the chunk
+        (``slot`` double-buffers ``pack_sites``' pipeline, so a sweep can
+        fill one arena while the consumer reads the other) and runs the chunk
         plan level by level: the slots going live at a level
         are seeded with their new rows' off-path constants and their mask
         rows cleared (a recycled slot still holds its previous row), the
@@ -672,8 +681,8 @@ class BatchEPPBackend:
                     mask[row, col] = True
 
     def release_buffers(self) -> None:
-        """Free the off-path constants and the double-buffered sweep
-        arenas, plus the plan's cached compacted-row plans.  Everything
+        """Free the off-path constants and the sweep arenas, plus the
+        plan's cached compacted-row plans.  Everything
         is rebuilt lazily on the next sweep, so this is always safe to
         call between analyses on long-lived engines/analyzers."""
         self._const = None
@@ -743,12 +752,12 @@ class BatchEPPBackend:
         """Yield ``(chunk, state, mask, layout)`` per chunk of ``ids``,
         pipelined.
 
-        The shared chunking driver of every bulk query: two-stage pipeline
-        where the NumPy sweep of chunk ``i+1`` (GIL released inside the
-        array kernels) overlaps the Python-side consumption of chunk
-        ``i``; double buffering keeps consecutive stages on disjoint
-        arenas.  Single-chunk calls skip the thread machinery.  ``layout``
-        is the sweep's readout (see :meth:`_sweep`).
+        ``pack_sites``' chunking driver: a two-stage pipeline where the
+        NumPy sweep of chunk ``i+1`` (GIL released inside the array
+        kernels) overlaps the pair packing of chunk ``i``; double
+        buffering keeps consecutive stages on disjoint arenas.
+        Single-chunk calls skip the thread machinery.  ``layout`` is the
+        sweep's readout (see :meth:`_sweep`).
         """
         chunks = [ids[start:stop] for start, stop in self._chunk_spans(ids)]
         if not chunks:
@@ -771,56 +780,75 @@ class BatchEPPBackend:
 
     # ---------------------------------------------------------------- queries
 
+    def analyze_sites(self, site_ids: Sequence[int]) -> tuple:
+        """``(p_sensitized, cone_sizes)`` for many sites, in input order.
+
+        The column query every bulk ``analyze`` runs: each chunk is swept
+        and reduced at once to its two columns (:meth:`_reduce_columns`),
+        with no (site, sink) pair ever packed.  The chunks sweep in the
+        caller's thread on one arena, sized once for the call's largest
+        chunk; there is no reduction behind a sweep to overlap, so no
+        pipeline either.  Both columns equal
+        :meth:`pack_sites`' ``p_sens``/``cone_sizes`` bit for bit.
+        """
+        return self._column_query(site_ids)
+
     def p_sensitized_many(self, site_ids: Sequence[int]) -> np.ndarray:
-        """``P_sensitized`` for many sites, aligned with ``site_ids``.
+        """``P_sensitized`` for many sites, aligned with ``site_ids``: the
+        first column of :meth:`analyze_sites`."""
+        return self._column_query(site_ids)[0]
 
-        Shares the full bulk path with :meth:`analyze_sites`: the
-        double-buffered sweep pipeline, the chunk scheduler, and —
-        through :meth:`_select_pairs` — the exact reduction and clamping
-        policy of the packed path, so the two queries can never drift
-        numerically.
-        """
+    def _column_query(self, site_ids: Sequence[int]) -> tuple:
+        """The body of :meth:`analyze_sites`, shared with
+        :meth:`p_sensitized_many`: neither public query calls the other,
+        so a tracer that wraps both (perfbench's launcher does) counts a
+        call's counters once."""
         ids = np.asarray(site_ids, dtype=np.intp)
-        out = np.empty(len(ids))
+        p_sens = np.empty(len(ids))
+        cone_sizes = np.empty(len(ids), dtype=np.intp)
         order = self._schedule_order(ids)
         sweep_ids = ids if order is None else ids[order]
+        chunks = [
+            sweep_ids[start:stop] for start, stop in self._chunk_spans(sweep_ids)
+        ]
+        if 0 < len(chunks) <= self.plan.chunk_cache.max_entries:
+            # One arena for the call, sized up front from the chunk plans
+            # (_chunk_spans built its wide spans' already; all stay cached
+            # for the sweeps).  Past the cache's capacity the plans would
+            # be built twice, so the arena grows as the sweeps need.
+            self._arena(0, max(
+                self.plan.compact_chunk_plan(chunk).n_slots * len(chunk)
+                for chunk in chunks
+            ))
         cursor = 0
-        for chunk, state, mask, layout in self._swept_chunks(sweep_ids):
-            p_sens = self._select_pairs(chunk, state, mask, layout)[0]
-            if order is None:
-                out[cursor : cursor + len(chunk)] = p_sens
-            else:
-                out[order[cursor : cursor + len(chunk)]] = p_sens
+        for chunk in chunks:
+            rows = slice(cursor, cursor + len(chunk))
+            if order is not None:
+                rows = order[rows]
+            p_sens[rows], cone_sizes[rows] = self._reduce_columns(
+                *self._sweep(chunk)
+            )
             cursor += len(chunk)
-        return out
+        return p_sens, cone_sizes
 
-    def analyze_sites(self, site_ids: Sequence[int]):
-        """Full per-site results (sink vectors included) for many sites.
+    @staticmethod
+    def _reduce_columns(state, mask, layout) -> tuple:
+        """``(p_sensitized, cone_sizes)`` of one chunk's sweep.
 
-        Returns ``{site_name: EPPResult}`` in input order, matching
-        ``EPPEngine.node_epp`` per site to floating-point reassociation.
+        ``P_sensitized = 1 - prod(1 - min(max(pa, 0) + max(pā, 0), 1))``
+        over each column's on-path sinks, with every off-path sink
+        contributing an exact factor 1.0.  The product runs down the
+        present sinks in ``layout`` order, the order :meth:`_select_pairs`
+        picks a site's pairs in, and the elementwise ops are its clamp,
+        sum and cap, so both reductions agree bit for bit.  Cone sizes
+        are the counts the sweep accumulated, less the site itself.
         """
-        from repro.core.epp import EPPResult
-
-        site_ids = list(site_ids)
-        results: dict[str, EPPResult] = {}
-        ids = np.asarray(site_ids, dtype=np.intp)
-        order = self._schedule_order(ids)
-        sweep_ids = ids if order is None else ids[order]
-        for chunk, state, mask, layout in self._swept_chunks(sweep_ids):
-            self._collect(chunk, state, mask, layout, results)
-        if order is not None:
-            names = self.compiled.names
-            results = {
-                names[site_id]: results[names[site_id]] for site_id in site_ids
-            }
-        return results
-
-    def _collect(self, chunk, state, mask, layout, results) -> None:
-        """Assemble per-site EPPResults from one chunk's sweep."""
-        self.materialize(
-            chunk.tolist(), self._pack(chunk, state, mask, layout), results
-        )
+        sink_slots, _, cones = layout
+        error = np.maximum(state[sink_slots, 0], 0.0)  # (ns, s)
+        error += np.maximum(state[sink_slots, 1], 0.0)
+        np.minimum(error, 1.0, out=error)
+        survive = np.where(mask[sink_slots], 1.0 - error, 1.0)
+        return 1.0 - np.multiply.reduce(survive, axis=0), cones - 1
 
     def _select_pairs(self, chunk, state, mask, layout) -> tuple:
         """The shared sink-pair reduction of one chunk's sweep.
@@ -829,8 +857,9 @@ class BatchEPPBackend:
         are selected with one boolean pick, clamped with one
         ``np.maximum`` (``EPPValue.clamped`` in bulk), the per-pair error
         masses capped at 1, and the per-site survival products run through
-        ``multiply.reduceat``.  This is the single reduction/clamping
-        policy behind both :meth:`p_sensitized_many` and :meth:`_pack`.
+        ``multiply.reduceat``.  This is :meth:`_pack`'s reduction; the
+        column query's :meth:`_reduce_columns` computes the same
+        ``p_sens`` bit for bit without selecting pairs.
         ``layout`` is the sweep's readout, whose ``(sink_slots,
         sink_positions)`` translate the sinks: reducing over the present
         subset selects the same pairs in the same order as reducing over
@@ -899,11 +928,11 @@ class BatchEPPBackend:
     def pack_sites(self, site_ids: Sequence[int]) -> tuple:
         """Compact numeric results for many sites (chunks concatenated).
 
-        The sharded driver's per-worker entry point: sweeps the sites
-        chunk by chunk — through the same scheduler as the other bulk
-        queries — and returns one concatenated ``_pack`` tuple aligned
-        with ``site_ids`` input order, ready to cross the process
-        boundary and be materialized by the parent.
+        What snapshots and deltas splice, ``EPPEngine.analyze``
+        materializes, and a sharded worker returns for a packed query:
+        sweeps the sites chunk by chunk — through the same scheduler as
+        :meth:`analyze_sites` — and returns one concatenated ``_pack``
+        tuple aligned with ``site_ids`` input order.
         """
         ids = np.asarray(site_ids, dtype=np.intp)
         order = self._schedule_order(ids)

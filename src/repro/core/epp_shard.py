@@ -17,15 +17,17 @@ Design
   the executor *initializer*; each worker rebuilds its
   :class:`~repro.core.epp_batch.BatchPlan` locally.  Per-task traffic is
   just the shard's site-id list.
-* **Compact wire format, one transport.**  Workers reduce their shard to
-  the backend's ``pack_sites`` tuple — five flat NumPy arrays — not
-  per-site dataclasses, and return it through the executor's pickle
-  channel; per-shard traffic is tallied in
-  :attr:`ShardedEPPEngine.stats` (``pickle_shards``/
-  ``pickled_array_bytes``).  The parent materializes
-  :class:`~repro.core.epp.EPPResult` objects while the remaining shards
-  are still sweeping, so result packaging overlaps worker compute
-  exactly as the single-process pipeline overlapped sweep and collect.
+* **Compact wire format, one transport.**  Workers return flat NumPy
+  arrays, never per-site objects, through the executor's pickle channel,
+  in one of two result kinds: ``"columns"`` — the backend's
+  ``analyze_sites`` pair ``(p_sensitized, cone_sizes)``, what every bulk
+  ``analyze`` reads — or ``"packed"`` — its five-array ``pack_sites``
+  tuple, what snapshots and deltas splice.  Per-shard traffic is tallied
+  in :attr:`ShardedEPPEngine.stats` (``pickle_shards``/
+  ``pickled_array_bytes``).  The parent writes each shard's columns into
+  their input rows as the shard arrives, while the rest are still
+  sweeping; packed shards are concatenated and restored to input order
+  once all have arrived.
 * **Cone-clustered shards.**  A site list spanning more than one worker
   chunk is ordered by :func:`~repro.core.schedule.cone_cluster_order`
   before the contiguous partition, so each shard's sites share fanout
@@ -211,23 +213,24 @@ def _worker_backend():
 
 def _run_shard(
     site_ids: list[int],
-    full: bool,
+    kind: str,
     shard_index: int = 0,
     attempt: int = 1,
 ):
     """One shard's sweep in a worker: ``(worker_pid, result)``.
 
-    ``result`` is the backend's packed tuple (``full``) or the
-    ``P_sensitized`` vector, returned through the executor's pickle
-    channel.  ``shard_index``/``attempt`` identify this submission to the
-    pool's fault injector, if one is installed.
+    ``result`` is the backend's ``analyze_sites`` columns (``kind ==
+    "columns"``) or its ``pack_sites`` tuple (``"packed"``), returned
+    through the executor's pickle channel.  ``shard_index``/``attempt``
+    identify this submission to the pool's fault injector, if one is
+    installed.
     """
     if _WORKER_INJECTOR is not None:
         _WORKER_INJECTOR.fire(shard_index, attempt)
     backend = _worker_backend()
-    if full:
+    if kind == "packed":
         return os.getpid(), backend.pack_sites(site_ids)
-    return os.getpid(), backend.p_sensitized_many(site_ids)
+    return os.getpid(), backend.analyze_sites(site_ids)
 
 
 def _worker_warmup(delay: float) -> int:
@@ -280,8 +283,9 @@ class ShardedEPPEngine:
         on the in-process vector backend; 0 forces the process path.
     local_backend:
         The in-process :class:`~repro.core.epp_batch.BatchEPPBackend` used
-        below the crossover and for materializing worker results (built on
-        demand when omitted; ``EPPEngine`` passes its cached one).
+        below the crossover and for restoring packed results to input
+        order (built on demand when omitted; ``EPPEngine`` passes its
+        cached one).
 
     Knobs: ``jobs`` is the worker process count (default one per
     available core).  ``batch_size`` is the per-chunk site columns inside
@@ -289,8 +293,8 @@ class ShardedEPPEngine:
     divided across the pool so the aggregate resident memory of a
     sharded run matches the vector backend's, instead of multiplying by
     ``jobs``.  Workers run the same compacted union-of-cones sweeps as
-    the local backend, and their packed results — flat arrays — come
-    back through the executor's pickle channel.  The *parent-side*
+    the local backend, and their results — flat arrays, columns or
+    packed — come back through the executor's pickle channel.  The *parent-side*
     partitioner orders a site list spanning more than one worker chunk
     by :func:`~repro.core.schedule.cone_cluster_order` before the
     contiguous shard split, so shards (and the chunks inside each
@@ -351,8 +355,9 @@ class ShardedEPPEngine:
         self.fault_injector = config.fault_injector
         #: Directory for the per-shard sweep journal
         #: (:mod:`repro.core.checkpoint`), or ``None`` to disable.  Each
-        #: full-result sweep journals completed shards there and resumes
-        #: from whatever a previous (possibly killed) process left.
+        #: pool query journals completed shards there and resumes from
+        #: whatever a previous (possibly killed) process left over the
+        #: same sweep and result kind.
         self.checkpoint = (
             None if config.checkpoint is None
             else os.fspath(config.checkpoint)
@@ -681,8 +686,11 @@ class ShardedEPPEngine:
         ]
         return shards, position_shards
 
-    def _map_shards(self, shards: list[list[int]], full: bool):
+    def _map_shards(self, shards: list[list[int]], kind: str):
         """Yield ``(shard_index, worker_result)`` as shards complete.
+
+        ``kind`` is the result kind each worker returns (``"columns"`` or
+        ``"packed"``, see :func:`_run_shard`).
 
         The resilient scheduler.  Per-column shard independence makes
         every shard exactly re-runnable, so failures are handled by
@@ -725,7 +733,7 @@ class ShardedEPPEngine:
             attempts[index] += 1
             try:
                 future = self._ensure_pool().submit(
-                    _run_shard, shards[index], full, index, attempts[index]
+                    _run_shard, shards[index], kind, index, attempts[index]
                 )
             except BrokenProcessPool as error:
                 # The pool broke before it took this shard: a failed
@@ -747,7 +755,7 @@ class ShardedEPPEngine:
             worker_pid, result = future.result()
             self.stats["pickle_shards"] += 1
             self.stats["pickled_array_bytes"] += sum(
-                array.nbytes for array in (result if full else (result,))
+                array.nbytes for array in result
             )
             outcomes.append(
                 ShardOutcome(
@@ -912,13 +920,14 @@ class ShardedEPPEngine:
             for future in pending:
                 future.cancel()
 
-    def _map_with_checkpoint(self, shards: list[list[int]], full: bool):
+    def _map_with_checkpoint(self, shards: list[list[int]], kind: str):
         """:meth:`_map_shards` behind the sweep journal, when configured.
 
         With no ``checkpoint`` directory this is exactly
         :meth:`_map_shards`.  With one, shards already journaled by a
         previous (possibly killed) process over the *identical* sweep —
-        same payload digest, same partition — are yielded immediately
+        same payload digest, same result kind, same partition — are
+        yielded immediately
         from disk (``stats["checkpoint_shards"]``), then only the
         unfinished shards go to the pool; each one is journaled
         (``stats["checkpointed_shards"]``) the moment it completes,
@@ -927,12 +936,12 @@ class ShardedEPPEngine:
         shard comes from the journal or from the pool, never both.
         """
         if self.checkpoint is None:
-            yield from self._map_shards(shards, full)
+            yield from self._map_shards(shards, kind)
             return
         from repro.core.checkpoint import ShardCheckpoint
 
         journal = ShardCheckpoint.open(
-            self.checkpoint, f"{self.payload_key()}|full={bool(full)}",
+            self.checkpoint, f"{self.payload_key()}|kind={kind}",
             shards, on_store=self._checkpoint_on_store,
         )
         pending: list[int] = []
@@ -946,7 +955,7 @@ class ShardedEPPEngine:
         if not pending:
             return
         for sub_index, packed in self._map_shards(
-            [shards[i] for i in pending], full
+            [shards[i] for i in pending], kind
         ):
             index = pending[sub_index]
             journal.store(index, packed)
@@ -960,28 +969,36 @@ class ShardedEPPEngine:
     # --------------------------------------------------------------- queries
 
     def analyze_sites(self, site_ids: Sequence[int]):
-        """Full per-site results for many sites, fanned out across workers.
+        """``(p_sensitized, cone_sizes)`` for many sites, in input order,
+        fanned out across workers.
 
-        Returns ``{site_name: EPPResult}`` in input order, exactly matching
-        ``BatchEPPBackend.analyze_sites`` (the shard partition cannot change
-        per-site arithmetic).  Workers ship packed arrays; materialization
-        into result objects happens here, overlapping the remaining shards'
-        sweeps.
+        Exactly ``BatchEPPBackend.analyze_sites``'s columns (the shard
+        partition cannot change per-site arithmetic).  Each worker
+        returns its shard's two columns, which land in their input rows
+        as they arrive; with ``checkpoint`` set they are journaled as
+        ``"columns"`` shards.
         """
+        return self._column_query(site_ids)
+
+    def _column_query(self, site_ids: Sequence[int]) -> tuple:
+        """The body of :meth:`analyze_sites`, shared with
+        :meth:`p_sensitized_many`: neither public query calls the other,
+        so a tracer that wraps both (perfbench's launcher does) counts a
+        call's counters once."""
+        import numpy as np
+
         self.last_outcomes = []
         site_ids = [int(site_id) for site_id in site_ids]
-        if not site_ids:
-            return {}
-        if self._use_local(len(site_ids)):
+        if not site_ids or self._use_local(len(site_ids)):
             return self.local.analyze_sites(site_ids)
-        shards, _ = self._shards(site_ids)
-        collected: dict = {}
-        for index, packed in self._map_with_checkpoint(shards, full=True):
-            self.local.materialize(shards[index], packed, collected)
-        # Shards complete out of order and the cone-clustered partition
-        # permutes sites besides; one rebuild restores input order.
-        names = self.compiled.names
-        return {names[site_id]: collected[names[site_id]] for site_id in site_ids}
+        shards, position_shards = self._shards(site_ids)
+        p_sens = np.empty(len(site_ids))
+        cone_sizes = np.empty(len(site_ids), dtype=np.intp)
+        for index, (p, cones) in self._map_with_checkpoint(shards, "columns"):
+            rows = position_shards[index]
+            p_sens[rows] = p
+            cone_sizes[rows] = cones
+        return p_sens, cone_sizes
 
     def pack_sites(self, site_ids: Sequence[int]):
         """Packed per-site arrays for many sites, in input order.
@@ -1003,7 +1020,7 @@ class ShardedEPPEngine:
             return self.local.pack_sites(site_ids)
         shards, position_shards = self._shards(site_ids)
         parts: list = [None] * len(shards)
-        for index, packed in self._map_with_checkpoint(shards, full=True):
+        for index, packed in self._map_with_checkpoint(shards, "packed"):
             parts[index] = packed
         packed = tuple(
             np.concatenate([part[i] for part in parts]) for i in range(5)
@@ -1016,17 +1033,6 @@ class ShardedEPPEngine:
         return self.local._reorder_packed(packed, inverse)
 
     def p_sensitized_many(self, site_ids: Sequence[int]):
-        """``P_sensitized`` for many sites, aligned with ``site_ids``."""
-        import numpy as np
-
-        self.last_outcomes = []
-        site_ids = [int(site_id) for site_id in site_ids]
-        if not site_ids:
-            return np.empty(0)
-        if self._use_local(len(site_ids)):
-            return self.local.p_sensitized_many(site_ids)
-        shards, position_shards = self._shards(site_ids)
-        out = np.empty(len(site_ids))
-        for index, values in self._map_shards(shards, full=False):
-            out[position_shards[index]] = values
-        return out
+        """``P_sensitized`` for many sites, aligned with ``site_ids``: the
+        first column of :meth:`analyze_sites`."""
+        return self._column_query(site_ids)[0]

@@ -172,8 +172,10 @@ class ChunkCache:
 
         self.max_entries = max(1, int(max_entries))
         self._entries: dict[bytes, object] = {}
-        # Chunk plans are built from the caller's thread (span sizing)
-        # and the pipeline's sweeper thread; eviction iterates the dict,
+        # Chunk plans are built from the caller's thread (span sizing,
+        # the column query's arena sizing and its sweeps), from
+        # ``pack_sites``' sweeper thread, and from any other thread
+        # sweeping the same compiled circuit; eviction iterates the dict,
         # so inserts serialize (hits stay lock-free — dict reads are
         # atomic).
         self._lock = threading.Lock()

@@ -289,6 +289,12 @@ def optimize_hardening(
                 reused_sites=trial.stats["reused"],
             )
         )
+        if trial.engine is not delta.engine:
+            # A structural trial runs on an engine (and worker pool) of its
+            # own; free the one this step drops, unless it is the caller's.
+            dropped = delta if accepted else trial
+            if dropped.engine is not analyzer.engine:
+                dropped.engine.release_buffers()
         if accepted:
             delta, current_fit = trial, trial_fit
             ranked = _ranked_live_sites(trial_report)

@@ -852,7 +852,7 @@ class AnalysisService:
         sharded = knobs.get("backend") == "sharded"
         try:
             if self.faults is not None:
-                self.faults.apply("sweep", req.op, index)
+                self.faults.apply(req.op, index)
             delta = run(knobs)
         except ResilienceError as exc:
             if deadline.expired():

@@ -254,15 +254,13 @@ class ServiceFaultInjector:
         """Does a ``kind`` spec fire for this request? (side-channel)"""
         return any(spec.kind == kind for spec in self.matching(op, index))
 
-    def apply(self, stage: str, op: str, index: int) -> None:
+    def apply(self, op: str, index: int) -> None:
         """Stage the in-band faults for this request (worker thread).
 
         ``stall_request`` sleeps, ``worker_error`` raises; the
         side-channel ``corrupt_artifact`` is queried via :meth:`should`
-        instead.  ``stage`` names the call site (the service passes
-        ``"sweep"``) and is not consulted.
+        instead.
         """
-        del stage
         for spec in self.matching(op, index):
             if spec.kind == "stall_request":
                 time.sleep(spec.stall_s)

@@ -279,6 +279,48 @@ class TestEngineCheckpointResume:
         assert backend.last_outcomes == []
         backend.close()
 
+    def test_checkpoint_result_kinds_never_cross(self, tmp_path, s953_engine):
+        """A journal holds one result kind, named by its run key: a
+        packed journal is never loaded as columns, nor a columns journal
+        as packed — the other kind's query discards it and re-sweeps —
+        while each kind resumes from its own."""
+        import json
+
+        engine = s953_engine
+        ids = [engine.compiled.index[s] for s in engine.default_sites()]
+        local = engine.vector_backend()
+        expected = {"packed": local.pack_sites(ids),
+                    "columns": local.analyze_sites(ids)}
+        journal = tmp_path / "ck"
+        backend = _sharded(engine, journal)
+        queries = {"packed": backend.pack_sites,
+                   "columns": backend.analyze_sites}
+        n_arrays = {"packed": 5, "columns": 2}
+        try:
+            for kind, resumes in [("packed", False), ("packed", True),
+                                  ("columns", False), ("columns", True),
+                                  ("packed", False)]:
+                before = dict(backend.stats)
+                got = queries[kind](ids)
+                loaded = backend.stats["checkpoint_shards"] - before[
+                    "checkpoint_shards"]
+                stored = backend.stats["checkpointed_shards"] - before[
+                    "checkpointed_shards"]
+                shards = sorted(journal.glob("*.shard"))
+                assert (loaded, stored) == (
+                    (len(shards), 0) if resumes else (0, len(shards))
+                ), kind
+                manifest = json.loads((journal / "manifest.json").read_text())
+                assert manifest["payload_key"].endswith(f"|kind={kind}")
+                for path in shards:
+                    meta, _ = read_record(path)
+                    assert meta["arrays"] == n_arrays[kind]
+                assert len(got) == n_arrays[kind]
+                for left, right in zip(expected[kind], got):
+                    assert np.array_equal(left, right)
+        finally:
+            backend.close()
+
     def test_checkpoint_knob_reaches_analyze(self, tmp_path):
         # The public path: EPPEngine.analyze(checkpoint=...) threads the
         # directory into the sharded backend, and journaling must not

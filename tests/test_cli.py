@@ -1,5 +1,6 @@
 """CLI commands (exercised in-process through cli.main)."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -251,6 +252,26 @@ class TestHardenCommand:
         code = main(["harden", "s27", "--budget", "0"])
         assert code == 1
         assert "budget" in capsys.readouterr().err
+
+
+class TestPoolClosedOnReturn:
+    """A sharded command shuts its worker pools down before ``main``
+    returns, so no worker outlives the command into the interpreter's
+    exit hooks (s9234 is the smallest profile the crossover guard sends
+    to the pool)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "s9234", "--jobs", "2", "--top", "1"],
+        ["analyze-delta", "s9234", "--harden", "g1070:2", "--jobs", "2",
+         "--top", "1"],
+        # A rejected TMR trial's own engine ran the re-sweep on a pool.
+        ["harden", "s9234", "--budget", "6", "--action", "tmr",
+         "--max-steps", "1", "--jobs", "2"],
+    ], ids=["analyze", "analyze-delta", "harden-tmr"])
+    def test_no_pool_worker_alive_after_main(self, argv, capsys):
+        before = set(multiprocessing.active_children())
+        assert main(argv) == 0
+        assert set(multiprocessing.active_children()) <= before
 
 
 def test_cli_start_up_loads_no_sharded_driver():

@@ -5,8 +5,9 @@ Three oracles, fuzzed over generated circuits (:mod:`repro.netlist.generate`):
 * **Backend agreement** — scalar vs vector vs sharded must agree to 1e-9 on
   every site of every circuit; sharding and vectorization reassociate
   floating-point work but must never change the semantics.  The vector
-  sweep's packed arrays must also equal the dense oracle sweep's
-  (``tests.helpers``) bit for bit.
+  sweep's packed arrays, and the columns its column query reduces to,
+  must also equal the dense oracle sweep's (``tests.helpers``) bit for
+  bit.
 * **Exhaustive exactness on trees** — on fanout-free circuits the EPP
   algebra is *exact* (signals are independent and every site has a single
   path to a single sink), so the engine must match exhaustive logic
@@ -170,6 +171,52 @@ def test_cell_compacted_bit_equal_on_random_circuits(
     packed = compacted.pack_sites(ids)
     for left, right in zip(expected, packed):
         assert np.array_equal(left, right)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    n_inputs=st.integers(min_value=2, max_value=8),
+    n_gates=st.integers(min_value=4, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**16),
+    cells=st.sampled_from(("on", "off", "auto")),
+    batch_size=st.integers(min_value=1, max_value=9),
+    picks=st.lists(st.integers(min_value=0, max_value=2**16), max_size=60),
+)
+def test_column_query_bit_equal_on_random_circuits(
+    n_inputs, n_gates, seed, cells, batch_size, picks
+):
+    """``analyze_sites`` reduces each chunk to its two columns without
+    selecting a (site, sink) pair; the columns must equal ``_pack``'s
+    ``p_sens``/``cone_sizes`` and the dense oracle's bit for bit.  Site
+    lists draw with repeats from every gate, including a dead two-gate
+    chain that reaches no sink (its second gate inside the first's
+    cone), and always hold the chain twice."""
+    circuit = random_combinational(
+        n_inputs, n_gates, seed=seed, n_outputs=max(1, n_gates // 3)
+    )
+    inputs = circuit.inputs
+    circuit.add_gate("dead0", GateType.AND, [inputs[0], inputs[-1]])
+    circuit.add_gate("dead1", GateType.NOR, ["dead0", inputs[0]])
+    # Many sinks, and SPs off the dyadic grid: with every input at 0.5
+    # the error masses are short binary fractions whose survival product
+    # is exact in any order, which would hide a reordered reduction.
+    rng = random.Random(seed)
+    engine = EPPEngine(circuit, signal_probs={
+        name: rng.uniform(0.05, 0.95) for name in circuit.node_names()
+    })
+    pool = [engine._cones.resolve(site) for site in engine.default_sites()]
+    dead = [engine._cones.resolve(site) for site in ("dead0", "dead1")]
+    ids = [pool[pick % len(pool)] for pick in picks] + dead + dead[::-1]
+    backend = engine.vector_backend(batch_size=batch_size)
+    backend._cells = cells
+    p_sens, cone_sizes = backend.analyze_sites(ids)
+    packed = backend.pack_sites(ids)
+    oracle = dense_backend(engine, len(ids)).pack_sites(ids)
+    for column, left, right in zip((p_sens, cone_sizes), packed, oracle):
+        assert column.dtype == left.dtype
+        assert np.array_equal(column, left)
+        assert np.array_equal(column, right)
+    assert p_sens[-4:].tolist() == [0.0] * 4
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

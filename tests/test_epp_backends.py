@@ -331,19 +331,45 @@ class TestCompactedRows:
     """
 
     def test_compact_sweeps_engage_without_template(self):
+        """A multi-chunk column query sweeps on the calling thread on one
+        state arena of ``max(n_slots x width) x 4`` float64s, allocated
+        once per call, and every sweep covers strictly fewer rows than
+        the full ``(n + 2)``-row matrix."""
+        import threading
+
         engine = EPPEngine(build_circuit("s953"))
         backend = force_vector(engine, batch_size=16)
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
+        widths = [len(chunk) for chunk in chunk_ids(backend, ids)]
+        cells = max(
+            plan.n_slots * width
+            for plan, width in zip(chunk_plans(backend, ids), widths)
+        )
+        swept = []
+        sweep = backend._sweep
+
+        def recording(chunk, slot=0):
+            # The arena in place when each sweep starts: sized before the
+            # first one, never grown by a later one.
+            arenas = backend._compact_arenas.get(0)
+            swept.append((threading.get_ident(), arenas and id(arenas[0])))
+            return sweep(chunk, slot)
+
+        backend._sweep = recording
         backend.analyze_sites(ids)
         stats = backend.sweep_stats
-        assert stats["sweeps"] > 0
-        # Every sweep allocated strictly fewer rows than the full
-        # (n + 2)-row matrix would have, and so do the arenas it reuses.
+        assert stats["sweeps"] == len(widths) > 1
         full_rows = engine.compiled.n + 2
         assert stats["compact_rows"] < stats["sweeps"] * full_rows
-        widest = (16 * 3) // 2  # chunks run 1.5x batch_size wide
-        for state_arena, _ in backend._compact_arenas.values():
-            assert state_arena.size < full_rows * 4 * widest
+        assert list(backend._compact_arenas) == [0]
+        state_arena, mask_arena = backend._compact_arenas[0]
+        assert state_arena.dtype == np.float64
+        assert state_arena.size == 4 * cells
+        assert mask_arena.size == cells
+        assert state_arena.size < full_rows * 4 * max(widths)
+        assert set(swept) == {(threading.get_ident(), id(state_arena))}
+        backend.analyze_sites(ids)  # an arena that fits is kept
+        assert backend._compact_arenas[0][0] is state_arena
 
     def test_auto_rows_compacts_pruned_sweeps(self):
         """Every sweep of the default backend runs on its chunk's
@@ -362,7 +388,7 @@ class TestCompactedRows:
     def test_empty_site_list(self):
         engine = EPPEngine(build_circuit("s953"))
         backend = force_vector(engine)
-        assert backend.analyze_sites([]) == {}
+        assert [len(column) for column in backend.analyze_sites([])] == [0, 0]
         assert len(backend.p_sensitized_many([])) == 0
         packed = backend.pack_sites([])
         assert [len(part) for part in packed] == [0, 0, 0, 0, 0]
@@ -437,15 +463,23 @@ class TestCompactedRows:
             assert np.array_equal(left, right)
 
 
-def chunk_plans(backend, ids) -> list:
-    """The compacted chunk plans one bulk call of ``backend`` over
-    ``ids`` sweeps, in sweep order, built without sweeping."""
+def chunk_ids(backend, ids) -> list:
+    """The site-id chunks one bulk call of ``backend`` over ``ids``
+    sweeps, in sweep order, split without sweeping."""
     ids = np.asarray(ids, dtype=np.intp)
     order = backend._schedule_order(ids)
     sweep_ids = ids if order is None else ids[order]
     return [
-        backend.plan.compact_chunk_plan(sweep_ids[start:stop])
-        for start, stop in backend._chunk_spans(sweep_ids)
+        sweep_ids[start:stop] for start, stop in backend._chunk_spans(sweep_ids)
+    ]
+
+
+def chunk_plans(backend, ids) -> list:
+    """The compacted chunk plans one bulk call of ``backend`` over
+    ``ids`` sweeps, in sweep order, built without sweeping."""
+    return [
+        backend.plan.compact_chunk_plan(chunk)
+        for chunk in chunk_ids(backend, ids)
     ]
 
 
@@ -597,15 +631,18 @@ class TestUnifiedReductionPath:
     """p_sensitized_many shares one code path with the packed reduction."""
 
     def test_p_sensitized_many_bit_equal_to_analyze(self):
-        """Same sweep, same ``_select_pairs`` reduction, same clamping —
-        the two bulk queries can never drift, so equality is exact."""
+        """``p_sensitized_many`` is the column query's first column, and
+        the column reduction equals the packed ``_select_pairs`` one bit
+        for bit, so the bulk queries can never drift."""
         engine = EPPEngine(build_circuit("s953"))
         backend = force_vector(engine, batch_size=16)
-        sites = engine.default_sites()
-        site_ids = [engine._cones.resolve(s) for s in sites]
+        site_ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         many = backend.p_sensitized_many(site_ids)
-        full = backend.analyze_sites(site_ids)
-        assert [full[s].p_sensitized for s in sites] == many.tolist()
+        p_sens, cone_sizes = backend.analyze_sites(site_ids)
+        packed = backend.pack_sites(site_ids)
+        assert np.array_equal(many, p_sens)
+        assert np.array_equal(p_sens, packed[0])
+        assert np.array_equal(cone_sizes, packed[1])
 
     @pytest.mark.parametrize("circuit_name", ["c17", "s27", "c432", "c499"])
     def test_analyze_columns_equal_snapshot(self, circuit_name):
@@ -619,6 +656,48 @@ class TestUnifiedReductionPath:
         analyzer = SERAnalyzer(build_circuit(circuit_name))
         report = analyzer.analyze()
         packed = analyzer.engine.snapshot().packed
+        assert np.array_equal(report.p_sensitized, packed[0])
+        assert np.array_equal(report.cone_sizes, packed[1])
+
+    @pytest.mark.parametrize("mode", ["chunked", "sharded", "resumed"])
+    def test_analyze_columns_equal_snapshot_s953(self, mode, tmp_path):
+        """The same pin over many chunks: s953 in 16-site chunks, fanned
+        out over a forced two-worker pool, and resumed from a columns
+        journal with half its shards deleted — the report's columns equal
+        the default vector snapshot's packed ones bit for bit."""
+        from repro.core.analysis import SERAnalyzer
+
+        circuit = build_circuit("s953")
+        packed = EPPEngine(circuit).snapshot().packed
+        knobs = {"batch_size": 16}
+        if mode != "chunked":
+            knobs = {"jobs": 2}
+        if mode == "resumed":
+            knobs["checkpoint"] = str(tmp_path / "journal")
+
+        def analyze():
+            """A fresh analyzer's report, and its sharded driver."""
+            analyzer = SERAnalyzer(circuit)
+            backend = None
+            if mode != "chunked":
+                backend = analyzer.engine.sharded_backend(**knobs)
+                backend.min_process_work = 0
+            try:
+                return analyzer.analyze(**knobs), backend
+            finally:
+                analyzer.release_buffers()
+
+        report, backend = analyze()
+        if mode != "chunked":
+            assert backend.stats["pickle_shards"] > 0
+        if mode == "resumed":
+            shards = sorted((tmp_path / "journal").glob("*.shard"))
+            assert len(shards) > 1
+            for path in shards[::2]:
+                path.unlink()
+            report, backend = analyze()
+            assert backend.stats["checkpoint_shards"] == len(shards) // 2
+            assert backend.stats["checkpointed_shards"] == (len(shards) + 1) // 2
         assert np.array_equal(report.p_sensitized, packed[0])
         assert np.array_equal(report.cone_sizes, packed[1])
 

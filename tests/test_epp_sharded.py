@@ -104,7 +104,7 @@ class TestShmTransport:
         site_ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         reference = engine.vector_backend().pack_sites(site_ids)
         shards = [site_ids[:200], site_ids[200:]]
-        results = backend._map_shards(shards, full=True)
+        results = backend._map_shards(shards, "packed")
         next(results)  # submit everything, deliver exactly one shard
         backend.close()  # teardown mid-flight
         assert not backend.pool_started
@@ -123,7 +123,7 @@ class TestShmTransport:
         good = [engine._cones.resolve(s) for s in engine.default_sites()]
         reference = engine.vector_backend().pack_sites(good)
         shards = [good, [10**9]]  # second shard raises in the worker
-        results = backend._map_shards(shards, full=True)
+        results = backend._map_shards(shards, "packed")
         with pytest.raises(RetryBudgetExceededError):
             for _ in results:
                 pass
@@ -507,7 +507,7 @@ class TestPoolLifecycle:
     def test_empty_site_list(self):
         engine = EPPEngine(generate_iscas("s953"))
         backend = forced_sharded(engine, jobs=2)
-        assert backend.analyze_sites([]) == {}
+        assert [len(column) for column in backend.analyze_sites([])] == [0, 0]
         assert not backend.pool_started
 
 

@@ -256,9 +256,8 @@ class TestWorkerCrashRecovery:
             reference = clean.analyze_sites(site_ids)
         with chaos_backend(engine, fault_injector=injector) as backend:
             recovered = backend.analyze_sites(site_ids)
-        assert list(reference) == list(recovered)
-        for site, expected in reference.items():
-            assert recovered[site].p_sensitized == expected.p_sensitized
+        for left, right in zip(reference, recovered):  # both columns
+            assert np.array_equal(left, right)
 
     def test_crash_with_no_retries_is_typed(self, s953):
         engine, site_ids, _ = s953
@@ -498,7 +497,7 @@ class TestDrainSplit:
         for _ in range(3):  # a few rounds to give a real race a chance
             backend = chaos_backend(engine)
             shards = [site_ids[:200], site_ids[200:]]
-            results = backend._map_shards(shards, full=True)
+            results = backend._map_shards(shards, "packed")
             next(results)  # leave one shard's result in flight
             barrier = threading.Barrier(6)
             errors = []

@@ -171,11 +171,11 @@ class TestServiceFaults:
             ServiceFaultSpec("worker_error", request=1),
         ])
         started = time.monotonic()
-        faults.apply("sweep", "analyze", 0)
+        faults.apply("analyze", 0)
         assert time.monotonic() - started >= 0.04
         with pytest.raises(WorkerCrashError):
-            faults.apply("sweep", "analyze", 1)
-        faults.apply("sweep", "analyze", 2)  # no spec: no-op
+            faults.apply("analyze", 1)
+        faults.apply("analyze", 2)  # no spec: no-op
 
 
 # ----------------------------------------------------------------- protocol
