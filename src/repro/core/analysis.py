@@ -475,10 +475,10 @@ class SERAnalyzer:
 
         Long-lived analyzers keep their engine (and its backends) cached
         between ``analyze()`` calls; this drops the vector backend's state
-        until the next bulk analysis rebuilds it lazily: the sweep arena
-        sized to the largest chunk's live slots (~58 MiB on a default
-        s9234 ``analyze``; a ``snapshot``'s pipeline holds a second one)
-        and the cached chunk plans.
+        until the next bulk analysis rebuilds it lazily: the one sweep
+        arena, sized to the largest chunk's live slots (~58 MiB on a
+        default s9234 ``analyze`` or ``snapshot``), and the off-path
+        constants.
         If a sharded worker pool is live it is shut down too (its workers
         hold their own state copies) — the next sharded ``analyze()``
         respawns it, so prefer calling this between batches, not between

@@ -17,17 +17,17 @@ sites of a chunk at once:
   exactly as the scalar engine reads off-path fanins;
 * sites are processed in chunks (``batch_size`` columns at a time) so the
   ``(n_nodes, 4, batch_size)`` state matrix stays memory-bounded on
-  20k+-gate circuits.  The column query (:meth:`BatchEPPBackend.analyze_sites`)
-  reduces each chunk straight to ``P_sensitized`` and cone sizes and sweeps
-  on one arena in the caller's thread; the packed query
-  (:meth:`BatchEPPBackend.pack_sites`) double-buffers, so on multi-core
-  hosts the NumPy sweep of the next chunk overlaps the pair packing of the
-  previous one;
+  20k+-gate circuits.  One serial driver serves every bulk query: it
+  sweeps each chunk in the caller's thread on one arena, sized once per
+  call for the call's largest chunk, and hands the chunk to the query's
+  reduction — the two columns of :meth:`BatchEPPBackend.analyze_sites`
+  or the packed pairs of :meth:`BatchEPPBackend.pack_sites`, which share
+  the one ``P_sensitized`` reduction;
 * the sweep is *cone-aware*: each chunk runs on a *compacted state
   matrix* that holds only its *live* union-of-cones rows — the cones'
   gates plus the fanin rows those gates read and the sentinel rows —
-  through a cached per-chunk slot layout
-  (:meth:`BatchPlan.compact_chunk_plan`).  A row holds a physical row
+  through a per-chunk slot layout (:meth:`BatchPlan.compact_chunk_plan`),
+  built once per swept chunk.  A row holds a physical row
   (*slot*) from the level that first writes or reads it until its last
   reader's level has run, and the slot is then reused, so the matrix
   needs only the rows live at once (40% of the largest default s9234
@@ -68,7 +68,7 @@ import numpy as np
 from repro.errors import AnalysisError
 from repro.core.fourvalue import EPPValue
 from repro.core.rules_vec import compact_rule_for, gather_rule_for
-from repro.core.schedule import ChunkCache, chunk_cache_key, cone_cluster_order
+from repro.core.schedule import cone_cluster_order
 from repro.netlist.circuit import CompiledCircuit
 from repro.netlist.gate_types import (
     CODE_AND,
@@ -96,8 +96,8 @@ __all__ = [
 #: :func:`default_batch_size` sizes the default width so a full-circuit
 #: ``(n, 4, batch)`` matrix would meet it, and ``_chunk_spans`` checks
 #: each span's union rows against it; a sweep allocates only the chunk's
-#: live slots (``n_slots x 4 x width x 8`` bytes): the column query holds
-#: one arena sized to its largest chunk, ``pack_sites``' pipeline two.
+#: live slots (``n_slots x 4 x width x 8`` bytes), and every bulk query
+#: holds one arena sized to its largest chunk.
 #: Pass ``batch_size`` to shrink it on memory-constrained hosts.
 _STATE_BYTES_TARGET = 256 << 20
 
@@ -192,8 +192,8 @@ class CompactChunkPlan:
     """One chunk's compacted state layout: its union-of-cones rows laid
     out on recycled physical rows (*slots*).
 
-    Built once per distinct site chunk by :meth:`BatchPlan.compact_chunk_plan`
-    and cached on the plan's :class:`~repro.core.schedule.ChunkCache`.  The
+    Built by :meth:`BatchPlan.compact_chunk_plan` once per swept chunk,
+    while ``_chunk_spans`` checks the chunk's footprint.  The
     chunk's *rows* are its union-of-cones gates, every fanin row those
     gates read (off-path fanins hold their SP constants), the site rows
     and any referenced sentinel row.  A row is live only from the level
@@ -288,27 +288,15 @@ class BatchPlan:
         self.node_level = np.asarray(compiled.level, dtype=np.intp)
         self.sink_ids = np.asarray(compiled.sink_ids, dtype=np.intp)
         self.sink_names = [compiled.names[s] for s in compiled.sink_ids]
-        #: Compacted-row plans per chunk, shared by every backend over
-        #: this circuit.  Bounded FIFO.
-        self.chunk_cache = ChunkCache()
 
     def compact_chunk_plan(self, site_ids: np.ndarray) -> CompactChunkPlan:
-        """The (cached) compacted-row plan for one chunk of sites.
+        """The compacted-row plan for one chunk of sites.
 
         One vectorized forward-reachability pass over the level groups
-        and one slot scan over the swept levels, run once per distinct
-        chunk and memoized:
-        repeated sweeps of the same chunk (benchmark repeats, long-lived
-        analyzers re-analyzing a module) skip straight to the translated
-        index arrays.  Built through ``get_or_create`` so concurrent
-        sweeps of the same chunk construct exactly one plan.
+        and one slot scan over the swept levels.  Nothing is memoized:
+        a bulk call builds each chunk's plan once, in ``_chunk_spans``,
+        and sweeps on that plan.
         """
-        return self.chunk_cache.get_or_create(
-            chunk_cache_key(site_ids),
-            lambda: self._build_compact_chunk_plan(site_ids),
-        )
-
-    def _build_compact_chunk_plan(self, site_ids: np.ndarray) -> CompactChunkPlan:
         total = self.n + 2
         # reach: on the union of the chunk's fanout cones.  Each swept
         # level keeps its active groups plus the rows it writes (outs)
@@ -494,14 +482,14 @@ class BatchEPPBackend:
         # Built on the first sweep, dropped by release_buffers().
         self._const: np.ndarray | None = None
         self._sink_names_arr = np.asarray(self.plan.sink_names, dtype=object)
-        #: Flat per-pipeline-slot arenas the compacted sweeps carve their
+        #: The flat ``[state, mask]`` arena every sweep carves its
         #: (n_slots, 4, s) state and (n_slots, s) mask views from, reused
-        #: across sweeps so the hot path never re-faults fresh pages.  The
-        #: column query sizes slot 0 once per call for its largest chunk;
-        #: ``pack_sites``' pipeline grows slots 0 and 1 to the largest chunk
-        #: seen.  A sweep seeds every state row and clears its mask row as
-        #: the row goes live, so stale content between sweeps is harmless.
-        self._compact_arenas: dict[int, list[np.ndarray]] = {}
+        #: across sweeps so the hot path never re-faults fresh pages.
+        #: Sized once per bulk call for its largest chunk, and kept while
+        #: it fits.  A sweep seeds every state row and clears its mask row
+        #: as the row goes live, so stale content between sweeps is
+        #: harmless.
+        self._arena: list[np.ndarray] | None = None
 
     def _ensure_const(self) -> None:
         """The ``(n + 2, 4)`` per-node off-path constants each slot is
@@ -522,44 +510,16 @@ class BatchEPPBackend:
 
     # ------------------------------------------------------------------ sweep
 
-    def _arena(self, slot: int, cells: int) -> list[np.ndarray]:
-        """Pipeline slot ``slot``'s flat ``[state, mask]`` arenas, with
-        room for ``cells`` (site, row) cells: ``4 x cells`` float64s and
-        ``cells`` bools.  Arenas that fit are kept, so repeated sweeps
-        touch warm pages; smaller ones are dropped before their
-        replacement is allocated, so the two are never both held here."""
-        arenas = self._compact_arenas.get(slot)
-        if arenas is None or arenas[1].size < cells:
-            # Release the old pair before allocating its successor.
-            self._compact_arenas.pop(slot, None)
-            del arenas
-            arenas = [np.empty(4 * cells), np.empty(cells, dtype=bool)]
-            self._compact_arenas[slot] = arenas
-        return arenas
-
-    def _compact_buffers(
-        self, n_slots: int, s: int, slot: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Carve (state, mask) views for one compacted sweep from the
-        pipeline slot's reusable arenas (:meth:`_arena`).  Both come back
-        uninitialized: the sweep seeds each state row and clears each
-        mask row as its row goes live."""
-        cells = n_slots * s
-        state_arena, mask_arena = self._arena(slot, cells)
-        state = state_arena[:4 * cells].reshape(n_slots, 4, s)
-        mask = mask_arena[:cells].reshape(n_slots, s)
-        return state, mask
-
-    def _sweep(self, site_ids: np.ndarray, slot: int = 0):
+    def _sweep(self, site_ids: np.ndarray, cplan: CompactChunkPlan):
         """One level-synchronized pass for a chunk of sites, over the
         chunk's compacted union-of-cones matrix.
 
-        Carves ``(n_slots, 4, s)`` state out of the pipeline slot's arena
-        (``slot`` double-buffers ``pack_sites``' pipeline, so a sweep can
-        fill one arena while the consumer reads the other) and runs the chunk
-        plan level by level: the slots going live at a level
-        are seeded with their new rows' off-path constants and their mask
-        rows cleared (a recycled slot still holds its previous row), the
+        Carves uninitialized ``(n_slots, 4, s)`` state and ``(n_slots,
+        s)`` mask views out of the arena (sized by :meth:`_swept_chunks`)
+        and runs the chunk plan ``cplan`` level by level: the slots going
+        live at a level are seeded with their new rows' off-path
+        constants and their mask rows cleared (a recycled slot still
+        holds its previous row), the
         level's active groups run with every index array pre-translated
         to slot space, and the slots whose rows were last read at this
         level add their mask rows to the per-column cone counts before
@@ -576,11 +536,12 @@ class BatchEPPBackend:
         plus the site), accumulated as slots retire because a recycled
         slot's mask no longer holds its row.
         """
-        cplan = self.plan.compact_chunk_plan(site_ids)
         s = len(site_ids)
         self._ensure_const()
         const = self._const  # (n + 2, 4) off-path constants by node id
-        state, mask = self._compact_buffers(cplan.n_slots, s, slot)
+        cells = cplan.n_slots * s
+        state = self._arena[0][:4 * cells].reshape(cplan.n_slots, 4, s)
+        mask = self._arena[1][:cells].reshape(cplan.n_slots, s)
         n_pinned = len(cplan.pinned_nodes)
         state[:n_pinned] = const[cplan.pinned_nodes][:, :, None]
         mask[:n_pinned] = False
@@ -681,13 +642,11 @@ class BatchEPPBackend:
                     mask[row, col] = True
 
     def release_buffers(self) -> None:
-        """Free the off-path constants and the sweep arenas, plus the
-        plan's cached compacted-row plans.  Everything
-        is rebuilt lazily on the next sweep, so this is always safe to
+        """Free the off-path constants and the sweep arena.  Both are
+        rebuilt lazily on the next sweep, so this is always safe to
         call between analyses on long-lived engines/analyzers."""
         self._const = None
-        self._compact_arenas.clear()
-        self.plan.chunk_cache.clear()
+        self._arena = None
 
     # ------------------------------------------------------------- scheduling
 
@@ -711,8 +670,9 @@ class BatchEPPBackend:
             return None
         return order
 
-    def _chunk_spans(self, ids: np.ndarray) -> list[tuple[int, int]]:
-        """The ``(start, stop)`` spans one bulk call sweeps, in order.
+    def _chunk_spans(self, ids: np.ndarray) -> list[tuple]:
+        """The ``(start, stop, cplan)`` spans one bulk call sweeps, in
+        order, each with the chunk plan of ``ids[start:stop]``.
 
         The calibrated policy: flat spans :data:`_COMPACT_WIDTH_HALVES`/2
         times ``batch_size`` wide.  Measured on the s9234/s38417
@@ -721,62 +681,69 @@ class BatchEPPBackend:
         the per-chunk sink reduction and pack merges — which
         consistently outweighs the smaller unions a narrower or
         cluster-aligned split buys.  Each candidate span's *measured*
-        union-of-cones footprint (its cached chunk plan's ``n_rows``) is
+        union-of-cones footprint (its chunk plan's ``n_rows``) is
         checked against ``_STATE_BYTES_TARGET`` and the span is halved —
         never below ``batch_size`` — until it fits, so a wide chunk whose
-        cones saturate the circuit cannot blow the memory bound.  Any
-        span partition is bit-identical per site.
+        cones saturate the circuit cannot blow the memory bound.  A call
+        builds one plan per swept chunk plus one per rejected candidate,
+        and the sweep runs on the plan built here.  Any span partition
+        is bit-identical per site.
         """
         n = len(ids)
         target = min(n, (self.batch_size * _COMPACT_WIDTH_HALVES) // 2)
-        spans: list[tuple[int, int]] = []
+        spans: list[tuple] = []
         start = 0
         while start < n:
             stop = min(start + target, n)
-            while stop - start > self.batch_size:
-                span_ids = ids[start:stop]
-                cplan = self.plan.compact_chunk_plan(span_ids)
-                if cplan.n_rows * 32 * (stop - start) <= _STATE_BYTES_TARGET:
-                    break
-                # A rejected candidate will never be swept: evict its plan
-                # so dead oversized remaps don't crowd live per-chunk
-                # plans out of the FIFO cache.
-                self.plan.chunk_cache.discard(chunk_cache_key(span_ids))
+            cplan = self.plan.compact_chunk_plan(ids[start:stop])
+            while (
+                stop - start > self.batch_size
+                and cplan.n_rows * 32 * (stop - start) > _STATE_BYTES_TARGET
+            ):
                 stop = start + max(self.batch_size, (stop - start) // 2)
-            spans.append((start, stop))
+                cplan = self.plan.compact_chunk_plan(ids[start:stop])
+            spans.append((start, stop, cplan))
             start = stop
         self.sweep_stats["chunks"] += len(spans)
         return spans
 
-    def _swept_chunks(self, ids: np.ndarray):
-        """Yield ``(chunk, state, mask, layout)`` per chunk of ``ids``,
-        pipelined.
+    def _swept_chunks(self, site_ids: Sequence[int], reduce) -> tuple:
+        """``(reduced, inverse)`` of one bulk call over ``site_ids``.
 
-        ``pack_sites``' chunking driver: a two-stage pipeline where the
-        NumPy sweep of chunk ``i+1`` (GIL released inside the array
-        kernels) overlaps the pair packing of chunk ``i``; double
-        buffering keeps consecutive stages on disjoint arenas.
-        Single-chunk calls skip the thread machinery.  ``layout`` is the
-        sweep's readout (see :meth:`_sweep`).
+        The one chunk driver of every bulk query.  It cone-clusters the
+        sites (:meth:`_schedule_order`), splits them with
+        :meth:`_chunk_spans`, sizes the arena once for the call's
+        largest chunk (``max(n_slots x width)`` cells), and sweeps each
+        chunk in the caller's thread on it with the span's chunk plan.
+        ``reduce(state, mask, layout)`` turns each sweep into a tuple of
+        per-site arrays before the next sweep overwrites the arena.
+        ``reduced`` concatenates those tuples in sweep order (``None``
+        for no site); ``inverse[i]`` is the sweep position of input site
+        ``i`` (``None`` when the sweep kept input order).
         """
-        chunks = [ids[start:stop] for start, stop in self._chunk_spans(ids)]
-        if not chunks:
-            return
-        if len(chunks) == 1:
-            state, mask, layout = self._sweep(chunks[0])
-            yield chunks[0], state, mask, layout
-            return
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=1) as sweeper:
-            future = sweeper.submit(self._sweep, chunks[0], 0)
-            for index, chunk in enumerate(chunks):
-                state, mask, layout = future.result()
-                if index + 1 < len(chunks):
-                    future = sweeper.submit(
-                        self._sweep, chunks[index + 1], (index + 1) % 2
-                    )
-                yield chunk, state, mask, layout
+        ids = np.asarray(site_ids, dtype=np.intp)
+        order = self._schedule_order(ids)
+        inverse = None
+        if order is not None:
+            ids = ids[order]
+            inverse = np.empty(len(order), dtype=np.intp)
+            inverse[order] = np.arange(len(order), dtype=np.intp)
+        spans = self._chunk_spans(ids)
+        if not spans:
+            return None, inverse
+        cells = max(cplan.n_slots * (stop - start)
+                    for start, stop, cplan in spans)
+        if self._arena is None or self._arena[1].size < cells:
+            # Drop an arena too small before allocating its successor.
+            self._arena = None
+            self._arena = [np.empty(4 * cells), np.empty(cells, dtype=bool)]
+        parts = [
+            reduce(*self._sweep(ids[start:stop], cplan))
+            for start, stop, cplan in spans
+        ]
+        if len(parts) == 1:
+            return parts[0], inverse
+        return tuple(map(np.concatenate, zip(*parts))), inverse
 
     # ---------------------------------------------------------------- queries
 
@@ -785,10 +752,7 @@ class BatchEPPBackend:
 
         The column query every bulk ``analyze`` runs: each chunk is swept
         and reduced at once to its two columns (:meth:`_reduce_columns`),
-        with no (site, sink) pair ever packed.  The chunks sweep in the
-        caller's thread on one arena, sized once for the call's largest
-        chunk; there is no reduction behind a sweep to overlap, so no
-        pipeline either.  Both columns equal
+        with no (site, sink) pair ever packed.  Both columns equal
         :meth:`pack_sites`' ``p_sens``/``cone_sizes`` bit for bit.
         """
         return self._column_query(site_ids)
@@ -803,45 +767,25 @@ class BatchEPPBackend:
         :meth:`p_sensitized_many`: neither public query calls the other,
         so a tracer that wraps both (perfbench's launcher does) counts a
         call's counters once."""
-        ids = np.asarray(site_ids, dtype=np.intp)
-        p_sens = np.empty(len(ids))
-        cone_sizes = np.empty(len(ids), dtype=np.intp)
-        order = self._schedule_order(ids)
-        sweep_ids = ids if order is None else ids[order]
-        chunks = [
-            sweep_ids[start:stop] for start, stop in self._chunk_spans(sweep_ids)
-        ]
-        if 0 < len(chunks) <= self.plan.chunk_cache.max_entries:
-            # One arena for the call, sized up front from the chunk plans
-            # (_chunk_spans built its wide spans' already; all stay cached
-            # for the sweeps).  Past the cache's capacity the plans would
-            # be built twice, so the arena grows as the sweeps need.
-            self._arena(0, max(
-                self.plan.compact_chunk_plan(chunk).n_slots * len(chunk)
-                for chunk in chunks
-            ))
-        cursor = 0
-        for chunk in chunks:
-            rows = slice(cursor, cursor + len(chunk))
-            if order is not None:
-                rows = order[rows]
-            p_sens[rows], cone_sizes[rows] = self._reduce_columns(
-                *self._sweep(chunk)
-            )
-            cursor += len(chunk)
-        return p_sens, cone_sizes
+        columns, inverse = self._swept_chunks(site_ids, self._reduce_columns)
+        if columns is None:
+            return np.empty(0), np.empty(0, dtype=np.intp)
+        if inverse is not None:
+            columns = tuple(column[inverse] for column in columns)
+        return columns
 
     @staticmethod
     def _reduce_columns(state, mask, layout) -> tuple:
-        """``(p_sensitized, cone_sizes)`` of one chunk's sweep.
+        """``(p_sensitized, cone_sizes)`` of one chunk's sweep — the one
+        ``P_sensitized`` reduction, shared by both bulk queries.
 
         ``P_sensitized = 1 - prod(1 - min(max(pa, 0) + max(pā, 0), 1))``
         over each column's on-path sinks, with every off-path sink
         contributing an exact factor 1.0.  The product runs down the
-        present sinks in ``layout`` order, the order :meth:`_select_pairs`
-        picks a site's pairs in, and the elementwise ops are its clamp,
-        sum and cap, so both reductions agree bit for bit.  Cone sizes
-        are the counts the sweep accumulated, less the site itself.
+        present sinks in ``layout`` order, the order :meth:`_pack` lists
+        a site's pairs in, so it equals a per-site product over the
+        packed pairs bit for bit.  Cone sizes are the counts the sweep
+        accumulated, less the site itself.
         """
         sink_slots, _, cones = layout
         error = np.maximum(state[sink_slots, 0], 0.0)  # (ns, s)
@@ -850,62 +794,32 @@ class BatchEPPBackend:
         survive = np.where(mask[sink_slots], 1.0 - error, 1.0)
         return 1.0 - np.multiply.reduce(survive, axis=0), cones - 1
 
-    def _select_pairs(self, chunk, state, mask, layout) -> tuple:
-        """The shared sink-pair reduction of one chunk's sweep.
-
-        All numeric work happens in bulk: the on-path (site, sink) pairs
-        are selected with one boolean pick, clamped with one
-        ``np.maximum`` (``EPPValue.clamped`` in bulk), the per-pair error
-        masses capped at 1, and the per-site survival products run through
-        ``multiply.reduceat``.  This is :meth:`_pack`'s reduction; the
-        column query's :meth:`_reduce_columns` computes the same
-        ``p_sens`` bit for bit without selecting pairs.
-        ``layout`` is the sweep's readout, whose ``(sink_slots,
-        sink_positions)`` translate the sinks: reducing over the present
-        subset selects the same pairs in the same order as reducing over
-        every sink — absent sinks are off-path in every column — so the
-        products stay bit-identical.
-        Returns ``(p_sens, counts, sink_mask, selected)``.
-        """
-        sink_state = state[layout[0]]  # (ns, 4, s)
-        sink_mask = mask[layout[0]].T  # (s, ns)
-        # Site-major selection of every on-path (site, sink) pair: the
-        # boolean pick over (s, ns, ...) walks sites first, sinks second.
-        selected = sink_state.transpose(2, 0, 1)[sink_mask]  # (m, 4)
-        np.maximum(selected, 0.0, out=selected)
-        # P_sensitized = 1 - prod(1 - (pa + pā)) over each site's own pairs.
-        error = np.minimum(selected[:, 0] + selected[:, 1], 1.0)
-        counts = sink_mask.sum(axis=1)  # pairs per site
-        p_sens = np.zeros(len(chunk))
-        occupied = counts > 0
-        if occupied.any():
-            # Segment starts for the non-empty sites only: consecutive starts
-            # then delimit exactly each site's own pairs (empty sites add no
-            # elements), so reduceat never sees a degenerate slice.
-            starts = (np.cumsum(counts) - counts)[occupied]
-            p_sens[occupied] = 1.0 - np.multiply.reduceat(1.0 - error, starts)
-        return p_sens, counts, sink_mask, selected
-
-    def _pack(self, chunk, state, mask, layout) -> tuple:
+    def _pack(self, state, mask, layout) -> tuple:
         """Reduce one chunk's sweep to compact per-site numeric arrays.
 
         Returns ``(p_sens, cone_sizes, counts, sink_pos, values)`` aligned
-        with the chunk: ``counts[i]`` on-path pairs per site, ``sink_pos``
-        indices into ``plan.sink_ids`` and ``values`` their clamped ``(m, 4)``
-        four-valued vectors.  ``sink_pos`` is mapped back through the
-        layout's ``sink_positions`` translation and the cone sizes are
-        the counts the sweep accumulated as slots retired, so the packed
-        layout does not depend on the chunk's slot layout.  This
-        tuple of plain arrays is also the wire format the sharded driver
+        with the chunk: the two columns of :meth:`_reduce_columns`,
+        ``counts[i]`` on-path (site, sink) pairs per site, ``sink_pos``
+        indices into ``plan.sink_ids`` and ``values`` their clamped
+        ``(m, 4)`` four-valued vectors (``EPPValue.clamped`` in bulk).
+        ``layout``'s ``(sink_slots, sink_positions)`` translate the
+        sinks: selecting over the present subset selects the same pairs
+        in the same order as selecting over every sink — absent sinks
+        are off-path in every column — so the packed layout does not
+        depend on the chunk's slot layout.  This tuple of plain arrays
+        is also the wire format the sharded driver
         (:mod:`repro.core.epp_shard`) ships across the process boundary —
         flat buffers, no per-object overhead.
         """
-        p_sens, counts, sink_mask, selected = self._select_pairs(
-            chunk, state, mask, layout
-        )
-        sink_pos = layout[1][np.nonzero(sink_mask)[1]]
-        cone_sizes = layout[2] - 1  # the counts include the site
-        return p_sens, cone_sizes, counts, sink_pos, selected
+        p_sens, cone_sizes = self._reduce_columns(state, mask, layout)
+        sink_slots, sink_positions, _ = layout
+        sink_mask = mask[sink_slots].T  # (s, ns)
+        # Site-major selection of every on-path (site, sink) pair: the
+        # boolean pick over (s, ns, ...) walks sites first, sinks second.
+        values = state[sink_slots].transpose(2, 0, 1)[sink_mask]  # (m, 4)
+        np.maximum(values, 0.0, out=values)
+        sink_pos = sink_positions[np.nonzero(sink_mask)[1]]
+        return p_sens, cone_sizes, sink_mask.sum(axis=1), sink_pos, values
 
     @staticmethod
     def _reorder_packed(packed: tuple, inverse: np.ndarray) -> tuple:
@@ -930,32 +844,14 @@ class BatchEPPBackend:
 
         What snapshots and deltas splice, ``EPPEngine.analyze``
         materializes, and a sharded worker returns for a packed query:
-        sweeps the sites chunk by chunk — through the same scheduler as
-        :meth:`analyze_sites` — and returns one concatenated ``_pack``
+        sweeps the sites through the same driver as
+        :meth:`analyze_sites` and returns one concatenated ``_pack``
         tuple aligned with ``site_ids`` input order.
         """
-        ids = np.asarray(site_ids, dtype=np.intp)
-        order = self._schedule_order(ids)
-        sweep_ids = ids if order is None else ids[order]
-        parts = [
-            self._pack(chunk, state, mask, layout)
-            for chunk, state, mask, layout in self._swept_chunks(sweep_ids)
-        ]
-        if not parts:
+        packed, inverse = self._swept_chunks(site_ids, self._pack)
+        if packed is None:
             return empty_packed()
-        if len(parts) == 1:
-            packed = parts[0]
-        else:
-            packed = (
-                np.concatenate([p[0] for p in parts]),
-                np.concatenate([p[1] for p in parts]),
-                np.concatenate([p[2] for p in parts]),
-                np.concatenate([p[3] for p in parts]),
-                np.concatenate([p[4] for p in parts]),
-            )
-        if order is not None:
-            inverse = np.empty(len(order), dtype=np.intp)
-            inverse[order] = np.arange(len(order), dtype=np.intp)
+        if inverse is not None:
             packed = self._reorder_packed(packed, inverse)
         return packed
 

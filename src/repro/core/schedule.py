@@ -22,11 +22,10 @@ This module provides the pieces of that scheduling layer:
   tiebreak), so sites with overlapping cones land in the same chunk and
   each chunk's union of cones — what its compacted sweep computes —
   stays small.
-* :class:`ChunkCache` + :func:`chunk_cache_key` — the per-chunk memo the
-  batch plan hangs its compacted-row plans on (the union-of-cones slot
-  layout a compacted sweep indexes instead of the full state matrix).
-  Bounded FIFO so pathological callers cycling through thousands of
-  distinct chunks cannot grow the cache without limit.
+
+Nothing per chunk is kept here: a bulk call builds each chunk's
+compacted-row plan once, while it splits its spans, and sweeps on it
+(:meth:`repro.core.epp_batch.BatchPlan.compact_chunk_plan`).
 
 Scheduling is a pure reordering: every site's column is computed
 independently, so the permutation cannot change any per-site result —
@@ -42,9 +41,7 @@ from collections.abc import Sequence
 from repro.netlist.circuit import CompiledCircuit
 
 __all__ = [
-    "ChunkCache",
     "ConeIndex",
-    "chunk_cache_key",
     "cone_cluster_order",
 ]
 
@@ -133,87 +130,3 @@ def cone_cluster_order(compiled: CompiledCircuit, site_ids: Sequence[int]):
     )
     return np.asarray(order, dtype=np.intp)
 
-
-# ------------------------------------------------------------- chunk cache
-
-
-def chunk_cache_key(site_ids) -> bytes:
-    """A compact, exact identity for one chunk's site-id sequence.
-
-    Order matters (it fixes which column each site occupies), so the key
-    digests the id sequence itself rather than the set.  blake2b keeps the
-    key 16 bytes regardless of chunk width — the compacted-row plan is
-    cached per key.
-    """
-    import hashlib
-
-    import numpy as np
-
-    data = np.ascontiguousarray(np.asarray(site_ids, dtype=np.int64)).tobytes()
-    return hashlib.blake2b(data, digest_size=16).digest()
-
-
-class ChunkCache:
-    """Bounded FIFO memo for per-chunk derived artifacts.
-
-    One instance hangs off each :class:`~repro.core.epp_batch.BatchPlan`
-    (so every backend over the same compiled circuit shares it) and maps
-    :func:`chunk_cache_key` digests to each chunk's compacted-row plan.
-    Repeated analyses over the same site partition (benchmark best-of
-    repeats, long-lived analyzers) hit the cache instead of rebuilding
-    slot layouts.  Eviction is insertion-order FIFO: the cap bounds memory,
-    and real workloads sweep the same few dozen chunks over and over.
-    """
-
-    __slots__ = ("max_entries", "_entries", "_lock")
-
-    def __init__(self, max_entries: int = 256):
-        import threading
-
-        self.max_entries = max(1, int(max_entries))
-        self._entries: dict[bytes, object] = {}
-        # Chunk plans are built from the caller's thread (span sizing,
-        # the column query's arena sizing and its sweeps), from
-        # ``pack_sites``' sweeper thread, and from any other thread
-        # sweeping the same compiled circuit; eviction iterates the dict,
-        # so inserts serialize (hits stay lock-free — dict reads are
-        # atomic).
-        self._lock = threading.Lock()
-
-    def get_or_create(self, key: bytes, factory):
-        """The memoized value for ``key``, building it at most once.
-
-        Double-checked under the insert lock so concurrent callers — the
-        sweeper thread and a service-layer thread hammering the same
-        plan — agree on a *single* constructed artifact: whichever
-        thread wins the race publishes, every later caller gets that
-        exact object and ``factory`` runs once per resident key.
-        """
-        value = self._entries.get(key)
-        if value is not None:
-            return value
-        with self._lock:
-            value = self._entries.get(key)
-            if value is None:
-                value = factory()
-                entries = self._entries
-                if key not in entries and len(entries) >= self.max_entries:
-                    entries.pop(next(iter(entries)))
-                entries[key] = value
-        return value
-
-    def discard(self, key: bytes) -> None:
-        """Drop one entry if present — for artifacts the caller knows
-        will never be used again (e.g. an oversized candidate chunk plan
-        rejected by the span splitter), so they don't occupy FIFO slots
-        that live per-chunk plans need."""
-        with self._lock:
-            self._entries.pop(key, None)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        # Under the lock: get_or_create evicts by iterating the dict.
-        with self._lock:
-            self._entries.clear()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import heapq
 import os
 import signal
@@ -72,7 +71,7 @@ def build_chain(gate_types: list[GateType], name: str = "chain") -> Circuit:
 # ----------------------------------------------- dense sweep reference
 
 
-def dense_sweep(backend, site_ids, slot=0):
+def dense_sweep(backend, site_ids):
     """The dense reference sweep of one chunk: every level, every gate
     group, row kernels only, over fresh full ``(n + 2, 4, s)`` buffers.
 
@@ -83,7 +82,7 @@ def dense_sweep(backend, site_ids, slot=0):
     with ``np.array_equal``.  Returns the production sweep's ``(state,
     mask, layout)`` triple, with the identity layout: every sink, in
     ``plan.sink_ids`` order, and the cone counts summed over the whole
-    mask (``slot`` is ignored: the buffers are never reused).
+    mask.
     """
     n_rows = backend.compiled.n + 2
     s = len(site_ids)
@@ -135,11 +134,35 @@ def dense_backend(engine, batch_size=None):
     The oracle is assigned to the backend's ``_sweep`` like the
     ``_cells`` hook, so ``pack_sites``, ``p_sensitized_many`` and
     ``analyze_sites`` run it with their chunking, scheduling, reduction
-    and pack unchanged.  The engine's own backends are not touched.
+    and pack unchanged; it ignores the chunk plan the driver passes.
+    The engine's own backends are not touched.
     """
     backend = BatchEPPBackend(engine.compiled, engine._sp, batch_size=batch_size)
-    backend._sweep = functools.partial(dense_sweep, backend)
+    backend._sweep = lambda site_ids, _cplan: dense_sweep(backend, site_ids)
     return backend
+
+
+def reference_p_sensitized(packed) -> np.ndarray:
+    """``P_sensitized`` per site of a packed tuple, reduced over its
+    (site, sink) pairs: ``1 - multiply.reduceat(1 - min(v0 + v1, 1),
+    starts)``, with 0.0 for a site with no pair.
+
+    The backend reduces each chunk once, down its sink planes, and packs
+    ``p_sens`` from that same reduction; this per-site product over the
+    packed pairs is an independent reference for it.  Each site's pairs
+    are listed in sink order, so the two agree bit for bit.
+    """
+    _, _, counts, _, values = packed
+    error = np.minimum(values[:, 0] + values[:, 1], 1.0)
+    p_sens = np.zeros(len(counts))
+    occupied = counts > 0
+    if occupied.any():
+        # Starts of the non-empty sites only: consecutive starts then
+        # delimit exactly each site's own pairs, so reduceat never sees a
+        # degenerate slice.
+        starts = (np.cumsum(counts) - counts)[occupied]
+        p_sens[occupied] = 1.0 - np.multiply.reduceat(1.0 - error, starts)
+    return p_sens
 
 
 def use_dense_backend(engine, batch_size=None):

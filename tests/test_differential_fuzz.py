@@ -35,7 +35,11 @@ from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GateType
 from repro.netlist.generate import random_combinational
 
-from tests.helpers import dense_backend, exhaustive_all_sites
+from tests.helpers import (
+    dense_backend,
+    exhaustive_all_sites,
+    reference_p_sensitized,
+)
 
 TOL = 1e-9
 
@@ -187,10 +191,15 @@ def test_column_query_bit_equal_on_random_circuits(
 ):
     """``analyze_sites`` reduces each chunk to its two columns without
     selecting a (site, sink) pair; the columns must equal ``_pack``'s
-    ``p_sens``/``cone_sizes`` and the dense oracle's bit for bit.  Site
-    lists draw with repeats from every gate, including a dead two-gate
-    chain that reaches no sink (its second gate inside the first's
-    cone), and always hold the chain twice."""
+    ``p_sens``/``cone_sizes`` and the dense oracle's bit for bit.  Both
+    queries take ``p_sens`` from that one reduction, so it must also
+    equal the reference product over the oracle's packed pairs
+    (``tests.helpers.reference_p_sensitized``).  Site lists hold every
+    gate once, then repeats drawn from every gate, then a dead two-gate
+    chain that reaches no sink (its second gate inside the first's cone)
+    twice.  Every gate is listed because the draws stay short: on their
+    sites alone a reduction that reverses its sink order passed all 25
+    examples."""
     circuit = random_combinational(
         n_inputs, n_gates, seed=seed, n_outputs=max(1, n_gates // 3)
     )
@@ -206,7 +215,7 @@ def test_column_query_bit_equal_on_random_circuits(
     })
     pool = [engine._cones.resolve(site) for site in engine.default_sites()]
     dead = [engine._cones.resolve(site) for site in ("dead0", "dead1")]
-    ids = [pool[pick % len(pool)] for pick in picks] + dead + dead[::-1]
+    ids = pool + [pool[pick % len(pool)] for pick in picks] + dead + dead[::-1]
     backend = engine.vector_backend(batch_size=batch_size)
     backend._cells = cells
     p_sens, cone_sizes = backend.analyze_sites(ids)
@@ -216,6 +225,9 @@ def test_column_query_bit_equal_on_random_circuits(
         assert column.dtype == left.dtype
         assert np.array_equal(column, left)
         assert np.array_equal(column, right)
+    reference = reference_p_sensitized(oracle)
+    assert p_sens.dtype == reference.dtype
+    assert np.array_equal(p_sens, reference)
     assert p_sens[-4:].tolist() == [0.0] * 4
 
 

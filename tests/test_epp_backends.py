@@ -10,6 +10,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.core import epp_batch
 from repro.core.config import BACKENDS, AnalysisConfig
 from repro.core.epp import EPPEngine
 from repro.errors import AnalysisError
@@ -18,7 +19,11 @@ from repro.netlist.gate_types import GateType
 from repro.netlist.generate import generate_iscas
 from repro.netlist.library import c17, s27
 
-from tests.helpers import dense_backend, use_dense_backend
+from tests.helpers import (
+    dense_backend,
+    reference_p_sensitized,
+    use_dense_backend,
+)
 
 TOL = 1e-9
 
@@ -325,51 +330,49 @@ class TestCompactedRows:
 
     Bit-identity against the dense oracle is covered by the cell-tier
     pins above and the hypothesis fuzzer; these tests pin the layout
-    mechanics — the compacted path really engages, never allocates a
-    full-width matrix, handles degenerate site lists, and the chunk-plan
-    cache reuses remaps across repeated sweeps.
+    mechanics — the compacted path really engages on one arena, never
+    allocates a full-width matrix, handles degenerate site lists, and a
+    bulk call builds each chunk plan once.
     """
 
-    def test_compact_sweeps_engage_without_template(self):
-        """A multi-chunk column query sweeps on the calling thread on one
+    @pytest.mark.parametrize("query", ["analyze_sites", "pack_sites"])
+    def test_compact_sweeps_engage_without_template(self, query):
+        """A multi-chunk bulk query sweeps on the calling thread on one
         state arena of ``max(n_slots x width) x 4`` float64s, allocated
-        once per call, and every sweep covers strictly fewer rows than
-        the full ``(n + 2)``-row matrix."""
+        once per call and kept by a second call, and every sweep covers
+        strictly fewer rows than the full ``(n + 2)``-row matrix."""
         import threading
 
         engine = EPPEngine(build_circuit("s953"))
         backend = force_vector(engine, batch_size=16)
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
-        widths = [len(chunk) for chunk in chunk_ids(backend, ids)]
-        cells = max(
-            plan.n_slots * width
-            for plan, width in zip(chunk_plans(backend, ids), widths)
-        )
+        spans = chunk_spans(backend, ids)
+        widths = [len(chunk) for chunk, _ in spans]
+        cells = max(plan.n_slots * len(chunk) for chunk, plan in spans)
         swept = []
         sweep = backend._sweep
 
-        def recording(chunk, slot=0):
+        def recording(chunk, cplan):
             # The arena in place when each sweep starts: sized before the
             # first one, never grown by a later one.
-            arenas = backend._compact_arenas.get(0)
-            swept.append((threading.get_ident(), arenas and id(arenas[0])))
-            return sweep(chunk, slot)
+            swept.append((threading.get_ident(), id(backend._arena[0])))
+            return sweep(chunk, cplan)
 
         backend._sweep = recording
-        backend.analyze_sites(ids)
+        getattr(backend, query)(ids)
         stats = backend.sweep_stats
         assert stats["sweeps"] == len(widths) > 1
         full_rows = engine.compiled.n + 2
         assert stats["compact_rows"] < stats["sweeps"] * full_rows
-        assert list(backend._compact_arenas) == [0]
-        state_arena, mask_arena = backend._compact_arenas[0]
+        state_arena, mask_arena = backend._arena
         assert state_arena.dtype == np.float64
+        assert mask_arena.dtype == bool
         assert state_arena.size == 4 * cells
         assert mask_arena.size == cells
         assert state_arena.size < full_rows * 4 * max(widths)
         assert set(swept) == {(threading.get_ident(), id(state_arena))}
-        backend.analyze_sites(ids)  # an arena that fits is kept
-        assert backend._compact_arenas[0][0] is state_arena
+        getattr(backend, query)(ids)  # an arena that fits is kept
+        assert backend._arena[0] is state_arena
 
     def test_auto_rows_compacts_pruned_sweeps(self):
         """Every sweep of the default backend runs on its chunk's
@@ -420,32 +423,6 @@ class TestCompactedRows:
         assert_backends_agree(circuit, batch_size=3, dense=dense)
         assert_backends_agree(circuit, dense=dense)
 
-    def test_chunk_plan_cached_across_sweeps(self):
-        """Repeated sweeps of the same chunk reuse one cached row remap,
-        shared by every backend over the same compiled circuit."""
-        engine = EPPEngine(build_circuit("s953"))
-        backend = force_vector(engine, batch_size=16)
-        ids = np.asarray(
-            [engine._cones.resolve(s) for s in engine.default_sites()][:16],
-            dtype=np.intp,
-        )
-        first = backend.plan.compact_chunk_plan(ids)
-        assert backend.plan.compact_chunk_plan(ids) is first
-        backend.pack_sites(ids)
-        assert backend.plan.compact_chunk_plan(ids) is first
-        other = force_vector(engine, batch_size=8)
-        assert other is not backend
-        assert other.plan.chunk_cache is backend.plan.chunk_cache
-
-    def test_release_buffers_clears_chunk_plans(self):
-        engine = EPPEngine(build_circuit("s953"))
-        backend = force_vector(engine, batch_size=16)
-        ids = [engine._cones.resolve(s) for s in engine.default_sites()]
-        backend.analyze_sites(ids)
-        assert len(backend.plan.chunk_cache) > 0
-        backend.release_buffers()
-        assert len(backend.plan.chunk_cache) == 0
-
     def test_compact_plan_translates_sinks(self):
         """A chunk reaching only some sinks reduces over exactly those,
         mapped back to their global sink positions."""
@@ -463,24 +440,110 @@ class TestCompactedRows:
             assert np.array_equal(left, right)
 
 
-def chunk_ids(backend, ids) -> list:
-    """The site-id chunks one bulk call of ``backend`` over ``ids``
-    sweeps, in sweep order, split without sweeping."""
+class TestChunkPlanBuilds:
+    """A bulk call builds each chunk plan once, while ``_chunk_spans``
+    checks the span's footprint, and sweeps on that plan: the builds are
+    the chunks swept plus the oversize candidates the splitter rejected,
+    however many chunks the call sweeps."""
+
+    @staticmethod
+    def one_call(backend, query, ids, monkeypatch) -> tuple:
+        """``(built, swept)`` over one call of ``query``: ``(width,
+        plan)`` for every plan ``compact_chunk_plan`` built, and every
+        plan a sweep ran on."""
+        built, swept = [], []
+        build = backend.plan.compact_chunk_plan
+        sweep = backend._sweep
+
+        def counting(site_ids):
+            cplan = build(site_ids)
+            built.append((len(site_ids), cplan))
+            return cplan
+
+        def recording(site_ids, cplan):
+            swept.append(cplan)
+            return sweep(site_ids, cplan)
+
+        monkeypatch.setattr(backend.plan, "compact_chunk_plan", counting)
+        backend._sweep = recording
+        getattr(backend, query)(ids)
+        return built, swept
+
+    @staticmethod
+    def assert_built_once(backend, built, swept) -> int:
+        """Every swept plan was built for its chunk alone, and every other
+        build is a rejected candidate: wider than ``batch_size`` and over
+        the footprint target.  Returns the rejected count."""
+        rejected = [
+            cplan for width, cplan in built
+            if width > backend.batch_size
+            and cplan.n_rows * 32 * width > epp_batch._STATE_BYTES_TARGET
+        ]
+        swept_ids = {id(cplan) for cplan in swept}
+        assert len(swept_ids) == len(swept) == backend.sweep_stats["chunks"]
+        assert swept_ids.isdisjoint(id(cplan) for cplan in rejected)
+        assert len(built) == len(swept) + len(rejected)
+        return len(rejected)
+
+    @pytest.mark.parametrize("query", ["analyze_sites", "pack_sites"])
+    def test_one_build_per_swept_chunk(self, query, monkeypatch):
+        """s953's default sites listed 4x at ``batch_size=4``: 283
+        chunks and 283 builds, so a call with hundreds of chunks still
+        builds each plan once."""
+        engine = EPPEngine(build_circuit("s953"))
+        backend = force_vector(engine, batch_size=4)
+        ids = [engine._cones.resolve(s) for s in engine.default_sites()] * 4
+        built, swept = self.one_call(backend, query, ids, monkeypatch)
+        assert self.assert_built_once(backend, built, swept) == 0
+        assert len(swept) == len(built) == 283
+
+    def test_rejected_candidates_add_one_build_each(self, monkeypatch):
+        """With a footprint target no candidate wider than ``batch_size``
+        meets, each such candidate is built once, rejected and halved to
+        ``batch_size``, whose plan is the one swept: every chunk but the
+        last (424 sites, 4 wide) had one rejected candidate."""
+        monkeypatch.setattr(epp_batch, "_STATE_BYTES_TARGET", 0)
+        engine = EPPEngine(build_circuit("s953"))
+        backend = force_vector(engine, batch_size=4)
+        ids = [engine._cones.resolve(s) for s in engine.default_sites()]
+        built, swept = self.one_call(backend, "analyze_sites", ids,
+                                     monkeypatch)
+        rejected = self.assert_built_once(backend, built, swept)
+        assert len(swept) == -(-len(ids) // 4)
+        assert rejected == len(swept) - 1 > 0
+        assert all(width <= 4 for width, cplan in built
+                   if any(cplan is other for other in swept))
+
+    @pytest.mark.slow
+    def test_one_build_per_swept_chunk_s9234(self, monkeypatch):
+        """s9234's default sites at ``batch_size=8``: 484 chunks, 484
+        builds."""
+        engine = EPPEngine(generate_iscas("s9234"))
+        backend = force_vector(engine, batch_size=8)
+        ids = [engine._cones.resolve(s) for s in engine.default_sites()]
+        built, swept = self.one_call(backend, "p_sensitized_many", ids,
+                                     monkeypatch)
+        assert self.assert_built_once(backend, built, swept) == 0
+        assert len(swept) == len(built) == 484
+
+
+def chunk_spans(backend, ids) -> list:
+    """``(chunk, plan)`` for each chunk one bulk call of ``backend`` over
+    ``ids`` sweeps, in sweep order: the site ids and the compacted chunk
+    plan the call sweeps them on, split and built without sweeping."""
     ids = np.asarray(ids, dtype=np.intp)
     order = backend._schedule_order(ids)
     sweep_ids = ids if order is None else ids[order]
     return [
-        sweep_ids[start:stop] for start, stop in backend._chunk_spans(sweep_ids)
+        (sweep_ids[start:stop], cplan)
+        for start, stop, cplan in backend._chunk_spans(sweep_ids)
     ]
 
 
 def chunk_plans(backend, ids) -> list:
     """The compacted chunk plans one bulk call of ``backend`` over
     ``ids`` sweeps, in sweep order, built without sweeping."""
-    return [
-        backend.plan.compact_chunk_plan(chunk)
-        for chunk in chunk_ids(backend, ids)
-    ]
+    return [cplan for _, cplan in chunk_spans(backend, ids)]
 
 
 def dead_chain_circuit() -> Circuit:
@@ -627,13 +690,24 @@ class TestDirtyRowLifecycle:
             assert np.array_equal(left, right)
 
 
+def assert_reference_p_sens(p_sens, packed):
+    """``p_sens`` equals the per-site product over ``packed``'s (site,
+    sink) pairs (``tests.helpers.reference_p_sensitized``) bit for bit,
+    dtype included: both bulk queries take ``p_sens`` from one
+    reduction, so only an outside reference can check it."""
+    reference = reference_p_sensitized(packed)
+    assert p_sens.dtype == reference.dtype
+    assert np.array_equal(p_sens, reference)
+
+
 class TestUnifiedReductionPath:
-    """p_sensitized_many shares one code path with the packed reduction."""
+    """Both bulk queries share one chunk driver and one reduction."""
 
     def test_p_sensitized_many_bit_equal_to_analyze(self):
-        """``p_sensitized_many`` is the column query's first column, and
-        the column reduction equals the packed ``_select_pairs`` one bit
-        for bit, so the bulk queries can never drift."""
+        """``p_sensitized_many`` is the column query's first column, the
+        columns equal ``pack_sites``' and the reduction equals the
+        reference product over the packed pairs bit for bit, so the bulk
+        queries can never drift."""
         engine = EPPEngine(build_circuit("s953"))
         backend = force_vector(engine, batch_size=16)
         site_ids = [engine._cones.resolve(s) for s in engine.default_sites()]
@@ -643,6 +717,7 @@ class TestUnifiedReductionPath:
         assert np.array_equal(many, p_sens)
         assert np.array_equal(p_sens, packed[0])
         assert np.array_equal(cone_sizes, packed[1])
+        assert_reference_p_sens(p_sens, packed)
 
     @pytest.mark.parametrize("circuit_name", ["c17", "s27", "c432", "c499"])
     def test_analyze_columns_equal_snapshot(self, circuit_name):
@@ -658,6 +733,7 @@ class TestUnifiedReductionPath:
         packed = analyzer.engine.snapshot().packed
         assert np.array_equal(report.p_sensitized, packed[0])
         assert np.array_equal(report.cone_sizes, packed[1])
+        assert_reference_p_sens(report.p_sensitized, packed)
 
     @pytest.mark.parametrize("mode", ["chunked", "sharded", "resumed"])
     def test_analyze_columns_equal_snapshot_s953(self, mode, tmp_path):
@@ -700,6 +776,7 @@ class TestUnifiedReductionPath:
             assert backend.stats["checkpointed_shards"] == (len(shards) + 1) // 2
         assert np.array_equal(report.p_sensitized, packed[0])
         assert np.array_equal(report.cone_sizes, packed[1])
+        assert_reference_p_sens(report.p_sensitized, packed)
 
     def test_p_sensitized_many_cone_schedule_stays_aligned(self):
         """Clustering permutes the sweep; the output must stay aligned
@@ -708,6 +785,7 @@ class TestUnifiedReductionPath:
         clustered = force_vector(engine, batch_size=16)
         site_ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         got = clustered.p_sensitized_many(site_ids)
+        assert_reference_p_sens(got, clustered.pack_sites(site_ids))
         ordered = force_vector(engine, batch_size=len(site_ids))
         assert np.array_equal(got, ordered.p_sensitized_many(site_ids))
 
@@ -718,13 +796,12 @@ class TestReleaseBuffers:
         backend = force_vector(engine)
         sites = engine.default_sites()
         first = engine.analyze(sites=sites, backend="vector")
-        assert backend._compact_arenas
+        assert backend._arena is not None
         backend.release_buffers()
-        assert not backend._compact_arenas
+        assert backend._arena is None
         assert backend._const is None
-        assert len(backend.plan.chunk_cache) == 0
         second = engine.analyze(sites=sites, backend="vector")  # rebuilds
-        assert backend._compact_arenas
+        assert backend._arena is not None
         for site in first:
             assert second[site].p_sensitized == first[site].p_sensitized
 
@@ -732,9 +809,9 @@ class TestReleaseBuffers:
         engine = EPPEngine(build_circuit("s953"))
         backend = force_vector(engine)
         engine.analyze(backend="vector")
-        assert backend._compact_arenas
+        assert backend._arena is not None
         engine.release_buffers()
-        assert not backend._compact_arenas
+        assert backend._arena is None
         assert backend._const is None
 
     def test_analyzer_release_buffers(self):
@@ -743,12 +820,11 @@ class TestReleaseBuffers:
         analyzer = SERAnalyzer(build_circuit("s953"))
         backend = force_vector(analyzer.engine)
         analyzer.analyze(backend="vector")
-        assert backend._compact_arenas
+        assert backend._arena is not None
         assert backend._const is not None
         analyzer.release_buffers()
-        assert not backend._compact_arenas
+        assert backend._arena is None
         assert backend._const is None
-        assert len(backend.plan.chunk_cache) == 0
 
     def test_release_waits_for_a_running_sweep(self):
         """A release from another thread (the server evicting an engine a
@@ -761,15 +837,16 @@ class TestReleaseBuffers:
         expected = dense_backend(engine).pack_sites(ids)
         backend = engine.vector_backend()
         inside, resume = threading.Event(), threading.Event()
-        original = backend._compact_buffers
+        original = backend._sweep
 
-        def paused(n_slots, s, slot):
+        def paused(site_ids, cplan):
+            # The first sweep stops on entry, its arena already sized.
             if not inside.is_set():
                 inside.set()
                 resume.wait(timeout=30)
-            return original(n_slots, s, slot)
+            return original(site_ids, cplan)
 
-        backend._compact_buffers = paused
+        backend._sweep = paused
         outcome = {}
 
         def sweep():
@@ -793,7 +870,7 @@ class TestReleaseBuffers:
         for left, right in zip(expected, outcome["packed"]):
             assert np.array_equal(left, right)
         assert waited
-        assert not backend._compact_arenas  # the release ran afterwards
+        assert backend._arena is None  # the release ran afterwards
 
 
 class TestBackendSelection:

@@ -243,10 +243,10 @@ class TestShardScheduling:
         backend = forced_sharded(engine, jobs=2)
         engine.analyze(backend="sharded", jobs=2)
         engine.analyze(backend="vector")  # populate local buffers
-        assert backend.local._compact_arenas
+        assert backend.local._arena is not None
         assert backend.local._const is not None
         backend.close()
-        assert not backend.local._compact_arenas
+        assert backend.local._arena is None
         assert backend.local._const is None
 
 

@@ -11,7 +11,6 @@ no site order a caller picks can change any site's packed result.
 """
 
 import pickle
-import time
 
 import pytest
 
@@ -21,12 +20,7 @@ from repro.core import epp_batch
 from repro.core.cone import ConeExtractor
 from repro.core.epp import EPPEngine
 from repro.core.epp_batch import BatchEPPBackend, BatchPlan
-from repro.core.schedule import (
-    ChunkCache,
-    ConeIndex,
-    chunk_cache_key,
-    cone_cluster_order,
-)
+from repro.core.schedule import ConeIndex, cone_cluster_order
 from repro.errors import AnalysisError
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GateType
@@ -40,23 +34,6 @@ def zoo_circuit() -> Circuit:
     from tests.test_epp_backends import gate_zoo
 
     return gate_zoo()
-
-
-class _Missing(Exception):
-    pass
-
-
-def cached(cache: ChunkCache, key: bytes):
-    """The value resident under ``key``, or ``None`` — read through
-    ``get_or_create`` with a factory that refuses to build."""
-
-    def refuse():
-        raise _Missing
-
-    try:
-        return cache.get_or_create(key, refuse)
-    except _Missing:
-        return None
 
 
 def site_ids(engine: EPPEngine) -> list[int]:
@@ -150,124 +127,6 @@ class TestClusterOrder:
         site = compiled.index["G10"]
         order = cone_cluster_order(compiled, [site, site, site])
         assert order.tolist() == [0, 1, 2]
-
-
-class TestChunkCache:
-    def test_key_depends_on_order_and_content(self):
-        """Column assignment follows site order, so the key must too."""
-        assert chunk_cache_key([1, 2, 3]) == chunk_cache_key([1, 2, 3])
-        assert chunk_cache_key([1, 2, 3]) != chunk_cache_key([3, 2, 1])
-        assert chunk_cache_key([1, 2, 3]) != chunk_cache_key([1, 2, 4])
-        assert chunk_cache_key(np.asarray([5, 7], dtype=np.intp)) == \
-            chunk_cache_key([5, 7])
-
-    def test_fifo_eviction_bounds_entries(self):
-        cache = ChunkCache(max_entries=3)
-        for index in range(5):
-            cache.get_or_create(chunk_cache_key([index]), lambda i=index: i)
-        assert len(cache) == 3
-        assert cached(cache, chunk_cache_key([0])) is None  # evicted first
-        assert cached(cache, chunk_cache_key([4])) == 4
-
-    def test_overwrite_does_not_evict(self):
-        """Asking again for a resident key returns it as built: nothing is
-        rebuilt, replaced or evicted."""
-        cache = ChunkCache(max_entries=2)
-        key = chunk_cache_key([9])
-        cache.get_or_create(key, lambda: "a")
-        cache.get_or_create(chunk_cache_key([10]), lambda: "b")
-        assert cache.get_or_create(key, lambda: "c") == "a"
-        assert len(cache) == 2
-        assert cached(cache, chunk_cache_key([10])) == "b"
-        cache.clear()
-        assert len(cache) == 0
-
-
-class TestChunkCacheConcurrency:
-    """get_or_create under contention: the plan cache is shared between
-    the sweeper thread and whatever thread drives the analysis, so a
-    race must never construct twice or tear a read."""
-
-    def test_hammer_builds_exactly_once(self):
-        import threading
-
-        cache = ChunkCache(max_entries=8)
-        key = chunk_cache_key([1, 2, 3])
-        builds = []
-        barrier = threading.Barrier(8)
-
-        def factory():
-            builds.append(threading.get_ident())
-            time.sleep(0.01)  # widen the race window
-            return {"plan": object()}
-
-        results = [None] * 8
-
-        def worker(slot):
-            barrier.wait()
-            results[slot] = cache.get_or_create(key, factory)
-
-        threads = [
-            threading.Thread(target=worker, args=(slot,)) for slot in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(builds) == 1  # single construction under contention
-        # No torn reads: every thread observed the one published object.
-        assert all(result is results[0] for result in results)
-        assert cached(cache, key) is results[0]
-
-    def test_distinct_keys_build_independently(self):
-        import threading
-
-        cache = ChunkCache(max_entries=64)
-        built = []
-
-        def worker(index):
-            key = chunk_cache_key([index])
-            value = cache.get_or_create(key, lambda: built.append(index) or index)
-            assert value == index
-
-        threads = [
-            threading.Thread(target=worker, args=(index % 16,))
-            for index in range(64)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert sorted(set(built)) == list(range(16))
-        assert len(built) == 16  # once per key, not per caller
-
-    def test_falsy_value_cached_not_rebuilt(self):
-        """A falsy value is a cached value: presence is ``is not None``,
-        never truthiness."""
-        cache = ChunkCache()
-        key = chunk_cache_key([7])
-        calls = []
-        assert cache.get_or_create(key, lambda: calls.append(1) or False) is False
-        assert cache.get_or_create(key, lambda: calls.append(1) or True) is False
-        assert len(calls) == 1
-
-    def test_get_or_create_respects_fifo_cap(self):
-        cache = ChunkCache(max_entries=2)
-        for index in range(4):
-            cache.get_or_create(chunk_cache_key([index]), lambda i=index: i)
-        assert len(cache) == 2
-        assert cached(cache, chunk_cache_key([0])) is None  # evicted first
-        assert cached(cache, chunk_cache_key([3])) == 3
-
-    def test_existing_entry_skips_factory_and_lock_contention(self):
-        cache = ChunkCache()
-        key = chunk_cache_key([11])
-        cache.get_or_create(key, lambda: "resident")
-
-        def exploding_factory():
-            raise AssertionError("factory must not run for a resident key")
-
-        assert cache.get_or_create(key, exploding_factory) == "resident"
 
 
 class TestRowsKnob:
