@@ -30,9 +30,12 @@ sites of a chunk at once:
   built once per swept chunk.  A row holds a physical row
   (*slot*) from the level that first writes or reads it until its last
   reader's level has run, and the slot is then reused, so the matrix
-  needs only the rows live at once (40% of the largest default s9234
-  chunk's rows); sites, present sinks and sentinels keep theirs for the
-  whole sweep.  Every gather, kernel and scatter indexes the small
+  needs only the rows live at once (29% of the largest default s9234
+  chunk's rows).  Sites are such rows too, and so are the sinks of the
+  column query, whose survival factors are captured into a small sink
+  plane as each sink row becomes final; only the sentinels, and the
+  packed query's sinks, keep their slots for the whole sweep.  Every
+  gather, kernel and scatter indexes the small
   matrix, all levels at or below the chunk's minimum site level are
   skipped outright, and the sink reduction walks only the sinks the
   chunk can reach.  Each retained row computes exactly what a dense
@@ -62,6 +65,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import starmap
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,6 +91,7 @@ __all__ = [
     "CompactChunkPlan",
     "default_batch_size",
     "empty_packed",
+    "packed_in_order",
     "segment_index",
 ]
 
@@ -96,7 +101,8 @@ __all__ = [
 #: :func:`default_batch_size` sizes the default width so a full-circuit
 #: ``(n, 4, batch)`` matrix would meet it, and ``_chunk_spans`` checks
 #: each span's union rows against it; a sweep allocates only the chunk's
-#: live slots (``n_slots x 4 x width x 8`` bytes), and every bulk query
+#: live slots (``n_slots x width x 33`` bytes of state and mask) plus its
+#: ``n_present_sinks x width x 8``-byte sink plane, and every bulk query
 #: holds one arena sized to its largest chunk.
 #: Pass ``batch_size`` to shrink it on memory-constrained hosts.
 _STATE_BYTES_TARGET = 256 << 20
@@ -159,6 +165,46 @@ def segment_index(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return heads + within
 
 
+def packed_in_order(parts: list, rows: list, n: int) -> tuple:
+    """One packed tuple in input order from the packed parts of a call.
+
+    ``parts[i]`` is a :meth:`BatchEPPBackend._pack` tuple whose sites
+    sit at the input positions ``rows[i]`` (a slice or an index array);
+    together the rows cover ``0 .. n - 1`` once.  Each part is written
+    straight into its input rows — per-site columns scatter, and its
+    pair segments land at ``segment_index(starts[rows[i]], counts)``,
+    with ``starts`` taken from the input-order counts — and dropped from
+    ``parts`` once written, so the call never holds its pairs twice.
+    """
+    if n == 0:
+        return empty_packed()
+    counts = np.empty(n, dtype=np.intp)
+    for part, at in zip(parts, rows):
+        counts[at] = part[2]
+    stops = np.cumsum(counts)
+    starts = stops - counts
+    p_sens = np.empty(n)
+    cone_sizes = np.empty(n, dtype=np.intp)
+    sink_pos = np.empty(int(stops[-1]), dtype=np.intp)
+    values = np.empty((int(stops[-1]), 4))
+    for index, at in enumerate(rows):
+        part_p, part_cones, part_counts, part_sinks, part_values = parts[index]
+        parts[index] = None
+        p_sens[at] = part_p
+        cone_sizes[at] = part_cones
+        pairs = segment_index(starts[at], part_counts)
+        sink_pos[pairs] = part_sinks
+        values[pairs] = part_values
+    return p_sens, cone_sizes, counts, sink_pos, values
+
+
+def _buckets(levels: np.ndarray, n_levels: int) -> tuple:
+    """``(order, bounds)``: the positions of ``levels`` sorted stably by
+    level, and the run of level ``i`` as ``order[bounds[i]:bounds[i + 1]]``."""
+    order = np.argsort(levels, kind="stable")
+    return order, np.searchsorted(levels[order], np.arange(n_levels + 1))
+
+
 class _Group:
     """One rectangular gate block: same level, gate code and arity."""
 
@@ -201,15 +247,20 @@ class CompactChunkPlan:
     so a linear scan over the levels lays the rows out on ``n_slots``
     slots: a row takes a free slot when it goes live and frees it after
     its last reader's level (a slot freed after level L is reused from
-    level L + 1 on, never within L).  Chunk sites, present sinks and
-    referenced sentinels are *pinned* to slots ``0 .. len(pinned_nodes) -
-    1`` for the whole sweep: the site re-injection map is keyed by slot,
-    and the sink reduction reads the sink slots after the sweep.  Every
-    gate-group index array is already translated into slot space, so the
-    kernels of :mod:`repro.core.rules_vec` index the small matrix
-    unchanged.  The layout is pure indexing: each computed cell runs
-    exactly the ops a dense sweep over the full matrix runs, so
-    compacted results are bit-identical to it.
+    level L + 1 on, never within L).  A site is such a row: it goes live
+    at the first level that reads or writes it (at the first swept level
+    if none does), where its columns get their 1(a).  Only the
+    referenced sentinels — and, in the packed query's plans, the present
+    sinks, which ``_pack`` reads after the sweep — are *pinned* to slots
+    ``0 .. len(pinned_nodes) - 1`` for the whole sweep.  Every sink row
+    is captured into the sweep's sink plane once it is final: a
+    recycled sink at the end of the level that writes it (or the level
+    it goes live at, if nothing writes it), a pinned one at the end of
+    the last level.  Every gate-group index array is already translated
+    into slot space, so the kernels of :mod:`repro.core.rules_vec` index
+    the small matrix unchanged.  The layout is pure indexing: each
+    computed cell runs exactly the ops a dense sweep over the full
+    matrix runs, so compacted results are bit-identical to it.
 
     Attributes
     ----------
@@ -217,35 +268,56 @@ class CompactChunkPlan:
         The union size — rows the chunk touches.  ``_chunk_spans``'
         memory check and ``sweep_stats["compact_rows"]`` read it.
     n_slots:
-        The compacted state matrix's physical row count, ``<= n_rows``.
+        The compacted state matrix's physical row count: the pinned rows
+        plus the most recycled rows live at one level, ``<= n_rows``.
     pinned_nodes:
         Global node ids of the pinned rows, ascending; slot ``j`` holds
         ``pinned_nodes[j]``.
-    site_slots:
-        Slot of each chunk site, aligned with the chunk.
     levels:
-        ``(seed_slots, seed_nodes, groups, retire_slots)`` per swept level
-        in sweep order: the slots that go live at this level and the
-        global ids of the rows they take (seeded with those rows' SP
-        constants, mask rows cleared, before the level's groups run); the
-        level's active gate groups as ``(group, out_slots, fanin_slots,
-        out_nodes)`` — the plan's :class:`_Group` (kernel dispatch) with
-        its active rows' output/fanin indices in slot space and the
-        output rows' global ids; and the slots of the written rows whose
-        last reader is at this level, whose mask rows are added to the
-        cone counts as they retire.
-    sink_slots / sink_positions:
-        Slots of the observable sinks present in the matrix, and their
-        positions into ``BatchPlan.sink_ids`` — absent sinks are off-path
-        for every column by construction, so the sink-pair reduction
-        over the present subset selects exactly the pairs a reduction
-        over every sink selects, in the same order.
+        One :class:`_SweptLevel` per swept level, in sweep order (one
+        empty level when the chunk's sites leave no level to sweep).
+    sink_positions:
+        Positions into ``BatchPlan.sink_ids`` of the observable sinks
+        present in the matrix, ascending — the sink plane's rows.
+        Absent sinks are off-path for every column by construction, so
+        the sink-pair reduction over the present subset selects exactly
+        the pairs a reduction over every sink selects, in the same order.
+    sink_slots:
+        The pinned slots of the present sinks, aligned with
+        ``sink_positions``, in a packed-query plan; ``None`` in a
+        column-query plan, whose sinks recycle their slots.
     """
 
     __slots__ = (
-        "n_rows", "n_slots", "pinned_nodes", "site_slots", "levels",
-        "sink_slots", "sink_positions",
+        "n_rows", "n_slots", "pinned_nodes", "levels", "sink_positions",
+        "sink_slots",
     )
+
+
+class _SweptLevel(NamedTuple):
+    """One swept level of a :class:`CompactChunkPlan`, in slot space.
+
+    The sweep runs it in field order: it seeds ``seed_slots`` with the
+    SP constants of ``seed_nodes`` (the rows going live here) and clears
+    their mask rows, injects 1(a) at ``(site_slots[i], site_cols[i])``
+    for the chunk columns whose site goes live here, runs ``groups`` —
+    each ``(group, out_slots, fanin_slots, out_nodes)``: the plan's
+    :class:`_Group` (kernel dispatch) with its active rows' output/fanin
+    indices in slot space and the output rows' global ids — captures
+    the final sink rows ``sink_slots`` into the sink plane's rows
+    ``sink_rows``, and adds the mask rows of ``retire_slots`` to the
+    cone counts: the written or site rows whose last reader is at this
+    level, which free their slots after it.
+    """
+
+    seed_slots: np.ndarray
+    seed_nodes: np.ndarray
+    site_slots: np.ndarray
+    site_cols: np.ndarray
+    groups: list
+    sink_slots: np.ndarray
+    sink_rows: np.ndarray
+    retire_slots: np.ndarray
 
 
 class BatchPlan:
@@ -289,11 +361,16 @@ class BatchPlan:
         self.sink_ids = np.asarray(compiled.sink_ids, dtype=np.intp)
         self.sink_names = [compiled.names[s] for s in compiled.sink_ids]
 
-    def compact_chunk_plan(self, site_ids: np.ndarray) -> CompactChunkPlan:
+    def compact_chunk_plan(self, site_ids: np.ndarray,
+                           packed: bool) -> CompactChunkPlan:
         """The compacted-row plan for one chunk of sites.
 
         One vectorized forward-reachability pass over the level groups
-        and one slot scan over the swept levels.  Nothing is memoized:
+        and one slot scan over the swept levels.  ``packed`` builds the
+        packed query's plan, which pins the present sinks; the column
+        query's plan (``packed=False``) pins only the sentinels.  Both
+        cover the same rows, so ``n_rows`` — and the chunk boundaries
+        that read it — do not depend on the query.  Nothing is memoized:
         a bulk call builds each chunk's plan once, in ``_chunk_spans``,
         and sweeps on that plan.
         """
@@ -333,35 +410,57 @@ class BatchPlan:
                     [outs] + [fanin.ravel() for _, _, fanin in entries]
                 )
                 swept.append((entries, outs, touched))
+        if not swept:
+            # Sites on the top level leave no level to sweep; one empty
+            # level still seeds, captures and retires their rows.
+            empty = np.empty(0, dtype=np.intp)
+            swept.append(([], empty, empty))
         # Live ranges.  Levels ascend, so a forward pass of plain
-        # assignments leaves each row's last level and a backward pass
-        # its first; a row's own level is below every reader's.
+        # assignments leaves each row's last level and the level that
+        # writes it, and a backward pass its first; a row's own level is
+        # below every reader's.
         first = np.full(total, -1, dtype=np.intp)
         last = np.empty(total, dtype=np.intp)
-        written = np.zeros(total, dtype=bool)
+        wrote = np.full(total, -1, dtype=np.intp)
         for index, (_, outs, touched) in enumerate(swept):
             last[touched] = index
-            written[outs] = True
+            wrote[outs] = index
         for index in range(len(swept) - 1, -1, -1):
             first[swept[index][2]] = index
+        # A site nothing reads or writes lives for the first level only.
+        untouched = site_ids[first[site_ids] < 0]
+        first[untouched] = 0
+        last[untouched] = 0
         needed = first >= 0
-        needed[site_ids] = True
-        present = needed[self.sink_ids]
+        sink_positions = np.nonzero(needed[self.sink_ids])[0]
+        sinks = self.sink_ids[sink_positions]
         pinned = np.zeros(total, dtype=bool)
-        pinned[site_ids] = True
-        pinned[self.sink_ids[present]] = True
         pinned[self.n:] = needed[self.n:]
+        if packed:
+            pinned[sinks] = True
+            final = np.full(len(sinks), len(swept) - 1, dtype=np.intp)
+        else:
+            # A recycled sink row is final once the level that writes it
+            # has run, or as it goes live if nothing writes it.
+            final = np.where(wrote[sinks] >= 0, wrote[sinks], first[sinks])
         pinned_nodes = np.nonzero(pinned)[0]
         slot_of = np.zeros(total, dtype=np.intp)
         slot_of[pinned_nodes] = np.arange(len(pinned_nodes), dtype=np.intp)
+        # Written and site rows are the only ones whose mask rows can
+        # hold an on-path cell, so only theirs are counted as they retire.
+        counted = wrote >= 0
+        counted[site_ids] = True
         # The recycled rows grouped by the level they go live at and by
-        # the level after which they retire.
+        # the level after which they retire; the chunk columns by the
+        # level their site goes live at; the present sinks by the level
+        # they are captured at.
         recycled = np.nonzero(needed & ~pinned)[0]
-        bounds = np.arange(len(swept) + 1)
-        born = recycled[np.argsort(first[recycled], kind="stable")]
-        born_bounds = np.searchsorted(first[born], bounds)
-        dying = recycled[np.argsort(last[recycled], kind="stable")]
-        dying_bounds = np.searchsorted(last[dying], bounds)
+        born, born_at = _buckets(first[recycled], len(swept))
+        born = recycled[born]
+        dying, dying_at = _buckets(last[recycled], len(swept))
+        dying = recycled[dying]
+        columns, columns_at = _buckets(first[site_ids], len(swept))
+        captured, captured_at = _buckets(final, len(swept))
         # The slot scan, once per level: live rows take freed slots
         # (most recently freed first) before fresh ones, and a level's
         # dying rows free theirs only after the level has run.
@@ -369,7 +468,7 @@ class BatchPlan:
         n_slots = len(pinned_nodes)
         levels = []
         for index, (entries, _, _) in enumerate(swept):
-            seed_nodes = born[born_bounds[index]:born_bounds[index + 1]]
+            seed_nodes = born[born_at[index]:born_at[index + 1]]
             reused = min(len(seed_nodes), len(free))
             fresh = len(seed_nodes) - reused
             seed_slots = np.concatenate((
@@ -379,25 +478,27 @@ class BatchPlan:
             free = free[:len(free) - reused]
             n_slots += fresh
             slot_of[seed_nodes] = seed_slots
+            site_cols = columns[columns_at[index]:columns_at[index + 1]]
+            sink_rows = captured[captured_at[index]:captured_at[index + 1]]
             groups = [
                 (group, slot_of[out_ids], slot_of[fanin], out_ids)
                 for group, out_ids, fanin in entries
             ]
-            retiring = dying[dying_bounds[index]:dying_bounds[index + 1]]
+            retiring = dying[dying_at[index]:dying_at[index + 1]]
             retire_slots = slot_of[retiring]
             free = np.concatenate((free, retire_slots))
-            levels.append(
-                (seed_slots, seed_nodes, groups,
-                 retire_slots[written[retiring]])
-            )
+            levels.append(_SweptLevel(
+                seed_slots, seed_nodes, slot_of[site_ids[site_cols]],
+                site_cols, groups, slot_of[sinks[sink_rows]], sink_rows,
+                retire_slots[counted[retiring]],
+            ))
         plan = CompactChunkPlan()
         plan.n_rows = int(needed.sum())
         plan.n_slots = n_slots
         plan.pinned_nodes = pinned_nodes
-        plan.site_slots = slot_of[site_ids]
         plan.levels = levels
-        plan.sink_slots = slot_of[self.sink_ids[present]]
-        plan.sink_positions = np.nonzero(present)[0]
+        plan.sink_positions = sink_positions
+        plan.sink_slots = slot_of[sinks] if packed else None
         return plan
 
     @staticmethod
@@ -515,26 +616,31 @@ class BatchEPPBackend:
         chunk's compacted union-of-cones matrix.
 
         Carves uninitialized ``(n_slots, 4, s)`` state and ``(n_slots,
-        s)`` mask views out of the arena (sized by :meth:`_swept_chunks`)
-        and runs the chunk plan ``cplan`` level by level: the slots going
-        live at a level are seeded with their new rows' off-path
-        constants and their mask rows cleared (a recycled slot still
-        holds its previous row), the
-        level's active groups run with every index array pre-translated
-        to slot space, and the slots whose rows were last read at this
-        level add their mask rows to the per-column cone counts before
-        they can be reused.  The pinned site, sink and sentinel slots are
-        seeded once up front and counted at the end.  Per computed cell
-        the kernels run the same elementwise IEEE ops as a dense sweep
-        over the full ``(n + 2, 4, s)`` matrix, so the packed results are
-        bit-identical to it.
+        s)`` mask views out of the arena (sized by :meth:`_swept_chunks`),
+        allocates the ``(n_present_sinks, s)`` sink plane, and runs the
+        chunk plan
+        ``cplan`` level by level: the slots going live at a level are
+        seeded with their new rows' off-path constants and their mask
+        rows cleared (a recycled slot still holds its previous row), the
+        sites going live there get their 1(a), the level's active groups
+        run with every index array pre-translated to slot space, the
+        sink rows that are final by then are captured into the sink
+        plane as survival factors (:meth:`_survival`), and the slots
+        whose rows were last read at this level add their mask rows to
+        the per-column cone counts before they can be reused.  The
+        pinned slots are seeded once up front and counted at the end.
+        Per computed cell the kernels run the same elementwise IEEE ops
+        as a dense sweep over the full ``(n + 2, 4, s)`` matrix, so the
+        results are bit-identical to it.
 
         Returns ``(state, mask, layout)``: the four-valued state matrix,
         the on-path membership bitmask, and the ``(sink_slots,
-        sink_positions, cones)`` readout of the layout — the plan's sink
-        translation and the per-column count of on-path rows (cone size
-        plus the site), accumulated as slots retire because a recycled
-        slot's mask no longer holds its row.
+        sink_positions, survive, cones)`` readout of the layout — the
+        plan's pinned sink slots (``None`` in a column-query plan) and
+        sink positions, the sink plane in ``sink_positions`` order, and
+        the per-column count of on-path rows (cone size plus the site),
+        accumulated as slots retire because a recycled slot's mask no
+        longer holds its row.
         """
         s = len(site_ids)
         self._ensure_const()
@@ -542,21 +648,18 @@ class BatchEPPBackend:
         cells = cplan.n_slots * s
         state = self._arena[0][:4 * cells].reshape(cplan.n_slots, 4, s)
         mask = self._arena[1][:cells].reshape(cplan.n_slots, s)
+        n_sinks = len(cplan.sink_positions)
+        survive = np.empty((n_sinks, s))
         n_pinned = len(cplan.pinned_nodes)
         state[:n_pinned] = const[cplan.pinned_nodes][:, :, None]
         mask[:n_pinned] = False
-        cols = np.arange(s)
-        site_slots = cplan.site_slots
-        # The error site carries the erroneous value with certainty: 1(a).
-        state[site_slots, :, cols] = (1.0, 0.0, 0.0, 0.0)
-        mask[site_slots, cols] = True
         # Columns to re-inject when a group's output row is itself a site
         # in this chunk (the scatter writes SP constants over them) —
-        # keyed by slot, the space every group index lives in; site slots
-        # are pinned, so no other row ever takes one.
+        # keyed by node id, so a slot that a site held earlier in the
+        # sweep never gets its 1(a) back.
         site_cols: dict[int, list[int]] = {}
-        for col, row in enumerate(site_slots.tolist()):
-            site_cols.setdefault(row, []).append(col)
+        for col, node in enumerate(site_ids.tolist()):
+            site_cols.setdefault(node, []).append(col)
         cones = np.zeros(s, dtype=np.intp)
 
         stats = self.sweep_stats
@@ -564,15 +667,24 @@ class BatchEPPBackend:
         stats["compact_rows"] += cplan.n_rows
         stats["compact_slots"] += cplan.n_slots
         cells = self._cells
-        for seed_slots, seed_nodes, groups, retire_slots in cplan.levels:
-            state[seed_slots] = const[seed_nodes][:, :, None]
-            mask[seed_slots] = False
-            self._run_compact_groups(state, mask, groups, const, site_cols,
-                                     cells)
-            if retire_slots.size:
-                cones += mask[retire_slots].sum(axis=0)
+        for level in cplan.levels:
+            state[level.seed_slots] = const[level.seed_nodes][:, :, None]
+            mask[level.seed_slots] = False
+            # The error site carries the erroneous value with certainty:
+            # 1(a).
+            state[level.site_slots, :, level.site_cols] = (1.0, 0.0, 0.0, 0.0)
+            mask[level.site_slots, level.site_cols] = True
+            self._run_compact_groups(state, mask, level.groups, const,
+                                     site_cols, cells)
+            if level.sink_slots.size:
+                survive[level.sink_rows] = self._survival(
+                    state, mask, level.sink_slots
+                )
+            if level.retire_slots.size:
+                cones += mask[level.retire_slots].sum(axis=0)
         cones += mask[:n_pinned].sum(axis=0)
-        return state, mask, (cplan.sink_slots, cplan.sink_positions, cones)
+        layout = (cplan.sink_slots, cplan.sink_positions, survive, cones)
+        return state, mask, layout
 
     def _run_compact_groups(self, state, mask, groups, const, site_cols,
                             cells):
@@ -628,8 +740,8 @@ class BatchEPPBackend:
                 out_mask[:, None, :], result, const[out_nodes][:, :, None]
             )
             mask[out_ids] = out_mask
-            for row in out_ids.tolist():
-                columns = site_cols.get(row)
+            for row, node in zip(out_ids.tolist(), out_nodes.tolist()):
+                columns = site_cols.get(node)
                 if columns is None:
                     continue
                 # Restore the injected 1(a) the scatter just overwrote
@@ -670,9 +782,10 @@ class BatchEPPBackend:
             return None
         return order
 
-    def _chunk_spans(self, ids: np.ndarray) -> list[tuple]:
+    def _chunk_spans(self, ids: np.ndarray, packed: bool) -> list[tuple]:
         """The ``(start, stop, cplan)`` spans one bulk call sweeps, in
-        order, each with the chunk plan of ``ids[start:stop]``.
+        order, each with the chunk plan of ``ids[start:stop]`` for the
+        packed (``packed=True``) or the column query.
 
         The calibrated policy: flat spans :data:`_COMPACT_WIDTH_HALVES`/2
         times ``batch_size`` wide.  Measured on the s9234/s38417
@@ -695,55 +808,48 @@ class BatchEPPBackend:
         start = 0
         while start < n:
             stop = min(start + target, n)
-            cplan = self.plan.compact_chunk_plan(ids[start:stop])
+            cplan = self.plan.compact_chunk_plan(ids[start:stop], packed)
             while (
                 stop - start > self.batch_size
                 and cplan.n_rows * 32 * (stop - start) > _STATE_BYTES_TARGET
             ):
                 stop = start + max(self.batch_size, (stop - start) // 2)
-                cplan = self.plan.compact_chunk_plan(ids[start:stop])
+                cplan = self.plan.compact_chunk_plan(ids[start:stop], packed)
             spans.append((start, stop, cplan))
             start = stop
         self.sweep_stats["chunks"] += len(spans)
         return spans
 
-    def _swept_chunks(self, site_ids: Sequence[int], reduce) -> tuple:
-        """``(reduced, inverse)`` of one bulk call over ``site_ids``.
+    def _swept_chunks(self, site_ids: Sequence[int], packed: bool):
+        """Yield ``(rows, part)`` per swept chunk of one bulk call over
+        ``site_ids``: the chunk's reduced per-site arrays (:meth:`_pack`'s
+        tuple when ``packed``, else :meth:`_reduce_columns`') and the
+        input positions of its sites, a slice or an index array.
 
         The one chunk driver of every bulk query.  It cone-clusters the
         sites (:meth:`_schedule_order`), splits them with
         :meth:`_chunk_spans`, sizes the arena once for the call's
         largest chunk (``max(n_slots x width)`` cells), and sweeps each
-        chunk in the caller's thread on it with the span's chunk plan.
-        ``reduce(state, mask, layout)`` turns each sweep into a tuple of
-        per-site arrays before the next sweep overwrites the arena.
-        ``reduced`` concatenates those tuples in sweep order (``None``
-        for no site); ``inverse[i]`` is the sweep position of input site
-        ``i`` (``None`` when the sweep kept input order).
+        chunk in the caller's thread on it with the span's chunk plan, reducing the
+        sweep before the next one overwrites the arena.
         """
         ids = np.asarray(site_ids, dtype=np.intp)
         order = self._schedule_order(ids)
-        inverse = None
         if order is not None:
             ids = ids[order]
-            inverse = np.empty(len(order), dtype=np.intp)
-            inverse[order] = np.arange(len(order), dtype=np.intp)
-        spans = self._chunk_spans(ids)
+        spans = self._chunk_spans(ids, packed)
         if not spans:
-            return None, inverse
+            return
         cells = max(cplan.n_slots * (stop - start)
                     for start, stop, cplan in spans)
         if self._arena is None or self._arena[1].size < cells:
             # Drop an arena too small before allocating its successor.
             self._arena = None
             self._arena = [np.empty(4 * cells), np.empty(cells, dtype=bool)]
-        parts = [
-            reduce(*self._sweep(ids[start:stop], cplan))
-            for start, stop, cplan in spans
-        ]
-        if len(parts) == 1:
-            return parts[0], inverse
-        return tuple(map(np.concatenate, zip(*parts))), inverse
+        reduce = self._pack if packed else self._reduce_columns
+        for start, stop, cplan in spans:
+            rows = slice(start, stop) if order is None else order[start:stop]
+            yield rows, reduce(*self._sweep(ids[start:stop], cplan))
 
     # ---------------------------------------------------------------- queries
 
@@ -766,13 +872,25 @@ class BatchEPPBackend:
         """The body of :meth:`analyze_sites`, shared with
         :meth:`p_sensitized_many`: neither public query calls the other,
         so a tracer that wraps both (perfbench's launcher does) counts a
-        call's counters once."""
-        columns, inverse = self._swept_chunks(site_ids, self._reduce_columns)
-        if columns is None:
-            return np.empty(0), np.empty(0, dtype=np.intp)
-        if inverse is not None:
-            columns = tuple(column[inverse] for column in columns)
-        return columns
+        call's counters once.  Each chunk's columns land in their input
+        rows as it is reduced."""
+        p_sens = np.empty(len(site_ids))
+        cone_sizes = np.empty(len(site_ids), dtype=np.intp)
+        for rows, (p, cones) in self._swept_chunks(site_ids, packed=False):
+            p_sens[rows] = p
+            cone_sizes[rows] = cones
+        return p_sens, cone_sizes
+
+    @staticmethod
+    def _survival(state, mask, slots) -> np.ndarray:
+        """The ``(len(slots), s)`` survival factors of the sink rows
+        ``slots``: ``1 - min(max(pa, 0) + max(pā, 0), 1)`` in each
+        on-path cell and an exact 1.0 in each off-path one — what a sink
+        row contributes to the ``P_sensitized`` product."""
+        error = np.maximum(state[slots, 0], 0.0)
+        error += np.maximum(state[slots, 1], 0.0)
+        np.minimum(error, 1.0, out=error)
+        return np.where(mask[slots], 1.0 - error, 1.0)
 
     @staticmethod
     def _reduce_columns(state, mask, layout) -> tuple:
@@ -781,17 +899,14 @@ class BatchEPPBackend:
 
         ``P_sensitized = 1 - prod(1 - min(max(pa, 0) + max(pā, 0), 1))``
         over each column's on-path sinks, with every off-path sink
-        contributing an exact factor 1.0.  The product runs down the
-        present sinks in ``layout`` order, the order :meth:`_pack` lists
-        a site's pairs in, so it equals a per-site product over the
-        packed pairs bit for bit.  Cone sizes are the counts the sweep
+        contributing an exact factor 1.0: the product of the sweep's
+        sink plane (:meth:`_survival` per sink row) down the present
+        sinks in ``layout`` order, the order :meth:`_pack` lists a
+        site's pairs in, so it equals a per-site product over the packed
+        pairs bit for bit.  Cone sizes are the counts the sweep
         accumulated, less the site itself.
         """
-        sink_slots, _, cones = layout
-        error = np.maximum(state[sink_slots, 0], 0.0)  # (ns, s)
-        error += np.maximum(state[sink_slots, 1], 0.0)
-        np.minimum(error, 1.0, out=error)
-        survive = np.where(mask[sink_slots], 1.0 - error, 1.0)
+        _, _, survive, cones = layout
         return 1.0 - np.multiply.reduce(survive, axis=0), cones - 1
 
     def _pack(self, state, mask, layout) -> tuple:
@@ -803,16 +918,16 @@ class BatchEPPBackend:
         indices into ``plan.sink_ids`` and ``values`` their clamped
         ``(m, 4)`` four-valued vectors (``EPPValue.clamped`` in bulk).
         ``layout``'s ``(sink_slots, sink_positions)`` translate the
-        sinks: selecting over the present subset selects the same pairs
-        in the same order as selecting over every sink — absent sinks
-        are off-path in every column — so the packed layout does not
-        depend on the chunk's slot layout.  This tuple of plain arrays
-        is also the wire format the sharded driver
+        packed plan's pinned sinks: selecting over the present subset
+        selects the same pairs in the same order as selecting over every
+        sink — absent sinks are off-path in every column — so the packed
+        layout does not depend on the chunk's slot layout.  This tuple
+        of plain arrays is also the wire format the sharded driver
         (:mod:`repro.core.epp_shard`) ships across the process boundary —
         flat buffers, no per-object overhead.
         """
         p_sens, cone_sizes = self._reduce_columns(state, mask, layout)
-        sink_slots, sink_positions, _ = layout
+        sink_slots, sink_positions, _, _ = layout
         sink_mask = mask[sink_slots].T  # (s, ns)
         # Site-major selection of every on-path (site, sink) pair: the
         # boolean pick over (s, ns, ...) walks sites first, sinks second.
@@ -821,39 +936,20 @@ class BatchEPPBackend:
         sink_pos = sink_positions[np.nonzero(sink_mask)[1]]
         return p_sens, cone_sizes, sink_mask.sum(axis=1), sink_pos, values
 
-    @staticmethod
-    def _reorder_packed(packed: tuple, inverse: np.ndarray) -> tuple:
-        """Permute a packed tuple from sweep order back to input order.
-
-        ``inverse[i]`` is the sweep position of input site ``i``.  The
-        per-site arrays gather directly; the variable-length sink-pair
-        segments (``sink_pos``/``values``) are gathered via
-        :func:`segment_index` so the whole reorder stays vectorized.
-        """
-        p_sens, cone_sizes, counts, sink_pos, values = packed
-        starts = np.cumsum(counts) - counts
-        new_counts = counts[inverse]
-        index = segment_index(starts[inverse], new_counts)
-        return (
-            p_sens[inverse], cone_sizes[inverse], new_counts,
-            sink_pos[index], values[index],
-        )
-
     def pack_sites(self, site_ids: Sequence[int]) -> tuple:
-        """Compact numeric results for many sites (chunks concatenated).
+        """Compact numeric results for many sites, in input order.
 
         What snapshots and deltas splice, ``EPPEngine.analyze``
         materializes, and a sharded worker returns for a packed query:
         sweeps the sites through the same driver as
-        :meth:`analyze_sites` and returns one concatenated ``_pack``
-        tuple aligned with ``site_ids`` input order.
+        :meth:`analyze_sites` and writes each chunk's ``_pack`` tuple
+        straight into one input-order tuple (:func:`packed_in_order`).
         """
-        packed, inverse = self._swept_chunks(site_ids, self._pack)
-        if packed is None:
-            return empty_packed()
-        if inverse is not None:
-            packed = self._reorder_packed(packed, inverse)
-        return packed
+        rows, parts = [], []
+        for chunk_rows, part in self._swept_chunks(site_ids, packed=True):
+            rows.append(chunk_rows)
+            parts.append(part)
+        return packed_in_order(parts, rows, len(site_ids))
 
     def materialize(self, site_ids: Sequence[int], packed: tuple, results) -> None:
         """Build per-site EPPResults from a ``_pack``/``pack_sites`` tuple.

@@ -26,8 +26,8 @@ Design
   in :attr:`ShardedEPPEngine.stats` (``pickle_shards``/
   ``pickled_array_bytes``).  The parent writes each shard's columns into
   their input rows as the shard arrives, while the rest are still
-  sweeping; packed shards are concatenated and restored to input order
-  once all have arrived.
+  sweeping; packed shards are written straight into their input rows
+  once all have arrived, each dropped as it is written.
 * **Cone-clustered shards.**  A site list spanning more than one worker
   chunk is ordered by :func:`~repro.core.schedule.cone_cluster_order`
   before the contiguous partition, so each shard's sites share fanout
@@ -1007,12 +1007,14 @@ class ShardedEPPEngine:
         incremental layer (:mod:`repro.core.epp_delta`) splices these
         arrays, so they must be bit-identical to the local backend's for
         the same sites.  They are: columns are computed independently of
-        shard membership, shards' packed parts concatenate in shard
-        order (which is the concatenated ``position_shards`` order), and
-        one inverse permutation restores input order exactly as the
-        local backend's ``ordered=True`` path does.
+        shard membership, and each shard's packed part is written
+        straight into its input rows (``position_shards``) once every
+        shard has arrived, exactly as the local backend writes its
+        chunks (:func:`~repro.core.epp_batch.packed_in_order`).
         """
         import numpy as np
+
+        from repro.core.epp_batch import packed_in_order
 
         self.last_outcomes = []
         site_ids = [int(site_id) for site_id in site_ids]
@@ -1022,15 +1024,8 @@ class ShardedEPPEngine:
         parts: list = [None] * len(shards)
         for index, packed in self._map_with_checkpoint(shards, "packed"):
             parts[index] = packed
-        packed = tuple(
-            np.concatenate([part[i] for part in parts]) for i in range(5)
-        )
-        positions = np.concatenate(
-            [np.asarray(chunk, dtype=np.intp) for chunk in position_shards]
-        )
-        inverse = np.empty(len(site_ids), dtype=np.intp)
-        inverse[positions] = np.arange(len(site_ids), dtype=np.intp)
-        return self.local._reorder_packed(packed, inverse)
+        rows = [np.asarray(shard, dtype=np.intp) for shard in position_shards]
+        return packed_in_order(parts, rows, len(site_ids))
 
     def p_sensitized_many(self, site_ids: Sequence[int]):
         """``P_sensitized`` for many sites, aligned with ``site_ids``: the

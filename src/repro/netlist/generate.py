@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import random
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from repro.errors import ConfigError
 from repro.netlist.circuit import Circuit
@@ -168,10 +170,12 @@ def generate_circuit(profile: GenerationProfile, seed: int | None = None) -> Cir
 
     gate_types, gate_weights = zip(*profile.gate_mix.items())
     fanin_counts, fanin_weights = zip(*profile.fanin_dist.items())
+    # What ``rng.choices`` accumulates from ``weights`` on every call.
+    gate_cum = list(accumulate(gate_weights))
+    fanin_cum = list(accumulate(fanin_weights))
 
     by_level: list[list[str]] = [list(sources)]
     level_of: dict[str, int] = {name: 0 for name in sources}
-    fanout_count: dict[str, int] = {name: 0 for name in sources}
     unconsumed: set[str] = set(sources)
     gate_names: list[str] = []
 
@@ -183,13 +187,13 @@ def generate_circuit(profile: GenerationProfile, seed: int | None = None) -> Cir
             target = 1
         target = min(target, len(by_level))  # can't exceed current frontier + 1
 
-        gate_type = rng.choices(gate_types, weights=gate_weights, k=1)[0]
+        gate_type = rng.choices(gate_types, cum_weights=gate_cum, k=1)[0]
         if gate_type in (GateType.NOT, GateType.BUF):
             n_fanin = 1
         else:
-            n_fanin = rng.choices(fanin_counts, weights=fanin_weights, k=1)[0]
+            n_fanin = rng.choices(fanin_counts, cum_weights=fanin_cum, k=1)[0]
 
-        drivers = _pick_drivers(rng, by_level, target, n_fanin, unconsumed, fanout_count)
+        drivers = _pick_drivers(rng, by_level, target, n_fanin, unconsumed)
         name = f"g{i}"
         circuit.add_gate(name, gate_type, drivers)
         gate_names.append(name)
@@ -199,10 +203,8 @@ def generate_circuit(profile: GenerationProfile, seed: int | None = None) -> Cir
         while len(by_level) <= realized:
             by_level.append([])
         by_level[realized].append(name)
-        fanout_count[name] = 0
         unconsumed.add(name)
         for driver in drivers:
-            fanout_count[driver] += 1
             unconsumed.discard(driver)
 
     # Sinks: prefer unconsumed gates (deepest first) so little logic is dead.
@@ -219,7 +221,8 @@ def generate_circuit(profile: GenerationProfile, seed: int | None = None) -> Cir
     for name in dict.fromkeys(outputs):  # preserve order, drop duplicates
         circuit.mark_output(name)
 
-    remaining = [g for g in dangling if g not in set(outputs)]
+    output_set = set(outputs)
+    remaining = [g for g in dangling if g not in output_set]
     candidates = remaining + gate_names + inputs
     for k, ff_name in enumerate(ff_names):
         d_driver = candidates[k] if k < len(remaining) else rng.choice(candidates)
@@ -229,13 +232,32 @@ def generate_circuit(profile: GenerationProfile, seed: int | None = None) -> Cir
     return circuit
 
 
+class _Levels:
+    """The nodes of ``by_level[:stop]`` in one virtual sequence, without
+    copying them: ``rng.choice`` reads only its length and the one index
+    it draws, which a bisect over the running per-level counts finds."""
+
+    __slots__ = ("by_level", "ends")
+
+    def __init__(self, by_level: list[list[str]], stop: int):
+        self.by_level = by_level
+        self.ends = list(accumulate(map(len, by_level[:stop])))
+
+    def __len__(self) -> int:
+        return self.ends[-1]
+
+    def __getitem__(self, index: int) -> str:
+        level = bisect_right(self.ends, index)
+        start = self.ends[level - 1] if level else 0
+        return self.by_level[level][index - start]
+
+
 def _pick_drivers(
     rng: random.Random,
     by_level: list[list[str]],
     target: int,
     n_fanin: int,
     unconsumed: set[str],
-    fanout_count: dict[str, int],
 ) -> list[str]:
     """Choose ``n_fanin`` distinct drivers realizing (approximately) ``target``.
 
@@ -249,9 +271,7 @@ def _pick_drivers(
     anchor = rng.choice(by_level[anchor_level])
     drivers = [anchor]
 
-    eligible: list[str] = []
-    for level in range(0, min(target, len(by_level))):
-        eligible.extend(by_level[level])
+    eligible = _Levels(by_level, min(target, len(by_level)))
     attempts = 0
     while len(drivers) < n_fanin and attempts < 64:
         attempts += 1
@@ -275,7 +295,6 @@ def _pick_drivers(
         # Tiny pools may not offer enough distinct drivers; duplicates are
         # legal (AND(x, x) is just x) and exceedingly rare in real profiles.
         drivers.append(rng.choice(eligible))
-    del fanout_count
     return drivers
 
 

@@ -81,8 +81,9 @@ def dense_sweep(backend, site_ids):
     packed array the production sweep returns must equal this oracle's
     with ``np.array_equal``.  Returns the production sweep's ``(state,
     mask, layout)`` triple, with the identity layout: every sink, in
-    ``plan.sink_ids`` order, and the cone counts summed over the whole
-    mask.
+    ``plan.sink_ids`` order, the sink plane of their survival factors
+    read off the final matrix, and the cone counts summed over the
+    whole mask.
     """
     n_rows = backend.compiled.n + 2
     s = len(site_ids)
@@ -124,7 +125,9 @@ def dense_sweep(backend, site_ids):
                     state[node_id, :, col] = (1.0, 0.0, 0.0, 0.0)
                     mask[node_id, col] = True
     sinks = backend.plan.sink_ids
-    return state, mask, (sinks, np.arange(len(sinks)), mask.sum(axis=0))
+    survive = backend._survival(state, mask, sinks)
+    return state, mask, (sinks, np.arange(len(sinks)), survive,
+                         mask.sum(axis=0))
 
 
 def dense_backend(engine, batch_size=None):
@@ -171,6 +174,67 @@ def use_dense_backend(engine, batch_size=None):
     a call with another batch size replaces it)."""
     engine._vector_backend = dense_backend(engine, batch_size)
     return engine._vector_backend
+
+
+# ------------------------------------------- live-row chunk plans
+
+
+def slot_history(plan) -> list:
+    """Per swept level of ``plan``, ``(touched, written, slot_nodes)``:
+    the global ids of the rows the level reads, writes, injects a site
+    column into or captures as a sink, the rows its groups write, and
+    the slot-to-node map in force while it runs — rebuilt from the
+    plan's levels alone."""
+    node_of = np.full(plan.n_slots, -1)
+    node_of[:len(plan.pinned_nodes)] = plan.pinned_nodes
+    history = []
+    for level in plan.levels:
+        node_of[level.seed_slots] = level.seed_nodes
+        written = [out_nodes for _, _, _, out_nodes in level.groups]
+        touched = written + [
+            node_of[fanin].ravel() for _, _, fanin, _ in level.groups
+        ] + [node_of[level.site_slots], node_of[level.sink_slots]]
+        history.append((
+            set(np.concatenate(touched).tolist()),
+            set(np.concatenate(written or [[]]).tolist()),
+            node_of.copy(),
+        ))
+    return history
+
+
+def live_peak(plan) -> int:
+    """The most rows live at one swept level of ``plan``: the pinned rows
+    plus every other row from the first level that touches it to the
+    last (:func:`slot_history`).  Every seeded row must go live at the
+    level that first touches it."""
+    history = slot_history(plan)
+    pinned = set(plan.pinned_nodes.tolist())
+    first, last = {}, {}
+    for index, (touched, _, _) in enumerate(history):
+        for node in touched - pinned:
+            first.setdefault(node, index)
+            last[node] = index
+    for index, level in enumerate(plan.levels):
+        for node in level.seed_nodes.tolist():
+            assert first[node] == index, node
+    live = [0] * len(history)
+    for node, start in first.items():
+        for index in range(start, last[node] + 1):
+            live[index] += 1
+    return len(pinned) + max(live)
+
+
+def site_slot_rewritten(plan, site_ids) -> bool:
+    """Does a group write, at a later level, a slot a site held?"""
+    sites = set(np.asarray(site_ids).tolist())
+    held = set()
+    for _, written, node_of in slot_history(plan):
+        for slot, node in enumerate(node_of.tolist()):
+            if node in sites:
+                held.add(slot)
+            elif slot in held and node in written:
+                return True
+    return False
 
 
 # ------------------------------------------------- SER report reference

@@ -39,6 +39,7 @@ from tests.helpers import (
     dense_backend,
     exhaustive_all_sites,
     reference_p_sensitized,
+    site_slot_rewritten,
 )
 
 TOL = 1e-9
@@ -199,13 +200,24 @@ def test_column_query_bit_equal_on_random_circuits(
     chain that reaches no sink (its second gate inside the first's cone)
     twice.  Every gate is listed because the draws stay short: on their
     sites alone a reduction that reverses its sink order passed all 25
-    examples."""
+    examples.  A gadget on two inputs is also swept as one chunk of its
+    own: a site and sink ``rz`` and an unread site ``ri`` on the chunk's
+    minimum level, and a site ``rx`` whose slot ``ry2`` takes and the
+    row kernels write through the ``np.where`` scatter."""
     circuit = random_combinational(
         n_inputs, n_gates, seed=seed, n_outputs=max(1, n_gates // 3)
     )
     inputs = circuit.inputs
     circuit.add_gate("dead0", GateType.AND, [inputs[0], inputs[-1]])
     circuit.add_gate("dead1", GateType.NOR, ["dead0", inputs[0]])
+    circuit.add_gate("rz", GateType.XOR, [inputs[0], inputs[-1]])
+    circuit.mark_output("rz")
+    circuit.add_gate("ri", GateType.NAND, [inputs[0], inputs[-1]])
+    circuit.add_gate("rx", GateType.AND, [inputs[0], inputs[-1]])
+    circuit.add_gate("ry1", GateType.OR, ["rx", inputs[0]])
+    circuit.add_gate("ry2", GateType.NOT, ["ry1"])
+    circuit.add_gate("ry3", GateType.NAND, ["ry2", inputs[-1]])
+    circuit.mark_output("ry3")
     # Many sinks, and SPs off the dyadic grid: with every input at 0.5
     # the error masses are short binary fractions whose survival product
     # is exact in any order, which would hide a reordered reduction.
@@ -229,6 +241,20 @@ def test_column_query_bit_equal_on_random_circuits(
     assert p_sens.dtype == reference.dtype
     assert np.array_equal(p_sens, reference)
     assert p_sens[-4:].tolist() == [0.0] * 4
+    gadget = np.asarray(
+        [engine._cones.resolve(site) for site in ("rz", "ri", "rx")],
+        dtype=np.intp,
+    )
+    backend = engine.vector_backend(batch_size=len(gadget))
+    backend._cells = cells
+    (plan,) = [cplan for _, _, cplan in backend._chunk_spans(gadget, False)]
+    assert site_slot_rewritten(plan, gadget)
+    oracle = dense_backend(engine, len(gadget)).pack_sites(gadget)
+    packed = backend.pack_sites(gadget)
+    for left, right in zip(oracle, packed):
+        assert np.array_equal(left, right)
+    for column, right in zip(backend.analyze_sites(gadget), oracle):
+        assert np.array_equal(column, right)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -6,6 +6,10 @@ sizes to 1e-9 on every circuit and every gate type (including MUX/MAJ via
 the vectorized truth-table kernel).
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 np = pytest.importorskip("numpy")
@@ -21,7 +25,10 @@ from repro.netlist.library import c17, s27
 
 from tests.helpers import (
     dense_backend,
+    live_peak,
     reference_p_sensitized,
+    site_slot_rewritten,
+    slot_history,
     use_dense_backend,
 )
 
@@ -340,13 +347,14 @@ class TestCompactedRows:
         """A multi-chunk bulk query sweeps on the calling thread on one
         state arena of ``max(n_slots x width) x 4`` float64s, allocated
         once per call and kept by a second call, and every sweep covers
-        strictly fewer rows than the full ``(n + 2)``-row matrix."""
+        strictly fewer rows than the full ``(n + 2)``-row matrix; the
+        slots are those of the query's own chunk plans."""
         import threading
 
         engine = EPPEngine(build_circuit("s953"))
         backend = force_vector(engine, batch_size=16)
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
-        spans = chunk_spans(backend, ids)
+        spans = chunk_spans(backend, ids, packed=query == "pack_sites")
         widths = [len(chunk) for chunk, _ in spans]
         cells = max(plan.n_slots * len(chunk) for chunk, plan in spans)
         swept = []
@@ -430,10 +438,12 @@ class TestCompactedRows:
         engine = EPPEngine(circuit)
         backend = force_vector(engine)
         a_ids = np.asarray([engine._cones.resolve("a0")], dtype=np.intp)
-        cplan = backend.plan.compact_chunk_plan(a_ids)
-        # Block A reaches one of the two sinks; block B's rows are absent.
-        assert len(cplan.sink_positions) == 1
-        assert cplan.n_rows < engine.compiled.n
+        for packed in (False, True):
+            cplan = backend.plan.compact_chunk_plan(a_ids, packed)
+            # Block A reaches one of the two sinks; block B's rows are
+            # absent.
+            assert len(cplan.sink_positions) == 1
+            assert cplan.n_rows < engine.compiled.n
         packed = backend.pack_sites(a_ids)
         dense = dense_backend(EPPEngine(circuit)).pack_sites(a_ids)
         for left, right in zip(dense, packed):
@@ -455,8 +465,8 @@ class TestChunkPlanBuilds:
         build = backend.plan.compact_chunk_plan
         sweep = backend._sweep
 
-        def counting(site_ids):
-            cplan = build(site_ids)
+        def counting(site_ids, packed):
+            cplan = build(site_ids, packed)
             built.append((len(site_ids), cplan))
             return cplan
 
@@ -527,23 +537,24 @@ class TestChunkPlanBuilds:
         assert len(swept) == len(built) == 484
 
 
-def chunk_spans(backend, ids) -> list:
+def chunk_spans(backend, ids, packed=False) -> list:
     """``(chunk, plan)`` for each chunk one bulk call of ``backend`` over
     ``ids`` sweeps, in sweep order: the site ids and the compacted chunk
-    plan the call sweeps them on, split and built without sweeping."""
+    plan the call sweeps them on, split and built without sweeping —
+    the packed query's plans when ``packed``, else the column query's."""
     ids = np.asarray(ids, dtype=np.intp)
     order = backend._schedule_order(ids)
     sweep_ids = ids if order is None else ids[order]
     return [
         (sweep_ids[start:stop], cplan)
-        for start, stop, cplan in backend._chunk_spans(sweep_ids)
+        for start, stop, cplan in backend._chunk_spans(sweep_ids, packed)
     ]
 
 
-def chunk_plans(backend, ids) -> list:
+def chunk_plans(backend, ids, packed=False) -> list:
     """The compacted chunk plans one bulk call of ``backend`` over
     ``ids`` sweeps, in sweep order, built without sweeping."""
-    return [cplan for _, cplan in chunk_spans(backend, ids)]
+    return [cplan for _, cplan in chunk_spans(backend, ids, packed)]
 
 
 def dead_chain_circuit() -> Circuit:
@@ -566,13 +577,135 @@ def dead_chain_circuit() -> Circuit:
     return circuit
 
 
+def recycled_site_circuit() -> Circuit:
+    """A site whose slot a later gate takes.
+
+    Listed as sites ``[z, i, x]``: ``x`` is last read at the first swept
+    level (by ``y1``), and ``y2`` — the only row going live at the next
+    level — takes ``x``'s freed slot, the one freed last.  ``y2`` is
+    on-path for ``x``'s column only, so the row kernels write it
+    through the ``np.where`` scatter, whose site re-injection must not
+    give ``y2`` the 1(a) of ``x``.  ``z`` is a site and a sink on the
+    chunk's minimum level, and ``i`` a site on that level nothing
+    reads."""
+    circuit = Circuit("recycled_site")
+    for name in ("i0", "i1"):
+        circuit.add_input(name)
+    circuit.add_gate("z", GateType.XOR, ["i0", "i1"])
+    circuit.mark_output("z")
+    circuit.add_gate("i", GateType.NAND, ["i0", "i1"])
+    circuit.add_gate("x", GateType.AND, ["i0", "i1"])
+    circuit.add_gate("y1", GateType.OR, ["x", "i0"])
+    circuit.add_gate("y2", GateType.NOT, ["y1"])
+    circuit.add_gate("y3", GateType.NAND, ["y2", "i1"])
+    circuit.mark_output("y3")
+    return circuit
+
+
+def tapped_chain_circuit() -> Circuit:
+    """A 6-gate chain whose third gate is also a primary output."""
+    circuit = Circuit("tapped_chain")
+    circuit.add_input("i0")
+    circuit.add_input("i1")
+    previous = "i0"
+    for index in range(6):
+        name = f"n{index}"
+        circuit.add_gate(name, GateType.AND if index % 2 else GateType.OR,
+                         [previous, "i1"])
+        previous = name
+    circuit.mark_output("n2")
+    circuit.mark_output(previous)
+    return circuit
+
+
+#: ``(circuit factory, sites)`` of the layouts the live-row plans must
+#: get right, each swept as one chunk.
+LIVE_ROW_CASES = {
+    "recycled_site_slot": (recycled_site_circuit, ["z", "i", "x"]),
+    "site_is_sink": (tapped_chain_circuit, ["n0", "n2", "n4"]),
+    "min_level_site_unread": (recycled_site_circuit, ["i", "y1"]),
+    "same_site_twice": (tapped_chain_circuit, ["n1", "n3", "n1"]),
+    "no_sink": (dead_chain_circuit, ["n0", "n2", "n5"]),
+}
+
+
 class TestLiveRows:
     """Compacted sweeps hold only live rows: a row's slot is reused once
-    its last reader's level has run, while sites, present sinks and
-    sentinels keep theirs for the whole sweep.  A recycled slot is
-    re-seeded and its mask row cleared as it goes live, and cone sizes
-    are counted as slots retire — every packed array stays bit-equal to
-    the dense oracle's."""
+    its last reader's level has run.  Sites are such rows — a site goes
+    live at the first level that reads or writes it, gets its 1(a)
+    there, and is re-injected by node id, never by slot — and so are
+    the column query's sinks, captured into the sink plane once final;
+    only sentinels, and the packed query's sinks, keep their slots for
+    the whole sweep.  A recycled slot is re-seeded and its mask row
+    cleared as it goes live, and cone sizes are counted as slots retire
+    — every result stays bit-equal to the dense oracle's."""
+
+    @pytest.mark.parametrize("packed", [False, True])
+    @pytest.mark.parametrize(
+        "circuit_name", ["zoo", "s953", "s1423", *LIVE_ROW_CASES]
+    )
+    def test_plans_pin_only_sentinels_and_packed_sinks(self, circuit_name,
+                                                       packed):
+        """Column-query plans pin only the sentinel rows they read, and
+        packed-query plans add only the present sinks; in both,
+        ``n_slots`` is the peak number of rows live at one level,
+        recomputed from the plan's levels."""
+        if circuit_name in LIVE_ROW_CASES:
+            factory, sites = LIVE_ROW_CASES[circuit_name]
+            engine = EPPEngine(factory())
+            backend = force_vector(engine)
+        else:
+            engine = EPPEngine(build_circuit(circuit_name))
+            sites = engine.default_sites()
+            backend = force_vector(engine, batch_size=32)
+        ids = [engine._cones.resolve(site) for site in sites]
+        n = engine.compiled.n
+        sink_ids = np.asarray(engine.compiled.sink_ids, dtype=np.intp)
+        for plan in chunk_plans(backend, ids, packed):
+            pinned = plan.pinned_nodes
+            touched = set().union(*(t for t, _, _ in slot_history(plan)))
+            assert set(pinned[pinned >= n].tolist()) <= {n, n + 1} & touched
+            present = sink_ids[plan.sink_positions]
+            expected = set(present.tolist()) if packed else set()
+            assert set(pinned[pinned < n].tolist()) == expected
+            if packed:
+                assert np.array_equal(pinned[plan.sink_slots], present)
+            else:
+                assert plan.sink_slots is None
+            assert plan.n_slots == live_peak(plan)
+
+    @pytest.mark.parametrize("case", sorted(LIVE_ROW_CASES))
+    @pytest.mark.parametrize("query", ["analyze_sites", "pack_sites"])
+    @pytest.mark.parametrize("cells", ["on", "off", "auto"])
+    def test_live_row_cases_bit_equal_to_dense(self, case, query, cells):
+        """Each layout of :data:`LIVE_ROW_CASES`, swept as one chunk by
+        either query under every cell tier, returns the dense oracle's
+        arrays bit for bit."""
+        factory, sites = LIVE_ROW_CASES[case]
+        engine = EPPEngine(factory())
+        ids = np.asarray([engine._cones.resolve(site) for site in sites],
+                         dtype=np.intp)
+        backend = force_vector(engine, cells=cells)
+        (plan,) = chunk_plans(backend, ids, packed=query == "pack_sites")
+        first_level = plan.levels[0]
+        if case == "recycled_site_slot":
+            assert site_slot_rewritten(plan, ids)
+        elif case == "site_is_sink":
+            assert set(ids.tolist()) & set(engine.compiled.sink_ids)
+        elif case == "min_level_site_unread":
+            # Injected and retired at the first level, read by nothing.
+            assert 0 in first_level.site_cols.tolist()
+            assert first_level.site_slots[0] in first_level.retire_slots
+        elif case == "same_site_twice":
+            assert len(set(ids.tolist())) < len(ids)
+        else:
+            assert len(plan.sink_positions) == 0
+        expected = getattr(dense_backend(engine, len(ids)), query)(ids)
+        got = getattr(backend, query)(ids)
+        assert len(got) == len(expected)
+        for left, right in zip(expected, got):
+            assert left.dtype == right.dtype
+            assert np.array_equal(left, right)
 
     @pytest.mark.parametrize("circuit_name", ["s953", "s1423"])
     @pytest.mark.parametrize("cells", ["on", "off", "auto"])
@@ -614,7 +747,7 @@ class TestLiveRows:
         engine = EPPEngine(dead_chain_circuit())
         ids = [engine._cones.resolve(f"n{index}") for index in (0, 2, 5)]
         (plan,) = chunk_plans(force_vector(engine), ids)
-        assert len(plan.sink_slots) == 0
+        assert len(plan.sink_positions) == 0
         assert plan.n_slots < plan.n_rows
         packed = assert_bit_equal_to_dense(engine, ids, len(ids),
                                            cells).pack_sites(ids)
@@ -622,15 +755,51 @@ class TestLiveRows:
         assert packed[1].tolist() == [7, 5, 2]
 
     def test_s9234_default_chunks_need_under_half_their_rows(self):
-        """Plan only, no sweep: the largest default s9234 chunk needs
-        2,409 slots for its 6,049 rows (0.40); pinned at 0.45."""
+        """Plan only, no sweep: the largest default s9234 chunk of the
+        column query needs 1,745 slots for its 6,049 rows (0.29); pinned
+        at 0.30."""
         engine = EPPEngine(generate_iscas("s9234"))
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         plans = chunk_plans(engine.vector_backend(), ids)
         assert len(plans) > 1
         largest_slots = max(plan.n_slots for plan in plans)
         largest_rows = max(plan.n_rows for plan in plans)
-        assert largest_slots <= 0.45 * largest_rows
+        assert largest_slots <= 0.30 * largest_rows
+
+
+_SNAPSHOT_PEAK_SCRIPT = """
+from repro.core.epp import EPPEngine
+from repro.netlist.generate import generate_iscas
+
+EPPEngine(generate_iscas("s9234")).snapshot()
+with open("/proc/self/status") as status:
+    print(next(line for line in status if line.startswith("VmHWM:")))
+"""
+
+
+class TestPackedPeak:
+    @pytest.mark.slow
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads VmHWM from /proc")
+    def test_s9234_snapshot_peak_rss(self):
+        """A fresh process's s9234 ``engine.snapshot()`` peaks (VmHWM)
+        under 158 MB: 149.6 MB when each chunk's packed pairs are
+        written once, straight into their input-order rows, on a
+        packed-query arena that recycles site slots; 166.6 MB when the
+        chunks' parts were concatenated and then reordered (2 fresh runs
+        each, 2-vCPU x86-64 VM)."""
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = (
+            os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _SNAPSHOT_PEAK_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peak_kb = int(proc.stdout.split()[1])
+        assert peak_kb / 1024 < 158, proc.stdout
 
 
 class TestDirtyRowLifecycle:

@@ -19,7 +19,7 @@ np = pytest.importorskip("numpy")
 from repro.core import epp_batch
 from repro.core.cone import ConeExtractor
 from repro.core.epp import EPPEngine
-from repro.core.epp_batch import BatchEPPBackend, BatchPlan
+from repro.core.epp_batch import BatchPlan
 from repro.core.schedule import ConeIndex, cone_cluster_order
 from repro.errors import AnalysisError
 from repro.netlist.circuit import Circuit
@@ -285,7 +285,8 @@ class TestScheduledResults:
     def test_cluster_sorted_shard_sweeps_without_reorder(self, monkeypatch):
         """A contiguous run of the cone-clustered order — what a sharded
         worker receives — sorts to itself, so it sweeps as it arrived:
-        no permutation and no packed-result reorder."""
+        no permutation, its chunks swept in input order, and every
+        site's packed result the one a whole-list call gives it."""
         engine = EPPEngine(generate_iscas("s953"))
         ids = site_ids(engine)
         order = cone_cluster_order(engine.compiled, ids)
@@ -294,13 +295,17 @@ class TestScheduledResults:
         backend = engine.vector_backend(batch_size=16)
         everything = per_site(ids, backend.pack_sites(ids))
         assert backend._schedule_order(shard) is None
+        swept = []
+        sweep = backend._sweep
 
-        def no_reorder(packed, inverse):
-            raise AssertionError("a cluster-sorted shard was reordered")
+        def recording(chunk, cplan):
+            swept.append(chunk.copy())
+            return sweep(chunk, cplan)
 
-        monkeypatch.setattr(BatchEPPBackend, "_reorder_packed",
-                            staticmethod(no_reorder))
+        monkeypatch.setattr(backend, "_sweep", recording)
         packed = backend.pack_sites(shard)
+        assert len(swept) > 1
+        assert np.array_equal(np.concatenate(swept), shard)
         assert per_site(shard.tolist(), packed) == {
             site: everything[site] for site in shard.tolist()
         }
