@@ -18,8 +18,10 @@ sites of a chunk at once:
 * sites are processed in chunks (``batch_size`` columns at a time) so the
   ``(n_nodes, 4, batch_size)`` state matrix stays memory-bounded on
   20k+-gate circuits.  One serial driver serves every bulk query: it
-  sweeps each chunk in the caller's thread on one arena, sized once per
-  call for the call's largest chunk, and hands the chunk to the query's
+  sweeps each chunk in the caller's thread on one arena and one kernel
+  scratch, both sized once per call for the call's largest chunks (so
+  no gate group allocates its temporaries), and hands the chunk to the
+  query's
   reduction — the two columns of :meth:`BatchEPPBackend.analyze_sites`
   or the packed pairs of :meth:`BatchEPPBackend.pack_sites`, which share
   the one ``P_sensitized`` reduction;
@@ -71,7 +73,13 @@ import numpy as np
 
 from repro.errors import AnalysisError
 from repro.core.fourvalue import EPPValue
-from repro.core.rules_vec import compact_rule_for, gather_rule_for
+from repro.core.rules_vec import (
+    carve_scratch,
+    gather_planes,
+    compact_rule_for,
+    gather_rule_for,
+    row_scratch_cells,
+)
 from repro.core.schedule import cone_cluster_order
 from repro.netlist.circuit import CompiledCircuit
 from repro.netlist.gate_types import (
@@ -100,10 +108,12 @@ __all__ = [
 #: rows) stay cache-resident regardless of this total.
 #: :func:`default_batch_size` sizes the default width so a full-circuit
 #: ``(n, 4, batch)`` matrix would meet it, and ``_chunk_spans`` checks
-#: each span's union rows against it; a sweep allocates only the chunk's
-#: live slots (``n_slots x width x 33`` bytes of state and mask) plus its
-#: ``n_present_sinks x width x 8``-byte sink plane, and every bulk query
-#: holds one arena sized to its largest chunk.
+#: each span's union rows against it; a sweep needs only the chunk's
+#: live slots (``n_slots x width x 33`` bytes of state and mask), its
+#: ``n_present_sinks x width x 8``-byte sink plane and ``n_scratch x
+#: width x 8`` bytes of kernel scratch, and every bulk query holds one
+#: arena and one scratch sized to its largest chunks, so a call's sweep
+#: bytes are known from its chunk plans before the first sweep.
 #: Pass ``batch_size`` to shrink it on memory-constrained hosts.
 _STATE_BYTES_TARGET = 256 << 20
 
@@ -208,15 +218,21 @@ def _buckets(levels: np.ndarray, n_levels: int) -> tuple:
 class _Group:
     """One rectangular gate block: same level, gate code and arity."""
 
-    __slots__ = ("out_ids", "fanin", "rule", "compact_rule", "cell_factor")
+    __slots__ = (
+        "out_ids", "fanin", "rule", "compact_rule", "cell_factor",
+        "scratch_row",
+    )
 
     def __init__(self, out_ids: np.ndarray, fanin: np.ndarray, rule,
-                 compact_rule, cell_factor: int):
+                 compact_rule, cell_factor: int, scratch_row: int):
         self.out_ids = out_ids  # (g,)
         self.fanin = fanin  # (g, k)
         self.rule = rule
         self.compact_rule = compact_rule
         self.cell_factor = cell_factor
+        #: Float64 scratch cells the row kernel carves per active row and
+        #: column (``rules_vec.row_scratch_cells`` of one row).
+        self.scratch_row = scratch_row
 
 
 #: Codes whose kernels have an exact neutral input, letting mixed-arity
@@ -232,6 +248,9 @@ _PAD_ONE_CODES = frozenset((CODE_AND, CODE_NAND))
 #: Codes with closed-form kernels; everything else runs the generic
 #: truth-table kernel, whose per-cell cost dwarfs the compacted gather.
 _CLOSED_FORM_CODES = _PADDABLE_CODES | frozenset((CODE_NOT, CODE_BUF))
+
+#: The ``pa`` and ``pā`` plane offsets a sink capture gathers, as a column.
+_ERROR_PLANES = np.asarray(((0,), (1,)), dtype=np.intp)
 
 
 class CompactChunkPlan:
@@ -270,6 +289,11 @@ class CompactChunkPlan:
     n_slots:
         The compacted state matrix's physical row count: the pinned rows
         plus the most recycled rows live at one level, ``<= n_rows``.
+    n_scratch:
+        Float64 cells of sweep scratch per chunk column: the most that
+        one row-tier group's kernel (``rules_vec.row_scratch_cells``,
+        counted as if every active group ran the row tier) or one level's
+        sink capture (two ``(sinks, s)`` planes) carves at once.
     pinned_nodes:
         Global node ids of the pinned rows, ascending; slot ``j`` holds
         ``pinned_nodes[j]``.
@@ -289,9 +313,33 @@ class CompactChunkPlan:
     """
 
     __slots__ = (
-        "n_rows", "n_slots", "pinned_nodes", "levels", "sink_positions",
-        "sink_slots",
+        "n_rows", "n_slots", "n_scratch", "pinned_nodes", "levels",
+        "sink_positions", "sink_slots",
     )
+
+
+def _check_slots(plan: CompactChunkPlan) -> None:
+    """Raise :class:`AnalysisError` unless every slot index ``plan``'s
+    levels hold — seed, site, group output and fanin, sink capture and
+    retire — lies in ``[0, plan.n_slots)``.
+
+    The row kernels and the sink capture gather with ``np.take(...,
+    mode="clip")``, which clamps an out-of-range index where a fancy
+    gather raises ``IndexError``; this check, once per plan, keeps that
+    bound.
+    """
+    arrays = []
+    for level in plan.levels:
+        arrays += [level.seed_slots, level.site_slots, level.sink_slots,
+                   level.retire_slots]
+        for _, out_slots, fanin, _ in level.groups:
+            arrays += [out_slots, fanin.ravel()]
+    slots = np.concatenate(arrays)
+    if slots.size and not (0 <= slots.min() and slots.max() < plan.n_slots):
+        raise AnalysisError(
+            f"chunk plan indexes slots {slots.min()}..{slots.max()}, "
+            f"outside its {plan.n_slots} slots"
+        )
 
 
 class _SweptLevel(NamedTuple):
@@ -349,6 +397,7 @@ class BatchPlan:
                     gather_rule_for(code, width),
                     compact_rule_for(code, width),
                     cell_factor,
+                    row_scratch_cells(code, 1, width, 1),
                 )
             )
         #: ``(level value, groups)`` pairs in ascending level order.  The
@@ -466,6 +515,7 @@ class BatchPlan:
         # dying rows free theirs only after the level has run.
         free = np.empty(0, dtype=np.intp)
         n_slots = len(pinned_nodes)
+        n_scratch = 0
         levels = []
         for index, (entries, _, _) in enumerate(swept):
             seed_nodes = born[born_at[index]:born_at[index + 1]]
@@ -484,6 +534,12 @@ class BatchPlan:
                 (group, slot_of[out_ids], slot_of[fanin], out_ids)
                 for group, out_ids, fanin in entries
             ]
+            # The level's largest row kernel, or _survival's two planes.
+            n_scratch = max(
+                [n_scratch, 2 * len(sink_rows)]
+                + [group.scratch_row * len(out_ids)
+                   for group, out_ids, _ in entries]
+            )
             retiring = dying[dying_at[index]:dying_at[index + 1]]
             retire_slots = slot_of[retiring]
             free = np.concatenate((free, retire_slots))
@@ -495,10 +551,12 @@ class BatchPlan:
         plan = CompactChunkPlan()
         plan.n_rows = int(needed.sum())
         plan.n_slots = n_slots
+        plan.n_scratch = n_scratch
         plan.pinned_nodes = pinned_nodes
         plan.levels = levels
         plan.sink_positions = sink_positions
         plan.sink_slots = slot_of[sinks] if packed else None
+        _check_slots(plan)
         return plan
 
     @staticmethod
@@ -585,12 +643,21 @@ class BatchEPPBackend:
         self._sink_names_arr = np.asarray(self.plan.sink_names, dtype=object)
         #: The flat ``[state, mask]`` arena every sweep carves its
         #: (n_slots, 4, s) state and (n_slots, s) mask views from, reused
-        #: across sweeps so the hot path never re-faults fresh pages.
+        #: across sweeps so the hot path never re-faults fresh pages (the
+        #: kernels' temporaries get the same from ``_scratch``, below).
         #: Sized once per bulk call for its largest chunk, and kept while
         #: it fits.  A sweep seeds every state row and clears its mask row
         #: as the row goes live, so stale content between sweeps is
         #: harmless.
         self._arena: list[np.ndarray] | None = None
+        #: The flat float64 scratch beside the arena: every row-tier
+        #: kernel carves its gathers, plane temporaries and result from
+        #: it, and every sink capture its two survival planes, so no
+        #: group allocates.  Sized and kept like the arena, for the
+        #: largest ``n_scratch x width`` of a call's chunk plans.  Each
+        #: kernel writes every scratch cell before reading it, so stale
+        #: content is harmless too, and no view of it outlives its group.
+        self._scratch: np.ndarray | None = None
 
     def _ensure_const(self) -> None:
         """The ``(n + 2, 4)`` per-node off-path constants each slot is
@@ -618,8 +685,9 @@ class BatchEPPBackend:
         Carves uninitialized ``(n_slots, 4, s)`` state and ``(n_slots,
         s)`` mask views out of the arena (sized by :meth:`_swept_chunks`),
         allocates the ``(n_present_sinks, s)`` sink plane, and runs the
-        chunk plan
-        ``cplan`` level by level: the slots going live at a level are
+        chunk plan ``cplan`` level by level, every row-tier kernel, blend
+        and sink capture working in views of the scratch sized beside
+        the arena: the slots going live at a level are
         seeded with their new rows' off-path constants and their mask
         rows cleared (a recycled slot still holds its previous row), the
         sites going live there get their 1(a), the level's active groups
@@ -645,6 +713,7 @@ class BatchEPPBackend:
         s = len(site_ids)
         self._ensure_const()
         const = self._const  # (n + 2, 4) off-path constants by node id
+        scratch = self._scratch
         cells = cplan.n_slots * s
         state = self._arena[0][:4 * cells].reshape(cplan.n_slots, 4, s)
         mask = self._arena[1][:cells].reshape(cplan.n_slots, s)
@@ -675,10 +744,10 @@ class BatchEPPBackend:
             state[level.site_slots, :, level.site_cols] = (1.0, 0.0, 0.0, 0.0)
             mask[level.site_slots, level.site_cols] = True
             self._run_compact_groups(state, mask, level.groups, const,
-                                     site_cols, cells)
+                                     site_cols, cells, scratch)
             if level.sink_slots.size:
                 survive[level.sink_rows] = self._survival(
-                    state, mask, level.sink_slots
+                    state, mask, level.sink_slots, scratch
                 )
             if level.retire_slots.size:
                 cones += mask[level.retire_slots].sum(axis=0)
@@ -687,8 +756,10 @@ class BatchEPPBackend:
         return state, mask, layout
 
     def _run_compact_groups(self, state, mask, groups, const, site_cols,
-                            cells):
-        """Run one level's active groups of a compacted sweep in place."""
+                            cells, scratch):
+        """Run one level's active groups of a compacted sweep in place;
+        the row tier computes each group's ``(r, 4, s)`` result in
+        ``scratch`` and blends it there before the scatter."""
         stats = self.sweep_stats
         for group, out_ids, fanin, out_nodes in groups:
             out_mask = mask[fanin].any(axis=1)  # (r, s)
@@ -719,7 +790,7 @@ class BatchEPPBackend:
                 continue
             stats["groups_row"] += 1
             stats["cells_computed"] += out_mask.size
-            result = group.rule(state, fanin)  # (r, 4, s)
+            result = group.rule(state, fanin, scratch)  # (r, 4, s)
             if out_mask.all():
                 state[out_ids] = result
                 mask[out_ids] = True
@@ -736,9 +807,11 @@ class BatchEPPBackend:
                 state[node_rows, :, on_cols] = result[on_rows, :, on_cols]
                 mask[node_rows, on_cols] = True
                 continue
-            state[out_ids] = np.where(
-                out_mask[:, None, :], result, const[out_nodes][:, :, None]
-            )
+            # The np.where blend, in place: off-path cells take their
+            # row's SP constants.
+            np.copyto(result, const[out_nodes][:, :, None],
+                      where=~out_mask[:, None, :])
+            state[out_ids] = result
             mask[out_ids] = out_mask
             for row, node in zip(out_ids.tolist(), out_nodes.tolist()):
                 columns = site_cols.get(node)
@@ -754,11 +827,13 @@ class BatchEPPBackend:
                     mask[row, col] = True
 
     def release_buffers(self) -> None:
-        """Free the off-path constants and the sweep arena.  Both are
-        rebuilt lazily on the next sweep, so this is always safe to
-        call between analyses on long-lived engines/analyzers."""
+        """Free the off-path constants, the sweep arena and the kernel
+        scratch.  All are rebuilt lazily on the next sweep, so this is
+        always safe to call between analyses on long-lived
+        engines/analyzers."""
         self._const = None
         self._arena = None
+        self._scratch = None
 
     # ------------------------------------------------------------- scheduling
 
@@ -828,10 +903,11 @@ class BatchEPPBackend:
 
         The one chunk driver of every bulk query.  It cone-clusters the
         sites (:meth:`_schedule_order`), splits them with
-        :meth:`_chunk_spans`, sizes the arena once for the call's
-        largest chunk (``max(n_slots x width)`` cells), and sweeps each
-        chunk in the caller's thread on it with the span's chunk plan, reducing the
-        sweep before the next one overwrites the arena.
+        :meth:`_chunk_spans`, sizes the arena (``max(n_slots x width)``
+        cells) and the kernel scratch (``max(n_scratch x width)``) once
+        for the call, and sweeps each chunk in the caller's thread on
+        them with the span's chunk plan, reducing the sweep before the
+        next one overwrites the arena.
         """
         ids = np.asarray(site_ids, dtype=np.intp)
         order = self._schedule_order(ids)
@@ -846,6 +922,11 @@ class BatchEPPBackend:
             # Drop an arena too small before allocating its successor.
             self._arena = None
             self._arena = [np.empty(4 * cells), np.empty(cells, dtype=bool)]
+        scratch = max(cplan.n_scratch * (stop - start)
+                      for start, stop, cplan in spans)
+        if self._scratch is None or self._scratch.size < scratch:
+            self._scratch = None
+            self._scratch = np.empty(scratch)
         reduce = self._pack if packed else self._reduce_columns
         for start, stop, cplan in spans:
             rows = slice(start, stop) if order is None else order[start:stop]
@@ -882,15 +963,22 @@ class BatchEPPBackend:
         return p_sens, cone_sizes
 
     @staticmethod
-    def _survival(state, mask, slots) -> np.ndarray:
+    def _survival(state, mask, slots, scratch=None) -> np.ndarray:
         """The ``(len(slots), s)`` survival factors of the sink rows
         ``slots``: ``1 - min(max(pa, 0) + max(pā, 0), 1)`` in each
         on-path cell and an exact 1.0 in each off-path one — what a sink
-        row contributes to the ``P_sensitized`` product."""
-        error = np.maximum(state[slots, 0], 0.0)
-        error += np.maximum(state[slots, 1], 0.0)
+        row contributes to the ``P_sensitized`` product.  Computed in two
+        planes carved from ``scratch`` (fresh ones when ``None``); the
+        result is the first, valid until the scratch is next written."""
+        (planes,) = carve_scratch(scratch, (2, len(slots), state.shape[2]))
+        gather_planes(state, 4 * slots + _ERROR_PLANES, planes)
+        error, pa_bar = planes
+        np.maximum(error, 0.0, out=error)
+        error += np.maximum(pa_bar, 0.0, out=pa_bar)
         np.minimum(error, 1.0, out=error)
-        return np.where(mask[slots], 1.0 - error, 1.0)
+        np.subtract(1.0, error, out=error)
+        np.copyto(error, 1.0, where=~mask[slots])
+        return error
 
     @staticmethod
     def _reduce_columns(state, mask, layout) -> tuple:

@@ -203,7 +203,11 @@ def test_column_query_bit_equal_on_random_circuits(
     examples.  A gadget on two inputs is also swept as one chunk of its
     own: a site and sink ``rz`` and an unread site ``ri`` on the chunk's
     minimum level, and a site ``rx`` whose slot ``ry2`` takes and the
-    row kernels write through the ``np.where`` scatter."""
+    row kernels write through the ``np.where`` scatter.  A second gadget
+    on three inputs of its own is swept as one chunk too: four MAJ3
+    gates, partly on-path, then a NOT of one of them, so the narrower
+    NOT group carves its scratch over the truth-table group's
+    leftovers."""
     circuit = random_combinational(
         n_inputs, n_gates, seed=seed, n_outputs=max(1, n_gates // 3)
     )
@@ -218,6 +222,16 @@ def test_column_query_bit_equal_on_random_circuits(
     circuit.add_gate("ry2", GateType.NOT, ["ry1"])
     circuit.add_gate("ry3", GateType.NAND, ["ry2", inputs[-1]])
     circuit.mark_output("ry3")
+    for name in ("sa", "sb", "sc"):
+        circuit.add_input(name)
+    for index, fanin in enumerate((
+        ["sa", "sb", "sc"], ["sa", "sb", inputs[0]],
+        ["sa", inputs[0], inputs[-1]], [inputs[0], inputs[-1], "sc"],
+    )):
+        circuit.add_gate(f"sm{index}", GateType.MAJ, fanin)
+        circuit.mark_output(f"sm{index}")
+    circuit.add_gate("sn", GateType.NOT, ["sm0"])
+    circuit.mark_output("sn")
     # Many sinks, and SPs off the dyadic grid: with every input at 0.5
     # the error masses are short binary fractions whose survival product
     # is exact in any order, which would hide a reordered reduction.
@@ -254,6 +268,20 @@ def test_column_query_bit_equal_on_random_circuits(
     for left, right in zip(oracle, packed):
         assert np.array_equal(left, right)
     for column, right in zip(backend.analyze_sites(gadget), oracle):
+        assert np.array_equal(column, right)
+    stale = np.asarray(
+        [engine._cones.resolve(site) for site in ("sa", "sb", "sc")],
+        dtype=np.intp,
+    )
+    backend = engine.vector_backend(batch_size=len(stale))
+    backend._cells = cells
+    (plan,) = [cplan for _, _, cplan in backend._chunk_spans(stale, False)]
+    assert [[fanin.shape for _, _, fanin, _ in level.groups]
+            for level in plan.levels] == [[(4, 3)], [(1, 1)]]
+    oracle = dense_backend(engine, len(stale)).pack_sites(stale)
+    for left, right in zip(oracle, backend.pack_sites(stale)):
+        assert np.array_equal(left, right)
+    for column, right in zip(backend.analyze_sites(stale), oracle):
         assert np.array_equal(column, right)
 
 

@@ -14,12 +14,12 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.core import epp_batch
+from repro.core import epp_batch, rules_vec
 from repro.core.config import BACKENDS, AnalysisConfig
 from repro.core.epp import EPPEngine
 from repro.errors import AnalysisError
 from repro.netlist.circuit import Circuit
-from repro.netlist.gate_types import GateType
+from repro.netlist.gate_types import GATE_CODES, GateType
 from repro.netlist.generate import generate_iscas
 from repro.netlist.library import c17, s27
 
@@ -431,6 +431,31 @@ class TestCompactedRows:
         assert_backends_agree(circuit, batch_size=3, dense=dense)
         assert_backends_agree(circuit, dense=dense)
 
+    def test_out_of_range_slot_raises(self):
+        """The row kernels gather with ``np.take(..., mode="clip")``,
+        which would clamp a bad index silently, so every plan's slot
+        indices are checked when it is built: a plan whose fanin slot
+        was corrupted to ``n_slots`` (or to -1) fails the check with
+        ``AnalysisError``."""
+        engine = EPPEngine(build_circuit("s953"))
+        backend = force_vector(engine)
+        ids = np.asarray(
+            [engine._cones.resolve(s) for s in engine.default_sites()[:20]],
+            dtype=np.intp,
+        )
+        for packed in (False, True):
+            plan = backend.plan.compact_chunk_plan(ids, packed)
+            epp_batch._check_slots(plan)
+            level = next(level for level in plan.levels if level.groups)
+            fanin = level.groups[0][2]
+            original = fanin[0, 0]
+            for bad in (plan.n_slots, -1):
+                fanin[0, 0] = bad
+                with pytest.raises(AnalysisError, match="outside its"):
+                    epp_batch._check_slots(plan)
+            fanin[0, 0] = original
+            epp_batch._check_slots(plan)
+
     def test_compact_plan_translates_sinks(self):
         """A chunk reaching only some sinks reduces over exactly those,
         mapped back to their global sink positions."""
@@ -618,6 +643,28 @@ def tapped_chain_circuit() -> Circuit:
     return circuit
 
 
+def narrowing_groups_circuit() -> Circuit:
+    """One gate group per level, each narrower than the last and of
+    another kernel and arity: six AND4 gates, three XOR2 of them, a MAJ3
+    of those and a NOT.  Each group's kernel carves its scratch from the
+    start of the buffer the wider group before it left its leftovers
+    in."""
+    circuit = Circuit("narrowing_groups")
+    inputs = [f"i{index}" for index in range(4)]
+    for name in inputs:
+        circuit.add_input(name)
+    for index in range(6):
+        circuit.add_gate(f"w{index}", GateType.AND,
+                         inputs[index % 4:] + inputs[:index % 4])
+    for index in range(3):
+        circuit.add_gate(f"x{index}", GateType.XOR,
+                         [f"w{2 * index}", f"w{2 * index + 1}"])
+    circuit.add_gate("m", GateType.MAJ, ["x0", "x1", "x2"])
+    circuit.add_gate("n", GateType.NOT, ["m"])
+    circuit.mark_output("n")
+    return circuit
+
+
 #: ``(circuit factory, sites)`` of the layouts the live-row plans must
 #: get right, each swept as one chunk.
 LIVE_ROW_CASES = {
@@ -626,6 +673,7 @@ LIVE_ROW_CASES = {
     "min_level_site_unread": (recycled_site_circuit, ["i", "y1"]),
     "same_site_twice": (tapped_chain_circuit, ["n1", "n3", "n1"]),
     "no_sink": (dead_chain_circuit, ["n0", "n2", "n5"]),
+    "narrowing_groups": (narrowing_groups_circuit, ["i0", "w0", "x1"]),
 }
 
 
@@ -698,6 +746,17 @@ class TestLiveRows:
             assert first_level.site_slots[0] in first_level.retire_slots
         elif case == "same_site_twice":
             assert len(set(ids.tolist())) < len(ids)
+        elif case == "narrowing_groups":
+            # (rows, arity) per level, and each group's scratch need
+            # below the one before: a stale scratch under every kernel.
+            shapes = [[fanin.shape for _, _, fanin, _ in level.groups]
+                      for level in plan.levels]
+            assert shapes == [[(6, 4)], [(3, 2)], [(1, 3)], [(1, 1)]]
+            needs = [group.scratch_row * len(out_slots)
+                     for level in plan.levels
+                     for group, out_slots, _, _ in level.groups]
+            assert needs == sorted(needs, reverse=True)
+            assert len(set(needs)) == len(needs)
         else:
             assert len(plan.sink_positions) == 0
         expected = getattr(dense_backend(engine, len(ids)), query)(ids)
@@ -802,44 +861,168 @@ class TestPackedPeak:
         assert peak_kb / 1024 < 158, proc.stdout
 
 
+_SECOND_CALL_FAULTS_SCRIPT = """
+import resource
+
+from repro.core.epp import EPPEngine
+from repro.netlist.generate import generate_iscas
+
+engine = EPPEngine(generate_iscas("s9234"))
+backend = engine.vector_backend()
+ids = [engine._cones.resolve(site) for site in engine.default_sites()]
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    backend.analyze_sites(ids)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults)
+"""
+
+
+class TestSweepFaults:
+    @pytest.mark.slow
+    def test_s9234_second_call_minor_faults(self):
+        """A fresh process's second s9234 ``analyze_sites`` over the
+        default sites takes under 10,000 minor page faults: the arena and
+        the kernel scratch are resident from the first call, so this
+        counts only what a call allocates afresh.  0-52 faults here;
+        70.8k-71.3k when every row-tier group allocated its gathers,
+        temporaries and blend (2-vCPU x86-64 VM)."""
+        pytest.importorskip("resource")
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = (
+            os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _SECOND_CALL_FAULTS_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 10_000, proc.stdout
+
+
+class TestRowKernelScratch:
+    """Every row kernel carves exactly ``row_scratch_cells`` from the
+    scratch it is handed, writes each cell before reading it, and returns
+    the same bits as on a fresh buffer."""
+
+    @pytest.mark.parametrize("gate_type,arity", [
+        (GateType.AND, 3), (GateType.NAND, 2), (GateType.OR, 4),
+        (GateType.NOR, 5), (GateType.XOR, 2), (GateType.XNOR, 3),
+        (GateType.XOR, 4), (GateType.NOT, 1), (GateType.BUF, 1),
+        (GateType.MUX, 3), (GateType.MAJ, 3),
+    ])
+    def test_row_kernels_fit_their_scratch(self, gate_type, arity):
+        """Against the tensor kernels on a fancy-indexed gather, on a
+        NaN-filled scratch of ``row_scratch_cells`` plus slack; one cell
+        short fails."""
+        code = GATE_CODES[gate_type]
+        rng = np.random.default_rng(arity)
+        state = rng.random((9, 4, 5))
+        fanin = rng.integers(0, 9, size=(3, arity))
+        rule = rules_vec.gather_rule_for(code, arity)
+        fresh = rule(state, fanin)
+        tensor = rules_vec.vec_rule_for(code, arity)(state[fanin])
+        assert np.array_equal(fresh, tensor)
+        cells = rules_vec.row_scratch_cells(code, 3, arity, 5)
+        scratch = np.full(cells + 7, np.nan)
+        got = rule(state, fanin, scratch)
+        assert np.shares_memory(got, scratch)
+        assert np.array_equal(fresh, got)
+        with pytest.raises(ValueError):
+            rule(state, fanin, np.empty(cells - 1))
+
+
 class TestDirtyRowLifecycle:
     """A failed or released sweep must never leak state into the next
-    one: the sweep arenas are reused across sweeps.  Every result is
-    checked against a fresh dense oracle, which reuses nothing."""
+    one: the sweep arenas and the kernel scratch are reused across
+    sweeps.  Every result is checked against a fresh dense oracle, which
+    reuses nothing."""
 
     def test_failed_sweep_invalidates_dirty_tracking(self):
-        """A sweep that dies mid-flight leaves its arena partially
-        overwritten; the next sweep of the same arena must not compute
-        on any of it."""
+        """A sweep that dies mid-group leaves its arena partially
+        overwritten and its scratch holding garbage; the next sweep on
+        them must not compute on any of it — under every cell tier, for
+        both queries."""
+        for cells in ("on", "off", "auto"):
+            for query in ("analyze_sites", "pack_sites"):
+                self.assert_clean_after_poisoned_sweep(cells, query)
+
+    @staticmethod
+    def assert_clean_after_poisoned_sweep(cells, query):
         engine = EPPEngine(two_block_circuit())
-        backend = force_vector(engine, batch_size=8, cells="off")
+        backend = force_vector(engine, batch_size=8, cells=cells)
+        run = getattr(backend, query)
         a_ids = [engine._cones.resolve("a0")]
         b_ids = [engine._cones.resolve(f"b{index}") for index in range(4)]
-        first = backend.pack_sites(a_ids)
+        first = run(a_ids)
 
-        # Poison the deepest level (block B's top gate) so the next
-        # sweep writes nearly all of B's rows and then dies.
+        # Poison the deepest level (block B's top gate, on-path in every
+        # column, so the row tier runs it under every tier): the next
+        # sweep writes nearly all of B's rows, then the kernel computes
+        # its group into the scratch, overwrites the scratch with NaN
+        # and dies.
         _, groups = backend.plan.levels[-1]
         originals = [group.rule for group in groups]
+        poisoned = []
 
-        def boom(*args, **kwargs):
-            raise RuntimeError("poisoned kernel")
+        def poison(rule):
+            def boom(state, fanin, scratch=None):
+                rule(state, fanin, scratch)
+                scratch.fill(np.nan)
+                poisoned.append(len(fanin))
+                raise RuntimeError("poisoned kernel")
+            return boom
 
         for group in groups:
-            group.rule = boom
+            group.rule = poison(group.rule)
         try:
             with pytest.raises(RuntimeError, match="poisoned"):
-                backend.pack_sites(b_ids)
+                run(b_ids)
         finally:
             for group, original in zip(groups, originals):
                 group.rule = original
+        assert poisoned, (cells, query)
 
-        again = backend.pack_sites(a_ids)
+        again = run(a_ids)
         for left, right in zip(first, again):
-            assert np.array_equal(left, right)
-        b_again = backend.pack_sites(b_ids)
+            assert np.array_equal(left, right), (cells, query)
+        b_again = run(b_ids)
         fresh = dense_backend(EPPEngine(two_block_circuit()), batch_size=8)
-        for left, right in zip(fresh.pack_sites(b_ids), b_again):
+        for left, right in zip(getattr(fresh, query)(b_ids), b_again):
+            assert np.array_equal(left, right), (cells, query)
+
+    @pytest.mark.parametrize("release", [False, True])
+    @pytest.mark.parametrize("query", ["analyze_sites", "pack_sites"])
+    @pytest.mark.parametrize("cells", ["on", "off", "auto"])
+    def test_second_call_on_a_used_scratch(self, cells, query, release):
+        """A second call whose largest chunk needs less scratch than the
+        first call's sweeps on the kept scratch (not regrown), or, after
+        release_buffers(), on a fresh one; either way it equals a fresh
+        dense oracle."""
+        engine = EPPEngine(build_circuit("s953"))
+        backend = force_vector(engine, batch_size=32, cells=cells)
+        ids = [engine._cones.resolve(s) for s in engine.default_sites()]
+        getattr(backend, query)(ids)
+        scratch = backend._scratch
+        narrow = ids[:7]
+        (need,) = [plan.n_scratch * len(chunk)
+                   for chunk, plan in chunk_spans(backend, narrow,
+                                                  query == "pack_sites")]
+        assert 0 < need < scratch.size
+        if release:
+            backend.release_buffers()
+            assert backend._scratch is None
+        got = getattr(backend, query)(narrow)
+        if release:
+            assert backend._scratch.size == need
+        else:
+            assert backend._scratch is scratch
+        fresh = dense_backend(EPPEngine(build_circuit("s953")), batch_size=32)
+        expected = getattr(fresh, query)(narrow)
+        assert len(got) == len(expected)
+        for left, right in zip(expected, got):
+            assert left.dtype == right.dtype
             assert np.array_equal(left, right)
 
     def test_release_then_reuse_interleaving(self):
@@ -966,11 +1149,14 @@ class TestReleaseBuffers:
         sites = engine.default_sites()
         first = engine.analyze(sites=sites, backend="vector")
         assert backend._arena is not None
+        assert backend._scratch is not None
         backend.release_buffers()
         assert backend._arena is None
+        assert backend._scratch is None
         assert backend._const is None
         second = engine.analyze(sites=sites, backend="vector")  # rebuilds
         assert backend._arena is not None
+        assert backend._scratch is not None
         for site in first:
             assert second[site].p_sensitized == first[site].p_sensitized
 
@@ -981,6 +1167,7 @@ class TestReleaseBuffers:
         assert backend._arena is not None
         engine.release_buffers()
         assert backend._arena is None
+        assert backend._scratch is None
         assert backend._const is None
 
     def test_analyzer_release_buffers(self):
@@ -993,6 +1180,7 @@ class TestReleaseBuffers:
         assert backend._const is not None
         analyzer.release_buffers()
         assert backend._arena is None
+        assert backend._scratch is None
         assert backend._const is None
 
     def test_release_waits_for_a_running_sweep(self):

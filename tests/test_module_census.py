@@ -76,7 +76,7 @@ DEFINITION_ALLOWLIST = {
         "whether that cut changed anything, read off its result"
     ),
     "repro.core.baseline.RandomSimulationEstimator.estimate_adaptive": (
-        "the sequential-stopping estimator ROADMAP item 4 replaces"
+        "the sequential-stopping estimator ROADMAP item 5 replaces"
     ),
     "repro.core.epp_shard.ShardedEPPEngine.worker_stats": (
         "the probe that pins one plan per pool worker"
