@@ -71,8 +71,9 @@ def _add_analysis_flags(
     added there shows up on ``analyze`` with zero CLI edits.
     ``delta=True`` keeps only the knobs the incremental layer accepts (no
     resilience/checkpoint surface) and drops ``scalar`` from
-    ``--backend`` (the incremental layer splices packed arrays, which
-    the scalar oracle does not produce).
+    ``--backend`` (a revision chain shares one vectorized sweep's
+    columns bit for bit; the scalar oracle is the reference they are
+    checked against).
     """
     from repro.core.config import BACKENDS, KNOB_KEYS, field_metadata
 
@@ -564,10 +565,11 @@ def _dispatch(args: argparse.Namespace) -> int:
                 import numpy as np
 
                 full = delta.engine.snapshot(**delta.knobs)
-                identical = all(
-                    np.array_equal(left, right)
-                    for left, right in zip(delta.packed, full.packed)
-                ) and delta.site_names == full.site_names
+                identical = (
+                    delta.site_names == full.site_names
+                    and np.array_equal(delta.p_sensitized, full.p_sensitized)
+                    and np.array_equal(delta.cone_sizes, full.cone_sizes)
+                )
                 print(f"verify: incremental == full re-analysis: {identical}")
                 if not identical:
                     return 1

@@ -18,8 +18,8 @@
   cone-clustered site ordering the sparse sweeps feed on.
 * :mod:`repro.core.epp_shard` — the multi-process sharded driver fanning
   cone-clustered site shards across a worker pool of vector backends
-  (``EPPEngine.analyze(backend="sharded", jobs=4)``), returning packed
-  results through the executor's pickle channel.  Not re-exported here: the
+  (``EPPEngine.analyze(backend="sharded", jobs=4)``), returning flat
+  result arrays through the executor's pickle channel.  Not re-exported here: the
   engine imports it on the first sharded call, so a run that never
   shards never loads :mod:`multiprocessing`.
 * :mod:`repro.core.baseline` — the random fault-injection estimator the

@@ -239,7 +239,7 @@ class SiteRows:
     """The rows of a report, as far as the site list and the compiled
     view alone determine them: site order, gate codes and type names.
     No SER model value enters, so one instance serves every
-    report of a packed generation (:meth:`SERAnalyzer.report_for`).
+    report of a generation (:meth:`SERAnalyzer.report_for`).
 
     ``columns`` maps each site to its column of ``p_sensitized`` and
     ``cone_sizes``, which hold ``n_columns`` entries.  It is a dict built
@@ -391,7 +391,7 @@ class SERAnalyzer:
         cone-clustered chunks swept on compacted union-of-cones state
         matrices with cell-compacted kernels, on every circuit size, so
         the report's ``p_sensitized`` and ``cone_sizes`` equal
-        :meth:`snapshot`'s packed columns bit for bit),
+        :meth:`snapshot`'s columns bit for bit),
         ``"sharded"`` (or just passing ``jobs=``) for the multi-process
         site-sharded driver.
         ``retries``/``shard_timeout``/``deadline`` configure the sharded
@@ -423,7 +423,7 @@ class SERAnalyzer:
     # ------------------------------------------------- incremental what-if
 
     def snapshot(self, sites: Sequence[str] | None = None, **knobs):
-        """A full packed analysis ready for incremental what-if edits.
+        """A full column analysis ready for incremental what-if edits.
 
         Returns a :class:`~repro.core.epp_delta.DeltaAnalysis`; feed it to
         :meth:`analyze_delta` with an
@@ -451,8 +451,8 @@ class SERAnalyzer:
         factor, exactly as :mod:`repro.ser.hardening` models it.  The
         default two-factor model reads only ``P_sensitized`` and the cone
         size, so the report's columns are computed straight from the
-        revision's packed arrays, and its :class:`SiteRows` are built once
-        per packed generation (``delta.generation``) and shared by every
+        revision's two columns, and its :class:`SiteRows` are built once
+        per generation (``delta.generation``) and shared by every
         revision and analyzer that reports on it.
         """
         compiled = delta.engine.compiled

@@ -199,7 +199,7 @@ class SerialRandomSimulationEstimator:
             words = source.next_words(1)
             good = self._simulator.run(words, 1)
             for position, site_id in enumerate(site_ids):
-                faulty = self._run_with_flip(good, words, site_id)
+                faulty = self._run_with_flip(good, site_id)
                 for sink in sinks:
                     if faulty[sink] != good[sink]:
                         counts[position] += 1
@@ -209,7 +209,7 @@ class SerialRandomSimulationEstimator:
             for position, site_id in enumerate(site_ids)
         }
 
-    def _run_with_flip(self, good: list[int], words, site_id: int) -> list[int]:
+    def _run_with_flip(self, good: list[int], site_id: int) -> list[int]:
         """Full-circuit single-vector evaluation with the site value flipped."""
         compiled = self.compiled
         values = list(good)

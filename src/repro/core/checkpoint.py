@@ -15,7 +15,8 @@ A shard record holds the arrays of one result kind:
 * ``columns`` — ``analyze_sites``' ``(p_sensitized, cone_sizes)``, two
   arrays of one entry per site (what every bulk ``analyze`` journals);
 * ``packed`` — ``pack_sites``' five-array tuple, every on-path
-  (site, sink) pair included (what a sharded snapshot journals).
+  (site, sink) pair included (what a sharded ``EPPEngine.analyze``
+  journals; every ``snapshot`` and delta is a column query).
 
 Layout of a checkpoint directory::
 

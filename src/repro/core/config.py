@@ -70,9 +70,10 @@ WIRE_VERSION = 2
 
 #: The EPP backends: the per-site scalar oracle, the batched NumPy sweep
 #: and the multi-process sharded driver.  Only ``sharded`` honors the
-#: sharded-only knobs, and only ``BACKENDS[1:]`` have the packed results
-#: ``snapshot``/``analyze_delta`` splice (the CLI's incremental commands
-#: offer exactly those).
+#: sharded-only knobs, and only ``BACKENDS[1:]`` run ``snapshot``/
+#: ``analyze_delta``, whose revisions share one vectorized sweep's
+#: columns bit for bit (the CLI's incremental commands offer exactly
+#: those).
 BACKENDS = ("scalar", "vector", "sharded")
 
 #: Extra attempts per failed shard when ``retries`` is omitted (so a

@@ -236,7 +236,7 @@ class EPPEngine:
         # state: the scalar scratch arrays above, the cone cache, and the
         # vector/sharded backend cache slots.  The analysis service
         # coalesces concurrent requests over one engine from a thread
-        # pool; without this lock two overlapping pack_sites calls would
+        # pool; without this lock two overlapping bulk queries would
         # interleave generation stamps and chunk buffers.  Reentrant
         # because the scalar ``analyze`` path calls ``node_epp``, and
         # ``snapshot`` resolves its backend, from inside a locked region.
@@ -521,8 +521,9 @@ class EPPEngine:
         each running the vector sweep (:mod:`repro.core.epp_shard`).  The
         default (``None``) picks ``vector`` — or ``sharded`` when ``jobs``
         is given explicitly.  The vector backend runs its sweep on every
-        workload, however small, so ``analyze`` returns the very values
-        :meth:`snapshot` packs.  All backends agree to 1e-9
+        workload, however small, so ``analyze`` returns the very
+        ``p_sensitized`` and cone sizes :meth:`snapshot` holds.  All
+        backends agree to 1e-9
         (floating-point reassociation only).  ``batch_size`` bounds
         the vector backend's per-chunk site count (default: sized to keep
         the state matrix in cache); ``jobs`` is the sharded worker count
@@ -628,16 +629,19 @@ class EPPEngine:
     ):
         """A full analysis packaged for incremental what-if edits.
 
-        Returns a :class:`~repro.core.epp_delta.DeltaAnalysis`: the packed
-        per-site result arrays of a full vectorized sweep plus everything
-        :meth:`analyze_delta` needs to re-sweep only the sites an edit can
-        affect — the resolved SP map (with its provenance), the site-list
-        semantics (an omitted ``sites`` re-derives the default site list
-        after structural edits) and the backend knobs.  The packed arrays
-        are exactly ``pack_sites`` output, so a later delta's splice is
-        ``np.array_equal``-identical to re-running this snapshot on the
-        edited circuit.  A snapshot starts unhardened: hardening factors
-        live on the revisions a delta returns, never on the engine, which
+        Returns a :class:`~repro.core.epp_delta.DeltaAnalysis`: the two
+        per-site result columns (``p_sensitized``, ``cone_sizes``) of a
+        full vectorized sweep plus everything :meth:`analyze_delta` needs
+        to re-sweep only the sites an edit can affect — the resolved SP
+        map (with its provenance), the site-list semantics (an omitted
+        ``sites`` re-derives the default site list after structural
+        edits) and the backend knobs.  The columns are exactly the
+        backend's ``analyze_sites`` output, so a later delta's columns
+        are ``np.array_equal``-identical to re-running this snapshot on
+        the edited circuit.  No (site, sink) pair is packed or held; the
+        scalar oracle is refused (a revision chain shares one sweep's
+        bits).  A snapshot starts unhardened: hardening factors live on
+        the revisions a delta returns, never on the engine, which
         metadata-only revisions share.
 
         The resilience knobs (``retries``/``shard_timeout``/
@@ -659,13 +663,14 @@ class EPPEngine:
         circuit; ``edits`` an :class:`~repro.core.epp_delta.EditSet`.  The
         edit set is applied to a copy of the circuit, the dirty site set
         is derived from reverse reachability over both the old and new
-        netlists, only dirty columns are re-swept, and the fresh packed
-        arrays are spliced into the retained ones — bit-identical
-        (``np.array_equal``) to a full re-analysis of the edited circuit.
-        Keyword knobs (``backend``/``jobs``/``batch_size``/...) override
-        the snapshot's for the re-sweep.  A ``harden``-only edit set
-        skips all of that and returns a revision that shares this engine
-        and ``prev``'s packed arrays.
+        netlists, only dirty sites are re-swept through the column query,
+        and every clean site keeps ``prev``'s column values — so the
+        result is bit-identical (``np.array_equal``) to a full
+        re-analysis of the edited circuit.  Keyword knobs
+        (``backend``/``jobs``/``batch_size``/...) override the
+        snapshot's for the re-sweep.  A ``harden``-only edit set skips
+        all of that and returns a revision that shares this engine and
+        ``prev``'s columns.
         """
         from repro.core.epp_delta import analyze_delta as _analyze_delta
 

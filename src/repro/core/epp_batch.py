@@ -1027,11 +1027,13 @@ class BatchEPPBackend:
     def pack_sites(self, site_ids: Sequence[int]) -> tuple:
         """Compact numeric results for many sites, in input order.
 
-        What snapshots and deltas splice, ``EPPEngine.analyze``
-        materializes, and a sharded worker returns for a packed query:
-        sweeps the sites through the same driver as
-        :meth:`analyze_sites` and writes each chunk's ``_pack`` tuple
-        straight into one input-order tuple (:func:`packed_in_order`).
+        What ``EPPEngine.analyze`` materializes into per-site results
+        (:meth:`materialize`) and a sharded worker returns for a packed
+        query; ``snapshot`` and ``analyze_delta`` read only the columns
+        (:meth:`analyze_sites`).  Sweeps the sites through the same
+        driver as :meth:`analyze_sites` and writes each chunk's
+        ``_pack`` tuple straight into one input-order tuple
+        (:func:`packed_in_order`).
         """
         rows, parts = [], []
         for chunk_rows, part in self._swept_chunks(site_ids, packed=True):

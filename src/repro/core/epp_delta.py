@@ -3,9 +3,9 @@
 The paper's SER estimates exist to drive design decisions — harden this
 gate, triplicate that one — and a design loop applies many small netlist
 edits in sequence.  A full re-analysis per edit wastes almost all of its
-work: a local edit changes the packed result column of a site only if
-the edit can influence that site's propagation.  This module makes the
-re-analysis proportional to the edit instead:
+work: a local edit changes a site's result columns (``P_sensitized`` and
+the cone size) only if the edit can influence that site's propagation.
+This module makes the re-analysis proportional to the edit instead:
 
 * :class:`EditSet` — a structured, replayable edit script over a
   :class:`~repro.netlist.circuit.Circuit`: gate replacement/rewiring,
@@ -16,10 +16,11 @@ re-analysis proportional to the edit instead:
   the circuit, replays the script and reports every node name the edits
   touched structurally.
 * :func:`snapshot` — a full vectorized analysis packaged with everything
-  a later delta needs: the ``pack_sites`` arrays, the resolved SP map
-  and its provenance, the site-list semantics and the backend knobs.
-* :func:`analyze_delta` — the incremental step.  A site's packed column
-  depends only on its fanout cone's membership, those gates' functions
+  a later delta needs: the two columns of the backend's column query
+  (``analyze_sites``), the resolved SP map and its provenance, the
+  site-list semantics and the backend knobs.
+* :func:`analyze_delta` — the incremental step.  A site's columns
+  depend only on its fanout cone's membership, those gates' functions
   and fanin lists, and the SPs the cone reads — so a site is dirty
   exactly when its cone (in the old *or* the new netlist) intersects
   the *seed set*: structurally edited nodes, plus the combinational
@@ -34,14 +35,13 @@ re-analysis proportional to the edit instead:
   Deliberately *not* a forward-then-reverse butterfly: nodes merely
   downstream of an edit contribute nothing to an off-path site's column
   beyond their SP, and SP ripple is already captured explicitly by the
-  bitwise diff.  Only dirty columns are re-swept, through the same
-  batch/sharded backends as a full run, and the fresh packed arrays are
-  spliced into the retained ones.
+  bitwise diff.  Only dirty sites are re-swept, through the same column
+  query as a full run; every clean site keeps its parent's columns.
 
-Bit-identicality: every packed column is computed independently of its
+Bit-identicality: every site's columns are computed independently of its
 chunk-mates (the pinned invariant of :mod:`repro.core.epp_batch`), so a
 retained column is byte-for-byte what a full re-analysis would have
-produced, and the spliced result is ``np.array_equal`` to re-running
+produced, and a delta's columns are ``np.array_equal`` to re-running
 :func:`snapshot` on the edited circuit — the differential tests pin
 exactly that, plus 1e-9 agreement with the scalar oracle.
 """
@@ -55,7 +55,6 @@ import numpy as np
 
 from repro.errors import AnalysisError, NetlistError
 from repro.core.epp import EPPEngine
-from repro.core.epp_batch import empty_packed, segment_index
 from repro.netlist.circuit import Circuit, CompiledCircuit
 from repro.probability import signal_probabilities
 
@@ -149,7 +148,7 @@ class EditSet:
         node's R_SEU by the accumulated factor instead.  A delta whose
         edits are all ``harden`` does no analysis work: it
         shares the parent revision's circuit, compiled view, SP map,
-        engine and packed arrays by reference and records only the new
+        engine and columns by reference and records only the new
         factors (see :func:`analyze_delta`).  Mixing in any structural
         or ``set_sp`` op forfeits that reuse for the whole set.  The
         factor must be finite and above 1.
@@ -308,10 +307,10 @@ def dirty_mask(
 ) -> bytearray:
     """Per-node flag: can the given edits affect this node's EPP column?
 
-    A site's packed column depends on three things only: which gates its
+    A site's columns depend on three things only: which gates its
     fanout cone contains, each cone gate's function/fanin list, and the
-    signal probabilities those gates read off-path.  So the column can
-    change only if the cone intersects the *seed set*:
+    signal probabilities those gates read off-path.  So they can change
+    only if the cone intersects the *seed set*:
 
     * a structurally edited node (function, fanin list or sink status
       changed) — ``structural_names``;
@@ -367,27 +366,28 @@ def dirty_mask(
 
 
 class Generation:
-    """One set of packed arrays and what they determine, computed once.
+    """One pair of result columns and what they determine, computed once.
 
-    A :func:`snapshot` or a structural delta packs a new generation; a
+    A :func:`snapshot` or a structural delta starts a new generation; a
     metadata-only revision (:func:`_reuse_revision`) shares its parent's
-    by reference.  :meth:`memo` entries may depend only on the packed
-    arrays, the site list and the compiled view — never on an SER model
-    or a revision's hardening — so nothing invalidates them, and they die
+    by reference.  :meth:`memo` entries may depend only on the columns,
+    the site list and the compiled view — never on an SER model or a
+    revision's hardening — so nothing invalidates them, and they die
     with the generation's last revision.
     """
 
-    __slots__ = ("packed", "_memo")
+    __slots__ = ("p_sensitized", "cone_sizes", "_memo")
 
-    def __init__(self, packed: tuple):
-        self.packed = packed
+    def __init__(self, p_sensitized: np.ndarray, cone_sizes: np.ndarray):
+        self.p_sensitized = p_sensitized
+        self.cone_sizes = cone_sizes
         self._memo: dict = {}
 
     def freeze(self) -> None:
-        """Mark the packed arrays read-only: every revision sharing them
-        would see one write through any of them."""
-        for array in self.packed:
-            array.setflags(write=False)
+        """Mark the columns read-only: every revision sharing them would
+        see one write through either of them."""
+        self.p_sensitized.setflags(write=False)
+        self.cone_sizes.setflags(write=False)
 
     def memo(self, key: str, build):
         """``build()``'s value, computed on the first call for ``key``.
@@ -406,13 +406,13 @@ class Generation:
 class DeltaAnalysis:
     """One analysis revision in an incremental what-if chain.
 
-    Holds the packed per-site arrays of a full (or spliced) analysis
-    plus the bookkeeping a further delta needs.  ``engine`` is the
-    :class:`~repro.core.epp.EPPEngine` of *this* revision's circuit —
+    Holds the two per-site result columns of a full (or incremental)
+    analysis plus the bookkeeping a further delta needs.  ``engine`` is
+    the :class:`~repro.core.epp.EPPEngine` of *this* revision's circuit —
     chain onward with ``delta.apply(edits)`` (or
     ``delta.engine.analyze_delta(delta, edits)``).  Revisions that
     differ only in ``hardening`` share one engine and one
-    :class:`Generation` (the read-only packed arrays and their memo).
+    :class:`Generation` (the read-only columns and their memo).
     """
 
     __slots__ = (
@@ -422,17 +422,14 @@ class DeltaAnalysis:
     )
 
     @property
-    def packed(self) -> tuple:
-        return self.generation.packed
-
-    @property
     def p_sensitized(self) -> np.ndarray:
-        """``P_sensitized`` per site, aligned with ``site_names`` (read-only)."""
-        return self.packed[0]
+        """``P_sensitized`` per site, aligned with ``site_names``."""
+        return self.generation.p_sensitized
 
     @property
     def cone_sizes(self) -> np.ndarray:
-        return self.packed[1]
+        """On-path gates per site, aligned with ``site_names``."""
+        return self.generation.cone_sizes
 
     def apply(self, edits: EditSet, sites=None, **knobs) -> "DeltaAnalysis":
         """Chain: re-analyze this revision after ``edits`` (see
@@ -457,17 +454,19 @@ def _normalize_knobs(knobs: Mapping) -> dict:
     ).knobs()
 
 
-def _pack_backend(engine: EPPEngine, knobs: Mapping):
-    """The backend object whose ``pack_sites`` runs the (re-)sweep."""
+def _column_backend(engine: EPPEngine, knobs: Mapping):
+    """The backend object whose ``analyze_sites`` runs the (re-)sweep."""
     config = AnalysisConfig.from_knobs(
         **{k: v for k, v in knobs.items() if v is not None}
     )
     backend = config.effective_backend()
     if backend == "scalar":
         raise AnalysisError(
-            "snapshot/analyze_delta run the packed vectorized path; "
-            f"backend={backend!r} has no packed representation (use "
-            f"engine.analyze(backend={backend!r}) for the per-site oracle)"
+            "snapshot/analyze_delta sweep on the vector or sharded backend, "
+            "whose columns every revision of a chain must share bit for "
+            f"bit; backend={backend!r} is the per-site reference oracle "
+            f"(use engine.analyze_columns(backend={backend!r}) to check a "
+            "revision against it)"
         )
     # Mirror analyze()'s guard: a retry budget or deadline on the
     # in-process path would be silently meaningless.
@@ -491,25 +490,25 @@ def snapshot(
     sites=None,
     **knobs,
 ) -> DeltaAnalysis:
-    """A full packed analysis plus the context for incremental deltas."""
+    """A full column analysis plus the context for incremental deltas."""
     engine._check_current()
     resolved = _normalize_knobs(knobs)
     # The sweep lock serializes the engine's shared scratch — backend
     # cache slots, cone cache, chunk-width state matrices — so the
     # service's coalescing layer can snapshot one engine from several
     # threads without corrupting a sweep in flight.  Reentrant:
-    # _pack_backend takes it again.
+    # _column_backend takes it again.
     with engine._sweep_lock:
-        backend = _pack_backend(engine, resolved)
+        backend = _column_backend(engine, resolved)
         site_names, defaulted = _resolve_site_names(engine, sites)
         site_ids = [engine._cones.resolve(name) for name in site_names]
-        packed = backend.pack_sites(site_ids)
+        columns = backend.analyze_sites(site_ids)
 
     delta = DeltaAnalysis()
     delta.engine = engine
     delta.site_names = site_names
     delta.site_ids = site_ids
-    delta.generation = Generation(packed)
+    delta.generation = Generation(*columns)
     delta.default_sites = defaulted
     delta.user_sp = engine._user_sp
     delta.sp_method = engine._sp_method
@@ -556,16 +555,10 @@ def _prepare_reuse(prev: DeltaAnalysis, edits: EditSet, sites) -> dict | None:
         ]
         if requested != prev.site_names:
             return None
-    return {
-        "reuse": True,
-        "hardening": _accumulate_hardening(prev, edits),
-        "site_names": prev.site_names,
-        "dirty_flags": (),
-        "frontier": (),
-    }
+    return {"reuse": True, "hardening": _accumulate_hardening(prev, edits)}
 
 
-def _prepare(prev: DeltaAnalysis, edits: EditSet, sites, knobs: Mapping) -> dict:
+def _prepare(prev: DeltaAnalysis, edits: EditSet, sites) -> dict:
     """The analysis-independent front half of a delta: apply the edits,
     derive the new SP map and the edit frontier, classify sites.
 
@@ -682,7 +675,6 @@ def _prepare(prev: DeltaAnalysis, edits: EditSet, sites, knobs: Mapping) -> dict
     return {
         "reuse": False,
         "new_engine": new_engine,
-        "new_compiled": new_compiled,
         "sp_map": sp_map,
         "sp_overrides": overrides,
         "hardening": hardening,
@@ -702,8 +694,8 @@ def _reuse_revision(
 
     The circuit, compiled view, SP map and engine (with its cached
     vector backend and batch plan) are shared by reference, and so are
-    the generation — the packed arrays, which are marked read-only
-    first, and what was computed from them.
+    the generation — the columns, which are marked read-only first, and
+    what was computed from them.
     """
     prev.generation.freeze()
     delta = DeltaAnalysis()
@@ -739,19 +731,19 @@ def analyze_delta(
     """Incremental re-analysis: apply ``edits``, re-sweep only dirty sites.
 
     Returns a new :class:`DeltaAnalysis` over the edited circuit whose
-    packed arrays are ``np.array_equal`` to a full :func:`snapshot` of
-    that circuit — retained columns are spliced in byte-for-byte (with
-    sink positions remapped through the old→new sink-name map), dirty
-    columns come from a fresh ``pack_sites`` over the same backends.
-    Keyword knobs override the snapshot's for the re-sweep.
+    columns are ``np.array_equal`` to a full :func:`snapshot` of that
+    circuit: each clean site keeps its parent column values byte for
+    byte, and the dirty sites' come from a fresh column query
+    (``analyze_sites``) over the same backends.  Keyword knobs override
+    the snapshot's for the re-sweep.
 
     A metadata-only edit set (:attr:`EditSet.metadata_only`) over the
     parent's site list re-sweeps nothing and rebuilds nothing: the new
     revision shares the parent's circuit, compiled view, SP map, engine
-    and (read-only) packed arrays, so ``delta.engine is prev.engine``,
-    and carries only the accumulated hardening factors.  Any structural
-    or ``set_sp`` op, or an explicit ``sites`` list that differs from
-    the parent's, takes the general path above.
+    and (read-only) columns, so ``delta.engine is prev.engine``, and
+    carries only the accumulated hardening factors.  Any structural or
+    ``set_sp`` op, or an explicit ``sites`` list that differs from the
+    parent's, takes the general path above.
     """
     # An override of one knob keeps the snapshot's choice for the rest.
     merged_knobs = dict(prev.knobs)
@@ -762,7 +754,7 @@ def analyze_delta(
             )
         merged_knobs[key] = value
 
-    context = _prepare(prev, edits, sites, merged_knobs)
+    context = _prepare(prev, edits, sites)
     if context["reuse"]:
         return _reuse_revision(prev, context["hardening"], sites, merged_knobs)
     new_engine = context["new_engine"]
@@ -771,130 +763,31 @@ def analyze_delta(
     dirty_flags = np.asarray(context["dirty_flags"], dtype=bool)
     n_sites = len(site_names)
 
-    # ---- fresh sweep of the dirty columns only.
+    # Clean sites keep their parent columns; dirty ones are re-swept.
     dirty_positions = np.nonzero(dirty_flags)[0]
     clean_positions = np.nonzero(~dirty_flags)[0]
-    dirty_ids = [site_ids[int(position)] for position in dirty_positions]
-    if dirty_ids:
-        with new_engine._sweep_lock:
-            fresh = _pack_backend(new_engine, merged_knobs).pack_sites(dirty_ids)
-    else:
-        fresh = empty_packed()
-
-    # ---- splice: retained columns from the old packed arrays (sink
-    # positions remapped by name), dirty columns from the fresh sweep.
-    old_p, old_cone, old_counts, old_sink, old_values = prev.packed
-    fresh_p, fresh_cone, fresh_counts, fresh_sink, fresh_values = fresh
     old_column = context["old_column"]
-    old_columns_of_clean = np.asarray(
-        [old_column[site_names[int(position)]] for position in clean_positions],
+    parent_columns = np.asarray(
+        [old_column[site_names[position]] for position in clean_positions],
         dtype=np.intp,
     )
-
-    if n_sites == 0:
-        packed = empty_packed()
-    else:
-        p_sens = np.empty(n_sites)
-        cone_sizes = np.empty(n_sites, dtype=np.intp)
-        counts = np.empty(n_sites, dtype=np.intp)
-        p_sens[dirty_positions] = fresh_p
-        cone_sizes[dirty_positions] = fresh_cone
-        counts[dirty_positions] = fresh_counts
-        p_sens[clean_positions] = old_p[old_columns_of_clean]
-        cone_sizes[clean_positions] = old_cone[old_columns_of_clean]
-        counts[clean_positions] = old_counts[old_columns_of_clean]
-
-        old_compiled = prev.engine.compiled
-        new_compiled = context["new_compiled"]
-        new_sink_position = {
-            new_compiled.names[sink_id]: position
-            for position, sink_id in enumerate(new_compiled.sink_ids)
-        }
-        sink_remap = np.asarray(
-            [
-                new_sink_position.get(old_compiled.names[sink_id], -1)
-                for sink_id in old_compiled.sink_ids
-            ],
-            dtype=np.intp,
-        )
-
-        old_starts = np.cumsum(old_counts) - old_counts
-        identity_sinks = np.array_equal(
-            sink_remap, np.arange(len(sink_remap))
-        )
-        if len(old_p) == n_sites and np.array_equal(
-            old_columns_of_clean, clean_positions
-        ):
-            # Fast path: every retained column keeps its position, so
-            # the flat arrays are alternating contiguous runs of the old
-            # pack and the fresh dirty segments — spliced by slice
-            # concatenation (pure memcpy).  The general path below
-            # gathers element-by-element through 9.7M-entry index arrays
-            # on s38417 and costs several seconds of pure memory
-            # traffic; this one is bounded by a single copy of the data.
-            fresh_starts = np.cumsum(fresh_counts) - fresh_counts
-            sink_chunks, value_chunks = [], []
-            cursor = 0
-            for i, position in enumerate(map(int, dirty_positions)):
-                run_end = int(old_starts[position])
-                retained = old_sink[cursor:run_end]
-                if not identity_sinks:
-                    retained = sink_remap[retained]
-                sink_chunks.append(retained)
-                value_chunks.append(old_values[cursor:run_end])
-                start = int(fresh_starts[i])
-                end = start + int(fresh_counts[i])
-                sink_chunks.append(fresh_sink[start:end])
-                value_chunks.append(fresh_values[start:end])
-                cursor = run_end + int(old_counts[position])
-            retained = old_sink[cursor:]
-            if not identity_sinks:
-                retained = sink_remap[retained]
-            sink_chunks.append(retained)
-            value_chunks.append(old_values[cursor:])
-            sink_pos = np.concatenate(sink_chunks)
-            values = np.concatenate(value_chunks)
-            if sink_pos.size and not identity_sinks and sink_pos.min() < 0:
-                raise AnalysisError(
-                    "analyze_delta internal error: a retained site "
-                    "references a sink that no longer exists (the dirty "
-                    "set should have caught this — please report)"
-                )
-        else:
-            starts = np.cumsum(counts) - counts
-            total = int(counts.sum())
-            sink_pos = np.empty(total, dtype=np.intp)
-            values = np.empty((total, 4))
-
-            source_index = segment_index(
-                old_starts[old_columns_of_clean],
-                old_counts[old_columns_of_clean],
+    p_sens = np.empty(n_sites)
+    cone_sizes = np.empty(n_sites, dtype=np.intp)
+    p_sens[clean_positions] = prev.p_sensitized[parent_columns]
+    cone_sizes[clean_positions] = prev.cone_sizes[parent_columns]
+    if len(dirty_positions):
+        dirty_ids = [site_ids[position] for position in dirty_positions]
+        with new_engine._sweep_lock:
+            backend = _column_backend(new_engine, merged_knobs)
+            p_sens[dirty_positions], cone_sizes[dirty_positions] = (
+                backend.analyze_sites(dirty_ids)
             )
-            target_index = segment_index(
-                starts[clean_positions], counts[clean_positions]
-            )
-            retained_sinks = sink_remap[old_sink[source_index]]
-            if retained_sinks.size and retained_sinks.min() < 0:
-                raise AnalysisError(
-                    "analyze_delta internal error: a retained site "
-                    "references a sink that no longer exists (the dirty "
-                    "set should have caught this — please report)"
-                )
-            sink_pos[target_index] = retained_sinks
-            values[target_index] = old_values[source_index]
-
-            target_index = segment_index(
-                starts[dirty_positions], counts[dirty_positions]
-            )
-            sink_pos[target_index] = fresh_sink
-            values[target_index] = fresh_values
-        packed = (p_sens, cone_sizes, counts, sink_pos, values)
 
     delta = DeltaAnalysis()
     delta.engine = new_engine
     delta.site_names = site_names
     delta.site_ids = site_ids
-    delta.generation = Generation(packed)
+    delta.generation = Generation(p_sens, cone_sizes)
     delta.default_sites = context["defaulted"] if sites is None else False
     delta.user_sp = prev.user_sp
     delta.sp_method = prev.sp_method
@@ -905,8 +798,8 @@ def analyze_delta(
     delta.knobs = merged_knobs
     delta.stats = {
         "sites": n_sites,
-        "dirty": int(len(dirty_positions)),
-        "reused": int(len(clean_positions)),
+        "dirty": len(dirty_positions),
+        "reused": len(clean_positions),
         "frontier": len(context["frontier"]),
         "chain_length": prev.stats.get("chain_length", 0) + 1,
     }

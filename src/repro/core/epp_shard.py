@@ -20,9 +20,10 @@ Design
 * **Compact wire format, one transport.**  Workers return flat NumPy
   arrays, never per-site objects, through the executor's pickle channel,
   in one of two result kinds: ``"columns"`` — the backend's
-  ``analyze_sites`` pair ``(p_sensitized, cone_sizes)``, what every bulk
-  ``analyze`` reads — or ``"packed"`` — its five-array ``pack_sites``
-  tuple, what snapshots and deltas splice.  Per-shard traffic is tallied
+  ``analyze_sites`` pair ``(p_sensitized, cone_sizes)``, what every SER
+  ``analyze``, ``snapshot`` and delta reads — or ``"packed"`` — its
+  five-array ``pack_sites`` tuple, what ``EPPEngine.analyze``
+  materializes into per-site results.  Per-shard traffic is tallied
   in :attr:`ShardedEPPEngine.stats` (``pickle_shards``/
   ``pickled_array_bytes``).  The parent writes each shard's columns into
   their input rows as the shard arrives, while the rest are still
@@ -48,7 +49,7 @@ Design
   re-runnable*, so the driver recovers from failures without perturbing
   results: a broken pool (crashed/OOMed worker) is respawned from the
   cached payload and only *unfinished* shards are re-submitted —
-  delivered packed arrays are kept, the merge stays exactly-once.  Slow
+  delivered shard results are kept, the merge stays exactly-once.  Slow
   shards are re-enqueued with deterministic seeded backoff once past
   their per-shard deadline (a wedged worker is killed by respawning the
   pool).  A shard that exhausts its retry budget, or an analysis past
@@ -283,9 +284,8 @@ class ShardedEPPEngine:
         on the in-process vector backend; 0 forces the process path.
     local_backend:
         The in-process :class:`~repro.core.epp_batch.BatchEPPBackend` used
-        below the crossover and for restoring packed results to input
-        order (built on demand when omitted; ``EPPEngine`` passes its
-        cached one).
+        below the crossover (built on demand when omitted; ``EPPEngine``
+        passes its cached one).
 
     Knobs: ``jobs`` is the worker process count (default one per
     available core).  ``batch_size`` is the per-chunk site columns inside
@@ -1003,14 +1003,14 @@ class ShardedEPPEngine:
     def pack_sites(self, site_ids: Sequence[int]):
         """Packed per-site arrays for many sites, in input order.
 
-        The sharded counterpart of ``BatchEPPBackend.pack_sites`` — the
-        incremental layer (:mod:`repro.core.epp_delta`) splices these
-        arrays, so they must be bit-identical to the local backend's for
-        the same sites.  They are: columns are computed independently of
-        shard membership, and each shard's packed part is written
-        straight into its input rows (``position_shards``) once every
-        shard has arrived, exactly as the local backend writes its
-        chunks (:func:`~repro.core.epp_batch.packed_in_order`).
+        The sharded counterpart of ``BatchEPPBackend.pack_sites``, which
+        ``EPPEngine.analyze`` materializes into per-site results:
+        bit-identical to the local backend's for the same sites, because
+        columns are computed independently of shard membership, and each
+        shard's packed part is written straight into its input rows
+        (``position_shards``) once every shard has arrived, exactly as the
+        local backend writes its chunks
+        (:func:`~repro.core.epp_batch.packed_in_order`).
         """
         import numpy as np
 

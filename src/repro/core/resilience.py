@@ -1,7 +1,7 @@
 """Retry backoff and shard outcome records for the sharded EPP driver.
 
 PR 2's per-column shard independence makes every shard *exactly
-re-runnable*: a shard's packed result depends only on the compiled
+re-runnable*: a shard's result depends only on the compiled
 circuit, the SP vector and the shard's site list — never on which worker
 computed it, how many times it was attempted, or what other shards did.
 That invariant is what lets :class:`~repro.core.epp_shard.ShardedEPPEngine`

@@ -37,7 +37,7 @@ built circuits by identity so a re-submitted roster job reuses the
 cached :class:`~repro.netlist.circuit.CompiledCircuit` — and with it the
 batch plan and cone index already cached on it — instead of re-planning.
 Rows travel the executor's pickle channel, as the sharded driver's
-packed shard results do.  Timing columns are measured inside the
+shard results do.  Timing columns are measured inside the
 workers, so rows are identical in distribution to a serial run; the
 deterministic columns (``n_nodes``, ``%Dif``, ``mean_abs_dif``) are
 identical full stop.

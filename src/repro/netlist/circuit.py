@@ -367,7 +367,7 @@ class CompiledCircuit:
         self.dff_ids: list[int] = [i for i, t in enumerate(self._types) if t is GateType.DFF]
         self.output_ids: list[int] = [self.index[name] for name in circuit.outputs]
 
-        self.topo, self.level = self._toposort(nodes)
+        self.topo, self.level = self._toposort()
 
         sink_ids: list[int] = []
         sink_seen: set[int] = set()
@@ -457,7 +457,7 @@ class CompiledCircuit:
             groups.append((level, code, outs, fins, width))
         return groups
 
-    def _toposort(self, nodes: list[Node]) -> tuple[list[int], list[int]]:
+    def _toposort(self) -> tuple[list[int], list[int]]:
         """Kahn's algorithm over combinational edges.
 
         DFF nodes have no combinational in-edges (their D dependency crosses

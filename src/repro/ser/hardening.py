@@ -207,8 +207,8 @@ def optimize_hardening(
     ``action="upsize"`` upsizes by ``strength_factor`` (area cost
     ``strength_factor - 1`` per gate, FIT contribution divided by the
     factor).  That is a metadata-only edit: each trial revision shares
-    the current one's circuit, compiled view, SP map, engine and packed
-    arrays by reference, so a step costs one report assembly and no
+    the current one's circuit, compiled view, SP map, engine and result
+    columns by reference, so a step costs one report assembly and no
     sweep, SP pass, compile or engine build.
     ``action="tmr"`` inserts local triplicate-and-vote structure (area
     cost 3.0: two replicas plus a voter) — a real structural edit that

@@ -11,7 +11,7 @@ Requests
 ``{"op": ..., ...}`` where ``op`` is one of :data:`OPS`:
 
 * ``ping`` / ``stats`` — answered inline, never queued.
-* ``analyze`` — full packed sweep.  Fields: ``bench`` (netlist source
+* ``analyze`` — full column sweep.  Fields: ``bench`` (netlist source
   text) or ``circuit`` (library/profile name), optional ``sites``,
   ``knobs`` (:data:`WIRE_KNOB_KEYS` subset), ``deadline`` (seconds,
   end-to-end), ``client`` (in-flight accounting id), ``fit`` (also
@@ -122,7 +122,7 @@ class Payload(dict):
     and that value's :func:`encode_json` text; :func:`encode` then writes
     the text instead of re-encoding the value, for as long as the dict
     still holds that very object.  The service memoizes the text of a
-    packed generation's columns this way (see ``AnalysisService._payload``).
+    generation's columns this way (see ``AnalysisService._payload``).
     The dict itself is an ordinary one: store ``dict(payload)``, never
     the subclass.
     """
@@ -231,7 +231,10 @@ def parse_request(obj: dict) -> Request:
         deadline = _field(float, "deadline", deadline)
         AnalysisConfig(deadline=deadline)
     sites = obj.get("sites")
-    if sites is not None and not isinstance(sites, list):
+    if sites is not None and not (
+        isinstance(sites, list) and all(isinstance(site, str) for site in sites)
+    ):
+        # Names only: the analysis layer reads an int as a node id.
         raise ConfigError("'sites' must be a list of site names")
     idempotency = obj.get("idempotency_key")
     if idempotency is not None:
@@ -275,9 +278,9 @@ def edits_from_wire(ops: list):
     ``["add_gate", node, type, fanin]``, ``["remove_node", node]``,
     ``["mark_output", node]``, ``["rewire", node, old, new]``,
     ``["tmr", node, ...]``.  Gate types are case-insensitive names from
-    :class:`~repro.netlist.gate_types.GateType`.  A missing or
-    unconvertible argument raises :class:`~repro.errors.ConfigError`
-    naming the op; a non-finite ``harden`` factor or an out-of-range
+    :class:`~repro.netlist.gate_types.GateType`; a fanin is a JSON list
+    of node names.  A missing or unconvertible argument raises
+    :class:`~repro.errors.ConfigError` naming the op; a non-finite ``harden`` factor or an out-of-range
     ``set_sp`` probability raises the edit builder's ``AnalysisError``.
     """
     from repro.core.epp_delta import EditSet
@@ -288,6 +291,17 @@ def edits_from_wire(ops: list):
             return GateType[str(value).upper()]
         except KeyError:
             raise ConfigError(f"unknown gate type {value!r}") from None
+
+    def fanin_of(kind, value):
+        # A string would be split into its characters, one fanin each.
+        if not isinstance(value, list) or not all(
+            isinstance(name, str) for name in value
+        ):
+            raise ConfigError(
+                f"edit op {kind!r}: fanin must be a list of node names, "
+                f"got {value!r}"
+            )
+        return value
 
     edits = EditSet()
     for op in ops:
@@ -300,11 +314,16 @@ def edits_from_wire(ops: list):
             elif kind == "harden":
                 edits.harden(str(args[0]), float(args[1]) if len(args) > 1 else 10.0)
             elif kind == "replace_gate":
-                fanin = args[2] if len(args) > 2 and args[2] is not None else None
+                fanin = (
+                    fanin_of(kind, args[2])
+                    if len(args) > 2 and args[2] is not None else None
+                )
                 gate_type = gate_type_of(args[1]) if args[1] is not None else None
                 edits.replace_gate(str(args[0]), gate_type, fanin)
             elif kind == "add_gate":
-                edits.add_gate(str(args[0]), gate_type_of(args[1]), list(args[2]))
+                edits.add_gate(
+                    str(args[0]), gate_type_of(args[1]), fanin_of(kind, args[2])
+                )
             elif kind == "remove_node":
                 edits.remove_node(str(args[0]))
             elif kind == "mark_output":

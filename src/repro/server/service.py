@@ -96,8 +96,8 @@ _SHARDED_ONLY = SHARDED_ONLY_KNOBS
 
 
 def _wire_columns(delta) -> dict:
-    """``{key: (list, JSON text)}`` of the payload columns a packed
-    generation determines, in payload order."""
+    """``{key: (list, JSON text)}`` of the payload columns a generation
+    determines, in payload order."""
     columns = {
         "sites": list(delta.site_names),
         "p_sensitized": delta.p_sensitized.tolist(),
@@ -834,7 +834,7 @@ class AnalysisService:
             })
         return payload
 
-    def _sweep(self, req, state, deadline, run, dedicated, index) -> tuple:
+    def _sweep(self, req, deadline, run, dedicated, index) -> tuple:
         """Run one sweep under the breaker: returns (delta, degraded).
 
         ``run`` is a callable taking the resolved sweep knobs.  A
@@ -894,7 +894,7 @@ class AnalysisService:
             return state.engine.snapshot(sites=req.sites, **knobs)
 
         delta, degraded = self._sweep(
-            req, state, deadline, run, dedicated=not req.coalesce, index=index
+            req, deadline, run, dedicated=not req.coalesce, index=index
         )
         with state.lock:
             if state.delta is None:
@@ -921,7 +921,7 @@ class AnalysisService:
             if state.delta is None:
                 # Cold chain: charge the base snapshot to this request.
                 base, base_degraded = self._sweep(
-                    req, state, deadline, lambda knobs: state.engine.snapshot(**knobs),
+                    req, deadline, lambda knobs: state.engine.snapshot(**knobs),
                     dedicated=True, index=index,
                 )
                 state.delta = base
@@ -933,7 +933,7 @@ class AnalysisService:
                 )
 
             delta, degraded = self._sweep(
-                req, state, deadline, run, dedicated=True, index=index
+                req, deadline, run, dedicated=True, index=index
             )
             degraded = degraded or base_degraded
             if previous.engine is not state.engine and previous.engine is not delta.engine:
@@ -951,7 +951,7 @@ class AnalysisService:
     def _payload(self, req, state, delta, degraded) -> Payload:
         """The result of one computed request.
 
-        The columns a packed generation determines are fresh lists every
+        The columns a generation determines are fresh lists every
         time, copied from lists built once per generation together with
         their JSON text (memoized on ``delta.generation``), which
         ``encode`` splices in: a harden delta shares its parent's

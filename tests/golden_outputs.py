@@ -10,8 +10,9 @@ says what produced it:
   --top 10 --csv PATH`` run in-process: the CSV bytes, the stdout with
   its ``wrote PATH`` line removed, and the table's rows as text (so a
   failure shows which rows moved);
-* ``packed <c> <array>`` — dtype, shape and bytes of each array of
-  ``EPPEngine(circuit).snapshot().packed``;
+* ``packed <c> <array>`` — dtype, shape and bytes of each array the
+  packed query returns for the default sites,
+  ``engine.vector_backend().pack_sites(ids)``;
 * ``netlist <profile>`` — ``write_bench`` text of each ISCAS'89 profile;
 * ``served s953 <n>`` — the ``protocol.encode`` line of each response of
   a served chain (one ``analyze``, ten seeded ``harden`` edits, one
@@ -106,12 +107,14 @@ def analyze_entries(circuit: str) -> dict:
         )
 
 
-#: The arrays of a packed snapshot, in tuple order.
+#: The arrays of a ``pack_sites`` tuple, in tuple order.
 PACKED_ARRAYS = ("p_sensitized", "cone_sizes", "counts", "sink_pos", "values")
 
 
 def packed_entries(circuit: str) -> dict:
-    packed = EPPEngine(cli.resolve_circuit(circuit)).snapshot().packed
+    engine = EPPEngine(cli.resolve_circuit(circuit))
+    ids = [engine.compiled.index[name] for name in engine.default_sites()]
+    packed = engine.vector_backend().pack_sites(ids)
     return {
         f"packed {circuit} {name}": array_digest(np.asarray(array))
         for name, array in zip(PACKED_ARRAYS, packed, strict=True)

@@ -207,6 +207,31 @@ class TestAnalyzeDelta:
         assert "re-swept" in out
         assert "incremental == full re-analysis: True" in out
 
+    @pytest.mark.parametrize("column", ["p_sensitized", "cone_sizes"])
+    def test_verify_fails_on_a_column_mismatch(self, capsys, monkeypatch,
+                                               column):
+        """``--verify`` compares both columns: a delta whose one column
+        is off in a single entry prints False and exits 1."""
+        import repro.core.epp_delta as epp_delta
+
+        analyze_delta = epp_delta.analyze_delta
+
+        def off_by_one(*args, **kwargs):
+            delta = analyze_delta(*args, **kwargs)
+            columns = {"p_sensitized": delta.p_sensitized.copy(),
+                       "cone_sizes": delta.cone_sizes.copy()}
+            columns[column][-1] += 1
+            delta.generation = epp_delta.Generation(**columns)
+            return delta
+
+        monkeypatch.setattr(epp_delta, "analyze_delta", off_by_one)
+        code = main(["analyze-delta", "c17", "--replace", "N10:nor",
+                     "--verify"])
+        assert code == 1
+        assert "incremental == full re-analysis: False" in (
+            capsys.readouterr().out
+        )
+
     def test_mixed_edits_sharded(self, capsys):
         code = main(["analyze-delta", "s27", "--tmr", "G10",
                      "--set-sp", "G0=0.3", "--jobs", "2", "--verify"])

@@ -376,8 +376,9 @@ class TestCLIReflection:
         ("harden", ("auto", "vector", "sharded")),
     ])
     def test_backend_choices(self, command, choices):
-        """The incremental commands splice packed arrays, so they offer
-        every backend but the scalar oracle."""
+        """The incremental commands chain revisions that share one
+        vectorized sweep's columns, so they offer every backend but the
+        scalar oracle."""
         (action,) = [
             action for action in _subcommand(command)._actions
             if "--backend" in action.option_strings

@@ -2,12 +2,12 @@
 
 One oracle: for any random circuit and any structured edit set,
 ``analyze_delta(prev, edits)`` must be **bit-identical**
-(``np.array_equal`` on every packed array) to a full ``snapshot`` of
-the edited circuit, and to the dense oracle sweep of ``tests.helpers``
-over it.  This is stronger than the 1e-9 agreement the other
-fuzz suites pin — splicing reuses retained columns byte-for-byte, so
-any dirty-set under-approximation, sink-remap slip or segment-index bug
-shows up as an exact mismatch, not a tolerance failure.
+(``np.array_equal`` on both ``p_sensitized`` and ``cone_sizes``) to a
+full ``snapshot`` of the edited circuit, and to the dense oracle sweep
+of ``tests.helpers``'s column query over it.  This is stronger than the
+1e-9 agreement the other fuzz suites pin — a delta reuses clean sites'
+columns byte-for-byte, so any dirty-set under-approximation or
+position slip shows up as an exact mismatch, not a tolerance failure.
 
 Edit sets are drawn from a menu that covers every structural op the
 :class:`~repro.core.epp_delta.EditSet` grammar has — polarity swaps,
@@ -115,6 +115,8 @@ def draw_edits(circuit, seed: int, n_edits: int) -> EditSet:
     def add():
         nonlocal fresh
         fanin = rng.sample(list(circuit.inputs) + gates, k=2)
+        while f"fuzz_new_{fresh}" in circuit:  # added by an earlier draw
+            fresh += 1
         name = f"fuzz_new_{fresh}"
         fresh += 1
         edits.add_gate(name, rng.choice(("and", "xor", "nor")), fanin)
@@ -143,11 +145,10 @@ def assert_delta_equals_full(delta):
         **delta.knobs,
     )
     assert delta.site_names == full.site_names
-    for left, right in zip(delta.packed, full.packed):
-        assert np.array_equal(left, right)
-    dense = dense_backend(delta.engine).pack_sites(delta.site_ids)
-    for left, right in zip(delta.packed, dense):
-        assert np.array_equal(left, right)
+    dense = dense_backend(delta.engine).analyze_sites(delta.site_ids)
+    for expected in ((full.p_sensitized, full.cone_sizes), dense):
+        assert np.array_equal(delta.p_sensitized, expected[0])
+        assert np.array_equal(delta.cone_sizes, expected[1])
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -178,7 +179,7 @@ def test_delta_bit_identical_to_full(
     edit_seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_chained_deltas_bit_identical(n_inputs, n_gates, seed, edit_seed):
-    """Two rounds of edits, each splicing on top of the previous splice."""
+    """Two rounds of edits, the second reusing the first delta's columns."""
     circuit = random_combinational(n_inputs, n_gates, seed=seed)
     engine = EPPEngine(circuit)
     prev = engine.snapshot()
@@ -199,9 +200,9 @@ def test_chained_deltas_bit_identical(n_inputs, n_gates, seed, edit_seed):
     edit_seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_delta_matches_scalar_oracle(n_inputs, n_gates, seed, edit_seed):
-    """Beyond bit-identity with the packed path: 1e-9 against the scalar
-    engine on the edited circuit, so splice and sweep can't be wrong in
-    the same way."""
+    """Beyond bit-identity with the column query: 1e-9 against the scalar
+    engine on the edited circuit, so column reuse and sweep can't be
+    wrong in the same way."""
     circuit = random_combinational(n_inputs, n_gates, seed=seed)
     engine = EPPEngine(circuit)
     prev = engine.snapshot()

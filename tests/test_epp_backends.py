@@ -826,39 +826,61 @@ class TestLiveRows:
         assert largest_slots <= 0.30 * largest_rows
 
 
-_SNAPSHOT_PEAK_SCRIPT = """
+_PEAK_SCRIPT = """
 from repro.core.epp import EPPEngine
 from repro.netlist.generate import generate_iscas
 
-EPPEngine(generate_iscas("s9234")).snapshot()
+engine = EPPEngine(generate_iscas("s9234"))
+ids = [engine._cones.resolve(site) for site in engine.default_sites()]
+{call}
 with open("/proc/self/status") as status:
     print(next(line for line in status if line.startswith("VmHWM:")))
 """
 
 
+def fresh_process_peak_mb(call: str) -> float:
+    """VmHWM (MiB) of a fresh process that builds s9234's engine and
+    default site ids, then runs the statement ``call``."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = (
+        os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_SCRIPT.format(call=call)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[1]) / 1024
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmHWM from /proc")
 class TestPackedPeak:
-    @pytest.mark.slow
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                        reason="reads VmHWM from /proc")
+    def test_s9234_pack_sites_peak_rss(self):
+        """A fresh process's s9234 ``pack_sites`` over the default sites
+        (every on-path (site, sink) pair) peaks (VmHWM) under 158 MB:
+        149.9 MB when each chunk's packed pairs are written once,
+        straight into their input-order rows, on a packed-query arena
+        that recycles site slots; 166.6 MB when the chunks' parts were
+        concatenated and then reordered (2 fresh runs each, 2-vCPU
+        x86-64 VM)."""
+        peak = fresh_process_peak_mb("engine.vector_backend().pack_sites(ids)")
+        assert peak < 158, peak
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmHWM from /proc")
+class TestSnapshotPeak:
     def test_s9234_snapshot_peak_rss(self):
         """A fresh process's s9234 ``engine.snapshot()`` peaks (VmHWM)
-        under 158 MB: 149.6 MB when each chunk's packed pairs are
-        written once, straight into their input-order rows, on a
-        packed-query arena that recycles site slots; 166.6 MB when the
-        chunks' parts were concatenated and then reordered (2 fresh runs
-        each, 2-vCPU x86-64 VM)."""
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env["PYTHONPATH"] = (
-            os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", _SNAPSHOT_PEAK_SCRIPT],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        peak_kb = int(proc.stdout.split()[1])
-        assert peak_kb / 1024 < 158, proc.stdout
+        under 100 MB, 7.7 MB above the 92.3 MB it reads when a snapshot
+        runs the column query; 150.0 MB while it packed every (site,
+        sink) pair (2 fresh runs each, 2-vCPU x86-64 VM)."""
+        peak = fresh_process_peak_mb("engine.snapshot()")
+        assert peak < 100, peak
 
 
 _SECOND_CALL_FAULTS_SCRIPT = """
@@ -1073,18 +1095,21 @@ class TestUnifiedReductionPath:
 
     @pytest.mark.parametrize("circuit_name", ["c17", "s27", "c432", "c499"])
     def test_analyze_columns_equal_snapshot(self, circuit_name):
-        """The report ``analyze`` builds and the packed ``snapshot`` the
-        service serves come from the same sweep, bit for bit, on small
-        circuits too: a scalar shortcut for small workloads would differ
-        from the sweep in the last bit (c432 on 26 of 160 sites, c499
-        on 35 of 202)."""
+        """The report ``analyze`` builds, the ``snapshot`` the service
+        serves and the packed query's columns come from the same sweep,
+        bit for bit, on small circuits too: a scalar shortcut for small
+        workloads would differ from the sweep in the last bit (c432 on
+        26 of 160 sites, c499 on 35 of 202)."""
         from repro.core.analysis import SERAnalyzer
 
         analyzer = SERAnalyzer(build_circuit(circuit_name))
         report = analyzer.analyze()
-        packed = analyzer.engine.snapshot().packed
-        assert np.array_equal(report.p_sensitized, packed[0])
-        assert np.array_equal(report.cone_sizes, packed[1])
+        snap = analyzer.engine.snapshot()
+        packed = analyzer.engine.vector_backend().pack_sites(snap.site_ids)
+        for p_sens, cone_sizes in [(snap.p_sensitized, snap.cone_sizes),
+                                   packed[:2]]:
+            assert np.array_equal(report.p_sensitized, p_sens)
+            assert np.array_equal(report.cone_sizes, cone_sizes)
         assert_reference_p_sens(report.p_sensitized, packed)
 
     @pytest.mark.parametrize("mode", ["chunked", "sharded", "resumed"])
@@ -1092,11 +1117,13 @@ class TestUnifiedReductionPath:
         """The same pin over many chunks: s953 in 16-site chunks, fanned
         out over a forced two-worker pool, and resumed from a columns
         journal with half its shards deleted — the report's columns equal
-        the default vector snapshot's packed ones bit for bit."""
+        the default vector packed query's bit for bit."""
         from repro.core.analysis import SERAnalyzer
 
         circuit = build_circuit("s953")
-        packed = EPPEngine(circuit).snapshot().packed
+        engine = EPPEngine(circuit)
+        ids = [engine._cones.resolve(s) for s in engine.default_sites()]
+        packed = engine.vector_backend().pack_sites(ids)
         knobs = {"batch_size": 16}
         if mode != "chunked":
             knobs = {"jobs": 2}
@@ -1191,7 +1218,7 @@ class TestReleaseBuffers:
 
         engine = EPPEngine(build_circuit("s953"))
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
-        expected = dense_backend(engine).pack_sites(ids)
+        expected = dense_backend(engine).analyze_sites(ids)
         backend = engine.vector_backend()
         inside, resume = threading.Event(), threading.Event()
         original = backend._sweep
@@ -1208,7 +1235,8 @@ class TestReleaseBuffers:
 
         def sweep():
             try:
-                outcome["packed"] = engine.snapshot().packed
+                snap = engine.snapshot()
+                outcome["columns"] = (snap.p_sensitized, snap.cone_sizes)
             except Exception as error:  # surfaced by the asserts below
                 outcome["error"] = error
 
@@ -1224,7 +1252,7 @@ class TestReleaseBuffers:
         releaser.join(timeout=60)
         assert not sweeper.is_alive() and not releaser.is_alive()
         assert "error" not in outcome, outcome.get("error")
-        for left, right in zip(expected, outcome["packed"]):
+        for left, right in zip(expected, outcome["columns"], strict=True):
             assert np.array_equal(left, right)
         assert waited
         assert backend._arena is None  # the release ran afterwards

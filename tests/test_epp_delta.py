@@ -1,11 +1,12 @@
-"""Incremental what-if analysis: staleness guards, edit sets, dirty sets, splicing.
+"""Incremental what-if analysis: staleness guards, edit sets, dirty sets, column reuse.
 
-The tentpole invariant under test: ``analyze_delta(prev, edits)`` is
-``np.array_equal`` — bit-identical, not merely close — to a full
-``snapshot`` of the edited circuit, across every backend tier (vector,
-sharded), because retained columns are spliced byte-for-byte and dirty
-columns run through the very same sweep; and to the dense oracle sweep
-of ``tests.helpers`` on the edited circuit.
+The tentpole invariant under test: ``analyze_delta(prev, edits)`` holds
+``p_sensitized`` and ``cone_sizes`` columns ``np.array_equal`` —
+bit-identical, not merely close — to a full ``snapshot`` of the edited
+circuit, across every backend tier (vector, sharded) and along chains,
+because clean sites keep their parent's values byte for byte and dirty
+sites run through the very same column query; and to the dense oracle
+sweep of ``tests.helpers`` on the edited circuit.
 """
 
 import pytest
@@ -18,7 +19,12 @@ from repro.core.epp_delta import EditSet, dirty_mask
 from repro.errors import AnalysisError, NetlistError
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GateType
-from repro.netlist.generate import generate_iscas, random_combinational
+from repro.netlist.generate import (
+    GenerationProfile,
+    generate_circuit,
+    generate_iscas,
+    random_combinational,
+)
 from repro.netlist.library import c17, s27
 
 from tests.helpers import dense_backend
@@ -26,8 +32,9 @@ from tests.helpers import dense_backend
 
 def assert_bit_identical(delta, full):
     assert delta.site_names == full.site_names
-    for left, right in zip(delta.packed, full.packed):
-        assert np.array_equal(left, right)
+    assert np.array_equal(delta.p_sensitized, full.p_sensitized)
+    assert np.array_equal(delta.cone_sizes, full.cone_sizes)
+    assert delta.cone_sizes.dtype == full.cone_sizes.dtype
 
 
 def full_resnapshot(delta):
@@ -36,6 +43,17 @@ def full_resnapshot(delta):
         sites=None if delta.default_sites else delta.site_names,
         **delta.knobs,
     )
+
+
+def assert_columns_exact(delta):
+    """Both columns equal a fresh snapshot of the revision and the dense
+    oracle's column query over its sites, bit for bit."""
+    assert_bit_identical(delta, full_resnapshot(delta))
+    p_sens, cone_sizes = dense_backend(delta.engine).analyze_sites(
+        delta.site_ids
+    )
+    assert np.array_equal(delta.p_sensitized, p_sens)
+    assert np.array_equal(delta.cone_sizes, cone_sizes)
 
 
 # ------------------------------------------------------------------ staleness
@@ -354,7 +372,7 @@ class TestBitIdentity:
         delta = engine.analyze_delta(prev, edits)
         assert delta.stats["dirty"] == dirty
         assert delta.stats["dirty"] + delta.stats["reused"] == delta.stats["sites"]
-        assert_bit_identical(delta, full_resnapshot(delta))
+        assert_columns_exact(delta)
 
     @pytest.mark.parametrize("knobs", TIERS)
     def test_structural_mix(self, knobs):
@@ -362,21 +380,8 @@ class TestBitIdentity:
         engine = EPPEngine(circuit)
         prev = engine.snapshot(**knobs)
         delta = engine.analyze_delta(prev, edits)
-        assert_bit_identical(delta, full_resnapshot(delta))
-
-    @pytest.mark.parametrize("build", [small_xor_swap, structural_mix],
-                             ids=["swap", "mix"])
-    def test_splice_equals_the_dense_oracle(self, build):
-        """The spliced arrays equal the dense oracle's ``pack_sites`` on
-        the edited circuit: splice and compacted re-sweep checked against
-        a sweep that has neither."""
-        circuit, edits = build()
-        engine = EPPEngine(circuit)
-        delta = engine.analyze_delta(engine.snapshot(), edits)
-        assert delta.stats["dirty"] > 0
-        expected = dense_backend(delta.engine).pack_sites(delta.site_ids)
-        for left, right in zip(delta.packed, expected):
-            assert np.array_equal(left, right)
+        assert 0 < delta.stats["dirty"] < delta.stats["sites"]
+        assert_columns_exact(delta)
 
     def test_cone_shrink_and_grow(self):
         circuit = random_combinational(6, 40, seed=7)
@@ -391,7 +396,7 @@ class TestBitIdentity:
         shrunk = engine.analyze_delta(
             prev, EditSet().replace_gate(wide, fanin=circuit.node(wide).fanin[:2])
         )
-        assert_bit_identical(shrunk, full_resnapshot(shrunk))
+        assert_columns_exact(shrunk)
         narrow = next(
             name for name in shrunk.engine.circuit.gates
             if len(shrunk.engine.circuit.node(name).fanin) == 2
@@ -402,7 +407,7 @@ class TestBitIdentity:
             shrunk.engine.circuit.inputs[0],
         )
         grown = shrunk.apply(EditSet().replace_gate(narrow, fanin=grown_fanin))
-        assert_bit_identical(grown, full_resnapshot(grown))
+        assert_columns_exact(grown)
 
     def test_chained_deltas(self):
         circuit = s27()
@@ -412,7 +417,8 @@ class TestBitIdentity:
         d2 = d1.apply(EditSet().set_sp("G0", 0.3))
         d3 = d2.apply(EditSet().replace_gate("G11", "or"))
         assert d3.stats["chain_length"] == 3
-        assert_bit_identical(d3, full_resnapshot(d3))
+        for delta in (d1, d2, d3):
+            assert_columns_exact(delta)
 
     def test_empty_edit_set_reuses_everything(self):
         engine = EPPEngine(c17())
@@ -421,7 +427,7 @@ class TestBitIdentity:
         assert delta.stats["dirty"] == 0
         assert delta.stats["reused"] == delta.stats["sites"]
         assert delta.engine is prev.engine
-        assert_bit_identical(delta, full_resnapshot(delta))
+        assert_columns_exact(delta)
 
     def test_harden_only_edit_resweeps_nothing(self):
         engine = EPPEngine(c17())
@@ -433,7 +439,7 @@ class TestBitIdentity:
         assert delta.hardening == {"N10": 10.0}  # the parent is untouched
         assert chained.engine is prev.engine
         assert chained.stats["chain_length"] == 2
-        assert_bit_identical(chained, full_resnapshot(chained))
+        assert_columns_exact(chained)
 
     def test_scalar_oracle_agreement(self):
         engine = EPPEngine(s27())
@@ -451,8 +457,7 @@ class TestBitIdentity:
         assert not prev.default_sites
         delta = engine.analyze_delta(prev, EditSet().replace_gate("N16", "nor"))
         assert delta.site_names == sites
-        full = delta.engine.snapshot(sites=sites)
-        assert_bit_identical(delta, full)
+        assert_columns_exact(delta)
 
     def test_default_sites_rederived_after_add(self):
         engine = EPPEngine(c17())
@@ -464,7 +469,7 @@ class TestBitIdentity:
             ),
         )
         assert "extra" in delta.site_names
-        assert_bit_identical(delta, full_resnapshot(delta))
+        assert_columns_exact(delta)
 
     def test_removed_site_drops_from_retained_list(self):
         circuit = c17()
@@ -474,7 +479,7 @@ class TestBitIdentity:
         prev = engine.snapshot(sites=["N22", "spare"])
         dropped = engine.analyze_delta(prev, EditSet().remove_node("spare"))
         assert dropped.site_names == ["N22"]
-        assert_bit_identical(dropped, dropped.engine.snapshot(sites=["N22"]))
+        assert_columns_exact(dropped)
 
     def test_wrong_engine_rejected(self):
         engine_a = EPPEngine(c17())
@@ -502,11 +507,140 @@ class TestBitIdentity:
         )
         assert delta.knobs["batch_size"] == 2
         assert delta.knobs["backend"] == "vector"  # untouched keys survive
-        assert_bit_identical(delta, full_resnapshot(delta))
-        expected = dense_backend(delta.engine).pack_sites(delta.site_ids)
-        for left, right in zip(delta.packed, expected):
-            assert np.array_equal(left, right)
+        assert_columns_exact(delta)
 
+    def test_pool_sharded_chain(self, monkeypatch, tmp_path):
+        """A snapshot and two chained structural deltas through a real
+        two-worker pool (crossover guard off): every sweep ships two
+        columns per shard, the snapshot's journal holds ``columns``
+        shards, and every revision's columns are exact."""
+        import json
+
+        from repro.core.epp_shard import ShardedEPPEngine
+
+        monkeypatch.setattr(ShardedEPPEngine, "_use_local",
+                            lambda self, n_sites: False)
+        circuit, edits = structural_mix()
+        journal = tmp_path / "journal"
+        prev = EPPEngine(circuit).snapshot(
+            backend="sharded", jobs=2, checkpoint=str(journal)
+        )
+        revisions = [prev]
+        try:
+            manifest = json.loads((journal / "manifest.json").read_text())
+            assert manifest["payload_key"].endswith("|kind=columns")
+            first = prev.apply(edits)
+            revisions.append(first)
+            second = first.apply(
+                EditSet().replace_gate(first.site_names[0], "xnor")
+            )
+            revisions.append(second)
+            for delta in revisions:
+                shards = delta.engine._sharded_backend.stats["pickle_shards"]
+                assert shards > 0
+                assert_columns_exact(delta)
+            assert second.stats["chain_length"] == 2
+            assert 0 < second.stats["dirty"] < second.stats["sites"]
+        finally:
+            for delta in revisions:
+                delta.engine.release_buffers()
+
+
+# ------------------------------------------------------------ sink-set edits
+
+#: A small random sequential circuit: 5 inputs, 3 outputs, 6 flip-flops,
+#: 60 gates, depth 8.
+SEQUENTIAL = GenerationProfile("seq60", 5, 3, 6, 60, 8)
+
+
+def sink_edit(circuit, op: str) -> EditSet:
+    """One edit of kind ``op`` on a sequential ``circuit``.
+
+    ``mark_output`` makes a gate that is no sink observable;
+    ``rewire_d_pin`` moves a flip-flop's D pin onto such a gate;
+    ``replace_d_driver`` turns a D driver into an AND of two primary
+    inputs, so every site that reached it through its old fanin loses
+    that sink; ``remove_output`` deletes a primary output nothing reads.
+    """
+    compiled = circuit.compiled()
+    sinks = {compiled.names[sink_id] for sink_id in compiled.sink_ids}
+    plain = [name for name in circuit.gates if name not in sinks]
+    gate = plain[len(plain) // 2]
+    flip_flop = circuit.flip_flops[0]
+    driver = circuit.node(flip_flop).fanin[0]
+    if op == "mark_output":
+        return EditSet().mark_output(gate)
+    if op == "rewire_d_pin":
+        return EditSet().rewire(flip_flop, driver, gate)
+    if op == "replace_d_driver":
+        return EditSet().replace_gate(driver, "and", circuit.inputs[:2])
+    read = {name for node in circuit for name in node.fanin}
+    unused = next(name for name in circuit.outputs if name not in read)
+    return EditSet().remove_node(unused)
+
+
+def reachable_sinks(engine, site: str) -> frozenset:
+    names = engine.compiled.names
+    return frozenset(names[sink_id] for sink_id in engine.cone(site).sinks)
+
+
+class TestSinkSetEdits:
+    """A delta has no per-(site, sink) record a vanished sink could
+    contradict, so the dirty set alone must catch every site whose sinks
+    an edit adds, removes or re-routes.  The SP map is user-supplied, so
+    no SP ripple dirties the sites for another reason."""
+
+    @pytest.mark.parametrize("op", [
+        "mark_output", "rewire_d_pin", "replace_d_driver", "remove_output",
+    ])
+    @pytest.mark.parametrize(
+        "build",
+        [s27, lambda: generate_circuit(SEQUENTIAL, seed=5)],
+        ids=["s27", "random-sequential"],
+    )
+    def test_sink_changes_dirty_every_reaching_site(self, build, op,
+                                                    monkeypatch):
+        from repro.core.epp_batch import BatchEPPBackend
+
+        circuit = build()
+        base = EPPEngine(circuit)
+        sp = dict(zip(base.compiled.names, base._sp))
+        engine = EPPEngine(circuit, signal_probs=sp)
+        prev = engine.snapshot()
+        swept: list[int] = []
+        column_query = BatchEPPBackend.analyze_sites
+
+        def recording(backend, site_ids):
+            swept.extend(site_ids)
+            return column_query(backend, site_ids)
+
+        monkeypatch.setattr(BatchEPPBackend, "analyze_sites", recording)
+        delta = engine.analyze_delta(prev, sink_edit(circuit, op))
+        monkeypatch.undo()
+
+        new = delta.engine
+        dirty = {new.compiled.names[site_id] for site_id in swept}
+        assert len(dirty) == delta.stats["dirty"] > 0
+        assert delta.stats["reused"] > 0  # the dirty set stays local
+        names = engine.compiled.names
+        old_sinks = {names[sink_id] for sink_id in engine.compiled.sink_ids}
+        new_sinks = {
+            new.compiled.names[sink_id] for sink_id in new.compiled.sink_ids
+        }
+        changed = old_sinks ^ new_sinks
+        assert bool(changed) == (op != "replace_d_driver")
+        reaching = 0
+        for site in delta.site_names:
+            after = reachable_sinks(new, site)
+            before = (
+                reachable_sinks(engine, site)
+                if site in engine.compiled.index else None
+            )
+            if before is None or before != after or (before | after) & changed:
+                reaching += 1
+                assert site in dirty, site
+        assert reaching > 0
+        assert_columns_exact(delta)
 
 
 class TestMetadataOnlyReuse:
@@ -514,7 +648,7 @@ class TestMetadataOnlyReuse:
 
     Nothing it could recompute differs from the parent — same netlist,
     same SP map, same columns — so the revision shares the parent's
-    engine and packed arrays and carries only the new hardening map.
+    engine and columns and carries only the new hardening map.
     """
 
     @staticmethod
@@ -561,14 +695,15 @@ class TestMetadataOnlyReuse:
             "sites": len(prev.site_names), "dirty": 0,
             "reused": len(prev.site_names), "frontier": 0, "chain_length": 1,
         }
-        for shared, original in zip(delta.packed, prev.packed):
-            assert shared is original
-            assert not shared.flags.writeable
+        assert delta.generation is prev.generation
+        assert delta.p_sensitized is prev.p_sensitized
+        assert delta.cone_sizes is prev.cone_sizes
+        assert not delta.p_sensitized.flags.writeable
+        assert not delta.cone_sizes.flags.writeable
         with pytest.raises(ValueError):
             delta.p_sensitized[0] = 0.5
-        full = full_resnapshot(delta)
-        assert_bit_identical(delta, full)
-        assert full.hardening == {}  # hardening lives on revisions only
+        assert_columns_exact(delta)
+        assert full_resnapshot(delta).hardening == {}  # revisions only
 
     def test_explicit_sites_reuse_only_when_they_match(self, monkeypatch):
         engine = EPPEngine(c17())
@@ -588,7 +723,7 @@ class TestMetadataOnlyReuse:
         assert other.engine is not prev.engine
         assert other.site_names == sites
         assert other.hardening == {"N10": 2.0}
-        assert_bit_identical(other, other.engine.snapshot(sites=sites))
+        assert_columns_exact(other)
 
     def test_mixed_chain_stays_bit_identical(self):
         analyzer = SERAnalyzer(s27())
@@ -603,7 +738,7 @@ class TestMetadataOnlyReuse:
         for edits, rebuilds in steps:
             delta = prev.apply(edits)
             assert (delta.engine is not prev.engine) == rebuilds
-            assert_bit_identical(delta, full_resnapshot(delta))
+            assert_columns_exact(delta)
             report = analyzer.report_for(delta)
             reference = SERAnalyzer(
                 delta.engine.circuit, engine=delta.engine,
@@ -644,14 +779,14 @@ class TestUserSuppliedSP:
             .mark_output("extra")
             .set_sp("extra", 0.25),
         )
-        assert_bit_identical(delta, full_resnapshot(delta))
+        assert_columns_exact(delta)
 
     def test_tmr_replicas_inherit_sp_via_alias(self):
         _, engine = self.make_engine()
         prev = engine.snapshot()
         # No set_sp for the replicas: they inherit N10's user SP.
         delta = engine.analyze_delta(prev, EditSet().tmr("N10"))
-        assert_bit_identical(delta, full_resnapshot(delta))
+        assert_columns_exact(delta)
         replicas = [n for n in delta.sp_map if n not in prev.sp_map and n != "N10"]
         assert len(replicas) == 3
         for replica in replicas:
@@ -703,9 +838,10 @@ class TestSERAnalyzerDelta:
         ids=["s27", "random"],
     )
     def test_packed_report_equals_materialized_report(self, circuit, monkeypatch):
-        """report_for reads the packed arrays; assembling the same
-        revision from materialized EPPResults (through the per-site
-        reference loop) gives the identical report."""
+        """report_for reads the revision's two columns; assembling the
+        same revision from the EPPResults ``engine.analyze`` materializes
+        from packed pairs (through the per-site reference loop) gives the
+        identical report."""
         from repro.core.epp_batch import BatchEPPBackend
         from tests.helpers import ReferenceReport, reference_assemble
 
@@ -716,10 +852,8 @@ class TestSERAnalyzerDelta:
         delta = delta.apply(EditSet().replace_gate(delta.site_names[-1], "xor"))
         delta = delta.apply(EditSet().harden(delta.site_names[0], 3.0))
 
-        results: dict = {}
-        delta.engine.vector_backend().materialize(
-            delta.site_ids, delta.packed, results
-        )
+        results = delta.engine.analyze(sites=delta.site_ids, backend="vector")
+        assert list(results) == delta.site_names
         materialized = ReferenceReport(
             delta.engine.circuit.name,
             reference_assemble(
@@ -737,11 +871,11 @@ class TestSERAnalyzerDelta:
             raise AssertionError("the two-factor report materialized results")
 
         monkeypatch.setattr(BatchEPPBackend, "materialize", no_materialize)
-        packed = analyzer.report_for(delta)
-        assert packed.nodes == materialized.nodes
-        assert list(packed.nodes) == list(materialized.nodes)
-        assert packed.to_dict(5) == materialized.to_dict(5)
-        assert packed.total_fit == materialized.total_fit
+        report = analyzer.report_for(delta)
+        assert report.nodes == materialized.nodes
+        assert list(report.nodes) == list(materialized.nodes)
+        assert report.to_dict(5) == materialized.to_dict(5)
+        assert report.total_fit == materialized.total_fit
 
 
 # ------------------------------------------------------------- thread safety

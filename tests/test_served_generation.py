@@ -1,9 +1,9 @@
-"""One packed generation, encoded and laid out once.
+"""One generation, encoded and laid out once.
 
-A snapshot or a structural delta packs a new
-:class:`~repro.core.epp_delta.Generation`; a harden-only revision shares
-its parent's.  What the generation determines is computed once and
-shared: the JSON text of the served ``sites``/``p_sensitized``/
+A snapshot or a structural delta starts a new
+:class:`~repro.core.epp_delta.Generation` (its two result columns); a
+harden-only revision shares its parent's.  What the generation
+determines is computed once and shared: the JSON text of the served ``sites``/``p_sensitized``/
 ``cone_sizes`` columns, which :func:`~repro.server.protocol.encode`
 splices into every response, and the report's
 :class:`~repro.core.analysis.SiteRows`.  Model values stay per call.
@@ -266,7 +266,7 @@ def test_replaced_models_are_read_per_call():
 
 
 def test_racing_builders_share_one_finished_entry():
-    generation = Generation((np.zeros(3), np.zeros(3, dtype=np.intp)))
+    generation = Generation(np.zeros(3), np.zeros(3, dtype=np.intp))
     built = []
 
     def build():
@@ -298,15 +298,17 @@ def test_racing_builders_share_one_finished_entry():
     assert len(seen) == readers and 1 <= len(built) <= readers
     assert all(value is seen[0] for value in seen)
     assert seen[0] in built and len(seen[0]) == 500
-    assert not any(array.flags.writeable for array in generation.packed)
+    assert not generation.p_sensitized.flags.writeable
+    assert not generation.cone_sizes.flags.writeable
 
 
 def test_memoized_generation_arrays_are_read_only():
     analyzer = SERAnalyzer(c17())
     delta = analyzer.snapshot()
-    assert all(array.flags.writeable for array in delta.packed)
+    columns = (delta.p_sensitized, delta.cone_sizes)
+    assert all(array.flags.writeable for array in columns)
     analyzer.report_for(delta)
-    assert not any(array.flags.writeable for array in delta.packed)
+    assert not any(array.flags.writeable for array in columns)
     with pytest.raises(ValueError):
         delta.p_sensitized[0] = 0.5
 

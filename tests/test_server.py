@@ -226,6 +226,12 @@ class TestProtocol:
         # Removed sweep knobs: schedule and prune.
         {"op": "analyze", "circuit": "c17", "knobs": {"schedule": "cone"}},
         {"op": "analyze", "circuit": "c17", "knobs": {"prune": "auto"}},
+        # Site entries that are not names: the analysis layer would read
+        # a number as a node id (-1 is the last node, True is node 1).
+        {"op": "analyze", "circuit": "c17", "sites": [-1]},
+        {"op": "analyze", "circuit": "c17", "sites": ["N22", True]},
+        {"op": "analyze", "circuit": "c17", "sites": [1000000]},
+        {"op": "analyze", "circuit": "c17", "sites": [1.5]},
     ])
     def test_parse_request_rejects(self, obj):
         with pytest.raises(ConfigError):
@@ -274,6 +280,9 @@ class TestProtocol:
         [["set_sp", "g1", "x"]],  # unconvertible probability
         [["set_sp", "g1", None]],
         [["add_gate", "extra", "and", 5]],  # fanin is not a list
+        # A string fanin would split into one fanin per character.
+        [["add_gate", "x", "and", "ab"]],
+        [["replace_gate", "x", "and", "ab"]],
     ])
     def test_edits_from_wire_rejects(self, ops):
         with pytest.raises(ConfigError):
@@ -365,6 +374,8 @@ class TestServiceCore:
                     ([["harden", sites[0], "inf"]], "AnalysisError", "finite"),
                     ([["harden", sites[0], "abc"]], "ConfigError", "'harden'"),
                     ([["set_sp", "N1", "x"]], "ConfigError", "'set_sp'"),
+                    ([["add_gate", "x", "and", "N1"]], "ConfigError",
+                     "'add_gate'"),
                 ]:
                     response = await svc._respond(wire(
                         op="analyze_delta", circuit="c17", edits=edits,
@@ -906,6 +917,26 @@ class TestSocketAndCLI:
                             client.call({"op": "nonsense"})
                         assert excinfo.value.type == "ConfigError"
                         assert not excinfo.value.retriable
+                await asyncio.to_thread(drive)
+        asyncio.run(main())
+
+    def test_socket_rejects_sites_that_are_not_names(self, tmp_path):
+        """A numeric site entry is a terminal ConfigError on the wire, not
+        a silently analyzed node id nor an InternalError."""
+        async def main():
+            async with serving(tmp_path) as svc:
+                def drive():
+                    with ServeClient(svc.socket_path) as client:
+                        for sites in ([-1, True], [1000000], [1.5]):
+                            response = client.request({
+                                "op": "analyze", "circuit": "c17",
+                                "sites": sites,
+                            })
+                            assert not response["ok"], sites
+                            error = response["error"]
+                            assert error["type"] == "ConfigError", error
+                            assert "site names" in error["message"]
+                            assert not error["retriable"]
                 await asyncio.to_thread(drive)
         asyncio.run(main())
 
