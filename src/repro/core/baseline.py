@@ -100,39 +100,6 @@ class RandomSimulationEstimator:
             remaining -= width
         return {name: counts[name] / self.n_vectors for name in site_names}
 
-    def estimate_adaptive(
-        self,
-        site: int | str,
-        half_width: float = 0.01,
-        confidence_z: float = 1.96,
-        max_vectors: int = 1_000_000,
-    ) -> tuple[float, int]:
-        """Estimate one site until the CI half-width target is met.
-
-        Runs batches until the normal-approximation confidence interval
-        half-width ``z * sqrt(p(1-p)/n)`` drops below ``half_width`` (or
-        ``max_vectors`` is reached).  Returns ``(estimate, vectors_used)``.
-        """
-        if not 0.0 < half_width < 0.5:
-            raise SimulationError(f"half_width must be in (0, 0.5), got {half_width}")
-        name = self._site_name(site)
-        source = RandomVectorSource(self._sources, seed=self.seed, weights=self._weights)
-        count = 0
-        used = 0
-        while used < max_vectors:
-            width = min(self.word_width, max_vectors - used)
-            words = source.next_words(width)
-            good = self.injector.simulator.run(words, width)
-            count += self.injector.detection_count(good, name, width)
-            used += width
-            p = count / used
-            spread = confidence_z * ((p * (1.0 - p) / used) ** 0.5)
-            # Guard: a run of all-0/all-1 observations gives spread 0 long
-            # before the estimate is trustworthy; require a floor sample.
-            if used >= 4 * self.word_width and spread <= half_width:
-                break
-        return count / used, used
-
     def _site_name(self, site: int | str) -> str:
         if isinstance(site, str):
             if site not in self.compiled.index:

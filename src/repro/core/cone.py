@@ -18,6 +18,7 @@ For an error site ``n_i``:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from repro.errors import AnalysisError
@@ -68,14 +69,24 @@ class ConeExtractor:
         return cached
 
     def resolve(self, site: int | str) -> int:
+        """A site's node id, from its name or its integer id.
+
+        Every bulk query resolves its sites here.  An unknown name, an id
+        out of range, a ``bool`` and a non-integral value raise
+        :class:`~repro.errors.AnalysisError`; NumPy integers are ids.
+        """
         if isinstance(site, str):
             try:
                 return self.compiled.index[site]
             except KeyError:
                 raise AnalysisError(f"unknown error site {site!r}") from None
+        if isinstance(site, bool) or not isinstance(site, numbers.Integral):
+            raise AnalysisError(
+                f"error site must be a node name or an integer id, got {site!r}"
+            )
         if not 0 <= site < self.compiled.n:
             raise AnalysisError(f"error site id {site} out of range")
-        return site
+        return int(site)
 
     def _extract(self, site_id: int) -> OnPathCone:
         compiled = self.compiled

@@ -81,17 +81,8 @@ from repro.core.rules_vec import (
     row_scratch_cells,
 )
 from repro.core.schedule import cone_cluster_order
-from repro.netlist.circuit import CompiledCircuit
-from repro.netlist.gate_types import (
-    CODE_AND,
-    CODE_BUF,
-    CODE_NAND,
-    CODE_NOR,
-    CODE_NOT,
-    CODE_OR,
-    CODE_XNOR,
-    CODE_XOR,
-)
+from repro.netlist.circuit import PADDABLE_CODES, CompiledCircuit
+from repro.netlist.gate_types import CODE_BUF, CODE_NOT
 
 __all__ = [
     "BatchPlan",
@@ -235,19 +226,11 @@ class _Group:
         self.scratch_row = scratch_row
 
 
-#: Codes whose kernels have an exact neutral input, letting mixed-arity
-#: gates share one group (see ``CompiledCircuit.level_gate_groups``): the
-#: AND family is padded with the constant-1 sentinel, OR/XOR families with
-#: constant 0.  The SP pass (:mod:`repro.probability.signal_prob`) shares
-#: these sets — its kernels have the same neutral elements.
-_PADDABLE_CODES = frozenset(
-    (CODE_AND, CODE_NAND, CODE_OR, CODE_NOR, CODE_XOR, CODE_XNOR)
-)
-_PAD_ONE_CODES = frozenset((CODE_AND, CODE_NAND))
-
-#: Codes with closed-form kernels; everything else runs the generic
-#: truth-table kernel, whose per-cell cost dwarfs the compacted gather.
-_CLOSED_FORM_CODES = _PADDABLE_CODES | frozenset((CODE_NOT, CODE_BUF))
+#: Codes with closed-form kernels: the paddable families
+#: (``CompiledCircuit.level_gate_groups``) plus NOT and BUF.  Everything
+#: else runs the generic truth-table kernel, whose per-cell cost dwarfs
+#: the compacted gather.
+_CLOSED_FORM_CODES = PADDABLE_CODES | frozenset((CODE_NOT, CODE_BUF))
 
 #: The ``pa`` and ``pā`` plane offsets a sink capture gathers, as a column.
 _ERROR_PLANES = np.asarray(((0,), (1,)), dtype=np.intp)
@@ -383,9 +366,7 @@ class BatchPlan:
     def __init__(self, compiled: CompiledCircuit):
         self.n = compiled.n
         levels: dict[int, list[_Group]] = {}
-        for level, code, outs, fins, width in compiled.level_gate_groups(
-            _PADDABLE_CODES, _PAD_ONE_CODES
-        ):
+        for level, code, outs, fins, width in compiled.level_gate_groups():
             cell_factor = (
                 _CELL_FACTOR_CLOSED if code in _CLOSED_FORM_CODES
                 else _CELL_FACTOR_TABLE

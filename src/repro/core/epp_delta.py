@@ -475,16 +475,6 @@ def _column_backend(engine: EPPEngine, knobs: Mapping):
         return engine._backend(backend, config)
 
 
-def _resolve_site_names(engine: EPPEngine, sites) -> tuple[list[str], bool]:
-    """Site argument -> (names, was-defaulted)."""
-    if sites is None:
-        return engine.default_sites(), True
-    names = engine.compiled.names
-    return [
-        site if isinstance(site, str) else names[site] for site in sites
-    ], False
-
-
 def snapshot(
     engine: EPPEngine,
     sites=None,
@@ -500,9 +490,13 @@ def snapshot(
     # _column_backend takes it again.
     with engine._sweep_lock:
         backend = _column_backend(engine, resolved)
-        site_names, defaulted = _resolve_site_names(engine, sites)
-        site_ids = [engine._cones.resolve(name) for name in site_names]
+        defaulted = sites is None
+        site_ids = [
+            engine._cones.resolve(site)
+            for site in (engine.default_sites() if defaulted else sites)
+        ]
         columns = backend.analyze_sites(site_ids)
+    site_names = [engine.compiled.names[site_id] for site_id in site_ids]
 
     delta = DeltaAnalysis()
     delta.engine = engine
@@ -549,9 +543,9 @@ def _prepare_reuse(prev: DeltaAnalysis, edits: EditSet, sites) -> dict | None:
     for name in edits.hardening:
         circuit.node(name)  # raises NetlistError on unknown nodes
     if sites is not None:
-        names = prev.engine.compiled.names
+        engine = prev.engine
         requested = [
-            site if isinstance(site, str) else names[site] for site in sites
+            engine.compiled.names[engine._cones.resolve(site)] for site in sites
         ]
         if requested != prev.site_names:
             return None
@@ -642,7 +636,7 @@ def _prepare(prev: DeltaAnalysis, edits: EditSet, sites) -> dict:
 
     if sites is not None:
         site_names = [
-            site if isinstance(site, str) else new_compiled.names[site]
+            new_compiled.names[new_engine._cones.resolve(site)]
             for site in sites
         ]
         defaulted = False
@@ -661,11 +655,7 @@ def _prepare(prev: DeltaAnalysis, edits: EditSet, sites) -> dict:
     site_ids: list[int] = []
     dirty_flags: list[bool] = []
     for name in site_names:
-        node_id = new_index.get(name)
-        if node_id is None:
-            raise AnalysisError(
-                f"analyze_delta: unknown site {name!r} on the edited circuit"
-            )
+        node_id = new_index[name]
         site_ids.append(node_id)
         dirty_flags.append(
             name not in old_column

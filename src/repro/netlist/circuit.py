@@ -28,6 +28,12 @@ from dataclasses import dataclass
 
 from repro.errors import NetlistError
 from repro.netlist.gate_types import (
+    CODE_AND,
+    CODE_NAND,
+    CODE_NOR,
+    CODE_OR,
+    CODE_XNOR,
+    CODE_XOR,
     GATE_CODES,
     GateType,
     check_arity,
@@ -35,6 +41,16 @@ from repro.netlist.gate_types import (
 )
 
 __all__ = ["Node", "Circuit", "CompiledCircuit"]
+
+#: The mixed-arity padding policy of :meth:`CompiledCircuit.level_gate_groups`.
+#: These codes' kernels (batch EPP and SP alike) have an exact neutral
+#: input, so their gates share one block per level across arities: the
+#: AND family is padded with the constant-1 sentinel, the OR/XOR
+#: families with constant 0.
+PADDABLE_CODES = frozenset(
+    (CODE_AND, CODE_NAND, CODE_OR, CODE_NOR, CODE_XOR, CODE_XNOR)
+)
+PAD_ONE_CODES = frozenset((CODE_AND, CODE_NAND))
 
 
 @dataclass(frozen=True)
@@ -417,20 +433,16 @@ class CompiledCircuit:
 
     # -- topology -----------------------------------------------------------
 
-    def level_gate_groups(
-        self,
-        merge_codes: frozenset[int] | set[int],
-        pad_one_codes: frozenset[int] | set[int],
-    ) -> list[tuple[int, int, list[int], list[list[int]], int]]:
+    def level_gate_groups(self) -> list[tuple[int, int, list[int], list[list[int]], int]]:
         """Combinational gates bucketed into rectangular per-level blocks.
 
         The common execution-plan shape of the vectorized engines (the
         batch EPP backend and the level-parallel SP pass): gates grouped by
         ``(level, gate code)`` — per exact arity normally, with mixed
-        arities of ``merge_codes`` sharing one block via sentinel padding.
-        Short fanin rows of merged blocks are padded to the block width
-        with sentinel node id ``n`` (a constant-1 input, for codes in
-        ``pad_one_codes``) or ``n + 1`` (constant 0); padding with a
+        arities of :data:`PADDABLE_CODES` sharing one block via sentinel
+        padding.  Short fanin rows of merged blocks are padded to the
+        block width with sentinel node id ``n`` (a constant-1 input, for
+        :data:`PAD_ONE_CODES`) or ``n + 1`` (constant 0); padding with a
         kernel's exact neutral element is a float identity, so consumers
         lose no precision.  Returns ``(level, code, out_ids, fanin_rows,
         width)`` tuples sorted by level; ``fanin_rows`` is rectangular.
@@ -442,7 +454,7 @@ class CompiledCircuit:
                 continue
             pins = self.fanin(node_id)
             code = self.code[node_id]
-            arity = -1 if code in merge_codes else len(pins)
+            arity = -1 if code in PADDABLE_CODES else len(pins)
             outs, fins = buckets.setdefault(
                 (self.level[node_id], code, arity), ([], [])
             )
@@ -452,7 +464,7 @@ class CompiledCircuit:
         for (level, code, arity), (outs, fins) in sorted(buckets.items()):
             width = max(len(pins) for pins in fins)
             if arity == -1 and any(len(pins) != width for pins in fins):
-                pad = one_id if code in pad_one_codes else zero_id
+                pad = one_id if code in PAD_ONE_CODES else zero_id
                 fins = [pins + [pad] * (width - len(pins)) for pins in fins]
             groups.append((level, code, outs, fins, width))
         return groups

@@ -8,13 +8,19 @@ across all error sites and "already used in other steps of the design flow".
 
 Four backends, trading accuracy for runtime:
 
-* ``topological`` — one topological pass assuming signal independence
-  (fast, exact on fanout-free circuits, biased under reconvergence).
+* ``topological`` — one level-parallel NumPy pass assuming signal
+  independence (fast, exact on fanout-free circuits, biased under
+  reconvergence).
 * ``cut`` — local BDDs over a bounded-depth cut capture nearby
   reconvergence (accuracy midpoint).
 * ``monte_carlo`` — bit-parallel random simulation (converges to truth,
   slow; this is the backend the Table 2 harness charges as SPT).
 * ``exact`` — global BDDs (ground truth; small circuits only).
+
+All four check their sources first, by one rule: ``input_probs`` names
+primary inputs only, each value in [0, 1], or :class:`ProbabilityError`
+is raised.  On sequential circuits the topological and cut passes run
+under one fixed-point driver.  Both live in :mod:`.signal_prob`.
 
 :func:`signal_probabilities` is the façade over all four.
 """

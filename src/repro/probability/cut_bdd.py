@@ -13,6 +13,10 @@ For every node, a backward traversal collects the gates within
 weighted with their own (previously computed) SPs.  If the boundary grows
 beyond ``max_cut_width`` signals the window is shrunk for that node, in the
 limit degenerating to the plain topological formula over direct fanins.
+
+Sources are checked, and sequential circuits iterated, exactly as in the
+topological backend (:mod:`repro.probability.signal_prob`): only the pass
+differs.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GateType
 from repro.probability.bdd import BDD
 from repro.probability.exact import _gate_bdd
+from repro.probability.signal_prob import check_sources, run_fixed_point
 
 __all__ = ["cut_signal_probabilities"]
 
@@ -38,42 +43,23 @@ def cut_signal_probabilities(
 ) -> dict[str, float]:
     """SP of every node using depth-``cut_depth`` local BDD windows.
 
-    Sequential circuits use the same fixed-point scheme as the topological
-    backend: DFF outputs start at 0.5 and iterate until the state SPs settle.
+    Sequential circuits iterate the cut pass with the shared fixed-point
+    driver, up to ``max_iterations`` passes to ``tolerance``.
     """
+    compiled = circuit.compiled()
+    fixed, state = check_sources(compiled, input_probs)
     if cut_depth < 1:
         raise ProbabilityError(f"cut_depth must be >= 1, got {cut_depth}")
     if max_cut_width < 2:
         raise ProbabilityError(f"max_cut_width must be >= 2, got {max_cut_width}")
 
-    compiled = circuit.compiled()
-    fixed: dict[int, float] = {}
-    for name, p in (input_probs or {}).items():
-        node_id = compiled.index.get(name)
-        if node_id is None:
-            raise ProbabilityError(f"input_probs names unknown node {name!r}")
-        if not 0.0 <= p <= 1.0:
-            raise ProbabilityError(f"probability for {name!r} out of [0,1]: {p}")
-        fixed[node_id] = float(p)
-
-    state = {dff: 0.5 for dff in compiled.dff_ids}
-    d_driver = {dff: compiled.fanin(dff)[0] for dff in compiled.dff_ids}
     probs = [0.0] * compiled.n
-
-    rounds = max_iterations if compiled.dff_ids else 1
-    for _ in range(max(1, rounds)):
-        _cut_pass(compiled, probs, fixed, state, cut_depth, max_cut_width)
-        if not compiled.dff_ids:
-            break
-        delta = 0.0
-        for dff, driver in d_driver.items():
-            delta = max(delta, abs(probs[driver] - state[dff]))
-            state[dff] = probs[driver]
-        if delta < tolerance:
-            _cut_pass(compiled, probs, fixed, state, cut_depth, max_cut_width)
-            break
-
-    return {compiled.names[i]: probs[i] for i in range(compiled.n)}
+    values = run_fixed_point(
+        compiled,
+        lambda state: _cut_pass(compiled, probs, fixed, state, cut_depth, max_cut_width),
+        state, max_iterations, tolerance,
+    )
+    return {compiled.names[i]: values[i] for i in range(compiled.n)}
 
 
 def _cut_pass(
@@ -83,7 +69,7 @@ def _cut_pass(
     state: dict[int, float],
     cut_depth: int,
     max_cut_width: int,
-) -> None:
+) -> list[float]:
     level = compiled.level
     for node_id in compiled.topo:
         gate_type = compiled.gate_type(node_id)
@@ -110,6 +96,7 @@ def _cut_pass(
                 break
             depth -= 1
         probs[node_id] = _window_probability(compiled, node_id, leaves, interior, probs)
+    return probs
 
 
 def _collect_window(compiled, root: int, level_limit: int) -> tuple[list[int], list[int]]:

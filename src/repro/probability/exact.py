@@ -20,6 +20,7 @@ from repro.errors import ProbabilityError
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GateType, truth_table
 from repro.probability.bdd import BDD
+from repro.probability.signal_prob import check_sources
 
 __all__ = ["exact_signal_probabilities", "build_node_bdds"]
 
@@ -92,15 +93,14 @@ def exact_signal_probabilities(
     max_nodes: int = 2_000_000,
 ) -> dict[str, float]:
     """Exact SP of every node under independent primary inputs."""
+    compiled = circuit.compiled()
+    fixed, _ = check_sources(compiled, input_probs)
     bdd = BDD(max_nodes=max_nodes)
     _, functions, var_levels = build_node_bdds(circuit, manager=bdd)
-    probs_by_level: dict[int, float] = {}
-    defaults = input_probs or {}
-    for name, level in var_levels.items():
-        p = float(defaults.get(name, 0.5))
-        if not 0.0 <= p <= 1.0:
-            raise ProbabilityError(f"probability for {name!r} out of [0,1]: {p}")
-        probs_by_level[level] = p
+    probs_by_level = {
+        level: fixed.get(compiled.index[name], 0.5)
+        for name, level in var_levels.items()
+    }
     return {
         name: bdd.sat_prob(fn, probs_by_level) for name, fn in functions.items()
     }

@@ -19,6 +19,7 @@ from collections.abc import Mapping
 
 from repro.errors import ProbabilityError
 from repro.netlist.circuit import Circuit
+from repro.probability.signal_prob import check_sources
 from repro.sim.logic_sim import BitParallelSimulator, simulate_sequential
 from repro.sim.vectors import RandomVectorSource
 
@@ -50,6 +51,8 @@ def monte_carlo_signal_probabilities(
     explicit ``rng`` form lets a calling experiment derive all of its
     stochastic components from one master generator.
     """
+    compiled = circuit.compiled()
+    check_sources(compiled, input_probs)
     if n_vectors < 1:
         raise ProbabilityError(f"n_vectors must be >= 1, got {n_vectors}")
     if word_width < 1:
@@ -60,7 +63,6 @@ def monte_carlo_signal_probabilities(
         # pure functions of the caller's generator state.
         seed = rng.getrandbits(64)
 
-    compiled = circuit.compiled()
     counts = [0] * compiled.n
     source = RandomVectorSource(circuit.inputs, seed=seed, weights=input_probs)
 

@@ -16,7 +16,24 @@ from repro.core.epp import EPPResult
 from repro.core.epp_batch import BatchEPPBackend
 from repro.errors import AnalysisError
 from repro.netlist.circuit import Circuit
-from repro.netlist.gate_types import GateType
+from repro.netlist.gate_types import (
+    CODE_AND,
+    CODE_BUF,
+    CODE_CONST0,
+    CODE_CONST1,
+    CODE_DFF,
+    CODE_INPUT,
+    CODE_MUX,
+    CODE_NAND,
+    CODE_NOR,
+    CODE_NOT,
+    CODE_OR,
+    CODE_XNOR,
+    CODE_XOR,
+    GateType,
+    truth_table,
+)
+from repro.probability.signal_prob import check_sources, run_fixed_point
 from repro.ser.fit import combine_fit, per_second_to_fit
 from repro.sim.fault_sim import FaultInjector
 from repro.sim.vectors import exhaustive_words
@@ -66,6 +83,81 @@ def build_chain(gate_types: list[GateType], name: str = "chain") -> Circuit:
         previous = node
     circuit.mark_output(previous)
     return circuit
+
+
+# ----------------------------------------------- SP pass reference
+
+
+def reference_signal_probabilities(
+    circuit: Circuit, input_probs: Mapping[str, float] | None = None
+) -> dict[str, float]:
+    """The node-by-node topological SP pass, as a map by node name.
+
+    A Python loop over ``compiled.topo`` that evaluates each gate from
+    its fanins in pin order, run through the production fixed-point
+    driver with ``compute_signal_probabilities``' defaults (50 passes,
+    tolerance 1e-9).  The level-grouped NumPy pass must equal it bit for
+    bit on every node.
+    """
+    compiled = circuit.compiled()
+    fixed, state = check_sources(compiled, input_probs)
+    probs = [0.0] * compiled.n
+
+    def one_pass(state: dict[int, float]) -> list[float]:
+        code = compiled.code
+        for node_id in compiled.topo:
+            gate_code = code[node_id]
+            pins = compiled.fanin(node_id)
+            if gate_code == CODE_INPUT:
+                value = fixed.get(node_id, 0.5)
+            elif gate_code == CODE_DFF:
+                value = state[node_id]
+            elif gate_code == CODE_CONST0:
+                value = 0.0
+            elif gate_code == CODE_CONST1:
+                value = 1.0
+            elif gate_code in (CODE_AND, CODE_NAND):
+                value = 1.0
+                for pin in pins:
+                    value *= probs[pin]
+                if gate_code == CODE_NAND:
+                    value = 1.0 - value
+            elif gate_code in (CODE_OR, CODE_NOR):
+                value = 1.0
+                for pin in pins:
+                    value *= 1.0 - probs[pin]
+                if gate_code == CODE_OR:
+                    value = 1.0 - value
+            elif gate_code == CODE_NOT:
+                value = 1.0 - probs[pins[0]]
+            elif gate_code == CODE_BUF:
+                value = probs[pins[0]]
+            elif gate_code in (CODE_XOR, CODE_XNOR):
+                value = 0.0
+                for pin in pins:
+                    value = value * (1.0 - probs[pin]) + (1.0 - value) * probs[pin]
+                if gate_code == CODE_XNOR:
+                    value = 1.0 - value
+            elif gate_code == CODE_MUX:
+                sel, a, b = (probs[pin] for pin in pins)
+                value = (1.0 - sel) * a + sel * b
+            else:
+                # Sum the truth table's minterms in table order.
+                value = 0.0
+                table = truth_table(compiled.gate_type(node_id), len(pins))
+                for assignment, out in enumerate(table):
+                    if not out:
+                        continue
+                    term = 1.0
+                    for k, pin in enumerate(pins):
+                        p = probs[pin]
+                        term *= p if (assignment >> k) & 1 else 1.0 - p
+                    value += term
+            probs[node_id] = value
+        return probs
+
+    values = run_fixed_point(compiled, one_pass, state, 50, 1e-9)
+    return {compiled.names[i]: values[i] for i in range(compiled.n)}
 
 
 # ----------------------------------------------- dense sweep reference

@@ -87,30 +87,3 @@ class TestSerialEstimator:
     def test_validation(self, c17_circuit):
         with pytest.raises(SimulationError):
             SerialRandomSimulationEstimator(c17_circuit, n_vectors=0)
-
-
-class TestAdaptiveEstimation:
-    def test_reaches_target_precision(self, c17_circuit):
-        estimator = RandomSimulationEstimator(c17_circuit, seed=4, word_width=1024)
-        truth = exhaustive_p_sensitized(c17_circuit, "N11")
-        estimate, used = estimator.estimate_adaptive("N11", half_width=0.01)
-        assert estimate == pytest.approx(truth, abs=0.02)
-        assert used >= 4 * estimator.word_width
-
-    def test_easy_sites_stop_early(self, c17_circuit):
-        estimator = RandomSimulationEstimator(c17_circuit, seed=4, word_width=256)
-        # N22 is a PO: p = 1.0, zero variance -> stops at the floor sample.
-        estimate, used = estimator.estimate_adaptive("N22", half_width=0.02)
-        assert estimate == 1.0
-        assert used == 4 * 256
-
-    def test_hard_targets_use_more_vectors(self, c17_circuit):
-        estimator = RandomSimulationEstimator(c17_circuit, seed=4, word_width=256)
-        _, loose = estimator.estimate_adaptive("N11", half_width=0.05)
-        _, tight = estimator.estimate_adaptive("N11", half_width=0.01)
-        assert tight > loose
-
-    def test_validation(self, c17_circuit):
-        estimator = RandomSimulationEstimator(c17_circuit)
-        with pytest.raises(SimulationError):
-            estimator.estimate_adaptive("N11", half_width=0.7)

@@ -1,5 +1,6 @@
 """On-path cone extraction (paper steps 1 and 2)."""
 
+import numpy as np
 import pytest
 
 from repro.core.cone import ConeExtractor
@@ -69,10 +70,12 @@ class TestExtractor:
         by_name = extractor.cone("N11")
         by_id = extractor.cone(compiled.index["N11"])
         assert by_name is by_id
+        assert extractor.cone(np.int64(compiled.index["N11"])) is by_id
+        assert type(extractor.resolve(np.intp(compiled.index["N11"]))) is int
 
     def test_unknown_site(self, c17_circuit):
         extractor = ConeExtractor(c17_circuit.compiled())
-        with pytest.raises(AnalysisError):
-            extractor.cone("zzz")
-        with pytest.raises(AnalysisError):
-            extractor.cone(-1)
+        # A bool is an int to Python, but never a node id here.
+        for site in ("zzz", -1, extractor.compiled.n, True, False, 1.0, None):
+            with pytest.raises(AnalysisError):
+                extractor.cone(site)

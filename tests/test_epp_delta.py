@@ -752,6 +752,54 @@ class TestMetadataOnlyReuse:
         assert prev.stats["chain_length"] == len(steps)
 
 
+class TestSiteResolution:
+    """Every bulk query resolves its sites through the engine's
+    ``ConeExtractor.resolve``: a negative id, a bool, a float and an id
+    one past the last node raise AnalysisError on each of them."""
+
+    @staticmethod
+    def _query(engine, query, sites):
+        if query == "analyze_columns":
+            return engine.analyze_columns(sites=sites)
+        if query == "snapshot":
+            return engine.snapshot(sites=sites)
+        prev = engine.snapshot()
+        if query == "harden_delta":
+            edits = EditSet().harden("N10", 2.0)
+        else:
+            edits = EditSet().replace_gate("N10", "nor")
+        return engine.analyze_delta(prev, edits, sites=sites)
+
+    @pytest.mark.parametrize("site", ["negative", "bool", "float", "past_end"])
+    @pytest.mark.parametrize(
+        "query", ["analyze_columns", "snapshot", "harden_delta", "structural_delta"]
+    )
+    def test_bad_site_raises(self, query, site):
+        engine = EPPEngine(c17())
+        bad = {
+            "negative": -1,
+            "bool": True,
+            "float": 1.0,
+            "past_end": engine.compiled.n,
+        }[site]
+        with pytest.raises(AnalysisError):
+            self._query(engine, query, [bad])
+
+    @pytest.mark.parametrize(
+        "query", ["analyze_columns", "snapshot", "harden_delta", "structural_delta"]
+    )
+    def test_ids_and_names_resolve_alike(self, query):
+        engine = EPPEngine(c17())
+        ids = [engine.compiled.index["N22"], np.int64(engine.compiled.index["N10"])]
+        by_id = self._query(engine, query, ids)
+        by_name = self._query(engine, query, ["N22", "N10"])
+        names = by_id[0] if query == "analyze_columns" else by_id.site_names
+        assert names == ["N22", "N10"]
+        if query != "analyze_columns":
+            assert by_name.site_names == names
+            assert np.array_equal(by_id.p_sensitized, by_name.p_sensitized)
+
+
 class TestUserSuppliedSP:
     def make_engine(self):
         circuit = c17()

@@ -12,6 +12,16 @@ from repro.probability.exact import build_node_bdds, exact_signal_probabilities
 from repro.probability.signal_prob import compute_signal_probabilities
 
 
+#: Sources every backend refuses: (circuit, input_probs, message).
+SOURCE_CASES = {
+    "unknown_name": (c17, {"zz": 0.5}, "unknown node"),
+    "gate_name": (c17, {"N10": 0.5}, "not a primary input"),
+    "flip_flop_name": (s27, {"G5": 0.5}, "not a primary input"),
+    "above_one": (c17, {"N1": 1.5}, "out of"),
+    "nan": (c17, {"N1": float("nan")}, "out of"),
+}
+
+
 class TestExact:
     def test_rejects_sequential(self):
         with pytest.raises(ProbabilityError, match="sequential"):
@@ -104,3 +114,21 @@ class TestFacade:
     def test_unknown_method(self):
         with pytest.raises(ProbabilityError, match="unknown"):
             signal_probabilities(c17(), method="astrology")
+
+    @pytest.mark.parametrize(
+        "method,case",
+        [
+            (method, case)
+            for method in ("topological", "cut", "monte_carlo", "exact")
+            for case in SOURCE_CASES
+            # exact takes no sequential circuit at all
+            if not (method == "exact" and case == "flip_flop_name")
+        ],
+    )
+    def test_source_rule(self, method, case):
+        maker, input_probs, message = SOURCE_CASES[case]
+        options = {"n_vectors": 64} if method == "monte_carlo" else {}
+        with pytest.raises(ProbabilityError, match=message):
+            signal_probabilities(
+                maker(), method=method, input_probs=input_probs, **options
+            )

@@ -75,9 +75,6 @@ DEFINITION_ALLOWLIST = {
     "repro.netlist.transform.CombinationalView.is_identity": (
         "whether that cut changed anything, read off its result"
     ),
-    "repro.core.baseline.RandomSimulationEstimator.estimate_adaptive": (
-        "the sequential-stopping estimator ROADMAP item 5 replaces"
-    ),
     "repro.core.epp_shard.ShardedEPPEngine.worker_stats": (
         "the probe that pins one plan per pool worker"
     ),

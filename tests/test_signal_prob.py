@@ -3,16 +3,22 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ProbabilityError
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GateType, eval_gate_bool
+from repro.netlist.generate import generate_iscas, random_combinational
 from repro.netlist.library import counter, parity_tree, s27
 from repro.probability.monte_carlo import monte_carlo_signal_probabilities
 from repro.probability.signal_prob import (
     SequentialConvergence,
     compute_signal_probabilities,
+    run_fixed_point,
 )
+
+from tests.helpers import reference_signal_probabilities
 
 
 def gate_sp(gate_type, probs):
@@ -128,13 +134,6 @@ class TestSequential:
         with pytest.raises(ProbabilityError, match="non-DFF"):
             compute_signal_probabilities(s27(), state_probs={"G0": 0.5})
 
-    def test_damping_still_converges(self):
-        record = SequentialConvergence()
-        compute_signal_probabilities(
-            s27(), damping=0.5, convergence=record, max_iterations=200
-        )
-        assert record.converged
-
     def test_agrees_with_monte_carlo_on_s27(self):
         sp = compute_signal_probabilities(s27())
         mc = monte_carlo_signal_probabilities(
@@ -145,34 +144,86 @@ class TestSequential:
             assert sp[name] == pytest.approx(mc[name], abs=0.08)
 
 
-class TestVectorizedPass:
-    """The level-parallel NumPy pass must match the scalar pass exactly."""
+class TestFixedPointDriver:
+    """``run_fixed_point`` over a scripted pass on a one-flip-flop loop
+    (``q`` fed back through ``d = NOT(q)``)."""
 
     @staticmethod
-    def _both_passes(circuit, monkeypatch, **kwargs):
-        import repro.probability.signal_prob as sp_mod
+    def _loop(next_state):
+        circuit = Circuit("loop")
+        circuit.add_gate("d", GateType.NOT, ["q"])
+        circuit.add_dff("q", "d")
+        circuit.mark_output("d")
+        compiled = circuit.compiled()
+        q, d = compiled.index["q"], compiled.index["d"]
+        seen = []
 
-        monkeypatch.setattr(sp_mod, "_VEC_MIN_NODES", 0)
-        vec = compute_signal_probabilities(circuit, **kwargs)
-        monkeypatch.setattr(sp_mod, "_VEC_MIN_NODES", circuit.compiled().n + 1)
-        scalar = compute_signal_probabilities(circuit, **kwargs)
-        return vec, scalar
+        def one_pass(state):
+            seen.append(state[q])
+            probs = [0.0] * compiled.n
+            probs[q] = state[q]
+            probs[d] = next_state(state[q])
+            return probs
+
+        return compiled, q, d, one_pass, seen
+
+    def test_settles_then_runs_one_more_pass(self):
+        compiled, q, d, one_pass, seen = self._loop(lambda s: 0.5 * s + 0.25)
+        record = SequentialConvergence()
+        probs = run_fixed_point(compiled, one_pass, {q: 0.0}, 100, 1e-9, record)
+        assert record.converged
+        assert record.final_delta < 1e-9
+        # One pass per iteration, then one at the settled state.
+        assert len(seen) == record.iterations + 1
+        assert probs[q] == seen[-1] == seen[-2] * 0.5 + 0.25
+        assert probs[d] == pytest.approx(0.5, abs=1e-9)
+
+    def test_stops_at_the_cap_without_claiming_convergence(self):
+        # A 2-cycle: 0.25 -> 0.75 -> 0.25 never settles.
+        compiled, q, d, one_pass, seen = self._loop(lambda s: 1.0 - s)
+        record = SequentialConvergence()
+        probs = run_fixed_point(compiled, one_pass, {q: 0.25}, 7, 1e-9, record)
+        assert not record.converged
+        assert record.iterations == len(seen) == 7
+        assert record.final_delta == 0.5
+        assert (probs[q], probs[d]) == (0.25, 0.75)  # the seventh pass
+
+    def test_combinational_circuit_takes_one_pass(self):
+        compiled = parity_tree(4).compiled()
+        calls = []
+        record = SequentialConvergence()
+        run_fixed_point(
+            compiled, lambda state: calls.append(state) or [0.0] * compiled.n,
+            {}, 50, 1e-9, record,
+        )
+        assert calls == [{}]
+        assert record.converged and record.iterations == 0
+
+
+class TestVectorizedPass:
+    """The level-grouped NumPy pass equals the node-by-node oracle
+    (``tests/helpers.py``) bit for bit, on every node."""
+
+    @staticmethod
+    def _assert_matches_oracle(circuit, input_probs=None):
+        sp = compute_signal_probabilities(circuit, input_probs=input_probs)
+        oracle = reference_signal_probabilities(circuit, input_probs=input_probs)
+        assert sp.keys() == oracle.keys()
+        for name, value in oracle.items():
+            assert sp[name] == value, name
 
     @pytest.mark.parametrize("maker", [s27, lambda: counter(4), lambda: parity_tree(8)])
-    def test_matches_scalar_pass(self, maker, monkeypatch):
-        vec, scalar = self._both_passes(maker(), monkeypatch)
-        assert vec.keys() == scalar.keys()
-        for name in scalar:
-            assert vec[name] == pytest.approx(scalar[name], abs=1e-12), name
+    def test_matches_scalar_pass(self, maker):
+        self._assert_matches_oracle(maker())
 
-    def test_matches_scalar_on_generated_circuit(self, monkeypatch):
-        from repro.netlist.generate import generate_iscas
+    def test_matches_scalar_on_generated_circuit(self):
+        self._assert_matches_oracle(generate_iscas("s953"))
 
-        vec, scalar = self._both_passes(generate_iscas("s953"), monkeypatch)
-        for name in scalar:
-            assert vec[name] == pytest.approx(scalar[name], abs=1e-12), name
+    @pytest.mark.parametrize("name", ["c432", "c1908"])
+    def test_matches_scalar_on_iscas85_profile(self, name):
+        self._assert_matches_oracle(generate_iscas(name))
 
-    def test_mux_and_maj_kernels(self, monkeypatch):
+    def test_mux_and_maj_kernels(self):
         circuit = Circuit("vec_zoo")
         for name in ("a", "b", "c", "d", "e"):
             circuit.add_input(name)
@@ -183,13 +234,23 @@ class TestVectorizedPass:
         circuit.mark_output("x")
         circuit.mark_output("j5")
         probs = {"a": 0.3, "b": 0.7, "c": 0.5, "d": 0.9, "e": 0.1}
-        vec, scalar = self._both_passes(circuit, monkeypatch, input_probs=probs)
-        for name in scalar:
-            assert vec[name] == pytest.approx(scalar[name], abs=1e-12), name
+        self._assert_matches_oracle(circuit, input_probs=probs)
 
-    def test_returns_plain_floats(self, monkeypatch):
-        import repro.probability.signal_prob as sp_mod
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        n_inputs=st.integers(min_value=2, max_value=10),
+        n_gates=st.integers(min_value=3, max_value=80),
+        seed=st.integers(min_value=0, max_value=2**16),
+        data=st.data(),
+    )
+    def test_matches_scalar_on_random_circuit(self, n_inputs, n_gates, seed, data):
+        circuit = random_combinational(n_inputs, n_gates, seed=seed)
+        probs = {
+            name: data.draw(st.floats(min_value=0.0, max_value=1.0), label=name)
+            for name in circuit.inputs
+        }
+        self._assert_matches_oracle(circuit, input_probs=probs)
 
-        monkeypatch.setattr(sp_mod, "_VEC_MIN_NODES", 0)  # force the vec path
+    def test_returns_plain_floats(self):
         sp = compute_signal_probabilities(s27())
         assert all(type(v) is float for v in sp.values())
