@@ -20,14 +20,50 @@ paper's reported gap a smarter simulator implementation closes.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Mapping, Sequence
 
 from repro.errors import SimulationError
-from repro.netlist.circuit import Circuit
+from repro.netlist.circuit import Circuit, CompiledCircuit
+from repro.probability.signal_prob import check_sources
 from repro.sim.fault_sim import FaultInjector
 from repro.sim.vectors import RandomVectorSource
 
 __all__ = ["RandomSimulationEstimator", "SerialRandomSimulationEstimator"]
+
+
+def _source_weights(
+    compiled: CompiledCircuit,
+    input_weights: Mapping[str, float] | None,
+    state_weights: Mapping[str, float] | None,
+) -> dict[str, float]:
+    """Every primary input's and flip-flop's probability of 1, by name.
+
+    The weights follow the SP backends' source rule
+    (:func:`~repro.probability.signal_prob.check_sources`): a name that is
+    not a primary input in ``input_weights``, or not a flip-flop in
+    ``state_weights``, and a value outside [0, 1] raise
+    :class:`~repro.errors.ProbabilityError`.
+    """
+    fixed, state = check_sources(compiled, input_weights, state_weights)
+    return {compiled.names[node_id]: p for node_id, p in (fixed | state).items()}
+
+
+def _site_name(compiled: CompiledCircuit, site: int | str) -> str:
+    """A site's node name, from its name or its integer id.
+
+    An unknown name, an id out of range, a ``bool`` and a non-integral
+    value raise :class:`~repro.errors.SimulationError`; NumPy integers
+    are ids (the rule of ``ConeExtractor.resolve``).
+    """
+    if isinstance(site, str):
+        if site not in compiled.index:
+            raise SimulationError(f"unknown error site {site!r}")
+        return site
+    if (isinstance(site, bool) or not isinstance(site, numbers.Integral)
+            or not 0 <= site < compiled.n):
+        raise SimulationError(f"unknown error site {site!r}")
+    return compiled.names[site]
 
 
 class RandomSimulationEstimator:
@@ -50,6 +86,9 @@ class RandomSimulationEstimator:
         both methods under the same input distribution).  Default 0.5.
     word_width:
         Patterns per bit-parallel pass.
+
+    Weights outside the SP backends' source rule raise
+    :class:`~repro.errors.ProbabilityError` here, at construction.
     """
 
     def __init__(
@@ -71,23 +110,19 @@ class RandomSimulationEstimator:
         self.word_width = word_width
         self.injector = FaultInjector(circuit)
         self.compiled = self.injector.compiled
-
-        weights: dict[str, float] = dict(input_weights or {})
-        state_weights = dict(state_weights or {})
-        for name in circuit.flip_flops:
-            weights[name] = state_weights.get(name, 0.5)
+        self._weights = _source_weights(self.compiled, input_weights,
+                                        state_weights)
         self._sources = circuit.inputs + circuit.flip_flops
-        self._weights = weights
 
     # -------------------------------------------------------------- estimate
 
     def p_sensitized(self, site: int | str) -> float:
         """Estimate for a single site."""
-        return self.estimate([site])[self._site_name(site)]
+        return self.estimate([site])[_site_name(self.compiled, site)]
 
     def estimate(self, sites: Sequence[int | str]) -> dict[str, float]:
         """Estimates for many sites against a shared vector stream."""
-        site_names = [self._site_name(site) for site in sites]
+        site_names = [_site_name(self.compiled, site) for site in sites]
         source = RandomVectorSource(self._sources, seed=self.seed, weights=self._weights)
         counts = {name: 0 for name in site_names}
         remaining = self.n_vectors
@@ -99,13 +134,6 @@ class RandomSimulationEstimator:
                 counts[name] += self.injector.detection_count(good, name, width)
             remaining -= width
         return {name: counts[name] / self.n_vectors for name in site_names}
-
-    def _site_name(self, site: int | str) -> str:
-        if isinstance(site, str):
-            if site not in self.compiled.index:
-                raise SimulationError(f"unknown error site {site!r}")
-            return site
-        return self.compiled.names[site]
 
 
 class SerialRandomSimulationEstimator:
@@ -120,7 +148,8 @@ class SerialRandomSimulationEstimator:
 
     The good-value evaluation is shared across sites within one vector, so
     timing a single site is conservative (the paper's per-node SimT pays
-    the good simulation too).
+    the good simulation too).  Weights and sites follow the rules of
+    :class:`RandomSimulationEstimator`.
     """
 
     def __init__(
@@ -144,20 +173,17 @@ class SerialRandomSimulationEstimator:
             node_id: position for position, node_id in enumerate(self._eval_order)
         }
         self._simulator = simulator
-
-        weights: dict[str, float] = dict(input_weights or {})
-        for name in circuit.flip_flops:
-            weights[name] = (state_weights or {}).get(name, 0.5)
+        self._weights = _source_weights(self.compiled, input_weights,
+                                        state_weights)
         self._sources = circuit.inputs + circuit.flip_flops
-        self._weights = weights
 
     def p_sensitized(self, site: int | str) -> float:
-        return self.estimate([site])[self._site_name(site)]
+        return self.estimate([site])[_site_name(self.compiled, site)]
 
     def estimate(self, sites: Sequence[int | str]) -> dict[str, float]:
         """Serial estimate for many sites against a shared vector stream."""
         compiled = self.compiled
-        site_ids = [compiled.index[self._site_name(site)] for site in sites]
+        site_ids = [compiled.index[_site_name(compiled, site)] for site in sites]
         counts = [0] * len(site_ids)
         sinks = compiled.sink_ids
         source = RandomVectorSource(self._sources, seed=self.seed, weights=self._weights)
@@ -192,10 +218,3 @@ class SerialRandomSimulationEstimator:
         values[site_id] ^= 1
         self._simulator.run_into(values, 1, order[position + 1 :])
         return values
-
-    def _site_name(self, site: int | str) -> str:
-        if isinstance(site, str):
-            if site not in self.compiled.index:
-                raise SimulationError(f"unknown error site {site!r}")
-            return site
-        return self.compiled.names[site]

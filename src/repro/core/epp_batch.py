@@ -236,6 +236,13 @@ _CLOSED_FORM_CODES = PADDABLE_CODES | frozenset((CODE_NOT, CODE_BUF))
 _ERROR_PLANES = np.asarray(((0,), (1,)), dtype=np.intp)
 
 
+def _inject(state, mask, slots, cols) -> None:
+    """The error site carries the erroneous value with certainty: 1(a) at
+    each ``(slots[i], cols[i])``, on-path."""
+    state[slots, :, cols] = (1.0, 0.0, 0.0, 0.0)
+    mask[slots, cols] = True
+
+
 class CompactChunkPlan:
     """One chunk's compacted state layout: its union-of-cones rows laid
     out on recycled physical rows (*slots*).
@@ -249,10 +256,14 @@ class CompactChunkPlan:
     so a linear scan over the levels lays the rows out on ``n_slots``
     slots: a row takes a free slot when it goes live and frees it after
     its last reader's level (a slot freed after level L is reused from
-    level L + 1 on, never within L).  A site is such a row: it goes live
-    at the first level that reads or writes it (at the first swept level
-    if none does), where its columns get their 1(a).  Only the
-    referenced sentinels — and, in the packed query's plans, the present
+    level L + 1 on, never within L).  Each row takes its whole state
+    from one writer as it goes live: a row that a group of that level
+    writes takes it from the group, and every other row — inputs,
+    off-cone fanins, rows nothing writes — is seeded with its SP
+    constants.  A site is such a row: it goes live at the first level
+    that reads or writes it (at the first swept level if none does),
+    where its columns get their 1(a) — after the level's groups when
+    one of them writes the site's row.  Only the referenced sentinels — and, in the packed query's plans, the present
     sinks, which ``_pack`` reads after the sweep — are *pinned* to slots
     ``0 .. len(pinned_nodes) - 1`` for the whole sweep.  Every sink row
     is captured into the sweep's sink plane once it is final: a
@@ -303,8 +314,8 @@ class CompactChunkPlan:
 
 def _check_slots(plan: CompactChunkPlan) -> None:
     """Raise :class:`AnalysisError` unless every slot index ``plan``'s
-    levels hold — seed, site, group output and fanin, sink capture and
-    retire — lies in ``[0, plan.n_slots)``.
+    levels hold — seed, site, group output and fanin, written site, sink
+    capture and retire — lies in ``[0, plan.n_slots)``.
 
     The row kernels and the sink capture gather with ``np.take(...,
     mode="clip")``, which clamps an out-of-range index where a fancy
@@ -313,7 +324,8 @@ def _check_slots(plan: CompactChunkPlan) -> None:
     """
     arrays = []
     for level in plan.levels:
-        arrays += [level.seed_slots, level.site_slots, level.sink_slots,
+        arrays += [level.seed_slots, level.site_slots,
+                   level.written_site_slots, level.sink_slots,
                    level.retire_slots]
         for _, out_slots, fanin, _ in level.groups:
             arrays += [out_slots, fanin.ravel()]
@@ -328,17 +340,24 @@ def _check_slots(plan: CompactChunkPlan) -> None:
 class _SweptLevel(NamedTuple):
     """One swept level of a :class:`CompactChunkPlan`, in slot space.
 
-    The sweep runs it in field order: it seeds ``seed_slots`` with the
-    SP constants of ``seed_nodes`` (the rows going live here) and clears
-    their mask rows, injects 1(a) at ``(site_slots[i], site_cols[i])``
-    for the chunk columns whose site goes live here, runs ``groups`` —
-    each ``(group, out_slots, fanin_slots, out_nodes)``: the plan's
-    :class:`_Group` (kernel dispatch) with its active rows' output/fanin
-    indices in slot space and the output rows' global ids — captures
-    the final sink rows ``sink_slots`` into the sink plane's rows
-    ``sink_rows``, and adds the mask rows of ``retire_slots`` to the
-    cone counts: the written or site rows whose last reader is at this
-    level, which free their slots after it.
+    Every row going live at a level gets its state from exactly one
+    writer: the rows no group of the level writes are seeded, and every
+    other row takes its whole state from the group that writes it.  The
+    sweep runs a level in field order: it seeds ``seed_slots`` with the
+    SP constants of ``seed_nodes`` (the rows going live here that no
+    group of this level writes — inputs, off-cone fanins, rows nothing
+    writes, and on the first level the pinned rows nothing writes) and
+    clears their mask rows, injects 1(a) at ``(site_slots[i],
+    site_cols[i])`` for the chunk columns whose site goes live here
+    unwritten, runs ``groups`` — each ``(group, out_slots, fanin_slots,
+    out_nodes)``: the plan's :class:`_Group` (kernel dispatch) with its
+    active rows' output/fanin indices in slot space and the output rows'
+    global ids — injects 1(a) at ``(written_site_slots[i],
+    written_site_cols[i])`` for the columns whose site row a group of
+    this level wrote, captures the final sink rows ``sink_slots`` into
+    the sink plane's rows ``sink_rows``, and adds the mask rows of
+    ``retire_slots`` to the cone counts: the written or site rows whose
+    last reader is at this level, which free their slots after it.
     """
 
     seed_slots: np.ndarray
@@ -346,6 +365,8 @@ class _SweptLevel(NamedTuple):
     site_slots: np.ndarray
     site_cols: np.ndarray
     groups: list
+    written_site_slots: np.ndarray
+    written_site_cols: np.ndarray
     sink_slots: np.ndarray
     sink_rows: np.ndarray
     retire_slots: np.ndarray
@@ -499,17 +520,28 @@ class BatchPlan:
         n_scratch = 0
         levels = []
         for index, (entries, _, _) in enumerate(swept):
-            seed_nodes = born[born_at[index]:born_at[index + 1]]
-            reused = min(len(seed_nodes), len(free))
-            fresh = len(seed_nodes) - reused
-            seed_slots = np.concatenate((
+            born_here = born[born_at[index]:born_at[index + 1]]
+            reused = min(len(born_here), len(free))
+            fresh = len(born_here) - reused
+            born_slots = np.concatenate((
                 free[len(free) - reused:],
                 np.arange(n_slots, n_slots + fresh, dtype=np.intp),
             ))
             free = free[:len(free) - reused]
             n_slots += fresh
-            slot_of[seed_nodes] = seed_slots
+            slot_of[born_here] = born_slots
+            # A row that a group of this level writes goes live here and
+            # takes its whole state from that group, so it is not seeded;
+            # the pinned rows nothing writes are seeded with the first level.
+            seed_nodes = born_here[wrote[born_here] != index]
+            if index == 0:
+                seed_nodes = np.concatenate(
+                    (pinned_nodes[wrote[pinned_nodes] < 0], seed_nodes)
+                )
             site_cols = columns[columns_at[index]:columns_at[index + 1]]
+            written = wrote[site_ids[site_cols]] == index
+            written_cols = site_cols[written]
+            site_cols = site_cols[~written]
             sink_rows = captured[captured_at[index]:captured_at[index + 1]]
             groups = [
                 (group, slot_of[out_ids], slot_of[fanin], out_ids)
@@ -525,8 +557,9 @@ class BatchPlan:
             retire_slots = slot_of[retiring]
             free = np.concatenate((free, retire_slots))
             levels.append(_SweptLevel(
-                seed_slots, seed_nodes, slot_of[site_ids[site_cols]],
-                site_cols, groups, slot_of[sinks[sink_rows]], sink_rows,
+                slot_of[seed_nodes], seed_nodes, slot_of[site_ids[site_cols]],
+                site_cols, groups, slot_of[site_ids[written_cols]],
+                written_cols, slot_of[sinks[sink_rows]], sink_rows,
                 retire_slots[counted[retiring]],
             ))
         plan = CompactChunkPlan()
@@ -627,8 +660,9 @@ class BatchEPPBackend:
         #: across sweeps so the hot path never re-faults fresh pages (the
         #: kernels' temporaries get the same from ``_scratch``, below).
         #: Sized once per bulk call for its largest chunk, and kept while
-        #: it fits.  A sweep seeds every state row and clears its mask row
-        #: as the row goes live, so stale content between sweeps is
+        #: it fits.  Every row a sweep holds gets its whole state and
+        #: mask row from one writer as it goes live — its seed or the
+        #: group that writes it — so stale content between sweeps is
         #: harmless.
         self._arena: list[np.ndarray] | None = None
         #: The flat float64 scratch beside the arena: every row-tier
@@ -641,8 +675,8 @@ class BatchEPPBackend:
         self._scratch: np.ndarray | None = None
 
     def _ensure_const(self) -> None:
-        """The ``(n + 2, 4)`` per-node off-path constants each slot is
-        seeded from as its row goes live."""
+        """The ``(n + 2, 4)`` per-node off-path constants: each seeded
+        slot's state, and the off-path cells a group writes."""
         if self._const is not None:
             return
         # Two sentinel rows extend the node axis: constant 1 (id n) and
@@ -668,16 +702,21 @@ class BatchEPPBackend:
         allocates the ``(n_present_sinks, s)`` sink plane, and runs the
         chunk plan ``cplan`` level by level, every row-tier kernel, blend
         and sink capture working in views of the scratch sized beside
-        the arena: the slots going live at a level are
-        seeded with their new rows' off-path constants and their mask
-        rows cleared (a recycled slot still holds its previous row), the
-        sites going live there get their 1(a), the level's active groups
-        run with every index array pre-translated to slot space, the
-        sink rows that are final by then are captured into the sink
-        plane as survival factors (:meth:`_survival`), and the slots
-        whose rows were last read at this level add their mask rows to
-        the per-column cone counts before they can be reused.  The
-        pinned slots are seeded once up front and counted at the end.
+        the arena.  Each row going live at a level gets its whole state
+        and mask row from exactly one writer (a recycled slot still
+        holds its previous row): the rows no group of the level writes
+        are seeded with their off-path constants and their mask rows
+        cleared, and the sites among them get their 1(a); the level's
+        active groups run with every index array pre-translated to slot
+        space, each writing its output rows whole
+        (:meth:`_run_compact_groups`); the sites whose rows a group just
+        wrote get their 1(a); the sink rows that are final by then are
+        captured into the sink plane as survival factors
+        (:meth:`_survival`); and the slots whose rows were last read at
+        this level add their mask rows to the per-column cone counts
+        before they can be reused.  The pinned rows nothing writes are
+        seeded with the first level, and every pinned row is counted at
+        the end.
         Per computed cell the kernels run the same elementwise IEEE ops
         as a dense sweep over the full ``(n + 2, 4, s)`` matrix, so the
         results are bit-identical to it.
@@ -700,16 +739,6 @@ class BatchEPPBackend:
         mask = self._arena[1][:cells].reshape(cplan.n_slots, s)
         n_sinks = len(cplan.sink_positions)
         survive = np.empty((n_sinks, s))
-        n_pinned = len(cplan.pinned_nodes)
-        state[:n_pinned] = const[cplan.pinned_nodes][:, :, None]
-        mask[:n_pinned] = False
-        # Columns to re-inject when a group's output row is itself a site
-        # in this chunk (the scatter writes SP constants over them) —
-        # keyed by node id, so a slot that a site held earlier in the
-        # sweep never gets its 1(a) back.
-        site_cols: dict[int, list[int]] = {}
-        for col, node in enumerate(site_ids.tolist()):
-            site_cols.setdefault(node, []).append(col)
         cones = np.zeros(s, dtype=np.intp)
 
         stats = self.sweep_stats
@@ -720,33 +749,36 @@ class BatchEPPBackend:
         for level in cplan.levels:
             state[level.seed_slots] = const[level.seed_nodes][:, :, None]
             mask[level.seed_slots] = False
-            # The error site carries the erroneous value with certainty:
-            # 1(a).
-            state[level.site_slots, :, level.site_cols] = (1.0, 0.0, 0.0, 0.0)
-            mask[level.site_slots, level.site_cols] = True
+            _inject(state, mask, level.site_slots, level.site_cols)
             self._run_compact_groups(state, mask, level.groups, const,
-                                     site_cols, cells, scratch)
+                                     cells, scratch)
+            if level.written_site_slots.size:
+                _inject(state, mask, level.written_site_slots,
+                        level.written_site_cols)
             if level.sink_slots.size:
                 survive[level.sink_rows] = self._survival(
                     state, mask, level.sink_slots, scratch
                 )
             if level.retire_slots.size:
                 cones += mask[level.retire_slots].sum(axis=0)
-        cones += mask[:n_pinned].sum(axis=0)
+        cones += mask[:len(cplan.pinned_nodes)].sum(axis=0)
         layout = (cplan.sink_slots, cplan.sink_positions, survive, cones)
         return state, mask, layout
 
-    def _run_compact_groups(self, state, mask, groups, const, site_cols,
-                            cells, scratch):
-        """Run one level's active groups of a compacted sweep in place;
-        the row tier computes each group's ``(r, 4, s)`` result in
-        ``scratch`` and blends it there before the scatter."""
+    def _run_compact_groups(self, state, mask, groups, const, cells,
+                            scratch):
+        """Run one level's active groups of a compacted sweep in place.
+
+        Each group is its output rows' one writer: it sets their whole
+        state and mask rows.  The row tier computes the group's ``(r, 4,
+        s)`` result in ``scratch`` and scatters it whole, blended with
+        the rows' SP constants in its off-path cells; the cell tier writes
+        the rows' SP constants and mask, then scatters its on-path cells.
+        """
         stats = self.sweep_stats
         for group, out_ids, fanin, out_nodes in groups:
             out_mask = mask[fanin].any(axis=1)  # (r, s)
-            n_on = int(out_mask.sum())
-            if n_on == 0:
-                continue
+            n_on = int(np.count_nonzero(out_mask))
             stats["cells_on"] += n_on
             stats["cells_total"] += out_mask.size
             if cells != "off" and n_on < out_mask.size and (
@@ -755,57 +787,27 @@ class BatchEPPBackend:
                 # Cell-compacted tier: even inside active rows only a few
                 # columns are on-path on clustered chunks, so gather
                 # exactly those (row, column) cells, compute them as one
-                # (m, 4) block and scatter back.  Off-path cells keep
-                # their seeded SP constants (each node is written at most
-                # once per sweep) and a site row's own column is never
-                # on-path for itself, so the injected 1(a) survives.
+                # (m, 4) block and scatter it over the rows' constants.
                 on_rows, on_cols = np.nonzero(out_mask)
                 cell_values = group.compact_rule(
                     state, fanin[on_rows], on_cols
                 )  # (m, 4)
-                node_rows = out_ids[on_rows]
-                state[node_rows, :, on_cols] = cell_values
-                mask[node_rows, on_cols] = True
+                state[out_ids] = const[out_nodes][:, :, None]
+                mask[out_ids] = out_mask
+                state[out_ids[on_rows], :, on_cols] = cell_values
                 stats["groups_cell"] += 1
                 stats["cells_computed"] += n_on
                 continue
             stats["groups_row"] += 1
             stats["cells_computed"] += out_mask.size
             result = group.rule(state, fanin, scratch)  # (r, 4, s)
-            if out_mask.all():
-                state[out_ids] = result
-                mask[out_ids] = True
-                continue
-            if n_on * 8 < out_mask.size:
-                # Targeted scatter for column-sparse groups: off-path
-                # cells already hold their SP constants from the seed, so
-                # only the on-path cells need a write — and a site row's
-                # own column is never touched.  Column-dense groups fall
-                # through to the row-vectorized ``np.where`` scatter,
-                # which beats per-element fancy indexing there.
-                on_rows, on_cols = np.nonzero(out_mask)
-                node_rows = out_ids[on_rows]
-                state[node_rows, :, on_cols] = result[on_rows, :, on_cols]
-                mask[node_rows, on_cols] = True
-                continue
-            # The np.where blend, in place: off-path cells take their
-            # row's SP constants.
-            np.copyto(result, const[out_nodes][:, :, None],
-                      where=~out_mask[:, None, :])
+            if n_on < out_mask.size:
+                # The np.where blend, in place: off-path cells take their
+                # row's SP constants.
+                np.copyto(result, const[out_nodes][:, :, None],
+                          where=~out_mask[:, None, :])
             state[out_ids] = result
             mask[out_ids] = out_mask
-            for row, node in zip(out_ids.tolist(), out_nodes.tolist()):
-                columns = site_cols.get(node)
-                if columns is None:
-                    continue
-                # Restore the injected 1(a) the scatter just overwrote
-                # (a site is never on-path for its own column).
-                for col in columns:
-                    state[row, 0, col] = 1.0
-                    state[row, 1, col] = 0.0
-                    state[row, 2, col] = 0.0
-                    state[row, 3, col] = 0.0
-                    mask[row, col] = True
 
     def release_buffers(self) -> None:
         """Free the off-path constants, the sweep arena and the kernel

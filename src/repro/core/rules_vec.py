@@ -205,20 +205,24 @@ def xor_vec(x: np.ndarray, invert: bool = False,
 
     ``d[c][e]`` accumulates P[constant-bit = c, error-parity = e] across the
     pin axis; the iteration order matches the scalar rule exactly, and each
-    new plane sums its four products left to right.  The four planes are
-    double-buffered in ``work`` (``(9, g, s)``: two sets of four and the
-    product term), whose contiguous planes keep the pin loop as fast as
-    fresh arrays would, and copied into their output slots of ``out``
-    (``(g, 4, s)``) at the end; ``invert`` gives the XNOR slots
-    (polarities and constants swapped).  Both are allocated when ``None``.
+    new plane sums its four products left to right.  The accumulation
+    starts from pin 0's own ``(p0, p1, pa, pā)`` planes, read in place:
+    the scalar rule's first step from the identity ``(1, 0, 0, 0)`` yields
+    exactly those planes, because every state value is ``>= +0``, so the
+    loop runs from pin 1.  The four planes are double-buffered in
+    ``work`` (``(9, g, s)``: two sets of four and the product term), whose
+    contiguous planes keep the pin loop as fast as fresh arrays would,
+    and copied into their output slots of ``out`` (``(g, 4, s)``) at the
+    end; ``invert`` gives the XNOR slots (polarities and constants
+    swapped).  Both are allocated when ``None``; ``x`` is only read.
     """
     g, k, _, s = x.shape
     if out is None:
         out, work = np.empty((g, 4, s)), np.empty((9, g, s))
-    cur, nxt, term = list(work[:4]), list(work[4:8]), work[8]
-    for plane, value in zip(cur, (1.0, 0.0, 0.0, 0.0)):
-        plane.fill(value)
-    for i in range(k):
+    cur = [x[:, 0, plane, :] for plane in (_P0, _P1, _PA, _PAB)]
+    buffers, term = (list(work[:4]), list(work[4:8])), work[8]
+    for i in range(1, k):
+        nxt = buffers[i % 2]
         x00 = x[:, i, _P0, :]
         x10 = x[:, i, _P1, :]
         x01 = x[:, i, _PA, :]
@@ -235,7 +239,7 @@ def xor_vec(x: np.ndarray, invert: bool = False,
             plane += np.multiply(d10, b, out=term)
             plane += np.multiply(d01, c, out=term)
             plane += np.multiply(d11, d, out=term)
-        cur, nxt = nxt, cur
+        cur = nxt
     slots = (_P1, _P0, _PAB, _PA) if invert else (_P0, _P1, _PA, _PAB)
     for plane, slot in zip(cur, slots):
         out[:, slot, :] = plane

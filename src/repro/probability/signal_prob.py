@@ -6,11 +6,15 @@ from its fanin probabilities, assuming fanin independence.  The assumption
 is exact on trees and biased wherever reconvergent fanout correlates fanins
 — the standard, fast baseline the paper builds on (reference [5]).
 
-The pass is level-parallel NumPy on every circuit: nodes are grouped by
-``(level, gate code, arity)`` once per compiled circuit (the grouping is
-cached on it), and each level executes as a handful of array operations
-over the node axis.  Each gate's arithmetic runs in pin order, so the
-values equal a node-by-node Python pass bit for bit.
+The pass is level-parallel NumPy on every circuit: once per compiled
+circuit (the plan is cached on it) each level's gates are laid out as one
+block per kernel family — every AND, NAND, OR, NOR, NOT and BUF gate in
+one product block, every XOR and XNOR in one parity block, and each MUX
+or truth-table group in its own — so a level costs at most two
+dispatches plus one per MUX or truth-table group.  Each gate's
+arithmetic runs in pin order, and the sentinel padding of a block's
+short rows is exact, so the values equal a node-by-node Python pass bit
+for bit.
 
 Two pieces serve all four backends of :mod:`repro.probability`:
 
@@ -29,6 +33,9 @@ Two pieces serve all four backends of :mod:`repro.probability`:
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
+from itertools import groupby
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as _np
 
@@ -176,12 +183,42 @@ def compute_signal_probabilities(
     return {compiled.names[i]: values[i] for i in range(compiled.n)}
 
 
-class _SPLevelPlan:
-    """Level-grouped node blocks for the SP pass.
+class _SPBlock(NamedTuple):
+    """One level's gates of one kernel family, as rectangular index arrays.
 
-    Combinational nodes are bucketed by ``(level, gate code, arity)`` into
-    rectangular ``(out_ids, fanin)`` index arrays; sources are captured as
-    flat id arrays.  Built once per compiled circuit and cached on it.
+    ``family`` is ``"product"`` (AND, NAND, OR, NOR, NOT and BUF),
+    ``"parity"`` (XOR and XNOR), ``"mux"`` or ``"table"`` (a truth table,
+    ``table``).  The product and parity blocks span every gate of their
+    family at the level; a MUX or truth-table block is one
+    ``level_gate_groups`` group.  ``flip_pins`` marks, as a ``(g, 1)``
+    column, the rows whose pins are complemented before the product (OR,
+    NOR), and ``flip_outs`` the rows whose value is complemented (NAND,
+    OR, NOT; XNOR); either is ``None`` when no row needs it.
+    """
+
+    family: str
+    out_ids: _np.ndarray
+    fanin: _np.ndarray
+    flip_pins: _np.ndarray | None
+    flip_outs: _np.ndarray | None
+    table: tuple | None
+
+
+#: The kernel family of each gate code that shares a level-wide block.
+_FAMILY = {code: "product" for code in (
+    CODE_AND, CODE_NAND, CODE_OR, CODE_NOR, CODE_NOT, CODE_BUF)}
+_FAMILY.update({CODE_XOR: "parity", CODE_XNOR: "parity"})
+_FLIP_PIN_CODES = frozenset((CODE_OR, CODE_NOR))
+_FLIP_OUT_CODES = frozenset((CODE_NAND, CODE_OR, CODE_NOT, CODE_XNOR))
+
+
+class _SPLevelPlan:
+    """Level-grouped node blocks for the SP pass: at most one product
+    and one parity block per level, plus one block per MUX or
+    truth-table group (:class:`_SPBlock`), in level order.
+
+    Built from ``compiled.level_gate_groups()`` once per compiled circuit
+    and cached on it; sources are captured as flat id arrays.
     """
 
     def __init__(self, compiled: CompiledCircuit):
@@ -190,16 +227,48 @@ class _SPLevelPlan:
         code = _np.asarray(compiled.code)
         self.const0_ids = _np.flatnonzero(code == CODE_CONST0)
         self.const1_ids = _np.flatnonzero(code == CODE_CONST1)
-        # The grouping (and its mixed-arity padding) is shared with the
-        # batch EPP backend: CompiledCircuit.level_gate_groups.
-        self.groups: list[tuple[int, _np.ndarray, _np.ndarray, tuple | None]] = []
-        for _level, gate_code, outs, fins, width in compiled.level_gate_groups():
-            table = None
-            if gate_code not in _CLOSED_FORM_CODES:
-                table = truth_table(compiled.gate_type(outs[0]), width)
-            out_ids = _np.asarray(outs, dtype=_np.intp)
-            fanin = _np.asarray(fins, dtype=_np.intp)
-            self.groups.append((gate_code, out_ids, fanin, table))
+        self.blocks: list[_SPBlock] = []
+        for _level, groups in groupby(compiled.level_gate_groups(),
+                                      key=itemgetter(0)):
+            families: dict[str, list] = {}
+            for _, gate_code, outs, fins, width in groups:
+                family = _FAMILY.get(gate_code)
+                if family is not None:
+                    families.setdefault(family, []).append((gate_code, outs, fins))
+                    continue
+                table = None
+                if gate_code != CODE_MUX:
+                    table = truth_table(compiled.gate_type(outs[0]), width)
+                self.blocks.append(_SPBlock(
+                    "mux" if table is None else "table",
+                    _np.asarray(outs, dtype=_np.intp),
+                    _np.asarray(fins, dtype=_np.intp), None, None, table,
+                ))
+            for family, members in families.items():
+                self.blocks.append(self._family_block(family, members))
+
+    def _family_block(self, family: str, members: list) -> _SPBlock:
+        """The block of ``members``' ``(code, outs, fins)`` groups: rows
+        padded to the widest with sentinel ``n`` (SP 1.0) on the AND side
+        and ``n + 1`` (SP 0.0, complemented to 1.0) on the OR side and in
+        the parity family, so padding multiplies by exactly 1.0 or adds
+        exactly +0.0."""
+        width = max(len(fins[0]) for _, _, fins in members)
+        out_ids, rows, flip_pins, flip_outs = [], [], [], []
+        for gate_code, outs, fins in members:
+            pad_one = family == "product" and gate_code not in _FLIP_PIN_CODES
+            block = _np.full((len(outs), width), self.n if pad_one else self.n + 1,
+                             dtype=_np.intp)
+            block[:, :len(fins[0])] = fins
+            rows.append(block)
+            out_ids += outs
+            flip_pins += [gate_code in _FLIP_PIN_CODES] * len(outs)
+            flip_outs += [gate_code in _FLIP_OUT_CODES] * len(outs)
+        return _SPBlock(
+            family, _np.asarray(out_ids, dtype=_np.intp), _np.concatenate(rows),
+            _np.asarray(flip_pins)[:, None] if any(flip_pins) else None,
+            _np.asarray(flip_outs) if any(flip_outs) else None, None,
+        )
 
     @staticmethod
     def for_compiled(compiled: CompiledCircuit) -> "_SPLevelPlan":
@@ -210,26 +279,24 @@ class _SPLevelPlan:
         return plan
 
 
-_CLOSED_FORM_CODES = frozenset(
-    (CODE_AND, CODE_NAND, CODE_OR, CODE_NOR, CODE_XOR, CODE_XNOR,
-     CODE_NOT, CODE_BUF, CODE_MUX)
-)
-
-
 def _level_pass(
     plan: _SPLevelPlan,
     probs: _np.ndarray,
     fixed: dict[int, float],
     state: dict[int, float],
 ) -> _np.ndarray:
-    """One topological SP pass over level-grouped node blocks.
+    """One topological SP pass over the plan's blocks.
 
-    Each kernel multiplies across the pin axis in pin order, and sums a
-    truth table's minterms in table order, so a gate's value equals the
-    node-by-node pass's bit for bit.
+    Each gate runs its own IEEE ops in pin order: the product block
+    complements its OR/NOR pins, multiplies across the pin axis and
+    complements its NAND/OR/NOT values; the parity block starts from pin
+    0 (the zero start's first step, exactly) and runs the recurrence from
+    pin 1; a truth table sums its minterms in table order.  Sentinel
+    padding is exact, so every value equals the node-by-node pass's bit
+    for bit.
     """
-    probs[plan.n] = 1.0  # sentinel: AND-family padding input
-    probs[plan.n + 1] = 0.0  # sentinel: OR/XOR-family padding input
+    probs[plan.n] = 1.0  # sentinel: AND-side padding input
+    probs[plan.n + 1] = 0.0  # sentinel: OR-side and parity padding input
     probs[plan.input_ids] = 0.5
     for node_id, p in fixed.items():
         probs[node_id] = p
@@ -238,38 +305,33 @@ def _level_pass(
     probs[plan.const0_ids] = 0.0
     probs[plan.const1_ids] = 1.0
 
-    for gate_code, out_ids, fanin, table in plan.groups:
-        p = probs[fanin]  # (g, k)
-        if gate_code == CODE_AND or gate_code == CODE_NAND:
-            acc = p.prod(axis=1)
-            probs[out_ids] = acc if gate_code == CODE_AND else 1.0 - acc
-        elif gate_code == CODE_OR or gate_code == CODE_NOR:
-            acc = (1.0 - p).prod(axis=1)
-            probs[out_ids] = 1.0 - acc if gate_code == CODE_OR else acc
-        elif gate_code == CODE_NOT:
-            probs[out_ids] = 1.0 - p[:, 0]
-        elif gate_code == CODE_BUF:
-            probs[out_ids] = p[:, 0]
-        elif gate_code == CODE_XOR or gate_code == CODE_XNOR:
-            odd = _np.zeros(len(out_ids))
-            for pin in range(p.shape[1]):
+    for block in plan.blocks:
+        p = probs[block.fanin]  # (g, k)
+        if block.family == "product":
+            if block.flip_pins is not None:
+                _np.subtract(1.0, p, out=p, where=block.flip_pins)
+            value = p.prod(axis=1)
+        elif block.family == "parity":
+            value = p[:, 0]
+            for pin in range(1, p.shape[1]):
                 pin_p = p[:, pin]
-                odd = odd * (1.0 - pin_p) + (1.0 - odd) * pin_p
-            probs[out_ids] = odd if gate_code == CODE_XOR else 1.0 - odd
-        elif gate_code == CODE_MUX:
+                value = value * (1.0 - pin_p) + (1.0 - value) * pin_p
+        elif block.family == "mux":
             sel = p[:, 0]
-            probs[out_ids] = (1.0 - sel) * p[:, 1] + sel * p[:, 2]
+            value = (1.0 - sel) * p[:, 1] + sel * p[:, 2]
         else:
             # Generic truth-table kernel (MAJ and future cells).
-            total = _np.zeros(len(out_ids))
+            value = _np.zeros(len(block.out_ids))
             k = p.shape[1]
-            for assignment, out in enumerate(table):
+            for assignment, out in enumerate(block.table):
                 if not out:
                     continue
-                term = _np.ones(len(out_ids))
+                term = _np.ones(len(block.out_ids))
                 for pin in range(k):
                     pin_p = p[:, pin]
                     term = term * (pin_p if (assignment >> pin) & 1 else 1.0 - pin_p)
-                total += term
-            probs[out_ids] = total
+                value += term
+        if block.flip_outs is not None:
+            _np.subtract(1.0, value, out=value, where=block.flip_outs)
+        probs[block.out_ids] = value
     return probs

@@ -160,6 +160,37 @@ def reference_signal_probabilities(
     return {compiled.names[i]: values[i] for i in range(compiled.n)}
 
 
+# ----------------------------------------------- XOR kernel reference
+
+
+def reference_xor_vec(x: np.ndarray, invert: bool = False) -> np.ndarray:
+    """The XOR-family convolution from the identity start, over an ``(r,
+    k, 4, s)`` fanin tensor — the oracle of ``rules_vec.xor_vec``, which
+    starts from pin 0's planes instead.  ``d[c][e]`` = P[constant-bit =
+    c, error-parity = e] starts at ``(1, 0, 0, 0)`` and steps through
+    every pin, each new plane summing its four products left to right.
+    Returns ``(r, 4, s)``; ``invert`` gives the XNOR slots."""
+    p0, p1, pa, pab = 2, 3, 0, 1
+    r, k, _, s = x.shape
+    cur = [np.full((r, s), value) for value in (1.0, 0.0, 0.0, 0.0)]
+    for i in range(k):
+        x00, x10, x01, x11 = (x[:, i, plane, :] for plane in (p0, p1, pa, pab))
+        d00, d10, d01, d11 = cur
+        cur = [
+            d00 * a + d10 * b + d01 * c + d11 * d
+            for a, b, c, d in (
+                (x00, x10, x01, x11),
+                (x10, x00, x11, x01),
+                (x01, x11, x00, x10),
+                (x11, x01, x10, x00),
+            )
+        ]
+    out = np.empty((r, 4, s))
+    for plane, slot in zip(cur, (p1, p0, pab, pa) if invert else (p0, p1, pa, pab)):
+        out[:, slot, :] = plane
+    return out
+
+
 # ----------------------------------------------- dense sweep reference
 
 
@@ -274,18 +305,22 @@ def use_dense_backend(engine, batch_size=None):
 def slot_history(plan) -> list:
     """Per swept level of ``plan``, ``(touched, written, slot_nodes)``:
     the global ids of the rows the level reads, writes, injects a site
-    column into or captures as a sink, the rows its groups write, and
-    the slot-to-node map in force while it runs — rebuilt from the
-    plan's levels alone."""
+    column into (before or after its groups) or captures as a sink, the
+    rows its groups write, and the slot-to-node map in force while it
+    runs — rebuilt from the plan's levels alone: a slot holds the row
+    seeded into it or the row a group writes into it."""
     node_of = np.full(plan.n_slots, -1)
     node_of[:len(plan.pinned_nodes)] = plan.pinned_nodes
     history = []
     for level in plan.levels:
         node_of[level.seed_slots] = level.seed_nodes
+        for _, out_slots, _, out_nodes in level.groups:
+            node_of[out_slots] = out_nodes
         written = [out_nodes for _, _, _, out_nodes in level.groups]
         touched = written + [
             node_of[fanin].ravel() for _, _, fanin, _ in level.groups
-        ] + [node_of[level.site_slots], node_of[level.sink_slots]]
+        ] + [node_of[level.site_slots], node_of[level.written_site_slots],
+             node_of[level.sink_slots]]
         history.append((
             set(np.concatenate(touched).tolist()),
             set(np.concatenate(written or [[]]).tolist()),
@@ -298,7 +333,7 @@ def live_peak(plan) -> int:
     """The most rows live at one swept level of ``plan``: the pinned rows
     plus every other row from the first level that touches it to the
     last (:func:`slot_history`).  Every seeded row must go live at the
-    level that first touches it."""
+    level that first touches it, and a pinned one at the first level."""
     history = slot_history(plan)
     pinned = set(plan.pinned_nodes.tolist())
     first, last = {}, {}
@@ -308,7 +343,7 @@ def live_peak(plan) -> int:
             last[node] = index
     for index, level in enumerate(plan.levels):
         for node in level.seed_nodes.tolist():
-            assert first[node] == index, node
+            assert index == 0 if node in pinned else first[node] == index, node
     live = [0] * len(history)
     for node, start in first.items():
         for index in range(start, last[node] + 1):

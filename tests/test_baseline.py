@@ -1,12 +1,13 @@
 """Random-simulation baselines (fast bit-parallel and serial 2005-style)."""
 
+import numpy as np
 import pytest
 
 from repro.core.baseline import (
     RandomSimulationEstimator,
     SerialRandomSimulationEstimator,
 )
-from repro.errors import SimulationError
+from repro.errors import ProbabilityError, SimulationError
 from repro.netlist.library import c17, s27
 
 from tests.helpers import exhaustive_p_sensitized
@@ -87,3 +88,54 @@ class TestSerialEstimator:
     def test_validation(self, c17_circuit):
         with pytest.raises(SimulationError):
             SerialRandomSimulationEstimator(c17_circuit, n_vectors=0)
+
+
+ESTIMATORS = [RandomSimulationEstimator, SerialRandomSimulationEstimator]
+
+
+class TestSourcesAndSites:
+    """Both estimators check their weights by the SP backends' source rule
+    at construction and resolve integer sites like
+    ``ConeExtractor.resolve``."""
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    @pytest.mark.parametrize("maker,weights", [
+        (c17, {"input_weights": {"zz": 0.3}}),
+        (c17, {"input_weights": {"N10": 0.9}}),
+        (s27, {"input_weights": {"G5": 0.5}}),
+        (s27, {"state_weights": {"G0": 0.3}}),
+        (s27, {"state_weights": {"G8": 0.3}}),
+        (s27, {"state_weights": {"nope": 0.2}}),
+        (c17, {"input_weights": {"N1": 1.5}}),
+        (c17, {"input_weights": {"N1": float("nan")}}),
+        (s27, {"state_weights": {"G5": 1.5}}),
+        (s27, {"state_weights": {"G5": float("nan")}}),
+    ], ids=[
+        "unknown-input", "gate-input", "flip-flop-input", "input-state",
+        "gate-state", "unknown-state", "input-1.5", "input-nan",
+        "state-1.5", "state-nan",
+    ])
+    def test_bad_weights_raise_at_construction(self, estimator, maker, weights):
+        with pytest.raises(ProbabilityError):
+            estimator(maker(), n_vectors=16, **weights)
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    @pytest.mark.parametrize("site", [
+        -1, "past-end", True, False, 1.0, np.float64(2.0), None,
+    ])
+    def test_bad_site_raises(self, estimator, site):
+        sampler = estimator(c17(), n_vectors=16)
+        if site == "past-end":
+            site = sampler.compiled.n
+        with pytest.raises(SimulationError, match="unknown error site"):
+            sampler.estimate([site])
+        with pytest.raises(SimulationError, match="unknown error site"):
+            sampler.p_sensitized(site)
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_ids_and_names_resolve_alike(self, estimator):
+        sampler = estimator(c17(), n_vectors=64, seed=4)
+        ids = [3, np.int64(7), np.intp(10)]
+        names = [sampler.compiled.names[site] for site in ids]
+        assert sampler.estimate(ids) == sampler.estimate(names)
+        assert sampler.p_sensitized(np.int32(7)) == sampler.p_sensitized(names[1])

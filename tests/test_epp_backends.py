@@ -9,6 +9,7 @@ the vectorized truth-table kernel).
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -20,13 +21,14 @@ from repro.core.epp import EPPEngine
 from repro.errors import AnalysisError
 from repro.netlist.circuit import Circuit
 from repro.netlist.gate_types import GATE_CODES, GateType
-from repro.netlist.generate import generate_iscas
+from repro.netlist.generate import generate_iscas, random_combinational
 from repro.netlist.library import c17, s27
 
 from tests.helpers import (
     dense_backend,
     live_peak,
     reference_p_sensitized,
+    reference_xor_vec,
     site_slot_rewritten,
     slot_history,
     use_dense_backend,
@@ -609,10 +611,9 @@ def recycled_site_circuit() -> Circuit:
     level (by ``y1``), and ``y2`` — the only row going live at the next
     level — takes ``x``'s freed slot, the one freed last.  ``y2`` is
     on-path for ``x``'s column only, so the row kernels write it
-    through the ``np.where`` scatter, whose site re-injection must not
-    give ``y2`` the 1(a) of ``x``.  ``z`` is a site and a sink on the
-    chunk's minimum level, and ``i`` a site on that level nothing
-    reads."""
+    through the ``np.where`` blend, and no 1(a) of ``x`` may follow it
+    into that slot.  ``z`` is a site and a sink on the chunk's minimum
+    level, and ``i`` a site on that level nothing reads."""
     circuit = Circuit("recycled_site")
     for name in ("i0", "i1"):
         circuit.add_input(name)
@@ -674,19 +675,21 @@ LIVE_ROW_CASES = {
     "same_site_twice": (tapped_chain_circuit, ["n1", "n3", "n1"]),
     "no_sink": (dead_chain_circuit, ["n0", "n2", "n5"]),
     "narrowing_groups": (narrowing_groups_circuit, ["i0", "w0", "x1"]),
+    "site_row_written": (tapped_chain_circuit, ["n0", "n3"]),
 }
 
 
 class TestLiveRows:
     """Compacted sweeps hold only live rows: a row's slot is reused once
     its last reader's level has run.  Sites are such rows — a site goes
-    live at the first level that reads or writes it, gets its 1(a)
-    there, and is re-injected by node id, never by slot — and so are
-    the column query's sinks, captured into the sink plane once final;
-    only sentinels, and the packed query's sinks, keep their slots for
-    the whole sweep.  A recycled slot is re-seeded and its mask row
-    cleared as it goes live, and cone sizes are counted as slots retire
-    — every result stays bit-equal to the dense oracle's."""
+    live at the first level that reads or writes it and gets its 1(a)
+    there, after the level's groups when one of them writes its row —
+    and so are the column query's sinks, captured into the sink plane
+    once final; only sentinels, and the packed query's sinks, keep
+    their slots for the whole sweep.  A row going live takes its whole
+    state and mask row from one writer, its seed or the group that
+    writes it, and cone sizes are counted as slots retire — every
+    result stays bit-equal to the dense oracle's."""
 
     @pytest.mark.parametrize("packed", [False, True])
     @pytest.mark.parametrize(
@@ -722,6 +725,38 @@ class TestLiveRows:
                 assert plan.sink_slots is None
             assert plan.n_slots == live_peak(plan)
 
+    @pytest.mark.parametrize("packed", [False, True])
+    @pytest.mark.parametrize("circuit_name", ["s27", "c432", "random"])
+    def test_every_row_has_one_writer(self, circuit_name, packed):
+        """No slot a level's groups write is among that level's seed
+        slots, and every row a plan covers is seeded or written by a
+        group exactly once, at the level it goes live (the pinned rows
+        nothing writes with the first level)."""
+        circuit = (random_combinational(8, 120, seed=5)
+                   if circuit_name == "random" else build_circuit(circuit_name))
+        engine = EPPEngine(circuit)
+        backend = force_vector(engine, batch_size=16)
+        ids = [engine._cones.resolve(site) for site in engine.default_sites()]
+        plans = chunk_plans(backend, ids, packed)
+        assert len(plans) > 1 or circuit_name == "s27"
+        for plan in plans:
+            pinned = set(plan.pinned_nodes.tolist())
+            live, writes = set(pinned), Counter()
+            for index, (level, (touched, _, _)) in enumerate(
+                    zip(plan.levels, slot_history(plan))):
+                out_slots = {slot for _, slots, _, _ in level.groups
+                             for slot in slots.tolist()}
+                assert not out_slots & set(level.seed_slots.tolist())
+                seeded = level.seed_nodes.tolist()
+                written = [node for *_, nodes in level.groups
+                           for node in nodes.tolist()]
+                writes.update(seeded + written)
+                assert set(seeded + written) - pinned == touched - live
+                assert index == 0 or not set(seeded) & pinned
+                live |= touched
+            assert set(writes.values()) == {1}
+            assert set(writes) == live
+
     @pytest.mark.parametrize("case", sorted(LIVE_ROW_CASES))
     @pytest.mark.parametrize("query", ["analyze_sites", "pack_sites"])
     @pytest.mark.parametrize("cells", ["on", "off", "auto"])
@@ -746,6 +781,12 @@ class TestLiveRows:
             assert first_level.site_slots[0] in first_level.retire_slots
         elif case == "same_site_twice":
             assert len(set(ids.tolist())) < len(ids)
+        elif case == "site_row_written":
+            # n3's group writes its row (n0's column runs through it),
+            # so its 1(a) is injected after that level's groups.
+            written = [level.written_site_cols.tolist() for level in plan.levels]
+            assert [cols for cols in written if cols] == [[1]]
+            assert all(1 not in level.site_cols.tolist() for level in plan.levels)
         elif case == "narrowing_groups":
             # (rows, arity) per level, and each group's scratch need
             # below the one before: a stale scratch under every kernel.
@@ -953,6 +994,36 @@ class TestRowKernelScratch:
         assert np.array_equal(fresh, got)
         with pytest.raises(ValueError):
             rule(state, fanin, np.empty(cells - 1))
+
+
+class TestXorKernels:
+    """The XOR family starts from pin 0's planes and runs its recurrence
+    from pin 1; both tiers must equal the identity-start loop
+    (``tests/helpers.py``) bit for bit.  The dense oracle runs the
+    production row kernels, so this and the golden file are what would
+    catch a changed XOR bit."""
+
+    @pytest.mark.parametrize("gate_type", [GateType.XOR, GateType.XNOR])
+    @pytest.mark.parametrize("arity", [1, 2, 3, 4, 5])
+    def test_xor_kernels_equal_identity_start_loop(self, gate_type, arity):
+        code = GATE_CODES[gate_type]
+        rng = np.random.default_rng(10 * arity + code)
+        state = rng.random((12, 4, 6))
+        draw = rng.random(state.shape)
+        state[draw < 0.15] = 0.0
+        state[draw > 0.85] = 1.0
+        fanin = rng.integers(0, 12, size=(5, arity))
+        x = state[fanin]
+        before = x.copy()
+        expected = reference_xor_vec(x, invert=gate_type is GateType.XNOR)
+        tensor = rules_vec.vec_rule_for(code, arity)(x)
+        assert np.array_equal(tensor, expected)
+        assert np.array_equal(x, before)  # pin 0's planes are only read
+        row = rules_vec.gather_rule_for(code, arity)(state, fanin)
+        assert np.array_equal(row, expected)
+        rows, cols = np.nonzero(rng.random((5, 6)) < 0.5)
+        cell = rules_vec.compact_rule_for(code, arity)(state, fanin[rows], cols)
+        assert np.array_equal(cell, expected[rows, :, cols])
 
 
 class TestDirtyRowLifecycle:

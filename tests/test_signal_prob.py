@@ -1,7 +1,9 @@
 """Topological signal probabilities: gate formulas, trees, sequential fixpoint."""
 
 import itertools
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from repro.netlist.library import counter, parity_tree, s27
 from repro.probability.monte_carlo import monte_carlo_signal_probabilities
 from repro.probability.signal_prob import (
     SequentialConvergence,
+    _SPLevelPlan,
     compute_signal_probabilities,
     run_fixed_point,
 )
@@ -33,6 +36,30 @@ def gate_sp(gate_type, probs):
     return compute_signal_probabilities(
         circuit, input_probs=dict(zip(names, probs))
     )["g"]
+
+
+def one_level_circuit() -> Circuit:
+    """Every product code (AND, NAND, OR and NOR at arities 1-6, NOT,
+    BUF), both parity codes at arities 1-6, a MUX and a MAJ, all reading
+    the six primary inputs: one level, whose SP plan holds one product
+    block, one parity block and one block each for the MUX and the MAJ."""
+    circuit = Circuit("one_level")
+    inputs = [f"i{k}" for k in range(6)]
+    for name in inputs:
+        circuit.add_input(name)
+    gates = [(GateType.NOT, ["i0"]), (GateType.BUF, ["i1"]),
+             (GateType.MUX, ["i2", "i3", "i4"]),
+             (GateType.MAJ, ["i5", "i0", "i3"])]
+    for gate_type in (GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
+                      GateType.XOR, GateType.XNOR):
+        for arity in range(1, 7):
+            gates.append((gate_type, [inputs[(arity + k) % 6]
+                                      for k in range(arity)]))
+    for index, (gate_type, pins) in enumerate(gates):
+        name = f"{gate_type.name.lower()}{len(pins)}_{index}"
+        circuit.add_gate(name, gate_type, pins)
+        circuit.mark_output(name)
+    return circuit
 
 
 def enumerate_gate_probability(gate_type, probs):
@@ -250,6 +277,47 @@ class TestVectorizedPass:
             for name in circuit.inputs
         }
         self._assert_matches_oracle(circuit, input_probs=probs)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(probs=st.lists(st.floats(min_value=0.0, max_value=1.0),
+                          min_size=6, max_size=6))
+    def test_family_blocks_match_oracle(self, probs):
+        """One level holding every product and parity code at arities
+        1-6 beside a MUX and a MAJ runs as four blocks, and equals the
+        node-by-node oracle on every node at drawn input probabilities."""
+        circuit = one_level_circuit()
+        blocks = _SPLevelPlan.for_compiled(circuit.compiled()).blocks
+        assert sorted(block.family for block in blocks) == [
+            "mux", "parity", "product", "table"]
+        inputs = [f"i{k}" for k in range(6)]
+        self._assert_matches_oracle(circuit, dict(zip(inputs, probs)))
+
+    def test_s9234_plan_has_one_block_per_level_and_family(self):
+        """s9234's plan holds at most one product and one parity block
+        per level, plus one block per MUX or truth-table group, in level
+        order, and places every gate in exactly one block."""
+        compiled = generate_iscas("s9234").compiled()
+        groups = compiled.level_gate_groups()
+        blocks = _SPLevelPlan.for_compiled(compiled).blocks
+        levels = [compiled.level[block.out_ids[0]] for block in blocks]
+        assert levels == sorted(levels)
+        for level, block in zip(levels, blocks):
+            assert {compiled.level[node] for node in block.out_ids} == {level}
+        family = Counter(
+            (level, block.family) for level, block in zip(levels, blocks)
+            if block.family in ("product", "parity")
+        )
+        assert set(family.values()) == {1}
+        singles = [block for block in blocks if block.family in ("mux", "table")]
+        assert len(singles) == sum(
+            compiled.gate_type(outs[0]) in (GateType.MUX, GateType.MAJ)
+            for _, _, outs, _, _ in groups
+        )
+        n_levels = len({level for level, *_ in groups})
+        assert len(blocks) <= 2 * n_levels + len(singles) < len(groups)
+        outs = np.concatenate([block.out_ids for block in blocks])
+        assert sorted(outs.tolist()) == sorted(
+            node for _, _, group_outs, _, _ in groups for node in group_outs)
 
     def test_returns_plain_floats(self):
         sp = compute_signal_probabilities(s27())
